@@ -25,9 +25,8 @@
 //	            in dcserved
 //	-workers host:port,...  dispatch sweep and cluster-job misses to dcserved
 //	            workers, with -dispatch-timeout, -dispatch-retries,
-//	            -dispatch-hedge, -dispatch-cooldown and -dispatch-api-key
-//	            (bearer key for workers running with -keys-file) as in
-//	            dcserved
+//	            -dispatch-replicas and -dispatch-api-key (bearer key for
+//	            workers running with -keys-file) as in dcserved
 //	-replicas host:port,...  fan fresh store records out to these dcserved
 //	            peers (requires -store), with -replication-factor and
 //	            -anti-entropy-interval as in dcserved
@@ -110,8 +109,9 @@ func wireBackends(storeDir string, storeOpts store.OpenOptions, dispatchOpts dis
 		statsBackend = st.StatsBackend(nil)
 	}
 	if len(replicaOpts.Peers) > 0 {
-		// Replication sits between the store and any dispatch wrapper, so
-		// results this run simulates locally land on the peer nodes too.
+		// Replication hooks the store's writes, so results this run
+		// simulates locally (or fetches through dispatch) land on the peer
+		// nodes too.
 		replicaOpts.APIKey = dispatchOpts.APIKey
 		var err error
 		repl, err = replica.New(replicaOpts, st, nil)
@@ -121,8 +121,6 @@ func wireBackends(storeDir string, storeOpts store.OpenOptions, dispatchOpts dis
 			}
 			return nil, nil, err
 		}
-		backend = repl.WrapMemo(backend)
-		statsBackend = repl.WrapStats(statsBackend)
 	}
 	if len(dispatchOpts.Workers) > 0 {
 		remote, err := dispatch.New(dispatchOpts, opts.Warmup, backend, statsBackend, nil)

@@ -35,6 +35,14 @@ func TestUsageTextMatchesRealDefaults(t *testing.T) {
 			t.Errorf("-%s usage does not advertise %q:\n%s", flagName, want, usage)
 		}
 	}
+	// The flag surface is a tracked size number (scripts/size.sh): adding
+	// a flag is a deliberate act that updates this count and the doc
+	// comment's table together.
+	n := 0
+	fs.VisitAll(func(*flag.Flag) { n++ })
+	if n != 23 {
+		t.Errorf("dcbench registers %d flags, want 23", n)
+	}
 }
 
 // TestDocCommentMatchesRealDefaults pins the package doc comment's flag

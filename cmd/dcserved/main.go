@@ -22,8 +22,6 @@
 //	GET  /v1/jobs/{id}/result            the finished job's record
 //	DELETE /v1/jobs/{id}                 cancel: frees the slot, stops the simulation
 //	                                     once no other caller shares it
-//	POST /v1/sweep                       deprecated alias: a counters job in the old shape
-//	                                     (answers with Deprecation + Sunset headers)
 //
 // Errors answer a JSON envelope {"error": {"code", "message", "trace_id"}}
 // with a stable machine-readable code (also in the X-Dcs-Error-Code
@@ -57,15 +55,15 @@
 //	-workers host:port,...     dispatch job misses to these dcserved workers
 //	-dispatch-timeout d        per-attempt timeout for dispatched jobs
 //	-dispatch-retries n        extra attempts on other workers after a failure
-//	-dispatch-hedge d          hedge a silent dispatch onto the next worker; 0 disables
-//	-dispatch-cooldown d       how long a repeatedly failing worker stays demoted
 //	-dispatch-api-key k        bearer key presented to keyed workers; tenant ids are
 //	                           forwarded beside it in X-Dcs-Tenant either way
-//	-dispatch-replicas n       store copies per key in the worker cluster; reads
-//	                           rotate across a key's replicas when above 1
+//	-dispatch-replicas n       the workers' -replication-factor; above 1, reads
+//	                           rotate across a key's replicas
 //	-replicas host:port,...    fan fresh store records out to these peer nodes
-//	                           and anti-entropy against them (requires -store)
-//	-replication-factor n      total copies of each fresh record, this node included
+//	                           and anti-entropy against them (requires -store);
+//	                           spell each address as the front-ends' -workers do
+//	-replication-factor n      copies the eager push makes of each fresh record,
+//	                           this node included
 //	-anti-entropy-interval d   digest-exchange period; <0 disables the loop
 //	-debug-addr addr   serve /debug/traces and /debug/pprof on a separate
 //	                   listener, kept off the service port; empty disables
@@ -89,11 +87,10 @@
 // job) releases its share of the computation, and the simulation itself
 // stops only when the last sharer is gone.
 //
-// The store is sharded on disk and carries a persisted manifest; a store
-// directory written by the previous flat layout (schema 1) is migrated in
-// place on startup. Both sweep counters and the cluster-experiment stats
-// (Figures 2/5, Table I) persist, so a restarted server re-simulates
-// nothing that is already on disk.
+// The store is sharded on disk and carries a persisted manifest. Both
+// sweep counters and the cluster-experiment stats (Figures 2/5, Table I)
+// persist, so a restarted server re-simulates nothing that is already on
+// disk.
 //
 // Responses carry ETag/Cache-Control derived from (seed, scale, config
 // fingerprint), and concurrent cold requests for the same resource
@@ -169,6 +166,8 @@ func main() {
 		tenants = tenant.NewRegistry(log)
 	}
 	cfg.Tenants = tenants
+	// One plane, bottom up: the store, replication hooked onto its writes,
+	// dispatch in front of both.
 	var local sweep.MemoBackend
 	var localStats workloads.StatsBackend
 	if *storeDir != "" {
@@ -180,26 +179,18 @@ func main() {
 		}
 		defer st.Close()
 		cfg.Store = st
-		local = st.Backend(log)
-		localStats = st.StatsBackend(log)
+		local, localStats = st.Backend(log), st.StatsBackend(log)
 	}
-	var repl *replica.Replicator
 	if len(replicaOpts.Peers) > 0 {
-		// Replication sits between the store and any dispatch wrapper:
-		// fresh local records fan out to peers, and the peers' pushes land
-		// directly in the store — so a dispatching front-end replicates
-		// too, and a plain worker replicates without dispatch at all.
 		replicaOpts.APIKey = dispatchOpts.APIKey
-		var err error
-		repl, err = replica.New(replicaOpts, cfg.Store, log)
+		repl, err := replica.New(replicaOpts, cfg.Store, log)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "dcserved:", err)
 			os.Exit(1)
 		}
-		local = repl.WrapMemo(local)
-		localStats = repl.WrapStats(localStats)
-		cfg.Backend = local
-		cfg.Cluster = localStats
+		cfg.Replica = repl
+		repl.Start(ctx)
+		defer repl.Close()
 		log.Info("replicating store records", "peers", replicaOpts.Peers,
 			"factor", replicaOpts.Factor, "anti_entropy", replicaOpts.Interval)
 	}
@@ -215,13 +206,6 @@ func main() {
 	}
 
 	srv := serve.New(cfg)
-	if repl != nil {
-		// The replicator's push/anti-entropy spans land in the server's
-		// trace ring, beside the request timelines they repair for.
-		repl.SetRecorder(srv.Recorder())
-		repl.Start(ctx)
-		defer repl.Close()
-	}
 	admin := serve.AdminHandler(tenants, *adminToken, log)
 	if *adminAddr != "" {
 		// The admin plane gets its own listener when asked: key

@@ -1,23 +1,24 @@
 // Package dispatch fans compute jobs out over worker nodes: a
 // RemoteBackend forwards memo misses to a configured set of dcserved
 // workers over HTTP, turning a front-end's caches into the head of a
-// compute cluster. One engine carries every job kind: the same
-// rendezvous ranking, retry walk, hedging, circuit state and admission
-// push-back serves characterization sweeps (sweep.MemoBackend, kind
-// "counters") and cluster experiments (workloads.StatsBackend, kind
-// "cluster"), and a future kind is a typed wrapper plus a store codec,
-// not a new backend.
+// compute cluster. One path carries every job kind: the same rendezvous
+// ranking, retry walk, circuit state and admission push-back serves
+// characterization sweeps (sweep.MemoBackend, kind "counters") and cluster
+// experiments (workloads.StatsBackend, kind "cluster"), and a future kind
+// is one more jobKind descriptor plus a store codec, not a new backend.
 //
 // The design rides the memo seams end to end. The engines consult their
 // backends only inside a key's singleflight cell, so the dispatch layer
 // sees each key at most once per process while it stays memoized; below
 // that, a load checks the local store first (warm results never leave
-// the process), then picks workers by rendezvous hashing — every
-// front-end sharing a worker set routes a key to the same worker, so the
-// cluster simulates each key once — and forwards the miss as a
-// kind-tagged POST /v1/jobs with per-attempt timeouts, retries on the
-// next-ranked workers, and optional hedging (a second request launched
-// when the first dawdles; first answer wins).
+// the process), then ranks workers by rendezvous hashing over the record's
+// content address (peer.Rank over store.CountersAddr / store.ClusterAddr)
+// — every front-end sharing a worker set routes a key to the same worker,
+// so the cluster simulates each key once, and the order is the one store
+// replication pushes along, so a key's top -dispatch-replicas workers are
+// the nodes holding its copies — and forwards the miss as a kind-tagged
+// POST /v1/jobs with a per-attempt timeout, retrying on the next-ranked
+// workers.
 //
 // Failure and saturation are first-class inputs. Every worker carries
 // consecutive-failure circuit state (an open circuit demotes it to last
@@ -36,17 +37,13 @@
 package dispatch
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"hash/fnv"
-	"io"
 	"log/slog"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -55,9 +52,9 @@ import (
 
 	"dcbench/internal/memo"
 	"dcbench/internal/obs"
+	"dcbench/internal/peer"
 	"dcbench/internal/store"
 	"dcbench/internal/sweep"
-	"dcbench/internal/tenant"
 	"dcbench/internal/uarch"
 	"dcbench/internal/workloads"
 )
@@ -79,22 +76,11 @@ const maxShedDemotion = time.Minute
 // Retry-After header.
 const defaultRetryAfter = time.Second
 
-// legacyRecheck is how long a worker detected as a pre-jobs build is
-// taken at its word before /v1/jobs is probed again — long enough that a
-// fleet of old workers is not 404-probed per fetch, short enough that an
-// upgraded worker's cluster capacity comes back without restarting the
-// front-end.
-const legacyRecheck = 5 * time.Minute
-
-// maxResponse bounds a worker response; counters records are a few KB and
-// cluster records smaller still.
-const maxResponse = 8 << 20
-
 // Options configures a RemoteBackend. The zero value of every field but
 // Workers is usable: New fills defaults for Timeout and Cooldown, whose
 // zero values would be meaningless; Retries 0 genuinely means "no
-// retries" and Hedge 0 "no hedging" (RegisterFlags defaults Retries to
-// DefaultRetries for the flag surface both binaries share).
+// retries" (RegisterFlags defaults it to DefaultRetries for the flag
+// surface both binaries share).
 type Options struct {
 	// Workers are the worker addresses (host:port); an empty list means
 	// dispatch is off and the caller should not build a backend at all.
@@ -105,13 +91,8 @@ type Options struct {
 	// the next worker in the key's rendezvous order. 0 means one attempt
 	// total; the -dispatch-retries flag defaults it to DefaultRetries.
 	Retries int
-	// Hedge, when positive, launches a duplicate request on the next-ranked
-	// worker once the current one has been silent this long; the first
-	// response wins. 0 (the default) disables hedging — a hedged cold
-	// job is duplicated cluster work, so only enable it with a delay
-	// comfortably above your slowest legitimate simulation.
-	Hedge time.Duration
-	// Cooldown is how long an open circuit keeps a worker demoted.
+	// Cooldown is how long an open circuit keeps a worker demoted; 0 means
+	// DefaultCooldown.
 	Cooldown time.Duration
 	// APIKey, when non-empty, authenticates every dispatched request as
 	// `Authorization: Bearer <APIKey>` — the front-end's own service key
@@ -121,12 +102,12 @@ type Options struct {
 	// caused it (and an unkeyed worker still gets the attribution).
 	APIKey string
 	// Replicas is how many copies of each key the worker cluster keeps
-	// (the store replication factor, see internal/replica). Above 1, a
+	// (the workers' -replication-factor, see internal/replica). Above 1, a
 	// fetch's first attempt rotates across the key's top Replicas healthy
-	// workers instead of always hitting the owner — any replica serves a
-	// warm key locally, so reads spread and a dead owner costs nothing.
-	// The retry walk still covers the full rendezvous order, owner
-	// included. 0 or 1 preserves owner-only routing.
+	// workers instead of always hitting the owner — replication pushes
+	// along the same rendezvous order, so those workers hold the key's
+	// copies and any of them serves it warm. The retry walk still covers
+	// the full order, owner included. 0 or 1 preserves owner-only routing.
 	Replicas int
 }
 
@@ -140,42 +121,21 @@ func RegisterFlags(fs *flag.FlagSet, o *Options) {
 	if o.Retries == 0 {
 		o.Retries = DefaultRetries
 	}
-	if o.Cooldown == 0 {
-		o.Cooldown = DefaultCooldown
-	}
-	fs.Var((*workerList)(&o.Workers), "workers", "comma-separated job worker addresses (host:port,...); empty = simulate locally")
-	fs.DurationVar(&o.Timeout, "dispatch-timeout", o.Timeout, "per-attempt timeout for dispatched jobs")
-	fs.IntVar(&o.Retries, "dispatch-retries", o.Retries, "extra attempts on other workers after a failed dispatch")
-	fs.DurationVar(&o.Hedge, "dispatch-hedge", o.Hedge, "hedge a silent dispatch onto the next worker after this long; 0 disables (a hedged job is duplicated work)")
-	fs.DurationVar(&o.Cooldown, "dispatch-cooldown", o.Cooldown, "how long a repeatedly failing worker stays demoted")
-	fs.StringVar(&o.APIKey, "dispatch-api-key", o.APIKey, "API key presented to workers as a bearer token; empty = unauthenticated dispatch")
 	if o.Replicas == 0 {
 		o.Replicas = 1
 	}
+	fs.Var((*peer.List)(&o.Workers), "workers", "comma-separated job worker addresses (host:port,...); empty = simulate locally")
+	fs.DurationVar(&o.Timeout, "dispatch-timeout", o.Timeout, "per-attempt timeout for dispatched jobs")
+	fs.IntVar(&o.Retries, "dispatch-retries", o.Retries, "extra attempts on other workers after a failed dispatch")
+	fs.StringVar(&o.APIKey, "dispatch-api-key", o.APIKey, "API key presented to workers as a bearer token; empty = unauthenticated dispatch")
 	fs.IntVar(&o.Replicas, "dispatch-replicas", o.Replicas, "store copies per key in the worker cluster; above 1, reads rotate across a key's replicas instead of always asking the owner")
-}
-
-// workerList is the -workers flag value: a comma-separated address list.
-type workerList []string
-
-func (l *workerList) String() string { return strings.Join(*l, ",") }
-
-func (l *workerList) Set(v string) error {
-	*l = nil
-	for _, a := range strings.Split(v, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			*l = append(*l, a)
-		}
-	}
-	return nil
 }
 
 // worker is one remote node's address, traffic counters, circuit state
 // and admission (shed) state.
 type worker struct {
-	addr     string
-	url      string // POST /v1/jobs
-	sweepURL string // POST /v1/sweep — the pre-jobs alias legacy workers speak
+	addr string
+	url  string // POST /v1/jobs
 
 	sent atomic.Int64
 	errs atomic.Int64
@@ -186,13 +146,6 @@ type worker struct {
 	lastErr   string    // most recent failure, cleared on success — /healthz's why
 	openUntil time.Time // circuit open (worker demoted) until then
 	shedUntil time.Time // worker asked for back-off (429 Retry-After) until then
-	// legacyUntil marks a worker whose mux answered "404 page not found"
-	// for /v1/jobs: a pre-jobs build that only speaks /v1/sweep. Until it
-	// expires, counters jobs go out in the alias shape (byte-compatible
-	// either way) and kinds with no legacy shape skip the worker; past it
-	// the next fetch probes /v1/jobs again, so an upgraded worker's
-	// cluster capacity returns without a front-end restart.
-	legacyUntil time.Time
 }
 
 // healthy reports whether the worker's circuit is closed at t.
@@ -208,22 +161,6 @@ func (w *worker) shedding(t time.Time) bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return t.Before(w.shedUntil)
-}
-
-// isLegacy reports whether the worker is currently taken to be a
-// pre-jobs build at t.
-func (w *worker) isLegacy(t time.Time) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return t.Before(w.legacyUntil)
-}
-
-// markLegacy records a /v1/jobs route miss: the worker is a pre-jobs
-// build for the next legacyRecheck window.
-func (w *worker) markLegacy(t time.Time) {
-	w.mu.Lock()
-	w.legacyUntil = t.Add(legacyRecheck)
-	w.mu.Unlock()
 }
 
 func (w *worker) succeeded() {
@@ -291,28 +228,41 @@ func (k *kindStats) snapshot(kind string) sweep.DispatchKindStats {
 	}
 }
 
+// jobKind describes one job kind to the dispatch path: how its keys are
+// addressed, how its response record is verified, and where its results
+// are cached locally. Everything else — ranking, the retry walk, circuit
+// and shed state, write-through, fallback accounting — is shared.
+type jobKind[K comparable, V any] struct {
+	name   string                     // the store record kind, also the /v1/jobs kind tag
+	warmup int64                      // shipped with every job of this kind (counters only)
+	addr   func(K) (string, error)    // the record's content address: the rendezvous input
+	decode func([]byte) (K, V, error) // the store codec: checksum, kind and embedded key
+	// The local backend, consulted before any dispatch and written
+	// through after; both nil on a storeless front-end.
+	load  func(context.Context, K) (V, bool)
+	store func(context.Context, K, V)
+
+	flight *memo.Memo[K, V] // coalesces identical concurrent fetches
+	stats  kindStats
+}
+
 // RemoteBackend forwards job memo misses to worker nodes. It implements
 // sweep.MemoBackend and workloads.StatsBackend (so it slots into the
 // sweep engine and the cluster cache untouched) plus sweep.StatsReporter
 // (store counters from the wrapped local backend plus the dispatch
 // block).
 type RemoteBackend struct {
-	opts       Options
-	warmup     int64
-	local      sweep.MemoBackend      // consulted first for counters, written through; may be nil
-	localStats workloads.StatsBackend // consulted first for cluster jobs, written through; may be nil
-	workers    []*worker
-	client     *http.Client
-	log        *slog.Logger
-	now        func() time.Time
+	opts    Options
+	local   sweep.MemoBackend  // kept for BackendStats; may be nil
+	workers map[string]*worker // by address; opts.Workers holds the configured order
+	client  peer.Client
+	log     *slog.Logger
+	now     func() time.Time
 
-	flight      *memo.Memo[sweep.Key, *uarch.Counters]           // coalesces identical concurrent counter fetches
-	statsFlight *memo.Memo[workloads.StatsKey, *workloads.Stats] // ... and cluster fetches
+	counters jobKind[sweep.Key, *uarch.Counters]
+	cluster  jobKind[workloads.StatsKey, *workloads.Stats]
 
-	rr atomic.Int64 // round-robin cursor for replica read rotation
-
-	counters kindStats
-	cluster  kindStats
+	rr       atomic.Int64 // round-robin cursor for replica read rotation
 	inFlight atomic.Int64
 }
 
@@ -340,183 +290,96 @@ func New(opts Options, warmup int64, local sweep.MemoBackend, localStats workloa
 		log = slog.Default()
 	}
 	b := &RemoteBackend{
-		opts:        opts,
-		warmup:      warmup,
-		local:       local,
-		localStats:  localStats,
-		client:      &http.Client{},
-		log:         log,
-		now:         time.Now,
-		flight:      memo.NewFlight[sweep.Key, *uarch.Counters](),
-		statsFlight: memo.NewFlight[workloads.StatsKey, *workloads.Stats](),
+		opts:    opts,
+		local:   local,
+		workers: make(map[string]*worker, len(opts.Workers)),
+		client:  peer.Client{APIKey: opts.APIKey, Timeout: opts.Timeout},
+		log:     log,
+		now:     time.Now,
+		counters: jobKind[sweep.Key, *uarch.Counters]{
+			name: store.KindCounters, warmup: warmup,
+			addr: store.CountersAddr, decode: store.DecodeCounters,
+			flight: memo.NewFlight[sweep.Key, *uarch.Counters](),
+		},
+		cluster: jobKind[workloads.StatsKey, *workloads.Stats]{
+			name: store.KindCluster,
+			addr: store.ClusterAddr, decode: store.DecodeStats,
+			flight: memo.NewFlight[workloads.StatsKey, *workloads.Stats](),
+		},
 	}
-	b.flight.SetName("dispatch")
-	b.statsFlight.SetName("dispatch")
+	if local != nil {
+		b.counters.load, b.counters.store = local.Load, local.Store
+	}
+	if localStats != nil {
+		b.cluster.load, b.cluster.store = localStats.LoadStats, localStats.StoreStats
+	}
+	b.counters.flight.SetName("dispatch")
+	b.cluster.flight.SetName("dispatch")
+	b.opts.Workers = nil
 	for _, addr := range opts.Workers {
-		b.workers = append(b.workers, &worker{
-			addr:     addr,
-			url:      "http://" + addr + "/v1/jobs",
-			sweepURL: "http://" + addr + "/v1/sweep",
-		})
+		if b.workers[addr] != nil {
+			continue // a repeated address is one worker, not two
+		}
+		b.opts.Workers = append(b.opts.Workers, addr)
+		b.workers[addr] = &worker{addr: addr, url: "http://" + addr + "/v1/jobs"}
 	}
 	return b, nil
 }
 
-// kindOf maps a record kind to its counter block.
-func (b *RemoteBackend) kindOf(kind string) *kindStats {
-	if kind == store.KindCluster {
-		return &b.cluster
-	}
-	return &b.counters
-}
-
-// --- sweep.MemoBackend (counters jobs) ---
+// The four interface methods are the typed edges of the one generic path.
 
 // Load resolves a sweep key: local backend first, then the worker set. A
 // remote result is written through to the local backend before it is
 // returned. Total remote failure is a counted fallback and a plain miss —
 // the engine then simulates locally, preserving single-process behaviour.
 func (b *RemoteBackend) Load(ctx context.Context, k sweep.Key) (*uarch.Counters, bool) {
-	if b.local != nil {
-		if c, ok := b.local.Load(ctx, k); ok {
-			return c, true
-		}
-	}
-	c, err := b.flight.DoShared(ctx, k, func(ctx context.Context) (*uarch.Counters, error) { return b.fetchCounters(ctx, k) })
-	if err != nil {
-		if ctx.Err() != nil {
-			// The caller itself was cancelled (every sharer of the engine's
-			// memo cell has left): not a cluster failure, and the engine
-			// will abort rather than simulate, so no fallback is counted.
-			return nil, false
-		}
-		b.counters.fallbacks.Add(1)
-		b.log.Warn("dispatch failed; falling back to local simulation", "kind", store.KindCounters, "workload", k.Name, "err", err)
-		return nil, false
-	}
-	return c, true
+	return load(ctx, b, &b.counters, k)
 }
 
 // Store writes a locally simulated result through to the local backend.
 // Workers are not told: the cluster's copy lives wherever the key's
 // rendezvous owner keeps its store.
 func (b *RemoteBackend) Store(ctx context.Context, k sweep.Key, c *uarch.Counters) {
-	if b.local != nil {
-		b.local.Store(ctx, k, c)
+	if b.counters.store != nil {
+		b.counters.store(ctx, k, c)
 	}
 }
 
-// fetchCounters runs one dispatched counters job inside the key's flight
-// cell: encode the kind-tagged request, walk the workers, verify the
-// response record against the key, write through.
-func (b *RemoteBackend) fetchCounters(ctx context.Context, k sweep.Key) (*uarch.Counters, error) {
-	body, err := jobBody(store.KindCounters, k, b.warmup)
-	if err != nil {
-		return nil, err
-	}
-	// The same job in the pre-jobs /v1/sweep shape, for workers that turn
-	// out not to speak /v1/jobs yet (see worker.legacy).
-	legacyBody, err := json.Marshal(struct {
-		Key    sweep.Key `json:"key"`
-		Warmup int64     `json:"warmup"`
-	}{k, b.warmup})
-	if err != nil {
-		return nil, err
-	}
-	v, err := b.fetch(ctx, store.KindCounters, counterHash(k), body, legacyBody, func(data []byte) (any, error) {
-		gotKey, c, err := store.DecodeCounters(data)
-		if err != nil {
-			return nil, fmt.Errorf("unverifiable response: %w", err)
-		}
-		if gotKey != k {
-			return nil, fmt.Errorf("response is for key %q/%016x, want %q/%016x",
-				gotKey.Name, gotKey.ConfigFP, k.Name, k.ConfigFP)
-		}
-		return c, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := v.(*uarch.Counters)
-	if b.local != nil {
-		b.local.Store(ctx, k, out) // write through: restarts stay warm
-	}
-	return out, nil
-}
-
-// --- workloads.StatsBackend (cluster jobs) ---
-
-// LoadStats resolves a cluster experiment key the same way Load resolves
-// a sweep key: local stats backend first, then the worker set, write
-// through, counted per-kind fallback on total failure (the cluster cache
-// then simulates locally).
+// LoadStats resolves a cluster experiment key exactly as Load resolves a
+// sweep key.
 func (b *RemoteBackend) LoadStats(ctx context.Context, k workloads.StatsKey) (*workloads.Stats, bool) {
-	if b.localStats != nil {
-		if st, ok := b.localStats.LoadStats(ctx, k); ok {
-			return st, true
-		}
-	}
-	st, err := b.statsFlight.DoShared(ctx, k, func(ctx context.Context) (*workloads.Stats, error) { return b.fetchStats(ctx, k) })
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, false // caller cancelled, not a cluster failure
-		}
-		b.cluster.fallbacks.Add(1)
-		b.log.Warn("dispatch failed; falling back to local simulation", "kind", store.KindCluster, "workload", k.Workload, "err", err)
-		return nil, false
-	}
-	return st, true
+	return load(ctx, b, &b.cluster, k)
 }
 
 // StoreStats writes a locally simulated cluster result through to the
 // local stats backend.
 func (b *RemoteBackend) StoreStats(ctx context.Context, k workloads.StatsKey, st *workloads.Stats) {
-	if b.localStats != nil {
-		b.localStats.StoreStats(ctx, k, st)
+	if b.cluster.store != nil {
+		b.cluster.store(ctx, k, st)
 	}
 }
 
-// fetchStats is fetchCounters for cluster jobs.
-func (b *RemoteBackend) fetchStats(ctx context.Context, k workloads.StatsKey) (*workloads.Stats, error) {
-	body, err := jobBody(store.KindCluster, k, 0)
-	if err != nil {
-		return nil, err
-	}
-	v, err := b.fetch(ctx, store.KindCluster, statsHash(k), body, nil, func(data []byte) (any, error) {
-		gotKey, st, err := store.DecodeStats(data)
-		if err != nil {
-			return nil, fmt.Errorf("unverifiable response: %w", err)
+// load is the body of Load and LoadStats: local backend, then one
+// coalesced fetch, then the counted fallback.
+func load[K comparable, V any](ctx context.Context, b *RemoteBackend, kd *jobKind[K, V], k K) (V, bool) {
+	if kd.load != nil {
+		if v, ok := kd.load(ctx, k); ok {
+			return v, true
 		}
-		if gotKey != k {
-			return nil, fmt.Errorf("response is for cluster key %+v, want %+v", gotKey, k)
-		}
-		return st, nil
-	})
+	}
+	v, err := kd.flight.DoShared(ctx, k, func(ctx context.Context) (V, error) { return fetch(ctx, b, kd, k) })
 	if err != nil {
-		return nil, err
+		var zero V
+		if ctx.Err() == nil {
+			// A cluster failure, not the caller's own cancellation (every
+			// sharer of the engine's memo cell has left, and the engine
+			// will abort rather than simulate): count the fallback.
+			kd.stats.fallbacks.Add(1)
+			b.log.Warn("dispatch failed; falling back to local simulation", "kind", kd.name, "key", k, "err", err)
+		}
+		return zero, false
 	}
-	out := v.(*workloads.Stats)
-	if b.localStats != nil {
-		b.localStats.StoreStats(ctx, k, out)
-	}
-	return out, nil
-}
-
-// counterHash is the rendezvous hash input for a sweep key — unchanged
-// from the sweep-only wire, so a mixed-version worker set keeps routing
-// counter keys to the same owners during a rollout.
-func counterHash(k sweep.Key) uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%d|%d|%d", k.Name, k.Profile.Seed, k.ConfigFP, k.MaxInstrs)
-	return h.Sum64()
-}
-
-// statsHash is the rendezvous hash input for a cluster experiment key;
-// the kind prefix keeps it disjoint from every counter key's.
-func statsHash(k workloads.StatsKey) uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "cluster|%s|%d|%g|%d", k.Workload, k.Slaves, k.Scale, k.Seed)
-	return h.Sum64()
+	return v, true
 }
 
 // jobBody encodes one kind-tagged /v1/jobs request.
@@ -532,172 +395,98 @@ func jobBody(kind string, key any, warmup int64) ([]byte, error) {
 	}{kind, rawKey, warmup})
 }
 
-// --- the kind-agnostic dispatch engine ---
-
-// fetch runs one dispatched job: attempts walk the key's rendezvous order
+// fetch runs one dispatched job: it walks the key's rendezvous order
 // (healthy workers first, shedding ones demoted behind them, open
-// circuits last), each bounded by the per-attempt timeout, with a hedged
-// duplicate launched when the current attempt has been silent for the
-// hedge delay. decode must be a pure verification of the response bytes —
-// it runs in each attempt's goroutine (so even a straggler's success
-// resets its worker's circuit, and a straggler's garbage is charged), and
-// its failure fails the attempt, so a mangled record never wins over a
-// retry. legacyBody, when non-nil, is the job in the pre-jobs /v1/sweep
-// shape for workers that turn out not to speak /v1/jobs; a kind with no
-// legacy shape skips known-legacy workers instead of failing them. Runs
-// inside the key's flight cell, so concurrent engine misses for one key
-// cost one remote round trip. ctx carries the trace (each attempt records
-// a "dispatch" span and forwards the trace ID to the worker) and the
-// flight's refcounted cancellation: it fires only when every caller
-// sharing the cell has left, aborting the worker HTTP request so the
-// worker sees its own request context die and can release the slot.
-func (b *RemoteBackend) fetch(ctx context.Context, kind string, keyHash uint64, body, legacyBody []byte, decode func([]byte) (any, error)) (any, error) {
-	ks := b.kindOf(kind)
-	ks.dispatched.Add(1)
+// circuits last), one attempt at a time, each bounded by the per-attempt
+// timeout, until a worker's response verifies; the verified result is
+// written through to the local backend. Runs inside the key's flight
+// cell, so concurrent engine misses for one key cost one remote round
+// trip. ctx carries the trace (each attempt records a "dispatch" span and
+// forwards the trace ID to the worker) and the flight's refcounted
+// cancellation: it fires only when every caller sharing the cell has
+// left, aborting the worker HTTP request so the worker sees its own
+// request context die, its simulation joiner leaves, and (if it was the
+// last) the worker's simulation stops and frees its slot.
+func fetch[K comparable, V any](ctx context.Context, b *RemoteBackend, kd *jobKind[K, V], k K) (V, error) {
+	var zero V
+	recordAddr, err := kd.addr(k)
+	if err != nil {
+		return zero, err
+	}
+	body, err := jobBody(kd.name, k, kd.warmup)
+	if err != nil {
+		return zero, err
+	}
+	kd.stats.dispatched.Add(1)
 	b.inFlight.Add(1)
 	defer b.inFlight.Add(-1)
 
-	order, alive := b.rank(keyHash)
-	if legacyBody == nil {
-		// This kind has no pre-jobs shape: a known-legacy worker cannot
-		// serve it, ever. Skip such workers — an incapable worker is not an
-		// unhealthy one, and failing it here would open the circuit its
-		// counters traffic depends on.
-		now := b.now()
-		capable := order[:0:0]
-		alive = 0
-		for _, w := range order {
-			if w.isLegacy(now) {
-				continue
-			}
-			capable = append(capable, w)
-			if w.healthy(now) {
-				alive++
-			}
-		}
-		if order = capable; len(order) == 0 {
-			return nil, fmt.Errorf("no worker speaks /v1/jobs for kind %q (all pre-jobs builds)", kind)
-		}
-	}
+	order, alive := b.rank(recordAddr)
 	if alive == 0 {
 		// Every circuit is open: fail fast instead of paying a full
 		// timeout per key against workers already known to be dark. The
 		// cluster is probed again once a cooldown expires (healthy() turns
 		// true by itself), so recovery needs no traffic while open.
-		return nil, errors.New("every worker's circuit is open")
+		return zero, errors.New("every worker's circuit is open")
 	}
-	if b.opts.Replicas > 1 {
-		// Replicated stores: the key is warm on its top Replicas workers,
-		// not just the owner, so rotate the first attempt across the
-		// healthy prefix of that replica set. rank puts healthy workers
-		// first in score order, so the prefix below the first non-healthy
-		// worker is exactly the healthy replicas; rotating within it (and
-		// only it) spreads reads without ever preferring a demoted worker.
-		// The retry walk still visits everything in order, owner included.
-		now := b.now()
-		h := 0
-		for h < len(order) && h < b.opts.Replicas &&
-			order[h].healthy(now) && !order[h].shedding(now) {
-			h++
-		}
-		if h > 1 {
-			off := int(uint64(b.rr.Add(1)) % uint64(h))
-			rot := make([]*worker, 0, len(order))
-			rot = append(rot, order[off:h]...)
-			rot = append(rot, order[:off]...)
-			rot = append(rot, order[h:]...)
-			order = rot
-		}
+	order = b.rotate(order)
+	if attempts := b.opts.Retries + 1; attempts < len(order) {
+		order = order[:attempts]
 	}
-	attempts := b.opts.Retries + 1
-	if attempts > len(order) {
-		attempts = len(order)
-	}
-	// One parent context for the whole fetch: a win by any attempt cancels
-	// the stragglers' HTTP requests. The incoming ctx is the flight cell's
-	// run context (memo.DoShared), already severed from any single caller —
-	// it dies only when every caller sharing the cell has left, at which
-	// point aborting the worker request is exactly right: the worker's own
-	// request context cancels, its simulation joiner leaves, and (if it was
-	// the last) the worker's simulation stops and frees its slot. This
-	// replaced an earlier blanket WithoutCancel that kept a remote job
-	// burning a worker slot after every caller had hung up.
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type result struct {
-		w   *worker
-		val any
-		err error
-	}
-	resc := make(chan result, attempts)
-	launch := func(w *worker) {
-		go func() {
-			sp := obs.Start(ctx, "dispatch", "worker", w.addr, "kind", kind)
-			data, err := b.post(ctx, w, kind, body, legacyBody)
-			var val any
-			if err == nil {
-				// Verify in the attempt's own goroutine: a garbage 200 is
-				// charged to the worker that produced it, and a valid one
-				// resets its circuit — whether or not this attempt wins.
-				if val, err = decode(data); err != nil {
-					b.workerFailed(w, kind, err)
-				} else {
-					w.succeeded()
-				}
-			}
-			switch {
-			case err == nil:
-				sp.End("outcome", "ok")
-			case errors.Is(err, errShed):
-				sp.End("outcome", "shed")
-			default:
-				sp.End("outcome", "error")
-			}
-			resc <- result{w, val, err}
-		}()
-	}
-	launch(order[0])
-	launched, pending := 1, 1
 	var errs []error
-	for pending > 0 {
-		var hedge <-chan time.Time
-		var timer *time.Timer
-		if b.opts.Hedge > 0 && launched < attempts {
-			timer = time.NewTimer(b.opts.Hedge)
-			hedge = timer.C
+	for _, w := range order {
+		sp := obs.Start(ctx, "dispatch", "worker", w.addr, "kind", kd.name)
+		v, err := attempt(ctx, b, kd, w, k, body)
+		switch {
+		case err == nil:
+			sp.End("outcome", "ok")
+			kd.stats.remoteHits.Add(1)
+			if kd.store != nil {
+				kd.store(ctx, k, v) // write through: restarts stay warm
+			}
+			return v, nil
+		case errors.Is(err, errShed):
+			sp.End("outcome", "shed")
+		default:
+			sp.End("outcome", "error")
 		}
-		select {
-		case r := <-resc:
-			if timer != nil {
-				timer.Stop() // this iteration's hedge is moot
-			}
-			pending--
-			if r.err == nil {
-				ks.remoteHits.Add(1)
-				return r.val, nil // stragglers drain into the buffered channel
-			}
-			errs = append(errs, fmt.Errorf("%s: %w", r.w.addr, r.err))
-			if launched < attempts {
-				launch(order[launched])
-				launched++
-				pending++
-			}
-		case <-hedge:
-			launch(order[launched])
-			launched++
-			pending++
+		errs = append(errs, fmt.Errorf("%s: %w", w.addr, err))
+		if ctx.Err() != nil {
+			break // every caller left: the remaining workers are not to blame
 		}
 	}
-	return nil, errors.Join(errs...)
+	return zero, errors.Join(errs...)
+}
+
+// attempt asks one worker and verifies its answer with the store codec:
+// a garbage 200, or a well-formed record for another key, is charged to
+// the worker that produced it and fails the attempt, so a mangled record
+// never wins over a retry; a valid one resets the worker's circuit.
+func attempt[K comparable, V any](ctx context.Context, b *RemoteBackend, kd *jobKind[K, V], w *worker, k K, body []byte) (V, error) {
+	var zero V
+	data, err := b.post(ctx, w, &kd.stats, body)
+	if err != nil {
+		return zero, err
+	}
+	gotKey, v, err := kd.decode(data)
+	switch {
+	case err != nil:
+		err = fmt.Errorf("unverifiable response: %w", err)
+	case gotKey != k:
+		err = fmt.Errorf("response is for %s key %+v, want %+v", kd.name, gotKey, k)
+	default:
+		w.succeeded()
+		return v, nil
+	}
+	b.workerFailed(w, &kd.stats, err)
+	return zero, err
 }
 
 // workerFailed records one failed attempt in both ledgers at once — the
-// worker's own counter/circuit state and the backend's per-kind aggregate
-// — so per_worker[].errors always sums to at least dispatch.errors, even
-// for stragglers that fail after their fetch has already been won
-// elsewhere.
-func (b *RemoteBackend) workerFailed(w *worker, kind string, err error) {
-	b.kindOf(kind).errs.Add(1)
+// worker's own counter/circuit state and the per-kind aggregate — so
+// per_worker[].errors always sums to dispatch.errors.
+func (b *RemoteBackend) workerFailed(w *worker, ks *kindStats, err error) {
+	ks.errs.Add(1)
 	msg := err.Error()
 	if len(msg) > 200 {
 		msg = msg[:200]
@@ -707,86 +496,32 @@ func (b *RemoteBackend) workerFailed(w *worker, kind string, err error) {
 
 // post sends one /v1/jobs request and returns the raw response bytes of a
 // 200, the caller verifying them with the store codec. A 429 demotes the
-// worker for its Retry-After window without touching circuit state; a
-// 404 on /v1/jobs downgrades the worker to the /v1/sweep alias when the
-// job has a legacy shape (pre-jobs workers in a mixed-version rollout);
-// any other failure feeds the circuit.
-func (b *RemoteBackend) post(parent context.Context, w *worker, kind string, body, legacyBody []byte) ([]byte, error) {
+// worker for its Retry-After window without touching circuit state; any
+// other failure feeds the circuit.
+func (b *RemoteBackend) post(ctx context.Context, w *worker, ks *kindStats, body []byte) ([]byte, error) {
 	w.sent.Add(1)
-	url, payload := w.url, body
-	useLegacy := legacyBody != nil && w.isLegacy(b.now())
-	if useLegacy {
-		url, payload = w.sweepURL, legacyBody
-	}
-	ctx, cancel := context.WithTimeout(parent, b.opts.Timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(payload))
+	status, hdr, data, err := b.client.Do(ctx, http.MethodPost, w.url, body)
 	if err != nil {
+		if ctx.Err() != nil {
+			return nil, ctx.Err() // every caller left: not this worker's fault
+		}
+		b.workerFailed(w, ks, err)
 		return nil, err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	if id := obs.From(parent).ID(); id != "" {
-		// Forward the trace so the worker's spans for this job land in a
-		// trace with the same ID — one request, one timeline, two rings.
-		req.Header.Set(obs.TraceHeader, id)
-	}
-	if b.opts.APIKey != "" {
-		req.Header.Set("Authorization", "Bearer "+b.opts.APIKey)
-	}
-	if id := tenant.IDFrom(parent); id != "" {
-		// Beside the trace rides the tenant: the worker attributes the
-		// job to the tenant that caused it, not to this front-end's
-		// service key, so per-tenant usage is coherent cluster-wide.
-		req.Header.Set(tenant.Header, id)
-	}
-	resp, err := b.client.Do(req)
-	if err != nil {
-		if parent.Err() != nil {
-			// The fetch already won elsewhere, or every caller left: either
-			// way, not this worker's fault.
-			return nil, parent.Err()
-		}
-		b.workerFailed(w, kind, err)
-		return nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxResponse))
-	if err != nil {
-		if parent.Err() != nil {
-			return nil, parent.Err()
-		}
-		b.workerFailed(w, kind, err)
-		return nil, err
-	}
-	if resp.StatusCode == http.StatusNotFound && !useLegacy &&
-		strings.TrimSpace(string(data)) == "404 page not found" {
-		// A mux route miss (net/http's fixed text, so a handler's
-		// unknown-key 404 never trips this): the worker has no /v1/jobs at
-		// all — a pre-jobs build. Remember that for legacyRecheck. A
-		// counters job downgrades to the byte-compatible /v1/sweep alias
-		// and retries this attempt there; a kind with no legacy shape
-		// reports the incapability without charging the circuit its
-		// counters traffic depends on (later fetches skip the worker).
-		w.markLegacy(b.now())
-		if legacyBody != nil {
-			return b.post(parent, w, kind, body, legacyBody)
-		}
-		return nil, fmt.Errorf("worker has no /v1/jobs route (pre-jobs build)")
-	}
-	if resp.StatusCode == http.StatusTooManyRequests {
+	if status == http.StatusTooManyRequests {
 		// Push-back, not failure: honor the worker's Retry-After hint as a
 		// ranking demotion and move on to the next-ranked worker.
-		b.kindOf(kind).shed.Add(1)
-		w.shedded(b.now(), retryAfter(resp))
+		ks.shed.Add(1)
+		w.shedded(b.now(), retryAfter(hdr.Get("Retry-After")))
 		return nil, errShed
 	}
-	if resp.StatusCode != http.StatusOK {
+	if status != http.StatusOK {
 		msg := strings.TrimSpace(string(data))
 		if len(msg) > 200 {
 			msg = msg[:200]
 		}
-		err := fmt.Errorf("worker returned %d: %s", resp.StatusCode, msg)
-		b.workerFailed(w, kind, err)
+		err := fmt.Errorf("worker returned %d: %s", status, msg)
+		b.workerFailed(w, ks, err)
 		return nil, err
 	}
 	return data, nil
@@ -795,8 +530,8 @@ func (b *RemoteBackend) post(parent context.Context, w *worker, kind string, bod
 // retryAfter parses a 429's Retry-After seconds, clamped to
 // [defaultRetryAfter, maxShedDemotion]; an absent or unreadable header
 // gets the default.
-func retryAfter(resp *http.Response) time.Duration {
-	secs, err := strconv.Atoi(strings.TrimSpace(resp.Header.Get("Retry-After")))
+func retryAfter(header string) time.Duration {
+	secs, err := strconv.Atoi(strings.TrimSpace(header))
 	if err != nil || secs < 1 {
 		return defaultRetryAfter
 	}
@@ -807,39 +542,55 @@ func retryAfter(resp *http.Response) time.Duration {
 	return d
 }
 
-// rank orders the workers for a key hash — rendezvous (highest-random-
-// weight) hashing in three classes: healthy workers first, shedding ones
-// (saturated but alive) behind them, circuit-open ones last, score order
-// preserved within each class. It reports how many workers are alive
+// rank orders the workers for a record address: peer.Rank's rendezvous
+// order, partitioned into three classes — healthy workers first, shedding
+// ones (saturated but alive) behind them, circuit-open ones last, score
+// order preserved within each class. It reports how many workers are alive
 // (circuit closed, shedding or not), so the caller can fail fast on a
 // fully dark cluster while still attempting a merely saturated one.
-func (b *RemoteBackend) rank(keyHash uint64) ([]*worker, int) {
-	type scored struct {
-		w     *worker
-		score uint64
-	}
+func (b *RemoteBackend) rank(recordAddr string) ([]*worker, int) {
 	now := b.now()
-	ss := make([]scored, len(b.workers))
-	for i, w := range b.workers {
-		h := fnv.New64a()
-		fmt.Fprintf(h, "%s|%016x", w.addr, keyHash)
-		ss[i] = scored{w, h.Sum64()}
-	}
-	sort.Slice(ss, func(i, j int) bool { return ss[i].score > ss[j].score })
-	out := make([]*worker, 0, len(ss))
+	out := make([]*worker, 0, len(b.workers))
 	var shedding, demoted []*worker
-	for _, s := range ss {
-		switch {
-		case !s.w.healthy(now):
-			demoted = append(demoted, s.w)
-		case s.w.shedding(now):
-			shedding = append(shedding, s.w)
+	for _, addr := range peer.Rank(b.opts.Workers, recordAddr) {
+		switch w := b.workers[addr]; {
+		case !w.healthy(now):
+			demoted = append(demoted, w)
+		case w.shedding(now):
+			shedding = append(shedding, w)
 		default:
-			out = append(out, s.w)
+			out = append(out, w)
 		}
 	}
 	alive := len(out) + len(shedding)
 	return append(append(out, shedding...), demoted...), alive
+}
+
+// rotate spreads first attempts over a key's replicas. With Replicas > 1
+// the key is warm on its top Replicas workers, not just the owner, so the
+// first attempt rotates across the healthy prefix of that replica set.
+// rank puts healthy workers first in score order, so the prefix below the
+// first non-healthy worker is exactly the healthy replicas; rotating
+// within it (and only it) spreads reads without ever preferring a demoted
+// worker. The retry walk still visits everything in order, owner included.
+func (b *RemoteBackend) rotate(order []*worker) []*worker {
+	if b.opts.Replicas <= 1 {
+		return order
+	}
+	now := b.now()
+	h := 0
+	for h < len(order) && h < b.opts.Replicas &&
+		order[h].healthy(now) && !order[h].shedding(now) {
+		h++
+	}
+	if h <= 1 {
+		return order
+	}
+	off := int(uint64(b.rr.Add(1)) % uint64(h))
+	rot := make([]*worker, 0, len(order))
+	rot = append(rot, order[off:h]...)
+	rot = append(rot, order[:off]...)
+	return append(rot, order[h:]...)
 }
 
 // BackendStats reports the wrapped local backend's store counters (zero
@@ -852,8 +603,8 @@ func (b *RemoteBackend) BackendStats() sweep.BackendStats {
 	}
 	now := b.now()
 	perKind := []sweep.DispatchKindStats{
-		b.counters.snapshot(store.KindCounters),
-		b.cluster.snapshot(store.KindCluster),
+		b.counters.stats.snapshot(b.counters.name),
+		b.cluster.stats.snapshot(b.cluster.name),
 	}
 	d := &sweep.DispatchStats{
 		Workers:  int64(len(b.workers)),
@@ -867,7 +618,8 @@ func (b *RemoteBackend) BackendStats() sweep.BackendStats {
 		d.Errors += k.Errors
 		d.Shed += k.Shed
 	}
-	for _, w := range b.workers {
+	for _, addr := range b.opts.Workers {
+		w := b.workers[addr]
 		healthy := w.healthy(now)
 		if healthy {
 			d.Healthy++

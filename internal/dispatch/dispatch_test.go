@@ -40,6 +40,26 @@ func testStatsKey(name string, slaves int) workloads.StatsKey {
 	return workloads.StatsKey{Workload: name, Slaves: slaves, Scale: 0.01, Seed: 7}
 }
 
+// counterAddr and clusterAddr are the rendezvous inputs: the keys' record
+// content addresses.
+func counterAddr(t *testing.T, k sweep.Key) string {
+	t.Helper()
+	a, err := store.CountersAddr(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+func clusterAddr(t *testing.T, k workloads.StatsKey) string {
+	t.Helper()
+	a, err := store.ClusterAddr(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
 // addrOf strips the scheme off an httptest server URL — the host:port form
 // the -workers flag takes.
 func addrOf(ts *httptest.Server) string { return strings.TrimPrefix(ts.URL, "http://") }
@@ -266,149 +286,6 @@ func TestClusterJobDispatch(t *testing.T) {
 	}
 }
 
-// legacyWorker is a PR 4-era worker: it mounts only POST /v1/sweep (the
-// old request shape) and 404s everything else, like a real pre-jobs
-// dcserved mux.
-func legacyWorker(t *testing.T) (*httptest.Server, *atomic.Int64) {
-	t.Helper()
-	var served atomic.Int64
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/sweep", func(w http.ResponseWriter, r *http.Request) {
-		served.Add(1)
-		var req struct {
-			Key    sweep.Key `json:"key"`
-			Warmup int64     `json:"warmup"`
-		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		data, err := store.EncodeCounters(req.Key, &uarch.Counters{Cycles: int64(req.Key.Profile.Seed)})
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Write(data)
-	})
-	ts := httptest.NewServer(mux)
-	t.Cleanup(ts.Close)
-	return ts, &served
-}
-
-// TestLegacyWorkerDowngrade: a front-end built for /v1/jobs meeting a
-// PR 4 worker (404 on /v1/jobs) downgrades that worker to the /v1/sweep
-// alias and keeps dispatching counters jobs to it — the other half of the
-// rollout story the alias exists for. Cluster jobs, which a legacy worker
-// genuinely cannot run, degrade to counted local fallback without opening
-// the worker's circuit wide enough to starve the counters path.
-func TestLegacyWorkerDowngrade(t *testing.T) {
-	ts, served := legacyWorker(t)
-	local := newMapBackend()
-	b := newTestBackend(t, local, addrOf(ts))
-
-	for seed := uint64(0); seed < 4; seed++ {
-		k := testKey("w", seed)
-		c, ok := b.Load(testCtx, k)
-		if !ok || c.Cycles != int64(seed) {
-			t.Fatalf("seed %d: Load = %+v, %v; the legacy worker must answer via the alias", seed, c, ok)
-		}
-	}
-	if served.Load() != 4 {
-		t.Fatalf("legacy worker served %d sweep requests, want 4", served.Load())
-	}
-	d := b.BackendStats().Dispatch
-	if d.RemoteHits != 4 || d.Fallbacks != 0 {
-		t.Fatalf("stats = %+v, want 4 remote hits and no fallbacks", d)
-	}
-	// The downgrade is charged one 404 probe, not a circuit failure spiral:
-	// after the first key the worker is known legacy and only one request
-	// per key goes out.
-	if d.PerWorker[0].Sent != 5 {
-		t.Fatalf("sent = %d, want 5 (one /v1/jobs probe + 4 alias posts)", d.PerWorker[0].Sent)
-	}
-
-	// A cluster job is beyond a legacy worker: counted fallback, no
-	// request sent (the known-legacy worker is skipped, not failed), no
-	// circuit charge — and counters keep flowing afterwards.
-	sentBefore := b.BackendStats().Dispatch.PerWorker[0].Sent
-	if _, ok := b.LoadStats(testCtx, testStatsKey("Sort", 4)); ok {
-		t.Fatal("legacy worker answered a cluster job")
-	}
-	d = b.BackendStats().Dispatch
-	if d.PerWorker[0].Sent != sentBefore || d.PerWorker[0].Errors != 0 || d.PerWorker[0].CircuitOpen {
-		t.Fatalf("cluster job against a known-legacy worker: per-worker = %+v, want untouched", d.PerWorker[0])
-	}
-	if _, ok := b.Load(testCtx, testKey("w", 9)); !ok {
-		t.Fatal("counters dispatch broke after a cluster-job failure")
-	}
-}
-
-// TestLegacyWorkerClusterFirst: the legacy discovery also works when the
-// first job a worker sees is a cluster job — the mux route miss marks it
-// legacy without opening its circuit, so the counters path stays healthy.
-func TestLegacyWorkerClusterFirst(t *testing.T) {
-	ts, served := legacyWorker(t)
-	b := newTestBackend(t, nil, addrOf(ts))
-
-	for slaves := 1; slaves <= 4; slaves++ {
-		if _, ok := b.LoadStats(testCtx, testStatsKey("Sort", slaves)); ok {
-			t.Fatal("legacy worker answered a cluster job")
-		}
-	}
-	d := b.BackendStats().Dispatch
-	if d.PerWorker[0].CircuitOpen || d.PerWorker[0].Errors != 0 {
-		t.Fatalf("per-worker after cluster-first discovery = %+v, want a closed circuit and no errors", d.PerWorker[0])
-	}
-	if d.PerWorker[0].Sent != 1 {
-		t.Fatalf("sent = %d, want exactly 1 discovery probe for 4 cluster keys", d.PerWorker[0].Sent)
-	}
-	c, ok := b.Load(testCtx, testKey("w", 7))
-	if !ok || c.Cycles != 7 {
-		t.Fatalf("counters Load after cluster-first discovery = %+v, %v", c, ok)
-	}
-	if served.Load() != 1 {
-		t.Fatalf("legacy worker served %d sweep requests, want 1", served.Load())
-	}
-}
-
-// TestLegacyWorkerRecheck: a worker correctly detected as pre-jobs is
-// re-probed once legacyRecheck expires, so its cluster capacity returns
-// after an in-place upgrade without restarting the front-end.
-func TestLegacyWorkerRecheck(t *testing.T) {
-	var upgraded atomic.Bool
-	full, _ := fakeWorker(t, false) // the post-upgrade behaviour
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if upgraded.Load() {
-			full.Config.Handler.ServeHTTP(w, r)
-			return
-		}
-		if r.URL.Path != "/v1/sweep" {
-			http.Error(w, "404 page not found", http.StatusNotFound) // the mux route-miss text
-			return
-		}
-		http.Error(w, "pre-upgrade sweep not exercised here", http.StatusInternalServerError)
-	}))
-	t.Cleanup(ts.Close)
-	b := newTestBackend(t, nil, addrOf(ts))
-	clock := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	b.now = func() time.Time { return clock }
-
-	k := testStatsKey("Sort", 4)
-	if _, ok := b.LoadStats(testCtx, k); ok {
-		t.Fatal("pre-upgrade worker answered a cluster job")
-	}
-	upgraded.Store(true)
-	// Within the recheck window the worker is still taken as legacy.
-	if _, ok := b.LoadStats(testCtx, testStatsKey("Sort", 8)); ok {
-		t.Fatal("cluster job dispatched inside the legacy window")
-	}
-	clock = clock.Add(legacyRecheck + time.Second)
-	st, ok := b.LoadStats(testCtx, testStatsKey("Sort", 16))
-	if !ok || st.Jobs != 16 {
-		t.Fatalf("post-recheck LoadStats = %+v, %v; the upgraded worker must answer", st, ok)
-	}
-}
-
 // TestRetryOnFailingWorker: a 500ing worker is retried past onto the
 // surviving one and every fetch still succeeds.
 func TestRetryOnFailingWorker(t *testing.T) {
@@ -472,7 +349,7 @@ func TestShedWorkerDemotedAndRecovers(t *testing.T) {
 	var k sweep.Key
 	for seed := uint64(0); ; seed++ {
 		k = testKey("w", seed)
-		if order, _ := b.rank(counterHash(k)); order[0].addr == addrOf(shed) {
+		if order, _ := b.rank(counterAddr(t, k)); order[0].addr == addrOf(shed) {
 			break
 		}
 	}
@@ -499,12 +376,12 @@ func TestShedWorkerDemotedAndRecovers(t *testing.T) {
 	}
 
 	// While the Retry-After window is open the shedding worker ranks last.
-	if order, alive := b.rank(counterHash(k)); order[len(order)-1].addr != addrOf(shed) || alive != 2 {
+	if order, alive := b.rank(counterAddr(t, k)); order[len(order)-1].addr != addrOf(shed) || alive != 2 {
 		t.Fatalf("shedding worker not demoted (order[last] = %s, alive = %d)", order[len(order)-1].addr, alive)
 	}
 	// Past the window it is back in its rendezvous slot.
 	clock = clock.Add(6 * time.Second)
-	if order, _ := b.rank(counterHash(k)); order[0].addr != addrOf(shed) {
+	if order, _ := b.rank(counterAddr(t, k)); order[0].addr != addrOf(shed) {
 		t.Fatal("worker still demoted after its Retry-After window passed")
 	}
 	if b.BackendStats().Dispatch.PerWorker[0].Shedding {
@@ -548,52 +425,6 @@ func TestFullySheddingClusterFallsBack(t *testing.T) {
 	}
 }
 
-// TestHedgeRescuesSilentWorker: a worker that accepts the connection and
-// then goes silent is hedged around — the next-ranked worker answers long
-// before the silent one's timeout.
-func TestHedgeRescuesSilentWorker(t *testing.T) {
-	release := make(chan struct{})
-	silent := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		select { // hold the request until the client gives up or the test ends
-		case <-r.Context().Done():
-		case <-release:
-		}
-	}))
-	t.Cleanup(silent.Close)
-	t.Cleanup(func() { close(release) }) // LIFO: releases the handler before Close waits on it
-	good, goodServed := fakeWorker(t, false)
-	b, err := New(Options{
-		Workers: []string{addrOf(silent), addrOf(good)},
-		Timeout: 30 * time.Second, // far beyond the test: only the hedge can save us
-		Retries: 1,
-		Hedge:   30 * time.Millisecond,
-	}, 0, nil, nil, quietLog)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Find a key whose rendezvous order puts the silent worker first, so
-	// the hedge is what rescues the fetch.
-	var k sweep.Key
-	for seed := uint64(0); ; seed++ {
-		k = testKey("w", seed)
-		if order, _ := b.rank(counterHash(k)); order[0].addr == addrOf(silent) {
-			break
-		}
-	}
-	start := time.Now()
-	c, ok := b.Load(testCtx, k)
-	if !ok || c.Cycles != int64(k.Profile.Seed) {
-		t.Fatalf("Load = %+v, %v", c, ok)
-	}
-	if d := time.Since(start); d > 10*time.Second {
-		t.Fatalf("hedged fetch took %v; the hedge did not fire", d)
-	}
-	if goodServed.Load() != 1 {
-		t.Fatalf("hedge target served %d requests, want 1", goodServed.Load())
-	}
-}
-
 // TestCircuitOpensAndRecovers: failThreshold consecutive failures demote a
 // worker behind healthy ones; after the cooldown it is probed again.
 func TestCircuitOpensAndRecovers(t *testing.T) {
@@ -607,7 +438,7 @@ func TestCircuitOpensAndRecovers(t *testing.T) {
 	opened := false
 	for seed := uint64(0); seed < 256 && !opened; seed++ {
 		k := testKey("w", seed)
-		if order, _ := b.rank(counterHash(k)); order[0].addr != addrOf(bad) {
+		if order, _ := b.rank(counterAddr(t, k)); order[0].addr != addrOf(bad) {
 			continue
 		}
 		if _, ok := b.Load(testCtx, k); !ok {
@@ -698,8 +529,8 @@ func TestRendezvousStableAndSpread(t *testing.T) {
 	first := map[string]int{}
 	for seed := uint64(0); seed < 64; seed++ {
 		k := testKey("w", seed)
-		r1, _ := b.rank(counterHash(k))
-		r2, _ := b.rank(counterHash(k))
+		r1, _ := b.rank(counterAddr(t, k))
+		r2, _ := b.rank(counterAddr(t, k))
 		for i := range r1 {
 			if r1[i] != r2[i] {
 				t.Fatalf("seed %d: rank is not deterministic", seed)
@@ -713,8 +544,8 @@ func TestRendezvousStableAndSpread(t *testing.T) {
 	clusterFirst := map[string]int{}
 	for slaves := 1; slaves <= 64; slaves++ {
 		k := testStatsKey("Sort", slaves)
-		r1, _ := b.rank(statsHash(k))
-		r2, _ := b.rank(statsHash(k))
+		r1, _ := b.rank(clusterAddr(t, k))
+		r2, _ := b.rank(clusterAddr(t, k))
 		if r1[0] != r2[0] {
 			t.Fatalf("slaves %d: cluster rank is not deterministic", slaves)
 		}
@@ -741,8 +572,8 @@ func TestRegisterFlagsParsesWorkerList(t *testing.T) {
 	if strings.Join(o.Workers, "|") != "n1:8337|n2:8337|n3:8337" {
 		t.Fatalf("Workers = %v", o.Workers)
 	}
-	if o.Retries != 5 || o.Timeout != DefaultTimeout || o.Hedge != 0 || o.Cooldown != DefaultCooldown {
-		t.Fatalf("parsed options = %+v, want defaults where unset (hedging off)", o)
+	if o.Retries != 5 || o.Timeout != DefaultTimeout || o.Replicas != 1 {
+		t.Fatalf("parsed options = %+v, want defaults where unset", o)
 	}
 	if _, err := New(Options{}, 0, nil, nil, nil); err == nil {
 		t.Fatal("New accepted an empty worker set")
@@ -788,8 +619,7 @@ func TestCancelAbortsWorkerRequest(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("Load did not return after cancellation")
 	}
-	// Every attempt the dispatcher had in flight (retries and hedges
-	// included) must observe the abort.
+	// Every attempt the dispatcher made must observe the abort.
 	for aborted.Load() != started.Load() {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d/%d worker requests aborted", aborted.Load(), started.Load())

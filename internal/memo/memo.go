@@ -271,8 +271,12 @@ func (m *Memo[K, V]) settle(key K, c *cell[V]) func() {
 		if rec := recover(); rec != nil {
 			c.err = fmt.Errorf("memo: call panicked: %v", rec)
 		}
-		close(c.done)
+		// Completion is signalled under the lock, in the same critical
+		// section that drops a flight-mode cell from the map: a caller
+		// released by done who immediately asks again must find the cell
+		// gone and start a fresh run, not join the finished one.
 		m.mu.Lock()
+		close(c.done)
 		if c.err == nil {
 			// A run that completed successfully despite being abandoned
 			// still yields a perfectly good value; un-abandon it so

@@ -74,6 +74,21 @@ func TestFlightDropsSuccess(t *testing.T) {
 	if m.Len() != 0 {
 		t.Fatalf("flight memo retained a key (Len = %d)", m.Len())
 	}
+	// DoShared runs fn on its own goroutine and releases the caller through
+	// the cell's done channel; by then the cell must already be out of the
+	// map, so back-to-back calls never join a run that has finished.
+	const n = 5000
+	var runs atomic.Int64
+	for i := 0; i < n; i++ {
+		if _, err := m.DoShared(context.Background(), "k", func(context.Context) (int, error) {
+			return int(runs.Add(1)), nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := runs.Load(); got != n {
+		t.Fatalf("%d sequential DoShared calls ran fn %d times: a call joined a finished run", n, got)
+	}
 }
 
 // TestConcurrentCallersShareOneFlight: the joiner waits on the leader's

@@ -26,35 +26,37 @@
 // never re-pushed — fan-out starts only at the node that simulated the
 // record — so the push graph cannot loop.
 //
-// The replicator wraps the store's backend adapters (WrapMemo/WrapStats)
-// to see fresh writes, and surfaces its counters as
-// sweep.BackendStats.Replication through the same StatsReporter chain the
-// store and dispatch layers already ride into /healthz and /metrics.
+// The replica set of a record is the top -replication-factor nodes of
+// peer.Rank over the record's content address — the same order the
+// dispatch layer walks (and -dispatch-replicas rotates reads over), so a
+// front-end looks for a key on the nodes its record was pushed to. A
+// node's push targets are its rank over the *other* nodes, which is that
+// cluster-wide order minus itself; this holds only when -workers and
+// -replicas spell each node's address identically.
+//
+// The replicator sees fresh writes through the store's write hook
+// (store.OnWrite), which hands it the encoded record and its address, and
+// surfaces its counters through Stats — serve.Config.Replica carries them
+// into /healthz and /metrics.
 package replica
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"hash/fnv"
-	"io"
 	"log/slog"
 	"net/http"
-	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"dcbench/internal/obs"
+	"dcbench/internal/peer"
 	"dcbench/internal/store"
 	"dcbench/internal/sweep"
-	"dcbench/internal/uarch"
-	"dcbench/internal/workloads"
 )
 
 // Defaults for Options' zero fields.
@@ -79,10 +81,6 @@ const pushWorkers = 2
 
 // retryBackoff spaces push retry attempts (linear: attempt × backoff).
 const retryBackoff = 200 * time.Millisecond
-
-// maxRecord bounds a pulled record — the same cap the dispatch layer puts
-// on a worker response.
-const maxRecord = 8 << 20
 
 // Options configures a Replicator.
 type Options struct {
@@ -123,24 +121,9 @@ func RegisterFlags(fs *flag.FlagSet, o *Options) {
 	if o.Interval == 0 {
 		o.Interval = DefaultInterval
 	}
-	fs.Var((*peerList)(&o.Peers), "replicas", "comma-separated replica peer addresses (host:port,...) to fan fresh store records out to; empty = replication off")
+	fs.Var((*peer.List)(&o.Peers), "replicas", "comma-separated replica peer addresses (host:port,...) to fan fresh store records out to; empty = replication off")
 	fs.IntVar(&o.Factor, "replication-factor", o.Factor, "total copies of each fresh record across the cluster, this node included")
 	fs.DurationVar(&o.Interval, "anti-entropy-interval", o.Interval, "how often to exchange store digests with replica peers and pull missing records; <0 disables the background loop")
-}
-
-// peerList is the -replicas flag value: a comma-separated address list.
-type peerList []string
-
-func (l *peerList) String() string { return strings.Join(*l, ",") }
-
-func (l *peerList) Set(v string) error {
-	*l = nil
-	for _, a := range strings.Split(v, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			*l = append(*l, a)
-		}
-	}
-	return nil
 }
 
 // DigestResponse is the body of GET /v1/replica/digest: every shard's
@@ -171,7 +154,7 @@ type pushItem struct {
 type Replicator struct {
 	opts   Options
 	st     *store.Store
-	client *http.Client
+	client peer.Client
 	log    *slog.Logger
 	rec    atomic.Pointer[obs.Recorder]
 
@@ -193,7 +176,10 @@ type Replicator struct {
 	clusterBytes   atomic.Int64
 }
 
-// New builds a Replicator for st over the given peer set.
+// New builds a Replicator for st over the given peer set and registers its
+// fan-out as st's write hook: from here on every record st writes is
+// queued for the record's replica peers (and dropped, counted, once the
+// queue is full — Start launches the senders that drain it).
 func New(opts Options, st *store.Store, log *slog.Logger) (*Replicator, error) {
 	if st == nil {
 		return nil, errors.New("replica: replication requires a result store (-store)")
@@ -222,13 +208,15 @@ func New(opts Options, st *store.Store, log *slog.Logger) (*Replicator, error) {
 	if log == nil {
 		log = slog.Default()
 	}
-	return &Replicator{
+	r := &Replicator{
 		opts:   opts,
 		st:     st,
-		client: &http.Client{},
+		client: peer.Client{APIKey: opts.APIKey, Timeout: opts.Timeout},
 		log:    log,
 		queue:  make(chan pushItem, opts.QueueLen),
-	}, nil
+	}
+	st.OnWrite(r.enqueue)
+	return r, nil
 }
 
 // SetRecorder installs the trace ring push and anti-entropy spans are
@@ -293,51 +281,26 @@ func (r *Replicator) Stats() sweep.ReplicationStats {
 
 // --- write-through fan-out ---
 
-// enqueue fans one freshly stored record out to its Factor−1 top
-// rendezvous-ranked peers. Queue overflow is counted and dropped — the
-// record is already durable locally and anti-entropy converges the peers
-// later — never blocked on.
-func (r *Replicator) enqueue(data []byte) {
-	addr, err := store.RecordAddr(data)
-	if err != nil {
-		return // we encoded these bytes ourselves; cannot happen
-	}
-	for _, peer := range r.rankPeers(addr)[:r.opts.Factor-1] {
+// enqueue is the store's write hook: it fans one freshly written record
+// out to its Factor−1 top rendezvous-ranked peers. Queue overflow is
+// counted and dropped — the record is already durable locally and
+// anti-entropy converges the peers later — never blocked on. Adopted
+// records never reach the hook, so fan-out starts only at the node that
+// computed the record.
+func (r *Replicator) enqueue(addr string, data []byte) {
+	for _, p := range peer.Rank(r.opts.Peers, addr)[:r.opts.Factor-1] {
 		r.qmu.RLock()
 		if r.closed {
 			r.qmu.RUnlock()
 			return
 		}
 		select {
-		case r.queue <- pushItem{peer: peer, addr: addr, data: data}:
+		case r.queue <- pushItem{peer: p, addr: addr, data: data}:
 		default:
 			r.dropped.Add(1)
 		}
 		r.qmu.RUnlock()
 	}
-}
-
-// rankPeers orders the peer set for a record address by rendezvous
-// (highest-random-weight) hashing — the same construction the dispatch
-// layer ranks workers with, so every node agrees on a record's replica
-// set without coordination.
-func (r *Replicator) rankPeers(addr string) []string {
-	type scored struct {
-		peer  string
-		score uint64
-	}
-	ss := make([]scored, len(r.opts.Peers))
-	for i, p := range r.opts.Peers {
-		h := fnv.New64a()
-		fmt.Fprintf(h, "%s|%s", p, addr)
-		ss[i] = scored{p, h.Sum64()}
-	}
-	sort.Slice(ss, func(i, j int) bool { return ss[i].score > ss[j].score })
-	out := make([]string, len(ss))
-	for i, s := range ss {
-		out[i] = s.peer
-	}
-	return out
 }
 
 // sender drains the push queue until it closes; a cancelled ctx stops
@@ -383,26 +346,13 @@ func (r *Replicator) push(ctx context.Context, it pushItem) {
 }
 
 // postRecord POSTs one record's bytes to a peer's replica endpoint.
-func (r *Replicator) postRecord(ctx context.Context, peer string, data []byte) error {
-	ctx, cancel := context.WithTimeout(ctx, r.opts.Timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		"http://"+peer+"/v1/replica/records", bytes.NewReader(data))
+func (r *Replicator) postRecord(ctx context.Context, peerAddr string, data []byte) error {
+	status, _, _, err := r.client.Do(ctx, http.MethodPost, "http://"+peerAddr+"/v1/replica/records", data)
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	if r.opts.APIKey != "" {
-		req.Header.Set("Authorization", "Bearer "+r.opts.APIKey)
-	}
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("peer answered %d", resp.StatusCode)
+	if status != http.StatusNoContent && status != http.StatusOK {
+		return fmt.Errorf("peer answered %d", status)
 	}
 	return nil
 }
@@ -533,28 +483,14 @@ func (r *Replicator) getJSON(ctx context.Context, url string, into any) error {
 	return json.Unmarshal(data, into)
 }
 
-// getRaw fetches one peer URL's body, bounded and authenticated.
+// getRaw fetches one peer URL's body.
 func (r *Replicator) getRaw(ctx context.Context, url string) ([]byte, error) {
-	ctx, cancel := context.WithTimeout(ctx, r.opts.Timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	status, _, data, err := r.client.Do(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return nil, err
 	}
-	if r.opts.APIKey != "" {
-		req.Header.Set("Authorization", "Bearer "+r.opts.APIKey)
-	}
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxRecord))
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("peer answered %d", resp.StatusCode)
+	if status != http.StatusOK {
+		return nil, fmt.Errorf("peer answered %d", status)
 	}
 	return data, nil
 }
@@ -565,81 +501,4 @@ func (r *Replicator) startTrace(name string) *obs.Trace {
 		return rec.StartTrace(name, "")
 	}
 	return nil
-}
-
-// --- backend wrappers ---
-
-// WrapMemo returns inner with write-through fan-out: a fresh counters
-// record stored through it is re-encoded in the store's wire format and
-// pushed to its replica peers. Loads pass through untouched (the store
-// already holds anything replication delivered), and the wrapper forwards
-// inner's BackendStats with the Replication block filled in, so the
-// counters ride the existing StatsReporter chain into /healthz and
-// /metrics without new plumbing.
-func (r *Replicator) WrapMemo(inner sweep.MemoBackend) sweep.MemoBackend {
-	return &memoWrapper{r: r, inner: inner}
-}
-
-type memoWrapper struct {
-	r     *Replicator
-	inner sweep.MemoBackend
-}
-
-func (w *memoWrapper) Load(ctx context.Context, k sweep.Key) (*uarch.Counters, bool) {
-	return w.inner.Load(ctx, k)
-}
-
-func (w *memoWrapper) Store(ctx context.Context, k sweep.Key, c *uarch.Counters) {
-	w.inner.Store(ctx, k, c)
-	data, err := store.EncodeCounters(k, c)
-	if err != nil {
-		w.r.log.Warn("replica: counters record encode failed; not replicated", "workload", k.Name, "err", err)
-		return
-	}
-	w.r.enqueue(data)
-}
-
-func (w *memoWrapper) BackendStats() sweep.BackendStats {
-	var bs sweep.BackendStats
-	if sr, ok := w.inner.(sweep.StatsReporter); ok {
-		bs = sr.BackendStats()
-	}
-	rs := w.r.Stats()
-	bs.Replication = &rs
-	return bs
-}
-
-// WrapStats is WrapMemo for the cluster-experiment side: fresh cluster
-// records fan out the same way.
-func (r *Replicator) WrapStats(inner workloads.StatsBackend) workloads.StatsBackend {
-	return &statsWrapper{r: r, inner: inner}
-}
-
-type statsWrapper struct {
-	r     *Replicator
-	inner workloads.StatsBackend
-}
-
-func (w *statsWrapper) LoadStats(ctx context.Context, k workloads.StatsKey) (*workloads.Stats, bool) {
-	return w.inner.LoadStats(ctx, k)
-}
-
-func (w *statsWrapper) StoreStats(ctx context.Context, k workloads.StatsKey, st *workloads.Stats) {
-	w.inner.StoreStats(ctx, k, st)
-	data, err := store.EncodeStats(k, st)
-	if err != nil {
-		w.r.log.Warn("replica: cluster record encode failed; not replicated", "workload", k.Workload, "err", err)
-		return
-	}
-	w.r.enqueue(data)
-}
-
-func (w *statsWrapper) BackendStats() sweep.BackendStats {
-	var bs sweep.BackendStats
-	if sr, ok := w.inner.(sweep.StatsReporter); ok {
-		bs = sr.BackendStats()
-	}
-	rs := w.r.Stats()
-	bs.Replication = &rs
-	return bs
 }

@@ -16,11 +16,13 @@ import (
 	"time"
 
 	"dcbench/internal/core"
+	"dcbench/internal/dispatch"
 	"dcbench/internal/replica"
 	"dcbench/internal/report"
 	"dcbench/internal/serve"
 	"dcbench/internal/store"
 	"dcbench/internal/sweep"
+	"dcbench/internal/workloads"
 )
 
 var quietLog = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -46,9 +48,10 @@ type node struct {
 }
 
 // startNode opens (or reopens) a node's store in dir and serves it on l,
-// replicating against peers. The anti-entropy loop is disabled — the test
-// drives rounds explicitly so convergence is observable, not timed.
-func startNode(t *testing.T, ctx context.Context, dir, addr string, l net.Listener, peers []string, opts report.Options) *node {
+// replicating against peers at the given factor. The anti-entropy loop is
+// disabled — tests drive rounds explicitly so convergence is observable,
+// not timed.
+func startNode(t *testing.T, ctx context.Context, dir, addr string, l net.Listener, peers []string, factor int, opts report.Options) *node {
 	t.Helper()
 	st, err := store.OpenWith(dir, store.OpenOptions{Log: quietLog})
 	if err != nil {
@@ -56,25 +59,47 @@ func startNode(t *testing.T, ctx context.Context, dir, addr string, l net.Listen
 	}
 	repl, err := replica.New(replica.Options{
 		Peers:    peers,
-		Factor:   3,
+		Factor:   factor,
 		Interval: -1, // rounds driven by hand
 		Timeout:  5 * time.Second,
 	}, st, quietLog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := serve.New(serve.Config{
-		Options: opts,
-		Store:   st,
-		Backend: repl.WrapMemo(st.Backend(quietLog)),
-		Cluster: repl.WrapStats(st.StatsBackend(quietLog)),
-		Logger:  quietLog,
-	})
-	repl.SetRecorder(srv.Recorder())
+	srv := serve.New(serve.Config{Options: opts, Store: st, Replica: repl, Logger: quietLog})
 	repl.Start(ctx)
 	ts := &httptest.Server{Listener: l, Config: &http.Server{Handler: srv.Handler()}}
 	ts.Start()
 	return &node{dir: dir, addr: addr, ts: ts, st: st, srv: srv, repl: repl}
+}
+
+// startCluster starts n nodes on fresh loopback listeners, each
+// replicating against all the others. Listeners come first: every node
+// needs its peers' addresses at build time, and addresses only exist once
+// the sockets do.
+func startCluster(t *testing.T, ctx context.Context, n, factor int, opts report.Options) []*node {
+	t.Helper()
+	listeners := make([]net.Listener, n)
+	addrs := make([]string, n)
+	for i := range listeners {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		listeners[i] = l
+		addrs[i] = l.Addr().String()
+	}
+	nodes := make([]*node, n)
+	for i := range nodes {
+		nodes[i] = startNode(t, ctx, t.TempDir(), addrs[i], listeners[i], others(addrs, i), factor, opts)
+	}
+	return nodes
+}
+
+// others is addrs without its i-th entry: node i's peer list.
+func others(addrs []string, i int) []string {
+	out := append([]string(nil), addrs[:i]...)
+	return append(out, addrs[i+1:]...)
 }
 
 // stop tears the node down the way a crash-then-restart sequence would:
@@ -107,6 +132,12 @@ func listenOrReuse(t *testing.T, addr string) net.Listener {
 // postJob submits one counters job and returns the status and body.
 func postJob(t *testing.T, addr string, key sweep.Key, warmup int64) (int, []byte) {
 	t.Helper()
+	return postKindJob(t, addr, store.KindCounters, key, warmup)
+}
+
+// postKindJob submits one job of the given kind.
+func postKindJob(t *testing.T, addr, kind string, key any, warmup int64) (int, []byte) {
+	t.Helper()
 	raw, err := json.Marshal(key)
 	if err != nil {
 		t.Fatal(err)
@@ -114,8 +145,8 @@ func postJob(t *testing.T, addr string, key sweep.Key, warmup int64) (int, []byt
 	body, err := json.Marshal(struct {
 		Kind   string          `json:"kind"`
 		Key    json.RawMessage `json:"key"`
-		Warmup int64           `json:"warmup"`
-	}{store.KindCounters, raw, warmup})
+		Warmup int64           `json:"warmup,omitempty"`
+	}{kind, raw, warmup})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,30 +214,7 @@ func TestConvergenceOracle(t *testing.T) {
 	opts := testOptions()
 	cfgFP := opts.CoreConfig().Fingerprint()
 
-	// Three listeners first: every node needs its peers' addresses at
-	// build time, and addresses only exist once the sockets do.
-	listeners := make([]net.Listener, 3)
-	addrs := make([]string, 3)
-	for i := range listeners {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		listeners[i] = l
-		addrs[i] = l.Addr().String()
-	}
-	dirs := make([]string, 3)
-	nodes := make([]*node, 3)
-	for i := range nodes {
-		dirs[i] = t.TempDir()
-		peers := make([]string, 0, 2)
-		for j, a := range addrs {
-			if j != i {
-				peers = append(peers, a)
-			}
-		}
-		nodes[i] = startNode(t, ctx, dirs[i], addrs[i], listeners[i], peers, opts)
-	}
+	nodes := startCluster(t, ctx, 3, 3, opts)
 	defer func() {
 		for _, n := range nodes {
 			n.stop()
@@ -259,8 +267,8 @@ func TestConvergenceOracle(t *testing.T) {
 
 	// Restart it on the same address: anti-entropy must deliver exactly
 	// the missed records, with zero re-simulation.
-	l := listenOrReuse(t, addrs[2])
-	nodes[2] = startNode(t, ctx, dirs[2], addrs[2], l, []string{addrs[0], addrs[1]}, opts)
+	l := listenOrReuse(t, victim.addr)
+	nodes[2] = startNode(t, ctx, victim.dir, victim.addr, l, []string{nodes[0].addr, nodes[1].addr}, 3, opts)
 	converge(t, ctx, nodes, 30*time.Second)
 
 	total := phase1 + phase2
@@ -343,26 +351,7 @@ func TestPushFanOut(t *testing.T) {
 	defer cancel()
 	opts := testOptions()
 
-	listeners := make([]net.Listener, 3)
-	addrs := make([]string, 3)
-	for i := range listeners {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		listeners[i] = l
-		addrs[i] = l.Addr().String()
-	}
-	nodes := make([]*node, 3)
-	for i := range nodes {
-		peers := make([]string, 0, 2)
-		for j, a := range addrs {
-			if j != i {
-				peers = append(peers, a)
-			}
-		}
-		nodes[i] = startNode(t, ctx, t.TempDir(), addrs[i], listeners[i], peers, opts)
-	}
+	nodes := startCluster(t, ctx, 3, 3, opts)
 	defer func() {
 		for _, n := range nodes {
 			n.stop()
@@ -391,5 +380,160 @@ func TestPushFanOut(t *testing.T) {
 	// The pushes landed as adoptions, not writes: peers never simulated.
 	if w := nodes[1].st.Stats().Writes + nodes[2].st.Stats().Writes; w != 0 {
 		t.Fatalf("peers simulated %d times for a pushed record", w)
+	}
+	// Peer calls carry the trace: each push's trace id resolves in the
+	// receiving node's ring as that node's /v1/replica/records request.
+	pushes := 0
+	for _, td := range nodes[0].srv.Recorder().Traces(0) {
+		if td.Name != "replica.push" {
+			continue
+		}
+		pushes++
+		found := false
+		for _, n := range nodes[1:] {
+			for _, got := range n.srv.Recorder().Traces(0) {
+				if got.ID == td.ID && got.Name == "POST /v1/replica/records" {
+					found = true
+				}
+			}
+		}
+		if !found {
+			t.Errorf("push trace %s does not resolve in any receiving node's ring", td.ID)
+		}
+	}
+	if pushes < 2 {
+		t.Fatalf("pusher's ring holds %d replica.push traces, want >= 2", pushes)
+	}
+}
+
+// TestReplicaSetMatchesDispatchRotation is the N > factor ownership test:
+// five replicated workers at factor 2, so a record lives on exactly two of
+// them — placed by the eager push alone (anti-entropy off) — and storeless
+// front-ends rotating reads over -dispatch-replicas 2. Dispatch and
+// replication rank by the same record address, so every rotated read finds
+// a copy: the cluster simulates each key once however often and through
+// whichever front-end it is read.
+func TestReplicaSetMatchesDispatchRotation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real simulations across five replicas")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	opts := testOptions()
+	opts.Scale = 0.004
+	nodes := startCluster(t, ctx, 5, 2, opts)
+	defer func() {
+		for _, n := range nodes {
+			n.stop()
+		}
+	}()
+	workers := make([]string, len(nodes))
+	for i, n := range nodes {
+		workers[i] = n.addr
+	}
+	frontEnd := func() *dispatch.RemoteBackend {
+		b, err := dispatch.New(dispatch.Options{Workers: workers, Replicas: 2, Timeout: 30 * time.Second},
+			opts.Warmup, nil, nil, quietLog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+
+	// The single-process oracle: a storeless server's own answers.
+	oracle := serve.New(serve.Config{Options: opts, Logger: quietLog})
+	defer oracle.Close()
+	ots := httptest.NewServer(oracle.Handler())
+	defer ots.Close()
+	oracleAddr := ots.Listener.Addr().String()
+
+	const K = 6
+	registry := core.Registry()
+	counterKeys := make([]sweep.Key, K)
+	clusterKeys := make([]workloads.StatsKey, K)
+	want := map[any][]byte{}
+	for i := 0; i < K; i++ {
+		wl := registry[i]
+		counterKeys[i] = sweep.Key{Name: wl.Name, Profile: wl.Profile,
+			ConfigFP: opts.CoreConfig().Fingerprint(), MaxInstrs: opts.Warmup + opts.Instrs}
+		clusterKeys[i] = workloads.StatsKey{Workload: "Sort", Slaves: i + 1, Scale: opts.Scale, Seed: opts.Seed}
+		code, body := postKindJob(t, oracleAddr, store.KindCounters, counterKeys[i], opts.Warmup)
+		if code != http.StatusOK {
+			t.Fatalf("oracle counters job %d: status %d: %s", i, code, body)
+		}
+		want[counterKeys[i]] = body
+		if code, body = postKindJob(t, oracleAddr, store.KindCluster, clusterKeys[i], 0); code != http.StatusOK {
+			t.Fatalf("oracle cluster job %d: status %d: %s", i, code, body)
+		}
+		want[clusterKeys[i]] = body
+	}
+	// readAll resolves every key `times` times in a row through fe (so a
+	// rotating front-end asks each of the key's replicas) and checks every
+	// answer against the oracle's bytes.
+	readAll := func(fe *dispatch.RemoteBackend, pass string, times int) {
+		t.Helper()
+		for i := 0; i < K; i++ {
+			for n := 0; n < times; n++ {
+				c, ok := fe.Load(ctx, counterKeys[i])
+				if !ok {
+					t.Fatalf("%s: counters key %d missed", pass, i)
+				}
+				if got, err := store.EncodeCounters(counterKeys[i], c); err != nil || !bytes.Equal(got, want[counterKeys[i]]) {
+					t.Fatalf("%s: counters key %d differs from the single-process oracle (err=%v)", pass, i, err)
+				}
+			}
+			for n := 0; n < times; n++ {
+				st, ok := fe.LoadStats(ctx, clusterKeys[i])
+				if !ok {
+					t.Fatalf("%s: cluster key %d missed", pass, i)
+				}
+				if got, err := store.EncodeStats(clusterKeys[i], st); err != nil || !bytes.Equal(got, want[clusterKeys[i]]) {
+					t.Fatalf("%s: cluster key %d differs from the single-process oracle (err=%v)", pass, i, err)
+				}
+			}
+		}
+	}
+	clusterTotals := func() (writes, adopted int64) {
+		for _, n := range nodes {
+			s := n.st.Stats()
+			writes, adopted = writes+s.Writes, adopted+s.Adopted
+		}
+		return writes, adopted
+	}
+
+	cold := frontEnd()
+	readAll(cold, "cold pass", 1)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if _, adopted := clusterTotals(); adopted == 2*K {
+			break
+		}
+		if time.Now().After(deadline) {
+			w, a := clusterTotals()
+			t.Fatalf("eager pushes did not settle: cluster writes=%d adopted=%d, want %d/%d", w, a, 2*K, 2*K)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	// A second, fresh front-end reads every key four more times in a row;
+	// its rotation cursor advances per read, so both replicas of every key
+	// are asked, twice each.
+	warm := frontEnd()
+	readAll(warm, "warm pass", 4)
+	if writes, adopted := clusterTotals(); writes != 2*K || adopted != 2*K {
+		t.Fatalf("cluster writes=%d adopted=%d after rotated reads, want %d/%d: a rotated read reached a worker holding no copy and re-simulated",
+			writes, adopted, 2*K, 2*K)
+	}
+	var hits int64
+	for _, n := range nodes {
+		hits += n.st.Stats().Hits
+	}
+	if hits < 2*K {
+		t.Fatalf("rotated reads produced %d store hits, want >= %d: the second replica of each key was never asked", hits, 2*K)
+	}
+	for _, fe := range []*dispatch.RemoteBackend{cold, warm} {
+		if d := fe.BackendStats().Dispatch; d.Fallbacks != 0 || d.Errors != 0 {
+			t.Fatalf("front-end dispatch stats = %+v, want no fallbacks or errors", d)
+		}
 	}
 }

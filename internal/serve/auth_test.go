@@ -443,36 +443,3 @@ func TestJobQuotaExhaustion(t *testing.T) {
 		}
 	}
 }
-
-// TestSweepDeprecationHeaders: the /v1/sweep alias advertises its
-// retirement on every response and counts its callers, so an operator
-// can find fleets still speaking it before the sunset.
-func TestSweepDeprecationHeaders(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a single-workload sweep")
-	}
-	opts := testOptions()
-	srv := serve.New(serve.Config{Options: opts, Logger: quietLog})
-	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	key := testCounterKey(t, "Sort", opts.Warmup, opts.Instrs, opts.CoreConfig().Fingerprint())
-
-	resp, body := postJSON(t, ts, "/v1/sweep", serve.SweepRequest{Key: key, Warmup: opts.Warmup})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("sweep = %d: %s", resp.StatusCode, body)
-	}
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Fatal("sweep response lacks the Deprecation header")
-	}
-	if sun := resp.Header.Get("Sunset"); !strings.Contains(sun, "2027") {
-		t.Fatalf("Sunset = %q", sun)
-	}
-	if _, _, err := store.DecodeCounters(body); err != nil {
-		t.Fatalf("deprecated alias broke the record contract: %v", err)
-	}
-	_, mbody := get(t, ts, "/metrics", nil)
-	if !strings.Contains(string(mbody), "dcserved_deprecated_requests_total 1") {
-		t.Fatalf("metrics lack the deprecated-requests counter:\n%s", mbody)
-	}
-}

@@ -50,8 +50,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"Requests that joined an in-flight render instead of starting one.", float64(st.Coalesced))
 	writeMetric(&b, "dcserved_errors_total", "counter",
 		"Requests answered with a 5xx status.", float64(st.Errors))
-	writeMetric(&b, "dcserved_deprecated_requests_total", "counter",
-		"Requests to deprecated endpoints (POST /v1/sweep; migrate to POST /v1/jobs).", float64(st.Deprecated))
 	writeMetric(&b, "dcserved_uptime_seconds", "gauge",
 		"Seconds since the server started.", time.Since(s.started).Seconds())
 	js := s.JobStats()

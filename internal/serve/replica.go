@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"strconv"
 
+	"dcbench/internal/peer"
 	"dcbench/internal/replica"
 )
 
@@ -14,10 +15,6 @@ import (
 // port under /v1/replica/* — not probes, so the tenant middleware
 // authenticates them like any API call; a keyed cluster admits peers by
 // the same service key the dispatch layer presents (-dispatch-api-key).
-
-// maxReplicaRecord bounds a pushed record body — the same cap the
-// dispatch layer puts on a worker response.
-const maxReplicaRecord = 8 << 20
 
 // registerReplicaRoutes mounts the replication endpoints. They are
 // registered unconditionally (the route table should not depend on
@@ -39,7 +36,7 @@ func (s *Server) handleReplicaPush(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusNotFound, codeNotFound, "this node has no result store")
 		return
 	}
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxReplicaRecord))
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, peer.MaxBody))
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, codeBadRequest, "unreadable record body")
 		return

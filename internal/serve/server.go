@@ -38,6 +38,7 @@ import (
 	"dcbench/internal/memo"
 	"dcbench/internal/memtrace/tracecache"
 	"dcbench/internal/obs"
+	"dcbench/internal/replica"
 	"dcbench/internal/report"
 	"dcbench/internal/store"
 	"dcbench/internal/sweep"
@@ -62,16 +63,20 @@ type Config struct {
 	// Cluster overrides Store as the cluster memo's persistent backend
 	// (tests wrap the store in counting shims through this).
 	Cluster workloads.StatsBackend
+	// Replica, when non-nil, is the replicator running over Store: its
+	// counters become the store block's "replication" section on /healthz
+	// and /metrics, and its push and anti-entropy spans are recorded into
+	// the server's trace ring. The caller still starts and closes it.
+	Replica *replica.Replicator
 	// TraceCacheBytes, when positive, installs a trace capture/replay
 	// cache of that byte budget on the server's engine: each workload's
 	// instruction stream is generated once and replayed for every other
 	// machine configuration it is swept under. 0 runs without one.
 	TraceCacheBytes int64
 	// MaxInflight, when positive, bounds concurrent compute jobs
-	// (POST /v1/jobs and the /v1/sweep alias): excess requests are shed
-	// with 429 + Retry-After instead of queued without bound, so one
-	// worker under many front-ends degrades loudly rather than drowning.
-	// 0 admits everything.
+	// (POST /v1/jobs): excess requests are shed with 429 + Retry-After
+	// instead of queued without bound, so one worker under many front-ends
+	// degrades loudly rather than drowning. 0 admits everything.
 	MaxInflight int
 	// Tenants is the identity layer: a registry opened from a keys file
 	// makes every non-probe request authenticate (401 unauthorized
@@ -91,9 +96,6 @@ type Stats struct {
 	Requests  int64 `json:"requests"`
 	Coalesced int64 `json:"coalesced"`
 	Errors    int64 `json:"errors"`
-	// Deprecated counts requests to deprecated endpoints (today: the
-	// /v1/sweep alias) — the migration-progress gauge for retiring them.
-	Deprecated int64 `json:"deprecated"`
 }
 
 // JobStats is the compute-endpoint admission state: how many jobs are
@@ -116,6 +118,7 @@ type Server struct {
 	opts    report.Options
 	engine  *sweep.Engine
 	store   *store.Store
+	replica *replica.Replicator
 	backend sweep.MemoBackend
 	log     *slog.Logger
 	mux     *http.ServeMux
@@ -131,10 +134,9 @@ type Server struct {
 	reqHist  *obs.HistogramSet
 	jobHist  *obs.HistogramSet
 
-	requests   atomic.Int64
-	coalesced  atomic.Int64
-	errors     atomic.Int64
-	deprecated atomic.Int64 // hits on deprecated endpoints (/v1/sweep)
+	requests  atomic.Int64
+	coalesced atomic.Int64
+	errors    atomic.Int64
 
 	// Identity layer (see tenant.go in this package for the middleware).
 	tenants *tenant.Registry
@@ -195,6 +197,7 @@ func New(cfg Config) *Server {
 		opts:    opts,
 		engine:  engine,
 		store:   cfg.Store,
+		replica: cfg.Replica,
 		backend: backend,
 		log:     log,
 		mux:     http.NewServeMux(),
@@ -224,7 +227,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /v1/figures/{n}", s.handleFigure)
 	s.mux.HandleFunc("GET /v1/tables/{n}", s.handleTable)
 	s.mux.HandleFunc("POST /v1/jobs", s.handleJobs)
-	s.mux.HandleFunc("POST /v1/sweep", s.handleSweep) // deprecated alias: a counters job
 	// Async job lifecycle (async.go): list, poll/stream, fetch result,
 	// cancel. Job IDs double as trace IDs, so a job's timeline is at
 	// /debug/traces under the same identifier.
@@ -239,6 +241,9 @@ func New(cfg Config) *Server {
 	// correlating a front-end's trace with a worker's means asking every
 	// node, and workers are addressed by their service port.
 	s.mux.Handle("GET /debug/traces", obs.TracesHandler(s.recorder))
+	if s.replica != nil {
+		s.replica.SetRecorder(s.recorder)
+	}
 	return s
 }
 
@@ -254,10 +259,9 @@ func (s *Server) Close() { s.cancel() }
 // Stats snapshots the request counters.
 func (s *Server) Stats() Stats {
 	return Stats{
-		Requests:   s.requests.Load(),
-		Coalesced:  s.coalesced.Load(),
-		Errors:     s.errors.Load(),
-		Deprecated: s.deprecated.Load(),
+		Requests:  s.requests.Load(),
+		Coalesced: s.coalesced.Load(),
+		Errors:    s.errors.Load(),
 	}
 }
 
@@ -493,7 +497,8 @@ func (s *Server) serveTable(w http.ResponseWriter, r *http.Request, key string, 
 
 // backendStats resolves the store-level counters for /healthz and
 // /metrics: the engine's memo backend when it reports them (the store's
-// does, and wrappers may forward), else the configured store directly.
+// does, and wrappers may forward), else the configured store directly,
+// with the replicator's counters beside them when one runs over the store.
 // The engine's trace-cache counters, when a cache is installed, ride in
 // the same block — even on storeless servers, so a worker's replay
 // savings are visible wherever it runs.
@@ -504,6 +509,10 @@ func (s *Server) backendStats() (sweep.BackendStats, bool) {
 		bs, ok = sr.BackendStats(), true
 	} else if s.store != nil {
 		bs, ok = s.store.BackendStats(), true
+	}
+	if s.replica != nil {
+		rs := s.replica.Stats()
+		bs.Replication = &rs
 	}
 	if ts, on := s.engine.TraceCacheStats(); on {
 		bs.TraceCache = &ts

@@ -34,11 +34,6 @@ import (
 // contract every dispatch front-end speaks). With ?wait=false or
 // "async": true in the body the job instead runs in the background and
 // the response is its id — see async.go for the lifecycle endpoints.
-//
-// POST /v1/sweep is the deprecated spelling of a blocking counters job
-// from the era when sweeps were the only kind that dispatched. It stays
-// mounted, byte-compatible (same request shape, same response record), so
-// old front-ends interoperate with new workers during a rollout.
 
 // JobRequest is the body of POST /v1/jobs. Kind selects the computation
 // (store.KindCounters or store.KindCluster) and how Key is decoded: a
@@ -55,13 +50,6 @@ type JobRequest struct {
 	Key    json.RawMessage `json:"key"`
 	Warmup int64           `json:"warmup,omitempty"`
 	Async  bool            `json:"async,omitempty"`
-}
-
-// SweepRequest is the body of the deprecated POST /v1/sweep alias — a
-// counters job in the PR 4 wire shape.
-type SweepRequest struct {
-	Key    sweep.Key `json:"key"`
-	Warmup int64     `json:"warmup"`
 }
 
 // maxJobRequest bounds a compute request body; a job key is a few hundred
@@ -327,39 +315,6 @@ func (s *Server) checkJobQuota(r *http.Request, run *jobRunner) *jobError {
 	}
 	return &jobError{http.StatusTooManyRequests, codeQuotaExceeded,
 		fmt.Sprintf("tenant %q is over its %s job quota", tn.ID(), run.kind)}
-}
-
-// sweepSunset is the /v1/sweep alias's advertised retirement date: far
-// enough out for pre-jobs fleets to roll, fixed so clients can plan.
-const sweepSunset = "Fri, 01 Jan 2027 00:00:00 GMT"
-
-// handleSweep is the deprecated /v1/sweep alias: the PR 4 counters-only
-// compute endpoint, byte-for-byte compatible so old front-ends keep
-// working against new workers. Always blocking — the alias predates the
-// async lifecycle. Every response advertises the deprecation
-// (Deprecation + Sunset headers, RFC 8594 style) and bumps the
-// deprecated-requests counter, so a fleet still speaking the alias is
-// visible in /metrics before the sunset lands. Migration: POST /v1/jobs
-// with {"kind": "counters", "key": <same key>, "warmup": <same warmup>}.
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	s.deprecated.Add(1)
-	w.Header().Set("Deprecation", "true")
-	w.Header().Set("Sunset", sweepSunset)
-	var req SweepRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobRequest)).Decode(&req); err != nil {
-		writeError(w, r, http.StatusBadRequest, codeBadRequest, "unreadable sweep request: "+err.Error())
-		return
-	}
-	run, je := s.counterRunner(req.Key, req.Warmup)
-	if je != nil {
-		writeJobError(w, r, je)
-		return
-	}
-	if je := s.checkJobQuota(r, run); je != nil {
-		writeJobError(w, r, je)
-		return
-	}
-	s.runBlocking(w, r, run)
 }
 
 // writeJobError sends one jobError through the envelope.

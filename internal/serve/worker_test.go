@@ -152,57 +152,6 @@ func TestJobsClusterEndpoint(t *testing.T) {
 	}
 }
 
-// TestSweepAliasByteCompatible pins the deprecated /v1/sweep alias to the
-// PR 4 contract: the old request shape (raw JSON, exactly as an old
-// front-end serialises it) still works, and its response is byte-identical
-// to the same key submitted as a kind-tagged counters job — so old and new
-// nodes interoperate during a rollout.
-func TestSweepAliasByteCompatible(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a single-workload sweep")
-	}
-	opts := testOptions()
-	srv := serve.New(serve.Config{Options: opts, Logger: quietLog})
-	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	wl, err := core.ByName("Grep")
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := sweep.Key{
-		Name:      wl.Name,
-		Profile:   wl.Profile,
-		ConfigFP:  opts.CoreConfig().Fingerprint(),
-		MaxInstrs: opts.Warmup + opts.Instrs,
-	}
-
-	// The PR 4 wire shape, built exactly as the old dispatch layer did:
-	// json.Marshal of an anonymous {Key, Warmup} struct.
-	oldBody, err := json.Marshal(struct {
-		Key    sweep.Key `json:"key"`
-		Warmup int64     `json:"warmup"`
-	}{key, opts.Warmup})
-	if err != nil {
-		t.Fatal(err)
-	}
-	aliasResp, aliasBytes := postJSON(t, ts, "/v1/sweep", oldBody)
-	if aliasResp.StatusCode != http.StatusOK {
-		t.Fatalf("alias status = %d: %s", aliasResp.StatusCode, aliasBytes)
-	}
-	jobsResp, jobsBytes := postJSON(t, ts, "/v1/jobs", jobRequest(t, store.KindCounters, key, opts.Warmup))
-	if jobsResp.StatusCode != http.StatusOK {
-		t.Fatalf("jobs status = %d: %s", jobsResp.StatusCode, jobsBytes)
-	}
-	if !bytes.Equal(aliasBytes, jobsBytes) {
-		t.Fatal("/v1/sweep alias bytes diverge from the equivalent /v1/jobs counters job")
-	}
-	if _, _, err := store.DecodeCounters(aliasBytes); err != nil {
-		t.Fatalf("alias response does not verify with the store codec: %v", err)
-	}
-}
-
 // TestJobsRejections pins the endpoint's refusals: unknown kinds, unknown
 // workloads, a config fingerprint the worker cannot rebuild, absurd
 // cluster keys and garbage bodies must all fail loudly — never simulate
@@ -277,9 +226,11 @@ func TestJobsRejections(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("garbage body status = %d, want 400", resp.StatusCode)
 	}
-	resp, _ = postJSON(t, ts, "/v1/sweep", []byte("not json"))
+	// The retired /v1/sweep request shape carries no kind: posted to
+	// /v1/jobs it is refused, never run as a zero-key job.
+	resp, _ = postJSON(t, ts, "/v1/jobs", []byte(`{"key":{"Name":"Grep"},"warmup":1}`))
 	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("garbage alias body status = %d, want 400", resp.StatusCode)
+		t.Fatalf("kind-less (old sweep shape) body status = %d, want 400", resp.StatusCode)
 	}
 }
 
@@ -392,17 +343,13 @@ func TestAdmissionControl(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	// Second job — and the old-shape alias — are shed with the hint.
+	// A second job is shed with the hint.
 	resp, body := postJSON(t, ts, "/v1/jobs", jobRequest(t, store.KindCounters, probeKey, opts.Warmup))
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("saturated worker answered %d, want 429: %s", resp.StatusCode, body)
 	}
 	if got := resp.Header.Get("Retry-After"); got != "1" {
 		t.Fatalf("Retry-After = %q, want \"1\"", got)
-	}
-	resp, _ = postJSON(t, ts, "/v1/sweep", serve.SweepRequest{Key: probeKey, Warmup: opts.Warmup})
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("saturated alias answered %d, want 429", resp.StatusCode)
 	}
 
 	// Read endpoints stay admitted: admission bounds compute, not serving.
@@ -425,10 +372,10 @@ func TestAdmissionControl(t *testing.T) {
 		t.Fatalf("post-release job answered %d, want 200 (slot must free)", resp.StatusCode)
 	}
 
-	// The sheds are on the books.
+	// The shed is on the books.
 	js := srv.JobStats()
-	if js.Shed != 2 || js.MaxInflight != 1 || js.InFlight != 0 {
-		t.Fatalf("JobStats = %+v, want 2 shed, bound 1, 0 in flight", js)
+	if js.Shed != 1 || js.MaxInflight != 1 || js.InFlight != 0 {
+		t.Fatalf("JobStats = %+v, want 1 shed, bound 1, 0 in flight", js)
 	}
 	_, hbody := get(t, ts, "/healthz", nil)
 	var h struct {
@@ -437,12 +384,12 @@ func TestAdmissionControl(t *testing.T) {
 	if err := json.Unmarshal(hbody, &h); err != nil {
 		t.Fatal(err)
 	}
-	if h.Jobs.Shed != 2 || h.Jobs.MaxInflight != 1 {
+	if h.Jobs.Shed != 1 || h.Jobs.MaxInflight != 1 {
 		t.Fatalf("healthz jobs block = %+v, want the shed count", h.Jobs)
 	}
 	_, mbody := get(t, ts, "/metrics", nil)
 	for _, want := range []string{
-		"dcserved_jobs_shed_total 2",
+		"dcserved_jobs_shed_total 1",
 		"dcserved_jobs_max_inflight 1",
 	} {
 		if !strings.Contains(string(mbody), want) {

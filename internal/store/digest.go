@@ -134,22 +134,6 @@ func (s *Store) AdoptRecord(data []byte) (bool, error) {
 	return true, nil
 }
 
-// RecordAddr parses and verifies an encoded record and returns its content
-// address — the name replication ranks peers by. The address depends only
-// on the record's kind and key, never on a store's shard count, so every
-// node computes the same address for the same record.
-func RecordAddr(data []byte) (string, error) {
-	kind, key, _, err := decodeRecord(data)
-	if err != nil {
-		return "", err
-	}
-	h := fnv.New64a()
-	h.Write([]byte(kind))
-	h.Write([]byte{0})
-	h.Write(key)
-	return fmt.Sprintf("%016x", h.Sum64()), nil
-}
-
 // shardFor maps a record address to its shard — the same low-bits routing
 // locate uses, recovered from the address itself.
 func (s *Store) shardFor(addr string) (*shard, error) {

@@ -108,9 +108,10 @@ func TestGetRecordAdoptRoundTrip(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("GetRecord = ok=%v err=%v", ok, err)
 	}
-	// The exported address matches what RecordAddr derives from the bytes.
-	if a, err := store.RecordAddr(data); err != nil || a != addrs[0] {
-		t.Fatalf("RecordAddr = %q/%v, want %q", a, err, addrs[0])
+	// The address the peer plane ranks by is the address the store files
+	// the record under.
+	if a, err := store.CountersAddr(k); err != nil || a != addrs[0] {
+		t.Fatalf("CountersAddr = %q/%v, want %q", a, err, addrs[0])
 	}
 	if _, ok, err := src.GetRecord("0123456789abcdef"); ok || err != nil {
 		t.Fatalf("GetRecord of absent addr = ok=%v err=%v, want miss", ok, err)

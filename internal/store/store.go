@@ -6,7 +6,7 @@
 //
 // Layout under the root directory:
 //
-//	root/SCHEMA               the schema version ("2\n"); an unknown version
+//	root/SCHEMA               the schema version ("2\n"); any other version
 //	                          refuses to open rather than misread old bytes
 //	root/MANIFEST.json        {"schema":2,"shards":N}; the shard count is
 //	                          fixed here when the store is created, so every
@@ -35,11 +35,6 @@
 // coherent (Get falls back to disk and adopts foreign records into the
 // index), while Len and LRU stamps are per-process views that converge on
 // the next Open.
-//
-// A directory holding the PR 2 flat v1 layout is migrated in place on Open:
-// every readable v1 record is rewritten into the sharded v2 layout, corrupt
-// ones are skipped and counted, and only then is the SCHEMA marker advanced
-// and the v1 tree removed — a crash mid-migration re-runs it idempotently.
 package store
 
 import (
@@ -67,8 +62,7 @@ import (
 	"dcbench/internal/workloads"
 )
 
-// SchemaVersion is the on-disk schema this package reads and writes (and
-// migrates version 1 up to).
+// SchemaVersion is the on-disk schema this package reads and writes.
 const SchemaVersion = 2
 
 // DefaultShards is the shard count for newly created stores: wide enough
@@ -90,9 +84,9 @@ type manifest struct {
 
 // OpenOptions tunes OpenWith. The zero value matches Open.
 type OpenOptions struct {
-	// Shards is the shard count for a store being created (or migrated from
-	// v1); it must be a power of two in [1, 256]. 0 means DefaultShards.
-	// Opening an existing v2 store always uses the manifest's count.
+	// Shards is the shard count for a store being created; it must be a
+	// power of two in [1, 256]. 0 means DefaultShards. Opening an existing
+	// store always uses the manifest's count.
 	Shards int
 	// MaxRecords, when positive, caps the store: a Put pushing the record
 	// count past it triggers an LRU eviction pass trimming to 10% below the
@@ -152,18 +146,19 @@ type Store struct {
 	evictions atomic.Int64
 	corrupt   atomic.Int64
 	evictMu   sync.Mutex // one eviction pass at a time
+
+	onWrite atomic.Pointer[func(addr string, data []byte)] // see OnWrite
 }
 
 // Open opens (creating if needed) the store rooted at dir with default
 // options.
 func Open(dir string) (*Store, error) { return OpenWith(dir, OpenOptions{}) }
 
-// OpenWith opens (creating, or migrating from the v1 layout, if needed) the
-// store rooted at dir. Validation runs before any write: a directory
-// holding an unknown schema version, or a non-empty directory that is not a
-// store at all (a mistyped -store path, say), is refused untouched —
-// refusing is safer than guessing, and the caller can point at a fresh
-// directory.
+// OpenWith opens (creating if needed) the store rooted at dir. Validation
+// runs before any write: a directory holding another schema version, or a
+// non-empty directory that is not a store at all (a mistyped -store path,
+// say), is refused untouched — refusing is safer than guessing, and the
+// caller can point at a fresh directory.
 func OpenWith(dir string, opt OpenOptions) (*Store, error) {
 	if dir == "" {
 		return nil, errors.New("store: empty root directory")
@@ -182,15 +177,10 @@ func OpenWith(dir string, opt OpenOptions) (*Store, error) {
 	}
 
 	marker := filepath.Join(dir, "SCHEMA")
-	migrate := false
 	switch got, err := os.ReadFile(marker); {
 	case err == nil:
-		switch v := strings.TrimSpace(string(got)); v {
-		case "2":
-		case "1":
-			migrate = true
-		default:
-			return nil, fmt.Errorf("store: %s holds schema version %q, this build reads \"1\" (migrating) or \"2\"", dir, v)
+		if v := strings.TrimSpace(string(got)); v != strconv.Itoa(SchemaVersion) {
+			return nil, fmt.Errorf("store: %s holds schema version %q, this build reads \"%d\"", dir, v, SchemaVersion)
 		}
 	case errors.Is(err, fs.ErrNotExist):
 		if entries, derr := os.ReadDir(dir); derr == nil && len(entries) > 0 {
@@ -240,23 +230,6 @@ func OpenWith(dir string, opt OpenOptions) (*Store, error) {
 			s.bytes.Add(e.size)
 		}
 		s.shards = append(s.shards, sh)
-	}
-	if migrate {
-		if err := s.migrateV1(marker); err != nil {
-			s.Close()
-			return nil, err
-		}
-	} else if _, serr := os.Stat(filepath.Join(dir, "v1")); serr == nil {
-		// A v1 tree under a schema-2 store is the leftover of a finished
-		// migration whose RemoveAll failed or died partway (migrateV1
-		// disposes of the tree before advancing the marker, and unmigrated
-		// records live under v1-preserved) — every record in it was
-		// already carried over, so finish the cleanup.
-		if rerr := os.RemoveAll(filepath.Join(dir, "v1")); rerr != nil {
-			opt.Log.Warn("store: migrated v1 leftovers not removed", "err", rerr)
-		} else {
-			opt.Log.Info("store: removed migrated v1 leftovers from an interrupted cleanup")
-		}
 	}
 	if s.maxAge > 0 ||
 		(s.maxRecords > 0 && int(s.live.Load()) > s.maxRecords) ||
@@ -414,16 +387,34 @@ func (s *Store) Stats() Stats {
 // BackendStats is Stats under the sweep engine's observability contract.
 func (s *Store) BackendStats() sweep.BackendStats { return s.Stats() }
 
-// locate addresses a (kind, canonical key) pair: the fnv64a address names
-// the record file, its low bits pick the shard.
-func (s *Store) locate(kind string, key []byte) (string, *shard) {
+// addrHash is the content address of a (kind, canonical key) pair as a
+// number: fnv64a over kind, NUL, key. It depends on nothing else — not the
+// payload, not a store's shard count — so every node computes the same
+// address for the same record.
+func addrHash(kind string, key []byte) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(kind))
 	h.Write([]byte{0})
 	h.Write(key)
-	a := h.Sum64()
-	return fmt.Sprintf("%016x", a), s.shards[a&uint64(len(s.shards)-1)]
+	return h.Sum64()
 }
+
+func formatAddr(a uint64) string { return fmt.Sprintf("%016x", a) }
+
+// locate addresses a (kind, canonical key) pair: the address names the
+// record file, its low bits pick the shard.
+func (s *Store) locate(kind string, key []byte) (string, *shard) {
+	a := addrHash(kind, key)
+	return formatAddr(a), s.shards[a&uint64(len(s.shards)-1)]
+}
+
+// OnWrite registers the store's write hook: fn is called with the content
+// address and the encoded record bytes after every record this node
+// computed (or fetched through dispatch) has been installed — never for a
+// record adopted from a peer, and never when the install failed.
+// Replication registers its fan-out here. One hook; a later call replaces
+// it. fn runs on the writing goroutine and must not block.
+func (s *Store) OnWrite(fn func(addr string, data []byte)) { s.onWrite.Store(&fn) }
 
 // get loads the record stored under (kind, key), unmarshalling its payload
 // into `into`. A missing, corrupt, or key-mismatched record is a counted
@@ -475,6 +466,9 @@ func (s *Store) put(kind string, key, payload []byte) error {
 	}
 	s.writes.Add(1)
 	s.enforceBudgets()
+	if fn := s.onWrite.Load(); fn != nil {
+		(*fn)(addr, data)
+	}
 	return nil
 }
 
@@ -593,6 +587,16 @@ func counterKey(k sweep.Key) ([]byte, error) {
 	return canon, nil
 }
 
+// CountersAddr is the content address of k's counters record — what the
+// peer plane ranks nodes by (peer.Rank).
+func CountersAddr(k sweep.Key) (string, error) {
+	key, err := counterKey(k)
+	if err != nil {
+		return "", err
+	}
+	return formatAddr(addrHash(KindCounters, key)), nil
+}
+
 // Get loads the counters stored under k.
 func (s *Store) Get(k sweep.Key) (*uarch.Counters, bool, error) {
 	key, err := counterKey(k)
@@ -634,6 +638,15 @@ func clusterKey(k workloads.StatsKey) ([]byte, error) {
 		return nil, fmt.Errorf("store: encode cluster key: %w", err)
 	}
 	return canon, nil
+}
+
+// ClusterAddr is CountersAddr for a cluster experiment key.
+func ClusterAddr(k workloads.StatsKey) (string, error) {
+	key, err := clusterKey(k)
+	if err != nil {
+		return "", err
+	}
+	return formatAddr(addrHash(KindCluster, key)), nil
 }
 
 // GetClusterStats loads the cluster run stats stored under k.

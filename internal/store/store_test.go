@@ -118,18 +118,22 @@ func TestSharedAcrossOpens(t *testing.T) {
 }
 
 func TestSchemaMismatchRefusedUntouched(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "SCHEMA"), []byte("99\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := store.Open(dir); err == nil || !strings.Contains(err.Error(), "schema") {
-		t.Fatalf("Open on schema 99 = %v, want schema error", err)
-	}
-	// Refusal must leave no side effects: a future-schema store must not
-	// grow this build's layout inside it.
-	for _, planted := range []string{"v2", "MANIFEST.json"} {
-		if _, err := os.Stat(filepath.Join(dir, planted)); !os.IsNotExist(err) {
-			t.Fatalf("Open planted %s inside a refused store (stat err = %v)", planted, err)
+	// "1" is the retired flat layout: no longer migrated, refused like any
+	// other version this build does not read.
+	for _, version := range []string{"99", "1"} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "SCHEMA"), []byte(version+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := store.Open(dir); err == nil || !strings.Contains(err.Error(), "schema version \""+version+"\"") {
+			t.Fatalf("Open on schema %s = %v, want schema error", version, err)
+		}
+		// Refusal must leave no side effects: a foreign-schema store must
+		// not grow this build's layout inside it.
+		for _, planted := range []string{"v2", "MANIFEST.json"} {
+			if _, err := os.Stat(filepath.Join(dir, planted)); !os.IsNotExist(err) {
+				t.Fatalf("Open planted %s inside a refused schema-%s store (stat err = %v)", planted, version, err)
+			}
 		}
 	}
 }

@@ -301,8 +301,8 @@ func (e *Engine) pool(fp uint64) *sync.Pool {
 //
 // A cfg carrying an explicit Predictor instance cannot be fanned out (every
 // core would share, and race on, that one instance), so such sweeps run on
-// a single worker with unpooled cores and no memo, preserving the legacy
-// serial semantics exactly.
+// a single worker with unpooled cores and no memo, preserving the
+// pre-engine serial semantics exactly.
 func (e *Engine) Run(ctx context.Context, jobs []Job, cfg uarch.Config, maxInstrs int64, opt RunOptions) ([]*uarch.Counters, error) {
 	out := make([]*uarch.Counters, len(jobs))
 	errs := make([]error, len(jobs))

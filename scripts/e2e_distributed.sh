@@ -35,9 +35,8 @@
 #      with 429 quota_exceeded + Retry-After (distinguishable from the
 #      admission layer's 429 by error code), surfaces per-tenant usage in
 #      its own /healthz AND attributes dispatched jobs to the originating
-#      tenant in the worker's /metrics (the X-Dcs-Tenant hop), serves the
-#      admin usage report only to the bootstrap token, and advertises the
-#      /v1/sweep deprecation via the Deprecation/Sunset headers;
+#      tenant in the worker's /metrics (the X-Dcs-Tenant hop), and serves
+#      the admin usage report only to the bootstrap token;
 #   7. store replication survives losing a record's owner: three replicated
 #      workers, one counters job warmed through a front-end, the owner
 #      (the only node that simulated) killed — a fresh front-end spreading
@@ -461,16 +460,6 @@ import json, sys
 ids = {t['id'] for t in json.load(sys.stdin)['tenants']}
 assert {'alice', 'bob'} <= ids, ids
 print('   ok: admin usage report covers', ', '.join(sorted(ids)))"
-
-# 6g. the deprecated /v1/sweep alias advertises its retirement on every
-# response — here on the worker, in the same breath as an envelope error.
-curl -s -o /dev/null -D "$WORK/sweep.hdr" -X POST -H 'Content-Type: application/json' \
-  -d '{}' "http://127.0.0.1:$TWORKER_PORT/v1/sweep"
-grep -qi '^Deprecation: true' "$WORK/sweep.hdr" \
-  || { echo "FAIL: /v1/sweep response lacks the Deprecation header" >&2; exit 1; }
-grep -qi '^Sunset: ' "$WORK/sweep.hdr" \
-  || { echo "FAIL: /v1/sweep response lacks the Sunset header" >&2; exit 1; }
-echo "   ok: /v1/sweep advertises Deprecation + Sunset"
 
 echo "== 7. replication: kill the owner, survivors answer byte-identically with zero re-simulation"
 # Three workers replicating every record to each other (factor 3), fast
