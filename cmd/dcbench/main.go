@@ -30,8 +30,8 @@
 //	-replicas host:port,...  fan fresh store records out to these dcserved
 //	            peers (requires -store), with -replication-factor and
 //	            -anti-entropy-interval as in dcserved
-//	-trace-cache-bytes n    byte budget for captured instruction traces
-//	            replayed across sweep configs; 0 disables (default 256 MiB)
+//	-trace-cache-bytes n    byte budget for traces of streams seen under ≥ 2
+//	            machine configs (one config captures none); 0 disables (default 256 MiB)
 //	-debug-addr addr   serve /debug/traces and /debug/pprof while the run
 //	            lasts (profile a long `all` in flight); empty disables
 //
@@ -42,7 +42,8 @@
 // SIGINT/SIGTERM cancel the run: local simulations stop between trace
 // batches, and with -workers the in-flight dispatched requests are
 // aborted so the workers' own refcounted cancellation frees their
-// admission slots.
+// admission slots. The process runs at GOGC=400 unless GOGC is exported
+// (sweep.SetGCTarget says why).
 package main
 
 import (
@@ -145,6 +146,7 @@ func wireBackends(storeDir string, storeOpts store.OpenOptions, dispatchOpts dis
 }
 
 func main() {
+	sweep.SetGCTarget()
 	opts := report.DefaultOptions()
 	csv, chart, jsonOut, storeDir, debugAddr, storeOpts, dispatchOpts, traceOpts, replicaOpts := registerFlags(flag.CommandLine, &opts)
 	flag.Parse()
@@ -168,8 +170,8 @@ func main() {
 	}
 	if traceOpts.MaxBytes > 0 {
 		// Trace capture/replay sits on the run's engine (creating one when
-		// no store or worker set already did), so figures that sweep one
-		// workload across machine configurations generate its trace once.
+		// no store or worker set already did), so a run sweeping a workload
+		// across machine configurations replays its trace from the third on.
 		if opts.Engine == nil {
 			opts.Engine = sweep.NewEngine()
 		}

@@ -50,8 +50,9 @@
 //	-store-max-bytes n     LRU-evict records beyond this many bytes; 0 = unlimited
 //	-store-max-age d       evict records unused for longer than d; 0 = keep forever
 //	-max-inflight n        bound concurrent compute jobs; excess shed 429 (0 = unlimited)
-//	-trace-cache-bytes n   byte budget for captured instruction traces replayed
-//	                       across sweep configs; 0 disables (default 256 MiB)
+//	-trace-cache-bytes n   byte budget for traces of streams seen under ≥ 2 machine
+//	                       configs — this one-machine server captures 0 by design;
+//	                       0 disables (default 256 MiB)
 //	-workers host:port,...     dispatch job misses to these dcserved workers
 //	-dispatch-timeout d        per-attempt timeout for dispatched jobs
 //	-dispatch-retries n        extra attempts on other workers after a failure
@@ -95,7 +96,8 @@
 // Responses carry ETag/Cache-Control derived from (seed, scale, config
 // fingerprint), and concurrent cold requests for the same resource
 // coalesce into one sweep. SIGINT/SIGTERM shut down gracefully; sweeps
-// still in flight after the grace period are cancelled.
+// still in flight after the grace period are cancelled. The process runs
+// at GOGC=400 unless GOGC is exported (sweep.SetGCTarget says why).
 package main
 
 import (
@@ -123,6 +125,7 @@ import (
 )
 
 func main() {
+	sweep.SetGCTarget()
 	opts := report.DefaultOptions()
 	var storeOpts store.OpenOptions
 	var dispatchOpts dispatch.Options

@@ -8,6 +8,7 @@ package datagen
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"dcbench/internal/sim"
 )
@@ -20,14 +21,19 @@ type Corpus struct {
 	vocab []string
 }
 
+// vocabs shares word lists between corpora (every map split builds one):
+// pure functions of their size, read-only once stored, a few code-chosen sizes.
+var vocabs sync.Map // vocabSize → []string
+
 // NewCorpus builds a corpus with the given vocabulary size.
 func NewCorpus(seed uint64, vocabSize int) *Corpus {
 	rng := sim.NewRNG(seed)
-	c := &Corpus{
-		rng:   rng,
-		zipf:  sim.NewZipf(rng, vocabSize, 1.05),
-		vocab: make([]string, vocabSize),
+	c := &Corpus{rng: rng, zipf: sim.NewZipf(rng, vocabSize, 1.05)}
+	if v, ok := vocabs.Load(vocabSize); ok {
+		c.vocab = v.([]string)
+		return c
 	}
+	c.vocab = make([]string, vocabSize)
 	letters := "abcdefghijklmnopqrstuvwxyz"
 	for i := range c.vocab {
 		// Word length grows slowly with rank, like real vocabularies.
@@ -40,6 +46,7 @@ func NewCorpus(seed uint64, vocabSize int) *Corpus {
 		}
 		c.vocab[i] = b.String()
 	}
+	vocabs.Store(vocabSize, c.vocab)
 	return c
 }
 

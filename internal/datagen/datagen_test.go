@@ -11,6 +11,12 @@ func TestCorpusDeterministic(t *testing.T) {
 	if a.Sentence(50) != b.Sentence(50) {
 		t.Fatal("same seed produced different text")
 	}
+	// One word list per size, shared; the draws stay per-corpus.
+	if c := NewCorpus(6, 1000); &c.vocab[0] != &a.vocab[0] {
+		t.Error("two corpora of one vocabulary size built two word lists")
+	} else if c.Sentence(50) == NewCorpus(5, 1000).Sentence(50) {
+		t.Error("different seeds over the shared word list produced the same text")
+	}
 }
 
 func TestCorpusZipfSkew(t *testing.T) {

@@ -10,7 +10,9 @@
 // with the middle states derived from the existing obs span
 // instrumentation (ObserveSpan maps span starts/ends to states), so the
 // simulator, trace cache and store report progress without knowing jobs
-// exist. Terminal states latch: a cancellation that races a completion is
+// exist. capturing/replaying are visited only on a multi-config engine:
+// the sweep engine runs a stream live until a second machine asks for it.
+// Terminal states latch: a cancellation that races a completion is
 // decided by whichever lands first, and the loser is ignored.
 package jobs
 

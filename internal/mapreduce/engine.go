@@ -2,7 +2,8 @@ package mapreduce
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"dcbench/internal/cluster"
 	"dcbench/internal/dfs"
@@ -273,7 +274,7 @@ func (rt *Runtime) Run(job *Job) (*Result, error) {
 		res.Counters.ShuffleSimBytes += simIn
 
 		// Merge-sort and group for real; charge the reduce CPU.
-		sort.SliceStable(recs, func(i, j int) bool { return recs[i].Key < recs[j].Key })
+		slices.SortStableFunc(recs, func(a, b KV) int { return strings.Compare(a.Key, b.Key) })
 		n.Compute(p, float64(simIn)*job.Cost.ReduceCPUPerByte)
 
 		var out []KV
@@ -341,7 +342,7 @@ func combine(recs []KV, c Reducer) []KV {
 	}
 	sorted := make([]KV, len(recs))
 	copy(sorted, recs)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
+	slices.SortStableFunc(sorted, func(a, b KV) int { return strings.Compare(a.Key, b.Key) })
 	var out []KV
 	groupedReduce(sorted, c, func(k, v string) { out = append(out, KV{k, v}) })
 	return out

@@ -57,7 +57,9 @@ type Key struct {
 // without generation; Misses triggered a capture (or joined one in
 // flight); Captures counts actual generations, so a sweep over N configs
 // of one workload shows Captures == 1 and Hits == N-1. Fallbacks counts
-// live generations forced by over-budget or unencodable traces.
+// live generations forced by over-budget or unencodable traces. Bypassed is
+// filled in by the sweep engine, not the cache: jobs it ran live without
+// asking, because their stream had been seen under one config only.
 type Stats struct {
 	Traces    int64 `json:"traces"`
 	Bytes     int64 `json:"bytes"`
@@ -67,6 +69,7 @@ type Stats struct {
 	Captures  int64 `json:"captures"`
 	Evictions int64 `json:"evictions"`
 	Fallbacks int64 `json:"fallbacks"`
+	Bypassed  int64 `json:"bypassed"`
 }
 
 // Options carries the cache's flag-configurable tuning.
@@ -90,7 +93,7 @@ func RegisterFlags(fs *flag.FlagSet, o *Options) {
 		o.MaxBytes = DefaultMaxBytes
 	}
 	fs.Int64Var(&o.MaxBytes, "trace-cache-bytes", o.MaxBytes,
-		"byte budget for captured instruction traces replayed across sweep configs; 0 disables")
+		"byte budget for instruction traces captured once a stream is seen under a second config; 0 disables")
 }
 
 // Sentinel reasons a trace stays uncacheable; both degrade to live

@@ -29,6 +29,8 @@ import (
 // the finished record, DELETE /v1/jobs/{id} cancels — releasing the
 // admission slot and, through the memo's refcounted cancellation,
 // stopping the underlying simulation once no other caller shares it.
+// capturing/replaying are visited only on a multi-config engine; this
+// server's one machine goes from admitted straight to simulating.
 
 // submitAsync accepts one validated job for background execution. The
 // submitting tenant owns the job: its id scopes every lifecycle endpoint

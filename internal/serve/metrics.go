@@ -136,6 +136,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 				"Traces evicted to stay within the byte budget.", float64(tc.Evictions))
 			writeMetric(&b, "dcserved_trace_cache_fallbacks_total", "counter",
 				"Simulations that generated live because the trace exceeds the budget.", float64(tc.Fallbacks))
+			writeMetric(&b, "dcserved_trace_cache_bypassed_total", "counter",
+				"Simulations that generated live because their stream has been seen under one config only.", float64(tc.Bypassed))
 		}
 		// Replication families (and the adopted counter that only moves
 		// with replication on) appear only when a replicator is wired in,

@@ -69,9 +69,9 @@ type Config struct {
 	// the server's trace ring. The caller still starts and closes it.
 	Replica *replica.Replicator
 	// TraceCacheBytes, when positive, installs a trace capture/replay
-	// cache of that byte budget on the server's engine: each workload's
-	// instruction stream is generated once and replayed for every other
-	// machine configuration it is swept under. 0 runs without one.
+	// cache of that byte budget on the server's engine: an instruction
+	// stream is captured once a second machine configuration asks for it
+	// and replayed from then on. 0 runs without one.
 	TraceCacheBytes int64
 	// MaxInflight, when positive, bounds concurrent compute jobs
 	// (POST /v1/jobs): excess requests are shed with 429 + Retry-After

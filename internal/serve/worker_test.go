@@ -109,6 +109,43 @@ func TestJobsCountersEndpoint(t *testing.T) {
 	}
 }
 
+// TestJobsNeverSeenSeedsHoldNoTraceBytes: a /v1/jobs stream of client-
+// chosen seeds under the server's one machine — the traffic a worker
+// actually sees — runs every job live: the default trace cache captures
+// nothing and stays empty, and /healthz says so.
+func TestJobsNeverSeenSeedsHoldNoTraceBytes(t *testing.T) {
+	opts := testOptions()
+	srv := serve.New(serve.Config{Options: opts, TraceCacheBytes: 64 << 20, Logger: quietLog})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	wl, err := core.ByName("Sort")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const jobs = 8
+	for seed := uint64(1); seed <= jobs; seed++ {
+		key := sweep.Key{Name: wl.Name, Profile: wl.Profile, ConfigFP: opts.CoreConfig().Fingerprint(), MaxInstrs: 20_000}
+		key.Profile.Seed = seed
+		if resp, body := postJSON(t, ts, "/v1/jobs", jobRequest(t, store.KindCounters, key, opts.Warmup)); resp.StatusCode != http.StatusOK {
+			t.Fatalf("seed %d: status = %d: %s", seed, resp.StatusCode, body)
+		}
+	}
+	var h struct {
+		Store struct {
+			TraceCache struct{ Bytes, Traces, Captures, Bypassed int64 } `json:"trace_cache"`
+		}
+	}
+	_, body := get(t, ts, "/healthz", nil)
+	if err := json.Unmarshal(body, &h); err != nil {
+		t.Fatal(err)
+	}
+	if tc := h.Store.TraceCache; tc.Bytes != 0 || tc.Traces != 0 || tc.Captures != 0 || tc.Bypassed != jobs {
+		t.Errorf(".store.trace_cache = %+v, want bytes 0, captures 0, bypassed %d", tc, jobs)
+	}
+}
+
 // TestJobsClusterEndpoint: a cluster job runs one Figure 2/5 cell and
 // answers with a verifiable cluster record matching a local simulation of
 // the same key, memoized across requests.

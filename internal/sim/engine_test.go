@@ -317,6 +317,34 @@ func TestZipfSkew(t *testing.T) {
 	}
 }
 
+// TestZipfTablesSharedAndBounded: samplers of one shape share one CDF and
+// still draw independently from their own RNGs; shapes beyond the rank cap
+// or the 64-shape cap are built per call and never retained, so
+// client-chosen profile sizes cannot grow the table set.
+func TestZipfTablesSharedAndBounded(t *testing.T) {
+	a, b := NewZipf(NewRNG(1), 777, 1.3), NewZipf(NewRNG(1), 777, 1.3)
+	if &a.cdf[0] != &b.cdf[0] {
+		t.Error("two samplers of one shape built two tables")
+	}
+	for i := 0; i < 1000; i++ {
+		if x, y := a.Next(), b.Next(); x != y {
+			t.Fatalf("draw %d: same seed over a shared table drew %d and %d", i, x, y)
+		}
+	}
+	big := 1<<16 + 1
+	if c, d := NewZipf(NewRNG(1), big, 1.3), NewZipf(NewRNG(1), big, 1.3); &c.cdf[0] == &d.cdf[0] {
+		t.Error("a table above the rank cap was retained")
+	}
+	for n := 1; n <= 200; n++ {
+		NewZipf(NewRNG(1), n, 0.7)
+	}
+	kept := 0
+	zipfTables.Range(func(_, _ any) bool { kept++; return true })
+	if kept > 64 {
+		t.Errorf("%d shapes retained, want at most 64", kept)
+	}
+}
+
 func TestPermIsPermutation(t *testing.T) {
 	if err := quick.Check(func(seed uint64) bool {
 		r := NewRNG(seed)

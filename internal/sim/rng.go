@@ -1,6 +1,10 @@
 package sim
 
-import "math"
+import (
+	"math"
+	"sync"
+	"sync/atomic"
+)
 
 // RNG is a small, fast, deterministic xorshift64* generator. It is used
 // throughout the simulator instead of math/rand so that results are stable
@@ -92,10 +96,27 @@ type Zipf struct {
 	rng *RNG
 }
 
+// zipfTables shares CDFs between samplers: a table is a pure function of
+// its shape, read-only once stored, and the tracer and the data generators
+// ask for the same dozen shapes on every job and map split. Client-chosen
+// profiles reach n, so only the first 64 shapes of ≤ 1<<16 ranks are kept.
+var (
+	zipfTables sync.Map // zipfShape → []float64
+	zipfShapes atomic.Int32
+)
+
+type zipfShape struct {
+	n int
+	s float64
+}
+
 // NewZipf constructs a Zipf sampler over n ranks with exponent s > 0.
 func NewZipf(rng *RNG, n int, s float64) *Zipf {
 	if n <= 0 {
 		panic("sim: Zipf over non-positive n")
+	}
+	if v, ok := zipfTables.Load(zipfShape{n, s}); ok {
+		return &Zipf{cdf: v.([]float64), rng: rng}
 	}
 	cdf := make([]float64, n)
 	sum := 0.0
@@ -105,6 +126,9 @@ func NewZipf(rng *RNG, n int, s float64) *Zipf {
 	}
 	for i := range cdf {
 		cdf[i] /= sum
+	}
+	if n <= 1<<16 && zipfShapes.Load() < 64 && zipfShapes.Add(1) <= 64 {
+		zipfTables.Store(zipfShape{n, s}, cdf)
 	}
 	return &Zipf{cdf: cdf, rng: rng}
 }
