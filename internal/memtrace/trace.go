@@ -72,6 +72,15 @@ type Reader interface {
 	Read(buf []Inst) int
 }
 
+// BatchReader is optionally implemented by Readers that can lend their own
+// storage instead of copying 32 bytes per instruction into the caller's.
+type BatchReader interface {
+	// NextBatch returns the next run of instructions, empty at end of
+	// trace. The slice is only lent: it is valid, and must not be written
+	// to, until the next NextBatch or Read call on the same reader.
+	NextBatch() []Inst
+}
+
 // sliceReader replays an in-memory trace (used by tests).
 type sliceReader struct {
 	insts []Inst
@@ -86,6 +95,13 @@ func (r *sliceReader) Read(buf []Inst) int {
 	n := copy(buf, r.insts[r.pos:])
 	r.pos += n
 	return n
+}
+
+// NextBatch implements BatchReader: the rest of the trace, as is.
+func (r *sliceReader) NextBatch() []Inst {
+	b := r.insts[r.pos:]
+	r.pos = len(r.insts)
+	return b
 }
 
 // Collect drains a reader into memory (tests and small traces only). The

@@ -186,17 +186,24 @@ func (c *Cache) Reader(ctx context.Context, name string, p memtrace.Profile, gen
 		obs.Event(ctx, "trace.fallback", "workload", name)
 		return memtrace.NewReader(p, gen), false, nil
 	}
-	if el, ok := c.entries[key]; ok {
-		c.lru.MoveToFront(el)
-		t := el.Value.(*entry).t
-		c.mu.Unlock()
+	t := c.hit(key)
+	c.mu.Unlock()
+	if t != nil {
 		c.hits.Add(1)
 		return t.NewReader(), true, nil
 	}
-	c.mu.Unlock()
 
 	c.misses.Add(1)
-	t, err := c.flight.DoCtx(ctx, key, func(ctx context.Context) (*Trace, error) {
+	t, err = c.flight.DoCtx(ctx, key, func(ctx context.Context) (*Trace, error) {
+		// The miss above and this flight are not one critical section: a
+		// capture may have been inserted, and its flight cell released, in
+		// between. Look again before paying for a second one.
+		c.mu.Lock()
+		t := c.hit(key)
+		c.mu.Unlock()
+		if t != nil {
+			return t, nil
+		}
 		c.captures.Add(1)
 		sp := obs.Start(ctx, "trace.capture", "workload", name)
 		t, err := capture(p, gen, c.max)
@@ -225,6 +232,17 @@ func (c *Cache) Reader(ctx context.Context, name string, p memtrace.Profile, gen
 		return nil, false, err
 	}
 	return t.NewReader(), true, nil
+}
+
+// hit returns key's cached trace, marking it most recently used, or nil.
+// c.mu must be held.
+func (c *Cache) hit(key Key) *Trace {
+	el, ok := c.entries[key]
+	if !ok {
+		return nil
+	}
+	c.lru.MoveToFront(el)
+	return el.Value.(*entry).t
 }
 
 // insert adds a freshly captured trace and evicts least-recently-used

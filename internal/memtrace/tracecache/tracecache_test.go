@@ -282,3 +282,38 @@ func TestConcurrentSingleflight(t *testing.T) {
 		t.Fatalf("captures = %d, want 1 (singleflight)", s.Captures)
 	}
 }
+
+// TestSingleflightStress pins the miss → flight window: a caller that
+// missed just before another caller's capture was inserted (and that
+// capture's flight cell released) must find the entry when its own flight
+// function runs, not capture a second time. Short traces and many callers
+// make the window wide; every round uses a fresh cache.
+func TestSingleflightStress(t *testing.T) {
+	const n = 2_000
+	p := testProfile(n)
+	rounds := 200
+	if testing.Short() {
+		rounds = 50
+	}
+	for round := 0; round < rounds; round++ {
+		c := New(DefaultMaxBytes)
+		const workers = 64
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for i := 0; i < workers; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				if _, replay, err := c.Reader(context.Background(), "w", p, testGen); err != nil || !replay {
+					t.Errorf("round %d: replay = %v, err = %v", round, replay, err)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if s := c.Stats(); s.Captures != 1 {
+			t.Fatalf("round %d: captures = %d, want 1", round, s.Captures)
+		}
+	}
+}

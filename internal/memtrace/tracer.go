@@ -137,7 +137,7 @@ const batchSize = 8192
 // and the consuming reader. A full characterization sweep moves hundreds of
 // millions of instructions through these batches; pooling takes the
 // per-batch allocation (and the GC churn it feeds) off the trace hot path.
-// Batches return to the pool in (*chanReader).Read once fully consumed.
+// Batches return to the pool in (*chanReader).fill once fully consumed.
 var batchPool = sync.Pool{
 	New: func() any { return make([]Inst, 0, batchSize) },
 }
@@ -201,14 +201,14 @@ func NewReader(p Profile, gen func(t *Tracer)) Reader {
 
 type chanReader struct {
 	ch       chan []Inst
-	batch    []Inst // current batch, recycled once pending drains
-	pending  []Inst
-	genPanic any // generator panic, re-raised at end of trace
+	batch    []Inst // batch last received, recycled when the next one is
+	pending  []Inst // the part of batch not yet handed out
+	genPanic any    // generator panic, re-raised at end of trace
 }
 
-// Read implements Reader. Instructions are copied into buf, so the batch
-// they arrived in can go back to the pool as soon as it is drained.
-func (r *chanReader) Read(buf []Inst) int {
+// fill makes pending the generator's next batch, returning the previous one
+// to the pool; false means end of trace.
+func (r *chanReader) fill() bool {
 	for len(r.pending) == 0 {
 		if r.batch != nil {
 			recycleBatch(r.batch)
@@ -219,14 +219,34 @@ func (r *chanReader) Read(buf []Inst) int {
 			if r.genPanic != nil {
 				panic(TracePanic{r.genPanic})
 			}
-			return 0
+			return false
 		}
 		r.batch = batch
 		r.pending = batch
 	}
+	return true
+}
+
+// Read implements Reader. Instructions are copied into buf, so the batch
+// they arrived in can go back to the pool as soon as it is drained.
+func (r *chanReader) Read(buf []Inst) int {
+	if !r.fill() {
+		return 0
+	}
 	n := copy(buf, r.pending)
 	r.pending = r.pending[n:]
 	return n
+}
+
+// NextBatch implements BatchReader: the generator's own pooled batch is
+// lent to the caller, and goes back to the pool on the next call.
+func (r *chanReader) NextBatch() []Inst {
+	if !r.fill() {
+		return nil
+	}
+	b := r.pending
+	r.pending = nil
+	return b
 }
 
 // Emitted returns the number of instructions generated so far.

@@ -1,6 +1,9 @@
 package memtrace
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func collect(p Profile, gen func(t *Tracer)) []Inst {
 	return Collect(NewReader(p, gen), int(p.Normalize().MaxInstrs))
@@ -192,5 +195,55 @@ func TestSliceReader(t *testing.T) {
 	}
 	if n := r.Read(buf); n != 0 {
 		t.Fatalf("EOF read = %d", n)
+	}
+}
+
+// TestNextBatchIsTheReadStream: lent batches carry the same instructions in
+// the same order as Read, for the live and the slice reader, also when the
+// two calls are mixed on one reader (sweep drains an abandoned reader through
+// Read after the core took batches from it).
+func TestNextBatchIsTheReadStream(t *testing.T) {
+	gen := func(tr *Tracer) {
+		a := tr.Alloc(1 << 20)
+		for i := uint64(0); ; i++ {
+			tr.Load(a + i%4096*64)
+			tr.Branch(i%3 == 0)
+		}
+	}
+	p := Profile{Seed: 7, MaxInstrs: 3*batchSize + 100}
+	want := collect(p, gen)
+	for _, tc := range []struct {
+		name string
+		new  func() Reader
+	}{
+		{"live", func() Reader { return NewReader(p, gen) }},
+		{"slice", func() Reader { return NewSliceReader(want) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, mixed := range []bool{false, true} {
+				r := tc.new()
+				br := r.(BatchReader)
+				var got []Inst
+				buf := make([]Inst, 100)
+				for i := 0; ; i++ {
+					if mixed && i%2 == 1 {
+						n := r.Read(buf)
+						got = append(got, buf[:n]...)
+						continue
+					}
+					b := br.NextBatch()
+					if len(b) == 0 {
+						break
+					}
+					got = append(got, b...)
+				}
+				if n := r.Read(buf); n != 0 || len(br.NextBatch()) != 0 {
+					t.Fatalf("mixed=%v: reader produced instructions after its end", mixed)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("mixed=%v: %d instructions, want the Read stream's %d", mixed, len(got), len(want))
+				}
+			}
+		})
 	}
 }

@@ -502,6 +502,10 @@ func (e *Engine) simulate(ctx context.Context, job Job, cfg uarch.Config, maxIns
 	// EOF — the only clean way to stop a simulation mid-trace without
 	// teaching the core model about contexts.
 	cr := &cancelReader{ctx: ctx, r: r}
+	var src memtrace.Reader = cr
+	if br, ok := r.(memtrace.BatchReader); ok {
+		src = cancelBatchReader{cr, br}
+	}
 	var c *uarch.Core
 	if pool != nil {
 		if v := pool.Get(); v != nil {
@@ -512,7 +516,7 @@ func (e *Engine) simulate(ctx context.Context, job Job, cfg uarch.Config, maxIns
 	if c == nil {
 		c = uarch.NewCore(cfg)
 	}
-	snap := *c.Run(cr)
+	snap := *c.Run(src)
 	if cr.stopped {
 		// Cancelled mid-trace: the truncated counters are garbage, the
 		// live generator goroutine (if any) is still parked mid-stream,
@@ -538,15 +542,34 @@ type cancelReader struct {
 	stopped bool
 }
 
-func (cr *cancelReader) Read(buf []memtrace.Inst) int {
-	if cr.stopped {
-		return 0
-	}
-	if cr.ctx.Err() != nil {
+// cancelled latches stopped once the context is done.
+func (cr *cancelReader) cancelled() bool {
+	if !cr.stopped && cr.ctx.Err() != nil {
 		cr.stopped = true
+	}
+	return cr.stopped
+}
+
+func (cr *cancelReader) Read(buf []memtrace.Inst) int {
+	if cr.cancelled() {
 		return 0
 	}
 	return cr.r.Read(buf)
+}
+
+// cancelBatchReader is the cancelReader of a trace that lends its batches
+// (the live generator's): the same check, between the same batches, without
+// giving up the zero-copy hand-off.
+type cancelBatchReader struct {
+	*cancelReader
+	br memtrace.BatchReader
+}
+
+func (cr cancelBatchReader) NextBatch() []memtrace.Inst {
+	if cr.cancelled() {
+		return nil
+	}
+	return cr.br.NextBatch()
 }
 
 // drain consumes an abandoned trace to completion (bounded by the

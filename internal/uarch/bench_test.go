@@ -7,36 +7,40 @@ import (
 	"dcbench/internal/memtrace"
 )
 
+// ringGeometries are the structure sizes the cursor invariants and the
+// step-loop oracle run over. The non-default ones are deliberately odd-sized
+// so a masking shortcut or an off-by-one in a wrap test cannot pass by
+// accident.
+var ringGeometries = []struct {
+	name string
+	mut  func(*Config)
+}{
+	{"default", func(*Config) {}},
+	{"odd-rings", func(cfg *Config) {
+		cfg.ROB = 97
+		cfg.RS = 23
+		cfg.LQ = 31
+		cfg.SQ = 17
+		cfg.MSHRs = 7
+		cfg.IssueWidth = 5
+	}},
+	{"tiny-rings", func(cfg *Config) {
+		cfg.ROB = 3
+		cfg.RS = 2
+		cfg.LQ = 2
+		cfg.SQ = 2
+		cfg.MSHRs = 1
+		cfg.IssueWidth = 1
+	}},
+}
+
 // TestRingCursorInvariants pins the wrap-around cursors that replaced the
 // per-instruction modulo ring indexing: after any run, every cursor must
 // equal the count of its ring's advances mod the ring length — exactly
 // the index the old `%` computed — and the run must be deterministic.
-// Geometries are deliberately odd-sized so a masking shortcut or an
-// off-by-one in the wrap test cannot pass by accident.
 func TestRingCursorInvariants(t *testing.T) {
 	const n = 120_000
-	for _, tc := range []struct {
-		name string
-		mut  func(*Config)
-	}{
-		{"default", func(*Config) {}},
-		{"odd-rings", func(cfg *Config) {
-			cfg.ROB = 97
-			cfg.RS = 23
-			cfg.LQ = 31
-			cfg.SQ = 17
-			cfg.MSHRs = 7
-			cfg.IssueWidth = 5
-		}},
-		{"tiny-rings", func(cfg *Config) {
-			cfg.ROB = 3
-			cfg.RS = 2
-			cfg.LQ = 2
-			cfg.SQ = 2
-			cfg.MSHRs = 1
-			cfg.IssueWidth = 1
-		}},
-	} {
+	for _, tc := range ringGeometries {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig()
 			tc.mut(&cfg)
@@ -91,18 +95,38 @@ func TestRingCursorInvariants(t *testing.T) {
 	}
 }
 
-// BenchmarkCoreStep measures the step loop itself — trace pre-collected,
-// no generator in the timing — which is where the ring-cursor refactor
-// and any future step batching land.
+// ReadOnly hides a reader's NextBatch, forcing Run onto its Read fallback
+// (exported for the oracle in the external test package).
+type ReadOnly struct{ R memtrace.Reader }
+
+func (r ReadOnly) Read(buf []memtrace.Inst) int { return r.R.Read(buf) }
+
+// BenchmarkCoreStep measures the step loop three ways: "slice" is the loop
+// itself (trace pre-collected, lent whole, no generator in the timing);
+// "live" is what a cold job pays, the generator goroutine running beside the
+// core and handing its batches over through NextBatch; "readonly" is the
+// Read fallback (what a trace-cache replay takes), a copy into the core's
+// buffer per batch.
 func BenchmarkCoreStep(b *testing.B) {
 	const n = 200_000
 	trace := memtrace.Collect(randomTrace(11, n), n)
-	cfg := DefaultConfig()
-	c := NewCore(cfg)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Reset(cfg)
-		c.Run(memtrace.NewSliceReader(trace))
+	for _, bc := range []struct {
+		name string
+		new  func() memtrace.Reader
+	}{
+		{"slice", func() memtrace.Reader { return memtrace.NewSliceReader(trace) }},
+		{"live", func() memtrace.Reader { return randomTrace(11, n) }},
+		{"readonly", func() memtrace.Reader { return ReadOnly{memtrace.NewSliceReader(trace)} }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			cfg := DefaultConfig()
+			c := NewCore(cfg)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.Reset(cfg)
+				c.Run(bc.new())
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*n), "ns/instr")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*int64(len(trace))), "ns/instr")
 }

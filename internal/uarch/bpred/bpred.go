@@ -1,7 +1,8 @@
 // Package bpred implements the core model's branch direction predictors —
-// gshare (the default, standing in for the Westmere predictor), bimodal and
-// static-not-taken for the "would a simpler predictor do?" ablation the
-// paper's Section IV-E suggests — plus a branch target buffer.
+// a bimodal/gshare tournament (the default, standing in for the Westmere
+// hybrid predictor), and its components plus static-not-taken on their own
+// for the "would a simpler predictor do?" ablation the paper's Section IV-E
+// suggests — plus a branch target buffer.
 package bpred
 
 // Predictor predicts conditional branch directions and learns outcomes.
@@ -50,14 +51,7 @@ func (g *Gshare) Predict(pc uint64) bool {
 
 // Update implements Predictor.
 func (g *Gshare) Update(pc uint64, taken bool) {
-	i := g.index(pc)
-	if taken {
-		if g.table[i] < 3 {
-			g.table[i]++
-		}
-	} else if g.table[i] > 0 {
-		g.table[i]--
-	}
+	train(&g.table[g.index(pc)], taken)
 	g.history = ((g.history << 1) | b2u(taken)) & g.mask
 }
 
@@ -86,14 +80,7 @@ func (b *Bimodal) Predict(pc uint64) bool { return b.table[(pc>>2)&b.mask] >= 2 
 
 // Update implements Predictor.
 func (b *Bimodal) Update(pc uint64, taken bool) {
-	i := (pc >> 2) & b.mask
-	if taken {
-		if b.table[i] < 3 {
-			b.table[i]++
-		}
-	} else if b.table[i] > 0 {
-		b.table[i]--
-	}
+	train(&b.table[(pc>>2)&b.mask], taken)
 }
 
 // Reset implements Predictor.
@@ -135,18 +122,32 @@ func (t *Tournament) Predict(pc uint64) bool {
 func (t *Tournament) Update(pc uint64, taken bool) {
 	b := t.bimodal.Predict(pc)
 	g := t.gshare.Predict(pc)
-	i := (pc >> 2) & t.mask
 	if b != g {
-		if g == taken {
-			if t.meta[i] < 3 {
-				t.meta[i]++
-			}
-		} else if t.meta[i] > 0 {
-			t.meta[i]--
-		}
+		train(&t.meta[(pc>>2)&t.mask], g == taken)
 	}
 	t.bimodal.Update(pc, taken)
 	t.gshare.Update(pc, taken)
+}
+
+// PredictUpdate is Predict followed by Update with the three table indices
+// computed once: the core model's per-branch call when the tournament is
+// the installed predictor.
+func (t *Tournament) PredictUpdate(pc uint64, taken bool) bool {
+	bc := &t.bimodal.table[(pc>>2)&t.bimodal.mask]
+	gc := &t.gshare.table[t.gshare.index(pc)]
+	mc := &t.meta[(pc>>2)&t.mask]
+	b, g := *bc >= 2, *gc >= 2
+	pred := b
+	if *mc >= 2 {
+		pred = g
+	}
+	if b != g {
+		train(mc, g == taken)
+	}
+	train(bc, taken)
+	train(gc, taken)
+	t.gshare.history = ((t.gshare.history << 1) | b2u(taken)) & t.gshare.mask
+	return pred
 }
 
 // Reset implements Predictor.
@@ -170,6 +171,17 @@ func (Static) Update(uint64, bool) {}
 
 // Reset implements Predictor.
 func (Static) Reset() {}
+
+// train moves a 2-bit saturating counter towards up.
+func train(c *uint8, up bool) {
+	if up {
+		if *c < 3 {
+			*c++
+		}
+	} else if *c > 0 {
+		*c--
+	}
+}
 
 func b2u(b bool) uint64 {
 	if b {

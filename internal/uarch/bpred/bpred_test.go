@@ -1,6 +1,9 @@
 package bpred
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func rate(p Predictor, pcs []uint64, outcomes []bool) float64 {
 	wrong := 0
@@ -106,5 +109,27 @@ func TestBTB(t *testing.T) {
 	}
 	if btb.Hits != 1 || btb.Misses != 2 {
 		t.Fatalf("counters = %d/%d", btb.Hits, btb.Misses)
+	}
+}
+
+// TestPredictUpdateIsPredictThenUpdate: the fused call returns what Predict
+// would have and leaves every table as Update would have, over 1 M random
+// branches.
+func TestPredictUpdateIsPredictThenUpdate(t *testing.T) {
+	fused, split := NewTournament(14), NewTournament(14)
+	x := uint64(88172645463325252)
+	for i := 0; i < 1_000_000; i++ {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		pc, taken := 0x400000+(x&0x3FFFC), x&(3<<40) != 0
+		want := split.Predict(pc)
+		split.Update(pc, taken)
+		if got := fused.PredictUpdate(pc, taken); got != want {
+			t.Fatalf("branch %d (pc %#x): PredictUpdate = %v, Predict = %v", i, pc, got, want)
+		}
+	}
+	if !reflect.DeepEqual(fused, split) {
+		t.Fatal("tables differ after identical streams")
 	}
 }

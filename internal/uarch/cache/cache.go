@@ -1,6 +1,16 @@
 // Package cache implements set-associative caches with LRU replacement for
 // the core model's three-level hierarchy (Table III of the paper: 32 KB
 // L1I/L1D, 256 KB private L2, 12 MB shared L3, all 64-byte lines).
+//
+// Recency is kept in the order of a set's ways, not in per-entry stamps:
+// way 0 of a set is its most recently used line and the last way its least.
+// A hit at way k moves that tag to way 0 and shifts ways 0..k-1 down one; a
+// miss shifts the whole set down one, dropping the last way. Entries only
+// ever enter at way 0 and leave from the end, so invalid entries (tag 0)
+// can only sit at a set's tail: the last way is the invalid victim if there
+// is one and the least recently used line otherwise, which is the textbook
+// "prefer an invalid entry, else evict the LRU" policy with one array, no
+// stamps, and a single compare for the common re-touch of the MRU line.
 package cache
 
 import "fmt"
@@ -13,9 +23,11 @@ type Cache struct {
 	sets      int
 	ways      int
 	lineShift uint
-	tags      []uint64 // sets*ways entries; 0 = invalid
-	lru       []uint32 // per-entry last-use stamps
-	stamp     uint32
+	// tags holds sets*ways line tags, each set's ways contiguous and in
+	// most-recently-used-first order; 0 = invalid. Lines enter a set at way
+	// 0 and leave from its last way, so a set's invalid entries are always
+	// its tail.
+	tags []uint64
 
 	// Counters.
 	Accesses int64
@@ -47,7 +59,6 @@ func New(name string, size, ways, lineSize int) *Cache {
 		ways:      ways,
 		lineShift: shift,
 		tags:      make([]uint64, sets*ways),
-		lru:       make([]uint32, sets*ways),
 	}
 }
 
@@ -67,34 +78,37 @@ func (c *Cache) LineSize() int { return 1 << c.lineShift }
 // (tag 0 marks invalid entries, so line addresses are offset by 1).
 func (c *Cache) line(addr uint64) uint64 { return (addr >> c.lineShift) + 1 }
 
+// set returns the ways of the set ln maps to, MRU first. A power-of-two set
+// count (L1I, L1D, L2) indexes with a mask; only the 12288-set L3, reached
+// on L2 misses, pays for a division.
+func (c *Cache) set(ln uint64) []uint64 {
+	idx := ln & uint64(c.sets-1)
+	if c.sets&(c.sets-1) != 0 {
+		idx = ln % uint64(c.sets)
+	}
+	base := int(idx) * c.ways
+	return c.tags[base : base+c.ways : base+c.ways]
+}
+
 // Access looks up addr, filling the line on miss (LRU victim). It returns
 // true on hit.
 func (c *Cache) Access(addr uint64) bool {
 	c.Accesses++
 	ln := c.line(addr)
-	set := int(ln % uint64(c.sets))
-	base := set * c.ways
-	c.stamp++
-	victim := base
-	oldest := c.lru[base]
-	for i := base; i < base+c.ways; i++ {
-		if c.tags[i] == ln {
-			c.lru[i] = c.stamp
+	set := c.set(ln)
+	if set[0] == ln {
+		return true
+	}
+	for k := 1; k < len(set); k++ {
+		if set[k] == ln {
+			copy(set[1:k+1], set[:k])
+			set[0] = ln
 			return true
-		}
-		if c.tags[i] == 0 {
-			// Prefer invalid entries as victims immediately.
-			victim = i
-			oldest = 0
-			continue
-		}
-		if c.lru[i] < oldest {
-			victim, oldest = i, c.lru[i]
 		}
 	}
 	c.Misses++
-	c.tags[victim] = ln
-	c.lru[victim] = c.stamp
+	copy(set[1:], set)
+	set[0] = ln
 	return false
 }
 
@@ -102,10 +116,8 @@ func (c *Cache) Access(addr uint64) bool {
 // counters.
 func (c *Cache) Probe(addr uint64) bool {
 	ln := c.line(addr)
-	set := int(ln % uint64(c.sets))
-	base := set * c.ways
-	for i := base; i < base+c.ways; i++ {
-		if c.tags[i] == ln {
+	for _, tag := range c.set(ln) {
+		if tag == ln {
 			return true
 		}
 	}
@@ -122,11 +134,7 @@ func (c *Cache) MissRatio() float64 {
 
 // Reset clears contents and counters.
 func (c *Cache) Reset() {
-	for i := range c.tags {
-		c.tags[i] = 0
-		c.lru[i] = 0
-	}
-	c.stamp = 0
+	clear(c.tags)
 	c.Accesses = 0
 	c.Misses = 0
 }

@@ -262,8 +262,8 @@ type Core struct {
 
 	// Ring cursors: each ring is walked with an incrementing wrap-around
 	// cursor instead of a per-instruction `%` of the running index — the
-	// divides were the hottest scalar ops in step's profile. idx still
-	// counts instructions (dependency distances need it); the cursors
+	// divides were the hottest scalar ops in the step loop's profile. idx
+	// still counts instructions (dependency distances need it); the cursors
 	// track idx (or the load/store/miss counts) mod their ring length.
 	idx            int64
 	robCur, rsCur  int
@@ -339,12 +339,13 @@ func (c *Core) sameGeometry(cfg Config) bool {
 // Reset returns the core to the state NewCore(cfg) would produce from a
 // fresh predictor, reusing the existing cache, TLB, predictor and ring
 // allocations whenever the geometry is unchanged — the default machine
-// carries ~13 MB of simulated tag state, so pooled cores skip that churn
-// entirely. A geometry change falls back to a full rebuild. Unlike NewCore,
-// which adopts an explicitly supplied Predictor with whatever training it
-// carries, Reset always clears the predictor's learned state: a reset core
-// starts cold. Runs on a reset core are bit-identical to runs on a fresh
-// core; reset_test pins that down.
+// carries 1.6 MB of simulated tag state (the L3's 196 608 tags of 8 bytes
+// are 1.5 MB of it), so pooled cores clear it in place instead of
+// reallocating it. A geometry change falls back to a full rebuild. Unlike
+// NewCore, which adopts an explicitly supplied Predictor with whatever
+// training it carries, Reset always clears the predictor's learned state: a
+// reset core starts cold. Runs on a reset core are bit-identical to runs on
+// a fresh core; reset_test pins that down.
 func (c *Core) Reset(cfg Config) {
 	reuseDefault := cfg.Predictor == nil && c.defaultPred
 	if !c.sameGeometry(cfg) {
@@ -407,10 +408,7 @@ func (c *Core) Reset(cfg Config) {
 // dataAccess walks the D-side hierarchy at the given start cycle, returning
 // the completion cycle.
 func (c *Core) dataAccess(addr uint64, start int64) int64 {
-	tlbLat, walked := c.dtlb.Translate(addr)
-	if walked {
-		c.C.DTLBWalks++
-	}
+	tlbLat, _ := c.dtlb.Translate(addr)
 	start += int64(tlbLat)
 	if c.l1d.Access(addr) {
 		return start + int64(c.cfg.L1DLat)
@@ -447,10 +445,7 @@ func (c *Core) dataAccess(addr uint64, start int64) int64 {
 // prefetcher (as on Westmere): a miss on the line right after the previous
 // miss costs only a short re-steer, though it still counts as a miss.
 func (c *Core) instAccess(pc uint64) int64 {
-	lat, walked := c.itlb.Translate(pc)
-	if walked {
-		c.C.ITLBWalks++
-	}
+	lat, _ := c.itlb.Translate(pc)
 	extra := int64(lat)
 	if !c.l1i.Access(pc) {
 		line := pc >> 6
@@ -480,29 +475,47 @@ func (c *Core) instAccess(pc uint64) int64 {
 }
 
 // Run consumes the whole trace and fills the counter file. If the config
-// sets Warmup, counters cover only the post-warmup portion.
+// sets Warmup, counters cover only the post-warmup portion (all of the trace
+// when it ends before the warm-up does). A reader that lends its batches
+// (memtrace.BatchReader) is stepped in place; any other is read into the
+// core's own buffer.
 func (c *Core) Run(r memtrace.Reader) *Counters {
-	if c.runBuf == nil {
+	br, lends := r.(memtrace.BatchReader)
+	if !lends && c.runBuf == nil {
 		c.runBuf = make([]memtrace.Inst, 8192)
 	}
-	buf := c.runBuf
+	// toWarm is the number of instructions still to step before the
+	// counters restart; 0 when there is no boundary (left) to cross. The
+	// batch holding the boundary is split there, so the step loop itself
+	// never tests for it.
+	var toWarm int64
+	if c.cfg.Warmup > 0 {
+		toWarm = max(c.cfg.Warmup-c.C.Instructions, 1)
+	}
 	var warmed bool
 	var base Counters
 	var baseCycle int64
 	for {
-		n := r.Read(buf)
-		if n == 0 {
+		var batch []memtrace.Inst
+		if lends {
+			batch = br.NextBatch()
+		} else {
+			batch = c.runBuf[:r.Read(c.runBuf)]
+		}
+		if len(batch) == 0 {
 			break
 		}
-		for i := 0; i < n; i++ {
-			c.step(&buf[i])
-			if !warmed && c.cfg.Warmup > 0 && c.C.Instructions >= c.cfg.Warmup {
-				warmed = true
-				c.syncCacheCounters()
-				base = c.C
-				baseCycle = c.commitPrev
-			}
+		if n := int64(len(batch)); toWarm > n {
+			toWarm -= n
+		} else if toWarm > 0 {
+			c.stepBatch(batch[:toWarm])
+			batch, toWarm = batch[toWarm:], 0
+			warmed = true
+			c.syncCacheCounters()
+			base = c.C
+			baseCycle = c.commitPrev
 		}
+		c.stepBatch(batch)
 	}
 	c.C.Cycles = c.commitPrev + 1
 	c.syncCacheCounters()
@@ -540,219 +553,266 @@ func subtractCounters(a, b Counters) Counters {
 	}
 }
 
+// syncCacheCounters copies the counts the caches and TLB hierarchies keep
+// themselves into the counter file.
 func (c *Core) syncCacheCounters() {
+	c.C.ITLBWalks, c.C.DTLBWalks = c.itlb.Walks, c.dtlb.Walks
 	c.C.L1IAccesses, c.C.L1IMisses = c.l1i.Accesses, c.l1i.Misses
 	c.C.L1DAccesses, c.C.L1DMisses = c.l1d.Accesses, c.l1d.Misses
 	c.C.L2Accesses, c.C.L2Misses = c.l2.Accesses, c.l2.Misses
 	c.C.L3Accesses, c.C.L3Misses = c.l3.Accesses, c.l3.Misses
 }
 
-// step advances the model by one instruction.
-func (c *Core) step(in *memtrace.Inst) {
-	cfg := &c.cfg
-	c.C.Instructions++
-	if in.Kernel {
-		c.C.KernelInstructions++
-	}
+// stepBatch advances the model over buf, one instruction at a time in
+// program order. What every instruction reads and writes on its way through
+// the pipeline — the ring slices and their cursors, the front-end, rename
+// and commit state — is held in locals for the length of the batch and
+// written back once at its end, so it is not reloaded through c after every
+// ring store. What the memory hierarchy walks own (memFree, the MSHR ring,
+// lastIMissLine) stays in the struct, and the caches and TLBs count their
+// own events; instAccess also reads frontCycle from the struct, so it is
+// stored just before that (rare) call.
+func (c *Core) stepBatch(buf []memtrace.Inst) {
+	var (
+		cfg = &c.cfg
 
-	// ---- Fetch ----
-	if c.frontCount >= cfg.FetchWidth {
-		c.frontCycle++
-		c.frontCount = 0
-	}
-	if line := in.PC >> 6; line != c.lastFetchLine {
-		c.lastFetchLine = line
-		if extra := c.instAccess(in.PC); extra > 0 {
-			// The decoupled front end's fetch/decode queues absorb short
-			// bubbles; only the excess starves rename.
-			extra -= 8
-			if extra > 0 {
-				c.C.FetchStall += extra
-				c.frontCycle += extra
-				c.frontCount = 0
+		completeRing = &c.completeRing
+		commitRing   = c.commitRing
+		issueRing    = c.issueRing
+		loadRing     = c.loadRing
+		storeRing    = c.storeRing
+		issueWin     = c.issueWin
+
+		idx                    = c.idx
+		robCur, rsCur, winCur  = c.robCur, c.rsCur, c.winCur
+		lqCur, sqCur           = c.lqCur, c.sqCur
+		frontCycle, frontCount = c.frontCycle, c.frontCount
+		lastFetchLine          = c.lastFetchLine
+		renameTime             = c.renameTime
+		renameCnt, renameSrc   = c.renameCnt, c.renameSrc
+		grpN, grpSrc           = c.grpN, c.grpSrc
+		commitPrev, commitCnt  = c.commitPrev, c.commitCnt
+		lastStoreDrain         = c.lastStoreDrain
+	)
+	// The default predictor is called on its concrete type, one fused call
+	// per branch; ablation predictors go through the interface.
+	tournament, _ := c.pred.(*bpred.Tournament)
+
+	for i := range buf {
+		in := &buf[i]
+		if in.Kernel {
+			c.C.KernelInstructions++
+		}
+
+		// ---- Fetch ----
+		if frontCount >= cfg.FetchWidth {
+			frontCycle++
+			frontCount = 0
+		}
+		if line := in.PC >> 6; line != lastFetchLine {
+			lastFetchLine = line
+			c.frontCycle = frontCycle
+			if extra := c.instAccess(in.PC); extra > 0 {
+				// The decoupled front end's fetch/decode queues absorb short
+				// bubbles; only the excess starves rename.
+				extra -= 8
+				if extra > 0 {
+					c.C.FetchStall += extra
+					frontCycle += extra
+					frontCount = 0
+				}
 			}
 		}
-	}
-	fetchTime := c.frontCycle
-	c.frontCount++
+		fetchTime := frontCycle
+		frontCount++
 
-	// ---- Rename (RAT) ----
-	if c.renameTime < fetchTime {
-		c.renameTime = fetchTime
-		c.renameCnt = 0
-		c.renameSrc = 0
-	}
-	if c.renameCnt >= cfg.RenameWidth {
-		c.renameTime++
-		c.renameCnt = 0
-		c.renameSrc = 0
-	}
-	if c.renameSrc+int(in.NSrc) > cfg.RenameReadPorts && c.renameCnt > 0 {
-		// Register read port conflict: the group closes early.
-		c.renameTime++
-		c.renameCnt = 0
-		c.renameSrc = 0
-	}
-	c.renameCnt++
-	c.renameSrc += int(in.NSrc)
-	renameTime := c.renameTime
-
-	// RAT stall accounting is occupancy-style, like the hardware
-	// RAT_STALLS events: every architectural rename group whose register
-	// read demand exceeds the ports is charged the excess cycles, whether
-	// or not rename happened to be the critical path (stall counters
-	// overlap; Section III-D).
-	c.grpSrc += int(in.NSrc)
-	c.grpN++
-	if c.grpN >= cfg.RenameWidth {
-		if c.grpSrc > cfg.RenameReadPorts {
-			c.C.RATStall += int64(c.grpSrc - cfg.RenameReadPorts)
+		// ---- Rename (RAT) ----
+		nsrc := int(in.NSrc)
+		if renameTime < fetchTime {
+			renameTime = fetchTime
+			renameCnt = 0
+			renameSrc = 0
 		}
-		c.grpN, c.grpSrc = 0, 0
-	}
-	if in.NSrc >= 3 {
-		// Three-source ops (flag merges, partial-register reads) insert a
-		// RAT serialisation bubble on this class of core.
-		c.C.RATStall++
-	}
-
-	// ---- Dispatch: ROB / RS / LQ / SQ availability ----
-	// Every full resource is charged for the cycles it blocks, even when
-	// several block simultaneously: hardware stall counters overlap, and
-	// the paper normalises by the total (Section III-D).
-	dispatch := renameTime
-	consider := func(free int64, counter *int64) {
-		if free > renameTime {
-			*counter += free - renameTime
+		if renameCnt >= cfg.RenameWidth {
+			renameTime++
+			renameCnt = 0
+			renameSrc = 0
 		}
-		if free > dispatch {
+		if renameSrc+nsrc > cfg.RenameReadPorts && renameCnt > 0 {
+			// Register read port conflict: the group closes early.
+			renameTime++
+			renameCnt = 0
+			renameSrc = 0
+		}
+		renameCnt++
+		renameSrc += nsrc
+		renamed := renameTime
+
+		// RAT stall accounting is occupancy-style, like the hardware
+		// RAT_STALLS events: every architectural rename group whose register
+		// read demand exceeds the ports is charged the excess cycles, whether
+		// or not rename happened to be the critical path (stall counters
+		// overlap; Section III-D).
+		grpSrc += nsrc
+		grpN++
+		if grpN >= cfg.RenameWidth {
+			if grpSrc > cfg.RenameReadPorts {
+				c.C.RATStall += int64(grpSrc - cfg.RenameReadPorts)
+			}
+			grpN, grpSrc = 0, 0
+		}
+		if nsrc >= 3 {
+			// Three-source ops (flag merges, partial-register reads) insert a
+			// RAT serialisation bubble on this class of core.
+			c.C.RATStall++
+		}
+
+		// ---- Dispatch: ROB / RS / LQ / SQ availability ----
+		// Every full resource is charged for the cycles it blocks, even when
+		// several block simultaneously: hardware stall counters overlap, and
+		// the paper normalises by the total (Section III-D).
+		dispatch := renamed
+		if free := commitRing[robCur]; free > renamed {
+			c.C.ROBStall += free - renamed
 			dispatch = free
 		}
-	}
-	consider(c.commitRing[c.robCur], &c.C.ROBStall)
-	consider(c.issueRing[c.rsCur], &c.C.RSStall)
-	isLoad := in.Op == memtrace.OpLoad
-	isStore := in.Op == memtrace.OpStore
-	if isLoad {
-		consider(c.loadRing[c.lqCur], &c.C.LoadBufStall)
-	}
-	if isStore {
-		consider(c.storeRing[c.sqCur], &c.C.StoreBufStall)
-	}
-	// Back-pressure: a blocked dispatch holds the rename stage, so later
-	// instructions measure their stalls from the caught-up point rather
-	// than re-counting the same gap.
-	if dispatch > c.renameTime {
-		c.renameTime = dispatch
-	}
-
-	// ---- Ready: operand dependencies ----
-	// depRing is a power of two, so the dependency lookback masks instead
-	// of dividing (Dep <= idx is guaranteed by the guard, so the index
-	// stays non-negative).
-	ready := dispatch + 1
-	if in.Dep1 > 0 && int64(in.Dep1) <= c.idx {
-		if t := c.completeRing[(c.idx-int64(in.Dep1))&(depRing-1)]; t > ready {
-			ready = t
+		if free := issueRing[rsCur]; free > renamed {
+			c.C.RSStall += free - renamed
+			dispatch = max(dispatch, free)
 		}
-	}
-	if in.Dep2 > 0 && int64(in.Dep2) <= c.idx {
-		if t := c.completeRing[(c.idx-int64(in.Dep2))&(depRing-1)]; t > ready {
-			ready = t
-		}
-	}
-
-	// ---- Issue: width-limited ----
-	issue := ready
-	if w := c.issueWin[c.winCur]; issue <= w {
-		issue = w + 1
-	}
-	c.issueWin[c.winCur] = issue
-	// The RS entry is held from dispatch until issue.
-	c.issueRing[c.rsCur] = issue
-
-	// ---- Execute ----
-	var complete int64
-	switch in.Op {
-	case memtrace.OpLoad:
-		complete = c.dataAccess(in.Addr, issue)
-		c.loadRing[c.lqCur] = complete
-		c.lqCur++
-		if c.lqCur == len(c.loadRing) {
-			c.lqCur = 0
-		}
-	case memtrace.OpStore:
-		// Stores complete for dependents immediately; the cache write
-		// happens at drain time, charged below against the SQ.
-		complete = issue + 1
-	case memtrace.OpFPU:
-		complete = issue + int64(cfg.FPULat)
-	case memtrace.OpBranch:
-		complete = issue + int64(cfg.ALULat)
-		c.C.Branches++
-		pred := c.pred.Predict(in.PC)
-		c.pred.Update(in.PC, in.Taken)
-		if pred != in.Taken {
-			c.C.BranchMispredicts++
-			// Redirect: the front end refetches after resolution. The
-			// wasted cycles show up as lost IPC, not as IFU stall events
-			// (Figure 6 counts i-cache/iTLB fetch stalls separately from
-			// speculation waste).
-			redirect := complete + int64(cfg.MispredictPenalty)
-			if redirect > c.frontCycle {
-				c.frontCycle = redirect
-				c.frontCount = 0
+		op := in.Op
+		if op == memtrace.OpLoad {
+			if free := loadRing[lqCur]; free > renamed {
+				c.C.LoadBufStall += free - renamed
+				dispatch = max(dispatch, free)
 			}
-		} else if in.Taken && !c.btb.Lookup(in.PC, in.Target) {
-			// Correct direction but unknown target: short redirect.
-			c.frontCycle += int64(cfg.BTBPenalty)
-			c.frontCount = 0
+		} else if op == memtrace.OpStore {
+			if free := storeRing[sqCur]; free > renamed {
+				c.C.StoreBufStall += free - renamed
+				dispatch = max(dispatch, free)
+			}
 		}
-	default:
-		complete = issue + int64(cfg.ALULat)
-	}
-	c.completeRing[c.idx&(depRing-1)] = complete
+		// Back-pressure: a blocked dispatch holds the rename stage, so later
+		// instructions measure their stalls from the caught-up point rather
+		// than re-counting the same gap.
+		renameTime = dispatch
 
-	// ---- Commit: in-order, width-limited ----
-	commit := complete
-	if commit <= c.commitPrev {
-		commit = c.commitPrev
-		c.commitCnt++
-		if c.commitCnt >= cfg.CommitWidth {
-			commit++
-			c.commitCnt = 0
+		// ---- Ready: operand dependencies ----
+		// depRing is a power of two, so the dependency lookback masks instead
+		// of dividing (Dep <= idx is guaranteed by the guard, so the index
+		// stays non-negative).
+		ready := dispatch + 1
+		if d := int64(in.Dep1); d > 0 && d <= idx {
+			ready = max(ready, completeRing[(idx-d)&(depRing-1)])
 		}
-	} else {
-		c.commitCnt = 1
-	}
-	c.commitPrev = commit
-	c.commitRing[c.robCur] = commit
+		if d := int64(in.Dep2); d > 0 && d <= idx {
+			ready = max(ready, completeRing[(idx-d)&(depRing-1)])
+		}
 
-	// Store drain: after commit, the store writes the cache, holding its
-	// SQ entry until done. Drains retire in order.
-	if isStore {
-		drain := c.dataAccess(in.Addr, commit)
-		if drain < c.lastStoreDrain {
-			drain = c.lastStoreDrain
+		// ---- Issue: width-limited ----
+		issue := ready
+		if w := issueWin[winCur]; issue <= w {
+			issue = w + 1
 		}
-		c.lastStoreDrain = drain
-		c.storeRing[c.sqCur] = drain
-		c.sqCur++
-		if c.sqCur == len(c.storeRing) {
-			c.sqCur = 0
+		issueWin[winCur] = issue
+		// The RS entry is held from dispatch until issue.
+		issueRing[rsCur] = issue
+
+		// ---- Execute ----
+		var complete int64
+		switch op {
+		case memtrace.OpLoad:
+			complete = c.dataAccess(in.Addr, issue)
+			loadRing[lqCur] = complete
+			lqCur++
+			if lqCur == len(loadRing) {
+				lqCur = 0
+			}
+		case memtrace.OpStore:
+			// Stores complete for dependents immediately; the cache write
+			// happens at drain time, charged below against the SQ.
+			complete = issue + 1
+		case memtrace.OpFPU:
+			complete = issue + int64(cfg.FPULat)
+		case memtrace.OpBranch:
+			complete = issue + int64(cfg.ALULat)
+			c.C.Branches++
+			var pred bool
+			if tournament != nil {
+				pred = tournament.PredictUpdate(in.PC, in.Taken)
+			} else {
+				pred = c.pred.Predict(in.PC)
+				c.pred.Update(in.PC, in.Taken)
+			}
+			if pred != in.Taken {
+				c.C.BranchMispredicts++
+				// Redirect: the front end refetches after resolution. The
+				// wasted cycles show up as lost IPC, not as IFU stall events
+				// (Figure 6 counts i-cache/iTLB fetch stalls separately from
+				// speculation waste).
+				if redirect := complete + int64(cfg.MispredictPenalty); redirect > frontCycle {
+					frontCycle = redirect
+					frontCount = 0
+				}
+			} else if in.Taken && !c.btb.Lookup(in.PC, in.Target) {
+				// Correct direction but unknown target: short redirect.
+				frontCycle += int64(cfg.BTBPenalty)
+				frontCount = 0
+			}
+		default:
+			complete = issue + int64(cfg.ALULat)
+		}
+		completeRing[idx&(depRing-1)] = complete
+
+		// ---- Commit: in-order, width-limited ----
+		commit := complete
+		if commit <= commitPrev {
+			commit = commitPrev
+			commitCnt++
+			if commitCnt >= cfg.CommitWidth {
+				commit++
+				commitCnt = 0
+			}
+		} else {
+			commitCnt = 1
+		}
+		commitPrev = commit
+		commitRing[robCur] = commit
+
+		// Store drain: after commit, the store writes the cache, holding its
+		// SQ entry until done. Drains retire in order.
+		if op == memtrace.OpStore {
+			drain := max(c.dataAccess(in.Addr, commit), lastStoreDrain)
+			lastStoreDrain = drain
+			storeRing[sqCur] = drain
+			sqCur++
+			if sqCur == len(storeRing) {
+				sqCur = 0
+			}
+		}
+		idx++
+		robCur++
+		if robCur == len(commitRing) {
+			robCur = 0
+		}
+		rsCur++
+		if rsCur == len(issueRing) {
+			rsCur = 0
+		}
+		winCur++
+		if winCur == len(issueWin) {
+			winCur = 0
 		}
 	}
-	c.idx++
-	c.robCur++
-	if c.robCur == len(c.commitRing) {
-		c.robCur = 0
-	}
-	c.rsCur++
-	if c.rsCur == len(c.issueRing) {
-		c.rsCur = 0
-	}
-	c.winCur++
-	if c.winCur == len(c.issueWin) {
-		c.winCur = 0
-	}
+
+	c.idx = idx
+	c.robCur, c.rsCur, c.winCur = robCur, rsCur, winCur
+	c.lqCur, c.sqCur = lqCur, sqCur
+	c.frontCycle, c.frontCount = frontCycle, frontCount
+	c.lastFetchLine = lastFetchLine
+	c.renameTime, c.renameCnt, c.renameSrc = renameTime, renameCnt, renameSrc
+	c.grpN, c.grpSrc = grpN, grpSrc
+	c.commitPrev, c.commitCnt = commitPrev, commitCnt
+	c.lastStoreDrain = lastStoreDrain
+	c.C.Instructions += int64(len(buf))
 }

@@ -2,6 +2,12 @@
 // 4-way 64-entry ITLB and DTLB backed by a 4-way 512-entry unified L2 TLB,
 // with page walks on L2 misses. Completed page walks per kilo-instruction
 // are the metrics of the paper's Figures 8 and 11.
+//
+// As in package cache, a set's ways are kept in most-recently-used-first
+// order instead of carrying use stamps: a hit moves the page to way 0, a miss
+// shifts the set down one and drops the last way, and invalid entries (tag
+// 0) can therefore only be at a set's tail — so the last way is always the
+// right victim, and re-touching the MRU page is one compare.
 package mmu
 
 // PageShift is log2 of the 4 KB page size.
@@ -9,11 +15,9 @@ const PageShift = 12
 
 // TLB is one set-associative translation buffer with LRU replacement.
 type TLB struct {
-	sets  int
-	ways  int
-	tags  []uint64
-	lru   []uint32
-	stamp uint32
+	sets int // a power of two
+	ways int
+	tags []uint64 // sets*ways page tags, each set MRU-first; 0 = invalid
 
 	// Counters.
 	Accesses int64
@@ -33,7 +37,6 @@ func NewTLB(entries, ways int) *TLB {
 		sets: sets,
 		ways: ways,
 		tags: make([]uint64, entries),
-		lru:  make([]uint32, entries),
 	}
 }
 
@@ -44,26 +47,21 @@ func vpn(addr uint64) uint64 { return (addr >> PageShift) + 1 }
 func (t *TLB) Access(addr uint64) bool {
 	t.Accesses++
 	p := vpn(addr)
-	set := int(p % uint64(t.sets))
-	base := set * t.ways
-	t.stamp++
-	victim, oldest := base, t.lru[base]
-	for i := base; i < base+t.ways; i++ {
-		if t.tags[i] == p {
-			t.lru[i] = t.stamp
+	base := int(p&uint64(t.sets-1)) * t.ways
+	set := t.tags[base : base+t.ways : base+t.ways]
+	if set[0] == p {
+		return true
+	}
+	for k := 1; k < len(set); k++ {
+		if set[k] == p {
+			copy(set[1:k+1], set[:k])
+			set[0] = p
 			return true
-		}
-		if t.tags[i] == 0 {
-			victim, oldest = i, 0
-			continue
-		}
-		if t.lru[i] < oldest {
-			victim, oldest = i, t.lru[i]
 		}
 	}
 	t.Misses++
-	t.tags[victim] = p
-	t.lru[victim] = t.stamp
+	copy(set[1:], set)
+	set[0] = p
 	return false
 }
 
@@ -73,8 +71,6 @@ func (t *TLB) Entries() int { return t.sets * t.ways }
 // Reset clears contents and counters.
 func (t *TLB) Reset() {
 	clear(t.tags)
-	clear(t.lru)
-	t.stamp = 0
 	t.Accesses = 0
 	t.Misses = 0
 }
