@@ -13,6 +13,7 @@ package dcbench
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"dcbench/internal/core"
@@ -344,6 +345,24 @@ func BenchmarkClusterWordCount(b *testing.B) {
 		if _, err := workloads.WordCountWorkload().Run(env); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkClusterCell runs one cell of the Figure 2 matrix — a workload on
+// 8 slaves at the shipped scale and seed — per iteration: the unit the
+// cold figure path fans out, with its allocation volume beside its time.
+func BenchmarkClusterCell(b *testing.B) {
+	o := report.DefaultOptions()
+	for _, name := range []string{"SVM", "Fuzzy K-means", "K-means", "Naive Bayes", "IBCF"} {
+		w := workloads.ByName(name)
+		b.Run(strings.ReplaceAll(name, " ", "")+"-8slaves", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := w.Run(workloads.NewEnv(8, o.Scale, o.Seed)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

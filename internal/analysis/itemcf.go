@@ -1,7 +1,9 @@
 package analysis
 
 import (
+	"maps"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -50,14 +52,15 @@ func (cf *ItemCF) Add(user, item int, score float64) {
 }
 
 // Cosine computes the cosine similarity between two items' rating vectors
-// over their co-rating users.
+// over their co-rating users. Sums run in ascending user order, so the
+// result does not depend on map iteration order.
 func (cf *ItemCF) Cosine(a, b int) float64 {
 	ra, rb := cf.byItem[a], cf.byItem[b]
-	if len(ra) > len(rb) {
-		ra, rb = rb, ra
-	}
-	var dot float64
-	for u, va := range ra {
+	ua, ub := slices.Sorted(maps.Keys(ra)), slices.Sorted(maps.Keys(rb))
+	var dot, na, nb float64
+	for _, u := range ua {
+		va := ra[u]
+		na += va * va
 		if vb, ok := rb[u]; ok {
 			dot += va * vb
 		}
@@ -65,12 +68,8 @@ func (cf *ItemCF) Cosine(a, b int) float64 {
 	if dot == 0 {
 		return 0
 	}
-	var na, nb float64
-	for _, v := range cf.byItem[a] {
-		na += v * v
-	}
-	for _, v := range cf.byItem[b] {
-		nb += v * v
+	for _, u := range ub {
+		nb += rb[u] * rb[u]
 	}
 	return dot / (math.Sqrt(na) * math.Sqrt(nb))
 }

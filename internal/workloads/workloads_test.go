@@ -1,7 +1,9 @@
 package workloads
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"reflect"
 	"testing"
 )
@@ -207,6 +209,28 @@ func TestSlaveSweepMatchesSerial(t *testing.T) {
 		if !reflect.DeepEqual(serial[i], concurrent[i]) {
 			t.Errorf("%d slaves: concurrent stats diverge from serial\nserial:     %+v\nconcurrent: %+v",
 				slaves, serial[i], concurrent[i])
+		}
+	}
+}
+
+// TestWorkloadRunsAreDeterministic: a cluster record is a pure function of
+// its key — two runs of the same (workload, slaves, scale, seed) marshal to
+// the same bytes, Quality included (the store's record checksum and the
+// replicas' digests cover it).
+func TestWorkloadRunsAreDeterministic(t *testing.T) {
+	for _, w := range All() {
+		for _, slaves := range []int{1, 8} {
+			var got [2][]byte
+			for i := range got {
+				b, err := json.Marshal(runWorkload(t, w, slaves))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got[i] = b
+			}
+			if !bytes.Equal(got[0], got[1]) {
+				t.Errorf("%s on %d slaves: two runs differ:\n%s\n%s", w.Name, slaves, got[0], got[1])
+			}
 		}
 	}
 }
