@@ -13,7 +13,6 @@ package dcbench
 
 import (
 	"context"
-	"strings"
 	"testing"
 
 	"dcbench/internal/core"
@@ -353,9 +352,10 @@ func BenchmarkClusterWordCount(b *testing.B) {
 // cold figure path fans out, with its allocation volume beside its time.
 func BenchmarkClusterCell(b *testing.B) {
 	o := report.DefaultOptions()
-	for _, name := range []string{"SVM", "Fuzzy K-means", "K-means", "Naive Bayes", "IBCF"} {
-		w := workloads.ByName(name)
-		b.Run(strings.ReplaceAll(name, " ", "")+"-8slaves", func(b *testing.B) {
+	for _, c := range [][2]string{{"SVM", "SVM"}, {"FuzzyKMeans", "Fuzzy K-means"}, {"KMeans", "K-means"},
+		{"NaiveBayes", "Naive Bayes"}, {"IBCF", "IBCF"}} {
+		w := workloads.ByName(c[1])
+		b.Run(c[0]+"-8slaves", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := w.Run(workloads.NewEnv(8, o.Scale, o.Seed)); err != nil {

@@ -18,7 +18,10 @@ type ItemCF struct {
 	byUser map[int]map[int]float64
 	// sims caches the top-K similarity lists per item.
 	sims map[int][]ItemSim
-	topK int
+	// raters caches each item's users in ascending order, the order
+	// Cosine sums in.
+	raters map[int][]int
+	topK   int
 }
 
 // ItemSim is one entry of an item's similarity list.
@@ -34,6 +37,7 @@ func NewItemCF(topK int) *ItemCF {
 		byItem: make(map[int]map[int]float64),
 		byUser: make(map[int]map[int]float64),
 		sims:   make(map[int][]ItemSim),
+		raters: make(map[int][]int),
 		topK:   topK,
 	}
 }
@@ -48,7 +52,18 @@ func (cf *ItemCF) Add(user, item int, score float64) {
 		cf.byUser[user] = make(map[int]float64)
 	}
 	cf.byUser[user][item] = score
-	delete(cf.sims, item) // invalidate cache
+	delete(cf.sims, item) // invalidate caches
+	delete(cf.raters, item)
+}
+
+// ratersOf returns the users who rated item, ascending.
+func (cf *ItemCF) ratersOf(item int) []int {
+	us, ok := cf.raters[item]
+	if !ok {
+		us = slices.Sorted(maps.Keys(cf.byItem[item]))
+		cf.raters[item] = us
+	}
+	return us
 }
 
 // Cosine computes the cosine similarity between two items' rating vectors
@@ -56,9 +71,8 @@ func (cf *ItemCF) Add(user, item int, score float64) {
 // result does not depend on map iteration order.
 func (cf *ItemCF) Cosine(a, b int) float64 {
 	ra, rb := cf.byItem[a], cf.byItem[b]
-	ua, ub := slices.Sorted(maps.Keys(ra)), slices.Sorted(maps.Keys(rb))
 	var dot, na, nb float64
-	for _, u := range ua {
+	for _, u := range cf.ratersOf(a) {
 		va := ra[u]
 		na += va * va
 		if vb, ok := rb[u]; ok {
@@ -68,7 +82,7 @@ func (cf *ItemCF) Cosine(a, b int) float64 {
 	if dot == 0 {
 		return 0
 	}
-	for _, u := range ub {
+	for _, u := range cf.ratersOf(b) {
 		nb += rb[u] * rb[u]
 	}
 	return dot / (math.Sqrt(na) * math.Sqrt(nb))

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -277,6 +278,59 @@ func TestHashFeaturesUnitNorm(t *testing.T) {
 	}, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// refHashFeatures is HashFeatures as it was before it became
+// BucketFeatures over HashBuckets, kept verbatim as the oracle.
+func refHashFeatures(tokens []string, dim int) []float64 {
+	v := make([]float64, dim)
+	for _, t := range tokens {
+		h := uint32(2166136261)
+		for i := 0; i < len(t); i++ {
+			h ^= uint32(t[i])
+			h *= 16777619
+		}
+		v[h%uint32(dim)]++
+	}
+	// L2 normalise so SGD step sizes are comparable across documents.
+	var n float64
+	for _, x := range v {
+		n += x * x
+	}
+	if n > 0 {
+		n = 1 / math.Sqrt(n)
+		for i := range v {
+			v[i] *= n
+		}
+	}
+	return v
+}
+
+// TestBucketFeaturesMatchHashFeatures: rebuilding a document's vector from
+// its stored bucket indices gives the bits the one-step hashing gave, on
+// the pages the SVM workload trains on and at the index type's limits.
+func TestBucketFeaturesMatchHashFeatures(t *testing.T) {
+	for seed := uint64(1); seed <= 6; seed++ {
+		c := datagen.NewCorpus(seed, 2000)
+		for doc := 0; doc < 20; doc++ {
+			tokens := Tokenize(c.HTMLPage(1, 15) + " " + c.LabeledSentence(doc%2, 2, 40))
+			for _, dim := range []int{1, 7, 256, 1 << 16} {
+				got, want := BucketFeatures(HashBuckets(tokens, dim), dim), refHashFeatures(tokens, dim)
+				if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(HashFeatures(tokens, dim), want) {
+					t.Fatalf("seed %d doc %d dim %d: features differ from the reference", seed, doc, dim)
+				}
+			}
+		}
+	}
+	if got := BucketFeatures(HashBuckets(nil, 8), 8); !reflect.DeepEqual(got, make([]float64, 8)) {
+		t.Fatalf("no tokens: %v, want zeros", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a dimension beyond the uint16 index did not panic")
+		}
+	}()
+	HashBuckets([]string{"a"}, 1<<16+1)
 }
 
 func TestTermFrequencies(t *testing.T) {

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"math"
 	"strings"
 )
@@ -50,16 +51,35 @@ func TermFrequencies(tokens []string) map[string]int {
 // HashFeatures maps a bag of words into a fixed-length feature vector by
 // feature hashing, the representation the distributed SVM trains on.
 func HashFeatures(tokens []string, dim int) []float64 {
-	v := make([]float64, dim)
-	for _, t := range tokens {
+	return BucketFeatures(HashBuckets(tokens, dim), dim)
+}
+
+// HashBuckets returns each token's feature index (32-bit FNV-1a modulo
+// dim): a document's compact form, from which BucketFeatures rebuilds the
+// dense vector. dim must fit a uint16 index.
+func HashBuckets(tokens []string, dim int) []uint16 {
+	if dim <= 0 || dim > 1<<16 {
+		panic(fmt.Sprintf("analysis: feature dimension %d outside 1..65536", dim))
+	}
+	buckets := make([]uint16, len(tokens))
+	for i, t := range tokens {
 		h := uint32(2166136261)
-		for i := 0; i < len(t); i++ {
-			h ^= uint32(t[i])
+		for j := 0; j < len(t); j++ {
+			h ^= uint32(t[j])
 			h *= 16777619
 		}
-		v[h%uint32(dim)]++
+		buckets[i] = uint16(h % uint32(dim))
 	}
-	// L2 normalise so SGD step sizes are comparable across documents.
+	return buckets
+}
+
+// BucketFeatures counts bucket occurrences into a dim-length vector and L2
+// normalises it so SGD step sizes are comparable across documents.
+func BucketFeatures(buckets []uint16, dim int) []float64 {
+	v := make([]float64, dim)
+	for _, b := range buckets {
+		v[b]++
+	}
 	var n float64
 	for _, x := range v {
 		n += x * x

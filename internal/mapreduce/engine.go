@@ -190,8 +190,8 @@ func (rt *Runtime) Run(job *Job) (*Result, error) {
 			}
 			realOut += pb
 			simOut[r] = pb
+			res.Counters.MapOutputRecords += int64(len(parts[r]))
 		}
-		res.Counters.MapOutputRecords += countRecords(parts)
 
 		// Scale the real output bytes up to simulated bytes.
 		var scale float64
@@ -260,10 +260,15 @@ func (rt *Runtime) Run(job *Job) (*Result, error) {
 		p.Sleep(rt.Cfg.TaskStartup)
 
 		// Shuffle: fetch partition r of every map task's output.
-		var recs []KV
+		nRecs := 0
+		for _, mo := range mapOuts {
+			nRecs += len(mo.partitions[r])
+		}
+		recs := make([]KV, 0, nRecs)
 		var simIn int64
 		for _, mo := range mapOuts {
 			recs = append(recs, mo.partitions[r]...)
+			mo.partitions[r] = nil // fetched: this reducer was its only reader
 			sb := mo.simBytes[r]
 			simIn += sb
 			if sb > 0 {
@@ -326,37 +331,29 @@ func (rt *Runtime) Run(job *Job) (*Result, error) {
 	return res, nil
 }
 
-func countRecords(parts [][]KV) int64 {
-	var n int64
-	for _, p := range parts {
-		n += int64(len(p))
-	}
-	return n
-}
-
 // combine groups records by key and applies the combiner, preserving
-// deterministic key order.
+// deterministic key order. It sorts recs in place: the caller owns the
+// slice and keeps only the result.
 func combine(recs []KV, c Reducer) []KV {
 	if len(recs) == 0 {
 		return recs
 	}
-	sorted := make([]KV, len(recs))
-	copy(sorted, recs)
-	slices.SortStableFunc(sorted, func(a, b KV) int { return strings.Compare(a.Key, b.Key) })
+	slices.SortStableFunc(recs, func(a, b KV) int { return strings.Compare(a.Key, b.Key) })
 	var out []KV
-	groupedReduce(sorted, c, func(k, v string) { out = append(out, KV{k, v}) })
+	groupedReduce(recs, c, func(k, v string) { out = append(out, KV{k, v}) })
 	return out
 }
 
 // groupedReduce walks key-sorted records, invoking the reducer once per key.
 func groupedReduce(sorted []KV, r Reducer, emit Emit) {
+	var values []string // one buffer for all keys: Reduce may not retain it
 	i := 0
 	for i < len(sorted) {
 		j := i
 		for j < len(sorted) && sorted[j].Key == sorted[i].Key {
 			j++
 		}
-		values := make([]string, 0, j-i)
+		values = values[:0]
 		for k := i; k < j; k++ {
 			values = append(values, sorted[k].Value)
 		}

@@ -12,8 +12,6 @@
 // 147-187 GB inputs while the in-memory computation stays laptop-sized.
 package mapreduce
 
-import "hash/fnv"
-
 // KV is one key-value record.
 type KV struct {
 	Key   string
@@ -38,6 +36,7 @@ type MapperFunc func(kv KV, emit Emit)
 func (f MapperFunc) Map(kv KV, emit Emit) { f(kv, emit) }
 
 // Reducer folds all values of one key into zero or more output records.
+// values is the engine's buffer, valid only until Reduce returns.
 type Reducer interface {
 	Reduce(key string, values []string, emit Emit)
 }
@@ -58,11 +57,15 @@ var IdentityReducer = ReducerFunc(func(key string, values []string, emit Emit) {
 // Partitioner routes a key to one of r reduce partitions.
 type Partitioner func(key string, r int) int
 
-// HashPartition is the default FNV-1a hash partitioner.
+// HashPartition is the default partitioner: 32-bit FNV-1a over the key's
+// bytes, modulo r.
 func HashPartition(key string, r int) int {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return int(h.Sum32() % uint32(r))
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h ^= uint32(key[i])
+		h *= 16777619
+	}
+	return int(h % uint32(r))
 }
 
 // InputFormat supplies the splits of a job's input. Records must be

@@ -52,9 +52,10 @@ type Engine struct {
 
 	// yield is the control-transfer channel for the process layer: a
 	// process hands control back to the engine by sending on it.
-	yield   chan struct{}
-	nProcs  int // live processes, for deadlock detection
-	blocked int // processes blocked on a resource (not on an event)
+	yield     chan struct{}
+	procPanic any // a finished process's panic value, handed over with its last yield
+	nProcs    int // live processes, for deadlock detection
+	blocked   int // processes blocked on a resource (not on an event)
 }
 
 // NewEngine returns an engine with the clock at zero and no pending events.

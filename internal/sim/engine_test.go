@@ -241,6 +241,31 @@ func TestDeadlockDetection(t *testing.T) {
 	e.Run()
 }
 
+// TestProcessPanicReachesRunCaller: a panic inside a process goroutine —
+// at its start or after it has blocked and been resumed — comes out of
+// Engine.Run on the calling goroutine, where a caller can recover it; left
+// on the process goroutine it would kill the program.
+func TestProcessPanicReachesRunCaller(t *testing.T) {
+	for name, sleeps := range map[string]int{"at start": 0, "after one sleep": 1} {
+		e := NewEngine()
+		e.Go(func(p *Process) { p.Sleep(10) }) // a bystander parked across the panic
+		e.Go(func(p *Process) {
+			for i := 0; i < sleeps; i++ {
+				p.Sleep(1)
+			}
+			panic("mapper bug")
+		})
+		got := func() (v any) {
+			defer func() { v = recover() }()
+			e.Run()
+			return nil
+		}()
+		if got != "mapper bug" {
+			t.Errorf("%s: Run recovered %v, want the process's panic value", name, got)
+		}
+	}
+}
+
 func TestRNGDeterminism(t *testing.T) {
 	a, b := NewRNG(42), NewRNG(42)
 	for i := 0; i < 1000; i++ {

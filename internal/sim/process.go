@@ -16,25 +16,40 @@ func (p *Process) Now() float64 { return p.eng.now }
 
 // Go starts fn as a simulated process at the current virtual time.
 // fn runs when the engine reaches the start event; it may call the blocking
-// Process methods. The process ends when fn returns.
+// Process methods. The process ends when fn returns. A panic in fn is
+// re-raised on the engine's goroutine, out of Engine.Run where the caller
+// can recover it; the engine is then dead, its other processes left parked.
 func (e *Engine) Go(fn func(p *Process)) {
 	p := &Process{eng: e, wake: make(chan struct{})}
 	e.nProcs++
 	e.After(0, func() {
 		go func() {
+			defer func() {
+				e.procPanic = recover()
+				e.nProcs--
+				e.yield <- struct{}{}
+			}()
 			fn(p)
-			p.eng.nProcs--
-			p.eng.yield <- struct{}{}
 		}()
-		<-e.yield
+		e.awaitYield()
 	})
+}
+
+// awaitYield blocks the engine until the running process hands control
+// back, re-raising the panic it died of, if any.
+func (e *Engine) awaitYield() {
+	<-e.yield
+	if v := e.procPanic; v != nil {
+		e.procPanic = nil
+		panic(v)
+	}
 }
 
 // resume transfers control from the engine to the process and waits for it
 // to block again (or finish). Must only be called from engine context.
 func (p *Process) resume() {
 	p.wake <- struct{}{}
-	<-p.eng.yield
+	p.eng.awaitYield()
 }
 
 // block transfers control from the process back to the engine and waits to

@@ -3,6 +3,7 @@ package workloads
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -25,19 +26,141 @@ func clusterShard(seed uint64, split int) [][]float64 {
 	return pts
 }
 
-// allClusterPoints regenerates every split's points for serial verification.
-func allClusterPoints(seed uint64, splits int) [][]float64 {
-	var pts [][]float64
-	for s := 0; s < splits; s++ {
-		pts = append(pts, clusterShard(seed, s)...)
+// clusterMapper builds one iteration's map function over the broadcast
+// centroids; shard returns a split's points.
+type clusterMapper func(shard func(split int) [][]float64, centroids [][]float64) mapreduce.Mapper
+
+// clustering is what differs between K-means and Fuzzy K-means.
+type clustering struct {
+	name, tag string // workload name; prefix of its DFS file and job names
+	cost      mapreduce.CostModel
+	mapper    clusterMapper
+	// step is one iteration of the serial algorithm, for verification.
+	step func(pts, centroids [][]float64) [][]float64
+}
+
+// run iterates the distributed algorithm kmeansIters times, one MapReduce
+// job per iteration, then verifies the centroids against the serial
+// algorithm on identical data. It returns the finished stats, all points
+// and the final centroids.
+func (a clustering) run(env *Env) (st *Stats, pts, centroids [][]float64, err error) {
+	st = env.newStats(a.name)
+	simBytes := int64(150 * GB * env.Scale)
+	file := env.DFS.AddFile(a.tag+"-input", simBytes)
+	input := newGenInput(simBytes, func(split int) []mapreduce.KV {
+		return []mapreduce.KV{{Key: strconv.Itoa(split), Value: ""}}
+	})
+	// A split's points depend on (seed, split) only: generate them once
+	// for all iterations and the serial verification.
+	shards := make([][][]float64, input.NumSplits())
+	shard := func(split int) [][]float64 {
+		if shards[split] == nil {
+			shards[split] = clusterShard(env.Seed, split)
+		}
+		return shards[split]
 	}
-	return pts
+	// Initial centroids: the first k points of split 0. Updates replace
+	// whole vectors, so the points themselves are shared, not copied.
+	centroids = slices.Clone(shard(0)[:kmeansK])
+	var results []*mapreduce.Result
+	for iter := 1; iter <= kmeansIters; iter++ {
+		job := &mapreduce.Job{
+			Name:  fmt.Sprintf("%s-iter-%d", a.tag, iter),
+			Input: input, InputFile: file,
+			Mapper:      a.mapper(shard, centroids),
+			Combiner:    vecSumReducer,
+			Reducer:     vecSumReducer,
+			NumReducers: env.Reducers(),
+			Cost:        a.cost,
+		}
+		res, err := env.RT.Run(job)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		results = append(results, res)
+		for _, kv := range res.Flat() {
+			c, _ := strconv.Atoi(strings.TrimPrefix(kv.Key, "c|"))
+			n, sum := decodeWeightedVec(kv.Value)
+			for j := range sum {
+				sum[j] /= n
+			}
+			centroids[c] = sum
+		}
+	}
+	for s := range shards {
+		pts = append(pts, shard(s)...)
+	}
+	serial := shard(0)[:kmeansK]
+	for it := 0; it < kmeansIters; it++ {
+		serial = a.step(pts, serial)
+	}
+	st.Quality["serial_divergence"] = maxCentroidDiff(centroids, serial)
+	return env.finishStats(st, results...), pts, centroids, nil
+}
+
+// centroidSums is a map task's own partial result (in-mapper combining):
+// per centroid, the weight and the weighted vector sum of the task's
+// points, accumulated in point order — the additions vecSumReducer would
+// make as combiner over one record per point.
+type centroidSums struct {
+	n    [kmeansK]float64
+	sums [kmeansK][kmeansDim]float64
+}
+
+// emit writes one "c|k" -> "n|sum" record per centroid that received weight.
+func (s *centroidSums) emit(emit mapreduce.Emit) {
+	for c, n := range s.n {
+		if n != 0 {
+			emit("c|"+strconv.Itoa(c), strconv.FormatFloat(n, 'g', -1, 64)+"|"+encodeVec(s.sums[c][:]))
+		}
+	}
+}
+
+// kmeansMapper adds each of its shard's points to its nearest centroid.
+func kmeansMapper(shard func(int) [][]float64, centroids [][]float64) mapreduce.Mapper {
+	return mapreduce.MapperFunc(func(kv mapreduce.KV, emit mapreduce.Emit) {
+		split, _ := strconv.Atoi(kv.Key)
+		var s centroidSums
+		for _, p := range shard(split) {
+			c, _ := analysis.NearestCentroid(p, centroids)
+			s.n[c]++
+			for j, v := range p {
+				s.sums[c][j] += v
+			}
+		}
+		s.emit(emit)
+	})
+}
+
+// fuzzyKMeansMapper adds point i to every centroid c with weight u_ic^m.
+func fuzzyKMeansMapper(shard func(int) [][]float64, centroids [][]float64) mapreduce.Mapper {
+	return mapreduce.MapperFunc(func(kv mapreduce.KV, emit mapreduce.Emit) {
+		split, _ := strconv.Atoi(kv.Key)
+		pts := shard(split)
+		_, memb, _ := analysis.FuzzyKMeansStep(pts, centroids, fuzzinessFactor)
+		var s centroidSums
+		for i, p := range pts {
+			for c := range s.n {
+				w := math.Pow(memb[i][c], fuzzinessFactor)
+				if w == 0 {
+					continue
+				}
+				s.n[c] += w
+				for j, v := range p {
+					// The conversion rounds the product before the add: no
+					// fused multiply-add, which would change the last bit.
+					s.sums[c][j] += float64(w * v)
+				}
+			}
+		}
+		s.emit(emit)
+	})
 }
 
 // KMeansWorkload is Mahout-style distributed K-means: each iteration is a
 // MapReduce job whose map tasks assign their shard's points to the nearest
-// broadcast centroid and emit partial sums, a combiner pre-aggregates, and
-// the reduce side computes the new centroids. The driver verifies that the
+// broadcast centroid and emit one partial sum per centroid, and whose
+// reduce side computes the new centroids. The driver verifies that the
 // distributed iteration matches the serial Lloyd step bit-for-bit (up to
 // floating-point summation order).
 func KMeansWorkload() *Workload {
@@ -47,68 +170,24 @@ func KMeansWorkload() *Workload {
 		Domains:   []string{"search engine", "social network", "electronic commerce"},
 		Scenarios: []string{"Image processing", "High-resolution landform classification"},
 		Run: func(env *Env) (*Stats, error) {
-			st := env.newStats("K-means")
-			simBytes := int64(150 * GB * env.Scale)
-			file := env.DFS.AddFile("kmeans-input", simBytes)
-			input := newGenInput(simBytes, func(split int) []mapreduce.KV {
-				return []mapreduce.KV{{Key: strconv.Itoa(split), Value: ""}}
-			})
-			// Initial centroids: the first k points of split 0.
-			centroids := make([][]float64, kmeansK)
-			for i, p := range clusterShard(env.Seed, 0)[:kmeansK] {
-				centroids[i] = append([]float64(nil), p...)
+			st, pts, centroids, err := kmeans.run(env)
+			if err != nil {
+				return nil, err
 			}
-
-			var results []*mapreduce.Result
-			for iter := 1; iter <= kmeansIters; iter++ {
-				snap := make([][]float64, len(centroids))
-				for i := range centroids {
-					snap[i] = append([]float64(nil), centroids[i]...)
-				}
-				job := &mapreduce.Job{
-					Name:  fmt.Sprintf("kmeans-iter-%d", iter),
-					Input: input, InputFile: file,
-					Mapper: mapreduce.MapperFunc(func(kv mapreduce.KV, emit mapreduce.Emit) {
-						split, _ := strconv.Atoi(kv.Key)
-						for _, p := range clusterShard(env.Seed, split) {
-							c, _ := analysis.NearestCentroid(p, snap)
-							emit("c|"+strconv.Itoa(c), "1|"+encodeVec(p))
-						}
-					}),
-					Combiner:    vecSumReducer,
-					Reducer:     vecSumReducer,
-					NumReducers: env.Reducers(),
-					Cost:        mapreduce.CostModel{MapCPUPerByte: 2.3e-9, ReduceCPUPerByte: 0.3e-9, OutputRatio: 0.001},
-				}
-				res, err := env.RT.Run(job)
-				if err != nil {
-					return nil, err
-				}
-				results = append(results, res)
-				for _, kv := range res.Flat() {
-					c, _ := strconv.Atoi(strings.TrimPrefix(kv.Key, "c|"))
-					n, sum := decodeWeightedVec(kv.Value)
-					for j := range sum {
-						sum[j] /= n
-					}
-					centroids[c] = sum
-				}
-			}
-			// Verify against the serial algorithm on identical data.
-			pts := allClusterPoints(env.Seed, input.NumSplits())
-			serial := make([][]float64, kmeansK)
-			for i, p := range clusterShard(env.Seed, 0)[:kmeansK] {
-				serial[i] = append([]float64(nil), p...)
-			}
-			for it := 0; it < kmeansIters; it++ {
-				serial, _, _ = analysis.KMeansStep(pts, serial)
-			}
-			st.Quality["serial_divergence"] = maxCentroidDiff(centroids, serial)
-			_, _, cost := analysis.KMeansStep(pts, centroids)
-			st.Quality["objective"] = cost
-			return env.finishStats(st, results...), nil
+			_, _, st.Quality["objective"] = analysis.KMeansStep(pts, centroids)
+			return st, nil
 		},
 	}
+}
+
+var kmeans = clustering{
+	name: "K-means", tag: "kmeans",
+	cost:   mapreduce.CostModel{MapCPUPerByte: 2.3e-9, ReduceCPUPerByte: 0.3e-9, OutputRatio: 0.001},
+	mapper: kmeansMapper,
+	step: func(pts, centroids [][]float64) [][]float64 {
+		next, _, _ := analysis.KMeansStep(pts, centroids)
+		return next
+	},
 }
 
 // FuzzyKMeansWorkload distributes fuzzy C-means the same way, with
@@ -121,79 +200,26 @@ func FuzzyKMeansWorkload() *Workload {
 		Domains:   []string{"search engine", "social network", "electronic commerce"},
 		Scenarios: []string{"Image processing", "Speech recognition"},
 		Run: func(env *Env) (*Stats, error) {
-			st := env.newStats("Fuzzy K-means")
-			simBytes := int64(150 * GB * env.Scale)
-			file := env.DFS.AddFile("fkm-input", simBytes)
-			input := newGenInput(simBytes, func(split int) []mapreduce.KV {
-				return []mapreduce.KV{{Key: strconv.Itoa(split), Value: ""}}
-			})
-			centroids := make([][]float64, kmeansK)
-			for i, p := range clusterShard(env.Seed, 0)[:kmeansK] {
-				centroids[i] = append([]float64(nil), p...)
-			}
-			var results []*mapreduce.Result
-			for iter := 1; iter <= kmeansIters; iter++ {
-				snap := make([][]float64, len(centroids))
-				for i := range centroids {
-					snap[i] = append([]float64(nil), centroids[i]...)
-				}
-				job := &mapreduce.Job{
-					Name:  fmt.Sprintf("fkm-iter-%d", iter),
-					Input: input, InputFile: file,
-					Mapper: mapreduce.MapperFunc(func(kv mapreduce.KV, emit mapreduce.Emit) {
-						split, _ := strconv.Atoi(kv.Key)
-						pts := clusterShard(env.Seed, split)
-						_, memb, _ := analysis.FuzzyKMeansStep(pts, snap, fuzzinessFactor)
-						for i, p := range pts {
-							for c := 0; c < kmeansK; c++ {
-								w := math.Pow(memb[i][c], fuzzinessFactor)
-								if w == 0 {
-									continue
-								}
-								wp := make([]float64, len(p))
-								for j := range p {
-									wp[j] = w * p[j]
-								}
-								emit("c|"+strconv.Itoa(c),
-									strconv.FormatFloat(w, 'g', -1, 64)+"|"+encodeVec(wp))
-							}
-						}
-					}),
-					Combiner:    vecSumReducer,
-					Reducer:     vecSumReducer,
-					NumReducers: env.Reducers(),
-					Cost:        mapreduce.CostModel{MapCPUPerByte: 1.1e-8, ReduceCPUPerByte: 1e-9, OutputRatio: 0.001},
-				}
-				res, err := env.RT.Run(job)
-				if err != nil {
-					return nil, err
-				}
-				results = append(results, res)
-				for _, kv := range res.Flat() {
-					c, _ := strconv.Atoi(strings.TrimPrefix(kv.Key, "c|"))
-					n, sum := decodeWeightedVec(kv.Value)
-					for j := range sum {
-						sum[j] /= n
-					}
-					centroids[c] = sum
-				}
-			}
-			pts := allClusterPoints(env.Seed, input.NumSplits())
-			serial := make([][]float64, kmeansK)
-			for i, p := range clusterShard(env.Seed, 0)[:kmeansK] {
-				serial[i] = append([]float64(nil), p...)
-			}
-			for it := 0; it < kmeansIters; it++ {
-				serial, _, _ = analysis.FuzzyKMeansStep(pts, serial, fuzzinessFactor)
-			}
-			st.Quality["serial_divergence"] = maxCentroidDiff(centroids, serial)
-			return env.finishStats(st, results...), nil
+			st, _, _, err := fuzzyKMeans.run(env)
+			return st, err
 		},
 	}
 }
 
-// vecSumReducer folds "weight|vector" values into their component-wise sum,
-// serving as both combiner and reducer for the clustering jobs.
+var fuzzyKMeans = clustering{
+	name: "Fuzzy K-means", tag: "fkm",
+	cost:   mapreduce.CostModel{MapCPUPerByte: 1.1e-8, ReduceCPUPerByte: 1e-9, OutputRatio: 0.001},
+	mapper: fuzzyKMeansMapper,
+	step: func(pts, centroids [][]float64) [][]float64 {
+		next, _, _ := analysis.FuzzyKMeansStep(pts, centroids, fuzzinessFactor)
+		return next
+	},
+}
+
+// vecSumReducer folds "weight|vector" values into their total weight and
+// component-wise sum, starting from zero and adding in value order. It is
+// both combiner and reducer of the clustering jobs; as combiner it sees one
+// already-summed record per key and re-emits it unchanged.
 var vecSumReducer = mapreduce.ReducerFunc(func(key string, values []string, emit mapreduce.Emit) {
 	var n float64
 	var sum []float64

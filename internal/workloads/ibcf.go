@@ -170,10 +170,13 @@ func parseRating(v string) (int, float64) {
 	return item, score
 }
 
-// chainInput feeds a finished job's output to a follow-up job, carrying the
-// simulated output size forward.
-func chainInput(res *mapreduce.Result) *mapreduce.SliceInput {
-	in := &mapreduce.SliceInput{}
+// chainInput moves a finished job's output into a follow-up job's input,
+// carrying the simulated output size forward. The records are handed over,
+// not shared: res.Output is cleared and Split releases each split to the
+// map task that takes it, so a pipeline's intermediate data (IBCF's pair
+// products are half its live heap) dies with its reader, not with the run.
+func chainInput(res *mapreduce.Result) *chainedInput {
+	in := &chainedInput{}
 	n := 0
 	for _, part := range res.Output {
 		if len(part) > 0 {
@@ -195,5 +198,17 @@ func chainInput(res *mapreduce.Result) *mapreduce.SliceInput {
 		in.Splits = [][]mapreduce.KV{nil}
 		in.SimBytes = []int64{0}
 	}
+	res.Output = nil
 	return in
+}
+
+// chainedInput is a SliceInput read once: the engine asks for each split
+// one time, and gets the only reference to it.
+type chainedInput struct{ mapreduce.SliceInput }
+
+// Split implements mapreduce.InputFormat.
+func (c *chainedInput) Split(i int) ([]mapreduce.KV, int64) {
+	recs, simBytes := c.SliceInput.Split(i)
+	c.Splits[i] = nil
+	return recs, simBytes
 }

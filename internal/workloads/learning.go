@@ -102,9 +102,56 @@ func NaiveBayesWorkload() *Workload {
 }
 
 const (
-	svmDim   = 256
-	svmIters = 8
+	svmDim          = 256
+	svmIters        = 8
+	svmDocsPerSplit = 20
 )
+
+// svmShards returns the function producing a split's training examples:
+// hashed HTML-page features x and labels y in {-1, +1}. A split's documents
+// depend on (seed, split) only, so each is generated and tokenized once and
+// kept as its token bucket indices (~0.4 MB per run), from which every call
+// rebuilds the dense vectors; those would be ~5 MB of live heap per run,
+// which the servers' GOGC=400 multiplies in peak RSS.
+func svmShards(seed uint64, splits int) func(split int) (x [][]float64, y []int) {
+	docs := make([][][]uint16, splits)
+	return func(split int) (x [][]float64, y []int) {
+		if docs[split] == nil {
+			c := datagen.NewCorpus(splitSeed(seed, split), 2000)
+			docs[split] = make([][]uint16, svmDocsPerSplit)
+			for i := range docs[split] {
+				page := c.HTMLPage(1, 15)
+				// Mix in the class-bearing words.
+				page += " " + c.LabeledSentence((split*svmDocsPerSplit+i)%2, 2, 40)
+				docs[split][i] = analysis.HashBuckets(analysis.Tokenize(page), svmDim)
+			}
+		}
+		for i, buckets := range docs[split] {
+			x = append(x, analysis.BucketFeatures(buckets, svmDim))
+			y = append(y, 2*((split*svmDocsPerSplit+i)%2)-1)
+		}
+		return x, y
+	}
+}
+
+// svmMapper computes the Pegasos sub-gradient of its shard against the
+// broadcast weights. A map task emits each key once, already in sumFloats'
+// output format, so the job runs without a combiner: one would parse and
+// re-format every record to the same bytes.
+func svmMapper(shard func(int) ([][]float64, []int), gradKeys []string, w []float64, bias, lambda float64) mapreduce.Mapper {
+	return mapreduce.MapperFunc(func(kv mapreduce.KV, emit mapreduce.Emit) {
+		split, _ := strconv.Atoi(kv.Key)
+		x, y := shard(split)
+		dw, violations := analysis.SubGradient(w, bias, lambda, x, y)
+		for j, g := range dw {
+			if g != 0 {
+				emit(gradKeys[j], strconv.FormatFloat(g, 'g', -1, 64))
+			}
+		}
+		emit("violations", strconv.Itoa(violations))
+		emit("shards", "1")
+	})
+}
 
 // SVMWorkload trains a linear SVM on hashed HTML-page features with
 // distributed batch sub-gradient descent: each iteration is one MapReduce
@@ -122,22 +169,14 @@ func SVMWorkload() *Workload {
 			st := env.newStats("SVM")
 			simBytes := int64(148 * GB * env.Scale)
 			file := env.DFS.AddFile("svm-input", simBytes)
-			const docsPerSplit = 20
-			shard := func(split int) (x [][]float64, y []int) {
-				c := datagen.NewCorpus(splitSeed(env.Seed, split), 2000)
-				for i := 0; i < docsPerSplit; i++ {
-					class := (split*docsPerSplit + i) % 2
-					page := c.HTMLPage(1, 15)
-					// Mix in the class-bearing words.
-					page += " " + c.LabeledSentence(class, 2, 40)
-					x = append(x, analysis.HashFeatures(analysis.Tokenize(page), svmDim))
-					y = append(y, 2*class-1)
-				}
-				return x, y
-			}
 			input := newGenInput(simBytes, func(split int) []mapreduce.KV {
-				return []mapreduce.KV{{Key: strconv.Itoa(split), Value: strconv.Itoa(docsPerSplit)}}
+				return []mapreduce.KV{{Key: strconv.Itoa(split), Value: strconv.Itoa(svmDocsPerSplit)}}
 			})
+			shard := svmShards(env.Seed, input.NumSplits())
+			gradKeys := make([]string, svmDim)
+			for j := range gradKeys {
+				gradKeys[j] = "g|" + strconv.Itoa(j)
+			}
 
 			w := make([]float64, svmDim)
 			bias := 0.0
@@ -145,24 +184,10 @@ func SVMWorkload() *Workload {
 			var results []*mapreduce.Result
 			var lastViolations float64
 			for iter := 1; iter <= svmIters; iter++ {
-				wSnap := append([]float64(nil), w...)
-				biasSnap := bias
 				job := &mapreduce.Job{
 					Name:  fmt.Sprintf("svm-iter-%d", iter),
 					Input: input, InputFile: file,
-					Mapper: mapreduce.MapperFunc(func(kv mapreduce.KV, emit mapreduce.Emit) {
-						split, _ := strconv.Atoi(kv.Key)
-						x, y := shard(split)
-						dw, violations := analysis.SubGradient(wSnap, biasSnap, lambda, x, y)
-						for j, g := range dw {
-							if g != 0 {
-								emit("g|"+strconv.Itoa(j), strconv.FormatFloat(g, 'g', -1, 64))
-							}
-						}
-						emit("violations", strconv.Itoa(violations))
-						emit("shards", "1")
-					}),
-					Combiner:    sumFloats,
+					Mapper:      svmMapper(shard, gradKeys, w, bias, lambda),
 					Reducer:     sumFloats,
 					NumReducers: env.Reducers(),
 					Cost:        mapreduce.CostModel{MapCPUPerByte: 0.8e-9, ReduceCPUPerByte: 0.2e-9, OutputRatio: 0.001},

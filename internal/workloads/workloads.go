@@ -130,13 +130,18 @@ func (e *Env) finishStats(s *Stats, results ...*mapreduce.Result) *Stats {
 
 // --- small codec helpers shared by the numeric workloads ---
 
-// encodeVec serialises a float vector for shuffling.
+// encodeVec serialises a float vector for shuffling: comma-separated
+// shortest round-trip decimals ('g', -1), so decodeVec returns the same
+// bits. Encoded lengths feed the simulated shuffle bytes.
 func encodeVec(v []float64) string {
-	parts := make([]string, len(v))
+	buf := make([]byte, 0, 24*len(v))
 	for i, x := range v {
-		parts[i] = strconv.FormatFloat(x, 'g', -1, 64)
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = strconv.AppendFloat(buf, x, 'g', -1, 64)
 	}
-	return strings.Join(parts, ",")
+	return string(buf)
 }
 
 // decodeVec parses encodeVec output.
@@ -144,14 +149,15 @@ func decodeVec(s string) []float64 {
 	if s == "" {
 		return nil
 	}
-	parts := strings.Split(s, ",")
-	v := make([]float64, len(parts))
-	for i, p := range parts {
+	v := make([]float64, 0, strings.Count(s, ",")+1)
+	for rest, more := s, true; more; {
+		var p string
+		p, rest, more = strings.Cut(rest, ",")
 		f, err := strconv.ParseFloat(p, 64)
 		if err != nil {
 			panic(fmt.Sprintf("workloads: bad vector %q: %v", s, err))
 		}
-		v[i] = f
+		v = append(v, f)
 	}
 	return v
 }
