@@ -462,7 +462,7 @@ func capture(p memtrace.Profile, gen func(*memtrace.Tracer), limit int64) (t *Tr
 				return
 			}
 			if tp, ok := rec.(memtrace.TracePanic); ok {
-				// The generator goroutine has already exited; nothing to drain.
+				// The generator goroutine has already exited.
 				err = fmt.Errorf("trace generation panicked: %v", tp.Val)
 				return
 			}
@@ -488,23 +488,12 @@ func capture(p memtrace.Profile, gen func(*memtrace.Tracer), limit int64) (t *Tr
 		}
 	}()
 	if abort {
-		// The generator goroutine is still producing; drain it in the
-		// background so it can finish and be collected.
-		go drain(r)
+		r.Close() // the generator goroutine is still producing: stop it
 	}
 	if err != nil {
 		return nil, err
 	}
 	return enc.trace(), nil
-}
-
-// drain consumes an abandoned live trace to completion (bounded by the
-// profile's MaxInstrs cap) so its generator goroutine can exit.
-func drain(r memtrace.Reader) {
-	defer func() { recover() }() // the generator may itself panic at the end
-	var buf [512]memtrace.Inst
-	for r.Read(buf[:]) != 0 {
-	}
 }
 
 // SegmentReader replays a Trace, implementing memtrace.Reader by decoding

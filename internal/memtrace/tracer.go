@@ -1,6 +1,7 @@
 package memtrace
 
 import (
+	"math"
 	"sync"
 
 	"dcbench/internal/sim"
@@ -85,13 +86,24 @@ type Tracer struct {
 	prof Profile
 	rng  *sim.RNG
 
-	out     chan []Inst
-	buf     []Inst
-	stopped bool
+	// The profile's coin flips as integer thresholds (see threshold).
+	fpuT, src3T, src2T, chainT, coldT uint64
 
-	emitted    int64
-	appSinceFW int
-	sinceGC    int64
+	out  chan []Inst
+	done chan struct{} // closed by LiveReader.Close
+	// The batch being filled, by index: buf[n] is the next slot, and
+	// reaching limit — the batch's end or the trace's, whichever is
+	// nearer — is the one test an instruction pays for both.
+	buf     *[batchSize]Inst
+	n       int
+	limit   int
+	flushed int64 // instructions in the batches already handed over
+
+	// Framework and GC excursions are due when app, the count of
+	// user-mode application instructions, reaches nextFW and nextGC;
+	// an instruction tests only nextOver, the nearer of the two.
+	app, nextOver, nextFW, nextGC int64
+
 	heapBytes  int64
 	heapGCPos  int64
 	allocNext  uint64
@@ -137,32 +149,68 @@ const batchSize = 8192
 // and the consuming reader. A full characterization sweep moves hundreds of
 // millions of instructions through these batches; pooling takes the
 // per-batch allocation (and the GC churn it feeds) off the trace hot path.
-// Batches return to the pool in (*chanReader).fill once fully consumed.
+// Batches return to the pool in (*LiveReader).fill once fully consumed.
 var batchPool = sync.Pool{
-	New: func() any { return make([]Inst, 0, batchSize) },
+	New: func() any { return new([batchSize]Inst) },
 }
 
-func newBatch() []Inst { return batchPool.Get().([]Inst)[:0] }
+func newBatch() *[batchSize]Inst { return batchPool.Get().(*[batchSize]Inst) }
 
-func recycleBatch(b []Inst) {
-	if cap(b) == batchSize {
-		batchPool.Put(b[:0])
+// recycleBatch returns the batch b is a prefix of to the pool.
+func recycleBatch(b []Inst) { batchPool.Put((*[batchSize]Inst)(b[:batchSize])) }
+
+// threshold returns T such that rng.Uint64()>>11 < T exactly when
+// rng.Float64() < p. Float64 is k/2⁵³ for the integer k = Uint64()>>11, and
+// both k/2⁵³ and p·2⁵³ are exact in float64, so k/2⁵³ < p ⇔ k < p·2⁵³ ⇔
+// k < ceil(p·2⁵³): T is 0 for p ≤ 0 or NaN (never) and 2⁵³ for p ≥ 1 (always).
+func threshold(p float64) uint64 {
+	x := math.Ceil(p * (1 << 53))
+	switch {
+	case x >= 1<<53:
+		return 1 << 53
+	case x > 0:
+		return uint64(x)
 	}
+	return 0
 }
+
+// below is 1 when k < t and 0 otherwise, for k and t up to 2⁵³: the sign bit
+// of the difference, so a coin flip selects by arithmetic instead of steering
+// a branch the host cannot predict.
+func below(k, t uint64) uint64 { return (k - t) >> 63 }
 
 // NewReader runs gen(t) in a generator goroutine and returns the resulting
-// instruction stream. Generation ends when gen returns or the profile's
-// MaxInstrs cap is reached; adapters may therefore loop indefinitely.
-func NewReader(p Profile, gen func(t *Tracer)) Reader {
+// instruction stream. Generation ends when gen returns, the profile's
+// MaxInstrs cap is reached or the reader is closed; adapters may therefore
+// loop indefinitely.
+func NewReader(p Profile, gen func(t *Tracer)) *LiveReader {
 	p = p.Normalize()
 	t := &Tracer{
 		prof:      p,
 		rng:       sim.NewRNG(p.Seed),
+		fpuT:      threshold(p.FPUShare),
+		src3T:     threshold(p.NSrc3P),
+		chainT:    threshold(p.ChainProb),
+		coldT:     threshold(p.ColdJumpP),
 		out:       make(chan []Inst, 4),
+		done:      make(chan struct{}),
 		buf:       newBatch(),
+		limit:     int(min(batchSize, p.MaxInstrs)),
+		nextFW:    math.MaxInt64,
+		nextGC:    math.MaxInt64,
 		heapBytes: int64(p.HeapMB) << 20,
 		allocNext: heapBase,
 	}
+	// An op reads at least two sources when the draw is below NSrc3P or
+	// below NSrc3P+NSrc2P; the first implies the second unless NSrc2P < 0.
+	t.src2T = max(t.src3T, threshold(p.NSrc3P+p.NSrc2P))
+	if p.FrameworkEvery > 0 {
+		t.nextFW = int64(p.FrameworkEvery)
+	}
+	if p.GCEvery > 0 {
+		t.nextGC = p.GCEvery
+	}
+	t.nextOver = min(t.nextFW, t.nextGC)
 	t.nBlocks = p.CodeKB * 1024 / blockBytes
 	t.nHot = p.HotCodeKB * 1024 / blockBytes
 	if t.nHot < 1 {
@@ -175,7 +223,7 @@ func NewReader(p Profile, gen func(t *Tracer)) Reader {
 	t.coldZipf = sim.NewZipf(t.rng, t.nBlocks, 1.05)
 	t.kernZipf = sim.NewZipf(t.rng, t.kernBlocks, 1.4)
 	t.kernelBufs = kernelDataBase
-	r := &chanReader{ch: t.out}
+	r := &LiveReader{ch: t.out, done: t.done}
 	go func() {
 		defer func() {
 			if rec := recover(); rec != nil {
@@ -189,8 +237,11 @@ func NewReader(p Profile, gen func(t *Tracer)) Reader {
 					r.genPanic = rec
 				}
 			}
-			if len(t.buf) > 0 {
-				t.out <- t.buf
+			if t.n > 0 && t.send() {
+				t.buf = nil
+			}
+			if t.buf != nil {
+				recycleBatch(t.buf[:])
 			}
 			close(t.out)
 		}()
@@ -199,8 +250,12 @@ func NewReader(p Profile, gen func(t *Tracer)) Reader {
 	return r
 }
 
-type chanReader struct {
+// LiveReader is the stream of a running generator: a Reader and a
+// BatchReader, for one consuming goroutine.
+type LiveReader struct {
 	ch       chan []Inst
+	done     chan struct{} // closed by Close; the generator's stop signal
+	closed   bool
 	batch    []Inst // batch last received, recycled when the next one is
 	pending  []Inst // the part of batch not yet handed out
 	genPanic any    // generator panic, re-raised at end of trace
@@ -208,7 +263,7 @@ type chanReader struct {
 
 // fill makes pending the generator's next batch, returning the previous one
 // to the pool; false means end of trace.
-func (r *chanReader) fill() bool {
+func (r *LiveReader) fill() bool {
 	for len(r.pending) == 0 {
 		if r.batch != nil {
 			recycleBatch(r.batch)
@@ -227,9 +282,8 @@ func (r *chanReader) fill() bool {
 	return true
 }
 
-// Read implements Reader. Instructions are copied into buf, so the batch
-// they arrived in can go back to the pool as soon as it is drained.
-func (r *chanReader) Read(buf []Inst) int {
+// Read implements Reader.
+func (r *LiveReader) Read(buf []Inst) int {
 	if !r.fill() {
 		return 0
 	}
@@ -240,7 +294,7 @@ func (r *chanReader) Read(buf []Inst) int {
 
 // NextBatch implements BatchReader: the generator's own pooled batch is
 // lent to the caller, and goes back to the pool on the next call.
-func (r *chanReader) NextBatch() []Inst {
+func (r *LiveReader) NextBatch() []Inst {
 	if !r.fill() {
 		return nil
 	}
@@ -249,8 +303,28 @@ func (r *chanReader) NextBatch() []Inst {
 	return b
 }
 
+// Close abandons the rest of the trace. The generator sees it when it next
+// hands a batch over — within batchSize instructions, or at once if it is
+// blocked on a full channel — and unwinds; Close returns when its goroutine
+// has exited, and the reader then reads as ended (a lent batch is no longer
+// valid, a generator panic on the way out is dropped). Closing a reader
+// that has ended, or twice, does nothing.
+func (r *LiveReader) Close() {
+	if !r.closed {
+		r.closed = true
+		close(r.done)
+	}
+	for b := range r.ch {
+		recycleBatch(b)
+	}
+	if r.batch != nil {
+		recycleBatch(r.batch)
+	}
+	r.batch, r.pending, r.genPanic = nil, nil, nil
+}
+
 // Emitted returns the number of instructions generated so far.
-func (t *Tracer) Emitted() int64 { return t.emitted }
+func (t *Tracer) Emitted() int64 { return t.flushed + int64(t.n) }
 
 // RNG exposes the tracer's deterministic generator so adapters can derive
 // data values without extra seeds.
@@ -264,17 +338,56 @@ func (t *Tracer) Alloc(bytes int64) uint64 {
 	return base
 }
 
-// push emits one instruction, flushing batches and enforcing the cap.
-func (t *Tracer) push(i Inst) {
-	t.buf = append(t.buf, i)
-	if len(t.buf) >= batchSize {
-		t.out <- t.buf
-		t.buf = newBatch()
+// put writes one instruction into the batch's next slot and counts it,
+// handing the batch over at limit. Field by field, and every field (the slot
+// holds an older batch's instruction): a composite literal would be
+// assembled on the stack in byte-sized stores and copied over in 16-byte
+// loads that stall until every one of them has landed.
+func (t *Tracer) put(pc, addr, target uint64, op Op, taken bool, d1, d2 uint16, nsrc uint8) {
+	// n is below batchSize whenever an instruction is due; the mask only
+	// tells the compiler so.
+	in := &t.buf[t.n&(batchSize-1)]
+	in.PC, in.Addr, in.Target = pc, addr, target
+	in.Dep1, in.Dep2, in.NSrc = d1, d2, nsrc
+	in.Op, in.Taken, in.Kernel = op, taken, t.inKernel
+	t.n++
+	if t.n >= t.limit {
+		t.flush()
 	}
-	t.emitted++
-	if t.emitted >= t.prof.MaxInstrs {
+}
+
+// send hands the filled part of the batch to the reader; false means the
+// reader has closed instead. done is polled first because a select with both
+// cases ready picks either: a closed reader that is still draining the
+// channel would otherwise be sent a few more batches, at random.
+func (t *Tracer) send() bool {
+	select {
+	case <-t.done:
+		return false
+	default:
+	}
+	select {
+	case t.out <- t.buf[:t.n]:
+		return true
+	case <-t.done:
+		return false
+	}
+}
+
+// flush hands the batch over at limit and starts the next one, or unwinds
+// the adapter: at the MaxInstrs cap, or because the reader has closed.
+func (t *Tracer) flush() {
+	if !t.send() {
+		t.n = 0
 		panic(abortTrace{})
 	}
+	t.flushed += int64(t.n)
+	t.buf, t.n = nil, 0
+	if t.flushed >= t.prof.MaxInstrs {
+		panic(abortTrace{})
+	}
+	t.buf = newBatch()
+	t.limit = int(min(batchSize, t.prof.MaxInstrs-t.flushed))
 }
 
 // The code walk models structured control flow rather than a random block
@@ -317,8 +430,7 @@ func (t *Tracer) pc() uint64 {
 func (t *Tracer) advanceBlock(lastAddr uint64) {
 	jmpPC := lastAddr + 4
 	jump := func(taken bool, target int) {
-		t.push(Inst{PC: jmpPC, Op: OpBranch, Taken: taken,
-			Target: userCodeBase + uint64(target)*blockBytes, NSrc: 1})
+		t.put(jmpPC, 0, userCodeBase+uint64(target)*blockBytes, OpBranch, taken, 0, 0, 1)
 	}
 	if t.inCold {
 		t.funcOff++
@@ -349,7 +461,7 @@ func (t *Tracer) advanceBlock(lastAddr uint64) {
 	// Loop exit: the same backward branch, not taken.
 	jump(false, t.funcBase)
 	t.loopsDone = 0
-	if t.nBlocks-t.nHot >= funcBlocks && t.rng.Float64() < t.prof.ColdJumpP {
+	if t.nBlocks-t.nHot >= funcBlocks && t.rng.Uint64()>>11 < t.coldT {
 		cold := t.coldZipf.Next()
 		if cold+funcBlocks > t.nBlocks {
 			cold = t.nBlocks - funcBlocks
@@ -370,35 +482,51 @@ func (t *Tracer) advanceBlock(lastAddr uint64) {
 	t.curBlock = t.funcBase
 }
 
-// deps draws producer distances and source counts per the mix profile.
+// deps draws producer distances and source counts per the mix profile: one
+// draw for the source count (three below NSrc3P, two below NSrc3P+NSrc2P),
+// one for whether the op chains on the previous one (Dep1 = 1) and, only when
+// they are needed, one each for a Dep1 in [2, 46) and a Dep2 in [1, 45).
+//
+// The two coin flips land either way about as often, which no branch
+// predictor can learn, so nothing here branches: the generator is stepped
+// four times in registers, the flips become 0/1 words that pick the
+// distances and, last, the state after exactly as many draws as were needed
+// — what drawing them one by one leaves in the shared RNG.
 func (t *Tracer) deps() (d1, d2 uint16, nsrc uint8) {
-	nsrc = 1
-	r := t.rng.Float64()
-	if r < t.prof.NSrc3P {
-		nsrc = 3
-	} else if r < t.prof.NSrc3P+t.prof.NSrc2P {
-		nsrc = 2
-	}
-	if t.rng.Float64() < t.prof.ChainProb {
-		d1 = 1
-	} else {
-		d1 = uint16(2 + t.rng.Intn(44))
-	}
-	if nsrc >= 2 {
-		d2 = uint16(1 + t.rng.Intn(44))
-	}
+	s1, r := sim.Step(t.rng.State())
+	s2, c := sim.Step(s1)
+	s3, x := sim.Step(s2)
+	s4, y := sim.Step(s3)
+	src3 := below(r>>11, t.src3T)
+	src2 := below(r>>11, t.src2T)
+	chain := below(c>>11, t.chainT)
+	// Unchained, x is Dep1's draw and y is Dep2's; chained, x is Dep2's.
+	x, y = x%44, y%44
+	y ^= (x ^ y) & -chain
+	d1 = uint16(1 + (1-chain)*(1+x))
+	d2 = uint16(src2 * (1 + y))
+	nsrc = uint8(1 + src2 + src3)
+	extra := 1 - chain + src2 // draws after the two flips: 0, 1 or 2
+	t.rng.SetState(s2 ^ (s2^s3)&-((extra+1)>>1) ^ (s3^s4)&-(extra>>1))
 	return
+}
+
+// emit generates one application instruction of class op at the code walk's
+// position — draws first, then the walk, which may emit a jump and draw for
+// its target — and the excursions that fall due after it.
+func (t *Tracer) emit(op Op, addr uint64) {
+	d1, d2, nsrc := t.deps()
+	t.put(t.pc(), addr, 0, op, false, d1, d2, nsrc)
+	t.overheads()
 }
 
 // compute emits one ALU or FPU instruction.
 func (t *Tracer) compute() {
 	op := OpALU
-	if t.prof.FPUShare > 0 && t.rng.Float64() < t.prof.FPUShare {
-		op = OpFPU
+	if t.fpuT != 0 {
+		op = Op(below(t.rng.Uint64()>>11, t.fpuT)) // OpFPU when below
 	}
-	d1, d2, nsrc := t.deps()
-	t.push(Inst{PC: t.pc(), Op: op, Dep1: d1, Dep2: d2, NSrc: nsrc, Kernel: t.inKernel})
-	t.overheads(1)
+	t.emit(op, 0)
 }
 
 // ALU emits n ALU/FPU instructions.
@@ -411,9 +539,7 @@ func (t *Tracer) ALU(n int) {
 // FPU emits n floating-point instructions regardless of FPUShare.
 func (t *Tracer) FPU(n int) {
 	for i := 0; i < n; i++ {
-		d1, d2, nsrc := t.deps()
-		t.push(Inst{PC: t.pc(), Op: OpFPU, Dep1: d1, Dep2: d2, NSrc: nsrc, Kernel: t.inKernel})
-		t.overheads(1)
+		t.emit(OpFPU, 0)
 	}
 }
 
@@ -422,9 +548,7 @@ func (t *Tracer) memOp(op Op, addr uint64) {
 	for i := 0; i < t.prof.ALUPerMem; i++ {
 		t.compute()
 	}
-	d1, d2, nsrc := t.deps()
-	t.push(Inst{PC: t.pc(), Op: op, Addr: addr, Dep1: d1, Dep2: d2, NSrc: nsrc, Kernel: t.inKernel})
-	t.overheads(1)
+	t.emit(op, addr)
 }
 
 // Load emits a load of addr (plus mix overhead).
@@ -444,13 +568,12 @@ func (t *Tracer) Branch(taken bool) { t.BranchSite(0, taken) }
 // branch would.
 func (t *Tracer) BranchSite(site int, taken bool) {
 	block := site
-	if t.nHot > 0 {
+	if uint(site) >= uint(t.nHot) { // most sites are hot blocks already
 		block = site % t.nHot
 	}
 	pcv := userCodeBase + uint64(block)*blockBytes + 56
-	t.push(Inst{PC: pcv, Op: OpBranch, Taken: taken, Target: pcv + 64,
-		Dep1: 1, NSrc: 1, Kernel: t.inKernel})
-	t.overheads(1)
+	t.put(pcv, 0, pcv+64, OpBranch, taken, 1, 0, 1)
+	t.overheads()
 }
 
 // Syscall emits a kernel-mode excursion of roughly instrs instructions
@@ -505,26 +628,36 @@ const (
 	kernBufBytes = 64 << 10
 )
 
-// overheads injects the framework and GC excursions after app instructions.
-func (t *Tracer) overheads(n int) {
+// overheads counts one application instruction and injects the framework
+// and GC excursions that fall due after it. Kernel-mode instructions do not
+// count, nor do the excursions' own.
+func (t *Tracer) overheads() {
 	if t.inKernel {
 		return
 	}
-	if t.prof.GCEvery > 0 {
-		t.sinceGC += int64(n)
-	}
-	if t.prof.FrameworkEvery > 0 {
-		t.appSinceFW += n
-		if t.appSinceFW >= t.prof.FrameworkEvery {
-			t.appSinceFW = 0
-			t.frameworkBurst()
-		}
-	}
-	if t.prof.GCEvery > 0 && t.sinceGC >= t.prof.GCEvery {
-		t.sinceGC = 0
-		t.gcBurst()
+	t.app++
+	if t.app >= t.nextOver {
+		t.excursions()
 	}
 }
+
+// excursions runs what is due, the framework's before the collector's, and
+// sets the next due count.
+func (t *Tracer) excursions() {
+	if t.app >= t.nextFW {
+		t.nextFW += int64(t.prof.FrameworkEvery)
+		t.frameworkBurst()
+	}
+	if t.app >= t.nextGC {
+		t.nextGC += t.prof.GCEvery
+		t.gcBurst()
+	}
+	t.nextOver = min(t.nextFW, t.nextGC)
+}
+
+// hotT is the framework's 92 % share of heap touches that stay in the hot
+// metadata window.
+var hotT = threshold(0.92)
 
 // frameworkBurst walks cold code (virtual dispatch, serialisation, task
 // bookkeeping) touching scattered heap metadata.
@@ -532,34 +665,39 @@ func (t *Tracer) frameworkBurst() {
 	saveBlock, saveOff := t.curBlock, t.blockOff
 	// Framework metadata (task state, serialisers, object headers) is a
 	// small hot window of the heap; only a sliver of touches hit the tail.
-	hotWindow := t.heapBytes
-	if hotWindow > 64<<10 {
-		hotWindow = 64 << 10
+	heap := uint64(t.heapBytes)
+	hotWindow := min(heap, 64<<10)
+	// Cold code walk: jump blocks every FrameworkJump instructions, with
+	// Zipf-popular targets. (Profiles arrive unvalidated in job keys: a
+	// negative period counts as its magnitude.)
+	jumpEvery := t.prof.FrameworkJump
+	if jumpEvery < 0 {
+		jumpEvery = -jumpEvery
 	}
+	nextJump := 0
 	for i := 0; i < t.prof.FrameworkInstrs; i++ {
-		// Cold code walk: jump blocks every FrameworkJump instructions,
-		// with Zipf-popular targets.
-		if i%t.prof.FrameworkJump == 0 {
+		if i == nextJump {
+			nextJump += jumpEvery
 			t.curBlock = t.coldZipf.Next()
 			t.blockOff = 0
 		}
 		d1, d2, nsrc := t.deps()
-		in := Inst{PC: t.pcRaw(), Op: OpALU, Dep1: d1, Dep2: d2, NSrc: nsrc}
+		op, addr, target, taken := OpALU, uint64(0), uint64(0), false
 		if i%6 == 5 && t.heapBytes > 0 {
-			in.Op = OpLoad
-			if t.rng.Float64() < 0.92 {
-				in.Addr = heapBase + t.rng.Uint64()%uint64(hotWindow)
-			} else {
-				in.Addr = heapBase + t.rng.Uint64()%uint64(t.heapBytes)
+			op = OpLoad
+			window := heap
+			if t.rng.Uint64()>>11 < hotT {
+				window = hotWindow
 			}
+			addr = heapBase + t.rng.Uint64()%window
 		}
 		if i%13 == 12 {
-			in.Op = OpBranch
+			op = OpBranch
 			// Structured: the same call sites take the same paths.
-			in.Taken = i%26 == 12
-			in.Target = userCodeBase + uint64(t.coldZipf.Next())*blockBytes
+			taken = i%26 == 12
+			target = userCodeBase + uint64(t.coldZipf.Next())*blockBytes
 		}
-		t.push(in)
+		t.put(t.pcRaw(), addr, target, op, taken, d1, d2, nsrc)
 	}
 	t.curBlock, t.blockOff = saveBlock, saveOff
 }
@@ -568,16 +706,16 @@ func (t *Tracer) frameworkBurst() {
 // phases of a managed runtime.
 func (t *Tracer) gcBurst() {
 	for i := 0; i < t.prof.GCInstrs; i++ {
-		in := Inst{PC: t.pcRaw(), Op: OpALU, Dep1: 1, NSrc: 1}
+		op, addr := OpALU, uint64(0)
 		if i%2 != 0 && t.heapBytes > 0 {
-			in.Op = OpLoad
-			in.Addr = heapBase + uint64(t.heapGCPos)
+			op = OpLoad
+			addr = heapBase + uint64(t.heapGCPos)
 			t.heapGCPos += 64
 			if t.heapGCPos >= t.heapBytes {
 				t.heapGCPos = 0
 			}
 		}
-		t.push(in)
+		t.put(t.pcRaw(), addr, 0, op, false, 1, 0, 1)
 		if i%8 == 7 {
 			t.curBlock = t.coldZipf.Next()
 			t.blockOff = 0

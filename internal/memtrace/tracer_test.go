@@ -200,8 +200,7 @@ func TestSliceReader(t *testing.T) {
 
 // TestNextBatchIsTheReadStream: lent batches carry the same instructions in
 // the same order as Read, for the live and the slice reader, also when the
-// two calls are mixed on one reader (sweep drains an abandoned reader through
-// Read after the core took batches from it).
+// two calls are mixed on one reader.
 func TestNextBatchIsTheReadStream(t *testing.T) {
 	gen := func(tr *Tracer) {
 		a := tr.Alloc(1 << 20)

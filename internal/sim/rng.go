@@ -24,14 +24,29 @@ func NewRNG(seed uint64) *RNG {
 	return &RNG{state: seed}
 }
 
+// Step is one xorshift64* transition as a pure function: the state that
+// follows state, and the 64 bits Uint64 returns on reaching it. A kernel
+// that draws several numbers per item steps a copy of State in registers
+// and stores back, with SetState, the state the same draws made one by
+// one would have left (memtrace.Tracer does).
+func Step(state uint64) (next, bits uint64) {
+	state ^= state >> 12
+	state ^= state << 25
+	state ^= state >> 27
+	return state, state * 0x2545F4914F6CDD1D
+}
+
+// State returns the generator's position in its sequence.
+func (r *RNG) State() uint64 { return r.state }
+
+// SetState moves the generator to a position State or Step returned.
+func (r *RNG) SetState(state uint64) { r.state = state }
+
 // Uint64 returns the next 64 pseudo-random bits.
 func (r *RNG) Uint64() uint64 {
-	x := r.state
-	x ^= x >> 12
-	x ^= x << 25
-	x ^= x >> 27
-	r.state = x
-	return x * 0x2545F4914F6CDD1D
+	next, bits := Step(r.state)
+	r.state = next
+	return bits
 }
 
 // Intn returns a pseudo-random int in [0, n). It panics if n <= 0.
@@ -91,8 +106,13 @@ func (r *RNG) Perm(n int) []int {
 // Zipf returns a Zipf-distributed rank in [0, n) with exponent s, using
 // inverse-CDF sampling over a precomputed table. Build the table once with
 // NewZipf for repeated draws.
+//
+// The table holds floor(F(i)·2⁵³): a draw is Float64's integer k = u·2⁵³
+// before the division, both scalings are exact in float64, and for an
+// integer k, F(i) < u ⇔ F(i)·2⁵³ < k ⇔ floor(F(i)·2⁵³) < k — so searching
+// the integers picks the rank a search of the float CDF by Float64() picks.
 type Zipf struct {
-	cdf []float64
+	cdf []uint64
 	rng *RNG
 }
 
@@ -101,7 +121,7 @@ type Zipf struct {
 // ask for the same dozen shapes on every job and map split. Client-chosen
 // profiles reach n, so only the first 64 shapes of ≤ 1<<16 ranks are kept.
 var (
-	zipfTables sync.Map // zipfShape → []float64
+	zipfTables sync.Map // zipfShape → []uint64
 	zipfShapes atomic.Int32
 )
 
@@ -116,16 +136,18 @@ func NewZipf(rng *RNG, n int, s float64) *Zipf {
 		panic("sim: Zipf over non-positive n")
 	}
 	if v, ok := zipfTables.Load(zipfShape{n, s}); ok {
-		return &Zipf{cdf: v.([]float64), rng: rng}
+		return &Zipf{cdf: v.([]uint64), rng: rng}
 	}
-	cdf := make([]float64, n)
+	// One table, two passes: the running masses wait as float bits in the
+	// slots their scaled shares then take.
+	cdf := make([]uint64, n)
 	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += 1 / math.Pow(float64(i+1), s)
-		cdf[i] = sum
-	}
 	for i := range cdf {
-		cdf[i] /= sum
+		sum += 1 / math.Pow(float64(i+1), s)
+		cdf[i] = math.Float64bits(sum)
+	}
+	for i, mass := range cdf {
+		cdf[i] = uint64(math.Float64frombits(mass) / sum * (1 << 53))
 	}
 	if n <= 1<<16 && zipfShapes.Load() < 64 && zipfShapes.Add(1) <= 64 {
 		zipfTables.Store(zipfShape{n, s}, cdf)
@@ -134,16 +156,19 @@ func NewZipf(rng *RNG, n int, s float64) *Zipf {
 }
 
 // Next draws a rank in [0, len(cdf)).
-func (z *Zipf) Next() int {
-	u := z.rng.Float64()
-	lo, hi := 0, len(z.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+func (z *Zipf) Next() int { return z.rank(z.rng.Uint64() >> 11) }
+
+// rank returns the first rank whose table entry is not below the draw k
+// (the last entry is 2⁵³, above every draw). Which half holds it is a coin
+// flip at every level, so the search advances by a mask of the compare's
+// sign bit instead of a branch nothing can predict.
+func (z *Zipf) rank(k uint64) int {
+	cdf := z.cdf
+	lo := 0
+	for n := len(cdf); n > 1; {
+		half := n >> 1
+		lo += half & -int((cdf[lo+half-1]-k)>>63)
+		n -= half
 	}
-	return lo
+	return lo + int((cdf[lo]-k)>>63)
 }

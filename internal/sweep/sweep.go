@@ -450,11 +450,11 @@ func (e *Engine) memoized(ctx context.Context, job Job, cfg uarch.Config, fp uin
 // generator panic arrives wrapped in memtrace.TracePanic after its
 // goroutine has exited (the cache surfaces capture-time panics as plain
 // errors with the same text), while a core-model panic over a live stream
-// leaves the generator goroutine mid-trace, so the abandoned reader is
-// drained in the background to let that goroutine finish and be collected.
-// A cancelled context stops the core between read batches (the trace is
-// truncated to an EOF), the partial counters are discarded, and ctx.Err()
-// is returned.
+// leaves the generator goroutine mid-trace. A cancelled context stops the
+// core between read batches (the trace is truncated to an EOF), the partial
+// counters are discarded, and ctx.Err() is returned. Either way a live
+// reader that is given up mid-trace is closed, which stops its generator
+// within a batch: simulate never returns with the goroutine still running.
 func (e *Engine) simulate(ctx context.Context, job Job, cfg uarch.Config, maxInstrs int64, pool *sync.Pool) (counters *uarch.Counters, err error) {
 	p := job.Profile
 	if maxInstrs > 0 {
@@ -464,7 +464,6 @@ func (e *Engine) simulate(ctx context.Context, job Job, cfg uarch.Config, maxIns
 	tc := e.traces
 	e.mu.Unlock()
 	var r memtrace.Reader
-	live := true
 	source := "live"
 	if tc != nil && e.door.admit(streamHash(job.Name, p.Normalize()), cfg.Fingerprint()) {
 		var replay bool
@@ -472,12 +471,16 @@ func (e *Engine) simulate(ctx context.Context, job Job, cfg uarch.Config, maxIns
 		if err != nil {
 			return nil, err
 		}
-		live = !replay
 		if replay {
 			source = "replay"
 		}
 	} else {
 		r = memtrace.NewReader(p, job.Gen)
+	}
+	abandon := func() {
+		if live, ok := r.(*memtrace.LiveReader); ok {
+			live.Close()
+		}
 	}
 	sp := obs.Start(ctx, "simulate", "workload", job.Name, "source", source)
 	defer sp.End()
@@ -492,9 +495,7 @@ func (e *Engine) simulate(ctx context.Context, job Job, cfg uarch.Config, maxIns
 			err = fmt.Errorf("trace generation panicked: %v", tp.Val)
 			return
 		}
-		if live {
-			go drain(r)
-		}
+		abandon()
 		err = fmt.Errorf("core model panicked: %v", rec)
 	}()
 	// The core consumes the trace through a cancellation-aware wrapper:
@@ -520,11 +521,9 @@ func (e *Engine) simulate(ctx context.Context, job Job, cfg uarch.Config, maxIns
 	if cr.stopped {
 		// Cancelled mid-trace: the truncated counters are garbage, the
 		// live generator goroutine (if any) is still parked mid-stream,
-		// and the core holds partial state — drain the one, abandon the
+		// and the core holds partial state — stop the one, abandon the
 		// other, and surface the cancellation instead of a result.
-		if live {
-			go drain(r)
-		}
+		abandon()
 		return nil, ctx.Err()
 	}
 	if pool != nil {
@@ -570,16 +569,6 @@ func (cr cancelBatchReader) NextBatch() []memtrace.Inst {
 		return nil
 	}
 	return cr.br.NextBatch()
-}
-
-// drain consumes an abandoned trace to completion (bounded by the
-// profile's MaxInstrs cap) so the generator goroutine can exit instead of
-// blocking forever on a full channel.
-func drain(r memtrace.Reader) {
-	defer func() { recover() }() // the generator may itself panic at the end
-	var buf [512]memtrace.Inst
-	for r.Read(buf[:]) != 0 {
-	}
 }
 
 // Each runs fn(i) for i in [0, n) on a pool of at most workers goroutines,

@@ -258,6 +258,85 @@ func TestCancelMidSimulationStopsCore(t *testing.T) {
 	}
 }
 
+// TestAbandonedGeneratorStops: when a simulation gives its live trace up —
+// every caller cancelled, or the core model panicked — the generator
+// goroutine stops within a few batches instead of producing the rest of a
+// trace nobody reads (/v1/jobs admits traces of 10⁹ instructions: tens of
+// seconds of a core, outside admission control), and has exited by the
+// time the simulation returns.
+func TestAbandonedGeneratorStops(t *testing.T) {
+	const abandonAt = 1_000_000
+	for _, tc := range []struct {
+		name    string
+		wantErr string
+	}{
+		{"cancelled", context.Canceled.Error()},
+		{"core panic", "core model panicked"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			cfg := uarch.DefaultConfig()
+			abandon := func() { cancel() }
+			if tc.name == "core panic" {
+				bomb := &panickingPredictor{}
+				cfg.Predictor = bomb
+				abandon = func() { bomb.armed.Store(true) }
+			}
+			var emitted atomic.Int64
+			exited := make(chan struct{})
+			job := sweep.Job{
+				Name:    "abandoned",
+				Profile: memtrace.Profile{Seed: 11, MaxInstrs: 100_000_000, CodeKB: 64, HeapMB: 4},
+				Gen: func(tr *memtrace.Tracer) {
+					defer func() {
+						emitted.Store(tr.Emitted())
+						close(exited)
+					}()
+					for abandoned := false; ; {
+						tr.ALU(100)
+						if !abandoned && tr.Emitted() >= abandonAt {
+							abandoned = true
+							abandon()
+						}
+					}
+				},
+			}
+			_, err := sweep.NewEngine().Run(ctx, []sweep.Job{job}, cfg, 0, sweep.RunOptions{Workers: 1})
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("Run err = %v, want %q", err, tc.wantErr)
+			}
+			// A cancelled caller leaves the flight before the simulation
+			// has wound down, so the exit is awaited, not assumed.
+			select {
+			case <-exited:
+			case <-time.After(30 * time.Second):
+				t.Fatal("the abandoned generator goroutine is still running")
+			}
+			// The core reads one batch behind a generator that is at most
+			// six batches ahead of it; anything near the trace's 10⁸ is the
+			// generator having run on.
+			if got := emitted.Load(); got > abandonAt+16*8192 {
+				t.Fatalf("generator emitted %d instructions after being abandoned near %d", got, abandonAt)
+			}
+		})
+	}
+}
+
+// panickingPredictor is a branch predictor that blows up once armed: a core
+// model panic over a live trace.
+type panickingPredictor struct{ armed atomic.Bool }
+
+func (p *panickingPredictor) Predict(uint64) bool {
+	if p.armed.Load() {
+		panic("predictor bug")
+	}
+	return true
+}
+func (p *panickingPredictor) Update(uint64, bool) {}
+func (p *panickingPredictor) Name() string        { return "panicking" }
+func (p *panickingPredictor) Reset()              {}
+
 // TestErrorCapture: a panicking generator becomes a per-job error carrying
 // the job name, and the other jobs still produce counters.
 func TestErrorCapture(t *testing.T) {
