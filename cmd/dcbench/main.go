@@ -20,18 +20,15 @@
 //	-csv        emit CSV instead of tables
 //	-chart      append an ASCII bar chart to single-metric figures
 //	-store dir  persist sweep and cluster results in dir across runs, sharing
-//	            warm results with dcserved; with -store-shards,
-//	            -store-max-records, -store-max-bytes and -store-max-age as
-//	            in dcserved
+//	            warm results with dcserved; with -store-max-records,
+//	            -store-max-bytes and -store-max-age as in dcserved
 //	-workers host:port,...  dispatch sweep and cluster-job misses to dcserved
-//	            workers, with -dispatch-timeout, -dispatch-retries,
-//	            -dispatch-replicas and -dispatch-api-key (bearer key for
-//	            workers running with -keys-file) as in dcserved
+//	            workers, with -dispatch-timeout, -dispatch-replicas and
+//	            -dispatch-api-key (bearer key for workers running with
+//	            -keys-file) as in dcserved
 //	-replicas host:port,...  fan fresh store records out to these dcserved
 //	            peers (requires -store), with -replication-factor and
 //	            -anti-entropy-interval as in dcserved
-//	-trace-cache-bytes n    byte budget for traces of streams seen under ≥ 2
-//	            machine configs (one config captures none); 0 disables (default 256 MiB)
 //	-debug-addr addr   serve /debug/traces and /debug/pprof while the run
 //	            lasts (profile a long `all` in flight); empty disables
 //
@@ -58,7 +55,6 @@ import (
 
 	"dcbench/internal/core"
 	"dcbench/internal/dispatch"
-	"dcbench/internal/memtrace/tracecache"
 	"dcbench/internal/obs"
 	"dcbench/internal/replica"
 	"dcbench/internal/report"
@@ -71,14 +67,12 @@ import (
 // flags, the shared store flags, the shared dispatch flags, plus dcbench's
 // output flags), defaulted from *opts and written back on Parse. Split out
 // of main so tests can pin the usage text to the real defaults.
-func registerFlags(fs *flag.FlagSet, opts *report.Options) (csv, chart, jsonOut *bool, storeDir, debugAddr *string, storeOpts *store.OpenOptions, dispatchOpts *dispatch.Options, traceOpts *tracecache.Options, replicaOpts *replica.Options) {
+func registerFlags(fs *flag.FlagSet, opts *report.Options) (csv, chart, jsonOut *bool, storeDir, debugAddr *string, storeOpts *store.OpenOptions, dispatchOpts *dispatch.Options, replicaOpts *replica.Options) {
 	report.RegisterFlags(fs, opts)
 	storeOpts = &store.OpenOptions{}
 	store.RegisterFlags(fs, storeOpts)
 	dispatchOpts = &dispatch.Options{}
 	dispatch.RegisterFlags(fs, dispatchOpts)
-	traceOpts = &tracecache.Options{}
-	tracecache.RegisterFlags(fs, traceOpts)
 	replicaOpts = &replica.Options{}
 	replica.RegisterFlags(fs, replicaOpts)
 	storeDir = fs.String("store", "", "persist results in this store directory across runs; empty disables")
@@ -86,7 +80,7 @@ func registerFlags(fs *flag.FlagSet, opts *report.Options) (csv, chart, jsonOut 
 	csv = fs.Bool("csv", false, "emit CSV")
 	chart = fs.Bool("chart", false, "append ASCII bar charts")
 	jsonOut = fs.Bool("json", false, "emit the characterization sweep as JSON (figure/all)")
-	return csv, chart, jsonOut, storeDir, debugAddr, storeOpts, dispatchOpts, traceOpts, replicaOpts
+	return csv, chart, jsonOut, storeDir, debugAddr, storeOpts, dispatchOpts, replicaOpts
 }
 
 // wireBackends points opts at a run-owned engine when a store or a worker
@@ -148,7 +142,7 @@ func wireBackends(storeDir string, storeOpts store.OpenOptions, dispatchOpts dis
 func main() {
 	sweep.SetGCTarget()
 	opts := report.DefaultOptions()
-	csv, chart, jsonOut, storeDir, debugAddr, storeOpts, dispatchOpts, traceOpts, replicaOpts := registerFlags(flag.CommandLine, &opts)
+	csv, chart, jsonOut, storeDir, debugAddr, storeOpts, dispatchOpts, replicaOpts := registerFlags(flag.CommandLine, &opts)
 	flag.Parse()
 
 	if *storeDir != "" || len(dispatchOpts.Workers) > 0 || len(replicaOpts.Peers) > 0 {
@@ -168,16 +162,6 @@ func main() {
 			defer repl.Close()
 		}
 	}
-	if traceOpts.MaxBytes > 0 {
-		// Trace capture/replay sits on the run's engine (creating one when
-		// no store or worker set already did), so a run sweeping a workload
-		// across machine configurations replays its trace from the third on.
-		if opts.Engine == nil {
-			opts.Engine = sweep.NewEngine()
-		}
-		opts.Engine.SetTraceCache(tracecache.New(traceOpts.MaxBytes))
-	}
-
 	args := flag.Args()
 	if len(args) == 0 {
 		usage()

@@ -45,17 +45,13 @@
 //	-admin-addr addr   serve /admin/v1 on this separate address; empty = ride -debug-addr
 //	-admin-token t     bearer token guarding /admin/v1; empty disables the admin plane
 //	-store  result store directory; "" disables persistence (default dcserved.store)
-//	-store-shards n        shard count when creating a store (default 16)
 //	-store-max-records n   LRU-evict records beyond this count; 0 = unlimited
 //	-store-max-bytes n     LRU-evict records beyond this many bytes; 0 = unlimited
 //	-store-max-age d       evict records unused for longer than d; 0 = keep forever
 //	-max-inflight n        bound concurrent compute jobs; excess shed 429 (0 = unlimited)
-//	-trace-cache-bytes n   byte budget for traces of streams seen under ≥ 2 machine
-//	                       configs — this one-machine server captures 0 by design;
-//	                       0 disables (default 256 MiB)
 //	-workers host:port,...     dispatch job misses to these dcserved workers
-//	-dispatch-timeout d        per-attempt timeout for dispatched jobs
-//	-dispatch-retries n        extra attempts on other workers after a failure
+//	-dispatch-timeout d        per-attempt timeout for dispatched jobs (a failed
+//	                           attempt retries on the next two workers)
 //	-dispatch-api-key k        bearer key presented to keyed workers; tenant ids are
 //	                           forwarded beside it in X-Dcs-Tenant either way
 //	-dispatch-replicas n       the workers' -replication-factor; above 1, reads
@@ -88,10 +84,10 @@
 // job) releases its share of the computation, and the simulation itself
 // stops only when the last sharer is gone.
 //
-// The store is sharded on disk and carries a persisted manifest. Both
-// sweep counters and the cluster-experiment stats (Figures 2/5, Table I)
-// persist, so a restarted server re-simulates nothing that is already on
-// disk.
+// The store is sharded on disk (16 shards, fixed at creation by a persisted
+// manifest). Both sweep counters and the cluster-experiment stats (Figures
+// 2/5, Table I) persist, so a restarted server re-simulates nothing that is
+// already on disk.
 //
 // Responses carry ETag/Cache-Control derived from (seed, scale, config
 // fingerprint), and concurrent cold requests for the same resource
@@ -113,7 +109,6 @@ import (
 	"time"
 
 	"dcbench/internal/dispatch"
-	"dcbench/internal/memtrace/tracecache"
 	"dcbench/internal/obs"
 	"dcbench/internal/replica"
 	"dcbench/internal/report"
@@ -129,7 +124,6 @@ func main() {
 	opts := report.DefaultOptions()
 	var storeOpts store.OpenOptions
 	var dispatchOpts dispatch.Options
-	var traceOpts tracecache.Options
 	var replicaOpts replica.Options
 	addr := flag.String("addr", ":8337", "listen address")
 	storeDir := flag.String("store", "dcserved.store", "result store directory; empty disables persistence")
@@ -142,15 +136,13 @@ func main() {
 	report.RegisterFlags(flag.CommandLine, &opts)
 	store.RegisterFlags(flag.CommandLine, &storeOpts)
 	dispatch.RegisterFlags(flag.CommandLine, &dispatchOpts)
-	tracecache.RegisterFlags(flag.CommandLine, &traceOpts)
 	replica.RegisterFlags(flag.CommandLine, &replicaOpts)
 	flag.Parse()
 
 	log := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelInfo}))
 	slog.SetDefault(log)
 
-	cfg := serve.Config{Options: opts, MaxInflight: *maxInflight,
-		TraceCacheBytes: traceOpts.MaxBytes, Logger: log}
+	cfg := serve.Config{Options: opts, MaxInflight: *maxInflight, Logger: log}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

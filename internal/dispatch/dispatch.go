@@ -79,8 +79,7 @@ const defaultRetryAfter = time.Second
 // Options configures a RemoteBackend. The zero value of every field but
 // Workers is usable: New fills defaults for Timeout and Cooldown, whose
 // zero values would be meaningless; Retries 0 genuinely means "no
-// retries" (RegisterFlags defaults it to DefaultRetries for the flag
-// surface both binaries share).
+// retries" (RegisterFlags sets DefaultRetries for both binaries).
 type Options struct {
 	// Workers are the worker addresses (host:port); an empty list means
 	// dispatch is off and the caller should not build a backend at all.
@@ -89,7 +88,7 @@ type Options struct {
 	Timeout time.Duration
 	// Retries is how many additional attempts a failed fetch gets, each on
 	// the next worker in the key's rendezvous order. 0 means one attempt
-	// total; the -dispatch-retries flag defaults it to DefaultRetries.
+	// total.
 	Retries int
 	// Cooldown is how long an open circuit keeps a worker demoted; 0 means
 	// DefaultCooldown.
@@ -113,20 +112,18 @@ type Options struct {
 
 // RegisterFlags declares the dispatch flags on fs, defaulted from *o and
 // written back on Parse — the single definition shared by dcbench and
-// dcserved, so the flag surface cannot drift between the binaries.
+// dcserved, so the flag surface cannot drift between the binaries. The
+// retry count is not a flag: it is DefaultRetries.
 func RegisterFlags(fs *flag.FlagSet, o *Options) {
 	if o.Timeout == 0 {
 		o.Timeout = DefaultTimeout
 	}
-	if o.Retries == 0 {
-		o.Retries = DefaultRetries
-	}
+	o.Retries = DefaultRetries
 	if o.Replicas == 0 {
 		o.Replicas = 1
 	}
 	fs.Var((*peer.List)(&o.Workers), "workers", "comma-separated job worker addresses (host:port,...); empty = simulate locally")
 	fs.DurationVar(&o.Timeout, "dispatch-timeout", o.Timeout, "per-attempt timeout for dispatched jobs")
-	fs.IntVar(&o.Retries, "dispatch-retries", o.Retries, "extra attempts on other workers after a failed dispatch")
 	fs.StringVar(&o.APIKey, "dispatch-api-key", o.APIKey, "API key presented to workers as a bearer token; empty = unauthenticated dispatch")
 	fs.IntVar(&o.Replicas, "dispatch-replicas", o.Replicas, "store copies per key in the worker cluster; above 1, reads rotate across a key's replicas instead of always asking the owner")
 }

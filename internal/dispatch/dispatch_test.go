@@ -558,22 +558,24 @@ func TestRendezvousStableAndSpread(t *testing.T) {
 
 // TestRegisterFlagsParsesWorkerList pins the shared flag surface both
 // binaries mount: the list flag splits and trims, unset flags keep their
-// defaults, and an empty worker set refuses to build a backend.
+// defaults, the retry count is the DefaultRetries constant rather than a
+// flag, and an empty worker set refuses to build a backend.
 func TestRegisterFlagsParsesWorkerList(t *testing.T) {
 	var o Options
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
 	RegisterFlags(fs, &o)
-	if err := fs.Parse([]string{
-		"-workers", "n1:8337, n2:8337,,n3:8337",
-		"-dispatch-retries", "5",
-	}); err != nil {
+	if err := fs.Parse([]string{"-workers", "n1:8337, n2:8337,,n3:8337"}); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Join(o.Workers, "|") != "n1:8337|n2:8337|n3:8337" {
 		t.Fatalf("Workers = %v", o.Workers)
 	}
-	if o.Retries != 5 || o.Timeout != DefaultTimeout || o.Replicas != 1 {
+	if o.Retries != DefaultRetries || o.Timeout != DefaultTimeout || o.Replicas != 1 {
 		t.Fatalf("parsed options = %+v, want defaults where unset", o)
+	}
+	if fs.Parse([]string{"-dispatch-retries", "5"}) == nil {
+		t.Fatal("-dispatch-retries parsed; the retry count is DefaultRetries, not a flag")
 	}
 	if _, err := New(Options{}, 0, nil, nil, nil); err == nil {
 		t.Fatal("New accepted an empty worker set")

@@ -4,14 +4,11 @@
 //
 // A job moves through
 //
-//	queued → admitted → capturing/replaying → simulating → stored
-//	       → done | failed | cancelled
+//	queued → admitted → simulating → stored → done | failed | cancelled
 //
 // with the middle states derived from the existing obs span
 // instrumentation (ObserveSpan maps span starts/ends to states), so the
-// simulator, trace cache and store report progress without knowing jobs
-// exist. capturing/replaying are visited only on a multi-config engine:
-// the sweep engine runs a stream live until a second machine asks for it.
+// simulator and store report progress without knowing jobs exist.
 // Terminal states latch: a cancellation that races a completion is
 // decided by whichever lands first, and the loser is ignored.
 package jobs
@@ -30,9 +27,7 @@ type State string
 const (
 	StateQueued     State = "queued"     // accepted, waiting for an admission slot
 	StateAdmitted   State = "admitted"   // holds a slot, work not yet phase-attributed
-	StateCapturing  State = "capturing"  // generating the workload's instruction trace
-	StateReplaying  State = "replaying"  // simulating from a cached trace
-	StateSimulating State = "simulating" // simulating (live trace or cluster run)
+	StateSimulating State = "simulating" // simulating (a counters trace or a cluster run)
 	StateStored     State = "stored"     // result written through to the store
 	StateDone       State = "done"       // terminal: result available
 	StateFailed     State = "failed"     // terminal: Error() explains
@@ -242,15 +237,7 @@ func (j *Job) ObserveSpan(ev obs.SpanEvent) {
 		return
 	}
 	switch ev.Name {
-	case "trace.capture":
-		j.SetState(StateCapturing)
-	case "simulate":
-		if ev.Attrs["source"] == "replay" {
-			j.SetState(StateReplaying)
-		} else {
-			j.SetState(StateSimulating)
-		}
-	case "cluster.run":
+	case "simulate", "cluster.run":
 		j.SetState(StateSimulating)
 	}
 }

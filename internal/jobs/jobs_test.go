@@ -117,9 +117,7 @@ func TestObserveSpanMapping(t *testing.T) {
 		ev   obs.SpanEvent
 		want State
 	}{
-		{obs.SpanEvent{Name: "trace.capture"}, StateCapturing},
-		{obs.SpanEvent{Name: "simulate", Attrs: obs.Attrs{"source": "replay"}}, StateReplaying},
-		{obs.SpanEvent{Name: "simulate", Attrs: obs.Attrs{"source": "live"}}, StateSimulating},
+		{obs.SpanEvent{Name: "simulate"}, StateSimulating},
 		{obs.SpanEvent{Name: "cluster.run"}, StateSimulating},
 		{obs.SpanEvent{Name: "admission", Attrs: obs.Attrs{"shed": "false"}, End: true}, StateAdmitted},
 		{obs.SpanEvent{Name: "backend.store", End: true}, StateStored},

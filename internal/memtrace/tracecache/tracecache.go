@@ -25,14 +25,18 @@
 //
 // Replayed runs are bit-identical to generated runs: the encoding is
 // lossless for every instruction the tracer emits, pinned by the
-// round-trip tests here and the sweep-level determinism tests.
+// round-trip tests here.
+//
+// Neither binary installs a cache: every shipped path simulates one
+// machine per process, where replay cannot pay (it saves under 3 ns of a
+// ~56 ns instruction), so sweep.Engine always generates live. The package
+// remains for the benchmark's capture and replay probes.
 package tracecache
 
 import (
 	"container/list"
 	"context"
 	"errors"
-	"flag"
 	"fmt"
 	"strconv"
 	"sync"
@@ -57,9 +61,7 @@ type Key struct {
 // without generation; Misses triggered a capture (or joined one in
 // flight); Captures counts actual generations, so a sweep over N configs
 // of one workload shows Captures == 1 and Hits == N-1. Fallbacks counts
-// live generations forced by over-budget or unencodable traces. Bypassed is
-// filled in by the sweep engine, not the cache: jobs it ran live without
-// asking, because their stream had been seen under one config only.
+// live generations forced by over-budget or unencodable traces.
 type Stats struct {
 	Traces    int64 `json:"traces"`
 	Bytes     int64 `json:"bytes"`
@@ -69,32 +71,12 @@ type Stats struct {
 	Captures  int64 `json:"captures"`
 	Evictions int64 `json:"evictions"`
 	Fallbacks int64 `json:"fallbacks"`
-	Bypassed  int64 `json:"bypassed"`
 }
 
-// Options carries the cache's flag-configurable tuning.
-type Options struct {
-	// MaxBytes is the LRU byte budget; 0 disables the cache entirely.
-	MaxBytes int64
-}
-
-// DefaultMaxBytes is the default -trace-cache-bytes budget: enough for the
-// full 26-workload registry at the default trace length several times
-// over, small next to the simulated cache state the core pools already
-// hold.
+// DefaultMaxBytes is a byte budget that holds the full 26-workload
+// registry at the default trace length several times over, small next to
+// the simulated cache state the core pools already hold.
 const DefaultMaxBytes int64 = 256 << 20
-
-// RegisterFlags declares the trace-cache flags on fs, defaulted from *o
-// (zero MaxBytes is replaced by DefaultMaxBytes first) and written back on
-// Parse — one definition shared by dcbench and dcserved, like the store
-// and dispatch flag sets.
-func RegisterFlags(fs *flag.FlagSet, o *Options) {
-	if o.MaxBytes == 0 {
-		o.MaxBytes = DefaultMaxBytes
-	}
-	fs.Int64Var(&o.MaxBytes, "trace-cache-bytes", o.MaxBytes,
-		"byte budget for instruction traces captured once a stream is seen under a second config; 0 disables")
-}
 
 // Sentinel reasons a trace stays uncacheable; both degrade to live
 // generation, counted in Stats.Fallbacks.

@@ -6,7 +6,7 @@
 // The paper this repo reproduces is an exercise in answering "where do
 // the cycles go" for datacenter workloads; obs answers the same question
 // about the reproduction itself. A slow /v1/jobs request hops
-// front-end → dispatch → worker → trace-cache → simulator, and before
+// front-end → dispatch → worker → simulator, and before
 // this package existed its time vanished into monotonic counters. Now:
 //
 //   - every inbound request gets a trace ID — fresh, or propagated from

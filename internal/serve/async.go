@@ -18,19 +18,16 @@ import (
 // request and answers 202 with a job id; the job then moves through the
 // internal/jobs state machine
 //
-//	queued → admitted → capturing/replaying → simulating → stored
-//	       → done | failed | cancelled
+//	queued → admitted → simulating → stored → done | failed | cancelled
 //
 // with the middle states derived from the job's own obs trace: the job id
 // IS a trace id, the runner attaches the job's ObserveSpan hook to that
-// trace, and the spans the engine/store/trace-cache already record double
-// as progress events. GET /v1/jobs/{id} polls the state (or streams it as
+// trace, and the spans the engine and store already record double as
+// progress events. GET /v1/jobs/{id} polls the state (or streams it as
 // SSE under Accept: text/event-stream), GET /v1/jobs/{id}/result fetches
 // the finished record, DELETE /v1/jobs/{id} cancels — releasing the
 // admission slot and, through the memo's refcounted cancellation,
 // stopping the underlying simulation once no other caller shares it.
-// capturing/replaying are visited only on a multi-config engine; this
-// server's one machine goes from admitted straight to simulating.
 
 // submitAsync accepts one validated job for background execution. The
 // submitting tenant owns the job: its id scopes every lifecycle endpoint

@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"hash/fnv"
 	"io"
 	"log/slog"
 	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -107,4 +111,128 @@ func FuzzJobRequest(f *testing.F) {
 			t.Fatalf("decoding a job request touched the backend %d times", n)
 		}
 	})
+}
+
+// FuzzReplicaPush posts arbitrary bodies to POST /v1/replica/records on a
+// node holding one record: nothing panics, a body that is not a valid
+// checksummed record answers 400 and leaves the store exactly as it was,
+// and a valid one answers 204 and lands verbatim (or was already there).
+func FuzzReplicaPush(f *testing.F) {
+	st, err := store.Open(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer st.Close()
+	s := New(Config{Options: report.DefaultOptions(), Store: st,
+		Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	defer s.Close()
+	h := s.Handler()
+
+	wl, err := core.ByName("Sort")
+	if err != nil {
+		f.Fatal(err)
+	}
+	key := sweep.Key{Name: wl.Name, Profile: wl.Profile, ConfigFP: 7, MaxInstrs: 1000}
+	if err := st.Put(key, &uarch.Counters{Cycles: 42, Instructions: 1000}); err != nil {
+		f.Fatal(err)
+	}
+	held, err := store.EncodeCounters(key, &uarch.Counters{Cycles: 42, Instructions: 1000})
+	if err != nil {
+		f.Fatal(err)
+	}
+	key.Profile.Seed++
+	fresh, err := store.EncodeCounters(key, &uarch.Counters{Cycles: 9, Instructions: 8})
+	if err != nil {
+		f.Fatal(err)
+	}
+	cluster, err := store.EncodeStats(workloads.StatsKey{Workload: "Sort", Slaves: 4, Scale: 0.01, Seed: 1},
+		&workloads.Stats{Jobs: 3})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range [][]byte{held, fresh, cluster, held[:len(held)/2],
+		bytes.Replace(fresh, []byte(`"schema":2`), []byte(`"schema":1`), 1),
+		bytes.Replace(fresh, []byte(`"Cycles":9`), []byte(`"Cycles":8`), 1),
+		[]byte(`{}`), []byte(`null`), []byte(`[]`), nil} {
+		f.Add(seed)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		before := storeState(t, st)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/replica/records", bytes.NewReader(data)))
+		after := storeState(t, st)
+		if !checksummedRecord(data) {
+			if rec.Code != http.StatusBadRequest {
+				t.Fatalf("invalid record answered %d, want 400", rec.Code)
+			}
+			if !reflect.DeepEqual(after, before) {
+				t.Fatal("an invalid record changed the store")
+			}
+			return
+		}
+		if rec.Code != http.StatusNoContent {
+			t.Fatalf("valid record answered %d, want 204: %s", rec.Code, rec.Body)
+		}
+		switch added := after.newAddrs(before); len(added) {
+		case 0: // already held: adoption is idempotent
+			if !reflect.DeepEqual(after, before) {
+				t.Fatal("a duplicate push changed the store")
+			}
+		case 1:
+			if got, ok, err := st.GetRecord(added[0]); err != nil || !ok || !bytes.Equal(got, data) {
+				t.Fatalf("adopted record at %s is not the pushed bytes (ok=%v err=%v)", added[0], ok, err)
+			}
+		default:
+			t.Fatalf("one push added %d records", len(added))
+		}
+	})
+}
+
+// replicaState is what a push may change: the shard digests and every
+// record address.
+type replicaState struct {
+	digests []store.ShardDigest
+	addrs   map[string]bool
+}
+
+func storeState(t *testing.T, st *store.Store) replicaState {
+	rs := replicaState{digests: st.ShardDigests(), addrs: map[string]bool{}}
+	for i := range st.ShardCount() {
+		addrs, err := st.ShardAddrs(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range addrs {
+			rs.addrs[a] = true
+		}
+	}
+	return rs
+}
+
+func (rs replicaState) newAddrs(before replicaState) []string {
+	var added []string
+	for a := range rs.addrs {
+		if !before.addrs[a] {
+			added = append(added, a)
+		}
+	}
+	return added
+}
+
+// checksummedRecord restates the record contract independently of the
+// store's codec: the current schema, and an fnv64a over (schema, kind,
+// key, payload) matching the embedded sum.
+func checksummedRecord(data []byte) bool {
+	var rec struct {
+		Schema       int
+		Kind, Sum    string
+		Key, Payload json.RawMessage
+	}
+	if json.Unmarshal(data, &rec) != nil || rec.Schema != store.SchemaVersion {
+		return false
+	}
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%d\x00%s\x00%s\x00%s", store.SchemaVersion, rec.Kind, rec.Key, rec.Payload)
+	return rec.Sum == fmt.Sprintf("%016x", h.Sum64())
 }

@@ -119,26 +119,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 				"Dispatch attempts answered 429, by job kind.", d.PerKind,
 				func(k sweep.DispatchKindStats) int64 { return k.Shed })
 		}
-		if tc := bs.TraceCache; tc != nil {
-			writeMetric(&b, "dcserved_trace_cache_traces", "gauge",
-				"Captured instruction traces resident in the trace cache.", float64(tc.Traces))
-			writeMetric(&b, "dcserved_trace_cache_bytes", "gauge",
-				"Encoded bytes resident in the trace cache.", float64(tc.Bytes))
-			writeMetric(&b, "dcserved_trace_cache_max_bytes", "gauge",
-				"Trace cache byte budget (-trace-cache-bytes).", float64(tc.MaxBytes))
-			writeMetric(&b, "dcserved_trace_cache_hits_total", "counter",
-				"Simulations that replayed a cached trace instead of regenerating it.", float64(tc.Hits))
-			writeMetric(&b, "dcserved_trace_cache_misses_total", "counter",
-				"Trace requests that had to capture (or join a capture in flight).", float64(tc.Misses))
-			writeMetric(&b, "dcserved_trace_cache_captures_total", "counter",
-				"Actual trace generations performed by the cache.", float64(tc.Captures))
-			writeMetric(&b, "dcserved_trace_cache_evictions_total", "counter",
-				"Traces evicted to stay within the byte budget.", float64(tc.Evictions))
-			writeMetric(&b, "dcserved_trace_cache_fallbacks_total", "counter",
-				"Simulations that generated live because the trace exceeds the budget.", float64(tc.Fallbacks))
-			writeMetric(&b, "dcserved_trace_cache_bypassed_total", "counter",
-				"Simulations that generated live because their stream has been seen under one config only.", float64(tc.Bypassed))
-		}
 		// Replication families (and the adopted counter that only moves
 		// with replication on) appear only when a replicator is wired in,
 		// so the single-node exposition — and its golden test — is

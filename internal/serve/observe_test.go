@@ -42,10 +42,8 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 }
 
-// storeBackedServer builds a server over a fresh store, with the trace
-// cache on, so every observability field is populated — the goldens pin
-// the trace_cache block through this server. dispatchBackedServer runs
-// without one and pins that the block is genuinely omitempty.
+// storeBackedServer builds a server over a fresh store, so the store
+// observability block is populated.
 func storeBackedServer(t *testing.T) (*serve.Server, *httptest.Server) {
 	t.Helper()
 	st, err := store.Open(t.TempDir())
@@ -53,8 +51,7 @@ func storeBackedServer(t *testing.T) (*serve.Server, *httptest.Server) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	srv := serve.New(serve.Config{Options: testOptions(), Store: st,
-		TraceCacheBytes: 64 << 20, Logger: quietLog})
+	srv := serve.New(serve.Config{Options: testOptions(), Store: st, Logger: quietLog})
 	t.Cleanup(srv.Close)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)

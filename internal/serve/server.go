@@ -38,7 +38,6 @@ import (
 	"dcbench/internal/core"
 	"dcbench/internal/jobs"
 	"dcbench/internal/memo"
-	"dcbench/internal/memtrace/tracecache"
 	"dcbench/internal/obs"
 	"dcbench/internal/replica"
 	"dcbench/internal/report"
@@ -70,11 +69,6 @@ type Config struct {
 	// and /metrics, and its push and anti-entropy spans are recorded into
 	// the server's trace ring. The caller still starts and closes it.
 	Replica *replica.Replicator
-	// TraceCacheBytes, when positive, installs a trace capture/replay
-	// cache of that byte budget on the server's engine: an instruction
-	// stream is captured once a second machine configuration asks for it
-	// and replayed from then on. 0 runs without one.
-	TraceCacheBytes int64
 	// MaxInflight, when positive, bounds concurrent compute jobs
 	// (POST /v1/jobs): excess requests are shed with 429 + Retry-After
 	// instead of queued without bound, so one worker under many front-ends
@@ -184,9 +178,6 @@ func New(cfg Config) *Server {
 	}
 	if backend != nil {
 		engine.SetMemoBackend(backend)
-	}
-	if cfg.TraceCacheBytes > 0 {
-		engine.SetTraceCache(tracecache.New(cfg.TraceCacheBytes))
 	}
 	opts.Engine = engine
 	// The cluster memo is the server's own (not the process-wide default),
@@ -516,9 +507,6 @@ func (s *Server) serveTable(w http.ResponseWriter, r *http.Request, key string, 
 // /metrics: the engine's memo backend when it reports them (the store's
 // does, and wrappers may forward), else the configured store directly,
 // with the replicator's counters beside them when one runs over the store.
-// The engine's trace-cache counters, when a cache is installed, ride in
-// the same block — even on storeless servers, so a worker's replay
-// savings are visible wherever it runs.
 func (s *Server) backendStats() (sweep.BackendStats, bool) {
 	var bs sweep.BackendStats
 	ok := false
@@ -530,10 +518,6 @@ func (s *Server) backendStats() (sweep.BackendStats, bool) {
 	if s.replica != nil {
 		rs := s.replica.Stats()
 		bs.Replication = &rs
-	}
-	if ts, on := s.engine.TraceCacheStats(); on {
-		bs.TraceCache = &ts
-		ok = true
 	}
 	return bs, ok
 }

@@ -111,11 +111,13 @@ func TestJobsCountersEndpoint(t *testing.T) {
 
 // TestJobsNeverSeenSeedsHoldNoTraceBytes: a /v1/jobs stream of client-
 // chosen seeds under the server's one machine — the traffic a worker
-// actually sees — runs every job live: the default trace cache captures
-// nothing and stays empty, and /healthz says so.
+// actually sees — runs every job on a live generator: each answer is the
+// record of its own seed, and a storeless server reports no store block at
+// all, because nothing below the result memo (no store, no trace bytes)
+// holds state for it.
 func TestJobsNeverSeenSeedsHoldNoTraceBytes(t *testing.T) {
 	opts := testOptions()
-	srv := serve.New(serve.Config{Options: opts, TraceCacheBytes: 64 << 20, Logger: quietLog})
+	srv := serve.New(serve.Config{Options: opts, Logger: quietLog})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -124,25 +126,24 @@ func TestJobsNeverSeenSeedsHoldNoTraceBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const jobs = 8
-	for seed := uint64(1); seed <= jobs; seed++ {
+	for seed := uint64(1); seed <= 8; seed++ {
 		key := sweep.Key{Name: wl.Name, Profile: wl.Profile, ConfigFP: opts.CoreConfig().Fingerprint(), MaxInstrs: 20_000}
 		key.Profile.Seed = seed
-		if resp, body := postJSON(t, ts, "/v1/jobs", jobRequest(t, store.KindCounters, key, opts.Warmup)); resp.StatusCode != http.StatusOK {
+		resp, body := postJSON(t, ts, "/v1/jobs", jobRequest(t, store.KindCounters, key, opts.Warmup))
+		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("seed %d: status = %d: %s", seed, resp.StatusCode, body)
 		}
-	}
-	var h struct {
-		Store struct {
-			TraceCache struct{ Bytes, Traces, Captures, Bypassed int64 } `json:"trace_cache"`
+		if got, _, err := store.DecodeCounters(body); err != nil || got != key {
+			t.Fatalf("seed %d: answer decodes to key %+v (err %v), want the requested key", seed, got, err)
 		}
 	}
+	var h map[string]json.RawMessage
 	_, body := get(t, ts, "/healthz", nil)
 	if err := json.Unmarshal(body, &h); err != nil {
 		t.Fatal(err)
 	}
-	if tc := h.Store.TraceCache; tc.Bytes != 0 || tc.Traces != 0 || tc.Captures != 0 || tc.Bypassed != jobs {
-		t.Errorf(".store.trace_cache = %+v, want bytes 0, captures 0, bypassed %d", tc, jobs)
+	if blk, ok := h["store"]; ok {
+		t.Errorf("storeless /healthz carries a store block: %s", blk)
 	}
 }
 

@@ -111,10 +111,6 @@ type OpenOptions struct {
 // and written back on Parse — the single definition shared by dcbench and
 // dcserved, so the flag surface cannot drift between the binaries.
 func RegisterFlags(fs *flag.FlagSet, o *OpenOptions) {
-	if o.Shards == 0 {
-		o.Shards = DefaultShards
-	}
-	fs.IntVar(&o.Shards, "store-shards", o.Shards, "shard count when creating a store (power of two; existing stores keep their manifest's count)")
 	fs.IntVar(&o.MaxRecords, "store-max-records", o.MaxRecords, "evict least-recently-used records beyond this count; 0 = unlimited")
 	fs.Int64Var(&o.MaxBytes, "store-max-bytes", o.MaxBytes, "evict least-recently-used records once total record bytes exceed this; 0 = unlimited")
 	fs.DurationVar(&o.MaxAge, "store-max-age", o.MaxAge, "evict records unused for longer than this; 0 = keep forever")

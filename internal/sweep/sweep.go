@@ -27,7 +27,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"runtime"
 	"runtime/debug"
@@ -37,7 +36,6 @@ import (
 
 	"dcbench/internal/memo"
 	"dcbench/internal/memtrace"
-	"dcbench/internal/memtrace/tracecache"
 	"dcbench/internal/obs"
 	"dcbench/internal/uarch"
 )
@@ -135,9 +133,6 @@ type BackendStats struct {
 	// (write-through fan-out and anti-entropy between store peers);
 	// standalone nodes leave it nil.
 	Replication *ReplicationStats `json:"replication,omitempty"`
-	// TraceCache reports the engine's trace capture/replay layer when one
-	// is installed; engines running without one leave it nil.
-	TraceCache *tracecache.Stats `json:"trace_cache,omitempty"`
 }
 
 // ReplicationStats is the replica subsystem's slice of BackendStats: the
@@ -232,46 +227,6 @@ type Engine struct {
 	memo    *memo.Memo[Key, *uarch.Counters] // retaining: one simulation per key, shared forever
 	pools   map[uint64]*sync.Pool            // reusable cores keyed by config fingerprint
 	backend MemoBackend
-	traces  *tracecache.Cache // optional capture/replay layer; nil = live generation
-	door    doorkeeper        // admits a stream to traces on its second config
-}
-
-// doorkeeper admits a stream (workload name + normalized profile) to the
-// trace cache on second sight: a direct-mapped table of the first config
-// fingerprint each stream was requested under. Capture pays off only when
-// another machine replays the stream, so until one asks it runs live. The
-// table is 96 KiB however many client-chosen seeds arrive; a slot collision
-// forgets a stream — one more live generation, never a changed result.
-type doorkeeper struct {
-	mu    sync.Mutex
-	slots [4096]struct {
-		stream, fp uint64
-		multi      bool // seen under ≥ 2 fingerprints
-	}
-	bypassed atomic.Int64 // jobs run live on a stream seen under one config only
-}
-
-// admit reports whether stream has been requested under ≥ 2 fingerprints.
-func (d *doorkeeper) admit(stream, fp uint64) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	s := &d.slots[stream%uint64(len(d.slots))]
-	if s.stream != stream {
-		s.stream, s.fp, s.multi = stream, fp, false
-	} else if s.fp != fp {
-		s.multi = true
-	}
-	if !s.multi {
-		d.bypassed.Add(1)
-	}
-	return s.multi
-}
-
-// streamHash names a job's instruction stream; p must be normalized.
-func streamHash(name string, p memtrace.Profile) uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s\x00%v", name, p)
-	return h.Sum64()
 }
 
 // SetGCTarget runs the process at GOGC=400 unless GOGC is exported. The
@@ -301,32 +256,6 @@ func (e *Engine) SetMemoBackend(b MemoBackend) {
 	e.mu.Lock()
 	e.backend = b
 	e.mu.Unlock()
-}
-
-// SetTraceCache installs (or, with nil, removes) a trace capture/replay
-// cache. With one installed a stream (workload, profile, trace length) is
-// generated live while one machine configuration has asked for it; the
-// second captures it and every later one replays the cached columnar
-// encoding — the same instruction stream bit for bit, so results are
-// unchanged. A nil-safe tracecache.New(0) also counts as absent.
-func (e *Engine) SetTraceCache(c *tracecache.Cache) {
-	e.mu.Lock()
-	e.traces = c
-	e.mu.Unlock()
-}
-
-// TraceCacheStats snapshots the installed trace cache's counters; ok is
-// false when the engine runs without one.
-func (e *Engine) TraceCacheStats() (s tracecache.Stats, ok bool) {
-	e.mu.Lock()
-	tc := e.traces
-	e.mu.Unlock()
-	if tc == nil {
-		return tracecache.Stats{}, false
-	}
-	s = tc.Stats()
-	s.Bypassed = e.door.bypassed.Load()
-	return s, true
 }
 
 // pool returns the core pool for the given config fingerprint. Pooled cores
@@ -443,46 +372,22 @@ func (e *Engine) memoized(ctx context.Context, job Job, cfg uarch.Config, fp uin
 
 // simulate runs one job through a core drawn from pool (or a fresh core
 // when pool is nil), returning a private copy of the counter file so the
-// core can be recycled immediately. The instruction stream is generated
-// live unless a trace cache is installed, the doorkeeper admits the stream
-// and the cache can hold it: then it is a cached capture replayed
-// zero-copy, no generator goroutine. Panics come back as errors: a
-// generator panic arrives wrapped in memtrace.TracePanic after its
-// goroutine has exited (the cache surfaces capture-time panics as plain
-// errors with the same text), while a core-model panic over a live stream
-// leaves the generator goroutine mid-trace. A cancelled context stops the
-// core between read batches (the trace is truncated to an EOF), the partial
-// counters are discarded, and ctx.Err() is returned. Either way a live
-// reader that is given up mid-trace is closed, which stops its generator
-// within a batch: simulate never returns with the goroutine still running.
+// core can be recycled immediately. The instruction stream is always
+// generated live. Panics come back as errors: a generator panic arrives
+// wrapped in memtrace.TracePanic after its goroutine has exited, while a
+// core-model panic leaves the generator goroutine mid-trace. A cancelled
+// context stops the core between read batches (the trace is truncated to
+// an EOF), the partial counters are discarded, and ctx.Err() is returned.
+// Either way a reader that is given up mid-trace is closed, which stops its
+// generator within a batch: simulate never returns with the goroutine still
+// running.
 func (e *Engine) simulate(ctx context.Context, job Job, cfg uarch.Config, maxInstrs int64, pool *sync.Pool) (counters *uarch.Counters, err error) {
 	p := job.Profile
 	if maxInstrs > 0 {
 		p.MaxInstrs = maxInstrs
 	}
-	e.mu.Lock()
-	tc := e.traces
-	e.mu.Unlock()
-	var r memtrace.Reader
-	source := "live"
-	if tc != nil && e.door.admit(streamHash(job.Name, p.Normalize()), cfg.Fingerprint()) {
-		var replay bool
-		r, replay, err = tc.Reader(ctx, job.Name, p, job.Gen)
-		if err != nil {
-			return nil, err
-		}
-		if replay {
-			source = "replay"
-		}
-	} else {
-		r = memtrace.NewReader(p, job.Gen)
-	}
-	abandon := func() {
-		if live, ok := r.(*memtrace.LiveReader); ok {
-			live.Close()
-		}
-	}
-	sp := obs.Start(ctx, "simulate", "workload", job.Name, "source", source)
+	r := memtrace.NewReader(p, job.Gen)
+	sp := obs.Start(ctx, "simulate", "workload", job.Name)
 	defer sp.End()
 	defer func() {
 		rec := recover()
@@ -495,7 +400,7 @@ func (e *Engine) simulate(ctx context.Context, job Job, cfg uarch.Config, maxIns
 			err = fmt.Errorf("trace generation panicked: %v", tp.Val)
 			return
 		}
-		abandon()
+		r.Close()
 		err = fmt.Errorf("core model panicked: %v", rec)
 	}()
 	// The core consumes the trace through a cancellation-aware wrapper:
@@ -503,10 +408,6 @@ func (e *Engine) simulate(ctx context.Context, job Job, cfg uarch.Config, maxIns
 	// EOF — the only clean way to stop a simulation mid-trace without
 	// teaching the core model about contexts.
 	cr := &cancelReader{ctx: ctx, r: r}
-	var src memtrace.Reader = cr
-	if br, ok := r.(memtrace.BatchReader); ok {
-		src = cancelBatchReader{cr, br}
-	}
 	var c *uarch.Core
 	if pool != nil {
 		if v := pool.Get(); v != nil {
@@ -517,13 +418,13 @@ func (e *Engine) simulate(ctx context.Context, job Job, cfg uarch.Config, maxIns
 	if c == nil {
 		c = uarch.NewCore(cfg)
 	}
-	snap := *c.Run(src)
+	snap := *c.Run(cr)
 	if cr.stopped {
 		// Cancelled mid-trace: the truncated counters are garbage, the
-		// live generator goroutine (if any) is still parked mid-stream,
-		// and the core holds partial state — stop the one, abandon the
-		// other, and surface the cancellation instead of a result.
-		abandon()
+		// generator goroutine is still parked mid-stream, and the core
+		// holds partial state — stop the one, abandon the other, and
+		// surface the cancellation instead of a result.
+		r.Close()
 		return nil, ctx.Err()
 	}
 	if pool != nil {
@@ -532,12 +433,12 @@ func (e *Engine) simulate(ctx context.Context, job Job, cfg uarch.Config, maxIns
 	return &snap, nil
 }
 
-// cancelReader feeds a trace to the core until its context is cancelled,
-// at which point Read reports EOF and stopped latches. Used only from a
-// single simulation goroutine; no locking needed.
+// cancelReader feeds a live trace to the core, lending its batches, until
+// its context is cancelled, at which point it reports EOF and stopped
+// latches. Used only from a single simulation goroutine; no locking needed.
 type cancelReader struct {
 	ctx     context.Context
-	r       memtrace.Reader
+	r       *memtrace.LiveReader
 	stopped bool
 }
 
@@ -556,19 +457,11 @@ func (cr *cancelReader) Read(buf []memtrace.Inst) int {
 	return cr.r.Read(buf)
 }
 
-// cancelBatchReader is the cancelReader of a trace that lends its batches
-// (the live generator's): the same check, between the same batches, without
-// giving up the zero-copy hand-off.
-type cancelBatchReader struct {
-	*cancelReader
-	br memtrace.BatchReader
-}
-
-func (cr cancelBatchReader) NextBatch() []memtrace.Inst {
+func (cr *cancelReader) NextBatch() []memtrace.Inst {
 	if cr.cancelled() {
 		return nil
 	}
-	return cr.br.NextBatch()
+	return cr.r.NextBatch()
 }
 
 // Each runs fn(i) for i in [0, n) on a pool of at most workers goroutines,

@@ -338,7 +338,7 @@ func (p *panickingPredictor) Name() string        { return "panicking" }
 func (p *panickingPredictor) Reset()              {}
 
 // TestErrorCapture: a panicking generator becomes a per-job error carrying
-// the job name, and the other jobs still produce counters.
+// the job name and the panic, and the other jobs still produce counters.
 func TestErrorCapture(t *testing.T) {
 	jobs := testJobs(3)
 	jobs[1].Name = "exploding"
@@ -348,8 +348,8 @@ func TestErrorCapture(t *testing.T) {
 	}
 	out, err := sweep.NewEngine().Run(context.Background(), jobs, uarch.DefaultConfig(), 0,
 		sweep.RunOptions{Workers: 2})
-	if err == nil || !strings.Contains(err.Error(), "exploding") || !strings.Contains(err.Error(), "boom") {
-		t.Fatalf("err = %v, want panic from job %q", err, "exploding")
+	if err == nil || !strings.Contains(err.Error(), "exploding: trace generation panicked: boom") {
+		t.Fatalf("err = %v, want generator panic attributed to job %q", err, "exploding")
 	}
 	if out[1] != nil {
 		t.Errorf("failed job returned counters")

@@ -15,7 +15,7 @@
 #      spans covering the job's phases, the worker's per-kind job-latency
 #      histogram counts agree with the front-end's per-kind dispatch
 #      counters, and both trace rings are dumped to $TRACES_OUT (CI uploads
-#      it beside the BENCH_* artifacts);
+#      it);
 #   3. a restarted front-end over the same store — its worker now dark —
 #      serves the same bytes again with zero dispatches and zero
 #      re-simulation of either kind (everything from the write-through
@@ -44,9 +44,6 @@
 #      byte-identically from a survivor with zero re-simulation and zero
 #      dispatch fallbacks, and a brand-new empty node pointed at the
 #      survivors converges via anti-entropy (pulled records, no writes).
-#      Timings land in $BENCH_REPLICA_OUT (push fan-out, failover request,
-#      anti-entropy convergence), uploaded by CI beside the BENCH_*
-#      artifacts.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -60,7 +57,6 @@ WORKER_DEBUG_PORT=18475 FRONT_DEBUG_PORT=18476
 TWORKER_PORT=18480 TFRONT_PORT=18481 TADMIN_PORT=18482
 RA_PORT=18483 RB_PORT=18484 RC_PORT=18485 RFRONT_PORT=18486 RFRONT2_PORT=18487 RNEW_PORT=18488
 TRACES_OUT=${TRACES_OUT:-$WORK/TRACES_e2e.json}
-BENCH_REPLICA_OUT=${BENCH_REPLICA_OUT:-$WORK/BENCH_replica.json}
 
 echo "== build"
 go build -o "$WORK/bin/" ./cmd/...
@@ -149,13 +145,6 @@ CLUSTER_HITS=$(kind_field $FRONT_PORT cluster remote_hits)
 [ "$CLUSTER_HITS" -gt 0 ] || { echo "FAIL: no cluster jobs reached the worker (Figure 2/5 ran on the front-end)" >&2; exit 1; }
 echo "   ok: per-kind remote hits: counters = $COUNTER_HITS, cluster = $CLUSTER_HITS"
 assert_eq "cluster-job fallbacks" "$(kind_field $FRONT_PORT cluster fallbacks)" 0
-# The worker runs with the default trace cache, which admits a stream only
-# under a second machine configuration: this one-machine worker ran every
-# counter job live and holds no trace bytes, and its /healthz says so.
-assert_eq "worker trace-cache captures" "$(healthz_field $WORKER_PORT "h['store']['trace_cache']['captures']")" 0
-assert_eq "worker trace-cache bytes" "$(healthz_field $WORKER_PORT "h['store']['trace_cache']['bytes']")" 0
-assert_eq "worker trace-cache bypassed (= counters jobs simulated)" \
-  "$(healthz_field $WORKER_PORT "h['store']['trace_cache']['bypassed']")" "$COUNTER_HITS"
 
 # Trace propagation: the traced request's ID must be in BOTH rings — the
 # front-end's inbound trace and the worker-side trace of the dispatched
@@ -197,7 +186,7 @@ assert_eq "worker counters histogram _count vs front-end remote hits" \
   "$(job_hist_count $WORKER_PORT counters)" "$COUNTER_HITS"
 assert_eq "worker cluster histogram _count vs front-end remote hits" \
   "$(job_hist_count $WORKER_PORT cluster)" "$CLUSTER_HITS"
-# The cold-vs-replay latency split is visible in the bucket ladder; leave
+# The cold-vs-warm latency split is visible in the bucket ladder; leave
 # it in the log (and the trace artifact) for eyeballing.
 curl -sf "http://127.0.0.1:$WORKER_PORT/metrics" \
   | grep '^dcserved_job_duration_seconds_bucket{kind="counters"' | sed 's/^/   /'
@@ -271,9 +260,8 @@ assert_eq "worker max_inflight exported" "$(healthz_field $SHED_PORT "h['jobs'][
 
 echo "== 5. async lifecycle: 202 submit, state history, SSE, cancel mid-simulation"
 # Its own worker on purpose: one slot so the cancelled job provably frees
-# it. The default trace cache stays on: a one-machine server runs every
-# stream live, so the slow job spends its life in "simulating" and the
-# cancel stops it mid-trace (a shared capture would ignore cancellation).
+# it. The slow job spends its life in "simulating", and the cancel stops
+# it mid-trace.
 "$WORK/bin/dcserved" -addr "127.0.0.1:$ASYNC_PORT" -store "$WORK/async.store" \
   -max-inflight 1 "${FLAGS[@]}" 2>"$WORK/async.log" &
 wait_ready $ASYNC_PORT
@@ -463,7 +451,7 @@ print('   ok: admin usage report covers', ', '.join(sorted(ids)))"
 
 echo "== 7. replication: kill the owner, survivors answer byte-identically with zero re-simulation"
 # Three workers replicating every record to each other (factor 3), fast
-# anti-entropy so the convergence measurement finishes in CI time.
+# anti-entropy so convergence finishes in CI time.
 R_PORTS=($RA_PORT $RB_PORT $RC_PORT)
 for i in 0 1 2; do
   PEERS=""
@@ -492,7 +480,6 @@ RCFP=$(healthz_field $RA_PORT "int(h['config_fp'], 16)")
 RJOB="{\"kind\":\"counters\",\"warmup\":10000,\"key\":{\"Name\":\"Sort\",\"Profile\":{\"Seed\":5,\"MaxInstrs\":40000,\"CodeKB\":64,\"HeapMB\":4},\"ConfigFP\":$RCFP,\"MaxInstrs\":40000}}"
 curl -sf -X POST -H 'Content-Type: application/json' -d "$RJOB" \
   "http://127.0.0.1:$RFRONT_PORT/v1/jobs" -o "$WORK/replica_warm.body"
-T_WARM=$(date +%s.%N)
 OWNER=-1
 for i in 0 1 2; do
   W=$(healthz_field "${R_PORTS[$i]}" "h['store']['writes']")
@@ -506,7 +493,7 @@ done
 echo "   ok: owner is node $OWNER (port ${R_PORTS[$OWNER]})"
 
 # 7b. both survivors hold the record via the async push (not anti-entropy
-# yet — that cadence is 2s, pushes land in milliseconds); time it.
+# yet — that cadence is 2s, pushes land in milliseconds).
 SURVIVORS=()
 for i in 0 1 2; do [ $i = "$OWNER" ] || SURVIVORS+=($i); done
 for i in "${SURVIVORS[@]}"; do
@@ -519,11 +506,9 @@ for i in "${SURVIVORS[@]}"; do
   assert_eq "survivor $i writes (no re-simulation)" \
     "$(healthz_field "${R_PORTS[$i]}" "h['store']['writes']")" 0
 done
-T_PUSHED=$(date +%s.%N)
-PUSH_SECS=$(python3 -c "print(f'{$T_PUSHED - $T_WARM:.3f}')")
 OWNER_PUSHED=$(healthz_field "${R_PORTS[$OWNER]}" "h['store']['replication']['pushed']")
 [ "$OWNER_PUSHED" -ge 2 ] || { echo "FAIL: owner pushed $OWNER_PUSHED records, want >= 2" >&2; exit 1; }
-echo "   ok: write-through fan-out landed on both survivors in ${PUSH_SECS}s (owner pushed $OWNER_PUSHED)"
+echo "   ok: write-through fan-out landed on both survivors (owner pushed $OWNER_PUSHED)"
 
 # 7c. kill the owner; a fresh front-end rotating reads across the full
 # worker set answers the same job byte-identically from a survivor:
@@ -533,14 +518,11 @@ wait "${R_PIDS[$OWNER]}" 2>/dev/null || true
 "$WORK/bin/dcserved" -addr "127.0.0.1:$RFRONT2_PORT" -store "" \
   -workers "$ALL_WORKERS" -dispatch-replicas 3 "${FLAGS[@]}" 2>"$WORK/rfront2.log" &
 wait_ready $RFRONT2_PORT
-T_FAIL0=$(date +%s.%N)
 curl -sf -X POST -H 'Content-Type: application/json' -d "$RJOB" \
   "http://127.0.0.1:$RFRONT2_PORT/v1/jobs" -o "$WORK/replica_failover.body"
-T_FAIL1=$(date +%s.%N)
-FAILOVER_SECS=$(python3 -c "print(f'{$T_FAIL1 - $T_FAIL0:.3f}')")
 cmp -s "$WORK/replica_warm.body" "$WORK/replica_failover.body" \
   || { echo "FAIL: survivor's bytes diverge from the owner's original record" >&2; exit 1; }
-echo "   ok: failover answer byte-identical to the dead owner's record (${FAILOVER_SECS}s)"
+echo "   ok: failover answer byte-identical to the dead owner's record"
 assert_eq "failover fallbacks" "$(healthz_field $RFRONT2_PORT "h['store']['dispatch']['fallbacks']")" 0
 RH=$(healthz_field $RFRONT2_PORT "h['store']['dispatch']['remote_hits']")
 [ "$RH" -ge 1 ] || { echo "FAIL: failover request never hit a worker" >&2; exit 1; }
@@ -551,9 +533,8 @@ done
 
 # 7d. a brand-new empty node pointed at the survivors converges by
 # anti-entropy alone: it pulls the record it is missing and never
-# simulates. Time from process start to a converged store.
+# simulates.
 NEW_PEERS="127.0.0.1:${R_PORTS[${SURVIVORS[0]}]},127.0.0.1:${R_PORTS[${SURVIVORS[1]}]}"
-T_NEW0=$(date +%s.%N)
 "$WORK/bin/dcserved" -addr "127.0.0.1:$RNEW_PORT" -store "$WORK/rnew.store" \
   -replicas "$NEW_PEERS" -replication-factor 3 -anti-entropy-interval 1s \
   "${FLAGS[@]}" 2>"$WORK/rnew.log" &
@@ -562,8 +543,6 @@ for _ in $(seq 1 200); do
   [ "$(healthz_field $RNEW_PORT "h['store']['records']")" = 1 ] && break
   sleep 0.1
 done
-T_NEW1=$(date +%s.%N)
-CONVERGE_SECS=$(python3 -c "print(f'{$T_NEW1 - $T_NEW0:.3f}')")
 assert_eq "new node records after anti-entropy" \
   "$(healthz_field $RNEW_PORT "h['store']['records']")" 1
 assert_eq "new node writes (convergence costs no simulation)" \
@@ -572,7 +551,7 @@ PULLED=$(healthz_field $RNEW_PORT "h['store']['replication']['pulled']")
 REPAIRED=$(healthz_field $RNEW_PORT "h['store']['replication']['repaired']")
 [ "$PULLED" -ge 1 ] || { echo "FAIL: new node pulled $PULLED records" >&2; exit 1; }
 [ "$REPAIRED" -ge 1 ] || { echo "FAIL: new node repaired $REPAIRED records" >&2; exit 1; }
-echo "   ok: new node converged in ${CONVERGE_SECS}s (pulled $PULLED, repaired $REPAIRED)"
+echo "   ok: new node converged (pulled $PULLED, repaired $REPAIRED)"
 # The cluster-wide gauge (total record copies across self + peers,
 # refreshed each digest round) settles at one copy per live node once a
 # round runs against the converged stores.
@@ -582,19 +561,5 @@ for _ in $(seq 1 100); do
   sleep 0.1
 done
 assert_eq "cluster record copies (one per live node)" "$CLUSTER_RECORDS" 3
-
-python3 - <<PYEOF
-import json
-out = {
-    "push_fanout_secs": $PUSH_SECS,
-    "failover_request_secs": $FAILOVER_SECS,
-    "anti_entropy_convergence_secs": $CONVERGE_SECS,
-    "owner_pushed": $OWNER_PUSHED,
-    "new_node_pulled": $PULLED,
-    "new_node_repaired": $REPAIRED,
-}
-json.dump(out, open("$BENCH_REPLICA_OUT", "w"), indent=2)
-print("   ok: replication benchmark artifact at $BENCH_REPLICA_OUT")
-PYEOF
 
 echo "e2e-distributed: PASS"
