@@ -13,10 +13,16 @@
 //   - errors are never cached: a failed call (cancellation included) is
 //     forgotten the moment it completes, so the next caller retries instead
 //     of replaying a stale failure;
-//   - retention is the only knob: New keeps successful values for the
-//     memo's lifetime (the sweep engine, stats cache and rendered bodies),
-//     NewFlight drops them once the last sharer returns (dispatch and
-//     trace capture, where the layer below is already a cache);
+//   - retention is bounded: New keeps successful values in a retained set
+//     of at most MaxRetained keys, evicting the least recently used (the
+//     sweep engine, stats cache and rendered bodies, where an evicted key
+//     costs one store load or one render); NewFlight keeps none, so a key
+//     empties once its call completes (dispatch's remote fetches, where the
+//     layer below is already a cache);
+//   - a retained value is only the value: the call's cell — its channel,
+//     refcount and run context, and through that context the request's
+//     trace — is released when the call settles, so what a memo holds
+//     does not grow with the requests it has served;
 //   - cancellation is refcounted: DoShared participants leave a flight when
 //     their own context is cancelled, and only the LAST departure cancels
 //     the running function's context — one impatient caller among N never
@@ -30,6 +36,7 @@
 package memo
 
 import (
+	"container/list"
 	"context"
 	"fmt"
 	"sync"
@@ -37,15 +44,22 @@ import (
 	"dcbench/internal/obs"
 )
 
+// MaxRetained bounds a retaining memo's settled values. It is ten times
+// the largest working set a retaining memo serves in one process (the
+// figure path's 26 counter keys per machine configuration plus 33 cluster
+// keys), so only client-chosen keys — /v1/jobs — are ever evicted.
+const MaxRetained = 4096
+
 // cell is one key's flight: done closes when the call completes, after
-// which val/err are immutable.
+// which val/err are immutable and the cell has left the memo's map.
 //
 // The remaining fields implement refcounted cancellation and are guarded
 // by the memo's mu. joiners counts the participants whose result delivery
-// is still pending; cancel (non-nil only for DoShared-started cells) stops
-// the running function's context; abandoned flips when the last joiner
-// leaves before completion, at which point the cell is dead to new
-// callers — they start a replacement instead of joining a cancelled run.
+// is still pending; cancel (non-nil only for DoShared-started cells, until
+// they settle) stops the running function's context; abandoned flips when
+// the last joiner leaves before completion, at which point the cell is
+// dead to new callers — they start a replacement instead of joining a
+// cancelled run.
 type cell[V any] struct {
 	done chan struct{}
 	val  V
@@ -56,21 +70,28 @@ type cell[V any] struct {
 	abandoned bool
 }
 
+// entry is one retained value on the memo's LRU list.
+type entry[K comparable, V any] struct {
+	key K
+	val V
+}
+
 // Memo is a per-key singleflight table. The zero value is NOT ready;
 // create with New or NewFlight. Safe for concurrent use.
 type Memo[K comparable, V any] struct {
 	mu     sync.Mutex
-	m      map[K]*cell[V]
-	retain bool
+	m      map[K]*cell[V]      // in-flight calls only
+	kept   map[K]*list.Element // retained values; nil for a flight group
+	lru    list.List           // of *entry[K, V], most recently used first
 	name   string
 	onJoin func()
 }
 
-// New returns a retaining memo: successful values are cached for the
-// memo's lifetime and later calls for the key return them without running
-// the function again. Failures are never retained.
+// New returns a retaining memo: successful values are kept, up to
+// MaxRetained keys, and later calls for a kept key return its value
+// without running the function again. Failures are never retained.
 func New[K comparable, V any]() *Memo[K, V] {
-	return &Memo[K, V]{m: make(map[K]*cell[V]), retain: true}
+	return &Memo[K, V]{m: make(map[K]*cell[V]), kept: make(map[K]*list.Element)}
 }
 
 // NewFlight returns a non-retaining memo — a pure flight group: the key
@@ -88,9 +109,9 @@ func NewFlight[K comparable, V any]() *Memo[K, V] {
 func (m *Memo[K, V]) OnJoin(fn func()) { m.onJoin = fn }
 
 // SetName labels the memo for tracing: a caller that joins another
-// caller's in-flight cell through DoCtx records a "<name>.join" span
-// covering its wait. Set before use (like OnJoin, it is not synchronized
-// against concurrent Do); the default name is "memo".
+// caller's in-flight cell records a "<name>.join" span covering its wait.
+// Set before use (like OnJoin, it is not synchronized against concurrent
+// Do); the default name is "memo".
 func (m *Memo[K, V]) SetName(name string) { m.name = name }
 
 func (m *Memo[K, V]) spanName() string {
@@ -100,11 +121,11 @@ func (m *Memo[K, V]) spanName() string {
 	return m.name + ".join"
 }
 
-// Len reports how many keys currently hold a cell (in-flight or retained).
+// Len reports how many keys hold an in-flight call or a retained value.
 func (m *Memo[K, V]) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.m)
+	return len(m.m) + len(m.kept)
 }
 
 // Do returns the value for key, running fn at most once among concurrent
@@ -123,23 +144,18 @@ func (m *Memo[K, V]) Do(key K, fn func() (V, error)) (V, error) {
 // cancellation does not abort the shared call.
 func (m *Memo[K, V]) DoCtx(ctx context.Context, key K, fn func(context.Context) (V, error)) (V, error) {
 	m.mu.Lock()
+	if v, ok := m.retained(key); ok {
+		m.mu.Unlock()
+		return v, nil
+	}
 	if c, ok := m.joinable(key); ok {
 		// A DoCtx joiner is pinned: it increments the refcount and never
-		// leaves, so a cell with a DoCtx participant can never be cancelled
-		// out from under it by DoShared joiners departing.
+		// leaves (its wait ignores cancellation), so a cell with a DoCtx
+		// participant can never be cancelled out from under it by DoShared
+		// joiners departing.
 		c.joiners++
 		m.mu.Unlock()
-		select {
-		case <-c.done: // retained value: no coalescing happened
-		default:
-			if m.onJoin != nil {
-				m.onJoin()
-			}
-			sp := obs.Start(ctx, m.spanName())
-			<-c.done
-			sp.End()
-		}
-		return c.val, c.err
+		return m.await(context.WithoutCancel(ctx), c)
 	}
 	c := &cell[V]{done: make(chan struct{}), joiners: 1}
 	m.m[key] = c
@@ -169,29 +185,15 @@ func (m *Memo[K, V]) DoCtx(ctx context.Context, key K, fn func(context.Context) 
 // leave), so mixing the two is safe: a DoShared canceller cannot abort a
 // run a blocking caller is still waiting on.
 func (m *Memo[K, V]) DoShared(ctx context.Context, key K, fn func(context.Context) (V, error)) (V, error) {
-	var zero V
 	m.mu.Lock()
+	if v, ok := m.retained(key); ok {
+		m.mu.Unlock()
+		return v, nil
+	}
 	if c, ok := m.joinable(key); ok {
 		c.joiners++
 		m.mu.Unlock()
-		select {
-		case <-c.done: // retained value: no coalescing happened
-			return c.val, c.err
-		default:
-		}
-		if m.onJoin != nil {
-			m.onJoin()
-		}
-		sp := obs.Start(ctx, m.spanName())
-		select {
-		case <-c.done:
-			sp.End()
-			return c.val, c.err
-		case <-ctx.Done():
-			sp.End("cancelled", "true")
-			m.leave(c)
-			return zero, ctx.Err()
-		}
+		return m.await(ctx, c)
 	}
 	c := &cell[V]{done: make(chan struct{}), joiners: 1}
 	// The run's context outlives the starter: values (trace spans) come
@@ -211,6 +213,7 @@ func (m *Memo[K, V]) DoShared(ctx context.Context, key K, fn func(context.Contex
 		return c.val, c.err
 	case <-ctx.Done():
 		m.leave(c)
+		var zero V
 		return zero, ctx.Err()
 	}
 }
@@ -221,39 +224,38 @@ func (m *Memo[K, V]) DoShared(ctx context.Context, key K, fn func(context.Contex
 // still collect a result someone else is already computing. The wait is
 // cancellable and refcounted exactly like a DoShared join.
 func (m *Memo[K, V]) Join(ctx context.Context, key K) (val V, err error, ok bool) {
-	var zero V
 	m.mu.Lock()
+	if v, ok := m.retained(key); ok {
+		m.mu.Unlock()
+		return v, nil, true
+	}
 	c, joinable := m.joinable(key)
 	if !joinable {
 		m.mu.Unlock()
-		return zero, nil, false
+		return val, nil, false
 	}
 	c.joiners++
 	m.mu.Unlock()
-	select {
-	case <-c.done: // retained value
-		return c.val, c.err, true
-	default:
-	}
-	if m.onJoin != nil {
-		m.onJoin()
-	}
-	sp := obs.Start(ctx, m.spanName())
-	select {
-	case <-c.done:
-		sp.End()
-		return c.val, c.err, true
-	case <-ctx.Done():
-		sp.End("cancelled", "true")
-		m.leave(c)
-		return zero, ctx.Err(), true
-	}
+	val, err = m.await(ctx, c)
+	return val, err, true
 }
 
-// joinable returns key's cell when a caller may attach to it. An abandoned
-// cell (every joiner left before completion) is treated as absent: its run
-// is cancelled and its error, if any, must not be shared with fresh
-// callers. Callers must hold m.mu.
+// retained returns key's retained value and marks it most recently used.
+// Callers must hold m.mu.
+func (m *Memo[K, V]) retained(key K) (V, bool) {
+	el, ok := m.kept[key]
+	if !ok {
+		var zero V
+		return zero, false
+	}
+	m.lru.MoveToFront(el)
+	return el.Value.(*entry[K, V]).val, true
+}
+
+// joinable returns key's in-flight cell when a caller may attach to it. An
+// abandoned cell (every joiner left before completion) is treated as
+// absent: its run is cancelled and its error, if any, must not be shared
+// with fresh callers. Callers must hold m.mu.
 func (m *Memo[K, V]) joinable(key K) (*cell[V], bool) {
 	c, ok := m.m[key]
 	if !ok || c.abandoned {
@@ -262,36 +264,67 @@ func (m *Memo[K, V]) joinable(key K) (*cell[V], bool) {
 	return c, true
 }
 
+// await is a joiner's wait on an in-flight cell, recorded as a join span
+// on its own trace. A caller whose ctx is cancelled leaves the cell.
+func (m *Memo[K, V]) await(ctx context.Context, c *cell[V]) (V, error) {
+	if m.onJoin != nil {
+		m.onJoin()
+	}
+	sp := obs.Start(ctx, m.spanName())
+	select {
+	case <-c.done:
+		sp.End()
+		return c.val, c.err
+	case <-ctx.Done():
+		sp.End("cancelled", "true")
+		m.leave(c)
+		var zero V
+		return zero, ctx.Err()
+	}
+}
+
 // settle returns the deferred cleanup for a cell whose fn is about to run:
-// panic conversion, completion signalling, and map maintenance. The
-// identity check keeps a concurrent replacement cell (started after this
-// one was abandoned) intact.
+// panic conversion, completion signalling, retention and the release of
+// the run context. The identity check keeps a concurrent replacement cell
+// (started after this one was abandoned) intact.
 func (m *Memo[K, V]) settle(key K, c *cell[V]) func() {
 	return func() {
 		if rec := recover(); rec != nil {
 			c.err = fmt.Errorf("memo: call panicked: %v", rec)
 		}
 		// Completion is signalled under the lock, in the same critical
-		// section that drops a flight-mode cell from the map: a caller
-		// released by done who immediately asks again must find the cell
-		// gone and start a fresh run, not join the finished one.
+		// section that drops the cell from the map: a caller released by
+		// done who immediately asks again finds the retained value or
+		// starts a fresh run, never the finished cell.
 		m.mu.Lock()
 		close(c.done)
-		if c.err == nil {
-			// A run that completed successfully despite being abandoned
-			// still yields a perfectly good value; un-abandon it so
-			// retained-mode lookups serve it.
-			c.abandoned = false
-		}
-		// Drop failures always (the next caller retries) and successes
-		// in flight mode.
-		if (c.err != nil || !m.retain) && m.m[key] == c {
+		if m.m[key] == c {
 			delete(m.m, key)
 		}
-		m.mu.Unlock()
-		if c.cancel != nil {
-			c.cancel() // release the run context's resources
+		// A run that completed successfully despite being abandoned still
+		// yields a perfectly good value, so it is retained too.
+		if c.err == nil && m.kept != nil {
+			m.keep(key, c.val)
 		}
+		cancel := c.cancel
+		c.cancel = nil
+		m.mu.Unlock()
+		if cancel != nil {
+			cancel() // release the run context's resources
+		}
+	}
+}
+
+// keep retains a settled value, evicting the least recently used value
+// past MaxRetained. A key already retained keeps its first value, so
+// every caller keeps sharing one instance. Callers must hold m.mu.
+func (m *Memo[K, V]) keep(key K, val V) {
+	if _, ok := m.kept[key]; ok {
+		return
+	}
+	m.kept[key] = m.lru.PushFront(&entry[K, V]{key, val})
+	if m.lru.Len() > MaxRetained {
+		delete(m.kept, m.lru.Remove(m.lru.Back()).(*entry[K, V]).key)
 	}
 }
 

@@ -49,6 +49,7 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -381,6 +382,8 @@ func (r *Replicator) antiEntropyLoop(ctx context.Context) {
 // meaningless), and adopt every record we lack. It also refreshes the
 // cluster-wide records/bytes gauges from the digest totals. A dead peer
 // costs one counted error and the round moves on; the next round retries.
+// A listed address that is not a record address (16 lowercase hex digits)
+// is a counted error too, and is never requested.
 func (r *Replicator) RunAntiEntropy(ctx context.Context) {
 	if tr := r.startTrace("replica.anti-entropy"); tr != nil {
 		defer tr.Finish()
@@ -424,6 +427,10 @@ func (r *Replicator) RunAntiEntropy(ctx context.Context) {
 			}
 			for _, addr := range ar.Addrs {
 				if ownAddrs[addr] {
+					continue
+				}
+				if len(addr) != 16 || strings.Trim(addr, "0123456789abcdef") != "" {
+					r.pullErrors.Add(1) // not a record address: never spliced into a URL
 					continue
 				}
 				if r.pullRecord(ctx, peer, addr) {

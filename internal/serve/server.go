@@ -123,7 +123,8 @@ type Server struct {
 	// are never retained, and Stats.Coalesced counts only joins of
 	// in-flight renders. Handlers validate and normalise keys before
 	// serveBody, so the set is closed at 82 (workloads, table 1 and 26
-	// counters ×2, 12 figures ×2, tables 2–3 JSON) whatever URLs arrive.
+	// counters ×2, 12 figures ×2, tables 2–3 JSON) whatever URLs arrive —
+	// far under memo.MaxRetained, so no body is ever evicted.
 	flight    *memo.Memo[string, []byte]
 	etagBasis uint64 // FNV-1a state after the run-parameter prefix of every ETag
 	baseCtx   context.Context

@@ -11,11 +11,13 @@
 //     index, so results land in registry order no matter which worker
 //     finishes first;
 //   - a per-configuration pool of uarch.Core instances recycled with
-//     (*Core).Reset, so workers reuse ~13 MB of simulated cache/TLB/
+//     (*Core).Reset, so workers reuse ~1.6 MB of simulated cache/TLB/
 //     predictor state instead of reallocating it per workload;
 //   - a memo table keyed by (workload name, profile, config fingerprint,
 //     trace length), so repeated figure and table renders share one sweep
-//     instead of re-simulating.
+//     instead of re-simulating. It retains the memo.MaxRetained most
+//     recently used results; an evicted key is reloaded from the
+//     MemoBackend when one is installed.
 //
 // Every job runs its own tracer with its own seeded RNG against a core that
 // Reset has returned to the fresh-core state, so at a fixed seed the
@@ -86,8 +88,10 @@ type Key struct {
 // engine consults it only on an in-memory miss and writes through after
 // each successful simulation, both under the key's singleflight cell, so a
 // backend sees at most one Load and one Store per key per process while
-// the key stays memoized (a failed simulation forgets the key, so a retry
-// consults the backend again).
+// the key stays in the memo's retained set. A key evicted from that set
+// (it holds the memo.MaxRetained most recently used) costs one more Load
+// when it is next asked for — a store read, not a simulation — and a
+// failed simulation forgets the key, so a retry consults the backend again.
 //
 // Backends swallow their own failures (a broken store must degrade to
 // re-simulation, not break the sweep): Load reports a miss, Store drops the
@@ -224,7 +228,7 @@ type StatsReporter interface {
 // amortises both simulation and allocation across every figure render.
 type Engine struct {
 	mu      sync.Mutex
-	memo    *memo.Memo[Key, *uarch.Counters] // retaining: one simulation per key, shared forever
+	memo    *memo.Memo[Key, *uarch.Counters] // retaining, bounded: the most recently used results
 	pools   map[uint64]*sync.Pool            // reusable cores keyed by config fingerprint
 	backend MemoBackend
 }
@@ -325,8 +329,8 @@ func joinJobErrors(jobs []Job, errs []error) error {
 }
 
 // Join waits for key's memoized or in-flight result without ever starting
-// a simulation: ok is false immediately when the engine is not already
-// computing (and has never computed) the key. This is the admission
+// a simulation: ok is false immediately when the engine is neither
+// computing nor retaining the key. This is the admission
 // layer's shed-or-join peek — a saturated worker can still answer a
 // request for a key it is already simulating. The wait is cancellable and
 // refcounted like any other shared join.

@@ -41,8 +41,10 @@ type StatsBackend interface {
 // StatsCache memoizes cluster runs on the shared singleflight memo: an
 // in-memory table where concurrent requests for the same run share one
 // simulation, optionally backed by a persistent StatsBackend consulted on
-// miss and written through after each successful run. It is safe for
-// concurrent use. Cached Stats are shared across callers — read-only.
+// miss and written through after each successful run. The table keeps the
+// memo.MaxRetained most recently used runs; an evicted one is reloaded
+// from the backend. It is safe for concurrent use. Cached Stats are shared
+// across callers — read-only.
 type StatsCache struct {
 	memo    *memo.Memo[StatsKey, *Stats]
 	backend StatsBackend
