@@ -8,9 +8,9 @@ import (
 )
 
 // ringGeometries are the structure sizes the cursor invariants and the
-// step-loop oracle run over. The non-default ones are deliberately odd-sized
-// so a masking shortcut or an off-by-one in a wrap test cannot pass by
-// accident.
+// step-loop oracle run over. The odd and tiny rings are deliberately
+// odd-sized so a masking shortcut or an off-by-one in a wrap test cannot pass
+// by accident.
 var ringGeometries = []struct {
 	name string
 	mut  func(*Config)
@@ -31,6 +31,14 @@ var ringGeometries = []struct {
 		cfg.SQ = 2
 		cfg.MSHRs = 1
 		cfg.IssueWidth = 1
+	}},
+	// Every instruction closes its rename group and its commit group: the
+	// group arithmetic has no slack.
+	{"narrow", func(cfg *Config) {
+		cfg.FetchWidth = 1
+		cfg.RenameWidth = 1
+		cfg.CommitWidth = 1
+		cfg.RenameReadPorts = 1
 	}},
 }
 
@@ -101,12 +109,13 @@ type ReadOnly struct{ R memtrace.Reader }
 
 func (r ReadOnly) Read(buf []memtrace.Inst) int { return r.R.Read(buf) }
 
-// BenchmarkCoreStep measures the step loop three ways: "slice" is the loop
-// itself (trace pre-collected, lent whole, no generator in the timing);
-// "live" is what a cold job pays, the generator goroutine running beside the
-// core and handing its batches over through NextBatch; "readonly" is the
-// Read fallback (what a trace-cache replay takes), a copy into the core's
-// buffer per batch.
+// BenchmarkCoreStep measures the step loop three ways on one synthetic
+// trace: "slice" is the loop itself (trace pre-collected, lent whole, no
+// generator in the timing); "live" is what a cold job pays, the generator
+// goroutine running beside the core and handing its batches over through
+// NextBatch; "readonly" is the Read fallback for a reader that cannot lend,
+// a copy into the core's buffer per batch. BenchmarkCoreStepShipped runs the
+// registry's streams instead.
 func BenchmarkCoreStep(b *testing.B) {
 	const n = 200_000
 	trace := memtrace.Collect(randomTrace(11, n), n)

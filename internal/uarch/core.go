@@ -563,15 +563,33 @@ func (c *Core) syncCacheCounters() {
 	c.C.L3Accesses, c.C.L3Misses = c.l3.Accesses, c.l3.Misses
 }
 
+// mask returns -1 (every bit set) when b holds and 0 otherwise.
+func mask(b bool) int64 {
+	var m int64
+	if b {
+		m = -1
+	}
+	return m
+}
+
 // stepBatch advances the model over buf, one instruction at a time in
 // program order. What every instruction reads and writes on its way through
 // the pipeline — the ring slices and their cursors, the front-end, rename
-// and commit state — is held in locals for the length of the batch and
-// written back once at its end, so it is not reloaded through c after every
-// ring store. What the memory hierarchy walks own (memFree, the MSHR ring,
-// lastIMissLine) stays in the struct, and the caches and TLBs count their
-// own events; instAccess also reads frontCycle from the struct, so it is
-// stored just before that (rare) call.
+// and commit state, the event and stall counts — is held in locals for the
+// length of the batch and written back once at its end, so it is not
+// reloaded through c after every ring store. What the memory hierarchy walks
+// own (memFree, the MSHR ring, lastIMissLine) stays in the struct, and the
+// caches and TLBs count their own events; instAccess also reads frontCycle
+// from the struct, so it is stored just before that (rare) call.
+//
+// Outcomes the host cannot predict — which resource blocks dispatch, whether
+// a dependency is in range, whether issue width binds, an op's latency,
+// whether commit joins or closes a group — are computed as selects, not
+// branches. A mask is 0 or -1: x&m keeps x where the condition holds and is
+// 0 where it does not. Every time in the model is ≥ 0, so a masked-out time
+// never wins a max against dispatch or ready. Only the Load and Branch
+// paths (a memory walk, a predictor), the store drain and the periodic
+// fetch and rename steps branch.
 func (c *Core) stepBatch(buf []memtrace.Inst) {
 	var (
 		cfg = &c.cfg
@@ -593,16 +611,27 @@ func (c *Core) stepBatch(buf []memtrace.Inst) {
 		grpN, grpSrc           = c.grpN, c.grpSrc
 		commitPrev, commitCnt  = c.commitPrev, c.commitCnt
 		lastStoreDrain         = c.lastStoreDrain
+
+		kernel, branches, mispredicts       int64
+		fetchStall, ratStall                int64
+		robStall, rsStall, lbStall, sbStall int64
 	)
 	// The default predictor is called on its concrete type, one fused call
 	// per branch; ablation predictors go through the interface.
 	tournament, _ := c.pred.(*bpred.Tournament)
+	// Execute latency by op. Every op past OpBranch executes as an ALU op; a
+	// load's latency is its memory access, set on the Load path.
+	opLat := [...]int64{
+		memtrace.OpALU:        int64(cfg.ALULat),
+		memtrace.OpFPU:        int64(cfg.FPULat),
+		memtrace.OpStore:      1,
+		memtrace.OpBranch:     int64(cfg.ALULat),
+		memtrace.OpBranch + 1: int64(cfg.ALULat),
+	}
 
 	for i := range buf {
 		in := &buf[i]
-		if in.Kernel {
-			c.C.KernelInstructions++
-		}
+		kernel -= mask(in.Kernel)
 
 		// ---- Fetch ----
 		if frontCount >= cfg.FetchWidth {
@@ -617,7 +646,7 @@ func (c *Core) stepBatch(buf []memtrace.Inst) {
 				// bubbles; only the excess starves rename.
 				extra -= 8
 				if extra > 0 {
-					c.C.FetchStall += extra
+					fetchStall += extra
 					frontCycle += extra
 					frontCount = 0
 				}
@@ -656,42 +685,28 @@ func (c *Core) stepBatch(buf []memtrace.Inst) {
 		grpSrc += nsrc
 		grpN++
 		if grpN >= cfg.RenameWidth {
-			if grpSrc > cfg.RenameReadPorts {
-				c.C.RATStall += int64(grpSrc - cfg.RenameReadPorts)
-			}
+			ratStall += int64(max(grpSrc-cfg.RenameReadPorts, 0))
 			grpN, grpSrc = 0, 0
 		}
-		if nsrc >= 3 {
-			// Three-source ops (flag merges, partial-register reads) insert a
-			// RAT serialisation bubble on this class of core.
-			c.C.RATStall++
-		}
+		// Three-source ops (flag merges, partial-register reads) insert a
+		// RAT serialisation bubble on this class of core.
+		ratStall -= mask(nsrc >= 3)
 
 		// ---- Dispatch: ROB / RS / LQ / SQ availability ----
 		// Every full resource is charged for the cycles it blocks, even when
 		// several block simultaneously: hardware stall counters overlap, and
-		// the paper normalises by the total (Section III-D).
-		dispatch := renamed
-		if free := commitRing[robCur]; free > renamed {
-			c.C.ROBStall += free - renamed
-			dispatch = free
-		}
-		if free := issueRing[rsCur]; free > renamed {
-			c.C.RSStall += free - renamed
-			dispatch = max(dispatch, free)
-		}
+		// the paper normalises by the total (Section III-D). The LQ counts
+		// for loads only and the SQ for stores only.
 		op := in.Op
-		if op == memtrace.OpLoad {
-			if free := loadRing[lqCur]; free > renamed {
-				c.C.LoadBufStall += free - renamed
-				dispatch = max(dispatch, free)
-			}
-		} else if op == memtrace.OpStore {
-			if free := storeRing[sqCur]; free > renamed {
-				c.C.StoreBufStall += free - renamed
-				dispatch = max(dispatch, free)
-			}
-		}
+		robFree := commitRing[robCur]
+		rsFree := issueRing[rsCur]
+		lqFree := loadRing[lqCur] & mask(op == memtrace.OpLoad)
+		sqFree := storeRing[sqCur] & mask(op == memtrace.OpStore)
+		robStall += max(robFree-renamed, 0)
+		rsStall += max(rsFree-renamed, 0)
+		lbStall += max(lqFree-renamed, 0)
+		sbStall += max(sqFree-renamed, 0)
+		dispatch := max(renamed, robFree, rsFree, lqFree, sqFree)
 		// Back-pressure: a blocked dispatch holds the rename stage, so later
 		// instructions measure their stalls from the caught-up point rather
 		// than re-counting the same gap.
@@ -699,44 +714,33 @@ func (c *Core) stepBatch(buf []memtrace.Inst) {
 
 		// ---- Ready: operand dependencies ----
 		// depRing is a power of two, so the dependency lookback masks instead
-		// of dividing (Dep <= idx is guaranteed by the guard, so the index
-		// stays non-negative).
-		ready := dispatch + 1
-		if d := int64(in.Dep1); d > 0 && d <= idx {
-			ready = max(ready, completeRing[(idx-d)&(depRing-1)])
-		}
-		if d := int64(in.Dep2); d > 0 && d <= idx {
-			ready = max(ready, completeRing[(idx-d)&(depRing-1)])
-		}
+		// of dividing. Both producers are read whatever their distance; a
+		// distance outside 0 < d <= idx sets the sign bit of d-1 or idx-d,
+		// which masks its read to 0.
+		d1, d2 := int64(in.Dep1), int64(in.Dep2)
+		ready := max(dispatch+1,
+			completeRing[(idx-d1)&(depRing-1)]&^(((d1-1)|(idx-d1))>>63),
+			completeRing[(idx-d2)&(depRing-1)]&^(((d2-1)|(idx-d2))>>63))
 
 		// ---- Issue: width-limited ----
-		issue := ready
-		if w := issueWin[winCur]; issue <= w {
-			issue = w + 1
-		}
+		issue := max(ready, issueWin[winCur]+1)
 		issueWin[winCur] = issue
 		// The RS entry is held from dispatch until issue.
 		issueRing[rsCur] = issue
 
 		// ---- Execute ----
-		var complete int64
-		switch op {
-		case memtrace.OpLoad:
+		// Stores complete for dependents immediately; the cache write happens
+		// at drain time, charged below against the SQ.
+		complete := issue + opLat[min(op, memtrace.OpBranch+1)]
+		if op == memtrace.OpLoad {
 			complete = c.dataAccess(in.Addr, issue)
 			loadRing[lqCur] = complete
 			lqCur++
 			if lqCur == len(loadRing) {
 				lqCur = 0
 			}
-		case memtrace.OpStore:
-			// Stores complete for dependents immediately; the cache write
-			// happens at drain time, charged below against the SQ.
-			complete = issue + 1
-		case memtrace.OpFPU:
-			complete = issue + int64(cfg.FPULat)
-		case memtrace.OpBranch:
-			complete = issue + int64(cfg.ALULat)
-			c.C.Branches++
+		} else if op == memtrace.OpBranch {
+			branches++
 			var pred bool
 			if tournament != nil {
 				pred = tournament.PredictUpdate(in.PC, in.Taken)
@@ -745,7 +749,7 @@ func (c *Core) stepBatch(buf []memtrace.Inst) {
 				c.pred.Update(in.PC, in.Taken)
 			}
 			if pred != in.Taken {
-				c.C.BranchMispredicts++
+				mispredicts++
 				// Redirect: the front end refetches after resolution. The
 				// wasted cycles show up as lost IPC, not as IFU stall events
 				// (Figure 6 counts i-cache/iTLB fetch stalls separately from
@@ -759,23 +763,18 @@ func (c *Core) stepBatch(buf []memtrace.Inst) {
 				frontCycle += int64(cfg.BTBPenalty)
 				frontCount = 0
 			}
-		default:
-			complete = issue + int64(cfg.ALULat)
 		}
 		completeRing[idx&(depRing-1)] = complete
 
 		// ---- Commit: in-order, width-limited ----
-		commit := complete
-		if commit <= commitPrev {
-			commit = commitPrev
-			commitCnt++
-			if commitCnt >= cfg.CommitWidth {
-				commit++
-				commitCnt = 0
-			}
-		} else {
-			commitCnt = 1
-		}
+		// An op complete by the previous commit joins that group (joins is
+		// -1) and commits with it, one cycle later if it fills the group;
+		// any other op opens a group of one at its own completion.
+		joins := ^((commitPrev - complete) >> 63)
+		cnt := commitCnt&int(joins) + 1
+		full := joins & mask(cnt >= cfg.CommitWidth)
+		commit := max(complete, commitPrev) - full
+		commitCnt = cnt &^ int(full)
 		commitPrev = commit
 		commitRing[robCur] = commit
 
@@ -815,4 +814,13 @@ func (c *Core) stepBatch(buf []memtrace.Inst) {
 	c.commitPrev, c.commitCnt = commitPrev, commitCnt
 	c.lastStoreDrain = lastStoreDrain
 	c.C.Instructions += int64(len(buf))
+	c.C.KernelInstructions += kernel
+	c.C.Branches += branches
+	c.C.BranchMispredicts += mispredicts
+	c.C.FetchStall += fetchStall
+	c.C.RATStall += ratStall
+	c.C.ROBStall += robStall
+	c.C.RSStall += rsStall
+	c.C.LoadBufStall += lbStall
+	c.C.StoreBufStall += sbStall
 }

@@ -23,7 +23,8 @@ type RingGeometry struct {
 	Cfg  Config
 }
 
-// RingGeometries returns the default, odd-rings and tiny-rings machines.
+// RingGeometries returns the default, odd-rings, tiny-rings and narrow
+// machines.
 func RingGeometries() []RingGeometry {
 	out := make([]RingGeometry, len(ringGeometries))
 	for i, g := range ringGeometries {
