@@ -7,8 +7,9 @@
 // Endpoints (JSON by default; ?format=csv or Accept: text/csv where a
 // table shape exists):
 //
-//	GET  /healthz                        liveness, request stats, store + dispatch counters
-//	GET  /metrics                        Prometheus text exposition
+//	GET  /healthz                        liveness, request, job, tenant, store, dispatch
+//	                                     and replication counters
+//	GET  /metrics                        the /healthz numbers as a Prometheus exposition
 //	GET  /v1/workloads                   the 26-workload registry
 //	GET  /v1/workloads/{name}/counters   one workload's counter file
 //	GET  /v1/figures/{1..12}             the paper's figures

@@ -205,6 +205,60 @@ func (w *worker) shedded(t time.Time, retryAfter time.Duration) {
 // rather than failure.
 var errShed = errors.New("worker shedding load")
 
+// Stats is the dispatch block of /healthz: how much compute work left
+// this process, how much of it came back, and how often the process had to
+// degrade to simulating locally. Fallbacks > 0 with a nonzero worker set is
+// the operator's signal that the cluster is dark; Shed > 0 says workers
+// are answering but saturated (429), so the set is undersized for the
+// load, not broken. The aggregate counters sum over job kinds; PerKind
+// splits them so a cluster-job problem cannot hide behind healthy counter
+// traffic. Each number declares the /metrics family it is exported under.
+type Stats struct {
+	Workers    int64         `json:"workers" metric:"dcserved_dispatch_workers,gauge" help:"Configured sweep workers."`
+	Healthy    int64         `json:"healthy" metric:"dcserved_dispatch_healthy_workers,gauge" help:"Workers whose circuit is currently closed."`
+	Dispatched int64         `json:"dispatched" metric:"dcserved_dispatch_dispatched_total,counter" help:"Job misses forwarded to the worker set (all kinds)."`
+	RemoteHits int64         `json:"remote_hits" metric:"dcserved_dispatch_remote_hits_total,counter" help:"Dispatched jobs answered by a worker (all kinds)."`
+	Fallbacks  int64         `json:"fallbacks" metric:"dcserved_dispatch_fallbacks_total,counter" help:"Dispatched jobs that fell back to local simulation (all kinds)."`
+	Errors     int64         `json:"errors" metric:"dcserved_dispatch_errors_total,counter" help:"Failed worker attempts (a fetch may retry past these)."`
+	Shed       int64         `json:"shed" metric:"dcserved_dispatch_shed_total,counter" help:"Dispatch attempts answered 429 by a saturated worker."`
+	InFlight   int64         `json:"in_flight" metric:"dcserved_dispatch_in_flight,gauge" help:"Dispatched jobs currently awaiting a worker (all kinds)."`
+	PerKind    []KindStats   `json:"per_kind,omitempty"`
+	PerWorker  []WorkerStats `json:"per_worker,omitempty"`
+}
+
+// KindStats is one job kind's slice of the dispatch counters. Kind names
+// match the store's record kinds ("counters", "cluster") and label the
+// per-kind families.
+type KindStats struct {
+	Kind       string `json:"kind" label:"kind"`
+	Dispatched int64  `json:"dispatched" metric:"dcserved_dispatch_kind_dispatched_total,counter" help:"Job misses forwarded to the worker set, by job kind."`
+	RemoteHits int64  `json:"remote_hits" metric:"dcserved_dispatch_kind_remote_hits_total,counter" help:"Dispatched jobs answered by a worker, by job kind."`
+	Fallbacks  int64  `json:"fallbacks" metric:"dcserved_dispatch_kind_fallbacks_total,counter" help:"Dispatched jobs that fell back to local simulation, by job kind."`
+	Errors     int64  `json:"errors" metric:"dcserved_dispatch_kind_errors_total,counter" help:"Failed worker attempts, by job kind."`
+	Shed       int64  `json:"shed" metric:"dcserved_dispatch_kind_shed_total,counter" help:"Dispatch attempts answered 429, by job kind."`
+}
+
+// WorkerStats is one worker's traffic and health as seen by the dispatch
+// layer; /healthz reports it and /metrics does not. Shedding means the
+// worker's last answer was a 429 and its Retry-After window has not yet
+// passed — it is demoted in ranking but, unlike an open circuit, still
+// counts as alive.
+type WorkerStats struct {
+	Addr        string `json:"addr"`
+	Sent        int64  `json:"sent" metric:"-"`
+	Errors      int64  `json:"errors" metric:"-"`
+	Shed        int64  `json:"shed" metric:"-"`
+	CircuitOpen bool   `json:"circuit_open"`
+	Shedding    bool   `json:"shedding"`
+	// ConsecutiveFails is the worker's current failure streak (the circuit
+	// opens at the dispatch layer's threshold) and LastError the text of
+	// its most recent failed attempt — enough to diagnose a dark replica
+	// from /healthz without grepping front-end logs. Both are omitted
+	// while the worker is clean, so healthy output is unchanged.
+	ConsecutiveFails int    `json:"consecutive_fails,omitempty" metric:"-"`
+	LastError        string `json:"last_error,omitempty"`
+}
+
 // kindStats is one job kind's slice of the dispatch counters.
 type kindStats struct {
 	dispatched atomic.Int64
@@ -214,8 +268,8 @@ type kindStats struct {
 	shed       atomic.Int64
 }
 
-func (k *kindStats) snapshot(kind string) sweep.DispatchKindStats {
-	return sweep.DispatchKindStats{
+func (k *kindStats) snapshot(kind string) KindStats {
+	return KindStats{
 		Kind:       kind,
 		Dispatched: k.dispatched.Load(),
 		RemoteHits: k.remoteHits.Load(),
@@ -244,13 +298,10 @@ type jobKind[K comparable, V any] struct {
 }
 
 // RemoteBackend forwards job memo misses to worker nodes. It implements
-// sweep.MemoBackend and workloads.StatsBackend (so it slots into the
-// sweep engine and the cluster cache untouched) plus sweep.StatsReporter
-// (store counters from the wrapped local backend plus the dispatch
-// block).
+// sweep.MemoBackend and workloads.StatsBackend, so it slots into the
+// sweep engine and the cluster cache untouched.
 type RemoteBackend struct {
 	opts    Options
-	local   sweep.MemoBackend  // kept for BackendStats; may be nil
 	workers map[string]*worker // by address; opts.Workers holds the configured order
 	client  peer.Client
 	log     *slog.Logger
@@ -288,7 +339,6 @@ func New(opts Options, warmup int64, local sweep.MemoBackend, localStats workloa
 	}
 	b := &RemoteBackend{
 		opts:    opts,
-		local:   local,
 		workers: make(map[string]*worker, len(opts.Workers)),
 		client:  peer.Client{APIKey: opts.APIKey, Timeout: opts.Timeout},
 		log:     log,
@@ -590,20 +640,15 @@ func (b *RemoteBackend) rotate(order []*worker) []*worker {
 	return append(rot, order[h:]...)
 }
 
-// BackendStats reports the wrapped local backend's store counters (zero
-// when there is none) with the dispatch block filled in — the shape
-// /healthz and /metrics render. The aggregate counters are per-kind sums.
-func (b *RemoteBackend) BackendStats() sweep.BackendStats {
-	var bs sweep.BackendStats
-	if sr, ok := b.local.(sweep.StatsReporter); ok {
-		bs = sr.BackendStats()
-	}
+// Stats snapshots the dispatch counters. The aggregate counters are
+// per-kind sums.
+func (b *RemoteBackend) Stats() Stats {
 	now := b.now()
-	perKind := []sweep.DispatchKindStats{
+	perKind := []KindStats{
 		b.counters.stats.snapshot(b.counters.name),
 		b.cluster.stats.snapshot(b.cluster.name),
 	}
-	d := &sweep.DispatchStats{
+	d := Stats{
 		Workers:  int64(len(b.workers)),
 		InFlight: b.inFlight.Load(),
 		PerKind:  perKind,
@@ -622,7 +667,7 @@ func (b *RemoteBackend) BackendStats() sweep.BackendStats {
 			d.Healthy++
 		}
 		fails, lastErr := w.failState()
-		d.PerWorker = append(d.PerWorker, sweep.WorkerStats{
+		d.PerWorker = append(d.PerWorker, WorkerStats{
 			Addr:             w.addr,
 			Sent:             w.sent.Load(),
 			Errors:           w.errs.Load(),
@@ -633,6 +678,5 @@ func (b *RemoteBackend) BackendStats() sweep.BackendStats {
 			LastError:        lastErr,
 		})
 	}
-	bs.Dispatch = d
-	return bs
+	return d
 }

@@ -202,7 +202,7 @@ func TestLoadPrefersLocal(t *testing.T) {
 	if served.Load() != 0 {
 		t.Fatalf("local hit still dispatched %d requests", served.Load())
 	}
-	if d := b.BackendStats().Dispatch; d.Dispatched != 0 {
+	if d := b.Stats(); d.Dispatched != 0 {
 		t.Fatalf("Dispatched = %d, want 0", d.Dispatched)
 	}
 }
@@ -228,7 +228,7 @@ func TestRemoteHitWritesThrough(t *testing.T) {
 	if served.Load() != 1 {
 		t.Fatalf("worker served %d requests, want 1 (second Load must hit local)", served.Load())
 	}
-	d := b.BackendStats().Dispatch
+	d := b.Stats()
 	if d.Dispatched != 1 || d.RemoteHits != 1 || d.Fallbacks != 0 {
 		t.Fatalf("stats = %+v, want 1 dispatched / 1 remote hit / 0 fallbacks", d)
 	}
@@ -257,11 +257,11 @@ func TestClusterJobDispatch(t *testing.T) {
 		t.Fatalf("worker served %d requests, want 1 (second LoadStats must hit local)", served.Load())
 	}
 	// A warm local stats entry must not dispatch either.
-	d := b.BackendStats().Dispatch
+	d := b.Stats()
 	if d.Dispatched != 1 || d.RemoteHits != 1 {
 		t.Fatalf("aggregate stats = %+v, want 1 dispatched / 1 remote hit", d)
 	}
-	var cluster, counters sweep.DispatchKindStats
+	var cluster, counters KindStats
 	for _, pk := range d.PerKind {
 		switch pk.Kind {
 		case store.KindCluster:
@@ -303,7 +303,7 @@ func TestRetryOnFailingWorker(t *testing.T) {
 	if goodServed.Load() < 4 {
 		t.Fatalf("surviving worker served %d, want >= 4", goodServed.Load())
 	}
-	d := b.BackendStats().Dispatch
+	d := b.Stats()
 	if d.RemoteHits != 4 || d.Fallbacks != 0 {
 		t.Fatalf("stats = %+v, want 4 remote hits and 0 fallbacks", d)
 	}
@@ -322,7 +322,7 @@ func TestFallbackWhenAllWorkersDark(t *testing.T) {
 	if _, ok := b.Load(testCtx, k); ok {
 		t.Fatal("Load succeeded against a dead worker set")
 	}
-	d := b.BackendStats().Dispatch
+	d := b.Stats()
 	if d.Fallbacks != 1 || d.RemoteHits != 0 {
 		t.Fatalf("stats = %+v, want exactly 1 fallback", d)
 	}
@@ -361,11 +361,11 @@ func TestShedWorkerDemotedAndRecovers(t *testing.T) {
 		t.Fatalf("shedding worker saw %d requests, want 1", shedServed.Load())
 	}
 
-	d := b.BackendStats().Dispatch
+	d := b.Stats()
 	if d.Shed != 1 || d.Healthy != 2 {
 		t.Fatalf("stats = %+v, want 1 shed and both workers healthy (429 is not a circuit failure)", d)
 	}
-	var shedStats sweep.WorkerStats
+	var shedStats WorkerStats
 	for _, w := range d.PerWorker {
 		if w.Addr == addrOf(shed) {
 			shedStats = w
@@ -384,7 +384,7 @@ func TestShedWorkerDemotedAndRecovers(t *testing.T) {
 	if order, _ := b.rank(counterAddr(t, k)); order[0].addr != addrOf(shed) {
 		t.Fatal("worker still demoted after its Retry-After window passed")
 	}
-	if b.BackendStats().Dispatch.PerWorker[0].Shedding {
+	if b.Stats().PerWorker[0].Shedding {
 		t.Fatal("worker still reported shedding after its Retry-After window passed")
 	}
 }
@@ -408,7 +408,7 @@ func TestFullySheddingClusterFallsBack(t *testing.T) {
 	if served1.Load()+served2.Load() == 0 {
 		t.Fatal("no worker was ever attempted")
 	}
-	d := b.BackendStats().Dispatch
+	d := b.Stats()
 	if d.Fallbacks != 2 || d.Healthy != 2 || d.Shed == 0 {
 		t.Fatalf("stats = %+v, want 2 fallbacks, 2 healthy workers, nonzero shed", d)
 	}
@@ -444,13 +444,13 @@ func TestCircuitOpensAndRecovers(t *testing.T) {
 		if _, ok := b.Load(testCtx, k); !ok {
 			t.Fatalf("seed %d: fetch failed with a healthy worker present", seed)
 		}
-		opened = b.BackendStats().Dispatch.Healthy == 1
+		opened = b.Stats().Healthy == 1
 	}
 	if !opened {
 		t.Fatal("bad worker's circuit never opened")
 	}
-	d := b.BackendStats().Dispatch
-	var badStats sweep.WorkerStats
+	d := b.Stats()
+	var badStats WorkerStats
 	for _, w := range d.PerWorker {
 		if w.Addr == addrOf(bad) {
 			badStats = w
@@ -468,7 +468,7 @@ func TestCircuitOpensAndRecovers(t *testing.T) {
 			t.Fatalf("seed %d: fetch failed while circuit open", seed)
 		}
 	}
-	for _, w := range b.BackendStats().Dispatch.PerWorker {
+	for _, w := range b.Stats().PerWorker {
 		if w.Addr == addrOf(bad) && w.Sent != sentBefore {
 			t.Fatalf("circuit-open worker still saw %d new requests", w.Sent-sentBefore)
 		}
@@ -476,7 +476,7 @@ func TestCircuitOpensAndRecovers(t *testing.T) {
 
 	// Past the cooldown the worker counts as healthy and is probed again.
 	clock = clock.Add(DefaultCooldown + time.Second)
-	if got := b.BackendStats().Dispatch.Healthy; got != 2 {
+	if got := b.Stats().Healthy; got != 2 {
 		t.Fatalf("healthy after cooldown = %d, want 2", got)
 	}
 }
@@ -496,11 +496,11 @@ func TestDarkClusterFailsFast(t *testing.T) {
 			t.Fatal("broken worker answered")
 		}
 	}
-	sentBefore := b.BackendStats().Dispatch.PerWorker[0].Sent
+	sentBefore := b.Stats().PerWorker[0].Sent
 	if _, ok := b.Load(testCtx, testKey("w", 99)); ok {
 		t.Fatal("dark cluster answered")
 	}
-	d := b.BackendStats().Dispatch
+	d := b.Stats()
 	if d.PerWorker[0].Sent != sentBefore {
 		t.Fatalf("circuit-open worker was contacted (%d new requests); want fail-fast", d.PerWorker[0].Sent-sentBefore)
 	}
@@ -513,7 +513,7 @@ func TestDarkClusterFailsFast(t *testing.T) {
 	if _, ok := b.Load(testCtx, testKey("w", 100)); ok {
 		t.Fatal("broken worker answered after cooldown")
 	}
-	if got := b.BackendStats().Dispatch.PerWorker[0].Sent; got != sentBefore+1 {
+	if got := b.Stats().PerWorker[0].Sent; got != sentBefore+1 {
 		t.Fatalf("post-cooldown probe count = %d, want %d", got, sentBefore+1)
 	}
 }
@@ -628,7 +628,7 @@ func TestCancelAbortsWorkerRequest(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	d := b.BackendStats().Dispatch
+	d := b.Stats()
 	if d.Fallbacks != 0 {
 		t.Fatalf("caller cancellation counted %d fallbacks, want 0", d.Fallbacks)
 	}
@@ -692,7 +692,7 @@ func TestReplicaRotationSpreadsReads(t *testing.T) {
 				i, counts[0].Load(), counts[1].Load(), counts[2].Load())
 		}
 	}
-	d := rot.BackendStats().Dispatch
+	d := rot.Stats()
 	if d.Fallbacks != 0 {
 		t.Fatalf("rotation counted %d fallbacks, want 0", d.Fallbacks)
 	}
@@ -733,7 +733,7 @@ func TestWorkerDiagnosticsSurface(t *testing.T) {
 	if _, ok := b.Load(context.Background(), k); ok {
 		t.Fatal("load against a failing worker reported a hit")
 	}
-	ws := b.BackendStats().Dispatch.PerWorker[0]
+	ws := b.Stats().PerWorker[0]
 	if ws.ConsecutiveFails == 0 {
 		t.Fatal("failing worker reports zero consecutive fails")
 	}
@@ -745,7 +745,7 @@ func TestWorkerDiagnosticsSurface(t *testing.T) {
 	if c, ok := b.Load(context.Background(), k); !ok || c.Cycles != int64(k.Profile.Seed) {
 		t.Fatalf("recovered load: got %+v ok=%v", c, ok)
 	}
-	ws = b.BackendStats().Dispatch.PerWorker[0]
+	ws = b.Stats().PerWorker[0]
 	if ws.ConsecutiveFails != 0 || ws.LastError != "" {
 		t.Fatalf("success did not clear diagnostics: fails=%d lastErr=%q", ws.ConsecutiveFails, ws.LastError)
 	}

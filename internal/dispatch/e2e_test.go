@@ -208,7 +208,7 @@ func TestDistributedByteParityAndWarmRestart(t *testing.T) {
 	if sims, _ := shim.statsCounts(); sims != 0 {
 		t.Fatalf("front-end simulated %d cluster experiments itself; the worker must do all of them", sims)
 	}
-	d := remote.BackendStats().Dispatch
+	d := remote.Stats()
 	if d.RemoteHits != int64(nkeys+ncluster) || d.Fallbacks != 0 {
 		t.Fatalf("dispatch stats = %+v, want %d remote hits (both kinds) and no fallbacks", d, nkeys+ncluster)
 	}
@@ -240,7 +240,7 @@ func TestDistributedByteParityAndWarmRestart(t *testing.T) {
 	if sims, hits := shim2.statsCounts(); sims != 0 || hits != ncluster {
 		t.Fatalf("restart: cluster sims=%d hits=%d, want 0 re-simulations and %d store hits", sims, hits, ncluster)
 	}
-	if d := remote2.BackendStats().Dispatch; d.Dispatched != 0 {
+	if d := remote2.Stats(); d.Dispatched != 0 {
 		t.Fatalf("restarted front-end dispatched %d jobs; the store should have answered all of them", d.Dispatched)
 	}
 }
@@ -287,7 +287,7 @@ func TestWorkerKilledMidSweep(t *testing.T) {
 	if sims, _ := shim.counts(); sims != 0 {
 		t.Fatalf("front-end fell back to %d local simulations; the survivor should have absorbed the sweep", sims)
 	}
-	d := remote.BackendStats().Dispatch
+	d := remote.Stats()
 	if d.Fallbacks != 0 || d.RemoteHits != int64(len(core.Registry())) {
 		t.Fatalf("dispatch stats = %+v, want every key remote with no fallbacks", d)
 	}
@@ -322,7 +322,7 @@ func TestAllWorkersDarkFallsBackLocally(t *testing.T) {
 	if sims, _ := shim.counts(); sims != nkeys {
 		t.Fatalf("front-end simulated %d keys, want all %d locally", sims, nkeys)
 	}
-	d := remote.BackendStats().Dispatch
+	d := remote.Stats()
 	if d.Fallbacks != int64(nkeys) || d.RemoteHits != 0 {
 		t.Fatalf("dispatch stats = %+v, want %d counted fallbacks", d, nkeys)
 	}

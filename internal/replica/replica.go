@@ -57,7 +57,6 @@ import (
 	"dcbench/internal/obs"
 	"dcbench/internal/peer"
 	"dcbench/internal/store"
-	"dcbench/internal/sweep"
 )
 
 // Defaults for Options' zero fields.
@@ -261,10 +260,34 @@ func (r *Replicator) Close() {
 	r.wg.Wait()
 }
 
-// Stats snapshots the replication counters — the Replication block of
-// sweep.BackendStats.
-func (r *Replicator) Stats() sweep.ReplicationStats {
-	return sweep.ReplicationStats{
+// Stats is the replication block of /healthz: the write-through fan-out's
+// traffic (pushed/push_errors/dropped/queue_depth), the anti-entropy loop's
+// (digest_rounds/pulled/pull_errors/repaired), and the aggregated
+// cluster-wide gauge the last digest exchange observed (cluster_records/
+// cluster_bytes — every peer's record count and bytes summed with this
+// node's own, the cluster view the per-process budgets lack). Dropped > 0
+// means the push queue overflowed and anti-entropy is carrying the slack;
+// Repaired counts records a digest round actually pulled in, so a steady
+// nonzero rate flags a peer that keeps diverging. Each field declares the
+// /metrics family it is exported under.
+type Stats struct {
+	Peers          int64 `json:"peers" metric:"dcserved_replica_peers,gauge" help:"Configured replica peers (-replicas)."`
+	Factor         int64 `json:"factor" metric:"dcserved_replica_factor,gauge" help:"Total copies of each fresh record, this node included (-replication-factor)."`
+	Pushed         int64 `json:"pushed" metric:"dcserved_replica_pushed_total,counter" help:"Fresh records delivered to a peer by write-through fan-out."`
+	PushErrors     int64 `json:"push_errors" metric:"dcserved_replica_push_errors_total,counter" help:"Fan-out pushes that exhausted their retries."`
+	Dropped        int64 `json:"dropped" metric:"dcserved_replica_dropped_total,counter" help:"Fan-out pushes dropped on queue overflow or shutdown (anti-entropy repairs them)."`
+	QueueDepth     int64 `json:"queue_depth" metric:"dcserved_replica_queue_depth,gauge" help:"Fan-out pushes currently queued."`
+	DigestRounds   int64 `json:"digest_rounds" metric:"dcserved_replica_digest_rounds_total,counter" help:"Anti-entropy digest exchanges run."`
+	Pulled         int64 `json:"pulled" metric:"dcserved_replica_pulled_total,counter" help:"Records fetched from peers during anti-entropy."`
+	PullErrors     int64 `json:"pull_errors" metric:"dcserved_replica_pull_errors_total,counter" help:"Failed peer digest/record fetches."`
+	Repaired       int64 `json:"repaired" metric:"dcserved_replica_repaired_total,counter" help:"Divergent records adopted during anti-entropy."`
+	ClusterRecords int64 `json:"cluster_records" metric:"dcserved_replica_cluster_records,gauge" help:"Records across the cluster at the last digest round (sum over peers, copies counted)."`
+	ClusterBytes   int64 `json:"cluster_bytes" metric:"dcserved_replica_cluster_bytes,gauge" help:"Record bytes across the cluster at the last digest round."`
+}
+
+// Stats snapshots the replication counters.
+func (r *Replicator) Stats() Stats {
+	return Stats{
 		Peers:          int64(len(r.opts.Peers)),
 		Factor:         int64(r.opts.Factor),
 		Pushed:         r.pushed.Load(),

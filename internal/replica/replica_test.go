@@ -536,7 +536,7 @@ func TestReplicaSetMatchesDispatchRotation(t *testing.T) {
 		t.Fatalf("rotated reads produced %d store hits, want >= %d: the second replica of each key was never asked", hits, 2*K)
 	}
 	for _, fe := range []*dispatch.RemoteBackend{cold, warm} {
-		if d := fe.BackendStats().Dispatch; d.Fallbacks != 0 || d.Errors != 0 {
+		if d := fe.Stats(); d.Fallbacks != 0 || d.Errors != 0 {
 			t.Fatalf("front-end dispatch stats = %+v, want no fallbacks or errors", d)
 		}
 	}

@@ -14,6 +14,10 @@ func (s *Server) SetServiceTimeForTest(kind string, secs float64) {
 	s.svcMu.Unlock()
 }
 
+// HealthForTest is the /healthz document type, so tests can decode the
+// probe and walk the metric declarations on its fields.
+type HealthForTest = health
+
 // FlightLenForTest reports how many rendered bodies the server holds,
 // retained or in flight.
 func (s *Server) FlightLenForTest() int { return s.flight.Len() }

@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"dcbench/internal/core"
+	"dcbench/internal/dispatch"
 	"dcbench/internal/jobs"
 	"dcbench/internal/memo"
 	"dcbench/internal/obs"
@@ -89,9 +90,9 @@ type Config struct {
 
 // Stats are the server's monotonic request counters.
 type Stats struct {
-	Requests  int64 `json:"requests"`
-	Coalesced int64 `json:"coalesced"`
-	Errors    int64 `json:"errors"`
+	Requests  int64 `json:"requests" metric:"dcserved_requests_total,counter" help:"HTTP requests handled."`
+	Coalesced int64 `json:"coalesced" metric:"dcserved_coalesced_total,counter" help:"Requests that joined an in-flight render instead of starting one."`
+	Errors    int64 `json:"errors" metric:"dcserved_errors_total,counter" help:"Requests answered with a 5xx status."`
 }
 
 // JobStats is the compute-endpoint admission state: how many jobs are
@@ -100,12 +101,12 @@ type Stats struct {
 // for a slot, how many shed-time requests instead joined an in-flight
 // computation, and how many jobs have been cancelled.
 type JobStats struct {
-	InFlight    int64 `json:"in_flight"`
-	MaxInflight int64 `json:"max_inflight"`
-	Shed        int64 `json:"shed"`
-	Queued      int64 `json:"queued"`
-	Joined      int64 `json:"joined"`
-	Cancelled   int64 `json:"cancelled"`
+	InFlight    int64 `json:"in_flight" metric:"dcserved_jobs_in_flight,gauge" help:"Compute jobs (counters + cluster) currently running."`
+	MaxInflight int64 `json:"max_inflight" metric:"dcserved_jobs_max_inflight,gauge" help:"Admission-control bound on concurrent compute jobs; 0 = unlimited."`
+	Shed        int64 `json:"shed" metric:"dcserved_jobs_shed_total,counter" help:"Compute jobs shed with 429 because the worker was saturated."`
+	Queued      int64 `json:"queued" metric:"dcserved_jobs_queued,gauge" help:"Async jobs accepted and waiting for an admission slot."`
+	Joined      int64 `json:"joined" metric:"dcserved_jobs_joined_total,counter" help:"Saturated requests that joined an in-flight job instead of shedding."`
+	Cancelled   int64 `json:"cancelled" metric:"dcserved_jobs_cancelled_total,counter" help:"Jobs cancelled by DELETE /v1/jobs/{id}."`
 }
 
 // Server is the dcserved HTTP service. Create with New, expose with
@@ -504,23 +505,20 @@ func (s *Server) serveTable(w http.ResponseWriter, r *http.Request, key string, 
 	})
 }
 
-// backendStats resolves the store-level counters for /healthz and
-// /metrics: the engine's memo backend when it reports them (the store's
-// does, and wrappers may forward), else the configured store directly,
-// with the replicator's counters beside them when one runs over the store.
-func (s *Server) backendStats() (sweep.BackendStats, bool) {
-	var bs sweep.BackendStats
-	ok := false
-	if sr, isReporter := s.backend.(sweep.StatsReporter); isReporter {
-		bs, ok = sr.BackendStats(), true
-	} else if s.store != nil {
-		bs, ok = s.store.BackendStats(), true
-	}
-	if s.replica != nil {
-		rs := s.replica.Stats()
-		bs.Replication = &rs
-	}
-	return bs, ok
+// health is the /healthz document. /metrics renders the same document:
+// every number in it declares its family with a metric tag (see
+// metrics.go), so the two surfaces cannot drift apart.
+type health struct {
+	Status        string  `json:"status"`
+	UptimeSeconds float64 `json:"uptime_seconds" metric:"dcserved_uptime_seconds,gauge" help:"Seconds since the server started."`
+	// ConfigFP is the default machine's fingerprint at this server's
+	// warmup — exactly what a counters job key's ConfigFP must be, so
+	// a client can build valid keys from /healthz alone.
+	ConfigFP string        `json:"config_fp"`
+	Stats    Stats         `json:"stats"`
+	Jobs     JobStats      `json:"jobs"`
+	Tenants  *tenantReport `json:"tenants,omitempty"`
+	Store    *storeReport  `json:"store,omitempty"`
 }
 
 // tenantReport is the /healthz "tenants" block: whether auth is on, and
@@ -532,28 +530,45 @@ type tenantReport struct {
 	PerTenant []tenant.Snapshot `json:"per_tenant,omitempty"`
 }
 
-func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	h := struct {
-		Status        string  `json:"status"`
-		UptimeSeconds float64 `json:"uptime_seconds"`
-		// ConfigFP is the default machine's fingerprint at this server's
-		// warmup — exactly what a counters job key's ConfigFP must be, so
-		// a client can build valid keys from /healthz alone.
-		ConfigFP string              `json:"config_fp"`
-		Stats    Stats               `json:"stats"`
-		Jobs     JobStats            `json:"jobs"`
-		Tenants  *tenantReport       `json:"tenants,omitempty"`
-		Store    *sweep.BackendStats `json:"store,omitempty"`
-	}{Status: "ok", UptimeSeconds: time.Since(s.started).Seconds(),
+// storeReport is the /healthz "store" block: the result store's counters
+// (zero on a storeless dispatch front-end), the dispatch backend's when
+// the engine forwards misses to workers, and the replicator's when one
+// runs over the store.
+type storeReport struct {
+	store.Stats
+	Dispatch    *dispatch.Stats `json:"dispatch,omitempty"`
+	Replication *replica.Stats  `json:"replication,omitempty"`
+}
+
+// health snapshots the /healthz document.
+func (s *Server) health() health {
+	h := health{Status: "ok", UptimeSeconds: time.Since(s.started).Seconds(),
 		ConfigFP: fmt.Sprintf("%016x", s.opts.CoreConfig().Fingerprint()),
 		Stats:    s.Stats(), Jobs: s.JobStats()}
 	if snaps := s.tenants.Snapshots(); s.tenants.Enabled() || len(snaps) > 0 {
 		h.Tenants = &tenantReport{Auth: s.tenants.Enabled(), PerTenant: snaps}
 	}
-	if bs, ok := s.backendStats(); ok {
-		h.Store = &bs
+	remote, _ := s.backend.(*dispatch.RemoteBackend)
+	if s.store == nil && remote == nil {
+		return h
 	}
-	writeJSON(w, h)
+	h.Store = &storeReport{}
+	if s.store != nil {
+		h.Store.Stats = s.store.Stats()
+	}
+	if remote != nil {
+		d := remote.Stats()
+		h.Store.Dispatch = &d
+	}
+	if s.replica != nil {
+		rs := s.replica.Stats()
+		h.Store.Replication = &rs
+	}
+	return h
+}
+
+func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, s.health())
 }
 
 // workloadInfo is one row of the /v1/workloads listing. Cluster-capable

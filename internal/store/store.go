@@ -117,9 +117,25 @@ func RegisterFlags(fs *flag.FlagSet, o *OpenOptions) {
 }
 
 // Stats is a snapshot of the store's monotonic counters plus its current
-// size and geometry. It aliases sweep.BackendStats — the engine-facing
-// observability type — so the two surfaces can never drift apart.
-type Stats = sweep.BackendStats
+// size and geometry: the store block of /healthz. Each field declares the
+// /metrics family it is exported under. The hit/miss split tells an
+// operator how warm the store is; a nonzero Corrupt count flags disk
+// trouble the store silently degraded around.
+type Stats struct {
+	Records   int64 `json:"records" metric:"dcserved_store_records,gauge" help:"Records currently in the result store."`
+	Bytes     int64 `json:"bytes" metric:"dcserved_store_bytes,gauge" help:"Total record bytes in the result store."`
+	Shards    int64 `json:"shards" metric:"dcserved_store_shards,gauge" help:"Hash shards in the result store."`
+	Hits      int64 `json:"hits" metric:"dcserved_store_hits_total,counter" help:"Store reads that returned a valid record."`
+	Misses    int64 `json:"misses" metric:"dcserved_store_misses_total,counter" help:"Store reads that found no usable record."`
+	Writes    int64 `json:"writes" metric:"dcserved_store_writes_total,counter" help:"Records written to the store."`
+	Evictions int64 `json:"evictions" metric:"dcserved_store_evictions_total,counter" help:"Records removed by the eviction policy."`
+	Corrupt   int64 `json:"corrupt" metric:"dcserved_store_corrupt_total,counter" help:"Corrupt records detected and skipped."`
+	// Adopted counts records installed from a replica peer (write-through
+	// push or anti-entropy pull) rather than simulated here — the split
+	// that lets "writes" keep meaning "computed on this node", which the
+	// zero-re-simulation oracles depend on.
+	Adopted int64 `json:"adopted" metric:"dcserved_store_adopted_total,counter" help:"Records adopted verbatim from replica peers (push or anti-entropy)."`
+}
 
 // Store is an on-disk result store. It is safe for concurrent use by any
 // number of goroutines; see the package comment for the cross-process
@@ -379,9 +395,6 @@ func (s *Store) Stats() Stats {
 		Corrupt:   s.corrupt.Load(),
 	}
 }
-
-// BackendStats is Stats under the sweep engine's observability contract.
-func (s *Store) BackendStats() sweep.BackendStats { return s.Stats() }
 
 // addrHash is the content address of a (kind, canonical key) pair as a
 // number: fnv64a over kind, NUL, key. It depends on nothing else — not the
@@ -676,9 +689,7 @@ func (s *Store) PutClusterStats(k workloads.StatsKey, st *workloads.Stats) error
 
 // Backend adapts the store to the sweep engine's MemoBackend contract:
 // failures are logged and swallowed, so a broken disk degrades the engine
-// to plain re-simulation instead of failing sweeps. The returned backend
-// also implements sweep.StatsReporter, surfacing the store's counters to
-// the serving layer.
+// to plain re-simulation instead of failing sweeps.
 func (s *Store) Backend(log *slog.Logger) sweep.MemoBackend {
 	if log == nil {
 		log = slog.Default()
@@ -710,8 +721,6 @@ func (b *backend) Store(ctx context.Context, k sweep.Key, c *uarch.Counters) {
 		b.log.Warn("store put failed; result not persisted", "workload", k.Name, "err", err)
 	}
 }
-
-func (b *backend) BackendStats() sweep.BackendStats { return b.s.BackendStats() }
 
 // StatsBackend adapts the store to the cluster memo's StatsBackend
 // contract with the same swallow-failures degradation as Backend.

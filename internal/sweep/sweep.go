@@ -111,118 +111,6 @@ type MemoBackend interface {
 	Store(context.Context, Key, *uarch.Counters)
 }
 
-// BackendStats is a point-in-time snapshot of a MemoBackend's store-level
-// counters: current size and geometry plus the monotonic traffic counters.
-// The hit/miss split tells an operator how warm the store is; a nonzero
-// Corrupt count flags disk trouble the backend silently degraded around.
-// A backend that forwards misses to worker nodes fills the Dispatch block;
-// plain stores leave it nil.
-type BackendStats struct {
-	Records   int64 `json:"records"`
-	Bytes     int64 `json:"bytes"`
-	Shards    int64 `json:"shards"`
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Writes    int64 `json:"writes"`
-	Evictions int64 `json:"evictions"`
-	Corrupt   int64 `json:"corrupt"`
-	// Adopted counts records installed from a replica peer (write-through
-	// push or anti-entropy pull) rather than simulated here — the split
-	// that lets "writes" keep meaning "computed on this node", which the
-	// zero-re-simulation oracles depend on. Omitted while zero, so
-	// replication-off output is byte-identical to older builds.
-	Adopted  int64          `json:"adopted,omitempty"`
-	Dispatch *DispatchStats `json:"dispatch,omitempty"`
-	// Replication reports the replica subsystem when one is wired in
-	// (write-through fan-out and anti-entropy between store peers);
-	// standalone nodes leave it nil.
-	Replication *ReplicationStats `json:"replication,omitempty"`
-}
-
-// ReplicationStats is the replica subsystem's slice of BackendStats: the
-// write-through fan-out's traffic (pushed/push_errors/dropped/queue_depth),
-// the anti-entropy loop's (digest_rounds/pulled/pull_errors/repaired), and
-// the aggregated cluster-wide gauge the last digest exchange observed
-// (cluster_records/cluster_bytes — every peer's record count and bytes
-// summed with this node's own, the cluster view the per-process budgets
-// lack). Dropped > 0 means the push queue overflowed and anti-entropy is
-// carrying the slack; Repaired counts records a digest round actually
-// pulled in, so a steady nonzero rate flags a peer that keeps diverging.
-type ReplicationStats struct {
-	Peers          int64 `json:"peers"`
-	Factor         int64 `json:"factor"`
-	Pushed         int64 `json:"pushed"`
-	PushErrors     int64 `json:"push_errors"`
-	Dropped        int64 `json:"dropped"`
-	QueueDepth     int64 `json:"queue_depth"`
-	DigestRounds   int64 `json:"digest_rounds"`
-	Pulled         int64 `json:"pulled"`
-	PullErrors     int64 `json:"pull_errors"`
-	Repaired       int64 `json:"repaired"`
-	ClusterRecords int64 `json:"cluster_records"`
-	ClusterBytes   int64 `json:"cluster_bytes"`
-}
-
-// DispatchStats is the remote-dispatch slice of BackendStats: how much
-// compute work left this process, how much of it came back, and how often
-// the process had to degrade to simulating locally. Fallbacks > 0 with a
-// nonzero worker set is the operator's signal that the cluster is dark;
-// Shed > 0 says workers are answering but saturated (429), so the set is
-// undersized for the load, not broken. The aggregate counters sum over
-// job kinds; PerKind splits them so a cluster-job problem cannot hide
-// behind healthy counter traffic.
-type DispatchStats struct {
-	Workers    int64               `json:"workers"`
-	Healthy    int64               `json:"healthy"`
-	Dispatched int64               `json:"dispatched"`
-	RemoteHits int64               `json:"remote_hits"`
-	Fallbacks  int64               `json:"fallbacks"`
-	Errors     int64               `json:"errors"`
-	Shed       int64               `json:"shed"`
-	InFlight   int64               `json:"in_flight"`
-	PerKind    []DispatchKindStats `json:"per_kind,omitempty"`
-	PerWorker  []WorkerStats       `json:"per_worker,omitempty"`
-}
-
-// DispatchKindStats is one job kind's slice of the dispatch counters.
-// Kind names match the store's record kinds ("counters", "cluster").
-type DispatchKindStats struct {
-	Kind       string `json:"kind"`
-	Dispatched int64  `json:"dispatched"`
-	RemoteHits int64  `json:"remote_hits"`
-	Fallbacks  int64  `json:"fallbacks"`
-	Errors     int64  `json:"errors"`
-	Shed       int64  `json:"shed"`
-}
-
-// WorkerStats is one worker's traffic and health as seen by the dispatch
-// layer. Shedding means the worker's last answer was a 429 and its
-// Retry-After window has not yet passed — it is demoted in ranking but,
-// unlike an open circuit, still counts as alive.
-type WorkerStats struct {
-	Addr        string `json:"addr"`
-	Sent        int64  `json:"sent"`
-	Errors      int64  `json:"errors"`
-	Shed        int64  `json:"shed"`
-	CircuitOpen bool   `json:"circuit_open"`
-	Shedding    bool   `json:"shedding"`
-	// ConsecutiveFails is the worker's current failure streak (the circuit
-	// opens at the dispatch layer's threshold) and LastError the text of
-	// its most recent failed attempt — enough to diagnose a dark replica
-	// from /healthz without grepping front-end logs. Both are omitted
-	// while the worker is clean, so healthy output is unchanged.
-	ConsecutiveFails int    `json:"consecutive_fails,omitempty"`
-	LastError        string `json:"last_error,omitempty"`
-}
-
-// StatsReporter is the optional MemoBackend extension for observability:
-// backends that keep store-level counters implement it, and consumers
-// (dcserved's /healthz and /metrics) discover it by type assertion, so
-// plain backends and test shims stay two-method simple.
-type StatsReporter interface {
-	BackendStats() BackendStats
-}
-
 // Engine runs characterization sweeps. It is safe for concurrent use; the
 // memo table and core pools are shared across runs, so a long-lived engine
 // amortises both simulation and allocation across every figure render.

@@ -89,27 +89,27 @@ type Limits struct {
 }
 
 // Usage is one tenant's cumulative consumption, the admin plane's
-// reporting unit and the source of the dcserved_tenant_* metric
-// families.
+// reporting unit. Each field declares the dcserved_tenant_* metric family
+// it is exported under; Jobs is keyed by job kind.
 type Usage struct {
-	Requests     int64            `json:"requests"`
-	RateLimited  int64            `json:"rate_limited"`
-	QuotaDenied  int64            `json:"quota_denied"`
-	Jobs         map[string]int64 `json:"jobs,omitempty"`
-	Instructions int64            `json:"instructions"`
+	Requests     int64            `json:"requests" metric:"dcserved_tenant_requests_total,counter" help:"Requests admitted, by tenant."`
+	RateLimited  int64            `json:"rate_limited" metric:"dcserved_tenant_rate_limited_total,counter" help:"Requests refused 429 quota_exceeded by the tenant's rate limit."`
+	QuotaDenied  int64            `json:"quota_denied" metric:"dcserved_tenant_quota_denied_total,counter" help:"Requests and jobs refused 429 quota_exceeded by a cumulative quota."`
+	Jobs         map[string]int64 `json:"jobs,omitempty" metric:"dcserved_tenant_jobs_total,counter" label:"kind" help:"Completed compute jobs, by tenant and job kind."`
+	Instructions int64            `json:"instructions" metric:"dcserved_tenant_instructions_total,counter" help:"Simulated instructions charged to each tenant's completed jobs."`
 }
 
 // Snapshot is one tenant's externally visible state: what /healthz
 // embeds per tenant and GET /admin/v1/usage reports. Secrets never
 // appear in snapshots.
 type Snapshot struct {
-	ID string `json:"id"`
+	ID string `json:"id" label:"tenant"`
 	// Keyed distinguishes tenants backed by an API key from
 	// attribution-only tenants (work labelled via the dispatch hop's
 	// X-Dcs-Tenant header on a server without that key).
 	Keyed    bool   `json:"keyed"`
 	Disabled bool   `json:"disabled,omitempty"`
-	Limits   Limits `json:"limits"`
+	Limits   Limits `json:"limits" metric:"-"` // configuration, not telemetry: /healthz only
 	Usage    Usage  `json:"usage"`
 }
 
