@@ -16,7 +16,9 @@
 //	-seed n     generator seed (default 42)
 //	-instrs n   measured instructions per workload trace (default 650000)
 //	-warmup n   ramp-up instructions excluded from counters (default 250000)
-//	-j n        sweep parallelism; 0 = one worker per host core (default 0)
+//	-j n        fan-out of each sweep call; 0 = one per host core (default 0);
+//	            process-wide, at most one simulation or cluster cell per core
+//	            runs at once, however many calls are fanned out
 //	-csv        emit CSV instead of tables
 //	-chart      append an ASCII bar chart to single-metric figures
 //	-store dir  persist sweep and cluster results in dir across runs, sharing

@@ -66,7 +66,10 @@
 //	-debug-addr addr   serve /debug/traces and /debug/pprof on a separate
 //	                   listener, kept off the service port; empty disables
 //	-grace  shutdown grace period for in-flight requests (default 15s)
-//	-scale, -seed, -instrs, -warmup, -j   as in dcbench
+//	-scale, -seed, -instrs, -warmup, -j   as in dcbench; -j is each figure
+//	                           render's fan-out, and the process runs at most one
+//	                           simulation or cluster cell per core at once across
+//	                           every render and job
 //
 // Every dcserved is a job worker: POST /v1/jobs runs one kind-tagged job —
 // a characterization sweep key ("counters") or a cluster experiment cell

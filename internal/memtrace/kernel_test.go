@@ -2,8 +2,10 @@ package memtrace
 
 import (
 	"math"
+	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"dcbench/internal/sim"
 )
@@ -112,9 +114,9 @@ func TestCloseStopsTheGenerator(t *testing.T) {
 	default:
 		t.Fatal("Close returned while the generator goroutine was still running")
 	}
-	// Three batches read, four in the channel, one being filled, and the
+	// Three batches read, two in the channel, one being filled, and the
 	// one the generator may have handed over while Close was signalling.
-	if ahead := emitted - read; ahead < 0 || ahead > 6*batchSize {
+	if ahead := emitted - read; ahead < 0 || ahead > 4*batchSize {
 		t.Fatalf("generator emitted %d instructions, %d beyond the %d read: it did not stop within a few batches", emitted, ahead, read)
 	}
 	if n := r.Read(make([]Inst, 8)); n != 0 || len(r.NextBatch()) != 0 {
@@ -151,5 +153,52 @@ func TestCloseAfterTheEnd(t *testing.T) {
 	r.Close()
 	if n := r.Read(make([]Inst, 8)); n != 0 {
 		t.Fatal("a closed reader produced instructions")
+	}
+}
+
+// TestPausedReaderPinsFourBatches: a consumer that stops after its first
+// NextBatch leaves the generator parked with at most four 64 KiB batches
+// live for that reader — the lent one, two queued, one being filled.
+func TestPausedReaderPinsFourBatches(t *testing.T) {
+	const (
+		batchBytes = 64 << 10
+		slack      = 32 << 10 // the reader, the tracer and its samplers
+	)
+	p := Profile{MaxInstrs: 1 << 40}
+	gen := func(tr *Tracer) {
+		for {
+			tr.ALU(100)
+		}
+	}
+	live := func() uint64 {
+		runtime.GC()
+		runtime.GC() // the second empties the batch pool's victim cache
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	// A first reader builds the profile's shared Zipf tables.
+	warm := NewReader(p, gen)
+	warm.NextBatch()
+	warm.Close()
+
+	before := live()
+	r := NewReader(p, gen)
+	defer r.Close()
+	if len(r.NextBatch()) == 0 {
+		t.Fatal("no first batch")
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for len(r.ch) < cap(r.ch) {
+		if time.Now().After(deadline) {
+			t.Fatal("the generator never filled its queue")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond) // and the batch after the queue
+	pinned := live() - before
+	runtime.KeepAlive(r)
+	if pinned > 4*batchBytes+slack {
+		t.Fatalf("a paused reader pins %d KiB, want at most 4 batches of 64 KiB (+%d KiB slack)", pinned>>10, slack>>10)
 	}
 }

@@ -109,10 +109,6 @@ func TestRegistryProfilesMatchOracle(t *testing.T) {
 	}
 }
 
-// batchSize is the generator's batch length: trace lengths around its
-// multiples are where the batch hand-off and the cap meet.
-const batchSize = 8192
-
 // randomProfile draws a profile from the corners the kernel's arithmetic
 // has: probabilities that are 0, 1, out of range, NaN or a hair from either
 // end; periods of 1 and GC more often than the framework; no heap; block
@@ -159,15 +155,17 @@ func randomProfile(r *sim.RNG, i int) memtrace.Profile {
 		NSrc3P:          prob(),
 		ChainProb:       prob(),
 	}
+	// Trace lengths around multiples of the batch length are where the
+	// batch hand-off and the cap meet.
 	switch i % 8 {
 	case 0:
 		p.MaxInstrs = 1
 	case 1:
-		p.MaxInstrs = batchSize
+		p.MaxInstrs = memtrace.BatchSize
 	case 2:
-		p.MaxInstrs = 3 * batchSize
+		p.MaxInstrs = 3 * memtrace.BatchSize
 	case 3:
-		p.MaxInstrs = 2*batchSize + 1
+		p.MaxInstrs = 2*memtrace.BatchSize + 1
 	}
 	return p
 }

@@ -1,6 +1,7 @@
 package memtrace
 
 import (
+	"fmt"
 	"math"
 	"sync"
 
@@ -70,6 +71,52 @@ func (p Profile) Normalize() Profile {
 		p.NSrc2P = 0.35
 	}
 	return p
+}
+
+// maxFootprintKB bounds each code footprint a profile may ask for: 16 MiB,
+// four times the largest registry footprint. NewReader builds one Zipf
+// table over CodeKB and one over KernelKB, so a valid profile's tables stay
+// within 4 MiB.
+const maxFootprintKB = 1 << 14
+
+// Validate reports the first field outside the range the trace model is
+// defined on, by name: footprints in [0, maxFootprintKB], HotCodeKB no
+// larger than a set CodeKB, probabilities finite and in [0, 1], and
+// lengths, periods and HeapMB not negative. Zero stays valid everywhere:
+// Normalize reads it as the default.
+func (p Profile) Validate() error {
+	for _, f := range []struct {
+		name string
+		kb   int
+	}{{"CodeKB", p.CodeKB}, {"HotCodeKB", p.HotCodeKB}, {"KernelKB", p.KernelKB}} {
+		if f.kb < 0 || f.kb > maxFootprintKB {
+			return fmt.Errorf("profile %s %d outside [0, %d]", f.name, f.kb, maxFootprintKB)
+		}
+	}
+	if p.CodeKB != 0 && p.HotCodeKB > p.CodeKB {
+		return fmt.Errorf("profile HotCodeKB %d exceeds CodeKB %d", p.HotCodeKB, p.CodeKB)
+	}
+	for _, f := range []struct {
+		name string
+		p    float64
+	}{{"ColdJumpP", p.ColdJumpP}, {"FPUShare", p.FPUShare}, {"NSrc2P", p.NSrc2P},
+		{"NSrc3P", p.NSrc3P}, {"ChainProb", p.ChainProb}} {
+		if !(f.p >= 0 && f.p <= 1) {
+			return fmt.Errorf("profile %s %g outside [0, 1]", f.name, f.p)
+		}
+	}
+	for _, f := range []struct {
+		name string
+		n    int64
+	}{{"MaxInstrs", p.MaxInstrs}, {"BlockLen", int64(p.BlockLen)},
+		{"FrameworkEvery", int64(p.FrameworkEvery)}, {"FrameworkInstrs", int64(p.FrameworkInstrs)},
+		{"FrameworkJump", int64(p.FrameworkJump)}, {"GCEvery", p.GCEvery},
+		{"GCInstrs", int64(p.GCInstrs)}, {"HeapMB", int64(p.HeapMB)}, {"ALUPerMem", int64(p.ALUPerMem)}} {
+		if f.n < 0 {
+			return fmt.Errorf("profile %s %d is negative", f.name, f.n)
+		}
+	}
+	return nil
 }
 
 // Address-space layout of the trace model.
@@ -143,7 +190,12 @@ type abortTrace struct{}
 // producing).
 type TracePanic struct{ Val any }
 
-const batchSize = 8192
+// batchSize is the generator's batch length: 2048 instructions, 64 KiB.
+// The generator's channel is two deep, so it can run ahead of the core by a
+// batch while another is being handed over, and a trace in flight pins at
+// most four batches (the one lent to the reader, two queued, one being
+// filled): 256 KiB.
+const batchSize = 2048
 
 // batchPool recycles instruction batches between the generator goroutine
 // and the consuming reader. A full characterization sweep moves hundreds of
@@ -192,7 +244,7 @@ func NewReader(p Profile, gen func(t *Tracer)) *LiveReader {
 		src3T:     threshold(p.NSrc3P),
 		chainT:    threshold(p.ChainProb),
 		coldT:     threshold(p.ColdJumpP),
-		out:       make(chan []Inst, 4),
+		out:       make(chan []Inst, 2), // see batchSize
 		done:      make(chan struct{}),
 		buf:       newBatch(),
 		limit:     int(min(batchSize, p.MaxInstrs)),

@@ -22,9 +22,11 @@ type Options struct {
 	// counter-level experiments (Figures 3-12); Warmup precedes it.
 	Instrs int64
 	Warmup int64
-	// Jobs is the sweep parallelism (the CLI's -j flag); <= 0 means one
-	// worker per host core. Results are independent of Jobs: the sweeps are
-	// deterministic at any width.
+	// Jobs is each sweep call's fan-out (the CLI's -j flag); <= 0 means one
+	// per host core. The process runs at most one simulation or cluster
+	// cell per core at once however many calls fan out (sweep.Acquire).
+	// Results are independent of Jobs: the sweeps are deterministic at any
+	// width.
 	Jobs int
 	// Engine, when non-nil, runs the characterization sweeps instead of the
 	// process-wide default — the dcserved service sets this so its memo
@@ -68,7 +70,7 @@ func RegisterFlags(fs *flag.FlagSet, o *Options) {
 	fs.Uint64Var(&o.Seed, "seed", o.Seed, "generator seed")
 	fs.Int64Var(&o.Instrs, "instrs", o.Instrs, "measured instructions per trace")
 	fs.Int64Var(&o.Warmup, "warmup", o.Warmup, "ramp-up instructions excluded from counters")
-	fs.IntVar(&o.Jobs, "j", o.Jobs, "sweep parallelism; 0 = one worker per host core")
+	fs.IntVar(&o.Jobs, "j", o.Jobs, "fan-out of each sweep call; 0 = one per host core. Process-wide, at most one simulation or cluster cell per core runs at once")
 }
 
 // CoreConfig is the simulated machine for this run: the paper's Table III

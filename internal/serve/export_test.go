@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"context"
+
 	"dcbench/internal/sweep"
 	"dcbench/internal/workloads"
 )
@@ -35,4 +37,12 @@ func (s *Server) DropComputeCachesForTest(b sweep.MemoBackend, c workloads.Stats
 	s.engine.SetMemoBackend(b)
 	s.opts.Engine = s.engine
 	s.opts.Cluster = workloads.NewStatsCache(c)
+}
+
+// ClusterCellForTest runs run as key's cluster cell through the server's
+// cluster cache, the way a cluster job's runner does, so a test can drive a
+// cell that no shipped workload would (one that panics, say).
+func (s *Server) ClusterCellForTest(ctx context.Context, key workloads.StatsKey, run func(context.Context) (*workloads.Stats, error)) error {
+	_, err := s.opts.Cluster.DoShared(ctx, key, run)
+	return err
 }

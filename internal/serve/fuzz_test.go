@@ -8,13 +8,16 @@ import (
 	"hash/fnv"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
 	"dcbench/internal/core"
+	"dcbench/internal/memtrace"
 	"dcbench/internal/report"
 	"dcbench/internal/store"
 	"dcbench/internal/sweep"
@@ -109,6 +112,78 @@ func FuzzJobRequest(f *testing.F) {
 		}
 		if n := trip.touched.Load(); n != 0 {
 			t.Fatalf("decoding a job request touched the backend %d times", n)
+		}
+	})
+}
+
+// FuzzCounterJobExecutes runs every counters job the decoder accepts over a
+// fuzzed profile, capped at 2 000 instructions: nothing panics, no accepted
+// job answers 5xx, and no execution allocates more than 16 MiB — a job key
+// must not size the worker's memory.
+func FuzzCounterJobExecutes(f *testing.F) {
+	const (
+		instrs   = 2_000
+		maxAlloc = 16 << 20
+	)
+	opts := report.DefaultOptions()
+	s := New(Config{Options: opts, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	defer s.Close()
+	registry := core.Registry()
+	add := func(w uint8, p memtrace.Profile) {
+		f.Add(w, p.Seed, p.MaxInstrs, p.CodeKB, p.HotCodeKB, p.KernelKB, p.BlockLen, p.ColdJumpP,
+			p.FrameworkEvery, p.FrameworkInstrs, p.FrameworkJump, p.GCEvery, p.GCInstrs, p.HeapMB,
+			p.ALUPerMem, p.FPUShare, p.NSrc2P, p.NSrc3P, p.ChainProb)
+	}
+	for i, w := range registry {
+		add(uint8(i), w.Profile)
+	}
+	for _, edit := range []func(*memtrace.Profile){
+		func(p *memtrace.Profile) { p.CodeKB = -1 },
+		func(p *memtrace.Profile) { p.CodeKB = 1 << 20 },
+		func(p *memtrace.Profile) { p.KernelKB = 1 << 20 },
+		func(p *memtrace.Profile) { p.CodeKB, p.HotCodeKB, p.KernelKB = 1<<14, 1<<14, 1<<14 },
+		func(p *memtrace.Profile) { p.BlockLen, p.FrameworkJump, p.GCEvery = -1, -8, -5 },
+		func(p *memtrace.Profile) { p.FPUShare, p.NSrc2P = math.NaN(), -0.25 },
+		func(p *memtrace.Profile) { p.MaxInstrs, p.HeapMB = -1, -1 },
+	} {
+		p := registry[0].Profile
+		edit(&p)
+		add(0, p)
+	}
+
+	fp := opts.CoreConfig().Fingerprint()
+	f.Fuzz(func(t *testing.T, w uint8, seed uint64, maxInstrs int64, codeKB, hotCodeKB, kernelKB, blockLen int,
+		coldJumpP float64, frameworkEvery, frameworkInstrs, frameworkJump int, gcEvery int64, gcInstrs, heapMB,
+		aluPerMem int, fpuShare, nSrc2P, nSrc3P, chainProb float64) {
+		key := sweep.Key{
+			Name: registry[int(w)%len(registry)].Name,
+			Profile: memtrace.Profile{
+				Seed: seed, MaxInstrs: maxInstrs,
+				CodeKB: codeKB, HotCodeKB: hotCodeKB, KernelKB: kernelKB, BlockLen: blockLen, ColdJumpP: coldJumpP,
+				FrameworkEvery: frameworkEvery, FrameworkInstrs: frameworkInstrs, FrameworkJump: frameworkJump,
+				GCEvery: gcEvery, GCInstrs: gcInstrs, HeapMB: heapMB,
+				ALUPerMem: aluPerMem, FPUShare: fpuShare, NSrc2P: nSrc2P, NSrc3P: nSrc3P, ChainProb: chainProb,
+			},
+			ConfigFP:  fp,
+			MaxInstrs: instrs,
+		}
+		run, je := s.counterRunner(key, opts.Warmup)
+		if je != nil {
+			if je.status != http.StatusBadRequest && je.status != http.StatusNotFound {
+				t.Fatalf("refusal %d %s: %s", je.status, je.code, je.msg)
+			}
+			return
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, je = run.exec(context.Background())
+		runtime.ReadMemStats(&after)
+		if je != nil {
+			t.Fatalf("accepted job answered %d %s: %s (profile %+v)", je.status, je.code, je.msg, key.Profile)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > maxAlloc {
+			t.Fatalf("one %d-instruction job allocated %d MiB, more than %d (profile %+v)",
+				instrs, alloc>>20, maxAlloc>>20, key.Profile)
 		}
 	})
 }

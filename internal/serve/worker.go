@@ -160,6 +160,11 @@ func (s *Server) counterRunner(key sweep.Key, warmup int64) (*jobRunner, *jobErr
 	if err != nil {
 		return nil, &jobError{http.StatusNotFound, codeNotFound, err.Error()}
 	}
+	// The profile is the client's: it sizes the generator's Zipf tables
+	// and steers its coin flips, so it must lie in the model's domain.
+	if err := key.Profile.Validate(); err != nil {
+		return nil, &jobError{http.StatusBadRequest, codeBadRequest, "counters job key: " + err.Error()}
+	}
 	// The effective trace length is MaxInstrs, or the profile's own cap
 	// when MaxInstrs is zero (the engine's convention; the tracer in turn
 	// defaults a zero profile cap to 2M instructions, so zero-everywhere

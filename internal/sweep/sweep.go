@@ -19,6 +19,11 @@
 //     recently used results; an evicted key is reloaded from the
 //     MemoBackend when one is installed.
 //
+// Fan-out is per call, concurrency is per process: however many runs and
+// cluster sweeps are fanned out at once, at most one simulation or cluster
+// cell per core runs at a time (Acquire), so memory holds that many working
+// sets and no more.
+//
 // Every job runs its own tracer with its own seeded RNG against a core that
 // Reset has returned to the fresh-core state, so at a fixed seed the
 // parallel sweep is bit-identical to the serial one (the equivalence test
@@ -123,13 +128,43 @@ type Engine struct {
 
 // SetGCTarget runs the process at GOGC=400 unless GOGC is exported. The
 // live heap is a few MiB while a cold figures pass allocates over a GB: the
-// default 100 collects ~210 times per pass, 400 collects ~47 times at
-// ~93 MiB peak RSS, and 1600 saves 2-4 % more time for 3.4x the RSS.
+// default 100 collected ~210 times per pass against 400's ~47 (measured
+// before the compute budget), 400 peaks at ~62 MiB RSS with one unit per
+// core in flight (Acquire), and 1600 saves 2-4 % more time for 3.4x the
+// RSS.
 func SetGCTarget() {
 	if os.Getenv("GOGC") == "" {
 		debug.SetGCPercent(400)
 	}
 }
+
+// budget is the process's compute budget: one slot per core, taken by
+// every simulation (Engine.simulate) and every cluster cell
+// (workloads.StatsCache) for as long as it runs. Fan-out widths are per
+// call — a figure render, a job, a -j flag — so without it two concurrent
+// callers at GOMAXPROCS each put twice as many working sets (a core, a
+// trace in flight, a cell's records) in memory as there are cores to run
+// them. It is package-level, like memtrace's batch pool, because the cores
+// it budgets belong to the process.
+var budget = make(chan struct{}, runtime.GOMAXPROCS(0))
+
+// Acquire takes one slot of the process's compute budget, waiting until one
+// is free or ctx is done (then it returns ctx.Err() and holds nothing). A
+// holder must call Release exactly once, and must not wait for another slot,
+// a memo flight or a backend while it holds one: only the owner of a flight
+// takes a slot, after its backend miss, so no unit waits on a unit that
+// waits for it.
+func Acquire(ctx context.Context) error {
+	select {
+	case budget <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// Release returns a slot taken by Acquire.
+func Release() { <-budget }
 
 // NewEngine returns an empty engine.
 func NewEngine() *Engine {
@@ -272,12 +307,20 @@ func (e *Engine) memoized(ctx context.Context, job Job, cfg uarch.Config, fp uin
 // an EOF), the partial counters are discarded, and ctx.Err() is returned.
 // Either way a reader that is given up mid-trace is closed, which stops its
 // generator within a batch: simulate never returns with the goroutine still
-// running.
+// running. It holds a slot of the compute budget from before the reader
+// starts until it returns; a context cancelled while it waits for the slot
+// returns ctx.Err() before anything has run.
 func (e *Engine) simulate(ctx context.Context, job Job, cfg uarch.Config, maxInstrs int64, pool *sync.Pool) (counters *uarch.Counters, err error) {
 	p := job.Profile
 	if maxInstrs > 0 {
 		p.MaxInstrs = maxInstrs
 	}
+	// The slot comes first, so a queued job neither fills trace batches nor
+	// reads as simulating while it waits.
+	if err := Acquire(ctx); err != nil {
+		return nil, err
+	}
+	defer Release()
 	r := memtrace.NewReader(p, job.Gen)
 	sp := obs.Start(ctx, "simulate", "workload", job.Name)
 	defer sp.End()

@@ -5,6 +5,7 @@ import (
 
 	"dcbench/internal/memo"
 	"dcbench/internal/obs"
+	"dcbench/internal/sweep"
 )
 
 // StatsKey identifies one cluster experiment run: a workload simulated on a
@@ -62,12 +63,14 @@ func NewStatsCache(backend StatsBackend) *StatsCache {
 // filled after, both inside the key's singleflight cell. A failed run
 // (cancellation included) is not cached, so a later call retries. The
 // context carries trace values only — a caller's cancellation does not
-// abort the shared run.
+// abort the shared run, nor its wait for a compute slot.
 func (c *StatsCache) Do(ctx context.Context, key StatsKey, run func() (*Stats, error)) (*Stats, error) {
+	ctx = context.WithoutCancel(ctx)
+	shared := func(context.Context) (*Stats, error) { return run() }
 	if c == nil {
-		return run()
+		return runCell(ctx, key, shared)
 	}
-	return c.memo.DoCtx(ctx, key, c.fill(key, func(context.Context) (*Stats, error) { return run() }))
+	return c.memo.DoCtx(ctx, key, c.fill(key, shared))
 }
 
 // DoShared is Do with refcounted caller cancellation (memo.DoShared
@@ -79,7 +82,7 @@ func (c *StatsCache) Do(ctx context.Context, key StatsKey, run func() (*Stats, e
 // waiters and their admission slots are released immediately.
 func (c *StatsCache) DoShared(ctx context.Context, key StatsKey, run func(context.Context) (*Stats, error)) (*Stats, error) {
 	if c == nil {
-		return run(ctx)
+		return runCell(ctx, key, run)
 	}
 	return c.memo.DoShared(ctx, key, c.fill(key, run))
 }
@@ -95,8 +98,7 @@ func (c *StatsCache) Join(ctx context.Context, key StatsKey) (st *Stats, err err
 }
 
 // fill builds the inside-the-cell function shared by Do and DoShared:
-// backend lookup, the run itself under a "cluster.run" span, write-through
-// on success.
+// backend lookup, the run itself (runCell), write-through on success.
 func (c *StatsCache) fill(key StatsKey, run func(context.Context) (*Stats, error)) func(context.Context) (*Stats, error) {
 	return func(ctx context.Context) (*Stats, error) {
 		if c.backend != nil {
@@ -104,12 +106,24 @@ func (c *StatsCache) fill(key StatsKey, run func(context.Context) (*Stats, error
 				return st, nil
 			}
 		}
-		sp := obs.Start(ctx, "cluster.run", "workload", key.Workload)
-		st, err := run(ctx)
-		sp.End()
+		st, err := runCell(ctx, key, run)
 		if err == nil && c.backend != nil {
 			c.backend.StoreStats(ctx, key, st)
 		}
 		return st, err
 	}
+}
+
+// runCell runs one cluster cell under a "cluster.run" span, holding a slot
+// of the process's compute budget (sweep.Acquire) from before the span
+// starts until the cell returns or panics. A context done while it waits
+// for the slot returns ctx.Err() without running the cell.
+func runCell(ctx context.Context, key StatsKey, run func(context.Context) (*Stats, error)) (*Stats, error) {
+	if err := sweep.Acquire(ctx); err != nil {
+		return nil, err
+	}
+	defer sweep.Release()
+	sp := obs.Start(ctx, "cluster.run", "workload", key.Workload)
+	defer sp.End()
+	return run(ctx)
 }
