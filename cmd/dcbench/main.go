@@ -22,27 +22,20 @@
 //	-csv        emit CSV instead of tables
 //	-chart      append an ASCII bar chart to single-metric figures
 //	-store dir  persist sweep and cluster results in dir across runs, sharing
-//	            warm results with dcserved; with -store-max-records,
-//	            -store-max-bytes and -store-max-age as in dcserved
-//	-workers host:port,...  dispatch sweep and cluster-job misses to dcserved
-//	            workers, with -dispatch-timeout, -dispatch-replicas and
-//	            -dispatch-api-key (bearer key for workers running with
-//	            -keys-file) as in dcserved
-//	-replicas host:port,...  fan fresh store records out to these dcserved
-//	            peers (requires -store), with -replication-factor and
-//	            -anti-entropy-interval as in dcserved
+//	            warm results with dcserved; -store-max-bytes caps it as in
+//	            dcserved (default 256 MiB)
 //	-debug-addr addr   serve /debug/traces and /debug/pprof while the run
 //	            lasts (profile a long `all` in flight); empty disables
 //
 // Sweeps are deterministic at any -j: parallel runs produce bit-identical
-// counters to -j 1 at the same seed — and to a dispatched run, since
-// workers simulate the same keys on the same machine model.
+// counters to -j 1 at the same seed. dcbench is not a cluster node; for
+// dispatched or replicated results, fetch them from a dcserved front-end
+// (GET /v1/figures/N?format=csv), whose workers simulate the same keys on
+// the same machine model.
 //
-// SIGINT/SIGTERM cancel the run: local simulations stop between trace
-// batches, and with -workers the in-flight dispatched requests are
-// aborted so the workers' own refcounted cancellation frees their
-// admission slots. The process runs at GOGC=400 unless GOGC is exported
-// (sweep.SetGCTarget says why).
+// SIGINT/SIGTERM cancel the run: simulations stop between trace batches.
+// The process runs at GOGC=400 unless GOGC is exported (sweep.SetGCTarget
+// says why).
 package main
 
 import (
@@ -56,9 +49,7 @@ import (
 	"syscall"
 
 	"dcbench/internal/core"
-	"dcbench/internal/dispatch"
 	"dcbench/internal/obs"
-	"dcbench/internal/replica"
 	"dcbench/internal/report"
 	"dcbench/internal/store"
 	"dcbench/internal/sweep"
@@ -66,113 +57,47 @@ import (
 )
 
 // registerFlags declares the CLI's flags on fs (the shared run-parameter
-// flags, the shared store flags, the shared dispatch flags, plus dcbench's
-// output flags), defaulted from *opts and written back on Parse. Split out
-// of main so tests can pin the usage text to the real defaults.
-func registerFlags(fs *flag.FlagSet, opts *report.Options) (csv, chart, jsonOut *bool, storeDir, debugAddr *string, storeOpts *store.OpenOptions, dispatchOpts *dispatch.Options, replicaOpts *replica.Options) {
+// flags, the shared store flag, plus dcbench's output flags), defaulted
+// from *opts and written back on Parse. Split out of main so tests can pin
+// the usage text to the real defaults.
+func registerFlags(fs *flag.FlagSet, opts *report.Options) (csv, chart, jsonOut *bool, storeDir, debugAddr *string, storeOpts *store.OpenOptions) {
 	report.RegisterFlags(fs, opts)
 	storeOpts = &store.OpenOptions{}
 	store.RegisterFlags(fs, storeOpts)
-	dispatchOpts = &dispatch.Options{}
-	dispatch.RegisterFlags(fs, dispatchOpts)
-	replicaOpts = &replica.Options{}
-	replica.RegisterFlags(fs, replicaOpts)
 	storeDir = fs.String("store", "", "persist results in this store directory across runs; empty disables")
 	debugAddr = fs.String("debug-addr", "", "serve /debug/traces and /debug/pprof on this address for the run's duration; empty disables")
 	csv = fs.Bool("csv", false, "emit CSV")
 	chart = fs.Bool("chart", false, "append ASCII bar charts")
 	jsonOut = fs.Bool("json", false, "emit the characterization sweep as JSON (figure/all)")
-	return csv, chart, jsonOut, storeDir, debugAddr, storeOpts, dispatchOpts, replicaOpts
-}
-
-// wireBackends points opts at a run-owned engine when a store or a worker
-// set is configured: sweep results go through the engine's memo backend
-// (store, dispatch, or dispatch over store) and cluster results through
-// the matching stats backend — the same seams dcserved uses, so dcbench
-// shares warm results with a front-end and dispatches both job kinds to
-// the same workers.
-func wireBackends(storeDir string, storeOpts store.OpenOptions, dispatchOpts dispatch.Options, replicaOpts replica.Options, opts *report.Options) (*store.Store, *replica.Replicator, error) {
-	var st *store.Store
-	var repl *replica.Replicator
-	var backend sweep.MemoBackend
-	var statsBackend workloads.StatsBackend
-	if storeDir != "" {
-		var err error
-		st, err = store.OpenWith(storeDir, storeOpts)
-		if err != nil {
-			return nil, nil, err
-		}
-		backend = st.Backend(nil)
-		statsBackend = st.StatsBackend(nil)
-	}
-	if len(replicaOpts.Peers) > 0 {
-		// Replication hooks the store's writes, so results this run
-		// simulates locally (or fetches through dispatch) land on the peer
-		// nodes too.
-		replicaOpts.APIKey = dispatchOpts.APIKey
-		var err error
-		repl, err = replica.New(replicaOpts, st, nil)
-		if err != nil {
-			if st != nil {
-				st.Close()
-			}
-			return nil, nil, err
-		}
-	}
-	if len(dispatchOpts.Workers) > 0 {
-		remote, err := dispatch.New(dispatchOpts, opts.Warmup, backend, statsBackend, nil)
-		if err != nil {
-			if st != nil {
-				st.Close()
-			}
-			return nil, nil, err
-		}
-		backend = remote
-		statsBackend = remote
-	}
-	if statsBackend != nil {
-		opts.Cluster = workloads.NewStatsCache(statsBackend)
-	}
-	if backend != nil {
-		engine := sweep.NewEngine()
-		engine.SetMemoBackend(backend)
-		opts.Engine = engine
-	}
-	return st, repl, nil
+	return csv, chart, jsonOut, storeDir, debugAddr, storeOpts
 }
 
 func main() {
 	sweep.SetGCTarget()
 	opts := report.DefaultOptions()
-	csv, chart, jsonOut, storeDir, debugAddr, storeOpts, dispatchOpts, replicaOpts := registerFlags(flag.CommandLine, &opts)
+	csv, chart, jsonOut, storeDir, debugAddr, storeOpts := registerFlags(flag.CommandLine, &opts)
 	flag.Parse()
 
-	if *storeDir != "" || len(dispatchOpts.Workers) > 0 || len(replicaOpts.Peers) > 0 {
-		st, repl, err := wireBackends(*storeDir, *storeOpts, *dispatchOpts, *replicaOpts, &opts)
+	if *storeDir != "" {
+		st, err := store.OpenWith(*storeDir, *storeOpts)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "dcbench:", err)
 			os.Exit(1)
 		}
-		if st != nil {
-			defer st.Close()
-		}
-		if repl != nil {
-			// Pushes drain before exit (Close waits for the queue), so a
-			// one-shot run's results reach the peers; the anti-entropy loop
-			// only matters for long-lived processes but costs nothing here.
-			repl.Start(context.Background())
-			defer repl.Close()
-		}
+		defer st.Close()
+		// The seams dcserved uses: sweep results go through a run-owned
+		// engine's memo backend, cluster results through the stats cache's,
+		// so dcbench and dcserved share warm results over one directory.
+		opts.Engine = sweep.NewEngine()
+		opts.Engine.SetMemoBackend(st.Backend(nil))
+		opts.Cluster = workloads.NewStatsCache(st.StatsBackend(nil))
 	}
 	args := flag.Args()
 	if len(args) == 0 {
 		usage()
 	}
-	// An interrupted run cancels its context: local sweeps stop between
-	// trace batches, and dispatched jobs abort their worker HTTP requests —
-	// through the workers' refcounted cancellation, a Ctrl-C here frees
-	// worker slots instead of leaving remote simulations burning. A second
-	// signal kills the process the usual way.
+	// An interrupted run cancels its context: sweeps stop between trace
+	// batches. A second signal kills the process the usual way.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	// With -debug-addr the run carries a process recorder and one trace

@@ -42,8 +42,8 @@ func TestUsageTextMatchesRealDefaults(t *testing.T) {
 	// comment's table together.
 	n := 0
 	fs.VisitAll(func(*flag.Flag) { n++ })
-	if n != 20 {
-		t.Errorf("dcbench registers %d flags, want 20", n)
+	if n != 11 {
+		t.Errorf("dcbench registers %d flags, want 11", n)
 	}
 }
 

@@ -46,9 +46,8 @@
 //	-admin-addr addr   serve /admin/v1 on this separate address; empty = ride -debug-addr
 //	-admin-token t     bearer token guarding /admin/v1; empty disables the admin plane
 //	-store  result store directory; "" disables persistence (default dcserved.store)
-//	-store-max-records n   LRU-evict records beyond this count; 0 = unlimited
-//	-store-max-bytes n     LRU-evict records beyond this many bytes; 0 = unlimited
-//	-store-max-age d       evict records unused for longer than d; 0 = keep forever
+//	-store-max-bytes n     LRU-evict records beyond this many bytes (default
+//	                       256 MiB; 0 = the default, there is no unlimited)
 //	-max-inflight n        bound concurrent compute jobs; excess shed 429 (0 = unlimited)
 //	-workers host:port,...     dispatch job misses to these dcserved workers
 //	-dispatch-timeout d        per-attempt timeout for dispatched jobs (a failed
@@ -89,7 +88,8 @@
 // stops only when the last sharer is gone.
 //
 // The store is sharded on disk (16 shards, fixed at creation by a persisted
-// manifest). Both sweep counters and the cluster-experiment stats (Figures
+// manifest) and always byte-bounded: /v1/jobs keys are client-chosen, so an
+// unbounded store would be disk any client can fill. Both sweep counters and the cluster-experiment stats (Figures
 // 2/5, Table I) persist, so a restarted server re-simulates nothing that is
 // already on disk.
 //

@@ -50,7 +50,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dcbench/internal/memo"
 	"dcbench/internal/obs"
 	"dcbench/internal/peer"
 	"dcbench/internal/store"
@@ -110,10 +109,9 @@ type Options struct {
 	Replicas int
 }
 
-// RegisterFlags declares the dispatch flags on fs, defaulted from *o and
-// written back on Parse — the single definition shared by dcbench and
-// dcserved, so the flag surface cannot drift between the binaries. The
-// retry count is not a flag: it is DefaultRetries.
+// RegisterFlags declares dcserved's dispatch flags on fs, defaulted from
+// *o and written back on Parse. The retry count is not a flag: it is
+// DefaultRetries.
 func RegisterFlags(fs *flag.FlagSet, o *Options) {
 	if o.Timeout == 0 {
 		o.Timeout = DefaultTimeout
@@ -293,8 +291,7 @@ type jobKind[K comparable, V any] struct {
 	load  func(context.Context, K) (V, bool)
 	store func(context.Context, K, V)
 
-	flight *memo.Memo[K, V] // coalesces identical concurrent fetches
-	stats  kindStats
+	stats kindStats
 }
 
 // RemoteBackend forwards job memo misses to worker nodes. It implements
@@ -346,12 +343,10 @@ func New(opts Options, warmup int64, local sweep.MemoBackend, localStats workloa
 		counters: jobKind[sweep.Key, *uarch.Counters]{
 			name: store.KindCounters, warmup: warmup,
 			addr: store.CountersAddr, decode: store.DecodeCounters,
-			flight: memo.NewFlight[sweep.Key, *uarch.Counters](),
 		},
 		cluster: jobKind[workloads.StatsKey, *workloads.Stats]{
 			name: store.KindCluster,
 			addr: store.ClusterAddr, decode: store.DecodeStats,
-			flight: memo.NewFlight[workloads.StatsKey, *workloads.Stats](),
 		},
 	}
 	if local != nil {
@@ -360,8 +355,6 @@ func New(opts Options, warmup int64, local sweep.MemoBackend, localStats workloa
 	if localStats != nil {
 		b.cluster.load, b.cluster.store = localStats.LoadStats, localStats.StoreStats
 	}
-	b.counters.flight.SetName("dispatch")
-	b.cluster.flight.SetName("dispatch")
 	b.opts.Workers = nil
 	for _, addr := range opts.Workers {
 		if b.workers[addr] != nil {
@@ -406,15 +399,17 @@ func (b *RemoteBackend) StoreStats(ctx context.Context, k workloads.StatsKey, st
 	}
 }
 
-// load is the body of Load and LoadStats: local backend, then one
-// coalesced fetch, then the counted fallback.
+// load is the body of Load and LoadStats: local backend, then one fetch,
+// then the counted fallback. The engine and the stats cache call it only
+// inside the key's memo cell, so concurrent misses for one key are already
+// one call here.
 func load[K comparable, V any](ctx context.Context, b *RemoteBackend, kd *jobKind[K, V], k K) (V, bool) {
 	if kd.load != nil {
 		if v, ok := kd.load(ctx, k); ok {
 			return v, true
 		}
 	}
-	v, err := kd.flight.DoShared(ctx, k, func(ctx context.Context) (V, error) { return fetch(ctx, b, kd, k) })
+	v, err := fetch(ctx, b, kd, k)
 	if err != nil {
 		var zero V
 		if ctx.Err() == nil {
@@ -446,10 +441,10 @@ func jobBody(kind string, key any, warmup int64) ([]byte, error) {
 // (healthy workers first, shedding ones demoted behind them, open
 // circuits last), one attempt at a time, each bounded by the per-attempt
 // timeout, until a worker's response verifies; the verified result is
-// written through to the local backend. Runs inside the key's flight
+// written through to the local backend. Runs inside the caller's memo
 // cell, so concurrent engine misses for one key cost one remote round
 // trip. ctx carries the trace (each attempt records a "dispatch" span and
-// forwards the trace ID to the worker) and the flight's refcounted
+// forwards the trace ID to the worker) and the cell's refcounted
 // cancellation: it fires only when every caller sharing the cell has
 // left, aborting the worker HTTP request so the worker sees its own
 // request context die, its simulation joiner leaves, and (if it was the

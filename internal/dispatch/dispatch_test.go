@@ -556,8 +556,8 @@ func TestRendezvousStableAndSpread(t *testing.T) {
 	}
 }
 
-// TestRegisterFlagsParsesWorkerList pins the shared flag surface both
-// binaries mount: the list flag splits and trims, unset flags keep their
+// TestRegisterFlagsParsesWorkerList pins dcserved's dispatch flag
+// surface: the list flag splits and trims, unset flags keep their
 // defaults, the retry count is the DefaultRetries constant rather than a
 // flag, and an empty worker set refuses to build a backend.
 func TestRegisterFlagsParsesWorkerList(t *testing.T) {

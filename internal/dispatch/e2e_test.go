@@ -1,7 +1,9 @@
 package dispatch_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
@@ -11,6 +13,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"dcbench/internal/core"
 	"dcbench/internal/dispatch"
@@ -325,5 +328,95 @@ func TestAllWorkersDarkFallsBackLocally(t *testing.T) {
 	d := remote.Stats()
 	if d.Fallbacks != int64(nkeys) || d.RemoteHits != 0 {
 		t.Fatalf("dispatch stats = %+v, want %d counted fallbacks", d, nkeys)
+	}
+}
+
+// TestConcurrentIdenticalJobsPostOnce: N clients posting the same cold
+// counters job to a front-end cost its worker exactly one POST. The
+// engine consults its backend inside the key's memo cell, so that cell is
+// all the coalescing the dispatch path needs.
+func TestConcurrentIdenticalJobsPostOnce(t *testing.T) {
+	const clients = 8
+	var posts atomic.Int64
+	release := make(chan struct{})
+	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req serve.JobRequest
+		var key sweep.Key
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil || json.Unmarshal(req.Key, &key) != nil {
+			http.Error(w, "unreadable job", http.StatusBadRequest)
+			return
+		}
+		posts.Add(1)
+		<-release // hold the job until every client is waiting on it
+		data, err := store.EncodeCounters(key, &uarch.Counters{Cycles: 42})
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		w.Write(data)
+	}))
+	t.Cleanup(worker.Close)
+	frontStore, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { frontStore.Close() })
+	frontTS, remote, _ := newFrontEnd(t, frontStore, strings.TrimPrefix(worker.URL, "http://"))
+
+	opts := e2eOptions()
+	cfg := uarch.DefaultConfig()
+	cfg.Warmup = opts.Warmup
+	wl := core.Registry()[0]
+	rawKey, err := json.Marshal(sweep.Key{Name: wl.Name, Profile: wl.Profile, ConfigFP: cfg.Fingerprint(), MaxInstrs: 2_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(serve.JobRequest{Kind: store.KindCounters, Key: rawKey, Warmup: opts.Warmup})
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := make(chan error, clients)
+	for i := 0; i < clients; i++ {
+		go func() {
+			resp, err := frontTS.Client().Post(frontTS.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+			if err != nil {
+				errs <- err
+				return
+			}
+			data, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			switch {
+			case err != nil:
+				errs <- err
+			case resp.StatusCode != http.StatusOK:
+				errs <- fmt.Errorf("status %d: %s", resp.StatusCode, data)
+			default:
+				_, c, err := store.DecodeCounters(data)
+				if err == nil && c.Cycles != 42 {
+					err = fmt.Errorf("answer carries Cycles %d, want the worker's 42", c.Cycles)
+				}
+				errs <- err
+			}
+		}()
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for posts.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the worker never saw the dispatched job")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(100 * time.Millisecond) // let the other clients reach the in-flight cell
+	close(release)
+	for i := 0; i < clients; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := posts.Load(); n != 1 {
+		t.Fatalf("%d identical concurrent jobs sent %d POSTs to the worker, want 1", clients, n)
+	}
+	if d := remote.Stats(); d.Dispatched != 1 || d.RemoteHits != 1 {
+		t.Fatalf("dispatch stats = %+v, want one dispatched job answered remotely", d)
 	}
 }

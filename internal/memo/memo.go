@@ -17,8 +17,8 @@
 //     of at most MaxRetained keys, evicting the least recently used (the
 //     sweep engine, stats cache and rendered bodies, where an evicted key
 //     costs one store load or one render); NewFlight keeps none, so a key
-//     empties once its call completes (dispatch's remote fetches, where the
-//     layer below is already a cache);
+//     empties once its call completes (the trace cache's captures, which
+//     keep their own byte-bounded LRU);
 //   - a retained value is only the value: the call's cell — its channel,
 //     refcount and run context, and through that context the request's
 //     trace — is released when the call settles, so what a memo holds
@@ -30,9 +30,10 @@
 //     pinned (they never leave), so blocking callers keep their current
 //     semantics even when sharing a cell with cancellable ones.
 //
-// The sweep engine, the serve layer's request coalescing, the cluster
-// stats cache and the dispatch layer's remote fetches all run on this one
-// type — a coalescing bug is fixed here or it is not fixed.
+// The sweep engine, the serve layer's request coalescing and the cluster
+// stats cache all run on this one type — and so, beneath them, does the
+// dispatch layer, whose remote fetches run inside the engine's and the
+// stats cache's cells. A coalescing bug is fixed here or it is not fixed.
 package memo
 
 import (

@@ -110,26 +110,21 @@ func TestRegistryProfilesMatchOracle(t *testing.T) {
 }
 
 // randomProfile draws a profile from the corners the kernel's arithmetic
-// has: probabilities that are 0, 1, out of range, NaN or a hair from either
-// end; periods of 1 and GC more often than the framework; no heap; block
-// and jump lengths of 1 and below zero; trace lengths of 1 and of whole
-// batches.
+// has inside the domain Profile.Validate admits (the only profiles
+// NewReader is defined on): probabilities that are 0, 1 or a hair inside
+// either end; footprints of 0 and of the 2¹⁴ KB ceiling; periods of 1 and
+// GC more often than the framework; no heap; block and jump lengths of 1;
+// trace lengths of 1 and of whole batches.
 func randomProfile(r *sim.RNG, i int) memtrace.Profile {
 	prob := func() float64 {
-		switch r.Intn(10) {
+		switch r.Intn(8) {
 		case 0:
 			return 0 // Normalize's "unset" for ChainProb and NSrc2P
 		case 1:
 			return 1
 		case 2:
-			return -0.25
-		case 3:
-			return 1.5
-		case 4:
-			return math.NaN()
-		case 5:
 			return math.Nextafter(1, 0)
-		case 6:
+		case 3:
 			return math.SmallestNonzeroFloat64
 		}
 		return r.Float64()
@@ -138,22 +133,25 @@ func randomProfile(r *sim.RNG, i int) memtrace.Profile {
 	p := memtrace.Profile{
 		Seed:            r.Uint64() >> uint(r.Intn(64)), // 0 now and then
 		MaxInstrs:       int64(20_000 + r.Intn(40_000)),
-		CodeKB:          of(0, 1, 8, 64, 768, 2048),
-		HotCodeKB:       of(0, 1, 8, 24, 4096),
-		KernelKB:        of(0, 1, 192, 512),
-		BlockLen:        of(0, 1, 2, 5, 9, -3),
+		CodeKB:          of(0, 1, 8, 64, 768, 2048, 1<<14),
+		HotCodeKB:       of(0, 1, 8, 24, 4096, 1<<14),
+		KernelKB:        of(0, 1, 192, 512, 1<<14),
+		BlockLen:        of(0, 1, 2, 5, 9),
 		ColdJumpP:       prob(),
-		FrameworkEvery:  of(0, 1, 7, 250, 500, -5),
+		FrameworkEvery:  of(0, 1, 7, 250, 500),
 		FrameworkInstrs: of(0, 1, 13, 60, 160),
-		FrameworkJump:   of(0, 1, 3, 8, 1000, -8),
-		GCEvery:         int64(of(0, 1, 100, 5_000, 300_000, -5)),
+		FrameworkJump:   of(0, 1, 3, 8, 1000),
+		GCEvery:         int64(of(0, 1, 100, 5_000, 300_000)),
 		GCInstrs:        of(0, 1, 7, 2_000),
-		HeapMB:          of(0, 1, 4, -1),
-		ALUPerMem:       of(0, 1, 3, -1),
+		HeapMB:          of(0, 1, 4),
+		ALUPerMem:       of(0, 1, 3),
 		FPUShare:        prob(),
 		NSrc2P:          prob(),
 		NSrc3P:          prob(),
 		ChainProb:       prob(),
+	}
+	if p.CodeKB != 0 && p.HotCodeKB > p.CodeKB {
+		p.HotCodeKB = p.CodeKB // the hot set is part of the code footprint
 	}
 	// Trace lengths around multiples of the batch length are where the
 	// batch hand-off and the cap meet.
@@ -180,6 +178,9 @@ func TestRandomProfilesMatchOracle(t *testing.T) {
 	r := sim.NewRNG(2013)
 	for i := 0; i < profiles; i++ {
 		p := randomProfile(r, i)
+		if err := p.Validate(); err != nil {
+			t.Fatalf("random profile %d is outside the generator's domain: %v", i, err)
+		}
 		compareWithOracle(t, fmt.Sprintf("random profile %d", i), p, r.Uint64(), i%2 == 0)
 	}
 }

@@ -234,7 +234,9 @@ func below(k, t uint64) uint64 { return (k - t) >> 63 }
 // NewReader runs gen(t) in a generator goroutine and returns the resulting
 // instruction stream. Generation ends when gen returns, the profile's
 // MaxInstrs cap is reached or the reader is closed; adapters may therefore
-// loop indefinitely.
+// loop indefinitely. p must pass Validate: the generator is defined only on
+// that domain (every registry profile passes, and the job path refuses a
+// key whose profile does not).
 func NewReader(p Profile, gen func(t *Tracer)) *LiveReader {
 	p = p.Normalize()
 	t := &Tracer{
@@ -254,8 +256,8 @@ func NewReader(p Profile, gen func(t *Tracer)) *LiveReader {
 		allocNext: heapBase,
 	}
 	// An op reads at least two sources when the draw is below NSrc3P or
-	// below NSrc3P+NSrc2P; the first implies the second unless NSrc2P < 0.
-	t.src2T = max(t.src3T, threshold(p.NSrc3P+p.NSrc2P))
+	// below NSrc3P+NSrc2P; NSrc2P ≥ 0 makes the first imply the second.
+	t.src2T = threshold(p.NSrc3P + p.NSrc2P)
 	if p.FrameworkEvery > 0 {
 		t.nextFW = int64(p.FrameworkEvery)
 	}
@@ -720,16 +722,11 @@ func (t *Tracer) frameworkBurst() {
 	heap := uint64(t.heapBytes)
 	hotWindow := min(heap, 64<<10)
 	// Cold code walk: jump blocks every FrameworkJump instructions, with
-	// Zipf-popular targets. (Profiles arrive unvalidated in job keys: a
-	// negative period counts as its magnitude.)
-	jumpEvery := t.prof.FrameworkJump
-	if jumpEvery < 0 {
-		jumpEvery = -jumpEvery
-	}
+	// Zipf-popular targets.
 	nextJump := 0
 	for i := 0; i < t.prof.FrameworkInstrs; i++ {
 		if i == nextJump {
-			nextJump += jumpEvery
+			nextJump += t.prof.FrameworkJump
 			t.curBlock = t.coldZipf.Next()
 			t.blockOff = 0
 		}

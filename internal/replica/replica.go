@@ -109,11 +109,10 @@ type Options struct {
 	Timeout time.Duration
 }
 
-// RegisterFlags declares the replication flags on fs, defaulted from *o
-// and written back on Parse — the single definition shared by dcbench and
-// dcserved, so the flag surface cannot drift between the binaries. The
-// service key is not a flag here: callers reuse -dispatch-api-key, which
-// already names the node's credential on its peers.
+// RegisterFlags declares dcserved's replication flags on fs, defaulted
+// from *o and written back on Parse. The service key is not a flag here:
+// dcserved reuses -dispatch-api-key, which already names the node's
+// credential on its peers.
 func RegisterFlags(fs *flag.FlagSet, o *Options) {
 	if o.Factor == 0 {
 		o.Factor = DefaultFactor

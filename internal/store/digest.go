@@ -111,8 +111,8 @@ func (s *Store) GetRecord(addr string) ([]byte, bool, error) {
 // byte-identical convergence by construction. Adoption is idempotent (an
 // address already indexed is left untouched and reported false) and
 // counted separately from writes, so "writes" keeps meaning "simulated on
-// this node". The count/age/bytes budgets are enforced after the install,
-// exactly as for a local Put.
+// this node". The byte budget is enforced after the install, exactly as
+// for a local Put.
 func (s *Store) AdoptRecord(data []byte) (bool, error) {
 	kind, key, _, err := decodeRecord(data)
 	if err != nil {
@@ -130,7 +130,7 @@ func (s *Store) AdoptRecord(data []byte) (bool, error) {
 		return false, fmt.Errorf("store: adopt: %w", err)
 	}
 	s.adopted.Add(1)
-	s.enforceBudgets()
+	s.enforceBudget()
 	return true, nil
 }
 

@@ -195,22 +195,21 @@ func TestAdoptAcrossShardCounts(t *testing.T) {
 	}
 }
 
-// TestAdoptUnderBudgets proves adopted records obey the same LRU budgets
-// as local puts: replication cannot inflate a bounded store.
+// TestAdoptUnderBudgets proves adopted records obey the same LRU byte
+// budget as local puts: replication cannot inflate a bounded store.
 func TestAdoptUnderBudgets(t *testing.T) {
 	src, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer src.Close()
-	dst, err := store.OpenWith(t.TempDir(), store.OpenOptions{MaxRecords: 2})
+	dst, err := store.OpenWith(t.TempDir(), store.OpenOptions{MaxBytes: 2 * recordSize(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dst.Close()
 	for i := 0; i < 6; i++ {
-		k := testKey("w", uint64(i))
-		if err := src.Put(k, &uarch.Counters{Cycles: 1}); err != nil {
+		if err := src.Put(sameSizeKey(i), sameSizeValue); err != nil {
 			t.Fatal(err)
 		}
 	}

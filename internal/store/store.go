@@ -28,13 +28,13 @@
 // plus one name-only directory listing per shard to re-adopt records whose
 // index line was lost — never a per-record read or stat) makes Len an O(1)
 // counter read and carries each record's last-access time, which drives the
-// LRU eviction pass: with MaxRecords or MaxAge set, Evict removes the
-// least-recently-used records beyond the budget and every record idle past
-// the age limit. Within one process the store is safe for any number of
-// goroutines (per-shard locking); across processes the record files stay
-// coherent (Get falls back to disk and adopts foreign records into the
-// index), while Len and LRU stamps are per-process views that converge on
-// the next Open.
+// LRU eviction pass: Evict removes the least-recently-used records beyond
+// the byte budget, which is always finite (DefaultMaxBytes unless
+// OpenOptions.MaxBytes sets another). Within one process the store is safe
+// for any number of goroutines (per-shard locking); across processes the
+// record files stay coherent (Get falls back to disk and adopts foreign
+// records into the index), while Len and LRU stamps are per-process views
+// that converge on the next Open.
 package store
 
 import (
@@ -74,6 +74,13 @@ const DefaultShards = 16
 // byte.
 const maxShards = 256
 
+// DefaultMaxBytes is the byte budget of a store opened without one. A
+// record is a pure function of its key, so nothing in a store ever goes
+// stale; but /v1/jobs keys are client-chosen, so without a finite budget a
+// client minting new keys grows the disk without bound. 256 MiB holds
+// about 460 000 records, some 7 800 full figure stores.
+const DefaultMaxBytes int64 = 256 << 20
+
 const manifestName = "MANIFEST.json"
 
 // manifest pins the store's immutable geometry.
@@ -88,32 +95,28 @@ type OpenOptions struct {
 	// power of two in [1, 256]. 0 means DefaultShards. Opening an existing
 	// store always uses the manifest's count.
 	Shards int
-	// MaxRecords, when positive, caps the store: a Put pushing the record
-	// count past it triggers an LRU eviction pass trimming to 10% below the
-	// cap (so a sustained write load evicts per batch, not per Put); an
-	// explicit Evict trims to the cap exactly.
-	MaxRecords int
-	// MaxBytes, when positive, caps the total record bytes on disk with the
-	// same LRU policy and hysteresis as MaxRecords; the two budgets compose
-	// (eviction runs until both are satisfied).
+	// MaxBytes caps the total record bytes on disk: a Put pushing the total
+	// past it triggers an LRU eviction pass trimming to 10% below the cap
+	// (so a sustained write load evicts per batch, not per Put); an explicit
+	// Evict trims to the cap exactly. 0 means DefaultMaxBytes; a negative
+	// budget is refused, and there is no unlimited one.
 	MaxBytes int64
-	// MaxAge, when positive, makes eviction passes (including the one at
-	// Open) remove records not written or read for longer than this.
-	MaxAge time.Duration
-	// Now supplies timestamps for LRU stamps and age checks; nil means
-	// time.Now. Tests inject a fake clock here.
+	// Now supplies timestamps for LRU stamps; nil means time.Now. Tests
+	// inject a fake clock here.
 	Now func() time.Time
 	// Log defaults to slog.Default().
 	Log *slog.Logger
 }
 
-// RegisterFlags declares the store tuning flags on fs, defaulted from *o
-// and written back on Parse — the single definition shared by dcbench and
-// dcserved, so the flag surface cannot drift between the binaries.
+// RegisterFlags declares the store's byte-budget flag on fs, defaulted
+// from *o (DefaultMaxBytes when unset) and written back on Parse — the
+// single definition shared by dcbench and dcserved, so the flag surface
+// cannot drift between the binaries.
 func RegisterFlags(fs *flag.FlagSet, o *OpenOptions) {
-	fs.IntVar(&o.MaxRecords, "store-max-records", o.MaxRecords, "evict least-recently-used records beyond this count; 0 = unlimited")
-	fs.Int64Var(&o.MaxBytes, "store-max-bytes", o.MaxBytes, "evict least-recently-used records once total record bytes exceed this; 0 = unlimited")
-	fs.DurationVar(&o.MaxAge, "store-max-age", o.MaxAge, "evict records unused for longer than this; 0 = keep forever")
+	if o.MaxBytes == 0 {
+		o.MaxBytes = DefaultMaxBytes
+	}
+	fs.Int64Var(&o.MaxBytes, "store-max-bytes", o.MaxBytes, "evict least-recently-used records once total record bytes exceed this; 0 = the default, negative is refused")
 }
 
 // Stats is a snapshot of the store's monotonic counters plus its current
@@ -141,13 +144,11 @@ type Stats struct {
 // number of goroutines; see the package comment for the cross-process
 // contract.
 type Store struct {
-	dir        string
-	shards     []*shard
-	maxRecords int
-	maxBytes   int64
-	maxAge     time.Duration
-	now        func() time.Time
-	log        *slog.Logger
+	dir      string
+	shards   []*shard
+	maxBytes int64
+	now      func() time.Time
+	log      *slog.Logger
 
 	live      atomic.Int64 // current record count across shards
 	bytes     atomic.Int64 // current record bytes across shards
@@ -180,6 +181,12 @@ func OpenWith(dir string, opt OpenOptions) (*Store, error) {
 	}
 	if opt.Shards < 1 || opt.Shards > maxShards || opt.Shards&(opt.Shards-1) != 0 {
 		return nil, fmt.Errorf("store: shard count %d is not a power of two in [1, %d]", opt.Shards, maxShards)
+	}
+	switch {
+	case opt.MaxBytes < 0:
+		return nil, fmt.Errorf("store: -store-max-bytes %d is negative; the budget is finite (0 = the default %d)", opt.MaxBytes, DefaultMaxBytes)
+	case opt.MaxBytes == 0:
+		opt.MaxBytes = DefaultMaxBytes
 	}
 	if opt.Now == nil {
 		opt.Now = time.Now
@@ -215,12 +222,10 @@ func OpenWith(dir string, opt OpenOptions) (*Store, error) {
 		return nil, err
 	}
 	s := &Store{
-		dir:        dir,
-		maxRecords: opt.MaxRecords,
-		maxBytes:   opt.MaxBytes,
-		maxAge:     opt.MaxAge,
-		now:        opt.Now,
-		log:        opt.Log,
+		dir:      dir,
+		maxBytes: opt.MaxBytes,
+		now:      opt.Now,
+		log:      opt.Log,
 	}
 	root := filepath.Join(dir, fmt.Sprintf("v%d", SchemaVersion))
 	for i := 0; i < m.Shards; i++ {
@@ -243,9 +248,7 @@ func OpenWith(dir string, opt OpenOptions) (*Store, error) {
 		}
 		s.shards = append(s.shards, sh)
 	}
-	if s.maxAge > 0 ||
-		(s.maxRecords > 0 && int(s.live.Load()) > s.maxRecords) ||
-		(s.maxBytes > 0 && s.bytes.Load() > s.maxBytes) {
+	if s.bytes.Load() > s.maxBytes {
 		s.Evict()
 	}
 	return s, nil
@@ -463,7 +466,7 @@ func (s *Store) get(kind string, key []byte, into any) (bool, error) {
 }
 
 // put persists payload under (kind, key), atomically replacing any prior
-// record, then enforces the record budget.
+// record, then enforces the byte budget.
 func (s *Store) put(kind string, key, payload []byte) error {
 	data, err := encodeRecord(kind, key, payload)
 	if err != nil {
@@ -474,60 +477,33 @@ func (s *Store) put(kind string, key, payload []byte) error {
 		return fmt.Errorf("store: %w", err)
 	}
 	s.writes.Add(1)
-	s.enforceBudgets()
+	s.enforceBudget()
 	if fn := s.onWrite.Load(); fn != nil {
 		(*fn)(addr, data)
 	}
 	return nil
 }
 
-// enforceBudgets runs the post-install eviction check every record
-// installation shares (a simulated Put or an adopted replica record): when
-// a budget is exceeded, trim below the exceeded cap(s) with hysteresis.
-func (s *Store) enforceBudgets() {
-	overRecords := s.maxRecords > 0 && int(s.live.Load()) > s.maxRecords
-	overBytes := s.maxBytes > 0 && s.bytes.Load() > s.maxBytes
-	if !overRecords && !overBytes {
-		return
+// enforceBudget runs the post-install eviction check every record
+// installation shares (a simulated Put or an adopted replica record): past
+// the byte budget, trim to 10% below it, so a sustained write load triggers
+// a pass per batch, not a full snapshot-and-sort per Put.
+func (s *Store) enforceBudget() {
+	if s.bytes.Load() > s.maxBytes {
+		s.evict(s.maxBytes - s.maxBytes/10)
 	}
-	// Trim below the exceeded cap(s) (10% hysteresis, at least one
-	// record) so a sustained write load triggers a pass per batch, not
-	// a full snapshot-and-sort per Put. A budget that is not exceeded
-	// keeps its exact cap: hysteresis on it would evict warm records
-	// nothing required evicting.
-	recTarget := s.maxRecords
-	if overRecords {
-		slack := s.maxRecords / 10
-		if slack < 1 {
-			slack = 1
-		}
-		recTarget = s.maxRecords - slack
-		if recTarget < 1 {
-			recTarget = 1 // a zero target would mean "no budget" to evict
-		}
-	}
-	byteTarget := s.maxBytes
-	if overBytes {
-		byteTarget = s.maxBytes - s.maxBytes/10
-		if byteTarget < 1 {
-			byteTarget = 1
-		}
-	}
-	s.evict(recTarget, byteTarget)
 }
 
-// Evict runs one eviction-and-compaction pass: every record idle past
-// MaxAge goes, then the least-recently-used records beyond MaxRecords and
-// beyond the MaxBytes byte budget. It returns how many records were
+// Evict runs one eviction-and-compaction pass: the least-recently-used
+// records beyond the byte budget go. It returns how many records were
 // removed. Records touched after the pass snapshots the index are spared,
 // so a concurrent hit never has its record yanked on the basis of a stale
 // stamp.
-func (s *Store) Evict() int { return s.evict(s.maxRecords, s.maxBytes) }
+func (s *Store) Evict() int { return s.evict(s.maxBytes) }
 
-// evict removes age-expired records and the least-recently-used records
-// beyond maxRecords (0 = no count budget) and beyond maxBytes (0 = no
-// byte budget).
-func (s *Store) evict(maxRecords int, maxBytes int64) int {
+// evict removes the least-recently-used records until the total record
+// bytes are at most maxBytes.
+func (s *Store) evict(maxBytes int64) int {
 	s.evictMu.Lock()
 	defer s.evictMu.Unlock()
 	type candidate struct {
@@ -547,21 +523,10 @@ func (s *Store) evict(maxRecords int, maxBytes int64) int {
 		sh.mu.Unlock()
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].last < all[j].last })
-	var cutoff int64
-	if s.maxAge > 0 {
-		cutoff = s.now().Add(-s.maxAge).UnixNano()
-	}
-	over := 0
-	if maxRecords > 0 && len(all) > maxRecords {
-		over = len(all) - maxRecords
-	}
-	var bytesOver int64
-	if maxBytes > 0 && totalBytes > maxBytes {
-		bytesOver = totalBytes - maxBytes
-	}
+	bytesOver := totalBytes - maxBytes
 	evicted := 0
-	for i, c := range all {
-		if i >= over && c.last >= cutoff && bytesOver <= 0 {
+	for _, c := range all {
+		if bytesOver <= 0 {
 			break // sorted by last access: everything after is younger
 		}
 		if c.sh.evict(s, c.addr, c.last) {

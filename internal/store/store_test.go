@@ -2,6 +2,7 @@ package store_test
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"log/slog"
 	"os"
@@ -303,10 +304,36 @@ func TestShardCountPinnedByManifest(t *testing.T) {
 	}
 }
 
+// sameSizeKey is the i-th of a family of keys (i < 900) whose records,
+// holding sameSizeValue, all encode to the same width: the seed always has
+// three digits. Byte-budget tests need equal sizes to predict the LRU
+// victims exactly.
+func sameSizeKey(i int) sweep.Key { return testKey("w", uint64(100+i)) }
+
+var sameSizeValue = &uarch.Counters{Cycles: 1}
+
+// recordSize calibrates the on-disk size of one sameSizeKey record.
+func recordSize(t *testing.T) int64 {
+	t.Helper()
+	calib, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer calib.Close()
+	if err := calib.Put(sameSizeKey(0), sameSizeValue); err != nil {
+		t.Fatal(err)
+	}
+	if calib.Bytes() <= 0 {
+		t.Fatalf("calibration Bytes = %d, want > 0", calib.Bytes())
+	}
+	return calib.Bytes()
+}
+
 func TestEvictionLRU(t *testing.T) {
+	recSize := recordSize(t)
 	clock := newClock()
 	s, err := store.OpenWith(t.TempDir(), store.OpenOptions{
-		Shards: 4, MaxRecords: 8, Now: clock.now,
+		Shards: 4, MaxBytes: 8 * recSize, Now: clock.now,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -314,19 +341,22 @@ func TestEvictionLRU(t *testing.T) {
 	defer s.Close()
 	keys := make([]sweep.Key, 12)
 	for i := range keys {
-		keys[i] = testKey("w", uint64(i))
-		if err := s.Put(keys[i], &uarch.Counters{Cycles: int64(i)}); err != nil {
+		keys[i] = sameSizeKey(i)
+		if err := s.Put(keys[i], sameSizeValue); err != nil {
 			t.Fatal(err)
 		}
 		clock.advance(time.Second)
 	}
+	// The ninth and the eleventh Put each overflow the budget by one record
+	// and trim to 10% below it: two victims each time.
 	if n := s.Len(); n != 8 {
 		t.Fatalf("Len after capped puts = %d, want 8", n)
 	}
 	if st := s.Stats(); st.Evictions != 4 {
 		t.Fatalf("Evictions = %d, want 4", st.Evictions)
 	}
-	// The four oldest writes are the victims.
+	// The four oldest writes are the victims. Each read is stamped a
+	// second apart, so the survivors' recency order is their key order.
 	for i, k := range keys {
 		_, ok, err := s.Get(k)
 		if err != nil {
@@ -335,16 +365,16 @@ func TestEvictionLRU(t *testing.T) {
 		if want := i >= 4; ok != want {
 			t.Fatalf("key %d present=%v, want %v (LRU order)", i, ok, want)
 		}
+		clock.advance(time.Second)
 	}
 	// A Get refreshes recency: key 4 must now outlive fresher-but-untouched
 	// keys when the next eviction pass runs.
-	clock.advance(time.Second)
 	if _, ok, _ := s.Get(keys[4]); !ok {
 		t.Fatal("key 4 vanished early")
 	}
 	for i := 12; i < 15; i++ {
 		clock.advance(time.Second)
-		if err := s.Put(testKey("w", uint64(i)), &uarch.Counters{}); err != nil {
+		if err := s.Put(sameSizeKey(i), sameSizeValue); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -357,21 +387,7 @@ func TestEvictionLRU(t *testing.T) {
 }
 
 func TestEvictionMaxBytes(t *testing.T) {
-	// Calibrate one record's on-disk size: the keys differ only in a seed
-	// digit, so every record is the same width.
-	calib, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := calib.Put(testKey("w", 0), &uarch.Counters{Cycles: 1}); err != nil {
-		t.Fatal(err)
-	}
-	recSize := calib.Bytes()
-	calib.Close()
-	if recSize <= 0 {
-		t.Fatalf("calibration Bytes = %d, want > 0", recSize)
-	}
-
+	recSize := recordSize(t)
 	clock := newClock()
 	dir := t.TempDir()
 	budget := 8*recSize + recSize/2 // room for 8 records, not 9
@@ -383,8 +399,8 @@ func TestEvictionMaxBytes(t *testing.T) {
 	}
 	keys := make([]sweep.Key, 12)
 	for i := range keys {
-		keys[i] = testKey("w", uint64(i))
-		if err := s.Put(keys[i], &uarch.Counters{Cycles: 1}); err != nil {
+		keys[i] = sameSizeKey(i)
+		if err := s.Put(keys[i], sameSizeValue); err != nil {
 			t.Fatal(err)
 		}
 		clock.advance(time.Second)
@@ -436,40 +452,74 @@ func TestEvictionMaxBytes(t *testing.T) {
 	}
 }
 
-func TestEvictionMaxAge(t *testing.T) {
-	clock := newClock()
+// TestDefaultBudget: a store opened without a budget enforces
+// DefaultMaxBytes — there is no unlimited store. Three sparse orphan record
+// files, which Open adopts at their stat size and mtime, fill the budget to
+// one byte short without writing 256 MiB; the next Put then evicts the
+// least recently used of them.
+func TestDefaultBudget(t *testing.T) {
 	dir := t.TempDir()
-	s, err := store.OpenWith(dir, store.OpenOptions{MaxAge: time.Hour, Now: clock.now})
+	s, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
-	}
-	old, fresh := testKey("old", 1), testKey("fresh", 2)
-	if err := s.Put(old, &uarch.Counters{Cycles: 1}); err != nil {
-		t.Fatal(err)
-	}
-	clock.advance(2 * time.Hour)
-	if err := s.Put(fresh, &uarch.Counters{Cycles: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if n := s.Evict(); n != 1 {
-		t.Fatalf("Evict removed %d records, want 1", n)
-	}
-	if _, ok, _ := s.Get(old); ok {
-		t.Fatal("expired record survived the age pass")
-	}
-	if _, ok, _ := s.Get(fresh); !ok {
-		t.Fatal("fresh record was age-evicted")
 	}
 	s.Close()
-	// The age pass also runs at Open.
-	clock.advance(2 * time.Hour)
-	s2, err := store.OpenWith(dir, store.OpenOptions{MaxAge: time.Hour, Now: clock.now})
+	shard0 := filepath.Join(dir, "v2", "shard-00")
+	third := store.DefaultMaxBytes / 3
+	old := time.Now().Add(-time.Hour)
+	for i := 1; i <= 3; i++ {
+		// Addresses ending in 0 route to shard 0 of the 16.
+		path := filepath.Join(shard0, fmt.Sprintf("%015x0.json", i))
+		if err := os.WriteFile(path, nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Truncate(path, third); err != nil {
+			t.Fatal(err)
+		}
+		stamp := old.Add(time.Duration(i) * time.Minute)
+		if err := os.Chtimes(path, stamp, stamp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err = store.OpenWith(dir, store.OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s2.Close()
-	if n := s2.Len(); n != 0 {
-		t.Fatalf("Len after aged reopen = %d, want 0", n)
+	defer s.Close()
+	if got, want := s.Bytes(), 3*third; got != want || want >= store.DefaultMaxBytes {
+		t.Fatalf("Bytes at open = %d, want %d (just under the %d default)", got, want, store.DefaultMaxBytes)
+	}
+	if ev := s.Stats().Evictions; ev != 0 {
+		t.Fatalf("open within the default budget evicted %d records", ev)
+	}
+	k := sameSizeKey(0)
+	if err := s.Put(k, sameSizeValue); err != nil {
+		t.Fatal(err)
+	}
+	if ev := s.Stats().Evictions; ev != 1 {
+		t.Fatalf("Put past the default budget evicted %d records, want 1", ev)
+	}
+	if got := s.Bytes(); got > store.DefaultMaxBytes {
+		t.Fatalf("Bytes after eviction = %d, over the %d default", got, store.DefaultMaxBytes)
+	}
+	if _, err := os.Stat(filepath.Join(shard0, fmt.Sprintf("%015x0.json", 1))); !os.IsNotExist(err) {
+		t.Fatalf("least recently used record survived: stat err = %v", err)
+	}
+	if _, ok, err := s.Get(k); err != nil || !ok {
+		t.Fatalf("fresh record after eviction: ok=%v err=%v", ok, err)
+	}
+}
+
+// TestNegativeBudgetRefused: a negative -store-max-bytes is an operator
+// error, not a spelling of "unlimited".
+func TestNegativeBudgetRefused(t *testing.T) {
+	dir := t.TempDir()
+	_, err := store.OpenWith(dir, store.OpenOptions{MaxBytes: -1})
+	if err == nil || !strings.Contains(err.Error(), "-store-max-bytes") {
+		t.Fatalf("OpenWith(MaxBytes: -1) err = %v, want a refusal naming -store-max-bytes", err)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Fatalf("refused open wrote %d entries into the directory", len(entries))
 	}
 }
 

@@ -110,16 +110,17 @@ func TestConcurrentStress(t *testing.T) {
 	}
 }
 
-// TestConcurrentStressWithEviction repeats the mix with a tight record
-// budget: under concurrent LRU eviction a Get may miss, but it must never
-// return anything other than the exact last value written for its key.
+// TestConcurrentStressWithEviction repeats the mix with a tight byte
+// budget, about a quarter of the records written: under concurrent LRU
+// eviction a Get may miss, but it must never return anything other than
+// the exact last value written for its key.
 func TestConcurrentStressWithEviction(t *testing.T) {
 	const (
 		goroutines = 8
 		keysPer    = 20
-		budget     = 40
 	)
-	s, err := store.OpenWith(t.TempDir(), store.OpenOptions{Shards: 4, MaxRecords: budget})
+	budget := 40 * recordSize(t)
+	s, err := store.OpenWith(t.TempDir(), store.OpenOptions{Shards: 4, MaxBytes: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,8 +159,8 @@ func TestConcurrentStressWithEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Evict()
-	if n := s.Len(); n > budget {
-		t.Fatalf("Len = %d, want <= budget %d", n, budget)
+	if n := s.Bytes(); n > budget {
+		t.Fatalf("Bytes = %d, want <= budget %d", n, budget)
 	}
 	if st := s.Stats(); st.Evictions == 0 || st.Corrupt != 0 {
 		t.Fatalf("Stats = %+v, want evictions > 0 and no corruption", st)
