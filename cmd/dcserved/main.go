@@ -87,9 +87,9 @@
 // job) releases its share of the computation, and the simulation itself
 // stops only when the last sharer is gone.
 //
-// The store is sharded on disk (16 shards, fixed at creation by a persisted
-// manifest) and always byte-bounded: /v1/jobs keys are client-chosen, so an
-// unbounded store would be disk any client can fill. Both sweep counters and the cluster-experiment stats (Figures
+// The store is sharded on disk (store.DefaultShards, a constant) and always
+// byte-bounded: /v1/jobs keys are client-chosen, so an unbounded store
+// would be disk any client can fill. Both sweep counters and the cluster-experiment stats (Figures
 // 2/5, Table I) persist, so a restarted server re-simulates nothing that is
 // already on disk.
 //

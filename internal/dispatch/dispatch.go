@@ -78,7 +78,8 @@ const defaultRetryAfter = time.Second
 // Options configures a RemoteBackend. The zero value of every field but
 // Workers is usable: New fills defaults for Timeout and Cooldown, whose
 // zero values would be meaningless; Retries 0 genuinely means "no
-// retries" (RegisterFlags sets DefaultRetries for both binaries).
+// retries" (RegisterFlags, which only dcserved mounts, sets
+// DefaultRetries).
 type Options struct {
 	// Workers are the worker addresses (host:port); an empty list means
 	// dispatch is off and the caller should not build a backend at all.

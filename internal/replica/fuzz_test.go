@@ -88,7 +88,7 @@ func FuzzDigestResponse(f *testing.F) {
 		peer.digest, peer.addrs, peer.record, peer.uris = digest, addrs, record, nil
 		peer.mu.Unlock()
 
-		st, err := store.OpenWith(t.TempDir(), store.OpenOptions{Shards: 1, Log: quietLog})
+		st, err := store.OpenWith(t.TempDir(), store.OpenOptions{Log: quietLog})
 		if err != nil {
 			t.Fatal(err)
 		}

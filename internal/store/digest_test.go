@@ -155,46 +155,6 @@ func TestGetRecordAdoptRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAdoptAcrossShardCounts proves the record address is geometry-free:
-// bytes exported by a 4-shard store land correctly in a 64-shard store.
-func TestAdoptAcrossShardCounts(t *testing.T) {
-	src, err := store.OpenWith(t.TempDir(), store.OpenOptions{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
-	dst, err := store.OpenWith(t.TempDir(), store.OpenOptions{Shards: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dst.Close()
-	for i := 0; i < 16; i++ {
-		k := testKey("w", uint64(i))
-		if err := src.Put(k, &uarch.Counters{Cycles: int64(i) + 1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, addr := range allAddrs(t, src) {
-		data, ok, err := src.GetRecord(addr)
-		if err != nil || !ok {
-			t.Fatal("export failed")
-		}
-		if _, err := dst.AdoptRecord(data); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if dst.Len() != 16 {
-		t.Fatalf("dst holds %d records, want 16", dst.Len())
-	}
-	for i := 0; i < 16; i++ {
-		k := testKey("w", uint64(i))
-		got, ok, err := dst.Get(k)
-		if err != nil || !ok || got.Cycles != int64(i)+1 {
-			t.Fatalf("key %d: got %+v ok=%v err=%v", i, got, ok, err)
-		}
-	}
-}
-
 // TestAdoptUnderBudgets proves adopted records obey the same LRU byte
 // budget as local puts: replication cannot inflate a bounded store.
 func TestAdoptUnderBudgets(t *testing.T) {

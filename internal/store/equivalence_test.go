@@ -38,11 +38,10 @@ func equivJobs() []sweep.Job {
 	return jobs
 }
 
-// TestShardedVsUnshardedEquivalence: the shard count is pure layout — a
-// 1-shard and a 32-shard store behind identical sweeps must produce
-// identical counters, cold and warm, and a warm engine over either store
-// re-simulates nothing.
-func TestShardedVsUnshardedEquivalence(t *testing.T) {
+// TestStoreBackedSweepMatchesStoreless: a store behind the sweep engine is
+// invisible in the results — identical counters to a storeless run, cold
+// and warm — and a warm engine over the store re-simulates nothing.
+func TestStoreBackedSweepMatchesStoreless(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs small simulations")
 	}
@@ -50,7 +49,16 @@ func TestShardedVsUnshardedEquivalence(t *testing.T) {
 	cfg := uarch.DefaultConfig()
 	cfg.Warmup = 5_000
 
-	runOn := func(s *store.Store) []*uarch.Counters {
+	baseline, err := sweep.NewEngine().Run(context.Background(), jobs, cfg, 0, sweep.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	runOn := func() []*uarch.Counters {
 		t.Helper()
 		e := sweep.NewEngine()
 		e.SetMemoBackend(s.Backend(quietLog(t)))
@@ -61,44 +69,19 @@ func TestShardedVsUnshardedEquivalence(t *testing.T) {
 		return out
 	}
 
-	baseline := func() []*uarch.Counters {
-		t.Helper()
-		out, err := sweep.NewEngine().Run(context.Background(), jobs, cfg, 0, sweep.RunOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}()
-
-	dir1, dir32 := t.TempDir(), t.TempDir()
-	s1, err := store.OpenWith(dir1, store.OpenOptions{Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s1.Close()
-	s32, err := store.OpenWith(dir32, store.OpenOptions{Shards: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s32.Close()
-
-	cold1, cold32 := runOn(s1), runOn(s32)
-	if !reflect.DeepEqual(cold1, baseline) || !reflect.DeepEqual(cold32, baseline) {
+	if cold := runOn(); !reflect.DeepEqual(cold, baseline) {
 		t.Fatal("store-backed sweep diverged from the storeless baseline")
 	}
-	// Warm pass through fresh engines ("restarted processes"): every result
-	// comes off disk, still byte-for-byte the baseline's.
-	warm1, warm32 := runOn(s1), runOn(s32)
-	if !reflect.DeepEqual(warm1, baseline) || !reflect.DeepEqual(warm32, baseline) {
+	// Warm pass through a fresh engine (a "restarted process"): every
+	// result comes off disk, still byte-for-byte the baseline's.
+	if warm := runOn(); !reflect.DeepEqual(warm, baseline) {
 		t.Fatal("warm store read diverged from the simulated results")
 	}
-	for _, s := range []*store.Store{s1, s32} {
-		st := s.Stats()
-		if st.Writes != int64(len(jobs)) {
-			t.Fatalf("shards=%d: %d writes, want %d (warm pass must not re-simulate)", st.Shards, st.Writes, len(jobs))
-		}
-		if st.Hits < int64(len(jobs)) {
-			t.Fatalf("shards=%d: %d hits, want >= %d", st.Shards, st.Hits, len(jobs))
-		}
+	st := s.Stats()
+	if st.Writes != int64(len(jobs)) {
+		t.Fatalf("%d writes, want %d (warm pass must not re-simulate)", st.Writes, len(jobs))
+	}
+	if st.Hits < int64(len(jobs)) {
+		t.Fatalf("%d hits, want >= %d", st.Hits, len(jobs))
 	}
 }

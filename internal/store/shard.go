@@ -2,119 +2,43 @@ package store
 
 import (
 	"errors"
-	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 )
 
-// indexName is the per-shard append-only index file. Each line is one of
-//
-//	P <addr> <lastAccessUnixNano> <size>   record written (or adopted)
-//	T <addr> <lastAccessUnixNano>          record read (LRU touch)
-//	D <addr>                               record removed
-//
-// Replaying the log at Open rebuilds the shard's in-memory view in
-// O(index lines) — no directory walk, no per-record stat — and makes Len an
-// O(1) counter read. A torn final line (a crash mid-append) is skipped and
-// counted as corruption, never fatal: the records themselves stay the
-// source of truth and Get falls back to disk on an index miss.
-const indexName = "index.log"
-
-// compactSlack: the log is rewritten once its line count exceeds this many
-// times the live entry count (plus a floor so tiny shards never churn).
-const compactSlack = 4
-
-// Touch batching: warm Gets are the hot path, and one write syscall per
-// Get just to refresh an LRU stamp is the store's dominant cost once it is
-// warm. T lines are therefore coalesced per shard — latest stamp per
-// address — and flushed as one append when touchBatchMax addresses are
-// pending or touchBatchDelay after the first one, whichever comes first.
-// The in-memory stamp (which drives eviction in this process) updates
-// immediately; only the on-disk line is delayed, so the cost is a slightly
-// stale LRU view in a process that opens the directory within the delay —
-// and the LRU only needs approximate recency. P and D lines still append
-// immediately: they carry existence, not just recency.
-const (
-	touchBatchMax   = 64
-	touchBatchDelay = 100 * time.Millisecond
-)
-
 // entry is one record's index state.
 type entry struct {
-	lastAccess int64 // unix nanoseconds of the last Put or Get
+	lastAccess int64 // unix nanoseconds of the last Put or Get: the file's mtime
 	size       int64 // record file size in bytes
 }
 
-// shard is one hash shard: a directory of record files plus its index. Each
-// shard has its own lock, so concurrent sweep write-through across shards
-// never serialises on a store-wide mutex.
+// shard is one hash shard: a directory of record files. The directory is
+// its own index — a record's size is its file size and its LRU stamp is its
+// mtime — and the in-memory map mirrors it so Len, Bytes and eviction never
+// touch the disk. Each shard has its own lock, so concurrent sweep
+// write-through across shards never serialises on a store-wide mutex.
 type shard struct {
 	dir string
 
-	mu        sync.Mutex
-	index     map[string]*entry
-	logf      *os.File // nil after a failed reopen; lazily reopened
-	closed    bool     // Store.Close called: stay shut for good
-	lines     int      // log lines since the last rewrite, live or not
-	compactAt int      // backoff floor after a failed compaction (0 = none)
-
-	pending    map[string]int64 // batched T stamps (addr → latest) not yet appended
-	touchTimer *time.Timer      // armed while pending is non-empty
+	mu    sync.Mutex
+	index map[string]*entry
 }
 
-// open creates the shard directory if needed, replays the index log into
-// memory and opens the log for appending. It reports how many malformed
-// index lines were skipped.
-func (sh *shard) open() (corrupt int, err error) {
+// open creates the shard directory if needed and builds the index from one
+// listing: each <addr>.json entry costs one lstat for its size and mtime.
+func (sh *shard) open() error {
 	if err := os.MkdirAll(sh.dir, 0o755); err != nil {
-		return 0, err
-	}
-	sh.index = make(map[string]*entry)
-	path := filepath.Join(sh.dir, indexName)
-	data, err := os.ReadFile(path)
-	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return 0, err
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		if line == "" {
-			continue
-		}
-		sh.lines++
-		if !sh.replay(line) {
-			corrupt++
-		}
-	}
-	if err := sh.reconcile(); err != nil {
-		return corrupt, err
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return corrupt, err
-	}
-	sh.logf = f
-	return corrupt, nil
-}
-
-// reconcile squares the replayed index with the shard directory: a record
-// whose index line was lost (a crash between the record rename and the
-// append, or a compaction racing another process's appends) is adopted so
-// it stays counted and evictable, and an index entry whose record file is
-// gone is dropped. The listing reads names only; just the rare orphan pays
-// a stat (for its size and an mtime-based LRU stamp).
-func (sh *shard) reconcile() error {
-	entries, err := os.ReadDir(sh.dir)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil
-		}
 		return err
 	}
-	present := make(map[string]bool, len(entries))
+	entries, err := os.ReadDir(sh.dir)
+	if err != nil {
+		return err
+	}
+	sh.index = make(map[string]*entry, len(entries))
 	for _, de := range entries {
 		name, ok := strings.CutSuffix(de.Name(), ".json")
 		if de.IsDir() || !ok || len(name) != 16 {
@@ -128,110 +52,13 @@ func (sh *shard) reconcile() error {
 			}
 			continue
 		}
-		present[name] = true
-		if _, indexed := sh.index[name]; indexed {
-			continue
-		}
 		info, err := de.Info()
 		if err != nil {
 			continue // vanished mid-listing: it was being removed anyway
 		}
 		sh.index[name] = &entry{lastAccess: info.ModTime().UnixNano(), size: info.Size()}
 	}
-	for addr := range sh.index {
-		if !present[addr] {
-			delete(sh.index, addr)
-		}
-	}
 	return nil
-}
-
-// replay applies one index line, reporting whether it parsed.
-func (sh *shard) replay(line string) bool {
-	f := strings.Fields(line)
-	switch {
-	case len(f) == 4 && f[0] == "P":
-		last, err1 := strconv.ParseInt(f[2], 10, 64)
-		size, err2 := strconv.ParseInt(f[3], 10, 64)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		sh.index[f[1]] = &entry{lastAccess: last, size: size}
-	case len(f) == 3 && f[0] == "T":
-		last, err := strconv.ParseInt(f[2], 10, 64)
-		if err != nil {
-			return false
-		}
-		if e, ok := sh.index[f[1]]; ok {
-			e.lastAccess = last
-		}
-	case len(f) == 2 && f[0] == "D":
-		delete(sh.index, f[1])
-	default:
-		return false
-	}
-	return true
-}
-
-// appendLocked writes one or more index lines in a single syscall and
-// compacts the log when it has grown too far past the live entry count.
-// Callers hold sh.mu. Append failures are returned for logging but never
-// corrupt state: the in-memory index stays right for this process, and a
-// lost line only costs a reopened process one disk fallback or a slightly
-// stale LRU stamp.
-func (sh *shard) appendLocked(line string) error {
-	if sh.closed {
-		return errors.New("index log closed")
-	}
-	if sh.logf == nil {
-		// A prior reopen failed (fd pressure, say): retry here rather than
-		// freezing the on-disk index for the rest of the process lifetime.
-		f, err := os.OpenFile(filepath.Join(sh.dir, indexName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return err
-		}
-		sh.logf = f
-	}
-	_, err := sh.logf.WriteString(line)
-	sh.lines += strings.Count(line, "\n")
-	if sh.lines > compactSlack*len(sh.index)+64 && sh.lines >= sh.compactAt {
-		if rerr := sh.rewriteLocked(); rerr != nil {
-			// Back off until the log doubles: a failing disk must not turn
-			// every subsequent append into a full rewrite attempt.
-			sh.compactAt = sh.lines * 2
-			if err == nil {
-				err = rerr
-			}
-		} else {
-			sh.compactAt = 0
-		}
-	}
-	return err
-}
-
-// rewriteLocked compacts the log to one P line per live record. Batched
-// touches are dropped rather than flushed: the in-memory stamps they carry
-// are already in the index, so the P lines written here subsume them.
-func (sh *shard) rewriteLocked() error {
-	clear(sh.pending)
-	path := filepath.Join(sh.dir, indexName)
-	var b strings.Builder
-	for addr, e := range sh.index {
-		fmt.Fprintf(&b, "P %s %d %d\n", addr, e.lastAccess, e.size)
-	}
-	if err := writeFileAtomic(path, []byte(b.String())); err != nil {
-		return err
-	}
-	old := sh.logf
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		sh.logf = nil
-		old.Close()
-		return err
-	}
-	sh.logf = f
-	sh.lines = len(sh.index)
-	return old.Close()
 }
 
 // recordPath is the record file for an address within this shard.
@@ -239,11 +66,12 @@ func (sh *shard) recordPath(addr string) string {
 	return filepath.Join(sh.dir, addr+".json")
 }
 
-// install writes data as addr's record: the temp file is prepared outside
-// the lock, but the rename into place and the index registration happen
-// under it — an eviction pass (which also holds sh.mu to remove) can
-// therefore never delete a freshly installed record on the basis of a
-// stale last-access snapshot taken before the write.
+// install writes data as addr's record: the temp file is prepared and
+// stamped with the store clock outside the lock, but the rename into place
+// and the index registration happen under it — an eviction pass (which
+// also holds sh.mu to remove) can therefore never delete a freshly
+// installed record on the basis of a stale last-access snapshot taken
+// before the write.
 func (sh *shard) install(s *Store, addr string, data []byte, now int64) error {
 	tmp, err := os.CreateTemp(sh.dir, ".write-*")
 	if err != nil {
@@ -255,6 +83,10 @@ func (sh *shard) install(s *Store, addr string, data []byte, now int64) error {
 		return err
 	}
 	if err := tmp.Close(); err != nil {
+		return err
+	}
+	stamp := time.Unix(0, now)
+	if err := os.Chtimes(tmp.Name(), stamp, stamp); err != nil {
 		return err
 	}
 	sh.mu.Lock()
@@ -269,76 +101,35 @@ func (sh *shard) install(s *Store, addr string, data []byte, now int64) error {
 		s.bytes.Add(int64(len(data)))
 	}
 	sh.index[addr] = &entry{lastAccess: now, size: int64(len(data))}
-	if err := sh.appendLocked(fmt.Sprintf("P %s %d %d\n", addr, now, int64(len(data)))); err != nil {
-		s.log.Warn("store: index append failed", "shard", filepath.Base(sh.dir), "err", err)
-	}
 	return nil
 }
 
-// touch stamps a read for LRU, adopting records this process's index has
-// never seen (written by another process sharing the directory). Known
-// records batch their T line (see the touch-batching comment up top);
-// adoptions append a P line immediately, because they change Len and
-// existence, not just recency.
+// touch stamps a read for LRU — in memory and as the record's mtime, so the
+// recency survives a restart and reaches other processes at their next
+// Open — adopting records this process's index has never seen (written by
+// another process sharing the directory).
 func (sh *shard) touch(s *Store, addr string, now, size int64) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if e, ok := sh.index[addr]; ok {
-		e.lastAccess = now
-		if sh.pending == nil {
-			sh.pending = make(map[string]int64)
+	e, ok := sh.index[addr]
+	if !ok {
+		// The record may be gone already: an eviction pass can remove it
+		// between the caller's read and this adoption (both hold no lock
+		// in between), and evict holds sh.mu — so a stat here is
+		// race-free.
+		if _, err := os.Stat(sh.recordPath(addr)); err != nil {
+			return
 		}
-		sh.pending[addr] = now
-		if len(sh.pending) >= touchBatchMax {
-			sh.flushTouchesLocked(s)
-		} else if sh.touchTimer == nil && !sh.closed {
-			sh.touchTimer = time.AfterFunc(touchBatchDelay, func() {
-				sh.mu.Lock()
-				defer sh.mu.Unlock()
-				sh.flushTouchesLocked(s)
-			})
-		}
-		return
+		s.live.Add(1)
+		s.bytes.Add(size)
+		e = &entry{size: size}
+		sh.index[addr] = e
 	}
-	// The record may be gone already: an eviction pass can remove it
-	// between the caller's read and this adoption (both hold no lock in
-	// between), and evict holds sh.mu — so a stat here is race-free.
-	if _, err := os.Stat(sh.recordPath(addr)); err != nil {
-		return
-	}
-	s.live.Add(1)
-	s.bytes.Add(size)
-	sh.index[addr] = &entry{lastAccess: now, size: size}
-	if err := sh.appendLocked(fmt.Sprintf("P %s %d %d\n", addr, now, size)); err != nil {
-		s.log.Warn("store: index append failed", "shard", filepath.Base(sh.dir), "err", err)
-	}
-}
-
-// flushTouchesLocked appends every batched T line in one write and disarms
-// the flush timer. Callers hold sh.mu.
-func (sh *shard) flushTouchesLocked(s *Store) {
-	if sh.touchTimer != nil {
-		sh.touchTimer.Stop()
-		sh.touchTimer = nil
-	}
-	if len(sh.pending) == 0 {
-		return
-	}
-	var b strings.Builder
-	for addr, ts := range sh.pending {
-		fmt.Fprintf(&b, "T %s %d\n", addr, ts)
-	}
-	clear(sh.pending)
-	if err := sh.appendLocked(b.String()); err != nil {
-		s.log.Warn("store: index append failed", "shard", filepath.Base(sh.dir), "err", err)
-	}
-}
-
-// flushTouches is flushTouchesLocked for callers not holding sh.mu.
-func (sh *shard) flushTouches(s *Store) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.flushTouchesLocked(s)
+	e.lastAccess = now
+	// Best effort: a failed stamp leaves this process's LRU right and only
+	// costs a later Open some recency.
+	stamp := time.Unix(0, now)
+	os.Chtimes(sh.recordPath(addr), stamp, stamp)
 }
 
 // forget drops an index entry whose record file has vanished (evicted or
@@ -358,12 +149,8 @@ func (sh *shard) forget(s *Store, addr string) {
 		return
 	}
 	delete(sh.index, addr)
-	delete(sh.pending, addr) // a batched touch for a dead record is noise
 	s.live.Add(-1)
 	s.bytes.Add(-e.size)
-	if err := sh.appendLocked(fmt.Sprintf("D %s\n", addr)); err != nil {
-		s.log.Warn("store: index append failed", "shard", filepath.Base(sh.dir), "err", err)
-	}
 }
 
 // evict removes one record if its index entry still carries the last-access
@@ -381,26 +168,7 @@ func (sh *shard) evict(s *Store, addr string, lastSeen int64) bool {
 		return false
 	}
 	delete(sh.index, addr)
-	delete(sh.pending, addr)
 	s.live.Add(-1)
 	s.bytes.Add(-e.size)
-	if err := sh.appendLocked(fmt.Sprintf("D %s\n", addr)); err != nil {
-		s.log.Warn("store: index append failed", "shard", filepath.Base(sh.dir), "err", err)
-	}
 	return true
-}
-
-// close flushes batched touches, then releases the index log handle; later
-// appends fail harmlessly.
-func (sh *shard) close(s *Store) error {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.flushTouchesLocked(s)
-	sh.closed = true
-	if sh.logf == nil {
-		return nil
-	}
-	err := sh.logf.Close()
-	sh.logf = nil
-	return err
 }

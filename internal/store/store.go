@@ -8,14 +8,10 @@
 //
 //	root/SCHEMA               the schema version ("2\n"); any other version
 //	                          refuses to open rather than misread old bytes
-//	root/MANIFEST.json        {"schema":2,"shards":N}; the shard count is
-//	                          fixed here when the store is created, so every
-//	                          later open — whatever its flags say — routes
-//	                          keys identically
-//	root/v2/shard-??/         one directory per hash shard (N power of two)
-//	root/v2/shard-??/index.log   the shard's append-only index (see shard.go)
+//	root/v2/shard-??/         one directory per hash shard (DefaultShards)
 //	root/v2/shard-??/<addr>.json one record per key; <addr> is the fnv64a of
-//	                          (kind, canonical key JSON)
+//	                          (kind, canonical key JSON); its mtime is the
+//	                          record's last Put or Get
 //
 // Records are written to a temp file and renamed into place, so concurrent
 // readers — including other processes — observe either the whole record or
@@ -24,17 +20,18 @@
 // degrades to a counted miss instead of returning the wrong workload's
 // counters.
 //
-// The in-memory index (rebuilt at Open by replaying the per-shard logs
-// plus one name-only directory listing per shard to re-adopt records whose
-// index line was lost — never a per-record read or stat) makes Len an O(1)
-// counter read and carries each record's last-access time, which drives the
-// LRU eviction pass: Evict removes the least-recently-used records beyond
-// the byte budget, which is always finite (DefaultMaxBytes unless
-// OpenOptions.MaxBytes sets another). Within one process the store is safe
-// for any number of goroutines (per-shard locking); across processes the
-// record files stay coherent (Get falls back to disk and adopts foreign
-// records into the index), while Len and LRU stamps are per-process views
-// that converge on the next Open.
+// The directory is the index. Open lists each shard once and takes every
+// record's size and mtime from the listing (one lstat per record), and the
+// in-memory index built from it makes Len an O(1) counter read and carries
+// each record's last-access time, which drives the LRU eviction pass:
+// Evict removes the least-recently-used records beyond the byte budget,
+// which is always finite (DefaultMaxBytes unless OpenOptions.MaxBytes sets
+// another). A Put or Get stamps the record's mtime, so recency survives a
+// restart. Within one process the store is safe for any number of
+// goroutines (per-shard locking); across processes the record files stay
+// coherent (Get falls back to disk and adopts foreign records into the
+// index), while Len and LRU stamps are per-process views that converge on
+// the next Open.
 package store
 
 import (
@@ -65,14 +62,11 @@ import (
 // SchemaVersion is the on-disk schema this package reads and writes.
 const SchemaVersion = 2
 
-// DefaultShards is the shard count for newly created stores: wide enough
-// that a full-width sweep's write-through rarely contends on one shard
-// lock, small enough that an empty store is a handful of directories.
+// DefaultShards is every store's shard count: wide enough that a
+// full-width sweep's write-through rarely contends on one shard lock, small
+// enough that an empty store is a handful of directories. A key's shard is
+// the low bits of its address, so the count is a power of two and fixed.
 const DefaultShards = 16
-
-// maxShards bounds the manifest: shard directories are named by one hex
-// byte.
-const maxShards = 256
 
 // DefaultMaxBytes is the byte budget of a store opened without one. A
 // record is a pure function of its key, so nothing in a store ever goes
@@ -81,20 +75,8 @@ const maxShards = 256
 // about 460 000 records, some 7 800 full figure stores.
 const DefaultMaxBytes int64 = 256 << 20
 
-const manifestName = "MANIFEST.json"
-
-// manifest pins the store's immutable geometry.
-type manifest struct {
-	Schema int `json:"schema"`
-	Shards int `json:"shards"`
-}
-
 // OpenOptions tunes OpenWith. The zero value matches Open.
 type OpenOptions struct {
-	// Shards is the shard count for a store being created; it must be a
-	// power of two in [1, 256]. 0 means DefaultShards. Opening an existing
-	// store always uses the manifest's count.
-	Shards int
 	// MaxBytes caps the total record bytes on disk: a Put pushing the total
 	// past it triggers an LRU eviction pass trimming to 10% below the cap
 	// (so a sustained write load evicts per batch, not per Put); an explicit
@@ -144,7 +126,6 @@ type Stats struct {
 // number of goroutines; see the package comment for the cross-process
 // contract.
 type Store struct {
-	dir      string
 	shards   []*shard
 	maxBytes int64
 	now      func() time.Time
@@ -175,12 +156,6 @@ func Open(dir string) (*Store, error) { return OpenWith(dir, OpenOptions{}) }
 func OpenWith(dir string, opt OpenOptions) (*Store, error) {
 	if dir == "" {
 		return nil, errors.New("store: empty root directory")
-	}
-	if opt.Shards == 0 {
-		opt.Shards = DefaultShards
-	}
-	if opt.Shards < 1 || opt.Shards > maxShards || opt.Shards&(opt.Shards-1) != 0 {
-		return nil, fmt.Errorf("store: shard count %d is not a power of two in [1, %d]", opt.Shards, maxShards)
 	}
 	switch {
 	case opt.MaxBytes < 0:
@@ -217,30 +192,16 @@ func OpenWith(dir string, opt OpenOptions) (*Store, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 
-	m, err := loadManifest(dir, opt.Shards)
-	if err != nil {
-		return nil, err
-	}
 	s := &Store{
-		dir:      dir,
 		maxBytes: opt.MaxBytes,
 		now:      opt.Now,
 		log:      opt.Log,
 	}
 	root := filepath.Join(dir, fmt.Sprintf("v%d", SchemaVersion))
-	for i := 0; i < m.Shards; i++ {
+	for i := 0; i < DefaultShards; i++ {
 		sh := &shard{dir: filepath.Join(root, fmt.Sprintf("shard-%02x", i))}
-		torn, err := sh.open()
-		if err != nil {
-			s.Close()
+		if err := sh.open(); err != nil {
 			return nil, fmt.Errorf("store: %w", err)
-		}
-		if torn > 0 {
-			// A torn tail line is normal after a crash mid-append and the
-			// record behind it is intact (reconcile re-adopts it) — not a
-			// corrupt *record*, so it must not trip disk-trouble alerts on
-			// the corrupt counter.
-			opt.Log.Debug("store: skipped malformed index lines", "shard", i, "lines", torn)
 		}
 		s.live.Add(int64(len(sh.index)))
 		for _, e := range sh.index {
@@ -254,72 +215,10 @@ func OpenWith(dir string, opt OpenOptions) (*Store, error) {
 	return s, nil
 }
 
-// loadManifest reads the manifest, creating it with the requested shard
-// count on first open.
-func loadManifest(dir string, shards int) (manifest, error) {
-	path := filepath.Join(dir, manifestName)
-	var m manifest
-	switch data, err := os.ReadFile(path); {
-	case err == nil:
-		if jerr := json.Unmarshal(data, &m); jerr != nil {
-			return m, fmt.Errorf("store: unreadable %s: %w", manifestName, jerr)
-		}
-		if m.Schema != SchemaVersion {
-			return m, fmt.Errorf("store: %s declares schema %d, this build reads %d", manifestName, m.Schema, SchemaVersion)
-		}
-		if m.Shards < 1 || m.Shards > maxShards || m.Shards&(m.Shards-1) != 0 {
-			return m, fmt.Errorf("store: %s declares invalid shard count %d", manifestName, m.Shards)
-		}
-		return m, nil
-	case errors.Is(err, fs.ErrNotExist):
-		// The manifest is the only record of the shard width; fabricating a
-		// fresh one over existing data would silently re-route every key.
-		// Recover the width from the shard directories themselves, and
-		// refuse anything that does not form a clean power-of-two layout.
-		if n, derr := countShardDirs(dir); derr != nil {
-			return m, derr
-		} else if n > 0 {
-			if n > maxShards || n&(n-1) != 0 {
-				return m, fmt.Errorf("store: %s is missing and the %d shard directories do not form a power-of-two layout; restore the manifest", manifestName, n)
-			}
-			shards = n
-		}
-		m = manifest{Schema: SchemaVersion, Shards: shards}
-		data, _ := json.Marshal(m)
-		if werr := writeFileAtomic(path, append(data, '\n')); werr != nil {
-			return m, fmt.Errorf("store: %w", werr)
-		}
-		return m, nil
-	default:
-		return m, fmt.Errorf("store: %w", err)
-	}
-}
-
-// countShardDirs counts existing shard-?? directories under the versioned
-// data root — the fallback source of truth for a lost manifest.
-func countShardDirs(dir string) (int, error) {
-	entries, err := os.ReadDir(filepath.Join(dir, fmt.Sprintf("v%d", SchemaVersion)))
-	if errors.Is(err, fs.ErrNotExist) {
-		return 0, nil
-	}
-	if err != nil {
-		return 0, fmt.Errorf("store: %w", err)
-	}
-	n := 0
-	for _, de := range entries {
-		name, ok := strings.CutPrefix(de.Name(), "shard-")
-		if de.IsDir() && ok && len(name) == 2 {
-			n++
-		}
-	}
-	return n, nil
-}
-
 // writeFileAtomic replaces path via a temp file, fsync and rename. The
-// fsync matters for the files this is used on — SCHEMA, MANIFEST.json,
-// index compaction — where a power loss making the rename durable but not
-// the content would leave a truncated marker that refuses every later
-// Open. (Record writes go through shard.install instead and skip the
+// fsync matters for the one file this is used on — SCHEMA — where a power
+// loss making the rename durable but not the content would leave a
+// truncated marker that refuses every later Open. (Record writes go through shard.install instead and skip the
 // fsync: counters are re-simulable, so losing one to a power cut is a
 // cache miss, not corruption — the checksum catches the torn bytes.)
 func writeFileAtomic(path string, data []byte) error {
@@ -350,30 +249,12 @@ func writeFileAtomic(path string, data []byte) error {
 	return nil
 }
 
-// Close flushes batched index touches and releases the per-shard index log
-// handles. The store must not be used after Close; a long-lived server
-// never needs to call it.
-func (s *Store) Close() error {
-	var first error
-	for _, sh := range s.shards {
-		if err := sh.close(s); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
+// Close ends the store's use. A Store holds no open files and buffers
+// nothing — every Put and Get has reached the disk when it returns — so
+// Close has nothing to release and returns nil.
+func (s *Store) Close() error { return nil }
 
-// Flush appends every batched touch line to the per-shard index logs now,
-// instead of waiting for the batch size or timer. Useful before handing
-// the directory to another process that should see exact LRU stamps; Close
-// flushes implicitly.
-func (s *Store) Flush() {
-	for _, sh := range s.shards {
-		sh.flushTouches(s)
-	}
-}
-
-// ShardCount reports the manifest-pinned shard count.
+// ShardCount reports the shard count, DefaultShards.
 func (s *Store) ShardCount() int { return len(s.shards) }
 
 // Len is the current record count — an O(1) counter read off the in-memory
@@ -494,11 +375,10 @@ func (s *Store) enforceBudget() {
 	}
 }
 
-// Evict runs one eviction-and-compaction pass: the least-recently-used
-// records beyond the byte budget go. It returns how many records were
-// removed. Records touched after the pass snapshots the index are spared,
-// so a concurrent hit never has its record yanked on the basis of a stale
-// stamp.
+// Evict runs one eviction pass: the least-recently-used records beyond the
+// byte budget go. It returns how many records were removed. Records
+// touched after the pass snapshots the index are spared, so a concurrent
+// hit never has its record yanked on the basis of a stale stamp.
 func (s *Store) Evict() int { return s.evict(s.maxBytes) }
 
 // evict removes the least-recently-used records until the total record

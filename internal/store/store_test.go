@@ -102,7 +102,7 @@ func TestSharedAcrossOpens(t *testing.T) {
 		t.Fatalf("second handle Get = %+v ok=%v err=%v", c, ok, err)
 	}
 	if n := b.Len(); n != 1 {
-		t.Fatalf("reopened Len = %d, want 1 (index replay)", n)
+		t.Fatalf("reopened Len = %d, want 1 (index rebuilt from the listing)", n)
 	}
 	// A record written by one live handle is visible to another opened
 	// before the write: Get falls back to disk and adopts it.
@@ -131,7 +131,7 @@ func TestSchemaMismatchRefusedUntouched(t *testing.T) {
 		}
 		// Refusal must leave no side effects: a foreign-schema store must
 		// not grow this build's layout inside it.
-		for _, planted := range []string{"v2", "MANIFEST.json"} {
+		for _, planted := range []string{"v2"} {
 			if _, err := os.Stat(filepath.Join(dir, planted)); !os.IsNotExist(err) {
 				t.Fatalf("Open planted %s inside a refused schema-%s store (stat err = %v)", planted, version, err)
 			}
@@ -147,7 +147,7 @@ func TestForeignDirRefusedUntouched(t *testing.T) {
 	if _, err := store.Open(dir); err == nil || !strings.Contains(err.Error(), "SCHEMA") {
 		t.Fatalf("Open on a non-empty non-store dir = %v, want refusal", err)
 	}
-	for _, planted := range []string{"SCHEMA", "MANIFEST.json", "v2"} {
+	for _, planted := range []string{"SCHEMA", "v2"} {
 		if _, err := os.Stat(filepath.Join(dir, planted)); !os.IsNotExist(err) {
 			t.Fatalf("Open planted %s in a refused directory", planted)
 		}
@@ -155,7 +155,7 @@ func TestForeignDirRefusedUntouched(t *testing.T) {
 }
 
 // recordFiles returns every record file under the store's data directory
-// (the index logs are not records).
+// (stray temp files are not records).
 func recordFiles(t *testing.T, dir string) []string {
 	t.Helper()
 	var out []string
@@ -248,62 +248,6 @@ func TestBackendSwallowsFailure(t *testing.T) {
 	}
 }
 
-func TestShardCountPinnedByManifest(t *testing.T) {
-	dir := t.TempDir()
-	s, err := store.OpenWith(dir, store.OpenOptions{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.ShardCount(); got != 4 {
-		t.Fatalf("ShardCount = %d, want 4", got)
-	}
-	keys := make([]sweep.Key, 20)
-	for i := range keys {
-		keys[i] = testKey("w", uint64(i))
-		if err := s.Put(keys[i], &uarch.Counters{Cycles: int64(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.Close()
-	// Reopening with a different requested width must keep the manifest's
-	// count, or every address would route to the wrong shard.
-	s2, err := store.OpenWith(dir, store.OpenOptions{Shards: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if got := s2.ShardCount(); got != 4 {
-		t.Fatalf("reopened ShardCount = %d, want the manifest's 4", got)
-	}
-	for i, k := range keys {
-		if c, ok, err := s2.Get(k); err != nil || !ok || c.Cycles != int64(i) {
-			t.Fatalf("key %d after reopen: c=%+v ok=%v err=%v", i, c, ok, err)
-		}
-	}
-	if _, err := store.OpenWith(t.TempDir(), store.OpenOptions{Shards: 3}); err == nil {
-		t.Fatal("OpenWith accepted a non-power-of-two shard count")
-	}
-	// A lost manifest must be recovered from the shard directories, never
-	// fabricated from the flags: that would re-route every key.
-	s2.Close()
-	if err := os.Remove(filepath.Join(dir, "MANIFEST.json")); err != nil {
-		t.Fatal(err)
-	}
-	s3, err := store.OpenWith(dir, store.OpenOptions{Shards: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s3.Close()
-	if got := s3.ShardCount(); got != 4 {
-		t.Fatalf("ShardCount after manifest loss = %d, want the 4 inferred from shard dirs", got)
-	}
-	for i, k := range keys {
-		if c, ok, err := s3.Get(k); err != nil || !ok || c.Cycles != int64(i) {
-			t.Fatalf("key %d after manifest recovery: c=%+v ok=%v err=%v", i, c, ok, err)
-		}
-	}
-}
-
 // sameSizeKey is the i-th of a family of keys (i < 900) whose records,
 // holding sameSizeValue, all encode to the same width: the seed always has
 // three digits. Byte-budget tests need equal sizes to predict the LRU
@@ -333,7 +277,7 @@ func TestEvictionLRU(t *testing.T) {
 	recSize := recordSize(t)
 	clock := newClock()
 	s, err := store.OpenWith(t.TempDir(), store.OpenOptions{
-		Shards: 4, MaxBytes: 8 * recSize, Now: clock.now,
+		MaxBytes: 8 * recSize, Now: clock.now,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -392,7 +336,7 @@ func TestEvictionMaxBytes(t *testing.T) {
 	dir := t.TempDir()
 	budget := 8*recSize + recSize/2 // room for 8 records, not 9
 	s, err := store.OpenWith(dir, store.OpenOptions{
-		Shards: 4, MaxBytes: budget, Now: clock.now,
+		MaxBytes: budget, Now: clock.now,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -418,8 +362,8 @@ func TestEvictionMaxBytes(t *testing.T) {
 	if _, ok, _ := s.Get(keys[11]); !ok {
 		t.Fatal("newest key was evicted")
 	}
-	// The byte ledger survives a reopen: replayed index sizes must sum to
-	// the same total (Get above refreshed stamps, so flush them first).
+	// The byte ledger survives a reopen: the listed record sizes must sum
+	// to the same total.
 	want := s.Bytes()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -435,7 +379,7 @@ func TestEvictionMaxBytes(t *testing.T) {
 
 	// An explicit Evict with a tighter budget trims to it exactly.
 	s3, err := store.OpenWith(t.TempDir(), store.OpenOptions{
-		Shards: 4, MaxBytes: 2 * recSize, Now: clock.now,
+		MaxBytes: 2 * recSize, Now: clock.now,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -523,14 +467,12 @@ func TestNegativeBudgetRefused(t *testing.T) {
 	}
 }
 
-// TestOpenReconcilesIndexWithDirectory: the index is a cache, the record
-// files are the truth. A record whose index line was lost (crash between
-// rename and append, compaction racing another process) must be re-adopted
-// at Open — counted and evictable — and an index entry whose record file
-// is gone must be dropped.
+// TestOpenReconcilesIndexWithDirectory: the in-memory index is a cache,
+// the record files are the truth. A record removed behind the store's back
+// must not be counted by the next Open.
 func TestOpenReconcilesIndexWithDirectory(t *testing.T) {
 	dir := t.TempDir()
-	s, err := store.OpenWith(dir, store.OpenOptions{Shards: 1})
+	s, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -542,36 +484,83 @@ func TestOpenReconcilesIndexWithDirectory(t *testing.T) {
 		}
 	}
 	s.Close()
-	shardDir := filepath.Join(dir, "v2", "shard-00")
-	// Lost index: wipe the log entirely.
-	if err := os.Remove(filepath.Join(shardDir, "index.log")); err != nil {
+	// Lost record: the previous process indexed a file that is gone.
+	recs := recordFiles(t, dir)
+	if err := os.Remove(recs[0]); err != nil {
 		t.Fatal(err)
 	}
 	s2, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := s2.Len(); n != 3 {
-		t.Fatalf("Len after index loss = %d, want 3 (records re-adopted from the directory)", n)
+	defer s2.Close()
+	if n := s2.Len(); n != 2 {
+		t.Fatalf("Len after record loss = %d, want 2 (the lost record is not counted)", n)
 	}
-	for i, k := range keys {
-		if c, ok, _ := s2.Get(k); !ok || c.Cycles != int64(i) {
-			t.Fatalf("re-adopted key %d = %+v ok=%v", i, c, ok)
-		}
-	}
-	s2.Close()
-	// Lost record: the index references a file that is gone.
-	recs := recordFiles(t, dir)
-	if err := os.Remove(recs[0]); err != nil {
-		t.Fatal(err)
-	}
-	s3, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s3.Close()
-	if n := s3.Len(); n != 2 {
-		t.Fatalf("Len after record loss = %d, want 2 (stale index entry dropped)", n)
+}
+
+// TestReadRecencySurvivesReopen: a Get's LRU stamp outlives the process
+// that took it. Records a, b and c are written in that order and a is then
+// read — in the writing store, or through a second store sharing the
+// directory (opened before the writes, so its Get adopts a). After a
+// reopen, the next Put overflows the budget by one record: b, the least
+// recently used, must go and a must stay.
+func TestReadRecencySurvivesReopen(t *testing.T) {
+	recSize := recordSize(t)
+	for _, viaSecond := range []bool{false, true} {
+		t.Run(fmt.Sprintf("second_store=%v", viaSecond), func(t *testing.T) {
+			clock := newClock()
+			dir := t.TempDir()
+			w, err := store.OpenWith(dir, store.OpenOptions{Now: clock.now})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := w
+			if viaSecond {
+				if r, err = store.OpenWith(dir, store.OpenOptions{Now: clock.now}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			a, b, c, d := sameSizeKey(0), sameSizeKey(1), sameSizeKey(2), sameSizeKey(3)
+			for _, k := range []sweep.Key{a, b, c} {
+				clock.advance(time.Second)
+				if err := w.Put(k, sameSizeValue); err != nil {
+					t.Fatal(err)
+				}
+			}
+			clock.advance(time.Second)
+			if _, ok, err := r.Get(a); err != nil || !ok {
+				t.Fatalf("Get a: ok=%v err=%v", ok, err)
+			}
+			w.Close()
+			if r != w {
+				r.Close()
+			}
+
+			// Room for three records and a half: the fourth Put trims to 90%
+			// of that, one victim.
+			s, err := store.OpenWith(dir, store.OpenOptions{MaxBytes: 3*recSize + recSize/2, Now: clock.now})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			clock.advance(time.Second)
+			if err := s.Put(d, sameSizeValue); err != nil {
+				t.Fatal(err)
+			}
+			if ev := s.Stats().Evictions; ev != 1 {
+				t.Fatalf("Evictions = %d, want 1", ev)
+			}
+			for _, tc := range []struct {
+				name string
+				k    sweep.Key
+				want bool
+			}{{"a", a, true}, {"b", b, false}, {"c", c, true}, {"d", d, true}} {
+				if _, ok, _ := s.Get(tc.k); ok != tc.want {
+					t.Fatalf("%s present=%v, want %v (a's read must outrank b's older write)", tc.name, ok, tc.want)
+				}
+			}
+		})
 	}
 }
 
@@ -580,7 +569,7 @@ func TestOpenReconcilesIndexWithDirectory(t *testing.T) {
 // old enough that no live process can still be about to rename it.
 func TestOpenCleansStaleTempFiles(t *testing.T) {
 	dir := t.TempDir()
-	s, err := store.OpenWith(dir, store.OpenOptions{Shards: 1})
+	s, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

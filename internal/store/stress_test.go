@@ -2,6 +2,7 @@ package store_test
 
 import (
 	"fmt"
+	"os"
 	"sync"
 	"testing"
 
@@ -32,7 +33,7 @@ func TestConcurrentStress(t *testing.T) {
 		keysPer    = 24
 		revisions  = 3
 	)
-	s, err := store.OpenWith(t.TempDir(), store.OpenOptions{Shards: 8})
+	s, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,14 +114,16 @@ func TestConcurrentStress(t *testing.T) {
 // TestConcurrentStressWithEviction repeats the mix with a tight byte
 // budget, about a quarter of the records written: under concurrent LRU
 // eviction a Get may miss, but it must never return anything other than
-// the exact last value written for its key.
+// the exact last value written for its key. Afterwards the store's ledger,
+// a reopened store's and the record files on disk must all agree.
 func TestConcurrentStressWithEviction(t *testing.T) {
 	const (
 		goroutines = 8
 		keysPer    = 20
 	)
 	budget := 40 * recordSize(t)
-	s, err := store.OpenWith(t.TempDir(), store.OpenOptions{Shards: 4, MaxBytes: budget})
+	dir := t.TempDir()
+	s, err := store.OpenWith(dir, store.OpenOptions{MaxBytes: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,5 +167,28 @@ func TestConcurrentStressWithEviction(t *testing.T) {
 	}
 	if st := s.Stats(); st.Evictions == 0 || st.Corrupt != 0 {
 		t.Fatalf("Stats = %+v, want evictions > 0 and no corruption", st)
+	}
+
+	wantLen, wantBytes := s.Len(), s.Bytes()
+	s.Close()
+	s2, err := store.OpenWith(dir, store.OpenOptions{MaxBytes: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if s2.Len() != wantLen || s2.Bytes() != wantBytes {
+		t.Fatalf("reopened Len/Bytes = %d/%d, want %d/%d as before Close", s2.Len(), s2.Bytes(), wantLen, wantBytes)
+	}
+	recs := recordFiles(t, dir)
+	var diskBytes int64
+	for _, p := range recs {
+		info, err := os.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		diskBytes += info.Size()
+	}
+	if len(recs) != wantLen || diskBytes != wantBytes {
+		t.Fatalf("disk holds %d records / %d bytes, the store counted %d / %d", len(recs), diskBytes, wantLen, wantBytes)
 	}
 }
