@@ -58,7 +58,8 @@ import (
 	"dcbench/internal/workloads"
 )
 
-// Defaults for Options' zero fields.
+// DefaultTimeout is Options.Timeout's default; the retry walk and the
+// circuit breaker are fixed.
 const (
 	DefaultTimeout  = 120 * time.Second // a cold job on a loaded worker is slow, not dead
 	DefaultRetries  = 2                 // attempts beyond the first, each on the next-ranked worker
@@ -76,23 +77,15 @@ const maxShedDemotion = time.Minute
 const defaultRetryAfter = time.Second
 
 // Options configures a RemoteBackend. The zero value of every field but
-// Workers is usable: New fills defaults for Timeout and Cooldown, whose
-// zero values would be meaningless; Retries 0 genuinely means "no
-// retries" (RegisterFlags, which only dcserved mounts, sets
-// DefaultRetries).
+// Workers is usable: New fills DefaultTimeout for a zero Timeout. Every
+// fetch gets DefaultRetries retries and every open circuit lasts
+// DefaultCooldown.
 type Options struct {
 	// Workers are the worker addresses (host:port); an empty list means
 	// dispatch is off and the caller should not build a backend at all.
 	Workers []string
 	// Timeout bounds each attempt, connection to last byte.
 	Timeout time.Duration
-	// Retries is how many additional attempts a failed fetch gets, each on
-	// the next worker in the key's rendezvous order. 0 means one attempt
-	// total.
-	Retries int
-	// Cooldown is how long an open circuit keeps a worker demoted; 0 means
-	// DefaultCooldown.
-	Cooldown time.Duration
 	// APIKey, when non-empty, authenticates every dispatched request as
 	// `Authorization: Bearer <APIKey>` — the front-end's own service key
 	// on keyed workers. Independently of it, the originating tenant's id
@@ -117,7 +110,6 @@ func RegisterFlags(fs *flag.FlagSet, o *Options) {
 	if o.Timeout == 0 {
 		o.Timeout = DefaultTimeout
 	}
-	o.Retries = DefaultRetries
 	if o.Replicas == 0 {
 		o.Replicas = 1
 	}
@@ -168,13 +160,13 @@ func (w *worker) succeeded() {
 	w.mu.Unlock()
 }
 
-func (w *worker) failed(t time.Time, cooldown time.Duration, errText string) {
+func (w *worker) failed(t time.Time, errText string) {
 	w.errs.Add(1)
 	w.mu.Lock()
 	w.fails++
 	w.lastErr = errText
 	if w.fails >= failThreshold {
-		w.openUntil = t.Add(cooldown)
+		w.openUntil = t.Add(DefaultCooldown)
 	}
 	w.mu.Unlock()
 }
@@ -326,12 +318,6 @@ func New(opts Options, warmup int64, local sweep.MemoBackend, localStats workloa
 	if opts.Timeout <= 0 {
 		opts.Timeout = DefaultTimeout
 	}
-	if opts.Retries < 0 {
-		opts.Retries = 0
-	}
-	if opts.Cooldown <= 0 {
-		opts.Cooldown = DefaultCooldown
-	}
 	if log == nil {
 		log = slog.Default()
 	}
@@ -473,8 +459,8 @@ func fetch[K comparable, V any](ctx context.Context, b *RemoteBackend, kd *jobKi
 		return zero, errors.New("every worker's circuit is open")
 	}
 	order = b.rotate(order)
-	if attempts := b.opts.Retries + 1; attempts < len(order) {
-		order = order[:attempts]
+	if len(order) > DefaultRetries+1 {
+		order = order[:DefaultRetries+1]
 	}
 	var errs []error
 	for _, w := range order {
@@ -534,7 +520,7 @@ func (b *RemoteBackend) workerFailed(w *worker, ks *kindStats, err error) {
 	if len(msg) > 200 {
 		msg = msg[:200]
 	}
-	w.failed(b.now(), b.opts.Cooldown, msg)
+	w.failed(b.now(), msg)
 }
 
 // post sends one /v1/jobs request and returns the raw response bytes of a

@@ -179,7 +179,7 @@ func newTestBackend(t *testing.T, local *mapBackend, addrs ...string) *RemoteBac
 	if local != nil {
 		memoLocal, statsLocal = local, local
 	}
-	b, err := New(Options{Workers: addrs, Timeout: 5 * time.Second, Retries: 2}, 0, memoLocal, statsLocal, quietLog)
+	b, err := New(Options{Workers: addrs, Timeout: 5 * time.Second}, 0, memoLocal, statsLocal, quietLog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -571,7 +571,7 @@ func TestRegisterFlagsParsesWorkerList(t *testing.T) {
 	if strings.Join(o.Workers, "|") != "n1:8337|n2:8337|n3:8337" {
 		t.Fatalf("Workers = %v", o.Workers)
 	}
-	if o.Retries != DefaultRetries || o.Timeout != DefaultTimeout || o.Replicas != 1 {
+	if o.Timeout != DefaultTimeout || o.Replicas != 1 {
 		t.Fatalf("parsed options = %+v, want defaults where unset", o)
 	}
 	if fs.Parse([]string{"-dispatch-retries", "5"}) == nil {
@@ -654,7 +654,7 @@ func TestReplicaRotationSpreadsReads(t *testing.T) {
 	k := testKey("w", 7)
 
 	// Owner-only first: all reads land on exactly one worker.
-	solo, err := New(Options{Workers: addrs, Timeout: 5 * time.Second, Retries: 2}, 0, nil, nil, quietLog)
+	solo, err := New(Options{Workers: addrs, Timeout: 5 * time.Second}, 0, nil, nil, quietLog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -677,7 +677,7 @@ func TestReplicaRotationSpreadsReads(t *testing.T) {
 	}
 
 	// Rotation: the same key's reads spread across all three replicas.
-	rot, err := New(Options{Workers: addrs, Timeout: 5 * time.Second, Retries: 2, Replicas: 3}, 0, nil, nil, quietLog)
+	rot, err := New(Options{Workers: addrs, Timeout: 5 * time.Second, Replicas: 3}, 0, nil, nil, quietLog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -725,7 +725,7 @@ func TestWorkerDiagnosticsSurface(t *testing.T) {
 	}))
 	t.Cleanup(flaky.Close)
 
-	b, err := New(Options{Workers: []string{addrOf(flaky)}, Timeout: 5 * time.Second, Retries: 0}, 0, nil, nil, quietLog)
+	b, err := New(Options{Workers: []string{addrOf(flaky)}, Timeout: 5 * time.Second}, 0, nil, nil, quietLog)
 	if err != nil {
 		t.Fatal(err)
 	}

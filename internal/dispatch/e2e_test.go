@@ -152,7 +152,7 @@ func (c *countingShim) statsCounts() (sims, hits int) {
 func newFrontEnd(t *testing.T, frontStore *store.Store, workers ...string) (*httptest.Server, *dispatch.RemoteBackend, *countingShim) {
 	t.Helper()
 	opts := e2eOptions()
-	remote, err := dispatch.New(dispatch.Options{Workers: workers, Retries: 2}, opts.Warmup,
+	remote, err := dispatch.New(dispatch.Options{Workers: workers}, opts.Warmup,
 		frontStore.Backend(quiet), frontStore.StatsBackend(quiet), quiet)
 	if err != nil {
 		t.Fatal(err)

@@ -85,7 +85,7 @@ func TestInFlightCellIsNeverEvicted(t *testing.T) {
 	<-started
 	mustNotRun := func(context.Context) (int, error) { return 0, errors.New("joiner started a second run") }
 	wg.Add(2)
-	go func() { defer wg.Done(); vals[1], errs[1] = m.DoCtx(context.Background(), blocked, mustNotRun) }()
+	go func() { defer wg.Done(); vals[1], errs[1] = m.DoShared(context.Background(), blocked, mustNotRun) }()
 	go func() { defer wg.Done(); vals[2], errs[2], _ = m.Join(context.Background(), blocked) }()
 	<-joined
 	<-joined
@@ -121,8 +121,8 @@ func TestFailuresAreNeverRetained(t *testing.T) {
 	}
 	for name, fn := range fails {
 		m := New[string, int]()
-		if _, err := m.DoCtx(context.Background(), "k", fn); err == nil {
-			t.Fatalf("%s: DoCtx succeeded", name)
+		if _, err := m.Do("k", func() (int, error) { return fn(context.Background()) }); err == nil {
+			t.Fatalf("%s: Do succeeded", name)
 		}
 		if _, err := m.DoShared(context.Background(), "s", fn); err == nil {
 			t.Fatalf("%s: DoShared succeeded", name)

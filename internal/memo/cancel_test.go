@@ -9,9 +9,9 @@ import (
 	"time"
 )
 
-// These tests pin the refcounted-cancellation invariant: DoShared
-// participants leave a flight when their own context dies, and only the
-// LAST departure cancels the running function's context.
+// These tests pin the refcounted-cancellation invariant: participants
+// leave a flight when their own context dies, and only the LAST departure
+// cancels the running function's context.
 
 // TestDoSharedOneCancelOthersSurvive: N joiners share a flight, one
 // cancels — it gets its ctx error immediately, the others get the result,
@@ -177,10 +177,10 @@ func TestDoSharedAbandonedLateSuccess(t *testing.T) {
 	}
 }
 
-// TestDoCtxPinsSharedCell: a blocking DoCtx joiner on a DoShared-started
-// cell pins it — the DoShared starter cancelling out does NOT cancel the
-// run, and the blocking caller gets the result.
-func TestDoCtxPinsSharedCell(t *testing.T) {
+// TestUncancelledJoinerPinsCell: a joiner whose context is never cancelled
+// pins the cell — the cancellable starter leaving does NOT cancel the run,
+// and the pinned joiner gets the result.
+func TestUncancelledJoinerPinsCell(t *testing.T) {
 	m := NewFlight[string, int]()
 	started := make(chan struct{})
 	release := make(chan struct{})
@@ -204,7 +204,7 @@ func TestDoCtxPinsSharedCell(t *testing.T) {
 	pinnedDone := make(chan struct{})
 	go func() {
 		defer close(pinnedDone)
-		v, err := m.DoCtx(context.Background(), "k", func(context.Context) (int, error) {
+		v, err := m.DoShared(context.Background(), "k", func(context.Context) (int, error) {
 			t.Error("pinned joiner must not run fn")
 			return 0, nil
 		})
@@ -221,7 +221,7 @@ func TestDoCtxPinsSharedCell(t *testing.T) {
 	close(release)
 	<-pinnedDone
 	if !fnAlive.Load() {
-		t.Fatal("fn's context was cancelled although a pinned DoCtx joiner remained")
+		t.Fatal("fn's context was cancelled although a pinned joiner remained")
 	}
 }
 

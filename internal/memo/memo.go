@@ -5,7 +5,7 @@
 //
 // The invariants, in the order they bite:
 //
-//   - one flight per key: among concurrent Do calls for a key, exactly one
+//   - one flight per key: among concurrent calls for a key, exactly one
 //     runs the function; the rest wait and share its result;
 //   - panics become errors: a panicking function is converted to an error
 //     delivered to every sharer, and the key is left usable — a render or
@@ -23,12 +23,13 @@
 //     refcount and run context, and through that context the request's
 //     trace — is released when the call settles, so what a memo holds
 //     does not grow with the requests it has served;
-//   - cancellation is refcounted: DoShared participants leave a flight when
-//     their own context is cancelled, and only the LAST departure cancels
-//     the running function's context — one impatient caller among N never
-//     aborts work the other N-1 are waiting on. Do/DoCtx participants are
-//     pinned (they never leave), so blocking callers keep their current
-//     semantics even when sharing a cell with cancellable ones.
+//   - cancellation is refcounted: a participant leaves a flight when its
+//     own context is cancelled, and only the LAST departure cancels the
+//     running function's context — one impatient caller among N never
+//     aborts work the other N-1 are waiting on. A pinned caller is one
+//     whose context is never cancelled (Do, or a context.WithoutCancel
+//     context): it never leaves, so a cell it waits on always runs to
+//     completion.
 //
 // The sweep engine, the serve layer's request coalescing and the cluster
 // stats cache all run on this one type — and so, beneath them, does the
@@ -56,11 +57,10 @@ const MaxRetained = 4096
 //
 // The remaining fields implement refcounted cancellation and are guarded
 // by the memo's mu. joiners counts the participants whose result delivery
-// is still pending; cancel (non-nil only for DoShared-started cells, until
-// they settle) stops the running function's context; abandoned flips when
-// the last joiner leaves before completion, at which point the cell is
-// dead to new callers — they start a replacement instead of joining a
-// cancelled run.
+// is still pending; cancel (nil once the cell settles) stops the running
+// function's context; abandoned flips when the last joiner leaves before
+// completion, at which point the cell is dead to new callers — they start
+// a replacement instead of joining a cancelled run.
 type cell[V any] struct {
 	done chan struct{}
 	val  V
@@ -129,62 +129,28 @@ func (m *Memo[K, V]) Len() int {
 	return len(m.m) + len(m.kept)
 }
 
-// Do returns the value for key, running fn at most once among concurrent
-// callers. Sharers of one flight all receive its value and error; values
-// may therefore be shared across goroutines — treat them as read-only.
+// Do is DoShared for a caller with no context: it is pinned, so fn runs to
+// completion once started.
 func (m *Memo[K, V]) Do(key K, fn func() (V, error)) (V, error) {
-	return m.DoCtx(context.Background(), key, func(context.Context) (V, error) { return fn() })
+	return m.DoShared(context.Background(), key, func(context.Context) (V, error) { return fn() })
 }
 
-// DoCtx is Do with request-context plumbing for observability: fn runs
-// with the executing caller's ctx (so spans it starts land in that
-// caller's trace), and a caller that instead joins an in-flight cell
-// records a "<name>.join" span on its own trace covering the wait —
-// coalescing is visible in the timeline of the request that benefited
-// from it. The context carries values only; like Do, a caller's
-// cancellation does not abort the shared call.
-func (m *Memo[K, V]) DoCtx(ctx context.Context, key K, fn func(context.Context) (V, error)) (V, error) {
-	m.mu.Lock()
-	if v, ok := m.retained(key); ok {
-		m.mu.Unlock()
-		return v, nil
-	}
-	if c, ok := m.joinable(key); ok {
-		// A DoCtx joiner is pinned: it increments the refcount and never
-		// leaves (its wait ignores cancellation), so a cell with a DoCtx
-		// participant can never be cancelled out from under it by DoShared
-		// joiners departing.
-		c.joiners++
-		m.mu.Unlock()
-		return m.await(context.WithoutCancel(ctx), c)
-	}
-	c := &cell[V]{done: make(chan struct{}), joiners: 1}
-	m.m[key] = c
-	m.mu.Unlock()
-
-	// Cleanup must survive a panicking fn (net/http recovers handler
-	// panics): without the defer, every sharer — and all future callers of
-	// the key — would block forever on a done channel nobody closes.
-	func() {
-		defer m.settle(key, c)()
-		c.val, c.err = fn(ctx)
-	}()
-	return c.val, c.err
-}
-
-// DoShared is DoCtx with refcounted cancellation: fn runs on its own
-// goroutine under a context derived from the starting caller's (values
-// preserved, cancellation severed), and every participant — starter and
-// joiners alike — waits under its own ctx. A caller whose ctx is cancelled
-// leaves the flight with ctx.Err() while the others keep waiting; when the
-// LAST participant leaves, the function's context is cancelled, so the
-// underlying work observes cancellation exactly when nobody wants the
-// result anymore. A cancelled-and-abandoned cell is dead: later callers
-// start a fresh run rather than joining a doomed one.
+// DoShared returns the value for key, running fn at most once among
+// concurrent callers. Sharers of one flight all receive its value and
+// error; values may therefore be shared across goroutines — treat them as
+// read-only.
 //
-// DoCtx/Do participants on the same key are pinned joiners (they never
-// leave), so mixing the two is safe: a DoShared canceller cannot abort a
-// run a blocking caller is still waiting on.
+// fn runs on its own goroutine under a context derived from the starting
+// caller's: values preserved (spans fn starts land in that caller's
+// trace), cancellation severed. Every participant — starter and joiners
+// alike — waits under its own ctx, and a joiner records a "<name>.join"
+// span on its own trace covering the wait, so coalescing is visible in
+// the timeline of the request that benefited from it. A caller whose ctx
+// is cancelled leaves the flight with ctx.Err() while the others keep
+// waiting; when the LAST participant leaves, fn's context is cancelled, so
+// the work observes cancellation exactly when nobody wants the result
+// anymore. A cancelled-and-abandoned cell is dead: later callers start a
+// fresh run rather than joining a doomed one.
 func (m *Memo[K, V]) DoShared(ctx context.Context, key K, fn func(context.Context) (V, error)) (V, error) {
 	m.mu.Lock()
 	if v, ok := m.retained(key); ok {
@@ -205,6 +171,8 @@ func (m *Memo[K, V]) DoShared(ctx context.Context, key K, fn func(context.Contex
 	m.mu.Unlock()
 
 	go func() {
+		// settle's recover turns a panic in fn into every sharer's error;
+		// unrecovered on this goroutine it would crash the process.
 		defer m.settle(key, c)()
 		c.val, c.err = fn(runCtx)
 	}()
@@ -329,9 +297,9 @@ func (m *Memo[K, V]) keep(key K, val V) {
 	}
 }
 
-// leave records one cancellable participant's departure from an unfinished
-// cell; the last one out cancels the run's context and marks the cell
-// abandoned. Departures from completed cells are moot.
+// leave records one participant's departure from an unfinished cell; the
+// last one out cancels the run's context and marks the cell abandoned.
+// Departures from completed cells are moot.
 func (m *Memo[K, V]) leave(c *cell[V]) {
 	var cancel context.CancelFunc
 	m.mu.Lock()
@@ -339,7 +307,7 @@ func (m *Memo[K, V]) leave(c *cell[V]) {
 	select {
 	case <-c.done: // completed concurrently: nothing to cancel
 	default:
-		if c.joiners == 0 && c.cancel != nil {
+		if c.joiners == 0 {
 			c.abandoned = true
 			cancel = c.cancel
 		}

@@ -175,12 +175,12 @@ func TestPanicDoesNotWedge(t *testing.T) {
 	}
 }
 
-// TestDoCtxJoinSpan pins the observability contract of DoCtx: the
+// TestDoSharedJoinSpan pins the observability contract of DoShared: the
 // executing caller's fn receives a context carrying that caller's trace,
 // and a caller that joins the in-flight cell records a "<name>.join" span
 // on its own trace covering the wait — while the executor's trace gets no
 // join span.
-func TestDoCtxJoinSpan(t *testing.T) {
+func TestDoSharedJoinSpan(t *testing.T) {
 	m := NewFlight[string, int]()
 	m.SetName("sweep")
 	rec := obs.NewRecorder(8)
@@ -196,7 +196,7 @@ func TestDoCtxJoinSpan(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		m.DoCtx(obs.With(context.Background(), execTr), "k", func(ctx context.Context) (int, error) {
+		m.DoShared(obs.With(context.Background(), execTr), "k", func(ctx context.Context) (int, error) {
 			// Spans started inside fn land in the executing caller's trace.
 			obs.Start(ctx, "simulate").End()
 			close(started)
@@ -207,7 +207,7 @@ func TestDoCtxJoinSpan(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		<-started
-		v, err := m.DoCtx(obs.With(context.Background(), joinTr), "k", func(context.Context) (int, error) {
+		v, err := m.DoShared(obs.With(context.Background(), joinTr), "k", func(context.Context) (int, error) {
 			t.Error("joiner must not run fn")
 			return 0, nil
 		})
@@ -240,16 +240,16 @@ func TestDoCtxJoinSpan(t *testing.T) {
 	}
 }
 
-// TestDoCtxRetainedValueNoJoinSpan: returning an already-retained value is
+// TestDoSharedRetainedValueNoJoinSpan: returning an already-retained value is
 // not coalescing — no join span is recorded for it.
-func TestDoCtxRetainedValueNoJoinSpan(t *testing.T) {
+func TestDoSharedRetainedValueNoJoinSpan(t *testing.T) {
 	m := New[string, int]()
 	rec := obs.NewRecorder(8)
 	if _, err := m.Do("k", func() (int, error) { return 1, nil }); err != nil {
 		t.Fatal(err)
 	}
 	tr := rec.StartTrace("warm", "")
-	if v, err := m.DoCtx(obs.With(context.Background(), tr), "k", func(context.Context) (int, error) {
+	if v, err := m.DoShared(obs.With(context.Background(), tr), "k", func(context.Context) (int, error) {
 		return 0, errors.New("must not run")
 	}); v != 1 || err != nil {
 		t.Fatalf("retained read = %d, %v", v, err)

@@ -176,7 +176,7 @@ func (c *Cache) Reader(ctx context.Context, name string, p memtrace.Profile, gen
 	}
 
 	c.misses.Add(1)
-	t, err = c.flight.DoCtx(ctx, key, func(ctx context.Context) (*Trace, error) {
+	t, err = c.flight.DoShared(context.WithoutCancel(ctx), key, func(ctx context.Context) (*Trace, error) {
 		// The miss above and this flight are not one critical section: a
 		// capture may have been inserted, and its flight cell released, in
 		// between. Look again before paying for a second one.

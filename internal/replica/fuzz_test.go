@@ -12,7 +12,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"dcbench/internal/core"
 	"dcbench/internal/replica"
@@ -94,7 +93,7 @@ func FuzzDigestResponse(f *testing.F) {
 		}
 		defer st.Close()
 		r, err := replica.New(replica.Options{Peers: []string{ts.Listener.Addr().String()},
-			Interval: -1, Timeout: 5 * time.Second}, st, quietLog)
+			Interval: -1}, st, quietLog)
 		if err != nil {
 			t.Fatal(err)
 		}

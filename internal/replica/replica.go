@@ -22,7 +22,7 @@
 // Both paths end in store.AdoptRecord: the incoming bytes are
 // checksum-verified, installed verbatim under their content address
 // (byte-identical convergence by construction), idempotent on repeats,
-// and subject to the store's count/age/bytes budgets. Adopted records are
+// and subject to the store's byte budget. Adopted records are
 // never re-pushed — fan-out starts only at the node that simulated the
 // record — so the push graph cannot loop.
 //
@@ -59,7 +59,7 @@ import (
 	"dcbench/internal/store"
 )
 
-// Defaults for Options' zero fields.
+// Defaults for Options' zero fields, and the push path's fixed tuning.
 const (
 	// DefaultFactor is the total number of copies of each fresh record,
 	// the writing node included: 2 survives any single node loss.
@@ -100,13 +100,6 @@ type Options struct {
 	// dispatch layer presents (-dispatch-api-key), so one key admits a
 	// node to both planes of a keyed cluster.
 	APIKey string
-	// QueueLen bounds the push queue; 0 means DefaultQueueLen.
-	QueueLen int
-	// Retries is how many extra attempts a failed push gets; negative
-	// means none.
-	Retries int
-	// Timeout bounds each peer HTTP call; 0 means DefaultTimeout.
-	Timeout time.Duration
 }
 
 // RegisterFlags declares dcserved's replication flags on fs, defaulted
@@ -195,24 +188,15 @@ func New(opts Options, st *store.Store, log *slog.Logger) (*Replicator, error) {
 	if opts.Interval == 0 {
 		opts.Interval = DefaultInterval
 	}
-	if opts.QueueLen <= 0 {
-		opts.QueueLen = DefaultQueueLen
-	}
-	if opts.Retries < 0 {
-		opts.Retries = 0
-	}
-	if opts.Timeout <= 0 {
-		opts.Timeout = DefaultTimeout
-	}
 	if log == nil {
 		log = slog.Default()
 	}
 	r := &Replicator{
 		opts:   opts,
 		st:     st,
-		client: peer.Client{APIKey: opts.APIKey, Timeout: opts.Timeout},
+		client: peer.Client{APIKey: opts.APIKey, Timeout: DefaultTimeout},
 		log:    log,
-		queue:  make(chan pushItem, opts.QueueLen),
+		queue:  make(chan pushItem, DefaultQueueLen),
 	}
 	st.OnWrite(r.enqueue)
 	return r, nil
@@ -347,7 +331,7 @@ func (r *Replicator) push(ctx context.Context, it pushItem) {
 	}
 	sp := obs.Start(ctx, "replica.push", "peer", it.peer, "addr", it.addr)
 	var err error
-	for attempt := 0; attempt <= r.opts.Retries; attempt++ {
+	for attempt := 0; attempt <= DefaultRetries; attempt++ {
 		if attempt > 0 {
 			select {
 			case <-ctx.Done():
@@ -398,10 +382,9 @@ func (r *Replicator) antiEntropyLoop(ctx context.Context) {
 }
 
 // RunAntiEntropy runs one digest-exchange round against every peer:
-// fetch its per-shard digests, pull the address lists of shards that
-// differ from ours (all of them when the peer runs a different shard
-// count — addresses route differently then, so per-shard comparison is
-// meaningless), and adopt every record we lack. It also refreshes the
+// fetch its per-shard digests, pull the address lists of shards whose
+// digest differs from ours (a digest hashes the shard's sorted address
+// set, so equal digests mean equal sets), and adopt every record we lack. It also refreshes the
 // cluster-wide records/bytes gauges from the digest totals. A dead peer
 // costs one counted error and the round moves on; the next round retries.
 // A listed address that is not a record address (16 lowercase hex digits)
@@ -431,12 +414,11 @@ func (r *Replicator) RunAntiEntropy(ctx context.Context) {
 		}
 		clusterRecords += dr.Records
 		clusterBytes += dr.Bytes
-		sameGeometry := len(dr.Shards) == len(own)
 		for _, pd := range dr.Shards {
 			if pd.Count == 0 {
 				continue
 			}
-			if sameGeometry && pd.Shard >= 0 && pd.Shard < len(own) && own[pd.Shard].Digest == pd.Digest {
+			if pd.Shard >= 0 && pd.Shard < len(own) && own[pd.Shard].Digest == pd.Digest {
 				continue
 			}
 			if ownAddrs == nil {

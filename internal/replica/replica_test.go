@@ -61,7 +61,6 @@ func startNode(t *testing.T, ctx context.Context, dir, addr string, l net.Listen
 		Peers:    peers,
 		Factor:   factor,
 		Interval: -1, // rounds driven by hand
-		Timeout:  5 * time.Second,
 	}, st, quietLog)
 	if err != nil {
 		t.Fatal(err)

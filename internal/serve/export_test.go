@@ -43,6 +43,6 @@ func (s *Server) DropComputeCachesForTest(b sweep.MemoBackend, c workloads.Stats
 // cluster cache, the way a cluster job's runner does, so a test can drive a
 // cell that no shipped workload would (one that panics, say).
 func (s *Server) ClusterCellForTest(ctx context.Context, key workloads.StatsKey, run func(context.Context) (*workloads.Stats, error)) error {
-	_, err := s.opts.Cluster.DoShared(ctx, key, run)
+	_, err := s.opts.Cluster.Do(ctx, key, run)
 	return err
 }

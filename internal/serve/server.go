@@ -12,10 +12,12 @@
 //   - each (endpoint, format) renders once per process and its bytes are
 //     retained; a herd on a cold figure shares that one render, and the
 //     engine's memo coalesces the underlying sweep a second time below it;
-//   - renders run under the server's base context, not the request's: a
-//     coalesced sweep must not die with whichever client happened to start
-//     it, and shutdown (Close) cancels the base context to stop in-flight
-//     sweeps once the grace period expires.
+//   - a render's callers wait under the server's base context, not the
+//     request's, so they are pinned until shutdown: a coalesced sweep
+//     survives the disconnect of whichever client happened to start it,
+//     and shutdown (Close) cancels the base context, which releases every
+//     caller with a 503 and cancels in-flight sweeps once the grace period
+//     expires.
 package serve
 
 import (
@@ -460,13 +462,12 @@ func (s *Server) serveBody(w http.ResponseWriter, r *http.Request, key, contentT
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	body, err := s.flight.DoCtx(r.Context(), key, func(ctx context.Context) ([]byte, error) {
-		// Base context, not r.Context(): a coalesced render must survive
-		// the starting client's disconnect, and shutdown cancels it. The
-		// executing request's trace rides along so the render's spans land
-		// in the timeline of the request that paid for it.
-		return render(obs.With(s.baseCtx, obs.From(ctx)))
-	})
+	// Base context, not r.Context(): every caller is pinned until shutdown,
+	// so a coalesced render survives the starting client's disconnect, and
+	// Close — cancelling every caller at once — cancels the render. The
+	// request's trace rides along so the render's spans land in the
+	// timeline of the request that paid for it.
+	body, err := s.flight.DoShared(obs.With(s.baseCtx, obs.From(r.Context())), key, render)
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			writeError(w, r, http.StatusServiceUnavailable, codeShuttingDown, "server shutting down")

@@ -162,6 +162,87 @@ func TestColdHerdCoalesces(t *testing.T) {
 	}
 }
 
+// startSignal wraps a countingBackend and closes started on the first
+// Load: the render has begun, so the one request in flight started it.
+type startSignal struct {
+	*countingBackend
+	once    sync.Once
+	started chan struct{}
+}
+
+func (b *startSignal) Load(ctx context.Context, k sweep.Key) (*uarch.Counters, bool) {
+	b.once.Do(func() { close(b.started) })
+	return b.countingBackend.Load(ctx, k)
+}
+
+// TestRenderSurvivesStarterDisconnect: the client that started a cold
+// render hangs up while another request is riding it. The render must not
+// die with its starter: the joiner gets 200 from the one sweep.
+func TestRenderSurvivesStarterDisconnect(t *testing.T) {
+	if testing.Short() {
+		t.Skip("characterization sweep")
+	}
+	gate := make(chan struct{})
+	backend := &startSignal{
+		countingBackend: &countingBackend{inner: newMemoryBackend(), gate: gate},
+		started:         make(chan struct{}),
+	}
+	srv := serve.New(serve.Config{Options: testOptions(), Backend: backend, Logger: quietLog})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	ctxA, cancelA := context.WithCancel(context.Background())
+	defer cancelA()
+	doneA := make(chan error, 1)
+	go func() {
+		req, err := http.NewRequestWithContext(ctxA, "GET", ts.URL+"/v1/figures/3", nil)
+		if err != nil {
+			doneA <- err
+			return
+		}
+		resp, err := ts.Client().Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		doneA <- err
+	}()
+	<-backend.started
+
+	statusB := make(chan int, 1)
+	go func() {
+		resp, _ := get(t, ts, "/v1/figures/3", nil)
+		statusB <- resp.StatusCode
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.Stats().Coalesced == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("second request never joined the in-flight render")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	cancelA()
+	if err := <-doneA; err == nil {
+		t.Fatal("the starter's request completed although its client hung up")
+	}
+	// The client has closed its connection; give the server time to see
+	// it (and cancel the starter's request context) before the render may
+	// go on.
+	time.Sleep(100 * time.Millisecond)
+	close(gate)
+
+	if got := <-statusB; got != http.StatusOK {
+		t.Fatalf("joiner status = %d, want 200", got)
+	}
+	if hits, sims := backend.counts(); sims != len(core.Registry()) || hits != 0 {
+		t.Fatalf("sims=%d hits=%d, want exactly one sweep (%d sims)", sims, hits, len(core.Registry()))
+	}
+	if got := srv.Stats().Coalesced; got != 1 {
+		t.Fatalf("coalesced = %d, want 1", got)
+	}
+}
+
 // TestWarmStoreSurvivesRestart is acceptance criterion 2: a second server
 // ("restarted process") over the same store directory serves the same
 // bytes without a single re-simulation.

@@ -248,10 +248,10 @@ func (s *Server) clusterRunner(key workloads.StatsKey) (*jobRunner, *jobError) {
 			if err := s.baseCtx.Err(); err != nil {
 				return nil, &jobError{http.StatusServiceUnavailable, codeShuttingDown, "worker shutting down"}
 			}
-			st, err := s.opts.Cluster.DoShared(ctx, key, func(ctx context.Context) (*workloads.Stats, error) {
+			st, err := s.opts.Cluster.Do(ctx, key, func(ctx context.Context) (*workloads.Stats, error) {
 				// A cluster simulation cannot be stopped mid-run (workload
 				// Run takes no context), so cancellation is checked at the
-				// threshold: waiters already get out via DoShared.
+				// threshold: waiters already get out of the flight.
 				if err := ctx.Err(); err != nil {
 					return nil, err
 				}

@@ -660,7 +660,7 @@ func TestStatsBackendRoundTrip(t *testing.T) {
 	b := s.StatsBackend(quietLog(t))
 	k := workloads.StatsKey{Workload: "Grep", Slaves: 4, Scale: 0.01, Seed: 7}
 	ran := 0
-	run := func() (*workloads.Stats, error) {
+	run := func(context.Context) (*workloads.Stats, error) {
 		ran++
 		return &workloads.Stats{Workload: "Grep", Slaves: 4, Makespan: 5}, nil
 	}

@@ -331,7 +331,7 @@ func TestSVMMapOutputNeedsNoCombiner(t *testing.T) {
 // run's error, not kill the server.
 func TestMapperPanicFailsTheRunNotTheProcess(t *testing.T) {
 	cache := NewStatsCache(nil)
-	st, err := cache.Do(context.Background(), StatsKey{Workload: "broken", Slaves: 2, Scale: testScale, Seed: 1}, func() (*Stats, error) {
+	st, err := cache.Do(context.Background(), StatsKey{Workload: "broken", Slaves: 2, Scale: testScale, Seed: 1}, func(context.Context) (*Stats, error) {
 		env := NewEnv(2, testScale, 1)
 		_, err := env.RT.Run(&mapreduce.Job{
 			Input:  &mapreduce.SliceInput{Splits: [][]mapreduce.KV{{{Key: "0", Value: "1,2,x"}}}},

@@ -60,27 +60,16 @@ func NewStatsCache(backend StatsBackend) *StatsCache {
 
 // Do returns the stats for key, calling run at most once per key even under
 // concurrent callers; the backend (when present) is consulted first and
-// filled after, both inside the key's singleflight cell. A failed run
-// (cancellation included) is not cached, so a later call retries. The
-// context carries trace values only — a caller's cancellation does not
-// abort the shared run, nor its wait for a compute slot.
-func (c *StatsCache) Do(ctx context.Context, key StatsKey, run func() (*Stats, error)) (*Stats, error) {
-	ctx = context.WithoutCancel(ctx)
-	shared := func(context.Context) (*Stats, error) { return run() }
-	if c == nil {
-		return runCell(ctx, key, shared)
-	}
-	return c.memo.DoCtx(ctx, key, c.fill(key, shared))
-}
-
-// DoShared is Do with refcounted caller cancellation (memo.DoShared
-// semantics): a caller whose ctx is cancelled leaves the flight with
+// filled after, both inside the key's singleflight cell (memo.DoShared).
+// A failed run (cancellation included) is not cached, so a later call
+// retries. A caller whose ctx is cancelled leaves the flight with
 // ctx.Err() while other callers keep waiting, and run's context is
-// cancelled only when the last caller has left. A cluster simulation
-// cannot be stopped mid-run (workload Run takes no context), so run
-// should check its ctx before starting; cancellation's win here is that
-// waiters and their admission slots are released immediately.
-func (c *StatsCache) DoShared(ctx context.Context, key StatsKey, run func(context.Context) (*Stats, error)) (*Stats, error) {
+// cancelled only when the last caller has left; a caller that must see the
+// run through passes a context that is never cancelled. A cluster
+// simulation cannot be stopped mid-run (workload Run takes no context), so
+// run should check its ctx before starting; cancellation's win here is
+// that waiters and their admission slots are released immediately.
+func (c *StatsCache) Do(ctx context.Context, key StatsKey, run func(context.Context) (*Stats, error)) (*Stats, error) {
 	if c == nil {
 		return runCell(ctx, key, run)
 	}
@@ -97,8 +86,8 @@ func (c *StatsCache) Join(ctx context.Context, key StatsKey) (st *Stats, err err
 	return c.memo.Join(ctx, key)
 }
 
-// fill builds the inside-the-cell function shared by Do and DoShared:
-// backend lookup, the run itself (runCell), write-through on success.
+// fill builds the inside-the-cell function: backend lookup, the run itself
+// (runCell), write-through on success.
 func (c *StatsCache) fill(key StatsKey, run func(context.Context) (*Stats, error)) func(context.Context) (*Stats, error) {
 	return func(ctx context.Context) (*Stats, error) {
 		if c.backend != nil {

@@ -196,13 +196,15 @@ func SlaveSweepAll(ctx context.Context, ws []*Workload, slaveCounts []int, scale
 // (workload, slave count) unit resolves through cache — an in-memory hit or
 // a persistent-store hit skips the simulation entirely, and concurrent
 // renders of figures sharing a run coalesce on its singleflight cell. A nil
-// cache runs everything. Memoized Stats are shared across callers: treat
-// them as read-only.
+// cache runs everything. Each unit joins its cell pinned
+// (context.WithoutCancel): ctx carries trace values, and its cancellation
+// aborts neither a shared run nor that run's wait for a compute slot.
+// Memoized Stats are shared across callers: treat them as read-only.
 func SlaveSweepMemo(ctx context.Context, cache *StatsCache, ws []*Workload, slaveCounts []int, scale float64, seed uint64, workers int) ([][]*Stats, error) {
 	n := len(ws) * len(slaveCounts)
 	flat, err := sweep.Collect(ctx, workers, n, func(i int) (*Stats, error) {
 		w, slaves := ws[i/len(slaveCounts)], slaveCounts[i%len(slaveCounts)]
-		return cache.Do(ctx, StatsKey{Workload: w.Name, Slaves: slaves, Scale: scale, Seed: seed}, func() (*Stats, error) {
+		return cache.Do(context.WithoutCancel(ctx), StatsKey{Workload: w.Name, Slaves: slaves, Scale: scale, Seed: seed}, func(context.Context) (*Stats, error) {
 			env := NewEnv(slaves, scale, seed)
 			st, err := w.Run(env)
 			if err != nil {
