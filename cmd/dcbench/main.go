@@ -34,8 +34,7 @@
 // the same machine model.
 //
 // SIGINT/SIGTERM cancel the run: simulations stop between trace batches.
-// The process runs at GOGC=400 unless GOGC is exported (sweep.SetGCTarget
-// says why).
+// The process runs at Go's default GC target (GOGC=100 unless exported).
 package main
 
 import (
@@ -73,7 +72,6 @@ func registerFlags(fs *flag.FlagSet, opts *report.Options) (csv, chart, jsonOut 
 }
 
 func main() {
-	sweep.SetGCTarget()
 	opts := report.DefaultOptions()
 	csv, chart, jsonOut, storeDir, debugAddr, storeOpts := registerFlags(flag.CommandLine, &opts)
 	flag.Parse()

@@ -6,12 +6,10 @@ import (
 	"io"
 	"os"
 	"regexp"
-	"runtime/debug"
 	"strings"
 	"testing"
 
 	"dcbench/internal/report"
-	"dcbench/internal/sweep"
 )
 
 // TestUsageTextMatchesRealDefaults pins the -help output to
@@ -79,32 +77,5 @@ func TestDocCommentMatchesRealDefaults(t *testing.T) {
 			t.Errorf("doc comment says -%s defaults to %s; report.DefaultOptions() says %s",
 				m[1], got, want[m[1]])
 		}
-	}
-}
-
-// TestExportedGOGCWins pins the GC target's one rule: both binaries ask
-// for it first thing, and an exported GOGC beats it.
-func TestExportedGOGCWins(t *testing.T) {
-	for _, path := range []string{"main.go", "../dcserved/main.go"} {
-		src, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !strings.Contains(string(src), "func main() {\n\tsweep.SetGCTarget()\n") {
-			t.Errorf("%s: main does not start with sweep.SetGCTarget()", path)
-		}
-	}
-	// 123 stands for what the runtime read from the exported variable.
-	start := debug.SetGCPercent(123)
-	defer debug.SetGCPercent(start)
-	t.Setenv("GOGC", "123")
-	sweep.SetGCTarget()
-	if got := debug.SetGCPercent(123); got != 123 {
-		t.Errorf("GOGC=123 exported, yet the built-in target set %d", got)
-	}
-	os.Unsetenv("GOGC") // t.Setenv restores the original on cleanup
-	sweep.SetGCTarget()
-	if got := debug.SetGCPercent(123); got != 400 {
-		t.Errorf("no GOGC exported: target = %d, want 400", got)
 	}
 }

@@ -97,7 +97,7 @@
 // fingerprint), and concurrent cold requests for the same resource
 // coalesce into one sweep. SIGINT/SIGTERM shut down gracefully; sweeps
 // still in flight after the grace period are cancelled. The process runs
-// at GOGC=400 unless GOGC is exported (sweep.SetGCTarget says why).
+// at Go's default GC target (GOGC=100 unless exported).
 package main
 
 import (
@@ -124,7 +124,6 @@ import (
 )
 
 func main() {
-	sweep.SetGCTarget()
 	opts := report.DefaultOptions()
 	var storeOpts store.OpenOptions
 	var dispatchOpts dispatch.Options

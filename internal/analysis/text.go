@@ -77,6 +77,14 @@ func HashBuckets(tokens []string, dim int) []uint16 {
 // normalises it so SGD step sizes are comparable across documents.
 func BucketFeatures(buckets []uint16, dim int) []float64 {
 	v := make([]float64, dim)
+	FillBucketFeatures(v, buckets)
+	return v
+}
+
+// FillBucketFeatures is BucketFeatures into v, whose length is the
+// dimension: callers rebuilding many vectors reuse one buffer.
+func FillBucketFeatures(v []float64, buckets []uint16) {
+	clear(v)
 	for _, b := range buckets {
 		v[b]++
 	}
@@ -90,5 +98,4 @@ func BucketFeatures(buckets []uint16, dim int) []float64 {
 			v[i] *= n
 		}
 	}
-	return v
 }

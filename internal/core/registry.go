@@ -47,10 +47,17 @@ func nativeProfile(seed uint64, codeKB int, fpu float64) memtrace.Profile {
 	}
 }
 
-// Registry returns the paper's 27 evaluation workloads in Figure 3's
+// Registry returns the paper's 26 evaluation workloads in Figure 3's
 // order: the eleven data analysis workloads, the five CloudSuite
-// workloads, the SPEC suites, and the seven HPCC benchmarks.
-func Registry() []*Workload {
+// workloads, the SPEC suites, and the seven HPCC benchmarks. The slice and
+// its entries are built once and shared by every caller: read-only. A
+// caller that needs a variant copies the entry (or its Profile) first.
+func Registry() []*Workload { return registry }
+
+var registry = buildRegistry()
+
+// buildRegistry builds the registry's entries, closures included.
+func buildRegistry() []*Workload {
 	return []*Workload{
 		// --- DCBench data analysis (Table I) ---
 		{

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -311,5 +312,26 @@ func TestClassAverages(t *testing.T) {
 	}
 	if v := ClassAverage(nil, HPC, func(c *uarch.Counters) float64 { return c.IPC() }); v != 0 {
 		t.Fatalf("empty average = %v, want 0", v)
+	}
+}
+
+// TestRegistryIsShared pins Registry's contract: it allocates nothing, and
+// no caller writes through the shared entries — after a full
+// CharacterizeAll every entry still equals a fresh build.
+func TestRegistryIsShared(t *testing.T) {
+	if n := testing.AllocsPerRun(10, func() { _ = Registry() }); n != 0 {
+		t.Fatalf("Registry allocates %v times per call, want 0", n)
+	}
+	characterized(t)
+	fresh := buildRegistry()
+	for i, w := range Registry() {
+		got, want := *w, *fresh[i]
+		if reflect.ValueOf(got.Gen).Pointer() != reflect.ValueOf(want.Gen).Pointer() {
+			t.Errorf("%s: generator replaced", w.Name)
+		}
+		got.Gen, want.Gen = nil, nil
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("entry %d changed:\n got  %+v\n want %+v", i, got, want)
+		}
 	}
 }

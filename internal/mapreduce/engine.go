@@ -123,6 +123,32 @@ func (rt *Runtime) Run(job *Job) (*Result, error) {
 	res.Counters.MapTasks = nSplits
 	res.Counters.ReduceTasks = job.NumReducers
 
+	// One Run's shared buffers. sim processes interleave at every blocking
+	// call (Sleep, disk, network, Compute, DFS), so a task may use sc only
+	// in a stretch that makes none: there no other task runs.
+	var sc scratch
+	emit := Emit(func(k, v string) {
+		sc.kvs = append(sc.kvs, KV{k, v})
+		sc.parts = append(sc.parts, int32(job.Partition(k, job.NumReducers)))
+	})
+	var combine func(key string, values []string)
+	if job.Combiner != nil {
+		// A combined record goes to its group key's partition, which is
+		// where every record of the group was headed.
+		var part int32
+		emitCombined := Emit(func(k, v string) {
+			sc.kvs = append(sc.kvs, KV{k, v})
+			sc.parts = append(sc.parts, part)
+		})
+		combine = func(key string, values []string) {
+			part = int32(job.Partition(key, job.NumReducers))
+			job.Combiner.Reduce(key, values, emitCombined)
+		}
+		emit = sc.g.add
+	}
+	emitOut := Emit(func(k, v string) { sc.kvs = append(sc.kvs, KV{k, v}) })
+	reduce := func(key string, values []string) { reducer.Reduce(key, values, emitOut) }
+
 	// ---- Map phase ----
 	mapOuts := make([]*mapTaskOut, nSplits)
 	pendingMaps := make([]int, nSplits)
@@ -167,31 +193,21 @@ func (rt *Runtime) Run(job *Job) (*Result, error) {
 		// Charge CPU, then run the real mapper.
 		n.Compute(p, float64(simBytes)*job.Cost.MapCPUPerByte)
 
-		parts := make([][]KV, job.NumReducers)
+		sc.kvs, sc.parts = sc.kvs[:0], sc.parts[:0]
 		var realIn, realOut int64
 		for _, kv := range records {
 			realIn += kv.Bytes()
-			job.Mapper.Map(kv, func(k, v string) {
-				r := job.Partition(k, job.NumReducers)
-				parts[r] = append(parts[r], KV{k, v})
-			})
+			job.Mapper.Map(kv, emit)
 		}
 		res.Counters.MapInputRecords += int64(len(records))
-		if job.Combiner != nil {
-			for r := range parts {
-				parts[r] = combine(parts[r], job.Combiner)
-			}
+		if combine != nil {
+			sc.g.each(combine)
 		}
-		simOut := make([]int64, job.NumReducers)
-		for r := range parts {
-			var pb int64
-			for _, kv := range parts[r] {
-				pb += kv.Bytes()
-			}
+		parts, simOut := sc.spill(job.NumReducers)
+		for _, pb := range simOut {
 			realOut += pb
-			simOut[r] = pb
-			res.Counters.MapOutputRecords += int64(len(parts[r]))
 		}
+		res.Counters.MapOutputRecords += int64(len(sc.kvs))
 
 		// Scale the real output bytes up to simulated bytes.
 		var scale float64
@@ -260,15 +276,8 @@ func (rt *Runtime) Run(job *Job) (*Result, error) {
 		p.Sleep(rt.Cfg.TaskStartup)
 
 		// Shuffle: fetch partition r of every map task's output.
-		nRecs := 0
-		for _, mo := range mapOuts {
-			nRecs += len(mo.partitions[r])
-		}
-		recs := make([]KV, 0, nRecs)
 		var simIn int64
 		for _, mo := range mapOuts {
-			recs = append(recs, mo.partitions[r]...)
-			mo.partitions[r] = nil // fetched: this reducer was its only reader
 			sb := mo.simBytes[r]
 			simIn += sb
 			if sb > 0 {
@@ -278,19 +287,26 @@ func (rt *Runtime) Run(job *Job) (*Result, error) {
 		}
 		res.Counters.ShuffleSimBytes += simIn
 
-		// Merge-sort and group for real; charge the reduce CPU.
-		slices.SortStableFunc(recs, func(a, b KV) int { return strings.Compare(a.Key, b.Key) })
+		// Charge the reduce CPU, then merge, group and reduce for real.
 		n.Compute(p, float64(simIn)*job.Cost.ReduceCPUPerByte)
 
-		var out []KV
 		var realIn, realOut int64
-		for _, kv := range recs {
-			realIn += kv.Bytes()
+		for _, mo := range mapOuts {
+			for _, kv := range mo.partitions[r] {
+				realIn += kv.Bytes()
+				sc.g.add(kv.Key, kv.Value)
+			}
+			mo.partitions[r] = nil // fetched: this reducer was its only reader
 		}
-		groupedReduce(recs, reducer, func(k, v string) {
-			out = append(out, KV{k, v})
-			realOut += int64(len(k) + len(v))
-		})
+		sc.kvs = sc.kvs[:0]
+		sc.g.each(reduce)
+		for _, kv := range sc.kvs {
+			realOut += kv.Bytes()
+		}
+		var out []KV
+		if len(sc.kvs) > 0 {
+			out = slices.Clone(sc.kvs)
+		}
 		output[r] = out
 		res.Counters.OutputRecords += int64(len(out))
 
@@ -331,33 +347,107 @@ func (rt *Runtime) Run(job *Job) (*Result, error) {
 	return res, nil
 }
 
-// combine groups records by key and applies the combiner, preserving
-// deterministic key order. It sorts recs in place: the caller owns the
-// slice and keeps only the result.
-func combine(recs []KV, c Reducer) []KV {
-	if len(recs) == 0 {
-		return recs
-	}
-	slices.SortStableFunc(recs, func(a, b KV) int { return strings.Compare(a.Key, b.Key) })
-	var out []KV
-	groupedReduce(recs, c, func(k, v string) { out = append(out, KV{k, v}) })
-	return out
+// scratch is one Run's reusable buffers: a map task's emitted records with
+// their partitions (or a reduce task's output), and the grouping kernel.
+type scratch struct {
+	kvs   []KV
+	parts []int32
+	g     grouper
 }
 
-// groupedReduce walks key-sorted records, invoking the reducer once per key.
-func groupedReduce(sorted []KV, r Reducer, emit Emit) {
-	var values []string // one buffer for all keys: Reduce may not retain it
-	i := 0
-	for i < len(sorted) {
-		j := i
-		for j < len(sorted) && sorted[j].Key == sorted[i].Key {
-			j++
-		}
-		values = values[:0]
-		for k := i; k < j; k++ {
-			values = append(values, sorted[k].Value)
-		}
-		r.Reduce(sorted[i].Key, values, emit)
-		i = j
+// spill moves kvs into r partitions, each in emission order, allocating
+// the task's records once at their exact size. It also returns each
+// partition's real bytes.
+func (sc *scratch) spill(r int) ([][]KV, []int64) {
+	parts := make([][]KV, r)
+	bytes := make([]int64, r)
+	if len(sc.kvs) == 0 {
+		return parts, bytes
 	}
+	count := make([]int, r)
+	for i, p := range sc.parts {
+		count[p]++
+		bytes[p] += sc.kvs[i].Bytes()
+	}
+	all := make([]KV, len(sc.kvs))
+	off := 0
+	for p, n := range count {
+		if n > 0 {
+			parts[p] = all[off : off : off+n]
+		}
+		off += n
+	}
+	for i, p := range sc.parts {
+		parts[p] = append(parts[p], sc.kvs[i])
+	}
+	return parts, bytes
+}
+
+// grouper is the engine's grouping kernel. It yields exactly the order of
+// a stable sort by key without moving a record through a sort: add gives
+// each record its key's group id, each sorts only the distinct keys, and
+// prefix sums over the group sizes place every value in its group, in the
+// order added. The zero value is ready; its buffers are kept for reuse.
+type grouper struct {
+	ids    map[string]int32 // key -> group id, in first-seen order
+	keys   []groupKey       // group id -> key, until each sorts them
+	size   []int32          // group id -> records
+	pos    []int32          // group id -> next free slot in values
+	gid    []int32          // record -> group id
+	vals   []string         // record -> value
+	values []string         // the values, group by group in key order
+}
+
+type groupKey struct {
+	key string
+	id  int32
+}
+
+// add records one key-value pair.
+func (g *grouper) add(key, value string) {
+	id, ok := g.ids[key]
+	if !ok {
+		if g.ids == nil {
+			g.ids = make(map[string]int32)
+		}
+		id = int32(len(g.keys))
+		g.ids[key] = id
+		g.keys = append(g.keys, groupKey{key, id})
+		g.size = append(g.size, 0)
+	}
+	g.size[id]++
+	g.gid = append(g.gid, id)
+	g.vals = append(g.vals, value)
+}
+
+// each calls fn once per key, in key order, with the key's values in the
+// order they were added, then empties the grouper. values is the kernel's
+// buffer: valid only until fn returns, and capped so an append to it
+// cannot reach the next group's values.
+func (g *grouper) each(fn func(key string, values []string)) {
+	slices.SortFunc(g.keys, func(a, b groupKey) int { return strings.Compare(a.key, b.key) })
+	g.pos = slices.Grow(g.pos[:0], len(g.size))[:len(g.size)]
+	off := int32(0)
+	for _, k := range g.keys {
+		g.pos[k.id] = off
+		off += g.size[k.id]
+	}
+	g.values = slices.Grow(g.values[:0], len(g.vals))[:len(g.vals)]
+	for i, id := range g.gid {
+		g.values[g.pos[id]] = g.vals[i]
+		g.pos[id]++
+	}
+	off = 0
+	for _, k := range g.keys {
+		end := off + g.size[k.id]
+		fn(k.key, g.values[off:end:end])
+		off = end
+	}
+	// Drop the strings too: a reduce task's fetched partitions are
+	// garbage once grouped, though the scratch lives for the whole Run.
+	clear(g.ids)
+	clear(g.keys)
+	clear(g.vals)
+	clear(g.values)
+	g.keys, g.size, g.gid, g.vals = g.keys[:0], g.size[:0], g.gid[:0], g.vals[:0]
 }

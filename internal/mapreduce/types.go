@@ -54,7 +54,9 @@ var IdentityReducer = ReducerFunc(func(key string, values []string, emit Emit) {
 	}
 })
 
-// Partitioner routes a key to one of r reduce partitions.
+// Partitioner routes a key to one of r reduce partitions. It must be a
+// pure function of (key, r): a map task with a combiner partitions each
+// key once, for all of that key's records.
 type Partitioner func(key string, r int) int
 
 // HashPartition is the default partitioner: 32-bit FNV-1a over the key's

@@ -10,37 +10,57 @@
 // deterministic regardless of GOMAXPROCS.
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
-// event is a scheduled callback. Ties on time are broken by insertion
+// event is a scheduled callback, or, when p is set, the wake-up of a
+// blocked process: a wake-up carries its process, not a closure, so
+// blocking allocates nothing. Ties on time are broken by insertion
 // sequence so the execution order is deterministic.
 type event struct {
 	at  float64
 	seq uint64
 	fn  func()
+	p   *Process
 }
 
-type eventHeap []*event
+// eventHeap is a binary min-heap of events by (at, seq), held by value.
+// Keys are unique, so the pop order is the same for any correct heap.
+type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+func (h eventHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+
+func (h eventHeap) up(j int) {
+	for j > 0 {
+		i := (j - 1) / 2
+		if !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (h eventHeap) down(i int) {
+	n := len(h)
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && h.less(r, j) {
+			j = r
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }
 
 // Engine owns the virtual clock and the pending event set.
@@ -71,25 +91,47 @@ func (e *Engine) Pending() int { return len(e.events) }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // panics: it indicates a bug in the model, not a recoverable condition.
-func (e *Engine) At(t float64, fn func()) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, e.now))
-	}
-	e.seq++
-	heap.Push(&e.events, &event{at: t, seq: e.seq, fn: fn})
-}
+func (e *Engine) At(t float64, fn func()) { e.schedule(event{at: t, fn: fn}) }
 
 // After schedules fn to run d seconds from now.
 func (e *Engine) After(d float64, fn func()) { e.At(e.now+d, fn) }
+
+// wake schedules blocked process p to resume at absolute virtual time t.
+func (e *Engine) wake(t float64, p *Process) { e.schedule(event{at: t, p: p}) }
+
+func (e *Engine) schedule(ev event) {
+	if ev.at < e.now {
+		panic(fmt.Sprintf("sim: scheduling at %v before now %v", ev.at, e.now))
+	}
+	e.seq++
+	ev.seq = e.seq
+	e.events = append(e.events, ev)
+	e.events.up(len(e.events) - 1)
+}
+
+// fire pops the earliest event, advances the clock to it and runs it.
+func (e *Engine) fire() {
+	h := e.events
+	ev := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h[n] = event{}
+	e.events = h[:n]
+	e.events.down(0)
+	e.now = ev.at
+	if ev.p != nil {
+		ev.p.resume()
+	} else {
+		ev.fn()
+	}
+}
 
 // Run executes events in timestamp order until none remain.
 // It panics if live processes remain blocked with no pending events
 // (a deadlock in the simulated system).
 func (e *Engine) Run() {
 	for len(e.events) > 0 {
-		ev := heap.Pop(&e.events).(*event)
-		e.now = ev.at
-		ev.fn()
+		e.fire()
 	}
 	if e.nProcs > 0 {
 		panic(fmt.Sprintf("sim: deadlock: %d process(es) blocked with no pending events", e.nProcs))
@@ -99,9 +141,7 @@ func (e *Engine) Run() {
 // RunUntil executes events with timestamps <= t, then sets the clock to t.
 func (e *Engine) RunUntil(t float64) {
 	for len(e.events) > 0 && e.events[0].at <= t {
-		ev := heap.Pop(&e.events).(*event)
-		e.now = ev.at
-		ev.fn()
+		e.fire()
 	}
 	if t > e.now {
 		e.now = t

@@ -64,7 +64,7 @@ func (p *Process) Sleep(d float64) {
 	if d < 0 {
 		d = 0
 	}
-	p.eng.After(d, func() { p.resume() })
+	p.eng.wake(p.eng.now+d, p)
 	p.block()
 }
 
@@ -74,7 +74,7 @@ func (p *Process) SleepUntil(t float64) {
 	if t < p.eng.now {
 		t = p.eng.now
 	}
-	p.eng.At(t, func() { p.resume() })
+	p.eng.wake(t, p)
 	p.block()
 }
 
@@ -100,8 +100,7 @@ func (wg *WaitGroup) Done(e *Engine) {
 		ws := wg.waiters
 		wg.waiters = nil
 		for _, w := range ws {
-			w := w
-			e.After(0, func() { w.resume() })
+			e.wake(e.now, w)
 		}
 	}
 }

@@ -66,7 +66,7 @@ func (r *Resource) Release() {
 		next := r.waiters[0]
 		r.waiters = r.waiters[1:]
 		r.inUse++ // transfer the unit to next before it runs
-		r.eng.After(0, func() { next.resume() })
+		r.eng.wake(r.eng.now, next)
 	}
 }
 

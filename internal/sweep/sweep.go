@@ -10,9 +10,10 @@
 //   - a bounded worker pool (Each) hands jobs to GOMAXPROCS workers by
 //     index, so results land in registry order no matter which worker
 //     finishes first;
-//   - a per-configuration pool of uarch.Core instances recycled with
-//     (*Core).Reset, so workers reuse ~1.6 MB of simulated cache/TLB/
-//     predictor state instead of reallocating it per workload;
+//   - a per-configuration free list of uarch.Core instances, one per slot
+//     of the compute budget, recycled with (*Core).Reset, so workers reuse
+//     ~1.6 MB of simulated cache/TLB/predictor state instead of
+//     reallocating it per workload;
 //   - a memo table keyed by (workload name, profile, config fingerprint,
 //     trace length), so repeated figure and table renders share one sweep
 //     instead of re-simulating. It retains the memo.MaxRetained most
@@ -34,9 +35,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"runtime"
-	"runtime/debug"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -122,20 +121,8 @@ type MemoBackend interface {
 type Engine struct {
 	mu      sync.Mutex
 	memo    *memo.Memo[Key, *uarch.Counters] // retaining, bounded: the most recently used results
-	pools   map[uint64]*sync.Pool            // reusable cores keyed by config fingerprint
+	pools   map[uint64]coreFreeList          // idle cores keyed by config fingerprint
 	backend MemoBackend
-}
-
-// SetGCTarget runs the process at GOGC=400 unless GOGC is exported. The
-// live heap is a few MiB while a cold figures pass allocates over a GB: the
-// default 100 collected ~210 times per pass against 400's ~47 (measured
-// before the compute budget), 400 peaks at ~62 MiB RSS with one unit per
-// core in flight (Acquire), and 1600 saves 2-4 % more time for 3.4x the
-// RSS.
-func SetGCTarget() {
-	if os.Getenv("GOGC") == "" {
-		debug.SetGCPercent(400)
-	}
 }
 
 // budget is the process's compute budget: one slot per core, taken by
@@ -170,7 +157,7 @@ func Release() { <-budget }
 func NewEngine() *Engine {
 	e := &Engine{
 		memo:  memo.New[Key, *uarch.Counters](),
-		pools: make(map[uint64]*sync.Pool),
+		pools: make(map[uint64]coreFreeList),
 	}
 	e.memo.SetName("sweep")
 	return e
@@ -185,14 +172,20 @@ func (e *Engine) SetMemoBackend(b MemoBackend) {
 	e.mu.Unlock()
 }
 
-// pool returns the core pool for the given config fingerprint. Pooled cores
-// always carry the fingerprint's geometry, so Reset never rebuilds.
-func (e *Engine) pool(fp uint64) *sync.Pool {
+// coreFreeList holds idle cores of one configuration. Every core in use
+// belongs to a simulation holding a slot of the compute budget, so a list
+// as long as the budget keeps every core a pass ever needs; unlike a
+// sync.Pool, a garbage collection does not empty it.
+type coreFreeList chan *uarch.Core
+
+// pool returns the core free list for the given config fingerprint. Pooled
+// cores always carry the fingerprint's geometry, so Reset never rebuilds.
+func (e *Engine) pool(fp uint64) coreFreeList {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	p, ok := e.pools[fp]
 	if !ok {
-		p = &sync.Pool{}
+		p = make(coreFreeList, cap(budget))
 		e.pools[fp] = p
 	}
 	return p
@@ -273,7 +266,7 @@ func (e *Engine) Join(ctx context.Context, key Key) (*uarch.Counters, error, boo
 // only when the last of them has gone — at which point simulate's reader
 // wrapper stops the core between batches and the partial result is
 // discarded, never cached and never written through.
-func (e *Engine) memoized(ctx context.Context, job Job, cfg uarch.Config, fp uint64, maxInstrs int64, pool *sync.Pool) (*uarch.Counters, error) {
+func (e *Engine) memoized(ctx context.Context, job Job, cfg uarch.Config, fp uint64, maxInstrs int64, pool coreFreeList) (*uarch.Counters, error) {
 	key := Key{Name: job.Name, Profile: job.Profile, ConfigFP: fp, MaxInstrs: maxInstrs}
 	e.mu.Lock()
 	backend := e.backend
@@ -310,7 +303,7 @@ func (e *Engine) memoized(ctx context.Context, job Job, cfg uarch.Config, fp uin
 // running. It holds a slot of the compute budget from before the reader
 // starts until it returns; a context cancelled while it waits for the slot
 // returns ctx.Err() before anything has run.
-func (e *Engine) simulate(ctx context.Context, job Job, cfg uarch.Config, maxInstrs int64, pool *sync.Pool) (counters *uarch.Counters, err error) {
+func (e *Engine) simulate(ctx context.Context, job Job, cfg uarch.Config, maxInstrs int64, pool coreFreeList) (counters *uarch.Counters, err error) {
 	p := job.Profile
 	if maxInstrs > 0 {
 		p.MaxInstrs = maxInstrs
@@ -344,13 +337,10 @@ func (e *Engine) simulate(ctx context.Context, job Job, cfg uarch.Config, maxIns
 	// teaching the core model about contexts.
 	cr := &cancelReader{ctx: ctx, r: r}
 	var c *uarch.Core
-	if pool != nil {
-		if v := pool.Get(); v != nil {
-			c = v.(*uarch.Core)
-			c.Reset(cfg)
-		}
-	}
-	if c == nil {
+	select {
+	case c = <-pool: // a nil list never yields
+		c.Reset(cfg)
+	default:
 		c = uarch.NewCore(cfg)
 	}
 	snap := *c.Run(cr)
@@ -362,8 +352,9 @@ func (e *Engine) simulate(ctx context.Context, job Job, cfg uarch.Config, maxIns
 		r.Close()
 		return nil, ctx.Err()
 	}
-	if pool != nil {
-		pool.Put(c)
+	select {
+	case pool <- c: // a nil or full list drops the core
+	default:
 	}
 	return &snap, nil
 }

@@ -110,12 +110,19 @@ const (
 // svmShards returns the function producing a split's training examples:
 // hashed HTML-page features x and labels y in {-1, +1}. A split's documents
 // depend on (seed, split) only, so each is generated and tokenized once and
-// kept as its token bucket indices (~0.4 MB per run), from which every call
-// rebuilds the dense vectors; those would be ~5 MB of live heap per run,
-// which the servers' GOGC=400 multiplies in peak RSS.
+// kept as its token bucket indices (~0.4 MB per run). Every call rebuilds
+// the dense vectors into one buffer, so x and y are valid only until the
+// next call: a map task consumes them without blocking, so no other task
+// calls in between.
 func svmShards(seed uint64, splits int) func(split int) (x [][]float64, y []int) {
 	docs := make([][][]uint16, splits)
-	return func(split int) (x [][]float64, y []int) {
+	rows := make([]float64, svmDocsPerSplit*svmDim)
+	x := make([][]float64, svmDocsPerSplit)
+	for i := range x {
+		x[i] = rows[i*svmDim : (i+1)*svmDim : (i+1)*svmDim]
+	}
+	y := make([]int, svmDocsPerSplit)
+	return func(split int) ([][]float64, []int) {
 		if docs[split] == nil {
 			c := datagen.NewCorpus(splitSeed(seed, split), 2000)
 			docs[split] = make([][]uint16, svmDocsPerSplit)
@@ -127,8 +134,8 @@ func svmShards(seed uint64, splits int) func(split int) (x [][]float64, y []int)
 			}
 		}
 		for i, buckets := range docs[split] {
-			x = append(x, analysis.BucketFeatures(buckets, svmDim))
-			y = append(y, 2*((split*svmDocsPerSplit+i)%2)-1)
+			analysis.FillBucketFeatures(x[i], buckets)
+			y[i] = 2*((split*svmDocsPerSplit+i)%2) - 1
 		}
 		return x, y
 	}

@@ -1,0 +1,5 @@
+//go:build !race
+
+package workloads_test
+
+const raceEnabled = false
