@@ -23,21 +23,34 @@ import (
 	"dcbench/internal/workloads"
 )
 
+// benchEngine and benchCluster are the harness's memo tables: every
+// benchmark takes them through benchOptions, so a run simulates each sweep
+// and cluster cell once.
+var (
+	benchEngine  = sweep.NewEngine()
+	benchCluster = workloads.NewStatsCache(nil)
+)
+
 // benchOptions keeps the per-iteration cost of the counter benches modest.
 func benchOptions() report.Options {
 	o := report.DefaultOptions()
 	o.Scale = 0.01
 	o.Instrs = 250_000
 	o.Warmup = 120_000
+	o.Engine, o.Cluster = benchEngine, benchCluster
 	return o
 }
 
-// characterized returns the shared characterization sweep: the sweep
-// engine's memo table caches it across benchmarks of one run, so only the
-// first caller pays for simulation.
+// characterized returns the shared characterization sweep: benchEngine's
+// memo table caches it across benchmarks of one run, so only the first
+// caller pays for simulation.
 func characterized(b *testing.B) []*core.Result {
 	b.Helper()
-	return report.Characterized(benchOptions())
+	rs, err := report.Characterized(context.Background(), benchOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return rs
 }
 
 func daAvg(rs []*core.Result, f func(*uarch.Counters) float64) float64 {

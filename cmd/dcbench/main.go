@@ -8,6 +8,7 @@
 //	dcbench run <workload>       # one cluster workload on 4 slaves
 //	dcbench figure <1..12>       # regenerate one figure
 //	dcbench table <1..3>         # regenerate one table
+//	dcbench export               # the characterization sweep as JSON
 //	dcbench all                  # everything, in paper order
 //
 // Flags:
@@ -16,9 +17,6 @@
 //	-seed n     generator seed (default 42)
 //	-instrs n   measured instructions per workload trace (default 650000)
 //	-warmup n   ramp-up instructions excluded from counters (default 250000)
-//	-j n        fan-out of each sweep call; 0 = one per host core (default 0);
-//	            process-wide, at most one simulation or cluster cell per core
-//	            runs at once, however many calls are fanned out
 //	-csv        emit CSV instead of tables
 //	-chart      append an ASCII bar chart to single-metric figures
 //	-store dir  persist sweep and cluster results in dir across runs, sharing
@@ -27,11 +25,13 @@
 //	-debug-addr addr   serve /debug/traces and /debug/pprof while the run
 //	            lasts (profile a long `all` in flight); empty disables
 //
-// Sweeps are deterministic at any -j: parallel runs produce bit-identical
-// counters to -j 1 at the same seed. dcbench is not a cluster node; for
-// dispatched or replicated results, fetch them from a dcserved front-end
-// (GET /v1/figures/N?format=csv), whose workers simulate the same keys on
-// the same machine model.
+// Sweeps fan out over every core GOMAXPROCS allows, at most one simulation
+// or cluster cell per core at once, and are deterministic at any width:
+// GOMAXPROCS=1 gives a serial run with bit-identical output at the same
+// seed. dcbench is not a cluster node; for dispatched or replicated
+// results, fetch them from a dcserved front-end (GET
+// /v1/figures/N?format=csv), whose workers simulate the same keys on the
+// same machine model.
 //
 // SIGINT/SIGTERM cancel the run: simulations stop between trace batches.
 // The process runs at Go's default GC target (GOGC=100 unless exported).
@@ -59,7 +59,7 @@ import (
 // flags, the shared store flag, plus dcbench's output flags), defaulted
 // from *opts and written back on Parse. Split out of main so tests can pin
 // the usage text to the real defaults.
-func registerFlags(fs *flag.FlagSet, opts *report.Options) (csv, chart, jsonOut *bool, storeDir, debugAddr *string, storeOpts *store.OpenOptions) {
+func registerFlags(fs *flag.FlagSet, opts *report.Options) (csv, chart *bool, storeDir, debugAddr *string, storeOpts *store.OpenOptions) {
 	report.RegisterFlags(fs, opts)
 	storeOpts = &store.OpenOptions{}
 	store.RegisterFlags(fs, storeOpts)
@@ -67,15 +67,20 @@ func registerFlags(fs *flag.FlagSet, opts *report.Options) (csv, chart, jsonOut 
 	debugAddr = fs.String("debug-addr", "", "serve /debug/traces and /debug/pprof on this address for the run's duration; empty disables")
 	csv = fs.Bool("csv", false, "emit CSV")
 	chart = fs.Bool("chart", false, "append ASCII bar charts")
-	jsonOut = fs.Bool("json", false, "emit the characterization sweep as JSON (figure/all)")
-	return csv, chart, jsonOut, storeDir, debugAddr, storeOpts
+	return csv, chart, storeDir, debugAddr, storeOpts
 }
 
 func main() {
 	opts := report.DefaultOptions()
-	csv, chart, jsonOut, storeDir, debugAddr, storeOpts := registerFlags(flag.CommandLine, &opts)
+	csv, chart, storeDir, debugAddr, storeOpts := registerFlags(flag.CommandLine, &opts)
 	flag.Parse()
 
+	// The run owns its memo tables, as dcserved does: one engine for the
+	// sweeps and one cache for the cluster runs, so `all` simulates each
+	// once across the figures and tables that share them. With -store both
+	// sit over the store's backend, so dcbench and dcserved share warm
+	// results over one directory.
+	var backend store.Backend
 	if *storeDir != "" {
 		st, err := store.OpenWith(*storeDir, *storeOpts)
 		if err != nil {
@@ -83,13 +88,11 @@ func main() {
 			os.Exit(1)
 		}
 		defer st.Close()
-		// The seams dcserved uses: sweep results go through a run-owned
-		// engine's memo backend, cluster results through the stats cache's,
-		// so dcbench and dcserved share warm results over one directory.
-		opts.Engine = sweep.NewEngine()
-		opts.Engine.SetMemoBackend(st.Backend(nil))
-		opts.Cluster = workloads.NewStatsCache(st.StatsBackend(nil))
+		backend = st.Backend(nil)
 	}
+	opts.Engine = sweep.NewEngine()
+	opts.Engine.SetMemoBackend(backend)
+	opts.Cluster = workloads.NewStatsCache(backend)
 	args := flag.Args()
 	if len(args) == 0 {
 		usage()
@@ -125,18 +128,14 @@ func main() {
 		if len(args) < 2 {
 			usage()
 		}
-		if *jsonOut {
-			err = exportJSON(opts)
-		} else {
-			err = figure(ctx, args[1], opts, *csv, *chart)
-		}
+		err = figure(ctx, args[1], opts, *csv, *chart)
 	case "table":
 		if len(args) < 2 {
 			usage()
 		}
 		err = table(ctx, args[1], opts, *csv)
 	case "export":
-		err = exportJSON(opts)
+		err = exportJSON(ctx, opts)
 	case "all":
 		err = all(ctx, opts, *csv, *chart)
 	default:
@@ -156,8 +155,11 @@ func usage() {
 }
 
 // exportJSON dumps the full characterization sweep for offline analysis.
-func exportJSON(o report.Options) error {
-	results := report.Characterized(o)
+func exportJSON(ctx context.Context, o report.Options) error {
+	results, err := report.Characterized(ctx, o)
+	if err != nil {
+		return err
+	}
 	data, err := core.ExportJSON(results)
 	if err != nil {
 		return err
@@ -258,7 +260,10 @@ func all(ctx context.Context, o report.Options, csv, chart bool) error {
 		return err
 	}
 	emit(t5, csv, chart)
-	results := report.Characterized(o)
+	results, err := report.Characterized(ctx, o)
+	if err != nil {
+		return err
+	}
 	t1, err := report.Table1(ctx, o, results)
 	if err != nil {
 		return err

@@ -1,15 +1,20 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"regexp"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"dcbench/internal/report"
+	"dcbench/internal/sweep"
+	"dcbench/internal/uarch"
 )
 
 // TestUsageTextMatchesRealDefaults pins the -help output to
@@ -40,8 +45,8 @@ func TestUsageTextMatchesRealDefaults(t *testing.T) {
 	// comment's table together.
 	n := 0
 	fs.VisitAll(func(*flag.Flag) { n++ })
-	if n != 11 {
-		t.Errorf("dcbench registers %d flags, want 11", n)
+	if n != 9 {
+		t.Errorf("dcbench registers %d flags, want 9", n)
 	}
 }
 
@@ -65,9 +70,8 @@ func TestDocCommentMatchesRealDefaults(t *testing.T) {
 		"seed":   fmt.Sprintf("%d", d.Seed),
 		"instrs": fmt.Sprintf("%d", d.Instrs),
 		"warmup": fmt.Sprintf("%d", d.Warmup),
-		"j":      fmt.Sprintf("%d", d.Jobs),
 	}
-	re := regexp.MustCompile(`(?m)^//\s+-(scale|seed|instrs|warmup|j)\s+\S+.*\(default ([0-9.]+)\)`)
+	re := regexp.MustCompile(`(?m)^//\s+-(scale|seed|instrs|warmup)\s+\S+.*\(default ([0-9.]+)\)`)
 	matches := re.FindAllStringSubmatch(string(src), -1)
 	if len(matches) != len(want) {
 		t.Fatalf("doc comment documents %d flag defaults, want %d", len(matches), len(want))
@@ -77,5 +81,34 @@ func TestDocCommentMatchesRealDefaults(t *testing.T) {
 			t.Errorf("doc comment says -%s defaults to %s; report.DefaultOptions() says %s",
 				m[1], got, want[m[1]])
 		}
+	}
+}
+
+// loadCounter is a memo backend that counts the engine's lookups: the
+// engine consults it inside a workload's cell before simulating, so zero
+// lookups means no workload started.
+type loadCounter struct{ loads atomic.Int64 }
+
+func (b *loadCounter) Load(context.Context, sweep.Key) (*uarch.Counters, bool) {
+	b.loads.Add(1)
+	return nil, false
+}
+
+func (b *loadCounter) Store(context.Context, sweep.Key, *uarch.Counters) {}
+
+// TestExportStopsOnCancel: SIGINT cancels the run's context, and `dcbench
+// export` must stop its 26-workload sweep on it rather than run to the end.
+func TestExportStopsOnCancel(t *testing.T) {
+	opts := report.DefaultOptions()
+	opts.Engine = sweep.NewEngine()
+	var backend loadCounter
+	opts.Engine.SetMemoBackend(&backend)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := exportJSON(ctx, opts); !errors.Is(err, context.Canceled) {
+		t.Fatalf("exportJSON under a cancelled context = %v, want context.Canceled", err)
+	}
+	if n := backend.loads.Load(); n != 0 {
+		t.Fatalf("the cancelled export started %d workloads, want 0", n)
 	}
 }

@@ -49,9 +49,9 @@
 //	-store-max-bytes n     LRU-evict records beyond this many bytes (default
 //	                       256 MiB; 0 = the default, there is no unlimited)
 //	-max-inflight n        bound concurrent compute jobs; excess shed 429 (0 = unlimited)
-//	-workers host:port,...     dispatch job misses to these dcserved workers
-//	-dispatch-timeout d        per-attempt timeout for dispatched jobs (a failed
-//	                           attempt retries on the next two workers)
+//	-workers host:port,...     dispatch job misses to these dcserved workers; each
+//	                           attempt gets dispatch.DefaultTimeout (2m), and a failed
+//	                           attempt retries on the next two workers
 //	-dispatch-api-key k        bearer key presented to keyed workers; tenant ids are
 //	                           forwarded beside it in X-Dcs-Tenant either way
 //	-dispatch-replicas n       the workers' -replication-factor; above 1, reads
@@ -64,11 +64,11 @@
 //	-anti-entropy-interval d   digest-exchange period; <0 disables the loop
 //	-debug-addr addr   serve /debug/traces and /debug/pprof on a separate
 //	                   listener, kept off the service port; empty disables
-//	-grace  shutdown grace period for in-flight requests (default 15s)
-//	-scale, -seed, -instrs, -warmup, -j   as in dcbench; -j is each figure
-//	                           render's fan-out, and the process runs at most one
-//	                           simulation or cluster cell per core at once across
-//	                           every render and job
+//	-scale, -seed, -instrs, -warmup   as in dcbench
+//
+// The process runs at most one simulation or cluster cell per core
+// (GOMAXPROCS) at once, across every render and job; GOMAXPROCS=1 serves
+// serially with identical results.
 //
 // Every dcserved is a job worker: POST /v1/jobs runs one kind-tagged job —
 // a characterization sweep key ("counters") or a cluster experiment cell
@@ -96,7 +96,7 @@
 // Responses carry ETag/Cache-Control derived from (seed, scale, config
 // fingerprint), and concurrent cold requests for the same resource
 // coalesce into one sweep. SIGINT/SIGTERM shut down gracefully; sweeps
-// still in flight after the grace period are cancelled. The process runs
+// still in flight after a 15 s grace period are cancelled. The process runs
 // at Go's default GC target (GOGC=100 unless exported).
 package main
 
@@ -110,7 +110,6 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"dcbench/internal/dispatch"
 	"dcbench/internal/obs"
@@ -118,9 +117,7 @@ import (
 	"dcbench/internal/report"
 	"dcbench/internal/serve"
 	"dcbench/internal/store"
-	"dcbench/internal/sweep"
 	"dcbench/internal/tenant"
-	"dcbench/internal/workloads"
 )
 
 func main() {
@@ -130,7 +127,6 @@ func main() {
 	var replicaOpts replica.Options
 	addr := flag.String("addr", ":8337", "listen address")
 	storeDir := flag.String("store", "dcserved.store", "result store directory; empty disables persistence")
-	grace := flag.Duration("grace", 15*time.Second, "shutdown grace period")
 	debugAddr := flag.String("debug-addr", "", "serve /debug/traces and /debug/pprof on this separate address; empty disables")
 	maxInflight := flag.Int("max-inflight", 0, "bound concurrent compute jobs; excess answered 429 + Retry-After (0 = unlimited)")
 	keysFile := flag.String("keys-file", "", "JSON API-key file; empty disables authentication")
@@ -166,8 +162,7 @@ func main() {
 	cfg.Tenants = tenants
 	// One plane, bottom up: the store, replication hooked onto its writes,
 	// dispatch in front of both.
-	var local sweep.MemoBackend
-	var localStats workloads.StatsBackend
+	var local store.Backend
 	if *storeDir != "" {
 		storeOpts.Log = log
 		st, err := store.OpenWith(*storeDir, storeOpts)
@@ -177,7 +172,7 @@ func main() {
 		}
 		defer st.Close()
 		cfg.Store = st
-		local, localStats = st.Backend(log), st.StatsBackend(log)
+		local = st.Backend(log)
 	}
 	if len(replicaOpts.Peers) > 0 {
 		replicaOpts.APIKey = dispatchOpts.APIKey
@@ -193,7 +188,7 @@ func main() {
 			"factor", replicaOpts.Factor, "anti_entropy", replicaOpts.Interval)
 	}
 	if len(dispatchOpts.Workers) > 0 {
-		remote, err := dispatch.New(dispatchOpts, opts.Warmup, local, localStats, log)
+		remote, err := dispatch.New(dispatchOpts, opts.Warmup, local, log)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "dcserved:", err)
 			os.Exit(1)
@@ -232,7 +227,7 @@ func main() {
 			}
 		}()
 	}
-	if err := srv.Run(ctx, *addr, *grace); err != nil && !errors.Is(err, http.ErrServerClosed) {
+	if err := srv.Run(ctx, *addr); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fmt.Fprintln(os.Stderr, "dcserved:", err)
 		os.Exit(1)
 	}

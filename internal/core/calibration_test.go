@@ -1,11 +1,13 @@
 package core_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"dcbench/internal/core"
 	"dcbench/internal/report"
+	"dcbench/internal/sweep"
 	"dcbench/internal/uarch"
 )
 
@@ -42,7 +44,10 @@ func TestCalibrationReport(t *testing.T) {
 		t.Skip("calibration sweep")
 	}
 	o := report.DefaultOptions()
-	results := core.CharacterizeAll(o.CoreConfig(), o.Warmup+o.Instrs)
+	results, err := core.CharacterizeSweep(context.Background(), sweep.NewEngine(), o.CoreConfig(), o.Warmup+o.Instrs, sweep.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Logf("%-18s %5s/%5s %5s/%5s %6s/%6s %6s/%6s %6s/%6s %5s/%5s %6s/%6s %5s/%5s | stalls f/rat/lb/rs/sb/rob",
 		"workload", "ipc", "ref", "krn%", "ref", "l1i", "ref", "itlbw", "ref", "l2", "ref", "l3h%", "ref", "dtlbw", "ref", "br%", "ref")
 	for _, r := range results {

@@ -91,14 +91,6 @@ func Characterize(w *Workload, cfg uarch.Config, maxInstrs int64) *Result {
 	return &Result{Workload: w, Counters: counters}
 }
 
-// defaultEngine backs CharacterizeAll: one process-wide sweep engine, so
-// every figure render, table render and benchmark in a process shares the
-// same memoized sweeps and pooled cores.
-var defaultEngine = sweep.NewEngine()
-
-// DefaultEngine returns the process-wide sweep engine.
-func DefaultEngine() *sweep.Engine { return defaultEngine }
-
 // RegistryJobs maps the registry onto sweep jobs, in registry order.
 func RegistryJobs() []sweep.Job {
 	ws := Registry()
@@ -109,22 +101,12 @@ func RegistryJobs() []sweep.Job {
 	return jobs
 }
 
-// CharacterizeSweep runs the full registry through the process-wide sweep
-// engine: fanned out over opt.Workers goroutines, memoized across calls
+// CharacterizeSweep runs the full registry through e, which the caller
+// owns: fanned out over opt.Workers goroutines, memoized in e across calls
 // (unless opt.NoMemo), results in registry order. At a fixed seed the
-// counters are bit-identical to a serial CharacterizeAll.
-func CharacterizeSweep(ctx context.Context, cfg uarch.Config, maxInstrs int64, opt sweep.RunOptions) ([]*Result, error) {
-	return CharacterizeSweepOn(ctx, nil, cfg, maxInstrs, opt)
-}
-
-// CharacterizeSweepOn is CharacterizeSweep on a caller-owned engine (nil
-// falls back to the process-wide one) — long-lived services run their own
-// engine so a persistent memo backend and a private memo table can be
-// attached without leaking into unrelated callers.
-func CharacterizeSweepOn(ctx context.Context, e *sweep.Engine, cfg uarch.Config, maxInstrs int64, opt sweep.RunOptions) ([]*Result, error) {
-	if e == nil {
-		e = defaultEngine
-	}
+// counters are bit-identical at any width. Memoized counters are shared
+// with e's memo table: treat them as read-only.
+func CharacterizeSweep(ctx context.Context, e *sweep.Engine, cfg uarch.Config, maxInstrs int64, opt sweep.RunOptions) ([]*Result, error) {
 	ws := Registry()
 	counters, err := e.Run(ctx, RegistryJobs(), cfg, maxInstrs, opt)
 	if err != nil {
@@ -135,20 +117,6 @@ func CharacterizeSweepOn(ctx context.Context, e *sweep.Engine, cfg uarch.Config,
 		out[i] = &Result{Workload: w, Counters: counters[i]}
 	}
 	return out, nil
-}
-
-// CharacterizeAll runs the full registry, delegating to the sweep engine at
-// full host parallelism. The counters are shared with the engine's memo
-// table: treat them as read-only.
-func CharacterizeAll(cfg uarch.Config, maxInstrs int64) []*Result {
-	out, err := CharacterizeSweep(context.Background(), cfg, maxInstrs, sweep.RunOptions{})
-	if err != nil {
-		// Registry generators do not fail and the context cannot be
-		// cancelled, so this mirrors the panic the serial path would have
-		// propagated from a broken generator.
-		panic(err)
-	}
-	return out
 }
 
 // ByName returns the registry entry with the given name.

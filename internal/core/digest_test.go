@@ -24,7 +24,7 @@ const countersDigest = "ba16bf4a7e5e44476aa9c5681e6bbaef4a96cdbc4bd72b3cfdf04256
 // than only in a traced benchmark run or a figure golden.
 func TestCountersDigestPinned(t *testing.T) {
 	o := report.DefaultOptions()
-	results, err := core.CharacterizeSweepOn(context.Background(), sweep.NewEngine(),
+	results, err := core.CharacterizeSweep(context.Background(), sweep.NewEngine(),
 		o.CoreConfig(), o.Warmup+o.Instrs, sweep.RunOptions{NoMemo: true})
 	if err != nil {
 		t.Fatal(err)

@@ -1,18 +1,21 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"testing"
 
+	"dcbench/internal/sweep"
 	"dcbench/internal/uarch"
 )
 
-// sharedResults runs the full registry once per test binary — the shape
+// characterized runs the full registry once per test binary — the shape
 // tests all read from the same characterization sweep.
 var (
 	resultsOnce sync.Once
 	results     []*Result
+	resultsErr  error
 )
 
 func characterized(t *testing.T) []*Result {
@@ -20,8 +23,11 @@ func characterized(t *testing.T) []*Result {
 	resultsOnce.Do(func() {
 		cfg := uarch.DefaultConfig()
 		cfg.Warmup = 250_000
-		results = CharacterizeAll(cfg, 650_000)
+		results, resultsErr = CharacterizeSweep(context.Background(), sweep.NewEngine(), cfg, 650_000, sweep.RunOptions{})
 	})
+	if resultsErr != nil {
+		t.Fatal(resultsErr)
+	}
 	return results
 }
 
@@ -317,7 +323,7 @@ func TestClassAverages(t *testing.T) {
 
 // TestRegistryIsShared pins Registry's contract: it allocates nothing, and
 // no caller writes through the shared entries — after a full
-// CharacterizeAll every entry still equals a fresh build.
+// characterization sweep every entry still equals a fresh build.
 func TestRegistryIsShared(t *testing.T) {
 	if n := testing.AllocsPerRun(10, func() { _ = Registry() }); n != 0 {
 		t.Fatalf("Registry allocates %v times per call, want 0", n)

@@ -58,8 +58,8 @@ import (
 	"dcbench/internal/workloads"
 )
 
-// DefaultTimeout is Options.Timeout's default; the retry walk and the
-// circuit breaker are fixed.
+// DefaultTimeout bounds each dispatch attempt, connection to last byte; it,
+// the retry walk and the circuit breaker are fixed.
 const (
 	DefaultTimeout  = 120 * time.Second // a cold job on a loaded worker is slow, not dead
 	DefaultRetries  = 2                 // attempts beyond the first, each on the next-ranked worker
@@ -77,15 +77,12 @@ const maxShedDemotion = time.Minute
 const defaultRetryAfter = time.Second
 
 // Options configures a RemoteBackend. The zero value of every field but
-// Workers is usable: New fills DefaultTimeout for a zero Timeout. Every
-// fetch gets DefaultRetries retries and every open circuit lasts
-// DefaultCooldown.
+// Workers is usable. Every attempt gets DefaultTimeout, every fetch
+// DefaultRetries retries, and every open circuit lasts DefaultCooldown.
 type Options struct {
 	// Workers are the worker addresses (host:port); an empty list means
 	// dispatch is off and the caller should not build a backend at all.
 	Workers []string
-	// Timeout bounds each attempt, connection to last byte.
-	Timeout time.Duration
 	// APIKey, when non-empty, authenticates every dispatched request as
 	// `Authorization: Bearer <APIKey>` — the front-end's own service key
 	// on keyed workers. Independently of it, the originating tenant's id
@@ -104,17 +101,13 @@ type Options struct {
 }
 
 // RegisterFlags declares dcserved's dispatch flags on fs, defaulted from
-// *o and written back on Parse. The retry count is not a flag: it is
-// DefaultRetries.
+// *o and written back on Parse. The attempt timeout and the retry count are
+// not flags: they are DefaultTimeout and DefaultRetries.
 func RegisterFlags(fs *flag.FlagSet, o *Options) {
-	if o.Timeout == 0 {
-		o.Timeout = DefaultTimeout
-	}
 	if o.Replicas == 0 {
 		o.Replicas = 1
 	}
 	fs.Var((*peer.List)(&o.Workers), "workers", "comma-separated job worker addresses (host:port,...); empty = simulate locally")
-	fs.DurationVar(&o.Timeout, "dispatch-timeout", o.Timeout, "per-attempt timeout for dispatched jobs")
 	fs.StringVar(&o.APIKey, "dispatch-api-key", o.APIKey, "API key presented to workers as a bearer token; empty = unauthenticated dispatch")
 	fs.IntVar(&o.Replicas, "dispatch-replicas", o.Replicas, "store copies per key in the worker cluster; above 1, reads rotate across a key's replicas instead of always asking the owner")
 }
@@ -307,16 +300,12 @@ type RemoteBackend struct {
 // New builds a RemoteBackend over the given worker set. warmup is the
 // run's ramp-up instruction count — the parameter the sweep keys' config
 // fingerprint is derived from, shipped with every counters job so workers
-// can rebuild and verify the machine config. local and localStats, when
-// non-nil, are the backends remote results are written through to (and
-// checked before any dispatch) — typically the persistent store's two
-// backend adapters.
-func New(opts Options, warmup int64, local sweep.MemoBackend, localStats workloads.StatsBackend, log *slog.Logger) (*RemoteBackend, error) {
+// can rebuild and verify the machine config. local, when non-nil, is the
+// backend remote results of both kinds are written through to (and checked
+// before any dispatch) — typically the persistent store's adapter.
+func New(opts Options, warmup int64, local store.Backend, log *slog.Logger) (*RemoteBackend, error) {
 	if len(opts.Workers) == 0 {
 		return nil, errors.New("dispatch: no workers configured")
-	}
-	if opts.Timeout <= 0 {
-		opts.Timeout = DefaultTimeout
 	}
 	if log == nil {
 		log = slog.Default()
@@ -324,7 +313,7 @@ func New(opts Options, warmup int64, local sweep.MemoBackend, localStats workloa
 	b := &RemoteBackend{
 		opts:    opts,
 		workers: make(map[string]*worker, len(opts.Workers)),
-		client:  peer.Client{APIKey: opts.APIKey, Timeout: opts.Timeout},
+		client:  peer.Client{APIKey: opts.APIKey, Timeout: DefaultTimeout},
 		log:     log,
 		now:     time.Now,
 		counters: jobKind[sweep.Key, *uarch.Counters]{
@@ -338,9 +327,7 @@ func New(opts Options, warmup int64, local sweep.MemoBackend, localStats workloa
 	}
 	if local != nil {
 		b.counters.load, b.counters.store = local.Load, local.Store
-	}
-	if localStats != nil {
-		b.cluster.load, b.cluster.store = localStats.LoadStats, localStats.StoreStats
+		b.cluster.load, b.cluster.store = local.LoadStats, local.StoreStats
 	}
 	b.opts.Workers = nil
 	for _, addr := range opts.Workers {
@@ -379,7 +366,7 @@ func (b *RemoteBackend) LoadStats(ctx context.Context, k workloads.StatsKey) (*w
 }
 
 // StoreStats writes a locally simulated cluster result through to the
-// local stats backend.
+// local backend.
 func (b *RemoteBackend) StoreStats(ctx context.Context, k workloads.StatsKey, st *workloads.Stats) {
 	if b.cluster.store != nil {
 		b.cluster.store(ctx, k, st)

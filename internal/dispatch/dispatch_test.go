@@ -174,12 +174,11 @@ func sheddingWorker(t *testing.T, retryAfter string) (*httptest.Server, *atomic.
 
 func newTestBackend(t *testing.T, local *mapBackend, addrs ...string) *RemoteBackend {
 	t.Helper()
-	var memoLocal sweep.MemoBackend
-	var statsLocal workloads.StatsBackend
+	var l store.Backend
 	if local != nil {
-		memoLocal, statsLocal = local, local
+		l = local
 	}
-	b, err := New(Options{Workers: addrs, Timeout: 5 * time.Second}, 0, memoLocal, statsLocal, quietLog)
+	b, err := New(Options{Workers: addrs}, 0, l, quietLog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -522,7 +521,7 @@ func TestDarkClusterFailsFast(t *testing.T) {
 // same order (so a shared worker set simulates each key once), and
 // different keys spread across the set — for both job kinds.
 func TestRendezvousStableAndSpread(t *testing.T) {
-	b, err := New(Options{Workers: []string{"a:1", "b:1", "c:1"}}, 0, nil, nil, quietLog)
+	b, err := New(Options{Workers: []string{"a:1", "b:1", "c:1"}}, 0, nil, quietLog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -571,13 +570,16 @@ func TestRegisterFlagsParsesWorkerList(t *testing.T) {
 	if strings.Join(o.Workers, "|") != "n1:8337|n2:8337|n3:8337" {
 		t.Fatalf("Workers = %v", o.Workers)
 	}
-	if o.Timeout != DefaultTimeout || o.Replicas != 1 {
+	if o.Replicas != 1 {
 		t.Fatalf("parsed options = %+v, want defaults where unset", o)
 	}
 	if fs.Parse([]string{"-dispatch-retries", "5"}) == nil {
 		t.Fatal("-dispatch-retries parsed; the retry count is DefaultRetries, not a flag")
 	}
-	if _, err := New(Options{}, 0, nil, nil, nil); err == nil {
+	if fs.Parse([]string{"-dispatch-timeout", "5s"}) == nil {
+		t.Fatal("-dispatch-timeout parsed; the attempt timeout is DefaultTimeout, not a flag")
+	}
+	if _, err := New(Options{}, 0, nil, nil); err == nil {
 		t.Fatal("New accepted an empty worker set")
 	}
 }
@@ -654,7 +656,7 @@ func TestReplicaRotationSpreadsReads(t *testing.T) {
 	k := testKey("w", 7)
 
 	// Owner-only first: all reads land on exactly one worker.
-	solo, err := New(Options{Workers: addrs, Timeout: 5 * time.Second}, 0, nil, nil, quietLog)
+	solo, err := New(Options{Workers: addrs}, 0, nil, quietLog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -677,7 +679,7 @@ func TestReplicaRotationSpreadsReads(t *testing.T) {
 	}
 
 	// Rotation: the same key's reads spread across all three replicas.
-	rot, err := New(Options{Workers: addrs, Timeout: 5 * time.Second, Replicas: 3}, 0, nil, nil, quietLog)
+	rot, err := New(Options{Workers: addrs, Replicas: 3}, 0, nil, quietLog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -725,7 +727,7 @@ func TestWorkerDiagnosticsSurface(t *testing.T) {
 	}))
 	t.Cleanup(flaky.Close)
 
-	b, err := New(Options{Workers: []string{addrOf(flaky)}, Timeout: 5 * time.Second}, 0, nil, nil, quietLog)
+	b, err := New(Options{Workers: []string{addrOf(flaky)}}, 0, nil, quietLog)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -153,7 +153,7 @@ func newFrontEnd(t *testing.T, frontStore *store.Store, workers ...string) (*htt
 	t.Helper()
 	opts := e2eOptions()
 	remote, err := dispatch.New(dispatch.Options{Workers: workers}, opts.Warmup,
-		frontStore.Backend(quiet), frontStore.StatsBackend(quiet), quiet)
+		frontStore.Backend(quiet), quiet)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -435,8 +435,8 @@ func TestReplicaSetMatchesDispatchRotation(t *testing.T) {
 		workers[i] = n.addr
 	}
 	frontEnd := func() *dispatch.RemoteBackend {
-		b, err := dispatch.New(dispatch.Options{Workers: workers, Replicas: 2, Timeout: 30 * time.Second},
-			opts.Warmup, nil, nil, quietLog)
+		b, err := dispatch.New(dispatch.Options{Workers: workers, Replicas: 2},
+			opts.Warmup, nil, quietLog)
 		if err != nil {
 			t.Fatal(err)
 		}

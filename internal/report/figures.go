@@ -22,35 +22,15 @@ type Options struct {
 	// counter-level experiments (Figures 3-12); Warmup precedes it.
 	Instrs int64
 	Warmup int64
-	// Jobs is each sweep call's fan-out (the CLI's -j flag); <= 0 means one
-	// per host core. The process runs at most one simulation or cluster
-	// cell per core at once however many calls fan out (sweep.Acquire).
-	// Results are independent of Jobs: the sweeps are deterministic at any
-	// width.
-	Jobs int
-	// Engine, when non-nil, runs the characterization sweeps instead of the
-	// process-wide default — the dcserved service sets this so its memo
-	// table (and persistent backend) are its own rather than shared process
-	// state, and so tests can model a cold restart with a fresh engine.
+	// Engine runs the characterization sweeps (Figures 3-12, Table I) and
+	// memoizes them across calls that share it; nil gives each call a
+	// fresh engine. The caller owns it: dcserved and dcbench build one per
+	// process and attach the store's memo backend to it.
 	Engine *sweep.Engine
-	// Cluster, when non-nil, memoizes the cluster-level experiments
-	// (Figures 2 and 5, Table I) instead of the process-wide default cache —
-	// dcserved and dcbench -store point it at a store-backed cache so
-	// restarts skip the cluster simulations too.
+	// Cluster memoizes the cluster-level experiments (Figures 2 and 5,
+	// Table I) across calls that share it; nil runs every call's cells
+	// un-memoized. The caller owns it, as it owns Engine.
 	Cluster *workloads.StatsCache
-}
-
-// defaultClusterCache memoizes cluster runs for callers that don't bring
-// their own cache — `dcbench all` simulates the cluster once, not three
-// times, across Figure 2, Figure 5 and Table I.
-var defaultClusterCache = workloads.NewStatsCache(nil)
-
-// clusterCache resolves the cluster memo for this run.
-func (o Options) clusterCache() *workloads.StatsCache {
-	if o.Cluster != nil {
-		return o.Cluster
-	}
-	return defaultClusterCache
 }
 
 // DefaultOptions balances fidelity against runtime (a full `dcbench all`
@@ -70,7 +50,6 @@ func RegisterFlags(fs *flag.FlagSet, o *Options) {
 	fs.Uint64Var(&o.Seed, "seed", o.Seed, "generator seed")
 	fs.Int64Var(&o.Instrs, "instrs", o.Instrs, "measured instructions per trace")
 	fs.Int64Var(&o.Warmup, "warmup", o.Warmup, "ramp-up instructions excluded from counters")
-	fs.IntVar(&o.Jobs, "j", o.Jobs, "fan-out of each sweep call; 0 = one per host core. Process-wide, at most one simulation or cluster cell per core runs at once")
 }
 
 // CoreConfig is the simulated machine for this run: the paper's Table III
@@ -82,23 +61,18 @@ func (o Options) CoreConfig() uarch.Config {
 	return cfg
 }
 
-// Characterized runs the full 26-workload registry once through the sweep
-// engine (Figures 3-12 all read from the same sweep). Repeated calls with
-// the same options reuse the engine's memoized counters instead of
-// re-simulating.
-func Characterized(o Options) []*core.Result {
-	rs, err := CharacterizedCtx(context.Background(), o)
-	if err != nil {
-		panic(err) // background context: only a broken generator lands here
+// Characterized runs the full 26-workload registry once through o.Engine
+// (Figures 3-12 all read from the same sweep), cancellable between
+// workloads. Repeated calls on one engine reuse its memoized counters
+// instead of re-simulating. The sweep fans out over every host core; the
+// process runs at most one simulation per core (sweep.Acquire), so
+// GOMAXPROCS=1 gives a serial run with identical results.
+func Characterized(ctx context.Context, o Options) ([]*core.Result, error) {
+	e := o.Engine
+	if e == nil {
+		e = sweep.NewEngine()
 	}
-	return rs
-}
-
-// CharacterizedCtx is Characterized with cancellation (per-workload
-// granularity) and error reporting.
-func CharacterizedCtx(ctx context.Context, o Options) ([]*core.Result, error) {
-	return core.CharacterizeSweepOn(ctx, o.Engine, o.CoreConfig(), o.Warmup+o.Instrs,
-		sweep.RunOptions{Workers: o.Jobs})
+	return core.CharacterizeSweep(ctx, e, o.CoreConfig(), o.Warmup+o.Instrs, sweep.RunOptions{})
 }
 
 // FigureByNumber renders figure n (1..12) — the dispatch shared by the CLI
@@ -113,7 +87,7 @@ func FigureByNumber(ctx context.Context, o Options, n int) (*Table, error) {
 	case 5:
 		return Figure5(ctx, o)
 	case 3, 4, 6, 7, 8, 9, 10, 11, 12:
-		results, err := CharacterizedCtx(ctx, o)
+		results, err := Characterized(ctx, o)
 		if err != nil {
 			return nil, err
 		}
@@ -132,7 +106,7 @@ func FigureByNumber(ctx context.Context, o Options, n int) (*Table, error) {
 func TableByNumber(ctx context.Context, o Options, n int) (*Table, string, error) {
 	switch n {
 	case 1:
-		results, err := CharacterizedCtx(ctx, o)
+		results, err := Characterized(ctx, o)
 		if err != nil {
 			return nil, "", err
 		}
@@ -175,7 +149,7 @@ func Figure2(ctx context.Context, o Options) (*Table, error) {
 		Precision: 2,
 		Notes:     []string{"paper: 8-slave speedups range 3.3-8.2; Naive Bayes 6.6"},
 	}
-	all, err := workloads.SlaveSweepMemo(ctx, o.clusterCache(), workloads.All(), slaveCounts, o.Scale, o.Seed, o.Jobs)
+	all, err := workloads.SlaveSweepMemo(ctx, o.Cluster, workloads.All(), slaveCounts, o.Scale, o.Seed, 0)
 	if err != nil {
 		return nil, fmt.Errorf("figure 2: %w", err)
 	}
@@ -209,15 +183,14 @@ func Figure5(ctx context.Context, o Options) (*Table, error) {
 }
 
 // clusterStats runs every cluster workload on its own 4-slave environment
-// concurrently (one worker per host core at Jobs <= 0), returning stats in
+// concurrently (one worker per host core), returning stats in
 // workloads.All order — the shared experiment behind Figure 5 and Table I.
-// Results are memoized per (workload, slaves, Scale, Seed) through the
-// run's cluster cache (and its persistent backend, when one is wired in)
-// and shared with Figure 2's 4-slave column: treat them as read-only. A
-// failed attempt (cancellation included) is not cached, so a later call
-// retries.
+// With o.Cluster set, results are memoized per (workload, slaves, Scale,
+// Seed) there (and in its persistent backend, when one is wired in) and
+// shared with Figure 2's 4-slave column: treat them as read-only. A failed
+// attempt (cancellation included) is not cached, so a later call retries.
 func clusterStats(ctx context.Context, o Options) ([]*workloads.Stats, error) {
-	all, err := workloads.SlaveSweepMemo(ctx, o.clusterCache(), workloads.All(), []int{4}, o.Scale, o.Seed, o.Jobs)
+	all, err := workloads.SlaveSweepMemo(ctx, o.Cluster, workloads.All(), []int{4}, o.Scale, o.Seed, 0)
 	if err != nil {
 		return nil, err
 	}

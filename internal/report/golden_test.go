@@ -6,18 +6,30 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"dcbench/internal/sweep"
+	"dcbench/internal/workloads"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files")
 
+// testEngine and testCluster are this package's memo tables: every test
+// that runs a sweep takes them through goldenOptions, so the sweeps
+// simulate once per test binary.
+var (
+	testEngine  = sweep.NewEngine()
+	testCluster = workloads.NewStatsCache(nil)
+)
+
 // goldenOptions fixes the run the golden files were cut at: the default
 // seed with the reduced trace/cluster sizes the rest of this package's
-// tests use (so the sweeps are shared through the memo tables).
+// tests use, on the package's shared memo tables.
 func goldenOptions() Options {
 	o := DefaultOptions()
 	o.Scale = 0.01
 	o.Instrs = 120_000
 	o.Warmup = 60_000
+	o.Engine, o.Cluster = testEngine, testCluster
 	return o
 }
 

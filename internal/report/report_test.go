@@ -84,9 +84,7 @@ func TestFigure2SpeedupShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster sweep")
 	}
-	o := DefaultOptions()
-	o.Scale = 0.01
-	f, err := Figure2(context.Background(), o)
+	f, err := Figure2(context.Background(), goldenOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,9 +108,7 @@ func TestFigure5SortHighest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster sweep")
 	}
-	o := DefaultOptions()
-	o.Scale = 0.01
-	f, err := Figure5(context.Background(), o)
+	f, err := Figure5(context.Background(), goldenOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,10 +131,10 @@ func TestMetricFiguresOverSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("characterization sweep")
 	}
-	o := DefaultOptions()
-	o.Instrs = 120_000
-	o.Warmup = 60_000
-	results := Characterized(o)
+	results, err := Characterized(context.Background(), goldenOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, f := range []*Table{
 		Figure3(results), Figure4(results), Figure6(results), Figure7(results),
 		Figure8(results), Figure9(results), Figure10(results), Figure11(results),

@@ -170,7 +170,7 @@ func TestMetricsAgreeWithHealthz(t *testing.T) {
 		waddr := strings.TrimPrefix(wts.URL, "http://")
 		st := openStore(t)
 		remote, err := dispatch.New(dispatch.Options{Workers: []string{waddr}}, opts.Warmup,
-			st.Backend(quietLog), st.StatsBackend(quietLog), quietLog)
+			st.Backend(quietLog), quietLog)
 		if err != nil {
 			t.Fatal(err)
 		}

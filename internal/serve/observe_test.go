@@ -68,7 +68,7 @@ func dispatchBackedServer(t *testing.T) *httptest.Server {
 	}
 	t.Cleanup(func() { st.Close() })
 	remote, err := dispatch.New(dispatch.Options{Workers: []string{"w1:8337", "w2:8337"}},
-		testOptions().Warmup, st.Backend(quietLog), st.StatsBackend(quietLog), quietLog)
+		testOptions().Warmup, st.Backend(quietLog), quietLog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestTracePropagationAcrossDispatch(t *testing.T) {
 	}
 	t.Cleanup(func() { fst.Close() })
 	remote, err := dispatch.New(dispatch.Options{Workers: []string{strings.TrimPrefix(wts.URL, "http://")}},
-		testOptions().Warmup, fst.Backend(quietLog), fst.StatsBackend(quietLog), quietLog)
+		testOptions().Warmup, fst.Backend(quietLog), quietLog)
 	if err != nil {
 		t.Fatal(err)
 	}

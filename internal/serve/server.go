@@ -175,22 +175,21 @@ func New(cfg Config) *Server {
 	if log == nil {
 		log = slog.Default()
 	}
+	// The engine and the cluster memo are the server's own, over one
+	// persistent backend, so both have the server's restart semantics.
+	backend, clusterBackend := cfg.Backend, cfg.Cluster
+	if cfg.Store != nil {
+		be := cfg.Store.Backend(log)
+		if backend == nil {
+			backend = be
+		}
+		if clusterBackend == nil {
+			clusterBackend = be
+		}
+	}
 	engine := sweep.NewEngine()
-	backend := cfg.Backend
-	if backend == nil && cfg.Store != nil {
-		backend = cfg.Store.Backend(log)
-	}
-	if backend != nil {
-		engine.SetMemoBackend(backend)
-	}
+	engine.SetMemoBackend(backend)
 	opts.Engine = engine
-	// The cluster memo is the server's own (not the process-wide default),
-	// so its persistent backend — and its restart semantics — match the
-	// engine's.
-	clusterBackend := cfg.Cluster
-	if clusterBackend == nil && cfg.Store != nil {
-		clusterBackend = cfg.Store.StatsBackend(log)
-	}
 	opts.Cluster = workloads.NewStatsCache(clusterBackend)
 	tenants := cfg.Tenants
 	if tenants == nil {
@@ -357,11 +356,15 @@ func (s *Server) Handler() http.Handler {
 	})
 }
 
+// shutdownGrace is how long Run lets in-flight requests finish once its
+// context is cancelled.
+const shutdownGrace = 15 * time.Second
+
 // Run serves on addr until ctx is cancelled, then shuts down: new
-// connections stop immediately, in-flight requests get grace to finish,
-// and after that the base context is cancelled so remaining sweeps abort
-// with 503s. Run returns once the listener is fully drained or torn down.
-func (s *Server) Run(ctx context.Context, addr string, grace time.Duration) error {
+// connections stop immediately, in-flight requests get shutdownGrace to
+// finish, and after that the base context is cancelled so remaining sweeps
+// abort with 503s. Run returns once the listener is fully drained or torn down.
+func (s *Server) Run(ctx context.Context, addr string) error {
 	hs := &http.Server{
 		Addr:              addr,
 		Handler:           s.Handler(),
@@ -378,8 +381,8 @@ func (s *Server) Run(ctx context.Context, addr string, grace time.Duration) erro
 		return err // listener died before shutdown was asked for
 	case <-ctx.Done():
 	}
-	s.log.Info("shutting down", "grace", grace)
-	shctx, cancel := context.WithTimeout(context.Background(), grace)
+	s.log.Info("shutting down", "grace", shutdownGrace)
+	shctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
 	defer cancel()
 	err := hs.Shutdown(shctx)
 	s.Close() // hard-stop sweeps that outlived the grace period

@@ -230,8 +230,11 @@ func (s *Server) counterRunner(key sweep.Key, warmup int64) (*jobRunner, *jobErr
 // clusterRunner validates one cluster experiment key and returns its
 // runner.
 func (s *Server) clusterRunner(key workloads.StatsKey) (*jobRunner, *jobError) {
+	// Only the exact registry name: ByName folds case, but the key is
+	// memoized and stored as sent, so "grep" beside "Grep" would simulate
+	// and store the same cell twice.
 	wl := workloads.ByName(key.Workload)
-	if wl == nil {
+	if wl == nil || wl.Name != key.Workload {
 		return nil, &jobError{http.StatusNotFound, codeNotFound, fmt.Sprintf("unknown cluster workload %q", key.Workload)}
 	}
 	if key.Slaves < 1 || key.Slaves > maxClusterSlaves {

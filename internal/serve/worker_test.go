@@ -242,10 +242,15 @@ func TestJobsRejections(t *testing.T) {
 		}
 	}
 
-	resp, _ = postJSON(t, ts, "/v1/jobs",
-		jobRequest(t, store.KindCluster, workloads.StatsKey{Workload: "NoSuchWorkload", Slaves: 4, Scale: 0.01}, 0))
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown cluster workload status = %d, want 404", resp.StatusCode)
+	// Cluster keys name a workload exactly, as counters keys do: a
+	// case variant is a different key, not an alias to simulate and store
+	// a second time.
+	for _, name := range []string{"NoSuchWorkload", "grep", "GREP"} {
+		resp, _ = postJSON(t, ts, "/v1/jobs",
+			jobRequest(t, store.KindCluster, workloads.StatsKey{Workload: name, Slaves: 4, Scale: 0.01}, 0))
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("unknown cluster workload %q status = %d, want 404", name, resp.StatusCode)
+		}
 	}
 
 	for _, key := range []workloads.StatsKey{

@@ -530,12 +530,20 @@ func (s *Store) PutClusterStats(k workloads.StatsKey, st *workloads.Stats) error
 	return s.put(KindCluster, key, payload)
 }
 
-// --- backend adapters ---
+// --- backend adapter ---
 
-// Backend adapts the store to the sweep engine's MemoBackend contract:
-// failures are logged and swallowed, so a broken disk degrades the engine
-// to plain re-simulation instead of failing sweeps.
-func (s *Store) Backend(log *slog.Logger) sweep.MemoBackend {
+// Backend is the store as both memo seams' persistent backend: the sweep
+// engine's (sweep.MemoBackend, counters records) and the cluster cache's
+// (workloads.StatsBackend, cluster records).
+type Backend interface {
+	sweep.MemoBackend
+	workloads.StatsBackend
+}
+
+// Backend adapts the store to both record kinds' backend contracts:
+// failures are logged and swallowed, so a broken disk degrades sweeps and
+// cluster runs to plain re-simulation instead of failing them.
+func (s *Store) Backend(log *slog.Logger) Backend {
 	if log == nil {
 		log = slog.Default()
 	}
@@ -567,21 +575,7 @@ func (b *backend) Store(ctx context.Context, k sweep.Key, c *uarch.Counters) {
 	}
 }
 
-// StatsBackend adapts the store to the cluster memo's StatsBackend
-// contract with the same swallow-failures degradation as Backend.
-func (s *Store) StatsBackend(log *slog.Logger) workloads.StatsBackend {
-	if log == nil {
-		log = slog.Default()
-	}
-	return &statsBackend{s: s, log: log}
-}
-
-type statsBackend struct {
-	s   *Store
-	log *slog.Logger
-}
-
-func (b *statsBackend) LoadStats(ctx context.Context, k workloads.StatsKey) (*workloads.Stats, bool) {
+func (b *backend) LoadStats(ctx context.Context, k workloads.StatsKey) (*workloads.Stats, bool) {
 	sp := obs.Start(ctx, "store.read", "workload", k.Workload)
 	st, ok, err := b.s.GetClusterStats(k)
 	sp.End("hit", strconv.FormatBool(ok && err == nil))
@@ -592,7 +586,7 @@ func (b *statsBackend) LoadStats(ctx context.Context, k workloads.StatsKey) (*wo
 	return st, ok
 }
 
-func (b *statsBackend) StoreStats(ctx context.Context, k workloads.StatsKey, st *workloads.Stats) {
+func (b *backend) StoreStats(ctx context.Context, k workloads.StatsKey, st *workloads.Stats) {
 	sp := obs.Start(ctx, "store.write", "workload", k.Workload)
 	err := b.s.PutClusterStats(k, st)
 	sp.End()

@@ -647,7 +647,7 @@ func TestClusterStatsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStatsBackendRoundTrip pins the workloads.StatsBackend adapter and its
+// TestStatsBackendRoundTrip pins the store adapter's cluster half and its
 // interplay with the StatsCache: a fresh cache over a warm store loads
 // every run from disk instead of re-running.
 func TestStatsBackendRoundTrip(t *testing.T) {
@@ -657,7 +657,7 @@ func TestStatsBackendRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	b := s.StatsBackend(quietLog(t))
+	b := s.Backend(quietLog(t))
 	k := workloads.StatsKey{Workload: "Grep", Slaves: 4, Scale: 0.01, Seed: 7}
 	ran := 0
 	run := func(context.Context) (*workloads.Stats, error) {

@@ -110,7 +110,7 @@ func TestBudgetBoundsUnitsInFlight(t *testing.T) {
 	if statsErr != nil {
 		t.Fatal(statsErr)
 	}
-	serialStats, err := workloads.SlaveSweepAll(ctx, cells, slaves, scale, seed, 1)
+	serialStats, err := workloads.SlaveSweepMemo(ctx, nil, cells, slaves, scale, seed, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -128,10 +128,9 @@ type Engine struct {
 // budget is the process's compute budget: one slot per core, taken by
 // every simulation (Engine.simulate) and every cluster cell
 // (workloads.StatsCache) for as long as it runs. Fan-out widths are per
-// call — a figure render, a job, a -j flag — so without it two concurrent
-// callers at GOMAXPROCS each put twice as many working sets (a core, a
-// trace in flight, a cell's records) in memory as there are cores to run
-// them. It is package-level, like memtrace's batch pool, because the cores
+// call — a figure render, a job — so without it two concurrent callers at
+// GOMAXPROCS each put twice as many working sets (a core, a trace in
+// flight, a cell's records) in memory as there are cores to run them. It is package-level, like memtrace's batch pool, because the cores
 // it budgets belong to the process.
 var budget = make(chan struct{}, runtime.GOMAXPROCS(0))
 
@@ -431,8 +430,8 @@ func Each(ctx context.Context, workers, n int, fn func(i int)) error {
 }
 
 // Collect fans fn(i) for i in [0, n) over at most workers goroutines
-// (<= 0 means runtime.GOMAXPROCS(0), matching the engine's and the -j
-// flag's convention) and gathers results in index order. Cancellation
+// (<= 0 means runtime.GOMAXPROCS(0), matching the engine's convention)
+// and gathers results in index order. Cancellation
 // returns ctx.Err() alone; otherwise every index runs and the first
 // per-index error (by index) is returned alongside the partial results.
 func Collect[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) ([]T, error) {

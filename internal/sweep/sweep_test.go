@@ -69,7 +69,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 
 // TestRegistrySerialVsParallel runs the real 26-workload registry serially
 // and with 4 workers at the default seed and asserts bit-identical
-// uarch.Counters per workload — the -j determinism contract of the CLI.
+// uarch.Counters per workload — the CLI's determinism contract at any
+// GOMAXPROCS.
 func TestRegistrySerialVsParallel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full registry sweep")

@@ -19,7 +19,7 @@ const matrixAllocBudget = 420e6
 // report defaults on the given number of workers.
 func runMatrix(tb testing.TB, workers int) {
 	o := report.DefaultOptions()
-	if _, err := workloads.SlaveSweepAll(context.Background(), workloads.All(), []int{1, 4, 8}, o.Scale, o.Seed, workers); err != nil {
+	if _, err := workloads.SlaveSweepMemo(context.Background(), nil, workloads.All(), []int{1, 4, 8}, o.Scale, o.Seed, workers); err != nil {
 		tb.Fatal(err)
 	}
 }

@@ -22,7 +22,7 @@ const statsDigest = "0a2fd257ec5073714a502eb64878065f6ae2d81c2435bdce2ca0b1551a4
 // rather than only in a figure golden or a traced benchmark run.
 func TestStatsDigestPinned(t *testing.T) {
 	o := report.DefaultOptions()
-	all, err := workloads.SlaveSweepAll(context.Background(), workloads.All(), []int{1, 4, 8}, o.Scale, o.Seed, 0)
+	all, err := workloads.SlaveSweepMemo(context.Background(), nil, workloads.All(), []int{1, 4, 8}, o.Scale, o.Seed, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

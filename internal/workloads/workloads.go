@@ -179,24 +179,20 @@ func All() []*Workload {
 	}
 }
 
-// SlaveSweepAll runs every workload across every slave count — Figure 2's
-// full experiment matrix — with each of the len(ws) x len(slaveCounts)
+// SlaveSweepMemo runs every workload across every slave count — Figure
+// 2's full experiment matrix — with each of the len(ws) x len(slaveCounts)
 // independent cluster environments a separate unit of fan-out, so an
 // 8-core host keeps 8 environments in flight rather than being capped at
-// one workload's slave counts. Workers <= 0 means one per host core (the
-// -j convention). Stats come back as [workload][slaveCount], both in input
-// order; every environment is seeded identically, so results match the
-// serial loops bit for bit. The first failed run's error (wrapped with its
-// workload and slave count) is returned after all runs finish.
-func SlaveSweepAll(ctx context.Context, ws []*Workload, slaveCounts []int, scale float64, seed uint64, workers int) ([][]*Stats, error) {
-	return SlaveSweepMemo(ctx, nil, ws, slaveCounts, scale, seed, workers)
-}
-
-// SlaveSweepMemo is SlaveSweepAll with cluster-run memoization: each
-// (workload, slave count) unit resolves through cache — an in-memory hit or
-// a persistent-store hit skips the simulation entirely, and concurrent
-// renders of figures sharing a run coalesce on its singleflight cell. A nil
-// cache runs everything. Each unit joins its cell pinned
+// one workload's slave counts. Workers <= 0 means one per host core. Stats
+// come back as [workload][slaveCount], both in input order; every
+// environment is seeded identically, so results match the serial loops bit
+// for bit. The first failed run's error (wrapped with its workload and
+// slave count) is returned after all runs finish.
+//
+// Each (workload, slave count) unit resolves through cache: an in-memory
+// hit or a persistent-store hit skips the simulation entirely, and
+// concurrent renders of figures sharing a run coalesce on its singleflight
+// cell. A nil cache runs everything. Each unit joins its cell pinned
 // (context.WithoutCancel): ctx carries trace values, and its cancellation
 // aborts neither a shared run nor that run's wait for a compute slot.
 // Memoized Stats are shared across callers: treat them as read-only.
@@ -221,15 +217,6 @@ func SlaveSweepMemo(ctx context.Context, cache *StatsCache, ws []*Workload, slav
 		out[i] = flat[i*len(slaveCounts) : (i+1)*len(slaveCounts)]
 	}
 	return out, nil
-}
-
-// SlaveSweep is SlaveSweepAll for a single workload.
-func SlaveSweep(ctx context.Context, w *Workload, slaveCounts []int, scale float64, seed uint64, workers int) ([]*Stats, error) {
-	all, err := SlaveSweepAll(ctx, []*Workload{w}, slaveCounts, scale, seed, workers)
-	if err != nil {
-		return nil, err
-	}
-	return all[0], nil
 }
 
 // ByName returns the named workload or nil.

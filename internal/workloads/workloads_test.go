@@ -201,10 +201,11 @@ func TestSlaveSweepMatchesSerial(t *testing.T) {
 		serial = append(serial, st)
 	}
 
-	concurrent, err := SlaveSweep(context.Background(), w, counts, testScale, 12345, 3)
+	all, err := SlaveSweepMemo(context.Background(), nil, []*Workload{w}, counts, testScale, 12345, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	concurrent := all[0]
 	for i, slaves := range counts {
 		if !reflect.DeepEqual(serial[i], concurrent[i]) {
 			t.Errorf("%d slaves: concurrent stats diverge from serial\nserial:     %+v\nconcurrent: %+v",
