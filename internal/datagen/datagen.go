@@ -50,9 +50,6 @@ func NewCorpus(seed uint64, vocabSize int) *Corpus {
 	return c
 }
 
-// VocabSize returns the number of distinct words.
-func (c *Corpus) VocabSize() int { return len(c.vocab) }
-
 // Word draws one Zipf-distributed word.
 func (c *Corpus) Word() string { return c.vocab[c.zipf.Next()] }
 

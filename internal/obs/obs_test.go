@@ -156,6 +156,7 @@ func TestValidID(t *testing.T) {
 		"with space":            false,
 		"semi;colon":            false,
 		"new\nline":             false,
+		"x/y":                   false,
 	} {
 		if got := ValidID(id); got != want {
 			t.Errorf("ValidID(%q) = %v, want %v", id, got, want)

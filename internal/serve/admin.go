@@ -94,7 +94,7 @@ func (a *adminPlane) handleKeyList(w http.ResponseWriter, r *http.Request) {
 			keys = append(keys, adminKey{s})
 		}
 	}
-	writeJSON(w, struct {
+	writeJSON(w, http.StatusOK, struct {
 		Keys []adminKey `json:"keys"`
 	}{keys})
 }
@@ -113,11 +113,7 @@ func (a *adminPlane) handleKeyCreate(w http.ResponseWriter, r *http.Request) {
 	a.log.Info("admin created key", "tenant", created.ID)
 	// The one response that carries a secret: the caller must store it,
 	// the server keeps only the digest-bearing keys file.
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusCreated)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(created)
+	writeJSON(w, http.StatusCreated, created)
 }
 
 func (a *adminPlane) handleKeyRevoke(w http.ResponseWriter, r *http.Request) {
@@ -143,11 +139,11 @@ func (a *adminPlane) handleKeyLimits(w http.ResponseWriter, r *http.Request) {
 	}
 	a.log.Info("admin set limits", "tenant", id)
 	t, _ := a.reg.Lookup(id)
-	writeJSON(w, t.Snapshot())
+	writeJSON(w, http.StatusOK, t.Snapshot())
 }
 
 func (a *adminPlane) handleUsage(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, struct {
+	writeJSON(w, http.StatusOK, struct {
 		Tenants []tenant.Snapshot `json:"tenants"`
 	}{a.reg.Snapshots()})
 }

@@ -6,11 +6,9 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
-	"time"
 
 	"dcbench/internal/jobs"
 	"dcbench/internal/obs"
-	"dcbench/internal/tenant"
 )
 
 // This file is the async half of the job lifecycle: POST /v1/jobs with
@@ -30,9 +28,9 @@ import (
 // stopping the underlying simulation once no other caller shares it.
 
 // submitAsync accepts one validated job for background execution. The
-// submitting tenant owns the job: its id scopes every lifecycle endpoint
-// and the detached run context carries the tenant, so the quota charge
-// lands on completion exactly as it does for a blocking job.
+// granting tenant owns the job: its id scopes every lifecycle endpoint.
+// The job's context keeps the request's tenants but not its
+// cancellation, so the job is booked exactly as a blocking job is.
 func (s *Server) submitAsync(w http.ResponseWriter, r *http.Request, run *jobRunner) {
 	if s.registry.Active() >= maxActiveJobs {
 		s.shedJob(w, r, run.kind)
@@ -43,112 +41,92 @@ func (s *Server) submitAsync(w http.ResponseWriter, r *http.Request, run *jobRun
 	// its span stream drives the state machine.
 	id := obs.NewID()
 	tr := s.recorder.StartTrace("job "+run.kind, id)
-	ctx, cancel := context.WithCancel(s.baseCtx)
+	ctx, cancel := s.jobCtx(context.WithoutCancel(r.Context()))
 	ctx = obs.With(ctx, tr)
-	tn := tenant.From(r.Context())
-	ctx = tenant.With(ctx, tn)
-	job := s.registry.New(id, run.kind, tn.ID(), cancel)
+	job := s.registry.New(id, run.kind, grantee(ctx).ID(), cancel)
 	tr.OnSpan(job.ObserveSpan)
 	s.queuedJobs.Add(1)
 	go s.runAsync(ctx, job, tr, run)
 
 	w.Header().Set("Location", "/v1/jobs/"+id)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusAccepted)
-	encodeSnapshot(w, job.Snapshot())
+	writeJSON(w, http.StatusAccepted, job.Snapshot())
 }
 
 // runAsync drives one detached job: wait for a slot (cancellable — a job
 // DELETEd while queued never runs), execute, settle the terminal state.
 func (s *Server) runAsync(ctx context.Context, job *jobs.Job, tr *obs.Trace, run *jobRunner) {
 	defer tr.Finish()
-	sp := obs.Start(ctx, "admission")
-	release, err := s.acquireWait(ctx)
+	release, ok := s.acquire(ctx, true) // its span flips the job to admitted
 	s.queuedJobs.Add(-1)
-	if err != nil {
-		sp.End("shed", "false", "cancelled", "true")
-		s.settleCancelled(job)
-		return
+	var body []byte
+	var ae *apiError
+	if ok {
+		defer release()
+		body, ae = s.execute(ctx, run)
 	}
-	sp.End("shed", "false") // the span observer flips the job to admitted
-	defer release()
-	start := time.Now()
-	body, je := run.exec(ctx)
-	dur := time.Since(start)
-	s.jobHist.Observe(run.kind, dur)
 	switch {
+	case ctx.Err() != nil && s.baseCtx.Err() != nil:
+		// A server shutdown is a failure: the client may retry elsewhere.
+		job.Fail("worker shutting down")
 	case ctx.Err() != nil:
-		// Cancelled (or shut down) mid-run; a DELETE has usually latched
+		// Cancelled while queued or mid-run; a DELETE has usually latched
 		// the state already and this is a no-op.
-		s.settleCancelled(job)
-	case je != nil:
-		job.Fail(je.msg)
+		job.Cancel()
+	case ae != nil:
+		job.Fail(ae.msg)
 	default:
-		tenant.From(ctx).ChargeJob(run.kind, run.instrs)
-		s.observeService(run.kind, dur)
 		job.Complete(body)
 	}
 }
 
-// settleCancelled records why a job's context died: a server shutdown is
-// a failure (the client may retry elsewhere), anything else is the job's
-// own cancellation.
-func (s *Server) settleCancelled(job *jobs.Job) {
-	if s.baseCtx.Err() != nil {
-		job.Fail("worker shutting down")
-		return
-	}
-	job.Cancel()
+// visible reports whether the requesting tenant may see job. A job owned
+// by a different tenant answers exactly like a job that does not exist —
+// same 404, same message — so a tenant cannot probe for other tenants'
+// job ids. Anonymous jobs (owner "") stay visible to everyone, which
+// keeps the auth-off behavior identical to before tenancy existed.
+func visible(job *jobs.Job, r *http.Request) bool {
+	owner := job.Tenant()
+	return owner == "" || owner == grantee(r.Context()).ID()
 }
 
 // jobForRequest resolves the path's job id within the requesting
-// tenant's scope. A job owned by a different tenant answers exactly like
-// a job that does not exist — same 404, same message — so a tenant
-// cannot probe for other tenants' job ids. Anonymous jobs (owner "")
-// stay visible to everyone, which keeps the auth-off behavior identical
-// to before tenancy existed.
-func (s *Server) jobForRequest(r *http.Request) (*jobs.Job, bool) {
+// tenant's scope; when there is no such job it answers 404 and returns nil.
+func (s *Server) jobForRequest(w http.ResponseWriter, r *http.Request) *jobs.Job {
 	job, ok := s.registry.Get(r.PathValue("id"))
-	if !ok {
-		return nil, false
+	if !ok || !visible(job, r) {
+		writeError(w, r, http.StatusNotFound, codeNotFound, "unknown job")
+		return nil
 	}
-	if owner := job.Tenant(); owner != "" && owner != tenant.IDFrom(r.Context()) {
-		return nil, false
-	}
-	return job, true
+	return job
 }
 
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
-	caller := tenant.IDFrom(r.Context())
 	snaps := []jobs.Snapshot{}
 	for _, j := range s.registry.Jobs() {
-		if owner := j.Tenant(); owner != "" && owner != caller {
-			continue
+		if visible(j, r) {
+			snaps = append(snaps, j.Snapshot())
 		}
-		snaps = append(snaps, j.Snapshot())
 	}
-	writeJSON(w, struct {
+	writeJSON(w, http.StatusOK, struct {
 		Jobs []jobs.Snapshot `json:"jobs"`
 	}{snaps})
 }
 
 func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.jobForRequest(r)
-	if !ok {
-		writeError(w, r, http.StatusNotFound, codeNotFound, "unknown job")
+	job := s.jobForRequest(w, r)
+	if job == nil {
 		return
 	}
 	if strings.Contains(r.Header.Get("Accept"), "text/event-stream") {
 		s.streamJob(w, r, job)
 		return
 	}
-	writeJSON(w, job.Snapshot())
+	writeJSON(w, http.StatusOK, job.Snapshot())
 }
 
 func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.jobForRequest(r)
-	if !ok {
-		writeError(w, r, http.StatusNotFound, codeNotFound, "unknown job")
+	job := s.jobForRequest(w, r)
+	if job == nil {
 		return
 	}
 	if body, done := job.Result(); done {
@@ -159,8 +137,8 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	switch snap.State {
 	case jobs.StateFailed:
 		// snap.Error is already client-safe: internal failures were
-		// sanitized to a generic trace-naming message at jobError
-		// construction, before the registry stored them.
+		// sanitized to a generic trace-naming message by internal,
+		// before the registry stored them.
 		writeError(w, r, http.StatusInternalServerError, codeInternal, snap.Error)
 	case jobs.StateCancelled:
 		writeError(w, r, http.StatusGone, codeGone, "job cancelled")
@@ -170,9 +148,8 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.jobForRequest(r)
-	if !ok {
-		writeError(w, r, http.StatusNotFound, codeNotFound, "unknown job")
+	job := s.jobForRequest(w, r)
+	if job == nil {
 		return
 	}
 	// Cancel latches the terminal state first (span-derived progress can
@@ -182,7 +159,7 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	if job.Cancel() {
 		s.cancelled.Add(1)
 	}
-	writeJSON(w, job.Snapshot())
+	writeJSON(w, http.StatusOK, job.Snapshot())
 }
 
 // streamJob serves one job's transitions as Server-Sent Events: every
@@ -225,12 +202,4 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, job *jobs.Job
 			return
 		}
 	}
-}
-
-// encodeSnapshot writes one job snapshot as indented JSON (after the
-// status line has gone out, so no http.Error on failure).
-func encodeSnapshot(w http.ResponseWriter, snap jobs.Snapshot) {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(snap)
 }

@@ -315,7 +315,8 @@ func Test429Disambiguation(t *testing.T) {
 // TestCrossTenantJobIsolation: async jobs are scoped to the tenant that
 // submitted them. Another tenant polling, fetching or cancelling the job
 // gets the same 404 an unknown id gets — existence itself is private —
-// and the job list only shows the caller's own jobs.
+// and the job list only shows the caller's own jobs, whatever tenant the
+// caller's X-Dcs-Tenant header names.
 func TestCrossTenantJobIsolation(t *testing.T) {
 	reg := openRegistry(t,
 		tenant.KeyConfig{ID: "alice", Secret: "alice-key"},
@@ -348,22 +349,29 @@ func TestCrossTenantJobIsolation(t *testing.T) {
 		t.Fatalf("job tenant = %q, want alice", snap.Tenant)
 	}
 
-	// Bob sees nothing: not by GET, not by DELETE, not in the list.
-	for _, tc := range []struct{ method, path string }{
-		{http.MethodGet, "/v1/jobs/" + snap.ID},
-		{http.MethodGet, "/v1/jobs/" + snap.ID + "/result"},
-		{http.MethodDelete, "/v1/jobs/" + snap.ID},
+	// Bob sees nothing: not by GET, not by DELETE, not in the list — nor
+	// when his request names alice in X-Dcs-Tenant, which attributes
+	// usage but grants nothing.
+	for _, bob := range []map[string]string{
+		bearer("bob-key"),
+		{"Authorization": "Bearer bob-key", tenant.Header: "alice"},
 	} {
-		resp, body := doJSON(t, ts, tc.method, tc.path, nil, bearer("bob-key"))
-		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("bob %s %s = %d, want 404: %s", tc.method, tc.path, resp.StatusCode, body)
+		for _, tc := range []struct{ method, path string }{
+			{http.MethodGet, "/v1/jobs/" + snap.ID},
+			{http.MethodGet, "/v1/jobs/" + snap.ID + "/result"},
+			{http.MethodDelete, "/v1/jobs/" + snap.ID},
+		} {
+			resp, body := doJSON(t, ts, tc.method, tc.path, nil, bob)
+			if resp.StatusCode != http.StatusNotFound {
+				t.Fatalf("bob %v %s %s = %d, want 404: %s", bob, tc.method, tc.path, resp.StatusCode, body)
+			}
+			if code := errCode(t, resp, body); code != "not_found" {
+				t.Fatalf("bob's code = %q, want not_found (indistinguishable from unknown)", code)
+			}
 		}
-		if code := errCode(t, resp, body); code != "not_found" {
-			t.Fatalf("bob's code = %q, want not_found (indistinguishable from unknown)", code)
+		if _, lbody := get(t, ts, "/v1/jobs", bob); strings.Contains(string(lbody), snap.ID) {
+			t.Fatalf("bob's job list (%v) leaks alice's job: %s", bob, lbody)
 		}
-	}
-	if _, lbody := get(t, ts, "/v1/jobs", bearer("bob-key")); strings.Contains(string(lbody), snap.ID) {
-		t.Fatalf("bob's job list leaks alice's job: %s", lbody)
 	}
 
 	// Alice keeps full access.
@@ -379,67 +387,100 @@ func TestCrossTenantJobIsolation(t *testing.T) {
 }
 
 // TestJobQuotaExhaustion: completed jobs charge the tenant's cumulative
-// job quota — a budget of one counters job lets the first through
-// (async, charged at completion, visible in /metrics) and refuses the
-// second with quota_exceeded.
+// job quota — a budget of one counters job lets the first through and
+// refuses the second with quota_exceeded. Both submission modes book the
+// same way (one job, the full instruction charge, one job-latency
+// sample), and naming an unlimited tenant in X-Dcs-Tenant neither lifts
+// the budget nor escapes the charge; the named origin is charged too.
 func TestJobQuotaExhaustion(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a single-workload sweep")
 	}
-	reg := openRegistry(t, tenant.KeyConfig{
-		ID: "capped", Secret: "capped-key",
-		Limits: tenant.Limits{MaxJobs: map[string]int64{store.KindCounters: 1}},
-	})
-	opts := testOptions()
-	srv := serve.New(serve.Config{Options: opts, Tenants: reg, Logger: quietLog})
-	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	fp := opts.CoreConfig().Fingerprint()
-
-	req := jobRequest(t, store.KindCounters, testCounterKey(t, "Sort", opts.Warmup, opts.Instrs, fp), opts.Warmup)
-	req.Async = true
-	resp, body := doJSON(t, ts, http.MethodPost, "/v1/jobs", req, bearer("capped-key"))
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("first job = %d: %s", resp.StatusCode, body)
-	}
-	var snap struct {
-		ID string `json:"id"`
-	}
-	if err := json.Unmarshal(body, &snap); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		resp, jbody := get(t, ts, "/v1/jobs/"+snap.ID, bearer("capped-key"))
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("poll = %d: %s", resp.StatusCode, jbody)
-		}
-		if strings.Contains(string(jbody), `"state": "done"`) || strings.Contains(string(jbody), `"state":"done"`) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job never finished: %s", jbody)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-
-	// The completed async job spent the whole budget.
-	second := jobRequest(t, store.KindCounters, testCounterKey(t, "Grep", opts.Warmup, opts.Instrs, fp), opts.Warmup)
-	resp, body = doJSON(t, ts, http.MethodPost, "/v1/jobs", second, bearer("capped-key"))
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("over-quota job = %d, want 429: %s", resp.StatusCode, body)
-	}
-	if code := errCode(t, resp, body); code != "quota_exceeded" {
-		t.Fatalf("code = %q, want quota_exceeded", code)
-	}
-	_, mbody := get(t, ts, "/metrics", nil)
-	for _, want := range []string{
-		`dcserved_tenant_jobs_total{tenant="capped",kind="counters"} 1`,
-		`dcserved_tenant_instructions_total{tenant="capped"} ` + strconv.FormatInt(opts.Warmup+opts.Instrs, 10),
+	for _, tc := range []struct {
+		name   string
+		async  bool
+		origin string // X-Dcs-Tenant on both submissions ("" = none)
+	}{
+		{"blocking", false, ""},
+		{"async", true, ""},
+		{"blocking naming an unlimited tenant", false, "free"},
+		{"async naming an unlimited tenant", true, "free"},
 	} {
-		if !strings.Contains(string(mbody), want) {
-			t.Fatalf("metrics lack %q:\n%s", want, mbody)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			reg := openRegistry(t,
+				tenant.KeyConfig{
+					ID: "capped", Secret: "capped-key",
+					Limits: tenant.Limits{MaxJobs: map[string]int64{store.KindCounters: 1}},
+				},
+				tenant.KeyConfig{ID: "free", Secret: "free-key"},
+			)
+			opts := testOptions()
+			srv := serve.New(serve.Config{Options: opts, Tenants: reg, Logger: quietLog})
+			defer srv.Close()
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+			fp := opts.CoreConfig().Fingerprint()
+			hdr := bearer("capped-key")
+			if tc.origin != "" {
+				hdr[tenant.Header] = tc.origin
+			}
+			submit := func(workload string) (*http.Response, []byte) {
+				req := jobRequest(t, store.KindCounters, testCounterKey(t, workload, opts.Warmup, opts.Instrs, fp), opts.Warmup)
+				req.Async = tc.async
+				return doJSON(t, ts, http.MethodPost, "/v1/jobs", req, hdr)
+			}
+
+			resp, body := submit("Sort")
+			if tc.async {
+				if resp.StatusCode != http.StatusAccepted {
+					t.Fatalf("first job = %d: %s", resp.StatusCode, body)
+				}
+				var snap struct {
+					ID string `json:"id"`
+				}
+				if err := json.Unmarshal(body, &snap); err != nil {
+					t.Fatal(err)
+				}
+				deadline := time.Now().Add(30 * time.Second)
+				for {
+					resp, jbody := get(t, ts, "/v1/jobs/"+snap.ID, hdr)
+					if resp.StatusCode != http.StatusOK {
+						t.Fatalf("poll = %d: %s", resp.StatusCode, jbody)
+					}
+					if strings.Contains(string(jbody), `"state": "done"`) || strings.Contains(string(jbody), `"state":"done"`) {
+						break
+					}
+					if time.Now().After(deadline) {
+						t.Fatalf("job never finished: %s", jbody)
+					}
+					time.Sleep(2 * time.Millisecond)
+				}
+			} else if resp.StatusCode != http.StatusOK {
+				t.Fatalf("first job = %d: %s", resp.StatusCode, body)
+			}
+
+			// The completed job spent the whole budget.
+			resp, body = submit("Grep")
+			if resp.StatusCode != http.StatusTooManyRequests {
+				t.Fatalf("over-quota job = %d, want 429: %s", resp.StatusCode, body)
+			}
+			if code := errCode(t, resp, body); code != "quota_exceeded" {
+				t.Fatalf("code = %q, want quota_exceeded", code)
+			}
+			_, mbody := get(t, ts, "/metrics", nil)
+			want := []string{
+				`dcserved_tenant_jobs_total{tenant="capped",kind="counters"} 1`,
+				`dcserved_tenant_instructions_total{tenant="capped"} ` + strconv.FormatInt(opts.Warmup+opts.Instrs, 10),
+				`dcserved_job_duration_seconds_count{kind="counters"} 1`,
+			}
+			if tc.origin != "" {
+				want = append(want, `dcserved_tenant_jobs_total{tenant="`+tc.origin+`",kind="counters"} 1`)
+			}
+			for _, w := range want {
+				if !strings.Contains(string(mbody), w+"\n") {
+					t.Fatalf("metrics lack %q:\n%s", w, mbody)
+				}
+			}
+		})
 	}
 }

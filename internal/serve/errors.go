@@ -1,7 +1,7 @@
 package serve
 
 import (
-	"encoding/json"
+	"context"
 	"fmt"
 	"net/http"
 	"strings"
@@ -35,7 +35,7 @@ import (
 const (
 	codeBadRequest     = "bad_request"     // 400: malformed body, invalid parameter
 	codeUnauthorized   = "unauthorized"    // 401: missing, unknown or revoked API key
-	codeNotFound       = "not_found"       // 404: unknown workload, figure, table or job
+	codeNotFound       = "not_found"       // 404: unknown workload, job or admin key
 	codeNotAcceptable  = "not_acceptable"  // 406: no representation in the requested format
 	codeConflict       = "conflict"        // 409: config fingerprint mismatch, job not finished
 	codeGone           = "gone"            // 410: job cancelled
@@ -50,7 +50,8 @@ const (
 const errorCodeHeader = "X-Dcs-Error-Code"
 
 // apiError is one refusal, ready to write. The serve layer's internal
-// currency: handlers build these, writeAPIError sends them.
+// currency: handlers and job runners build these, writeAPIError sends
+// them, and a failed async job keeps its msg.
 type apiError struct {
 	status int
 	code   string
@@ -58,20 +59,19 @@ type apiError struct {
 }
 
 // writeError writes one error response: the JSON envelope by default,
-// the bare message for clients whose Accept prefers text/plain over
-// JSON. The request's trace id (when the request was traced) rides both
-// the envelope and the server's own log line, tying the two together.
+// the bare message for clients that name text/plain in Accept but not
+// application/json (curl's default */* gets the envelope). The request's
+// trace id (when the request was traced) rides both the envelope and the
+// server's own log line, tying the two together.
 func writeError(w http.ResponseWriter, r *http.Request, status int, code, msg string) {
 	w.Header().Set(errorCodeHeader, code)
-	if wantsPlainError(r) {
+	if accept := r.Header.Get("Accept"); strings.Contains(accept, "text/plain") && !strings.Contains(accept, "application/json") {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		w.Header().Set("X-Content-Type-Options", "nosniff")
 		w.WriteHeader(status)
 		fmt.Fprintln(w, msg)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
 	body := struct {
 		Error struct {
 			Code    string `json:"code"`
@@ -82,9 +82,7 @@ func writeError(w http.ResponseWriter, r *http.Request, status int, code, msg st
 	body.Error.Code = code
 	body.Error.Message = msg
 	body.Error.TraceID = obs.From(r.Context()).ID()
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(body)
+	writeJSON(w, status, body)
 }
 
 // writeAPIError sends one apiError.
@@ -92,34 +90,20 @@ func writeAPIError(w http.ResponseWriter, r *http.Request, e *apiError) {
 	writeError(w, r, e.status, e.code, e.msg)
 }
 
-// wantsPlainError reports whether the client asked for text over JSON —
-// an explicit text/plain in Accept without naming application/json.
-// curl's default Accept (*/*) gets the envelope.
-func wantsPlainError(r *http.Request) bool {
-	accept := r.Header.Get("Accept")
-	return strings.Contains(accept, "text/plain") && !strings.Contains(accept, "application/json")
-}
-
-// internalError answers a server-side failure without leaking its
-// detail: the error (with the trace id) goes to the server log, the
-// client gets a generic envelope naming the trace so an operator can
-// find the rest. what labels the log line ("render failed", ...).
-func (s *Server) internalError(w http.ResponseWriter, r *http.Request, what string, err error, logArgs ...any) {
-	id := obs.From(r.Context()).ID()
+// internal logs one server-side failure and returns its 500. The detail
+// never reaches the client (store and sweep internals once leaked
+// verbatim): the error goes to the server log with the trace id, the
+// message is generic but names the trace so an operator can find the
+// rest. A failed async job stores the message, so the sanitizing happens
+// here, not where it is written. what labels the log line.
+func (s *Server) internal(ctx context.Context, what string, err error, logArgs ...any) *apiError {
+	id := obs.From(ctx).ID()
 	args := append([]any{"err", err}, logArgs...)
+	msg := "internal error"
 	if id != "" {
 		args = append(args, "trace", id)
+		msg += " (trace " + id + ")"
 	}
 	s.log.Error(what, args...)
-	writeError(w, r, http.StatusInternalServerError, codeInternal, internalMsg(id))
-}
-
-// internalMsg is the client-facing text of a 500: generic on purpose
-// (the bugfix this file rode in on — store and sweep internals were
-// leaking verbatim), but naming the trace id when there is one.
-func internalMsg(traceID string) string {
-	if traceID == "" {
-		return "internal error"
-	}
-	return "internal error (trace " + traceID + ")"
+	return &apiError{http.StatusInternalServerError, codeInternal, msg}
 }

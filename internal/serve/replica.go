@@ -89,10 +89,10 @@ func (s *Server) handleReplicaDigest(w http.ResponseWriter, r *http.Request) {
 			writeError(w, r, http.StatusBadRequest, codeBadRequest, err.Error())
 			return
 		}
-		writeJSON(w, replica.AddrsResponse{Shard: n, Addrs: addrs})
+		writeJSON(w, http.StatusOK, replica.AddrsResponse{Shard: n, Addrs: addrs})
 		return
 	}
-	writeJSON(w, replica.DigestResponse{
+	writeJSON(w, http.StatusOK, replica.DigestResponse{
 		Shards:  s.store.ShardDigests(),
 		Records: int64(s.store.Len()),
 		Bytes:   s.store.Bytes(),

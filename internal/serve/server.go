@@ -21,6 +21,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/csv"
@@ -309,18 +310,22 @@ func (s *Server) Handler() http.Handler {
 			r = r.WithContext(obs.With(r.Context(), tr))
 			// Identity before dispatch: the denial is traced and logged
 			// like any response, but the mux never sees the request.
-			var tn *tenant.Tenant
-			tn, deny = s.admitTenant(rec, r)
-			if tn != nil {
-				r = r.WithContext(tenant.With(r.Context(), tn))
-				tr.SetAttr("tenant", tn.ID())
+			var grant, origin *tenant.Tenant
+			grant, origin, deny = s.admitTenant(rec, r)
+			if origin != nil {
+				ctx := tenant.With(r.Context(), origin)
+				if grant != origin {
+					ctx = context.WithValue(ctx, grantKey{}, grant)
+				}
+				r = r.WithContext(ctx)
+				tr.SetAttr("tenant", origin.ID())
 			}
 		}
 		start := time.Now()
 		if deny != nil {
 			writeAPIError(rec, r, deny)
 		} else {
-			s.mux.ServeHTTP(rec, r)
+			s.mux.ServeHTTP(rec, r) // sets r.Pattern
 		}
 		dur := time.Since(start)
 		if rec.status >= 500 {
@@ -328,8 +333,12 @@ func (s *Server) Handler() http.Handler {
 		}
 		if !probe {
 			// Label by the mux pattern, not the raw path: every workload's
-			// counters URL is one endpoint, not a cardinality explosion.
-			_, pattern := s.mux.Handler(r)
+			// counters URL is one endpoint, not a cardinality explosion. A
+			// denied request never reached the mux, so it is matched here.
+			pattern := r.Pattern
+			if deny != nil {
+				_, pattern = s.mux.Handler(r)
+			}
 			if pattern == "" {
 				pattern = "unmatched"
 			}
@@ -479,7 +488,7 @@ func (s *Server) serveBody(w http.ResponseWriter, r *http.Request, key, contentT
 		// The store/sweep internals behind a render are not the client's
 		// business (and may name paths); the log keeps the detail, keyed
 		// by the trace id the generic envelope hands the client.
-		s.internalError(w, r, "render failed", err, "key", key)
+		writeAPIError(w, r, s.internal(r.Context(), "render failed", err, "key", key))
 		return
 	}
 	setValidators()
@@ -572,7 +581,7 @@ func (s *Server) health() health {
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, s.health())
+	writeJSON(w, http.StatusOK, s.health())
 }
 
 // workloadInfo is one row of the /v1/workloads listing. Cluster-capable
@@ -624,13 +633,9 @@ func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.serveBody(w, r, "workloads?json", "application/json", func(context.Context) ([]byte, error) {
-		data, err := json.MarshalIndent(struct {
+		return indentJSON(struct {
 			Workloads []workloadInfo `json:"workloads"`
-		}{workloadList()}, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		return append(data, '\n'), nil
+		}{workloadList()})
 	})
 }
 
@@ -666,11 +671,7 @@ func (s *Server) handleCounters(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		data, err := json.MarshalIndent(res.ToRecord(), "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		return append(data, '\n'), nil
+		return indentJSON(res.ToRecord())
 	})
 }
 
@@ -726,20 +727,28 @@ func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		data, err := json.MarshalIndent(struct {
+		return indentJSON(struct {
 			Title string `json:"title"`
 			Text  string `json:"text"`
-		}{strings.SplitN(text, "\n", 2)[0], text}, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		return append(data, '\n'), nil
+		}{strings.SplitN(text, "\n", 2)[0], text})
 	})
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
+// indentJSON is the one JSON encoding of every body the server writes,
+// rendered or not: two-space indented, newline-terminated.
+func indentJSON(v any) ([]byte, error) {
+	var b bytes.Buffer
+	enc := json.NewEncoder(&b)
 	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	err := enc.Encode(v)
+	return b.Bytes(), err
+}
+
+// writeJSON sends v with status as indented JSON. Every value it is given
+// has a static, encodable type, so there is no encode error to report.
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, _ := indentJSON(v)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	w.Write(body)
 }

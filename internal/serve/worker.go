@@ -26,9 +26,11 @@ import (
 // and the answer is the store's checksummed, kind-tagged record of the
 // result: the same bytes the store persists, so the caller verifies kind,
 // key and checksum with the store's own codec and can write the record
-// through untouched. New job kinds add a case to buildRunner and a codec
-// beside the others in internal/store/wire.go; the dispatch, admission,
-// async-lifecycle and observability machinery is kind-agnostic.
+// through untouched. A job kind is three functions handed to newRunner —
+// compute, memo peek and record encoder (a codec beside the others in
+// internal/store/wire.go) — plus its case in buildRunner; the dispatch,
+// admission, booking, async-lifecycle and observability machinery is
+// kind-agnostic.
 //
 // By default a job blocks the request until its record is ready (the wire
 // contract every dispatch front-end speaks). With ?wait=false or
@@ -91,15 +93,6 @@ const (
 	maxCounterInstrs = 1_000_000_000
 )
 
-// jobError is an HTTP-shaped job failure: the status, stable error code
-// and message exactly as the blocking endpoint writes them (async jobs
-// store the message).
-type jobError struct {
-	status int
-	code   string
-	msg    string
-}
-
 // jobRunner is one validated job, ready to admit and execute: exec runs
 // the computation under ctx and returns the checksummed record; join
 // collects the result of an in-flight or memoized computation for the
@@ -110,8 +103,8 @@ type jobError struct {
 type jobRunner struct {
 	kind   string
 	instrs int64
-	exec   func(ctx context.Context) ([]byte, *jobError)
-	join   func(ctx context.Context) ([]byte, *jobError, bool)
+	exec   func(ctx context.Context) ([]byte, *apiError)
+	join   func(ctx context.Context) ([]byte, *apiError, bool)
 }
 
 // buildRunner decodes and validates one job request into a runner. All
@@ -119,51 +112,81 @@ type jobRunner struct {
 // over-cap trace, fingerprint mismatch) surface here, before any
 // admission decision — a bad key answers its 4xx even on a saturated
 // worker, and an async submission is refused before a job id is minted.
-func (s *Server) buildRunner(req JobRequest) (*jobRunner, *jobError) {
+func (s *Server) buildRunner(req JobRequest) (*jobRunner, *apiError) {
 	switch req.Kind {
 	case store.KindCounters:
 		var key sweep.Key
 		if err := json.Unmarshal(req.Key, &key); err != nil {
-			return nil, &jobError{http.StatusBadRequest, codeBadRequest, "unreadable counters job key: " + err.Error()}
+			return nil, &apiError{http.StatusBadRequest, codeBadRequest, "unreadable counters job key: " + err.Error()}
 		}
 		return s.counterRunner(key, req.Warmup)
 	case store.KindCluster:
 		var key workloads.StatsKey
 		if err := json.Unmarshal(req.Key, &key); err != nil {
-			return nil, &jobError{http.StatusBadRequest, codeBadRequest, "unreadable cluster job key: " + err.Error()}
+			return nil, &apiError{http.StatusBadRequest, codeBadRequest, "unreadable cluster job key: " + err.Error()}
 		}
 		return s.clusterRunner(key)
 	default:
-		return nil, &jobError{http.StatusBadRequest, codeBadRequest, fmt.Sprintf("unknown job kind %q (want %q or %q)",
+		return nil, &apiError{http.StatusBadRequest, codeBadRequest, fmt.Sprintf("unknown job kind %q (want %q or %q)",
 			req.Kind, store.KindCounters, store.KindCluster)}
 	}
 }
 
-// internalJobError logs one internal job failure with its trace id and
-// returns the client-facing jobError: a generic message naming the
-// trace, never the internal error text (the async path stores this
-// message verbatim, so the sanitization must happen here, not at the
-// write site).
-func (s *Server) internalJobError(ctx context.Context, what string, err error, logArgs ...any) *jobError {
-	id := obs.From(ctx).ID()
-	args := append([]any{"err", err}, logArgs...)
-	if id != "" {
-		args = append(args, "trace", id)
+// newRunner builds a validated job's runner from its kind's three
+// functions: compute runs the job, peek joins an in-flight or memoized
+// run of the same key (ok=false when there is none), encode writes the
+// result as the kind's store record. Failures map here, once for every
+// kind: a server shutting down or a cancelled run is 503 shutting_down,
+// anything else the sanitized 500, logged with logArgs.
+func newRunner[V any](s *Server, kind string, instrs int64, compute func(context.Context) (V, error),
+	peek func(context.Context) (V, error, bool), encode func(V) ([]byte, error), logArgs ...any) *jobRunner {
+	record := func(ctx context.Context, v V) ([]byte, *apiError) {
+		body, err := encode(v)
+		if err != nil {
+			return nil, s.internal(ctx, kind+" record encode failed", err, logArgs...)
+		}
+		return body, nil
 	}
-	s.log.Error(what, args...)
-	return &jobError{http.StatusInternalServerError, codeInternal, internalMsg(id)}
+	shuttingDown := &apiError{http.StatusServiceUnavailable, codeShuttingDown, "worker shutting down"}
+	return &jobRunner{
+		kind:   kind,
+		instrs: instrs,
+		exec: func(ctx context.Context) ([]byte, *apiError) {
+			if s.baseCtx.Err() != nil {
+				return nil, shuttingDown
+			}
+			v, err := compute(ctx)
+			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+				return nil, shuttingDown
+			}
+			if err != nil {
+				return nil, s.internal(ctx, "worker "+kind+" job failed", err, logArgs...)
+			}
+			return record(ctx, v)
+		},
+		join: func(ctx context.Context) ([]byte, *apiError, bool) {
+			v, err, ok := peek(ctx)
+			if !ok || err != nil {
+				// Nothing in flight, or the joined flight failed: fall back
+				// to the shed the caller was heading for anyway.
+				return nil, nil, false
+			}
+			body, ae := record(ctx, v)
+			return body, ae, true
+		},
+	}
 }
 
 // counterRunner validates one sweep key and returns its runner.
-func (s *Server) counterRunner(key sweep.Key, warmup int64) (*jobRunner, *jobError) {
+func (s *Server) counterRunner(key sweep.Key, warmup int64) (*jobRunner, *apiError) {
 	wl, err := core.ByName(key.Name)
 	if err != nil {
-		return nil, &jobError{http.StatusNotFound, codeNotFound, err.Error()}
+		return nil, &apiError{http.StatusNotFound, codeNotFound, err.Error()}
 	}
 	// The profile is the client's: it sizes the generator's Zipf tables
 	// and steers its coin flips, so it must lie in the model's domain.
 	if err := key.Profile.Validate(); err != nil {
-		return nil, &jobError{http.StatusBadRequest, codeBadRequest, "counters job key: " + err.Error()}
+		return nil, &apiError{http.StatusBadRequest, codeBadRequest, "counters job key: " + err.Error()}
 	}
 	// The effective trace length is MaxInstrs, or the profile's own cap
 	// when MaxInstrs is zero (the engine's convention; the tracer in turn
@@ -175,7 +198,7 @@ func (s *Server) counterRunner(key sweep.Key, warmup int64) (*jobRunner, *jobErr
 		instrs = key.Profile.MaxInstrs
 	}
 	if instrs > maxCounterInstrs {
-		return nil, &jobError{http.StatusBadRequest, codeBadRequest,
+		return nil, &apiError{http.StatusBadRequest, codeBadRequest,
 			fmt.Sprintf("trace length %d exceeds the %d cap", instrs, int64(maxCounterInstrs))}
 	}
 	// The worker simulates the paper's machine at the caller's warmup; a
@@ -185,73 +208,49 @@ func (s *Server) counterRunner(key sweep.Key, warmup int64) (*jobRunner, *jobErr
 	cfg := uarch.DefaultConfig()
 	cfg.Warmup = warmup
 	if got := cfg.Fingerprint(); got != key.ConfigFP {
-		return nil, &jobError{http.StatusConflict, codeConflict, fmt.Sprintf(
+		return nil, &apiError{http.StatusConflict, codeConflict, fmt.Sprintf(
 			"config fingerprint mismatch: default machine at warmup %d is %016x, request wants %016x",
 			warmup, got, key.ConfigFP)}
 	}
-	return &jobRunner{
-		kind:   store.KindCounters,
-		instrs: instrs,
-		exec: func(ctx context.Context) ([]byte, *jobError) {
+	return newRunner(s, store.KindCounters, instrs,
+		func(ctx context.Context) (*uarch.Counters, error) {
 			// The key's profile is the trace spec (Job's uniqueness
 			// contract: name + profile identify the trace; the generator is
 			// keyed by name), so the engine's memo key here equals key
-			// exactly — which is what makes join able to find it.
+			// exactly — which is what makes peek able to find it.
 			jobs := []sweep.Job{{Name: wl.Name, Profile: key.Profile, Gen: wl.Gen}}
 			cs, err := s.engine.Run(ctx, jobs, cfg, key.MaxInstrs, sweep.RunOptions{Workers: 1})
 			if err != nil {
-				if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-					return nil, &jobError{http.StatusServiceUnavailable, codeShuttingDown, "worker shutting down"}
-				}
-				return nil, s.internalJobError(ctx, "worker sweep failed", err, "workload", key.Name)
+				return nil, err
 			}
-			body, err := store.EncodeCounters(key, cs[0])
-			if err != nil {
-				return nil, s.internalJobError(ctx, "counters record encode failed", err, "workload", key.Name)
-			}
-			return body, nil
+			return cs[0], nil
 		},
-		join: func(ctx context.Context) ([]byte, *jobError, bool) {
-			c, err, ok := s.engine.Join(ctx, key)
-			if !ok || err != nil {
-				// Nothing in flight, or the joined flight failed: fall back
-				// to the shed the caller was heading for anyway.
-				return nil, nil, false
-			}
-			body, err := store.EncodeCounters(key, c)
-			if err != nil {
-				return nil, s.internalJobError(ctx, "counters record encode failed", err, "workload", key.Name), true
-			}
-			return body, nil, true
-		},
-	}, nil
+		func(ctx context.Context) (*uarch.Counters, error, bool) { return s.engine.Join(ctx, key) },
+		func(c *uarch.Counters) ([]byte, error) { return store.EncodeCounters(key, c) },
+		"workload", key.Name), nil
 }
 
 // clusterRunner validates one cluster experiment key and returns its
 // runner.
-func (s *Server) clusterRunner(key workloads.StatsKey) (*jobRunner, *jobError) {
+func (s *Server) clusterRunner(key workloads.StatsKey) (*jobRunner, *apiError) {
 	// Only the exact registry name: ByName folds case, but the key is
 	// memoized and stored as sent, so "grep" beside "Grep" would simulate
 	// and store the same cell twice.
 	wl := workloads.ByName(key.Workload)
 	if wl == nil || wl.Name != key.Workload {
-		return nil, &jobError{http.StatusNotFound, codeNotFound, fmt.Sprintf("unknown cluster workload %q", key.Workload)}
+		return nil, &apiError{http.StatusNotFound, codeNotFound, fmt.Sprintf("unknown cluster workload %q", key.Workload)}
 	}
 	if key.Slaves < 1 || key.Slaves > maxClusterSlaves {
-		return nil, &jobError{http.StatusBadRequest, codeBadRequest,
+		return nil, &apiError{http.StatusBadRequest, codeBadRequest,
 			fmt.Sprintf("cluster slave count %d outside [1, %d]", key.Slaves, maxClusterSlaves)}
 	}
 	if !(key.Scale > 0) || key.Scale > maxClusterScale {
-		return nil, &jobError{http.StatusBadRequest, codeBadRequest,
+		return nil, &apiError{http.StatusBadRequest, codeBadRequest,
 			fmt.Sprintf("cluster scale %g outside (0, %g]", key.Scale, maxClusterScale)}
 	}
-	return &jobRunner{
-		kind: store.KindCluster,
-		exec: func(ctx context.Context) ([]byte, *jobError) {
-			if err := s.baseCtx.Err(); err != nil {
-				return nil, &jobError{http.StatusServiceUnavailable, codeShuttingDown, "worker shutting down"}
-			}
-			st, err := s.opts.Cluster.Do(ctx, key, func(ctx context.Context) (*workloads.Stats, error) {
+	return newRunner(s, store.KindCluster, 0,
+		func(ctx context.Context) (*workloads.Stats, error) {
+			return s.opts.Cluster.Do(ctx, key, func(ctx context.Context) (*workloads.Stats, error) {
 				// A cluster simulation cannot be stopped mid-run (workload
 				// Run takes no context), so cancellation is checked at the
 				// threshold: waiters already get out of the flight.
@@ -261,31 +260,10 @@ func (s *Server) clusterRunner(key workloads.StatsKey) (*jobRunner, *jobError) {
 				env := workloads.NewEnv(key.Slaves, key.Scale, key.Seed)
 				return wl.Run(env)
 			})
-			if err != nil {
-				if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-					return nil, &jobError{http.StatusServiceUnavailable, codeShuttingDown, "worker shutting down"}
-				}
-				return nil, s.internalJobError(ctx, "worker cluster job failed", err,
-					"workload", key.Workload, "slaves", key.Slaves)
-			}
-			body, err := store.EncodeStats(key, st)
-			if err != nil {
-				return nil, s.internalJobError(ctx, "cluster record encode failed", err, "workload", key.Workload)
-			}
-			return body, nil
 		},
-		join: func(ctx context.Context) ([]byte, *jobError, bool) {
-			st, err, ok := s.opts.Cluster.Join(ctx, key)
-			if !ok || err != nil {
-				return nil, nil, false
-			}
-			body, err := store.EncodeStats(key, st)
-			if err != nil {
-				return nil, s.internalJobError(ctx, "cluster record encode failed", err, "workload", key.Workload), true
-			}
-			return body, nil, true
-		},
-	}, nil
+		func(ctx context.Context) (*workloads.Stats, error, bool) { return s.opts.Cluster.Join(ctx, key) },
+		func(st *workloads.Stats) ([]byte, error) { return store.EncodeStats(key, st) },
+		"workload", key.Workload, "slaves", key.Slaves), nil
 }
 
 // handleJobs runs one compute job and answers with the checksummed store
@@ -296,13 +274,16 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, codeBadRequest, "unreadable job request: "+err.Error())
 		return
 	}
-	run, je := s.buildRunner(req)
-	if je != nil {
-		writeJobError(w, r, je)
-		return
+	run, ae := s.buildRunner(req)
+	// The granting tenant's cumulative job quotas (jobs by kind, simulated
+	// instructions) refuse before any admission decision, even on an idle
+	// worker: its budget, not the cluster's capacity, ran out.
+	if tn := grantee(r.Context()); ae == nil && !tn.CheckJob(run.kind, run.instrs) {
+		ae = &apiError{http.StatusTooManyRequests, codeQuotaExceeded,
+			fmt.Sprintf("tenant %q is over its %s job quota", tn.ID(), run.kind)}
 	}
-	if je := s.checkJobQuota(r, run); je != nil {
-		writeJobError(w, r, je)
+	if ae != nil {
+		writeAPIError(w, r, ae)
 		return
 	}
 	if req.Async || r.URL.Query().Get("wait") == "false" {
@@ -310,24 +291,6 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.runBlocking(w, r, run)
-}
-
-// checkJobQuota enforces the requesting tenant's cumulative job quotas
-// (jobs by kind, simulated instructions) before any admission decision:
-// an over-quota tenant is refused 429 quota_exceeded even on an idle
-// worker — its budget, not the cluster's capacity, is what ran out.
-func (s *Server) checkJobQuota(r *http.Request, run *jobRunner) *jobError {
-	tn := tenant.From(r.Context())
-	if tn.CheckJob(run.kind, run.instrs) {
-		return nil
-	}
-	return &jobError{http.StatusTooManyRequests, codeQuotaExceeded,
-		fmt.Sprintf("tenant %q is over its %s job quota", tn.ID(), run.kind)}
-}
-
-// writeJobError sends one jobError through the envelope.
-func writeJobError(w http.ResponseWriter, r *http.Request, je *jobError) {
-	writeError(w, r, je.status, je.code, je.msg)
 }
 
 // runBlocking is the classic wire contract: admit (or join, or shed),
@@ -342,85 +305,94 @@ func writeJobError(w http.ResponseWriter, r *http.Request, je *jobError) {
 func (s *Server) runBlocking(w http.ResponseWriter, r *http.Request, run *jobRunner) {
 	ctx, cancel := s.jobCtx(r.Context())
 	defer cancel()
-	release, ok := s.acquireNow(ctx)
+	release, ok := s.acquire(ctx, false)
 	if !ok {
 		// Shed-or-join: a saturated worker can still answer a request for
 		// a key it is already computing (or has memoized) — joining the
 		// in-flight cell costs no slot and no duplicate simulation.
-		if body, je, joined := run.join(ctx); joined {
-			if je != nil {
-				writeJobError(w, r, je)
-				return
-			}
+		body, ae, joined := run.join(ctx)
+		switch {
+		case !joined:
+			s.shedJob(w, r, run.kind)
+		case ae != nil:
+			writeAPIError(w, r, ae)
+		default:
 			s.joined.Add(1)
 			writeRecord(w, body)
-			return
 		}
-		s.shedJob(w, r, run.kind)
 		return
 	}
 	defer release()
-	start := time.Now()
-	body, je := run.exec(ctx)
-	dur := time.Since(start)
-	s.jobHist.Observe(run.kind, dur)
-	if je != nil {
-		writeJobError(w, r, je)
+	body, ae := s.execute(ctx, run)
+	if ae != nil {
+		writeAPIError(w, r, ae)
 		return
 	}
-	// The quota charge lands on execution, not admission: shed, joined
-	// and failed jobs cost the tenant nothing.
-	tenant.From(ctx).ChargeJob(run.kind, run.instrs)
-	s.observeService(run.kind, dur)
 	writeRecord(w, body)
 }
 
-// jobCtx derives a compute job's context: the request's cancellation and
-// trace, merged with the server's base context so shutdown aborts jobs
-// whose clients are still waiting. The returned cancel must be called to
+// execute runs one admitted job and books it, for both submission modes:
+// every run adds its duration to the job-latency histogram, and a
+// successful one feeds the service-time estimate and is charged to the
+// granting tenant — and to the attributed origin when that differs, the
+// split admitTenant makes for requests. The charge lands on execution,
+// not admission: shed, joined and failed jobs cost the tenant nothing.
+func (s *Server) execute(ctx context.Context, run *jobRunner) ([]byte, *apiError) {
+	start := time.Now()
+	body, ae := run.exec(ctx)
+	dur := time.Since(start)
+	s.jobHist.Observe(run.kind, dur)
+	if ae != nil {
+		return nil, ae
+	}
+	charged := []*tenant.Tenant{grantee(ctx)}
+	if origin := tenant.From(ctx); origin != charged[0] {
+		charged = append(charged, origin)
+	}
+	for _, tn := range charged {
+		tn.ChargeJob(run.kind, run.instrs)
+	}
+	s.observeService(run.kind, dur)
+	return body, nil
+}
+
+// jobCtx derives a compute job's context: the parent's cancellation and
+// values (trace, tenants), merged with the server's base context so
+// shutdown aborts every job. The returned cancel must be called to
 // release the merge.
-func (s *Server) jobCtx(reqCtx context.Context) (context.Context, context.CancelFunc) {
-	ctx, cancel := context.WithCancel(reqCtx)
+func (s *Server) jobCtx(parent context.Context) (context.Context, context.CancelFunc) {
+	ctx, cancel := context.WithCancel(parent)
 	stop := context.AfterFunc(s.baseCtx, cancel)
 	return ctx, func() { stop(); cancel() }
 }
 
-// acquireNow claims an admission slot without waiting: with -max-inflight
-// set, at most that many compute jobs run concurrently and the rest are
-// refused (the caller then joins or sheds) rather than queued without
-// bound. A slot is never held across a client-paced network read, so a
-// stalled client cannot pin one.
-func (s *Server) acquireNow(ctx context.Context) (func(), bool) {
+// acquire claims an admission slot; with -max-inflight set, at most that
+// many compute jobs run at once. A blocking job (wait=false) is refused
+// when none is free — it then joins or sheds, and no slot is held across
+// a client-paced read. An async job holds no connection open, so it waits
+// as long as ctx allows; the end of its admission span marks it admitted.
+func (s *Server) acquire(ctx context.Context, wait bool) (release func(), ok bool) {
 	sp := obs.Start(ctx, "admission")
 	if s.jobSem != nil {
 		select {
 		case s.jobSem <- struct{}{}:
 		default:
-			sp.End("shed", "true")
-			return nil, false
+			if !wait {
+				sp.End("shed", "true")
+				return nil, false
+			}
+			select {
+			case s.jobSem <- struct{}{}:
+			case <-ctx.Done():
+				sp.End("shed", "false", "cancelled", "true")
+				return nil, false
+			}
 		}
 	}
-	sp.End("shed", "false")
 	s.jobsInFlight.Add(1)
+	sp.End("shed", "false")
 	return s.releaseSlot, true
 }
-
-// acquireWait claims an admission slot, waiting as long as ctx allows —
-// the async path, where a queued job holds no connection open.
-func (s *Server) acquireWait(ctx context.Context) (func(), error) {
-	if s.jobSem == nil {
-		s.jobsInFlight.Add(1)
-		return s.releaseSlot, nil
-	}
-	select {
-	case s.jobSem <- struct{}{}:
-		s.jobsInFlight.Add(1)
-		return s.releaseSlot, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
 func (s *Server) releaseSlot() {
 	s.jobsInFlight.Add(-1)
 	if s.jobSem != nil {

@@ -25,9 +25,6 @@ func NewPipe(e *Engine, bytesPerSecond, latency float64) *Pipe {
 	return &Pipe{eng: e, bytesPS: bytesPerSecond, latency: latency}
 }
 
-// Bandwidth returns the pipe's service rate in bytes per second.
-func (pp *Pipe) Bandwidth() float64 { return pp.bytesPS }
-
 // finish computes the completion time of a transfer of n bytes submitted
 // now, updating the queue tail and counters.
 func (pp *Pipe) finish(n int64) float64 {
@@ -47,12 +44,3 @@ func (pp *Pipe) finish(n int64) float64 {
 func (pp *Pipe) Transfer(p *Process, n int64) {
 	p.SleepUntil(pp.finish(n))
 }
-
-// TransferAsync schedules a transfer of n bytes and invokes fn when it
-// completes, without blocking a process.
-func (pp *Pipe) TransferAsync(n int64, fn func()) {
-	pp.eng.At(pp.finish(n), fn)
-}
-
-// BusyUntil reports the time at which the pipe drains, for tests.
-func (pp *Pipe) BusyUntil() float64 { return pp.busyUntil }

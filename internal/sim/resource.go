@@ -22,9 +22,6 @@ func NewResource(e *Engine, capacity int) *Resource {
 	return &Resource{eng: e, capacity: capacity}
 }
 
-// Capacity returns the total number of units.
-func (r *Resource) Capacity() int { return r.capacity }
-
 // InUse returns the number of units currently held.
 func (r *Resource) InUse() int { return r.inUse }
 
@@ -68,15 +65,6 @@ func (r *Resource) Release() {
 		r.inUse++ // transfer the unit to next before it runs
 		r.eng.wake(r.eng.now, next)
 	}
-}
-
-// Utilisation returns mean busy units over elapsed time, in [0, capacity].
-func (r *Resource) Utilisation() float64 {
-	r.stamp()
-	if r.eng.now == 0 {
-		return 0
-	}
-	return r.Busy / r.eng.now
 }
 
 // BusySeconds returns accumulated unit-seconds of utilisation.

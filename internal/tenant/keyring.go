@@ -19,6 +19,8 @@ import (
 	"sync/atomic"
 	"syscall"
 	"time"
+
+	"dcbench/internal/obs"
 )
 
 // KeyConfig is one entry of the keys file: the durable form of a
@@ -32,6 +34,9 @@ import (
 //	  ]
 //	}
 type KeyConfig struct {
+	// ID must pass obs.ValidID — 1..64 bytes of the trace-id alphabet
+	// [A-Za-z0-9_-] — so ids are safe in URLs, metric labels and log
+	// lines without quoting.
 	ID     string `json:"id"`
 	Secret string `json:"secret"`
 	// Disabled revokes the key without deleting the entry: the tenant's
@@ -140,7 +145,7 @@ func readKeysFile(path string) ([]KeyConfig, time.Time, error) {
 	}
 	seen := make(map[string]bool, len(kf.Keys))
 	for _, k := range kf.Keys {
-		if !ValidID(k.ID) {
+		if !obs.ValidID(k.ID) {
 			return nil, time.Time{}, fmt.Errorf("keys file %s: invalid tenant id %q", path, k.ID)
 		}
 		if k.Secret == "" {
@@ -300,7 +305,7 @@ func BearerToken(req *http.Request) string {
 // X-Dcs-Tenant. Invalid ids and table overflow return nil: the work
 // still runs, just unattributed.
 func (r *Registry) Attribute(id string) *Tenant {
-	if !ValidID(id) {
+	if !obs.ValidID(id) {
 		return nil
 	}
 	r.mu.Lock()
@@ -356,7 +361,7 @@ func (r *Registry) Snapshots() []Snapshot {
 // creating over an attribution-only tenant upgrades it in place, keeping
 // its usage.
 func (r *Registry) CreateKey(cfg KeyConfig) (KeyConfig, error) {
-	if !ValidID(cfg.ID) {
+	if !obs.ValidID(cfg.ID) {
 		return KeyConfig{}, fmt.Errorf("invalid tenant id %q", cfg.ID)
 	}
 	if cfg.Secret == "" {

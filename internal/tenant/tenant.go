@@ -29,6 +29,7 @@ package tenant
 import (
 	"context"
 	"crypto/sha256"
+	"crypto/subtle"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -41,29 +42,6 @@ import (
 // attribute the work to the originating tenant rather than to the
 // front-end's own service key.
 const Header = "X-Dcs-Tenant"
-
-// maxIDLen bounds a tenant id, same rationale as trace ids: anything
-// longer (or outside the alphabet) is refused rather than stored and
-// re-emitted.
-const maxIDLen = 64
-
-// ValidID reports whether id is usable as a tenant identifier: 1..64
-// bytes of [A-Za-z0-9_-], the same alphabet as trace ids, so ids are
-// safe in URLs, metric labels and log lines without quoting.
-func ValidID(id string) bool {
-	if id == "" || len(id) > maxIDLen {
-		return false
-	}
-	for i := 0; i < len(id); i++ {
-		c := id[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '_', c == '-':
-		default:
-			return false
-		}
-	}
-	return true
-}
 
 // Limits are one tenant's admission budget. The zero value of every
 // field means "unlimited" — a keys file that names only ids and secrets
@@ -352,7 +330,7 @@ func (t *Tenant) clearKey() {
 func (t *Tenant) matches(digest *[sha256.Size]byte) (match, usable bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	eq := constantTimeEq(&t.digest, digest)
+	eq := subtle.ConstantTimeCompare(t.digest[:], digest[:]) == 1
 	return eq && t.keyed, t.keyed && !t.disabled
 }
 
@@ -371,15 +349,6 @@ func (t *Tenant) keyConfig() (KeyConfig, bool) {
 		return KeyConfig{}, false
 	}
 	return KeyConfig{ID: t.id, Secret: t.secret, Disabled: t.disabled, Limits: t.Limits()}, true
-}
-
-// constantTimeEq compares two digests without data-dependent early exit.
-func constantTimeEq(a, b *[sha256.Size]byte) bool {
-	var diff byte
-	for i := range a {
-		diff |= a[i] ^ b[i]
-	}
-	return diff == 0
 }
 
 // ctxKey keys the tenant in a request context.

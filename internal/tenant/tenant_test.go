@@ -29,27 +29,6 @@ func writeKeys(t *testing.T, dir string, keys ...KeyConfig) string {
 	return path
 }
 
-func TestValidID(t *testing.T) {
-	for id, want := range map[string]bool{
-		"alice": true, "a-b_C9": true, "": false, "a b": false,
-		"x/y": false, "ok": true,
-	} {
-		if got := ValidID(id); got != want {
-			t.Errorf("ValidID(%q) = %v, want %v", id, got, want)
-		}
-	}
-	long := make([]byte, maxIDLen+1)
-	for i := range long {
-		long[i] = 'a'
-	}
-	if ValidID(string(long)) {
-		t.Error("ValidID accepted an over-long id")
-	}
-	if !ValidID(string(long[:maxIDLen])) {
-		t.Error("ValidID refused a max-length id")
-	}
-}
-
 func TestAuthenticate(t *testing.T) {
 	dir := t.TempDir()
 	path := writeKeys(t, dir,

@@ -68,12 +68,6 @@ func (c *Cache) Name() string { return c.name }
 // Sets returns the number of sets.
 func (c *Cache) Sets() int { return c.sets }
 
-// Ways returns the associativity.
-func (c *Cache) Ways() int { return c.ways }
-
-// LineSize returns the line size in bytes.
-func (c *Cache) LineSize() int { return 1 << c.lineShift }
-
 // line converts a byte address to a line address with a nonzero sentinel
 // (tag 0 marks invalid entries, so line addresses are offset by 1).
 func (c *Cache) line(addr uint64) uint64 { return (addr >> c.lineShift) + 1 }

@@ -65,9 +65,6 @@ func (t *TLB) Access(addr uint64) bool {
 	return false
 }
 
-// Entries returns the TLB's total entry count.
-func (t *TLB) Entries() int { return t.sets * t.ways }
-
 // Reset clears contents and counters.
 func (t *TLB) Reset() {
 	clear(t.tags)
