@@ -76,16 +76,12 @@ type Job struct {
 	state    State
 	history  []Transition
 	errMsg   string
+	errCode  string // the failure's stable error code
+	errHTTP  int    // the failure's HTTP status
 	result   []byte
 	finished time.Time
 	subs     map[chan struct{}]struct{}
 }
-
-// ID returns the job's identifier (also its obs trace ID).
-func (j *Job) ID() string { return j.id }
-
-// Kind returns the job's wire kind ("counters", "cluster").
-func (j *Job) Kind() string { return j.kind }
 
 // Tenant returns the id of the tenant that submitted the job ("" for
 // anonymous submissions).
@@ -134,14 +130,23 @@ func (j *Job) Complete(result []byte) {
 	j.mu.Unlock()
 }
 
-// Fail marks the job failed (no-op once terminal).
-func (j *Job) Fail(msg string) {
+// Fail marks the job failed with the HTTP status, stable error code and
+// message its result answers (no-op once terminal).
+func (j *Job) Fail(status int, code, msg string) {
 	j.mu.Lock()
 	if !j.state.Terminal() {
-		j.errMsg = msg
+		j.errHTTP, j.errCode, j.errMsg = status, code, msg
 	}
 	j.setStateLocked(StateFailed)
 	j.mu.Unlock()
+}
+
+// Failure returns the HTTP status and error code a failed job was given
+// (0 and "" otherwise); Snapshot's Error holds the message.
+func (j *Job) Failure() (status int, code string) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.errHTTP, j.errCode
 }
 
 // Cancel moves the job to cancelled and cancels its run context. It

@@ -68,7 +68,7 @@ func TestCancelFiresContext(t *testing.T) {
 
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	j2 := r.New("id2", "cluster", "", cancel2)
-	j2.Fail("boom")
+	j2.Fail(500, "internal", "boom")
 	if j2.State() != StateFailed || j2.Snapshot().Error != "boom" {
 		t.Fatalf("failed job snapshot = %+v", j2.Snapshot())
 	}

@@ -15,10 +15,11 @@
 //     of replaying a stale failure;
 //   - retention is bounded: New keeps successful values in a retained set
 //     of at most MaxRetained keys, evicting the least recently used (the
-//     sweep engine, stats cache and rendered bodies, where an evicted key
-//     costs one store load or one render); NewFlight keeps none, so a key
-//     empties once its call completes (the trace cache's captures, which
-//     keep their own byte-bounded LRU);
+//     sweep engine and stats cache, where an evicted key costs one store
+//     load); NewFlight keeps none, so a key empties once its call
+//     completes (the serve layer's renders, whose bodies the closed read
+//     set keeps, and the trace cache's captures, which keep their own
+//     byte-bounded LRU);
 //   - a retained value is only the value: the call's cell — its channel,
 //     refcount and run context, and through that context the request's
 //     trace — is released when the call settles, so what a memo holds

@@ -84,10 +84,18 @@ type Trace struct {
 	rec      *Recorder
 	observer func(SpanEvent)
 
-	mu       sync.Mutex
-	data     TraceData
+	mu   sync.Mutex
+	data TraceData // Attrs stays nil: the attrs below fold into it when the ring is read
+	// attrs are the trace's annotations in first-set order, backed by
+	// attrBuf until they outgrow it: a request's tenant and status cost no
+	// allocation.
+	attrs    []attr
+	attrBuf  [2]attr
 	finished bool
 }
+
+// attr is one trace annotation.
+type attr struct{ k, v string }
 
 // SpanEvent is one span-lifecycle notification delivered to a trace's
 // observer: End is false when a span opens (Attrs holds its start
@@ -137,13 +145,17 @@ func (t *Trace) SetAttr(k, v string) {
 		return
 	}
 	t.mu.Lock()
-	if !t.finished {
-		if t.data.Attrs == nil {
-			t.data.Attrs = Attrs{}
-		}
-		t.data.Attrs[k] = v
+	defer t.mu.Unlock()
+	if t.finished {
+		return
 	}
-	t.mu.Unlock()
+	for i := range t.attrs {
+		if t.attrs[i].k == k {
+			t.attrs[i].v = v
+			return
+		}
+	}
+	t.attrs = append(t.attrs, attr{k, v})
 }
 
 // addSpan appends one finished span; spans arriving after Finish are
@@ -165,8 +177,9 @@ func (t *Trace) addSpan(sd SpanData) {
 }
 
 // Finish seals the trace, computes its duration and records it into the
-// Recorder that started it. Idempotent; spans ending afterwards are
-// dropped.
+// Recorder that started it. Idempotent; spans and attrs arriving
+// afterwards are dropped, so the ring holds the sealed trace itself, not a
+// copy.
 func (t *Trace) Finish() {
 	if t == nil {
 		return
@@ -178,19 +191,28 @@ func (t *Trace) Finish() {
 	}
 	t.finished = true
 	t.data.DurMS = ms(time.Since(t.data.Start))
-	snap := t.data
-	snap.Spans = append([]SpanData(nil), t.data.Spans...)
-	if t.data.Attrs != nil {
-		snap.Attrs = Attrs{}
-		for k, v := range t.data.Attrs {
-			snap.Attrs[k] = v
-		}
-	}
+	// The ring holds the sealed trace, so the trace drops the ring: a
+	// finalizer on an object reachable from itself never runs.
 	rec := t.rec
+	t.rec = nil
 	t.mu.Unlock()
 	if rec != nil {
-		rec.record(snap)
+		rec.record(t)
 	}
+}
+
+// sealed returns a finished trace as /debug/traces serves it. Nothing
+// mutates a trace once Finish has set finished, so it reads without the
+// lock; the spans slice is shared, the attrs map built here.
+func (t *Trace) sealed() TraceData {
+	td := t.data
+	if len(t.attrs) > 0 {
+		td.Attrs = make(Attrs, len(t.attrs))
+		for _, a := range t.attrs {
+			td.Attrs[a.k] = a.v
+		}
+	}
+	return td
 }
 
 // Span is one in-flight phase of a trace. Obtain with Start; End records
@@ -282,7 +304,7 @@ func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 // use; once full, each new trace overwrites the oldest.
 type Recorder struct {
 	mu    sync.Mutex
-	ring  []TraceData
+	ring  []*Trace // sealed traces
 	next  int
 	total int64
 }
@@ -293,7 +315,7 @@ func NewRecorder(size int) *Recorder {
 	if size <= 0 {
 		size = DefaultRingSize
 	}
-	return &Recorder{ring: make([]TraceData, 0, size)}
+	return &Recorder{ring: make([]*Trace, 0, size)}
 }
 
 // StartTrace opens a trace named name under id. An empty or malformed id
@@ -307,17 +329,19 @@ func (r *Recorder) StartTrace(name, id string) *Trace {
 	if !ValidID(id) {
 		id = NewID()
 	}
-	return &Trace{rec: r, data: TraceData{ID: id, Name: name, Start: time.Now()}}
+	t := &Trace{rec: r, data: TraceData{ID: id, Name: name, Start: time.Now()}}
+	t.attrs = t.attrBuf[:0]
+	return t
 }
 
-// record appends one finished trace, overwriting the oldest once the ring
-// is full.
-func (r *Recorder) record(td TraceData) {
+// record appends one sealed trace, overwriting the oldest once the ring is
+// full.
+func (r *Recorder) record(t *Trace) {
 	r.mu.Lock()
 	if len(r.ring) < cap(r.ring) {
-		r.ring = append(r.ring, td)
+		r.ring = append(r.ring, t)
 	} else {
-		r.ring[r.next] = td
+		r.ring[r.next] = t
 		r.next = (r.next + 1) % cap(r.ring)
 	}
 	r.total++
@@ -349,8 +373,8 @@ func (r *Recorder) Traces(min time.Duration) []TraceData {
 	// (oldest) through r.next-1 (newest), modulo its length.
 	for i := 0; i < len(r.ring); i++ {
 		idx := (r.next - 1 - i + 2*len(r.ring)) % len(r.ring)
-		if td := r.ring[idx]; td.DurMS >= floor {
-			out = append(out, td)
+		if t := r.ring[idx]; t.data.DurMS >= floor {
+			out = append(out, t.sealed())
 		}
 	}
 	return out
@@ -364,7 +388,9 @@ func NewID() string {
 		// tracing functional (IDs are correlation hints, not security).
 		return "0000000000000000"
 	}
-	return hex.EncodeToString(b[:])
+	var id [16]byte
+	hex.Encode(id[:], b[:])
+	return string(id[:])
 }
 
 // ValidID reports whether id is acceptable as a propagated trace ID:

@@ -169,7 +169,7 @@ func TestValidID(t *testing.T) {
 func TestRingWrap(t *testing.T) {
 	rec := NewRecorder(4)
 	for i := 0; i < 7; i++ {
-		rec.record(TraceData{ID: fmt.Sprintf("t%d", i)})
+		rec.record(sealedTrace(TraceData{ID: fmt.Sprintf("t%d", i)}))
 	}
 	if rec.Total() != 7 {
 		t.Errorf("Total = %d, want 7", rec.Total())
@@ -184,13 +184,16 @@ func TestRingWrap(t *testing.T) {
 	}
 }
 
+// sealedTrace is a finished trace holding td, as Finish leaves it.
+func sealedTrace(td TraceData) *Trace { return &Trace{data: td, finished: true} }
+
 // TestTracesMinFilter: the duration floor keeps only traces at least that
 // slow, preserving newest-first order.
 func TestTracesMinFilter(t *testing.T) {
 	rec := NewRecorder(8)
-	rec.record(TraceData{ID: "fast", DurMS: 1})
-	rec.record(TraceData{ID: "mid", DurMS: 5})
-	rec.record(TraceData{ID: "slow", DurMS: 50})
+	rec.record(sealedTrace(TraceData{ID: "fast", DurMS: 1}))
+	rec.record(sealedTrace(TraceData{ID: "mid", DurMS: 5}))
+	rec.record(sealedTrace(TraceData{ID: "slow", DurMS: 50}))
 	var got []string
 	for _, td := range rec.Traces(4 * time.Millisecond) {
 		got = append(got, td.ID)
@@ -266,8 +269,8 @@ func TestConcurrentRecorder(t *testing.T) {
 // malformed parameters.
 func TestTracesHandler(t *testing.T) {
 	rec := NewRecorder(8)
-	rec.record(TraceData{ID: "fast", DurMS: 1})
-	rec.record(TraceData{ID: "slow", DurMS: 100})
+	rec.record(sealedTrace(TraceData{ID: "fast", DurMS: 1}))
+	rec.record(sealedTrace(TraceData{ID: "slow", DurMS: 100}))
 	h := TracesHandler(rec)
 
 	get := func(query string) (int, struct {

@@ -67,13 +67,13 @@ func (s *Server) runAsync(ctx context.Context, job *jobs.Job, tr *obs.Trace, run
 	switch {
 	case ctx.Err() != nil && s.baseCtx.Err() != nil:
 		// A server shutdown is a failure: the client may retry elsewhere.
-		job.Fail("worker shutting down")
+		job.Fail(http.StatusServiceUnavailable, codeShuttingDown, "worker shutting down")
 	case ctx.Err() != nil:
 		// Cancelled while queued or mid-run; a DELETE has usually latched
 		// the state already and this is a no-op.
 		job.Cancel()
 	case ae != nil:
-		job.Fail(ae.msg)
+		job.Fail(ae.status, ae.code, ae.msg)
 	default:
 		job.Complete(body)
 	}
@@ -136,10 +136,12 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	snap := job.Snapshot()
 	switch snap.State {
 	case jobs.StateFailed:
-		// snap.Error is already client-safe: internal failures were
-		// sanitized to a generic trace-naming message by internal,
-		// before the registry stored them.
-		writeError(w, r, http.StatusInternalServerError, codeInternal, snap.Error)
+		// The failure answers as the blocking path would have: a shutdown
+		// reads 503 shutting_down. snap.Error is already client-safe:
+		// internal failures were sanitized to a generic trace-naming
+		// message by internal, before the registry stored them.
+		status, code := job.Failure()
+		writeError(w, r, status, code, snap.Error)
 	case jobs.StateCancelled:
 		writeError(w, r, http.StatusGone, codeGone, "job cancelled")
 	default:

@@ -214,6 +214,56 @@ func TestAsyncCancelFreesSlotAndStoresNothing(t *testing.T) {
 	}
 }
 
+// TestShutdownFailsAsyncJobsWith503: closing the server under a running
+// and a queued async job fails both, and each one's result answers what
+// the blocking endpoint answers on shutdown — 503 shutting_down, a retry
+// elsewhere — not a 500.
+func TestShutdownFailsAsyncJobsWith503(t *testing.T) {
+	opts := testOptions()
+	gate := make(chan struct{})
+	backend := &countingBackend{inner: newMemoryBackend(), gate: gate}
+	srv := serve.New(serve.Config{Options: opts, Backend: backend, MaxInflight: 1, Logger: quietLog})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer close(gate) // let the parked Load goroutine exit after the test
+	fp := opts.CoreConfig().Fingerprint()
+
+	var ids []string
+	for _, name := range []string{"Sort", "Grep"} {
+		key := testCounterKey(t, name, opts.Warmup, opts.Instrs, fp)
+		resp, body := postJSON(t, ts, "/v1/jobs?wait=false", jobRequest(t, store.KindCounters, key, opts.Warmup))
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("async submit = %d: %s", resp.StatusCode, body)
+		}
+		var snap jobs.Snapshot
+		if err := json.Unmarshal(body, &snap); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, snap.ID)
+	}
+	// The first job holds the only slot, parked on the gated backend; the
+	// second waits for the slot.
+	deadline := time.Now().Add(10 * time.Second)
+	for js := srv.JobStats(); js.InFlight != 1 || js.Queued != 1; js = srv.JobStats() {
+		if time.Now().After(deadline) {
+			t.Fatalf("jobs never reached one running and one queued: %+v", js)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	srv.Close()
+	for _, id := range ids {
+		if final := pollJob(t, ts, id); final.State != jobs.StateFailed {
+			t.Fatalf("job %s ended %q after shutdown, want failed", id, final.State)
+		}
+		resp, body := get(t, ts, "/v1/jobs/"+id+"/result", nil)
+		if resp.StatusCode != http.StatusServiceUnavailable || errCode(t, resp, body) != "shutting_down" {
+			t.Fatalf("result of a job failed by shutdown = %d %s, want 503 shutting_down", resp.StatusCode, body)
+		}
+	}
+}
+
 // TestShedOrJoin: a saturated worker answers a request for the key it is
 // already computing by joining the in-flight simulation — one simulation,
 // two identical records, no 429.

@@ -70,3 +70,19 @@ func BenchmarkWarmRead(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkWarmHandler is BenchmarkWarmRead without the client and the
+// socket: the server's own cost of a warm read, through ServeHTTP with a
+// writer that drops the body. -benchmem reports the server's allocations.
+func BenchmarkWarmHandler(b *testing.B) {
+	h, cases := warmHandler(b)
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			w := &discardWriter{h: http.Header{}}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				serveDiscarded(b, h, w, c)
+			}
+		})
+	}
+}

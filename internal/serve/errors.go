@@ -51,7 +51,7 @@ const errorCodeHeader = "X-Dcs-Error-Code"
 
 // apiError is one refusal, ready to write. The serve layer's internal
 // currency: handlers and job runners build these, writeAPIError sends
-// them, and a failed async job keeps its msg.
+// them, and a failed async job keeps all three.
 type apiError struct {
 	status int
 	code   string

@@ -22,7 +22,15 @@ type HealthForTest = health
 
 // FlightLenForTest reports how many rendered bodies the server holds,
 // retained or in flight.
-func (s *Server) FlightLenForTest() int { return s.flight.Len() }
+func (s *Server) FlightLenForTest() int {
+	n := s.flight.Len()
+	for _, rd := range s.reads.all() {
+		if rd.body.Load() != nil {
+			n++
+		}
+	}
+	return n
+}
 
 // ETagForTest returns the validator the server sends for key.
 func (s *Server) ETagForTest(key string) string { return s.etag(key) }
@@ -45,4 +53,23 @@ func (s *Server) DropComputeCachesForTest(b sweep.MemoBackend, c workloads.Stats
 func (s *Server) ClusterCellForTest(ctx context.Context, key workloads.StatsKey, run func(context.Context) (*workloads.Stats, error)) error {
 	_, err := s.opts.Cluster.Do(ctx, key, run)
 	return err
+}
+
+// all lists the closed set's members.
+func (rs *readSet) all() []*read {
+	pairs := []readPair{rs.workloads}
+	pairs = append(pairs, rs.figures[:]...)
+	pairs = append(pairs, rs.tables[:]...)
+	for _, p := range rs.counters {
+		pairs = append(pairs, p)
+	}
+	var out []*read
+	for _, p := range pairs {
+		for _, rd := range []*read{p.json, p.csv} {
+			if rd != nil {
+				out = append(out, rd)
+			}
+		}
+	}
+	return out
 }

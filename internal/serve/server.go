@@ -5,13 +5,18 @@
 //
 // Design points, in the order requests meet them:
 //
-//   - structured slog request logging around every handler;
+//   - a structured slog request line for every refusal and failure
+//     (status ≥ 400, at Info); successes and 304s log at Debug, since the
+//     trace ring and the latency histograms already record each one;
 //   - ETag/Cache-Control validators derived from the run parameters
 //     (seed, scale, instrs, warmup, config fingerprint), so a client or
 //     proxy revalidating an unchanged deployment never triggers a render;
-//   - each (endpoint, format) renders once per process and its bytes are
-//     retained; a herd on a cold figure shares that one render, and the
-//     engine's memo coalesces the underlying sweep a second time below it;
+//   - the read endpoints are a closed set of (endpoint, format) responses,
+//     each with its key, validators and render built once in New; each
+//     renders once per process and its bytes are retained beside it, so a
+//     warm read formats nothing; a herd on a cold figure shares that one
+//     render, and the engine's memo coalesces the underlying sweep a
+//     second time below it;
 //   - a render's callers wait under the server's base context, not the
 //     request's, so they are pinned until shutdown: a coalesced sweep
 //     survives the disconnect of whichever client happened to start it,
@@ -23,9 +28,6 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
-	"encoding/csv"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -38,7 +40,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dcbench/internal/core"
 	"dcbench/internal/dispatch"
 	"dcbench/internal/jobs"
 	"dcbench/internal/memo"
@@ -122,14 +123,13 @@ type Server struct {
 	backend sweep.MemoBackend
 	log     *slog.Logger
 	mux     *http.ServeMux
-	// flight retains every rendered body (a pure function of the run
-	// parameters and its key), so each renders once per process; failures
-	// are never retained, and Stats.Coalesced counts only joins of
-	// in-flight renders. Handlers validate and normalise keys before
-	// serveBody, so the set is closed at 82 (workloads, table 1 and 26
-	// counters ×2, 12 figures ×2, tables 2–3 JSON) whatever URLs arrive —
-	// far under memo.MaxRetained, so no body is ever evicted.
-	flight    *memo.Memo[string, []byte]
+	// reads is the closed set of read responses; each retains its body (a
+	// pure function of the run parameters and its key) once rendered, so
+	// it renders once per process. flight only coalesces renders in
+	// progress: failures are never retained, and Stats.Coalesced counts
+	// only joins of in-flight renders.
+	reads     readSet
+	flight    *memo.Memo[*read, *rendered]
 	etagBasis uint64 // FNV-1a state after the run-parameter prefix of every ETag
 	baseCtx   context.Context
 	cancel    context.CancelFunc
@@ -205,7 +205,7 @@ func New(cfg Config) *Server {
 		backend: backend,
 		log:     log,
 		mux:     http.NewServeMux(),
-		flight:  memo.New[string, []byte](),
+		flight:  memo.NewFlight[*read, *rendered](),
 		baseCtx: ctx,
 		cancel:  cancel,
 		started: time.Now(),
@@ -226,6 +226,7 @@ func New(cfg Config) *Server {
 	fmt.Fprintf(basis, "%d|%g|%d|%d|%d|", opts.Seed, opts.Scale, opts.Instrs,
 		opts.Warmup, opts.CoreConfig().Fingerprint())
 	s.etagBasis = basis.Sum64()
+	s.reads = s.newReadSet()
 	s.flight.OnJoin(func() { s.coalesced.Add(1) })
 	s.flight.SetName("render")
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
@@ -296,6 +297,11 @@ func (s *Server) JobStats() JobStats {
 // histogram samples — a scrape every few seconds would wash both the
 // ring and the latency distribution out with noise — and bypass auth,
 // so load balancers and Prometheus need no credentials.
+//
+// The request line is logged at Info only for a status ≥ 400, so
+// refusals and failures stay visible with their trace id; successes,
+// 304s and probes log at Debug — the ring and the latency histograms
+// already hold every one of them.
 func (s *Server) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		s.requests.Add(1)
@@ -306,7 +312,8 @@ func (s *Server) Handler() http.Handler {
 		var deny *apiError
 		if !probe {
 			tr = s.recorder.StartTrace(r.Method+" "+r.URL.Path, r.Header.Get(obs.TraceHeader))
-			w.Header().Set(obs.TraceHeader, tr.ID())
+			rec.traceID[0] = tr.ID()
+			w.Header()[obs.TraceHeader] = rec.traceID[:]
 			r = r.WithContext(obs.With(r.Context(), tr))
 			// Identity before dispatch: the denial is traced and logged
 			// like any response, but the mux never sees the request.
@@ -346,9 +353,12 @@ func (s *Server) Handler() http.Handler {
 			tr.SetAttr("status", strconv.Itoa(rec.status))
 			tr.Finish()
 		}
-		lvl := slog.LevelInfo
-		if probe {
-			lvl = slog.LevelDebug // probes and scrapes would drown real traffic
+		lvl := slog.LevelDebug
+		if rec.status >= 400 {
+			lvl = slog.LevelInfo
+		}
+		if !s.log.Enabled(r.Context(), lvl) {
+			return
 		}
 		args := []any{
 			"method", r.Method,
@@ -401,11 +411,14 @@ func (s *Server) Run(ctx context.Context, addr string) error {
 	return err
 }
 
-// statusRecorder captures what the handler wrote for the request log.
+// statusRecorder captures what the handler wrote for the request log. It
+// also holds the X-Dcs-Trace header value (len == cap, so an Add copies),
+// which then costs no allocation of its own.
 type statusRecorder struct {
 	http.ResponseWriter
-	status int
-	bytes  int
+	status  int
+	bytes   int
+	traceID [1]string
 }
 
 func (r *statusRecorder) WriteHeader(code int) {
@@ -426,96 +439,6 @@ func (r *statusRecorder) Flush() {
 	if f, ok := r.ResponseWriter.(http.Flusher); ok {
 		f.Flush()
 	}
-}
-
-// wantCSV is the content negotiation rule: ?format=csv|json wins, then an
-// Accept header naming text/csv; JSON is the default.
-func wantCSV(r *http.Request) bool {
-	switch r.URL.Query().Get("format") {
-	case "csv":
-		return true
-	case "json":
-		return false
-	}
-	return strings.Contains(r.Header.Get("Accept"), "text/csv")
-}
-
-// etag derives the entity validator for an endpoint: every response is a
-// pure function of the run parameters (seed, scale, instrs, warmup, config
-// fingerprint — the warmup rides inside the fingerprint too) and the
-// endpoint identity, so that tuple is the entity. The tag is FNV-1a over
-// "seed|scale|instrs|warmup|fingerprint|key", the prefix hashed once in New.
-func (s *Server) etag(key string) string {
-	h := s.etagBasis
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211 // FNV-64 prime
-	}
-	var sum [8]byte
-	binary.BigEndian.PutUint64(sum[:], h)
-	return `"` + hex.EncodeToString(sum[:]) + `"`
-}
-
-// serveBody serves key's body (rendered once per process, coalesced while
-// in flight) with cache validators; a matching If-None-Match never renders.
-// The validators go out only on 304 and 200 — a failed render must not
-// hand a shared cache a storable error.
-func (s *Server) serveBody(w http.ResponseWriter, r *http.Request, key, contentType string, render func(ctx context.Context) ([]byte, error)) {
-	tag := s.etag(key)
-	setValidators := func() {
-		w.Header().Set("Cache-Control", "public, max-age=86400")
-		w.Header().Set("Etag", tag)
-		// One URL serves two representations (wantCSV honours Accept), so
-		// a shared cache must key on the Accept header too.
-		w.Header().Set("Vary", "Accept")
-	}
-	if match := r.Header.Get("If-None-Match"); match != "" && strings.Contains(match, tag) {
-		setValidators()
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	// Base context, not r.Context(): every caller is pinned until shutdown,
-	// so a coalesced render survives the starting client's disconnect, and
-	// Close — cancelling every caller at once — cancels the render. The
-	// request's trace rides along so the render's spans land in the
-	// timeline of the request that paid for it.
-	body, err := s.flight.DoShared(obs.With(s.baseCtx, obs.From(r.Context())), key, render)
-	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			writeError(w, r, http.StatusServiceUnavailable, codeShuttingDown, "server shutting down")
-			return
-		}
-		// The store/sweep internals behind a render are not the client's
-		// business (and may name paths); the log keeps the detail, keyed
-		// by the trace id the generic envelope hands the client.
-		writeAPIError(w, r, s.internal(r.Context(), "render failed", err, "key", key))
-		return
-	}
-	setValidators()
-	w.Header().Set("Content-Type", contentType)
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	w.Write(body)
-}
-
-// serveTable negotiates a table's encoding and serves it.
-func (s *Server) serveTable(w http.ResponseWriter, r *http.Request, key string, build func(ctx context.Context) (*report.Table, error)) {
-	if wantCSV(r) {
-		s.serveBody(w, r, key+"?csv", "text/csv; charset=utf-8", func(ctx context.Context) ([]byte, error) {
-			t, err := build(ctx)
-			if err != nil {
-				return nil, err
-			}
-			return []byte(t.CSV()), nil
-		})
-		return
-	}
-	s.serveBody(w, r, key+"?json", "application/json", func(ctx context.Context) ([]byte, error) {
-		t, err := build(ctx)
-		if err != nil {
-			return nil, err
-		}
-		return t.JSON()
-	})
 }
 
 // health is the /healthz document. /metrics renders the same document:
@@ -582,156 +505,6 @@ func (s *Server) health() health {
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.health())
-}
-
-// workloadInfo is one row of the /v1/workloads listing. Cluster-capable
-// workloads (the eleven Table I apps) carry their input size and Table II
-// domains/scenarios.
-type workloadInfo struct {
-	Name      string   `json:"name"`
-	Suite     string   `json:"suite"`
-	Class     string   `json:"class"`
-	InputGB   float64  `json:"input_gb,omitempty"`
-	Domains   []string `json:"domains,omitempty"`
-	Scenarios []string `json:"scenarios,omitempty"`
-}
-
-func workloadList() []workloadInfo {
-	cluster := make(map[string]*workloads.Workload)
-	for _, w := range workloads.All() {
-		cluster[w.Name] = w
-	}
-	var out []workloadInfo
-	for _, w := range core.Registry() {
-		info := workloadInfo{Name: w.Name, Suite: w.Suite, Class: w.Class.String()}
-		if cw, ok := cluster[w.Name]; ok {
-			info.InputGB = cw.InputGB
-			info.Domains = cw.Domains
-			info.Scenarios = cw.Scenarios
-		}
-		out = append(out, info)
-	}
-	return out
-}
-
-func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
-	if wantCSV(r) {
-		s.serveBody(w, r, "workloads?csv", "text/csv; charset=utf-8", func(context.Context) ([]byte, error) {
-			var b strings.Builder
-			cw := csv.NewWriter(&b)
-			cw.Write([]string{"workload", "suite", "class", "input_gb"})
-			for _, info := range workloadList() {
-				gb := ""
-				if info.InputGB > 0 {
-					gb = strconv.FormatFloat(info.InputGB, 'f', -1, 64)
-				}
-				cw.Write([]string{info.Name, info.Suite, info.Class, gb})
-			}
-			cw.Flush()
-			return []byte(b.String()), cw.Error()
-		})
-		return
-	}
-	s.serveBody(w, r, "workloads?json", "application/json", func(context.Context) ([]byte, error) {
-		return indentJSON(struct {
-			Workloads []workloadInfo `json:"workloads"`
-		}{workloadList()})
-	})
-}
-
-func (s *Server) handleCounters(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	wl, err := core.ByName(name)
-	if err != nil {
-		writeError(w, r, http.StatusNotFound, codeNotFound, err.Error())
-		return
-	}
-	key := "workloads/" + wl.Name + "/counters"
-	build := func(ctx context.Context) (*core.Result, error) {
-		jobs := []sweep.Job{{Name: wl.Name, Profile: wl.Profile, Gen: wl.Gen}}
-		cs, err := s.engine.Run(ctx, jobs, s.opts.CoreConfig(),
-			s.opts.Warmup+s.opts.Instrs, sweep.RunOptions{Workers: 1})
-		if err != nil {
-			return nil, err
-		}
-		return &core.Result{Workload: wl, Counters: cs[0]}, nil
-	}
-	if wantCSV(r) {
-		s.serveBody(w, r, key+"?csv", "text/csv; charset=utf-8", func(ctx context.Context) ([]byte, error) {
-			res, err := build(ctx)
-			if err != nil {
-				return nil, err
-			}
-			return []byte(metricsTable(res).CSV()), nil
-		})
-		return
-	}
-	s.serveBody(w, r, key+"?json", "application/json", func(ctx context.Context) ([]byte, error) {
-		res, err := build(ctx)
-		if err != nil {
-			return nil, err
-		}
-		return indentJSON(res.ToRecord())
-	})
-}
-
-// metricsTable flattens one result into a single-row table of the derived
-// Figure 3-12 metrics — the CSV shape of the counters endpoint.
-func metricsTable(res *core.Result) *report.Table {
-	c := res.Counters
-	return &report.Table{
-		Title: res.Workload.Name + " derived metrics",
-		Columns: []string{"ipc", "kernel_share", "l1i_mpki", "itlb_walks_pki",
-			"l2_mpki", "l3_hit_ratio", "dtlb_walks_pki", "branch_misp_ratio"},
-		Precision: 6,
-		Rows: []report.Row{{Label: res.Workload.Name, Values: []float64{
-			c.IPC(), c.KernelShare(), c.L1IMPKI(), c.ITLBWalksPKI(),
-			c.L2MPKI(), c.L3HitRatio(), c.DTLBWalksPKI(), c.BranchMispredictRatio(),
-		}}},
-	}
-}
-
-func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
-	n, err := strconv.Atoi(r.PathValue("n"))
-	if err != nil || n < 1 || n > 12 {
-		writeError(w, r, http.StatusBadRequest, codeBadRequest, "figure number must be 1..12")
-		return
-	}
-	s.serveTable(w, r, fmt.Sprintf("figures/%d", n), func(ctx context.Context) (*report.Table, error) {
-		return report.FigureByNumber(ctx, s.opts, n)
-	})
-}
-
-func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) {
-	n, err := strconv.Atoi(r.PathValue("n"))
-	if err != nil || n < 1 || n > 3 {
-		writeError(w, r, http.StatusBadRequest, codeBadRequest, "table number must be 1..3")
-		return
-	}
-	if n == 1 {
-		s.serveTable(w, r, "tables/1", func(ctx context.Context) (*report.Table, error) {
-			t, _, err := report.TableByNumber(ctx, s.opts, 1)
-			return t, err
-		})
-		return
-	}
-	// Tables II and III are prose: JSON wraps the text, CSV has no natural
-	// shape and is refused rather than faked.
-	if wantCSV(r) {
-		writeError(w, r, http.StatusNotAcceptable, codeNotAcceptable,
-			fmt.Sprintf("table %d is prose; request JSON or text", n))
-		return
-	}
-	s.serveBody(w, r, fmt.Sprintf("tables/%d?json", n), "application/json", func(ctx context.Context) ([]byte, error) {
-		_, text, err := report.TableByNumber(ctx, s.opts, n)
-		if err != nil {
-			return nil, err
-		}
-		return indentJSON(struct {
-			Title string `json:"title"`
-			Text  string `json:"text"`
-		}{strings.SplitN(text, "\n", 2)[0], text})
-	})
 }
 
 // indentJSON is the one JSON encoding of every body the server writes,

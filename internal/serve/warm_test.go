@@ -310,3 +310,70 @@ func TestETagMatchesFormula(t *testing.T) {
 		srv.Close()
 	}
 }
+
+// discardWriter is a ResponseWriter that keeps the headers and drops the
+// body, so what a request costs through it is the server's own work.
+type discardWriter struct {
+	h      http.Header
+	status int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.h }
+func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (w *discardWriter) WriteHeader(code int)        { w.status = code }
+
+// warmCase is one warm read of figure 3.
+type warmCase struct {
+	name   string
+	req    *http.Request
+	status int
+}
+
+// warmHandler returns the handler of a server with figure 3 rendered in
+// both formats, logging at Info to nowhere, and the three warm reads of
+// it: JSON, CSV and a revalidation.
+func warmHandler(tb testing.TB) (http.Handler, []warmCase) {
+	tb.Helper()
+	srv := serve.New(serve.Config{Options: testOptions(), Logger: quietLog})
+	tb.Cleanup(srv.Close)
+	h := srv.Handler()
+	cases := []warmCase{
+		{"json200", httptest.NewRequest("GET", "/v1/figures/3", nil), http.StatusOK},
+		{"csv200", httptest.NewRequest("GET", "/v1/figures/3?format=csv", nil), http.StatusOK},
+		{"304", httptest.NewRequest("GET", "/v1/figures/3", nil), http.StatusNotModified},
+	}
+	w := &discardWriter{h: http.Header{}}
+	serveDiscarded(tb, h, w, cases[1])
+	serveDiscarded(tb, h, w, cases[0])
+	cases[2].req.Header.Set("If-None-Match", w.h.Get("Etag"))
+	return h, cases
+}
+
+// serveDiscarded serves c once through w, reset first.
+func serveDiscarded(tb testing.TB, h http.Handler, w *discardWriter, c warmCase) {
+	clear(w.h)
+	w.status = http.StatusOK
+	h.ServeHTTP(w, c.req)
+	if w.status != c.status {
+		tb.Fatalf("%s: status %d, want %d", c.name, w.status, c.status)
+	}
+}
+
+// TestWarmReadAllocationBudget: a warm read of a retained body — JSON,
+// CSV or a 304 — allocates little beyond its trace and its request
+// context: no per-request ETag, key, closure, header slice or log line.
+func TestWarmReadAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	h, cases := warmHandler(t)
+	budget := map[string]float64{"json200": 16, "csv200": 16, "304": 14}
+	w := &discardWriter{h: http.Header{}}
+	for _, c := range cases {
+		got := testing.AllocsPerRun(200, func() { serveDiscarded(t, h, w, c) })
+		t.Logf("%s: %.0f allocations per request", c.name, got)
+		if got > budget[c.name] {
+			t.Errorf("%s: %.0f allocations per request, budget %.0f", c.name, got, budget[c.name])
+		}
+	}
+}
