@@ -5,16 +5,16 @@
 // ranking, retry walk, circuit state and admission push-back serves
 // characterization sweeps (sweep.MemoBackend, kind "counters") and cluster
 // experiments (workloads.StatsBackend, kind "cluster"), and a future kind
-// is one more jobKind descriptor plus a store codec, not a new backend.
+// is one more jobKind over one more store.Kind, not a new backend.
 //
 // The design rides the memo seams end to end. The engines consult their
 // backends only inside a key's singleflight cell, so the dispatch layer
 // sees each key at most once per process while it stays memoized; below
 // that, a load checks the local store first (warm results never leave
 // the process), then ranks workers by rendezvous hashing over the record's
-// content address (peer.Rank over store.CountersAddr / store.ClusterAddr)
-// — every front-end sharing a worker set routes a key to the same worker,
-// so the cluster simulates each key once, and the order is the one store
+// content address (peer.Rank over store.Kind.Addr) — every front-end
+// sharing a worker set routes a key to the same worker, so the cluster
+// simulates each key once, and the order is the one store
 // replication pushes along, so a key's top -dispatch-replicas workers are
 // the nodes holding its copies — and forwards the miss as a kind-tagged
 // POST /v1/jobs with a per-attempt timeout, retrying on the next-ranked
@@ -263,19 +263,17 @@ func (k *kindStats) snapshot(kind string) KindStats {
 	}
 }
 
-// jobKind describes one job kind to the dispatch path: how its keys are
-// addressed, how its response record is verified, and where its results
-// are cached locally. Everything else — ranking, the retry walk, circuit
-// and shed state, write-through, fallback accounting — is shared.
-type jobKind[K comparable, V any] struct {
-	name   string                     // the store record kind, also the /v1/jobs kind tag
-	warmup int64                      // shipped with every job of this kind (counters only)
-	addr   func(K) (string, error)    // the record's content address: the rendezvous input
-	decode func([]byte) (K, V, error) // the store codec: checksum, kind and embedded key
+// jobKind describes one job kind to the dispatch path: its store record
+// kind (name, content address, verifying codec) and where its results are
+// cached locally. Everything else — ranking, the retry walk, circuit and
+// shed state, write-through, fallback accounting — is shared.
+type jobKind[K comparable, T any] struct {
+	store.Kind[K, T]
+	warmup int64 // shipped with every job of this kind (counters only)
 	// The local backend, consulted before any dispatch and written
 	// through after; both nil on a storeless front-end.
-	load  func(context.Context, K) (V, bool)
-	store func(context.Context, K, V)
+	load  func(context.Context, K) (*T, bool)
+	store func(context.Context, K, *T)
 
 	stats kindStats
 }
@@ -290,8 +288,8 @@ type RemoteBackend struct {
 	log     *slog.Logger
 	now     func() time.Time
 
-	counters jobKind[sweep.Key, *uarch.Counters]
-	cluster  jobKind[workloads.StatsKey, *workloads.Stats]
+	counters jobKind[sweep.Key, uarch.Counters]
+	cluster  jobKind[workloads.StatsKey, workloads.Stats]
 
 	rr       atomic.Int64 // round-robin cursor for replica read rotation
 	inFlight atomic.Int64
@@ -311,19 +309,13 @@ func New(opts Options, warmup int64, local store.Backend, log *slog.Logger) (*Re
 		log = slog.Default()
 	}
 	b := &RemoteBackend{
-		opts:    opts,
-		workers: make(map[string]*worker, len(opts.Workers)),
-		client:  peer.Client{APIKey: opts.APIKey, Timeout: DefaultTimeout},
-		log:     log,
-		now:     time.Now,
-		counters: jobKind[sweep.Key, *uarch.Counters]{
-			name: store.KindCounters, warmup: warmup,
-			addr: store.CountersAddr, decode: store.DecodeCounters,
-		},
-		cluster: jobKind[workloads.StatsKey, *workloads.Stats]{
-			name: store.KindCluster,
-			addr: store.ClusterAddr, decode: store.DecodeStats,
-		},
+		opts:     opts,
+		workers:  make(map[string]*worker, len(opts.Workers)),
+		client:   peer.Client{APIKey: opts.APIKey, Timeout: DefaultTimeout},
+		log:      log,
+		now:      time.Now,
+		counters: jobKind[sweep.Key, uarch.Counters]{Kind: store.Counters, warmup: warmup},
+		cluster:  jobKind[workloads.StatsKey, workloads.Stats]{Kind: store.Cluster},
 	}
 	if local != nil {
 		b.counters.load, b.counters.store = local.Load, local.Store
@@ -377,7 +369,7 @@ func (b *RemoteBackend) StoreStats(ctx context.Context, k workloads.StatsKey, st
 // then the counted fallback. The engine and the stats cache call it only
 // inside the key's memo cell, so concurrent misses for one key are already
 // one call here.
-func load[K comparable, V any](ctx context.Context, b *RemoteBackend, kd *jobKind[K, V], k K) (V, bool) {
+func load[K comparable, T any](ctx context.Context, b *RemoteBackend, kd *jobKind[K, T], k K) (*T, bool) {
 	if kd.load != nil {
 		if v, ok := kd.load(ctx, k); ok {
 			return v, true
@@ -385,30 +377,25 @@ func load[K comparable, V any](ctx context.Context, b *RemoteBackend, kd *jobKin
 	}
 	v, err := fetch(ctx, b, kd, k)
 	if err != nil {
-		var zero V
 		if ctx.Err() == nil {
 			// A cluster failure, not the caller's own cancellation (every
 			// sharer of the engine's memo cell has left, and the engine
 			// will abort rather than simulate): count the fallback.
 			kd.stats.fallbacks.Add(1)
-			b.log.Warn("dispatch failed; falling back to local simulation", "kind", kd.name, "key", k, "err", err)
+			b.log.Warn("dispatch failed; falling back to local simulation", "kind", kd.Name, "key", k, "err", err)
 		}
-		return zero, false
+		return nil, false
 	}
 	return v, true
 }
 
 // jobBody encodes one kind-tagged /v1/jobs request.
 func jobBody(kind string, key any, warmup int64) ([]byte, error) {
-	rawKey, err := json.Marshal(key)
-	if err != nil {
-		return nil, err
-	}
 	return json.Marshal(struct {
-		Kind   string          `json:"kind"`
-		Key    json.RawMessage `json:"key"`
-		Warmup int64           `json:"warmup,omitempty"`
-	}{kind, rawKey, warmup})
+		Kind   string `json:"kind"`
+		Key    any    `json:"key"`
+		Warmup int64  `json:"warmup,omitempty"`
+	}{kind, key, warmup})
 }
 
 // fetch runs one dispatched job: it walks the key's rendezvous order
@@ -423,15 +410,14 @@ func jobBody(kind string, key any, warmup int64) ([]byte, error) {
 // left, aborting the worker HTTP request so the worker sees its own
 // request context die, its simulation joiner leaves, and (if it was the
 // last) the worker's simulation stops and frees its slot.
-func fetch[K comparable, V any](ctx context.Context, b *RemoteBackend, kd *jobKind[K, V], k K) (V, error) {
-	var zero V
-	recordAddr, err := kd.addr(k)
+func fetch[K comparable, T any](ctx context.Context, b *RemoteBackend, kd *jobKind[K, T], k K) (*T, error) {
+	recordAddr, err := kd.Addr(k)
 	if err != nil {
-		return zero, err
+		return nil, err
 	}
-	body, err := jobBody(kd.name, k, kd.warmup)
+	body, err := jobBody(kd.Name, k, kd.warmup)
 	if err != nil {
-		return zero, err
+		return nil, err
 	}
 	kd.stats.dispatched.Add(1)
 	b.inFlight.Add(1)
@@ -443,7 +429,7 @@ func fetch[K comparable, V any](ctx context.Context, b *RemoteBackend, kd *jobKi
 		// timeout per key against workers already known to be dark. The
 		// cluster is probed again once a cooldown expires (healthy() turns
 		// true by itself), so recovery needs no traffic while open.
-		return zero, errors.New("every worker's circuit is open")
+		return nil, errors.New("every worker's circuit is open")
 	}
 	order = b.rotate(order)
 	if len(order) > DefaultRetries+1 {
@@ -451,7 +437,7 @@ func fetch[K comparable, V any](ctx context.Context, b *RemoteBackend, kd *jobKi
 	}
 	var errs []error
 	for _, w := range order {
-		sp := obs.Start(ctx, "dispatch", "worker", w.addr, "kind", kd.name)
+		sp := obs.Start(ctx, "dispatch", "worker", w.addr, "kind", kd.Name)
 		v, err := attempt(ctx, b, kd, w, k, body)
 		switch {
 		case err == nil:
@@ -471,31 +457,30 @@ func fetch[K comparable, V any](ctx context.Context, b *RemoteBackend, kd *jobKi
 			break // every caller left: the remaining workers are not to blame
 		}
 	}
-	return zero, errors.Join(errs...)
+	return nil, errors.Join(errs...)
 }
 
 // attempt asks one worker and verifies its answer with the store codec:
 // a garbage 200, or a well-formed record for another key, is charged to
 // the worker that produced it and fails the attempt, so a mangled record
 // never wins over a retry; a valid one resets the worker's circuit.
-func attempt[K comparable, V any](ctx context.Context, b *RemoteBackend, kd *jobKind[K, V], w *worker, k K, body []byte) (V, error) {
-	var zero V
+func attempt[K comparable, T any](ctx context.Context, b *RemoteBackend, kd *jobKind[K, T], w *worker, k K, body []byte) (*T, error) {
 	data, err := b.post(ctx, w, &kd.stats, body)
 	if err != nil {
-		return zero, err
+		return nil, err
 	}
-	gotKey, v, err := kd.decode(data)
+	gotKey, v, err := kd.Decode(data)
 	switch {
 	case err != nil:
 		err = fmt.Errorf("unverifiable response: %w", err)
 	case gotKey != k:
-		err = fmt.Errorf("response is for %s key %+v, want %+v", kd.name, gotKey, k)
+		err = fmt.Errorf("response is for %s key %+v, want %+v", kd.Name, gotKey, k)
 	default:
 		w.succeeded()
 		return v, nil
 	}
 	b.workerFailed(w, &kd.stats, err)
-	return zero, err
+	return nil, err
 }
 
 // workerFailed records one failed attempt in both ledgers at once — the
@@ -614,8 +599,8 @@ func (b *RemoteBackend) rotate(order []*worker) []*worker {
 func (b *RemoteBackend) Stats() Stats {
 	now := b.now()
 	perKind := []KindStats{
-		b.counters.stats.snapshot(b.counters.name),
-		b.cluster.stats.snapshot(b.cluster.name),
+		b.counters.stats.snapshot(b.counters.Name),
+		b.cluster.stats.snapshot(b.cluster.Name),
 	}
 	d := Stats{
 		Workers:  int64(len(b.workers)),

@@ -44,7 +44,7 @@ func testStatsKey(name string, slaves int) workloads.StatsKey {
 // content addresses.
 func counterAddr(t *testing.T, k sweep.Key) string {
 	t.Helper()
-	a, err := store.CountersAddr(k)
+	a, err := store.Counters.Addr(k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func counterAddr(t *testing.T, k sweep.Key) string {
 
 func clusterAddr(t *testing.T, k workloads.StatsKey) string {
 	t.Helper()
-	a, err := store.ClusterAddr(k)
+	a, err := store.Cluster.Addr(k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,14 +135,14 @@ func fakeWorker(t *testing.T, broken bool) (*httptest.Server, *atomic.Int64) {
 				http.Error(w, err.Error(), http.StatusBadRequest)
 				return
 			}
-			data, err = store.EncodeCounters(key, &uarch.Counters{Cycles: int64(key.Profile.Seed)})
+			data, err = store.Counters.Encode(key, &uarch.Counters{Cycles: int64(key.Profile.Seed)})
 		case store.KindCluster:
 			var key workloads.StatsKey
 			if err := json.Unmarshal(req.Key, &key); err != nil {
 				http.Error(w, err.Error(), http.StatusBadRequest)
 				return
 			}
-			data, err = store.EncodeStats(key, &workloads.Stats{Workload: key.Workload, Jobs: key.Slaves})
+			data, err = store.Cluster.Encode(key, &workloads.Stats{Workload: key.Workload, Jobs: key.Slaves})
 		default:
 			http.Error(w, "unknown kind "+req.Kind, http.StatusBadRequest)
 			return

@@ -165,10 +165,10 @@ func newFrontEnd(t *testing.T, frontStore *store.Store, workers ...string) (*htt
 	return ts, remote, shim
 }
 
-// clusterKeyCount is the number of distinct cluster experiment cells the
+// clusterCellCount is the number of distinct cluster experiment cells the
 // full endpoint walk renders: every Table I workload at the Figure 2
 // slave counts (Figure 5 and Table I reuse the 4-slave column).
-func clusterKeyCount() int { return 3 * len(workloads.All()) }
+func clusterCellCount() int { return 3 * len(workloads.All()) }
 
 // TestDistributedByteParityAndWarmRestart is the PR's acceptance walk: a
 // front-end with one worker serves every /v1 endpoint byte-identically to
@@ -204,7 +204,7 @@ func TestDistributedByteParityAndWarmRestart(t *testing.T) {
 		}
 	}
 	nkeys := len(core.Registry())
-	ncluster := clusterKeyCount()
+	ncluster := clusterCellCount()
 	if sims, _ := shim.counts(); sims != 0 {
 		t.Fatalf("front-end simulated %d sweep keys itself; the worker must do all of them", sims)
 	}
@@ -348,7 +348,7 @@ func TestConcurrentIdenticalJobsPostOnce(t *testing.T) {
 		}
 		posts.Add(1)
 		<-release // hold the job until every client is waiting on it
-		data, err := store.EncodeCounters(key, &uarch.Counters{Cycles: 42})
+		data, err := store.Counters.Encode(key, &uarch.Counters{Cycles: 42})
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
@@ -391,7 +391,7 @@ func TestConcurrentIdenticalJobsPostOnce(t *testing.T) {
 			case resp.StatusCode != http.StatusOK:
 				errs <- fmt.Errorf("status %d: %s", resp.StatusCode, data)
 			default:
-				_, c, err := store.DecodeCounters(data)
+				_, c, err := store.Counters.Decode(data)
 				if err == nil && c.Cycles != 42 {
 					err = fmt.Errorf("answer carries Cycles %d, want the worker's 42", c.Cycles)
 				}

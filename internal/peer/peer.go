@@ -2,9 +2,9 @@
 // cluster: the address-list flag value, the rendezvous order over a set of
 // addresses, and the bounded, authenticated, traced HTTP call. Dispatch
 // (-workers) and replication (-replicas) both rank by a record's content
-// address (store.CountersAddr, store.ClusterAddr) through Rank, so the
-// workers a front-end reads a key from are the nodes its record was pushed
-// to — provided both flags spell a node's address identically.
+// address (store.Kind.Addr) through Rank, so the workers a front-end reads
+// a key from are the nodes its record was pushed to — provided both flags
+// spell a node's address identically.
 package peer
 
 import (

@@ -61,11 +61,11 @@ func FuzzDigestResponse(f *testing.F) {
 		f.Fatal(err)
 	}
 	key := sweep.Key{Name: wl.Name, Profile: wl.Profile, ConfigFP: 7, MaxInstrs: 1000}
-	rec, err := store.EncodeCounters(key, &uarch.Counters{Cycles: 42, Instructions: 1000})
+	rec, err := store.Counters.Encode(key, &uarch.Counters{Cycles: 42, Instructions: 1000})
 	if err != nil {
 		f.Fatal(err)
 	}
-	addr, err := store.CountersAddr(key)
+	addr, err := store.Counters.Addr(key)
 	if err != nil {
 		f.Fatal(err)
 	}

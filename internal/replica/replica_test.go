@@ -452,23 +452,23 @@ func TestReplicaSetMatchesDispatchRotation(t *testing.T) {
 
 	const K = 6
 	registry := core.Registry()
-	counterKeys := make([]sweep.Key, K)
-	clusterKeys := make([]workloads.StatsKey, K)
+	sweepKeys := make([]sweep.Key, K)
+	statsKeys := make([]workloads.StatsKey, K)
 	want := map[any][]byte{}
 	for i := 0; i < K; i++ {
 		wl := registry[i]
-		counterKeys[i] = sweep.Key{Name: wl.Name, Profile: wl.Profile,
+		sweepKeys[i] = sweep.Key{Name: wl.Name, Profile: wl.Profile,
 			ConfigFP: opts.CoreConfig().Fingerprint(), MaxInstrs: opts.Warmup + opts.Instrs}
-		clusterKeys[i] = workloads.StatsKey{Workload: "Sort", Slaves: i + 1, Scale: opts.Scale, Seed: opts.Seed}
-		code, body := postKindJob(t, oracleAddr, store.KindCounters, counterKeys[i], opts.Warmup)
+		statsKeys[i] = workloads.StatsKey{Workload: "Sort", Slaves: i + 1, Scale: opts.Scale, Seed: opts.Seed}
+		code, body := postKindJob(t, oracleAddr, store.KindCounters, sweepKeys[i], opts.Warmup)
 		if code != http.StatusOK {
 			t.Fatalf("oracle counters job %d: status %d: %s", i, code, body)
 		}
-		want[counterKeys[i]] = body
-		if code, body = postKindJob(t, oracleAddr, store.KindCluster, clusterKeys[i], 0); code != http.StatusOK {
+		want[sweepKeys[i]] = body
+		if code, body = postKindJob(t, oracleAddr, store.KindCluster, statsKeys[i], 0); code != http.StatusOK {
 			t.Fatalf("oracle cluster job %d: status %d: %s", i, code, body)
 		}
-		want[clusterKeys[i]] = body
+		want[statsKeys[i]] = body
 	}
 	// readAll resolves every key `times` times in a row through fe (so a
 	// rotating front-end asks each of the key's replicas) and checks every
@@ -477,20 +477,20 @@ func TestReplicaSetMatchesDispatchRotation(t *testing.T) {
 		t.Helper()
 		for i := 0; i < K; i++ {
 			for n := 0; n < times; n++ {
-				c, ok := fe.Load(ctx, counterKeys[i])
+				c, ok := fe.Load(ctx, sweepKeys[i])
 				if !ok {
 					t.Fatalf("%s: counters key %d missed", pass, i)
 				}
-				if got, err := store.EncodeCounters(counterKeys[i], c); err != nil || !bytes.Equal(got, want[counterKeys[i]]) {
+				if got, err := store.Counters.Encode(sweepKeys[i], c); err != nil || !bytes.Equal(got, want[sweepKeys[i]]) {
 					t.Fatalf("%s: counters key %d differs from the single-process oracle (err=%v)", pass, i, err)
 				}
 			}
 			for n := 0; n < times; n++ {
-				st, ok := fe.LoadStats(ctx, clusterKeys[i])
+				st, ok := fe.LoadStats(ctx, statsKeys[i])
 				if !ok {
 					t.Fatalf("%s: cluster key %d missed", pass, i)
 				}
-				if got, err := store.EncodeStats(clusterKeys[i], st); err != nil || !bytes.Equal(got, want[clusterKeys[i]]) {
+				if got, err := store.Cluster.Encode(statsKeys[i], st); err != nil || !bytes.Equal(got, want[statsKeys[i]]) {
 					t.Fatalf("%s: cluster key %d differs from the single-process oracle (err=%v)", pass, i, err)
 				}
 			}

@@ -124,7 +124,7 @@ func TestAsyncJobLifecycle(t *testing.T) {
 	if rresp.StatusCode != http.StatusOK {
 		t.Fatalf("result = %d: %s", rresp.StatusCode, record)
 	}
-	if _, _, err := store.DecodeCounters(record); err != nil {
+	if _, _, err := store.Counters.Decode(record); err != nil {
 		t.Fatalf("result record does not verify: %v", err)
 	}
 	bresp, blocking := postJSON(t, ts, "/v1/jobs", jobRequest(t, store.KindCounters, key, opts.Warmup))

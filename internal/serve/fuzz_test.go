@@ -11,6 +11,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"reflect"
 	"runtime"
 	"sync/atomic"
@@ -58,18 +59,18 @@ func FuzzJobRequest(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	counterKey, err := json.Marshal(sweep.Key{Name: wl.Name, Profile: wl.Profile,
+	countersRaw, err := json.Marshal(sweep.Key{Name: wl.Name, Profile: wl.Profile,
 		ConfigFP: opts.CoreConfig().Fingerprint(), MaxInstrs: opts.Warmup + opts.Instrs})
 	if err != nil {
 		f.Fatal(err)
 	}
-	clusterKey, err := json.Marshal(workloads.StatsKey{Workload: "Sort", Slaves: 4, Scale: opts.Scale, Seed: opts.Seed})
+	clusterRaw, err := json.Marshal(workloads.StatsKey{Workload: "Sort", Slaves: 4, Scale: opts.Scale, Seed: opts.Seed})
 	if err != nil {
 		f.Fatal(err)
 	}
 	for _, req := range []JobRequest{
-		{Kind: store.KindCounters, Key: counterKey, Warmup: opts.Warmup},
-		{Kind: store.KindCluster, Key: clusterKey},
+		{Kind: store.KindCounters, Key: countersRaw, Warmup: opts.Warmup},
+		{Kind: store.KindCluster, Key: clusterRaw},
 	} {
 		if _, je := s.buildRunner(req); je != nil {
 			f.Fatalf("golden %s request refused: %d %s %s", req.Kind, je.status, je.code, je.msg)
@@ -81,7 +82,7 @@ func FuzzJobRequest(f *testing.F) {
 		f.Add(seed)
 	}
 	// The retired /v1/sweep body: a bare key and warmup, no kind.
-	f.Add([]byte(`{"key":` + string(counterKey) + `,"warmup":250000}`))
+	f.Add([]byte(`{"key":` + string(countersRaw) + `,"warmup":250000}`))
 	f.Add([]byte(`{"kind":"counters","key":{"Name":"Grep","MaxInstrs":2000000000}}`))
 	f.Add([]byte(`{"kind":"cluster","key":{"Workload":"Sort","Slaves":-1,"Scale":1e308}}`))
 	f.Add([]byte(`{"kind":"cluster","key":[1,2,3]}`))
@@ -211,16 +212,16 @@ func FuzzReplicaPush(f *testing.F) {
 	if err := st.Put(key, &uarch.Counters{Cycles: 42, Instructions: 1000}); err != nil {
 		f.Fatal(err)
 	}
-	held, err := store.EncodeCounters(key, &uarch.Counters{Cycles: 42, Instructions: 1000})
+	held, err := store.Counters.Encode(key, &uarch.Counters{Cycles: 42, Instructions: 1000})
 	if err != nil {
 		f.Fatal(err)
 	}
 	key.Profile.Seed++
-	fresh, err := store.EncodeCounters(key, &uarch.Counters{Cycles: 9, Instructions: 8})
+	fresh, err := store.Counters.Encode(key, &uarch.Counters{Cycles: 9, Instructions: 8})
 	if err != nil {
 		f.Fatal(err)
 	}
-	cluster, err := store.EncodeStats(workloads.StatsKey{Workload: "Sort", Slaves: 4, Scale: 0.01, Seed: 1},
+	cluster, err := store.Cluster.Encode(workloads.StatsKey{Workload: "Sort", Slaves: 4, Scale: 0.01, Seed: 1},
 		&workloads.Stats{Jobs: 3})
 	if err != nil {
 		f.Fatal(err)
@@ -310,4 +311,24 @@ func checksummedRecord(data []byte) bool {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d\x00%s\x00%s\x00%s", store.SchemaVersion, rec.Kind, rec.Key, rec.Payload)
 	return rec.Sum == fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestQueryGetMatchesParseQuery: the map-free scan reads the same value
+// as url.ParseQuery(raw).Get, including where ParseQuery's less obvious
+// rules decide: escaped keys and values, repeats, pairs dropped for a ';'
+// or a bad escape.
+func TestQueryGetMatchesParseQuery(t *testing.T) {
+	for _, raw := range []string{
+		"", "format=csv", "format=json", "format", "format=", "=csv", "&&format=csv&",
+		"form%61t=csv", "format=c%73v", "format=csv+x", "format+=csv",
+		"format=xml&format=csv", "a=1&format=csv&format=json",
+		"a;b&format=csv", "format=csv;x&format=json", "format;=csv",
+		"format=%zz&format=csv", "form%zzat=json&format=csv", "format=%&format=json",
+		"formats=csv", "xformat=csv", "FORMAT=csv", "format=csv=json",
+	} {
+		want, _ := url.ParseQuery(raw)
+		if got := queryGet(raw, "format"); got != want.Get("format") {
+			t.Errorf("queryGet(%q) = %q, url.ParseQuery says %q", raw, got, want.Get("format"))
+		}
+	}
 }

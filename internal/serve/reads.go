@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -160,13 +161,30 @@ func (p readPair) pick(r *http.Request) *read {
 // wantCSV is the content negotiation rule: ?format=csv|json wins, then an
 // Accept header naming text/csv; JSON is the default.
 func wantCSV(r *http.Request) bool {
-	switch r.URL.Query().Get("format") {
+	switch queryGet(r.URL.RawQuery, "format") {
 	case "csv":
 		return true
 	case "json":
 		return false
 	}
 	return strings.Contains(r.Header.Get("Accept"), "text/csv")
+}
+
+// queryGet is url.ParseQuery(raw).Get(key) without building the map: a
+// pair holding ';' or a bad escape is skipped, keys and values are
+// unescaped, and the first value wins.
+func queryGet(raw, key string) string {
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		k, v, _ := strings.Cut(pair, "=")
+		k, kerr := url.QueryUnescape(k)
+		v, verr := url.QueryUnescape(v)
+		if k == key && kerr == nil && verr == nil && !strings.Contains(pair, ";") {
+			return v
+		}
+	}
+	return ""
 }
 
 // etag derives the entity validator for an endpoint: every response is a

@@ -78,7 +78,7 @@ func (s *Server) handleReplicaDigest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusNotFound, codeNotFound, "this node has no result store")
 		return
 	}
-	if q := r.URL.Query().Get("shard"); q != "" {
+	if q := queryGet(r.URL.RawQuery, "shard"); q != "" {
 		n, err := strconv.Atoi(q)
 		if err != nil {
 			writeError(w, r, http.StatusBadRequest, codeBadRequest, "shard must be an integer")

@@ -361,13 +361,14 @@ func serveDiscarded(tb testing.TB, h http.Handler, w *discardWriter, c warmCase)
 
 // TestWarmReadAllocationBudget: a warm read of a retained body — JSON,
 // CSV or a 304 — allocates little beyond its trace and its request
-// context: no per-request ETag, key, closure, header slice or log line.
+// context: no per-request ETag, key, closure, header slice, query map or
+// log line.
 func TestWarmReadAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
 	}
 	h, cases := warmHandler(t)
-	budget := map[string]float64{"json200": 16, "csv200": 16, "304": 14}
+	budget := map[string]float64{"json200": 8, "csv200": 8, "304": 8}
 	w := &discardWriter{h: http.Header{}}
 	for _, c := range cases {
 		got := testing.AllocsPerRun(200, func() { serveDiscarded(t, h, w, c) })

@@ -26,11 +26,10 @@ import (
 // and the answer is the store's checksummed, kind-tagged record of the
 // result: the same bytes the store persists, so the caller verifies kind,
 // key and checksum with the store's own codec and can write the record
-// through untouched. A job kind is three functions handed to newRunner —
-// compute, memo peek and record encoder (a codec beside the others in
-// internal/store/wire.go) — plus its case in buildRunner; the dispatch,
-// admission, booking, async-lifecycle and observability machinery is
-// kind-agnostic.
+// through untouched. A job kind is a store.Kind and two functions handed
+// to newRunner — compute and memo peek — plus its case in buildRunner; the
+// dispatch, admission, booking, async-lifecycle and observability
+// machinery is kind-agnostic.
 //
 // By default a job blocks the request until its record is ready (the wire
 // contract every dispatch front-end speaks). With ?wait=false or
@@ -132,24 +131,24 @@ func (s *Server) buildRunner(req JobRequest) (*jobRunner, *apiError) {
 	}
 }
 
-// newRunner builds a validated job's runner from its kind's three
-// functions: compute runs the job, peek joins an in-flight or memoized
-// run of the same key (ok=false when there is none), encode writes the
-// result as the kind's store record. Failures map here, once for every
-// kind: a server shutting down or a cancelled run is 503 shutting_down,
-// anything else the sanitized 500, logged with logArgs.
-func newRunner[V any](s *Server, kind string, instrs int64, compute func(context.Context) (V, error),
-	peek func(context.Context) (V, error, bool), encode func(V) ([]byte, error), logArgs ...any) *jobRunner {
-	record := func(ctx context.Context, v V) ([]byte, *apiError) {
-		body, err := encode(v)
+// newRunner builds a validated job's runner from its record kind, its key
+// and two functions: compute runs the job, peek joins an in-flight or
+// memoized run of the same key (ok=false when there is none); the result
+// is answered as the kind's store record. Failures map here, once for
+// every kind: a server shutting down or a cancelled run is 503
+// shutting_down, anything else the sanitized 500, logged with logArgs.
+func newRunner[K comparable, T any](s *Server, kind store.Kind[K, T], key K, instrs int64, compute func(context.Context) (*T, error),
+	peek func(context.Context) (*T, error, bool), logArgs ...any) *jobRunner {
+	record := func(ctx context.Context, v *T) ([]byte, *apiError) {
+		body, err := kind.Encode(key, v)
 		if err != nil {
-			return nil, s.internal(ctx, kind+" record encode failed", err, logArgs...)
+			return nil, s.internal(ctx, kind.Name+" record encode failed", err, logArgs...)
 		}
 		return body, nil
 	}
 	shuttingDown := &apiError{http.StatusServiceUnavailable, codeShuttingDown, "worker shutting down"}
 	return &jobRunner{
-		kind:   kind,
+		kind:   kind.Name,
 		instrs: instrs,
 		exec: func(ctx context.Context) ([]byte, *apiError) {
 			if s.baseCtx.Err() != nil {
@@ -160,7 +159,7 @@ func newRunner[V any](s *Server, kind string, instrs int64, compute func(context
 				return nil, shuttingDown
 			}
 			if err != nil {
-				return nil, s.internal(ctx, "worker "+kind+" job failed", err, logArgs...)
+				return nil, s.internal(ctx, "worker "+kind.Name+" job failed", err, logArgs...)
 			}
 			return record(ctx, v)
 		},
@@ -212,7 +211,7 @@ func (s *Server) counterRunner(key sweep.Key, warmup int64) (*jobRunner, *apiErr
 			"config fingerprint mismatch: default machine at warmup %d is %016x, request wants %016x",
 			warmup, got, key.ConfigFP)}
 	}
-	return newRunner(s, store.KindCounters, instrs,
+	return newRunner(s, store.Counters, key, instrs,
 		func(ctx context.Context) (*uarch.Counters, error) {
 			// The key's profile is the trace spec (Job's uniqueness
 			// contract: name + profile identify the trace; the generator is
@@ -226,7 +225,6 @@ func (s *Server) counterRunner(key sweep.Key, warmup int64) (*jobRunner, *apiErr
 			return cs[0], nil
 		},
 		func(ctx context.Context) (*uarch.Counters, error, bool) { return s.engine.Join(ctx, key) },
-		func(c *uarch.Counters) ([]byte, error) { return store.EncodeCounters(key, c) },
 		"workload", key.Name), nil
 }
 
@@ -248,7 +246,7 @@ func (s *Server) clusterRunner(key workloads.StatsKey) (*jobRunner, *apiError) {
 		return nil, &apiError{http.StatusBadRequest, codeBadRequest,
 			fmt.Sprintf("cluster scale %g outside (0, %g]", key.Scale, maxClusterScale)}
 	}
-	return newRunner(s, store.KindCluster, 0,
+	return newRunner(s, store.Cluster, key, 0,
 		func(ctx context.Context) (*workloads.Stats, error) {
 			return s.opts.Cluster.Do(ctx, key, func(ctx context.Context) (*workloads.Stats, error) {
 				// A cluster simulation cannot be stopped mid-run (workload
@@ -262,7 +260,6 @@ func (s *Server) clusterRunner(key workloads.StatsKey) (*jobRunner, *apiError) {
 			})
 		},
 		func(ctx context.Context) (*workloads.Stats, error, bool) { return s.opts.Cluster.Join(ctx, key) },
-		func(st *workloads.Stats) ([]byte, error) { return store.EncodeStats(key, st) },
 		"workload", key.Workload, "slaves", key.Slaves), nil
 }
 
@@ -286,7 +283,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, r, ae)
 		return
 	}
-	if req.Async || r.URL.Query().Get("wait") == "false" {
+	if req.Async || queryGet(r.URL.RawQuery, "wait") == "false" {
 		s.submitAsync(w, r, run)
 		return
 	}

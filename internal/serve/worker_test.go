@@ -84,7 +84,7 @@ func TestJobsCountersEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("jobs status = %d: %s", resp.StatusCode, body)
 	}
-	gotKey, gotC, err := store.DecodeCounters(body)
+	gotKey, gotC, err := store.Counters.Decode(body)
 	if err != nil {
 		t.Fatalf("response does not verify: %v", err)
 	}
@@ -133,7 +133,7 @@ func TestJobsNeverSeenSeedsHoldNoTraceBytes(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("seed %d: status = %d: %s", seed, resp.StatusCode, body)
 		}
-		if got, _, err := store.DecodeCounters(body); err != nil || got != key {
+		if got, _, err := store.Counters.Decode(body); err != nil || got != key {
 			t.Fatalf("seed %d: answer decodes to key %+v (err %v), want the requested key", seed, got, err)
 		}
 	}
@@ -165,7 +165,7 @@ func TestJobsClusterEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("cluster job status = %d: %s", resp.StatusCode, body)
 	}
-	gotKey, gotSt, err := store.DecodeStats(body)
+	gotKey, gotSt, err := store.Cluster.Decode(body)
 	if err != nil {
 		t.Fatalf("response does not verify: %v", err)
 	}
@@ -279,7 +279,8 @@ func TestJobsRejections(t *testing.T) {
 
 // TestJobsPersist: a store-backed worker writes both job kinds' results
 // into its own store under the requested keys, so the worker's restarts
-// are warm too.
+// are warm too — and a blocking job's response is byte for byte the record
+// its store holds: the bytes on disk are the bytes on the wire.
 func TestJobsPersist(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a sweep and a cluster experiment")
@@ -304,33 +305,33 @@ func TestJobsPersist(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("counters job status = %d: %s", resp.StatusCode, body)
 	}
-	stored, ok, err := st.Get(key)
-	if err != nil || !ok {
-		t.Fatalf("worker store has no record for the served key (ok=%v err=%v)", ok, err)
-	}
-	_, served, err := store.DecodeCounters(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(stored, served) {
-		t.Fatal("stored counters diverge from the served record")
-	}
+	assertPersisted(t, st, store.Counters, key, body)
 
 	skey := workloads.StatsKey{Workload: "Grep", Slaves: 4, Scale: opts.Scale, Seed: opts.Seed}
 	resp, body = postJSON(t, ts, "/v1/jobs", jobRequest(t, store.KindCluster, skey, 0))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("cluster job status = %d: %s", resp.StatusCode, body)
 	}
-	storedSt, ok, err := st.GetClusterStats(skey)
-	if err != nil || !ok {
-		t.Fatalf("worker store has no cluster record for the served key (ok=%v err=%v)", ok, err)
+	assertPersisted(t, st, store.Cluster, skey, body)
+}
+
+// assertPersisted checks that body, a job's response, is a record of kind
+// for key and equals, byte for byte, the record st holds at key's address.
+func assertPersisted[K comparable, T any](t *testing.T, st *store.Store, kind store.Kind[K, T], key K, body []byte) {
+	t.Helper()
+	if got, _, err := kind.Decode(body); err != nil || got != key {
+		t.Fatalf("%s response decodes to key %+v (err %v), want %+v", kind.Name, got, err, key)
 	}
-	_, servedSt, err := store.DecodeStats(body)
+	addr, err := kind.Addr(key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(storedSt, servedSt) {
-		t.Fatal("stored cluster stats diverge from the served record")
+	stored, ok, err := st.GetRecord(addr)
+	if err != nil || !ok {
+		t.Fatalf("worker store has no %s record for the served key (ok=%v err=%v)", kind.Name, ok, err)
+	}
+	if !bytes.Equal(stored, body) {
+		t.Fatalf("stored %s record differs from the served one\nstored: %s\nserved: %s", kind.Name, stored, body)
 	}
 }
 

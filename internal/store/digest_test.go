@@ -110,8 +110,8 @@ func TestGetRecordAdoptRoundTrip(t *testing.T) {
 	}
 	// The address the peer plane ranks by is the address the store files
 	// the record under.
-	if a, err := store.CountersAddr(k); err != nil || a != addrs[0] {
-		t.Fatalf("CountersAddr = %q/%v, want %q", a, err, addrs[0])
+	if a, err := store.Counters.Addr(k); err != nil || a != addrs[0] {
+		t.Fatalf("Counters.Addr = %q/%v, want %q", a, err, addrs[0])
 	}
 	if _, ok, err := src.GetRecord("0123456789abcdef"); ok || err != nil {
 		t.Fatalf("GetRecord of absent addr = ok=%v err=%v, want miss", ok, err)

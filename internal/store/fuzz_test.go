@@ -13,7 +13,7 @@ import (
 // fuzzBase builds one canonical encoded record plus its parts.
 func fuzzBase(t testing.TB) (data, key, payload []byte) {
 	t.Helper()
-	k, err := counterKey(sweep.Key{
+	k, err := Counters.key(sweep.Key{
 		Name:      "Sort",
 		Profile:   memtrace.Profile{Seed: 42, MaxInstrs: 50_000, CodeKB: 128, HeapMB: 8},
 		ConfigFP:  0x1234_5678_9abc_def0,
@@ -44,7 +44,7 @@ func FuzzRecordRoundTrip(f *testing.F) {
 	f.Add("", uint64(0), int64(0), int64(-1), int64(1<<62))
 	f.Add("K-means\n\"quoted\"", uint64(1<<63), int64(-5), int64(7), int64(7))
 	f.Fuzz(func(t *testing.T, name string, seed uint64, maxInstrs, cycles, instrs int64) {
-		key, err := counterKey(sweep.Key{
+		key, err := Counters.key(sweep.Key{
 			Name:      name,
 			Profile:   memtrace.Profile{Seed: seed, MaxInstrs: maxInstrs},
 			ConfigFP:  seed ^ 0xdead_beef,

@@ -8,15 +8,12 @@ import (
 	"hash/fnv"
 )
 
-// Record kinds. The kind is part of a record's address and its checksum, so
-// two payload types can never collide into one record even if their key
-// encodings happened to match.
+// Record kind names, Counters.Name and Cluster.Name. The kind is part of a
+// record's address and its checksum, so two payload types can never
+// collide into one record even if their key encodings happened to match.
 const (
-	// KindCounters records hold uarch.Counters keyed by the sweep memo key.
 	KindCounters = "counters"
-	// KindCluster records hold workloads.Stats keyed by the cluster run key
-	// (workload, slave count, scale, seed).
-	KindCluster = "cluster"
+	KindCluster  = "cluster"
 )
 
 // record is the on-disk form of one result. Key and Payload stay raw so the

@@ -1,8 +1,12 @@
 // Package store is a persistent, content-addressed result store for
-// characterization sweeps: it persists uarch.Counters keyed by the sweep
-// memo key and workloads.Stats keyed by the cluster run key to an on-disk
-// layout with a versioned schema, so warm results survive process restarts
-// and are shared across processes.
+// characterization sweeps and cluster runs, on an on-disk layout with a
+// versioned schema, so warm results survive process restarts and are
+// shared across processes. Every record is of one Kind — Counters
+// (uarch.Counters keyed by the sweep memo key) or Cluster (workloads.Stats
+// keyed by the cluster run key) — and the Kind is the one codec: it names
+// the record, maps its key to the canonical JSON the content address is
+// hashed from, and encodes and verifies the record bytes the store
+// persists and the dispatch layer ships.
 //
 // Layout under the root directory:
 //
@@ -52,7 +56,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dcbench/internal/memtrace"
 	"dcbench/internal/obs"
 	"dcbench/internal/sweep"
 	"dcbench/internal/uarch"
@@ -421,114 +424,11 @@ func (s *Store) evict(maxBytes int64) int {
 	return evicted
 }
 
-// --- typed record APIs ---
-
-// keyJSON is sweep.Key with stable wire names; it doubles as the canonical
-// encoding the content address is hashed from. memtrace.Profile is a flat
-// struct of scalars, so its default JSON encoding is deterministic.
-type keyJSON struct {
-	Name      string           `json:"name"`
-	Profile   memtrace.Profile `json:"profile"`
-	ConfigFP  uint64           `json:"config_fp"`
-	MaxInstrs int64            `json:"max_instrs"`
-}
-
-func counterKey(k sweep.Key) ([]byte, error) {
-	canon, err := json.Marshal(keyJSON{k.Name, k.Profile, k.ConfigFP, k.MaxInstrs})
-	if err != nil {
-		return nil, fmt.Errorf("store: encode key: %w", err)
-	}
-	return canon, nil
-}
-
-// CountersAddr is the content address of k's counters record — what the
-// peer plane ranks nodes by (peer.Rank).
-func CountersAddr(k sweep.Key) (string, error) {
-	key, err := counterKey(k)
-	if err != nil {
-		return "", err
-	}
-	return formatAddr(addrHash(KindCounters, key)), nil
-}
-
 // Get loads the counters stored under k.
-func (s *Store) Get(k sweep.Key) (*uarch.Counters, bool, error) {
-	key, err := counterKey(k)
-	if err != nil {
-		return nil, false, err
-	}
-	var c uarch.Counters
-	ok, err := s.get(KindCounters, key, &c)
-	if !ok || err != nil {
-		return nil, false, err
-	}
-	return &c, true, nil
-}
+func (s *Store) Get(k sweep.Key) (*uarch.Counters, bool, error) { return Counters.get(s, k) }
 
 // Put persists counters under k, atomically replacing any prior record.
-func (s *Store) Put(k sweep.Key, c *uarch.Counters) error {
-	key, err := counterKey(k)
-	if err != nil {
-		return err
-	}
-	payload, err := json.Marshal(c)
-	if err != nil {
-		return fmt.Errorf("store: encode counters: %w", err)
-	}
-	return s.put(KindCounters, key, payload)
-}
-
-// statsKeyJSON is workloads.StatsKey with stable wire names.
-type statsKeyJSON struct {
-	Workload string  `json:"workload"`
-	Slaves   int     `json:"slaves"`
-	Scale    float64 `json:"scale"`
-	Seed     uint64  `json:"seed"`
-}
-
-func clusterKey(k workloads.StatsKey) ([]byte, error) {
-	canon, err := json.Marshal(statsKeyJSON{k.Workload, k.Slaves, k.Scale, k.Seed})
-	if err != nil {
-		return nil, fmt.Errorf("store: encode cluster key: %w", err)
-	}
-	return canon, nil
-}
-
-// ClusterAddr is CountersAddr for a cluster experiment key.
-func ClusterAddr(k workloads.StatsKey) (string, error) {
-	key, err := clusterKey(k)
-	if err != nil {
-		return "", err
-	}
-	return formatAddr(addrHash(KindCluster, key)), nil
-}
-
-// GetClusterStats loads the cluster run stats stored under k.
-func (s *Store) GetClusterStats(k workloads.StatsKey) (*workloads.Stats, bool, error) {
-	key, err := clusterKey(k)
-	if err != nil {
-		return nil, false, err
-	}
-	var st workloads.Stats
-	ok, err := s.get(KindCluster, key, &st)
-	if !ok || err != nil {
-		return nil, false, err
-	}
-	return &st, true, nil
-}
-
-// PutClusterStats persists one cluster run's stats under k.
-func (s *Store) PutClusterStats(k workloads.StatsKey, st *workloads.Stats) error {
-	key, err := clusterKey(k)
-	if err != nil {
-		return err
-	}
-	payload, err := json.Marshal(st)
-	if err != nil {
-		return fmt.Errorf("store: encode stats: %w", err)
-	}
-	return s.put(KindCluster, key, payload)
-}
+func (s *Store) Put(k sweep.Key, c *uarch.Counters) error { return Counters.put(s, k, c) }
 
 // --- backend adapter ---
 
@@ -556,41 +456,38 @@ type backend struct {
 }
 
 func (b *backend) Load(ctx context.Context, k sweep.Key) (*uarch.Counters, bool) {
-	sp := obs.Start(ctx, "store.read", "workload", k.Name)
-	c, ok, err := b.s.Get(k)
-	sp.End("hit", strconv.FormatBool(ok && err == nil))
-	if err != nil {
-		b.log.Warn("store load failed; re-simulating", "workload", k.Name, "err", err)
-		return nil, false
-	}
-	return c, ok
+	return load(ctx, b, Counters, k)
 }
-
 func (b *backend) Store(ctx context.Context, k sweep.Key, c *uarch.Counters) {
-	sp := obs.Start(ctx, "store.write", "workload", k.Name)
-	err := b.s.Put(k, c)
-	sp.End()
-	if err != nil {
-		b.log.Warn("store put failed; result not persisted", "workload", k.Name, "err", err)
-	}
+	save(ctx, b, Counters, k, c)
+}
+func (b *backend) LoadStats(ctx context.Context, k workloads.StatsKey) (*workloads.Stats, bool) {
+	return load(ctx, b, Cluster, k)
+}
+func (b *backend) StoreStats(ctx context.Context, k workloads.StatsKey, st *workloads.Stats) {
+	save(ctx, b, Cluster, k, st)
 }
 
-func (b *backend) LoadStats(ctx context.Context, k workloads.StatsKey) (*workloads.Stats, bool) {
-	sp := obs.Start(ctx, "store.read", "workload", k.Workload)
-	st, ok, err := b.s.GetClusterStats(k)
+// load is every backend read: a store error is logged and reported as a
+// miss, so the caller recomputes.
+func load[K comparable, T any](ctx context.Context, b *backend, kind Kind[K, T], k K) (*T, bool) {
+	sp := obs.Start(ctx, "store.read", "kind", kind.Name)
+	v, ok, err := kind.get(b.s, k)
 	sp.End("hit", strconv.FormatBool(ok && err == nil))
 	if err != nil {
-		b.log.Warn("store load failed; re-running cluster experiment", "workload", k.Workload, "err", err)
+		b.log.Warn("store load failed; recomputing", "kind", kind.Name, "key", k, "err", err)
 		return nil, false
 	}
-	return st, ok
+	return v, ok
 }
 
-func (b *backend) StoreStats(ctx context.Context, k workloads.StatsKey, st *workloads.Stats) {
-	sp := obs.Start(ctx, "store.write", "workload", k.Workload)
-	err := b.s.PutClusterStats(k, st)
+// save is every backend write: a store error is logged and the result
+// stays unpersisted.
+func save[K comparable, T any](ctx context.Context, b *backend, kind Kind[K, T], k K, v *T) {
+	sp := obs.Start(ctx, "store.write", "kind", kind.Name)
+	err := kind.put(b.s, k, v)
 	sp.End()
 	if err != nil {
-		b.log.Warn("store put failed; cluster stats not persisted", "workload", k.Workload, "err", err)
+		b.log.Warn("store put failed; result not persisted", "kind", kind.Name, "key", k, "err", err)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -16,7 +15,6 @@ import (
 	"dcbench/internal/store"
 	"dcbench/internal/sweep"
 	"dcbench/internal/uarch"
-	"dcbench/internal/workloads"
 )
 
 func testKey(name string, seed uint64) sweep.Key {
@@ -602,87 +600,5 @@ func TestOpenCleansStaleTempFiles(t *testing.T) {
 	}
 	if n := s2.Len(); n != 1 {
 		t.Fatalf("Len = %d, want temp files never counted as records", n)
-	}
-}
-
-func TestClusterStatsRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	s, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := workloads.StatsKey{Workload: "Sort", Slaves: 4, Scale: 0.004, Seed: 42}
-	want := &workloads.Stats{
-		Workload: "Sort", Slaves: 4, Makespan: 123.456, Jobs: 3,
-		InputSimBytes: 1 << 30, DiskWriteOps: 777, DiskWriteBytes: 1 << 20,
-		NetBytes: 42, CoreSeconds: 9.875,
-		Quality: map[string]float64{"sorted_fraction": 1},
-	}
-	if _, ok, err := s.GetClusterStats(k); err != nil || ok {
-		t.Fatalf("empty GetClusterStats = ok=%v err=%v", ok, err)
-	}
-	if err := s.PutClusterStats(k, want); err != nil {
-		t.Fatal(err)
-	}
-	// Counters and cluster records share the store but never each other's
-	// namespace.
-	if _, ok, _ := s.Get(testKey("Sort", 42)); ok {
-		t.Fatal("a cluster record answered a counters Get")
-	}
-	s.Close()
-	s2, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	got, ok, err := s2.GetClusterStats(k)
-	if err != nil || !ok {
-		t.Fatalf("GetClusterStats after reopen: ok=%v err=%v", ok, err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("GetClusterStats = %+v, want %+v", got, want)
-	}
-	if _, ok, _ := s2.GetClusterStats(workloads.StatsKey{Workload: "Sort", Slaves: 8, Scale: 0.004, Seed: 42}); ok {
-		t.Fatal("GetClusterStats hit the wrong slave count")
-	}
-}
-
-// TestStatsBackendRoundTrip pins the store adapter's cluster half and its
-// interplay with the StatsCache: a fresh cache over a warm store loads
-// every run from disk instead of re-running.
-func TestStatsBackendRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	s, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	b := s.Backend(quietLog(t))
-	k := workloads.StatsKey{Workload: "Grep", Slaves: 4, Scale: 0.01, Seed: 7}
-	ran := 0
-	run := func(context.Context) (*workloads.Stats, error) {
-		ran++
-		return &workloads.Stats{Workload: "Grep", Slaves: 4, Makespan: 5}, nil
-	}
-	cold := workloads.NewStatsCache(b)
-	if _, err := cold.Do(context.Background(), k, run); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cold.Do(context.Background(), k, run); err != nil {
-		t.Fatal(err)
-	}
-	if ran != 1 {
-		t.Fatalf("cold cache ran %d times, want 1", ran)
-	}
-	warm := workloads.NewStatsCache(b) // the restart: fresh L1, same store
-	st, err := warm.Do(context.Background(), k, run)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ran != 1 {
-		t.Fatalf("warm cache re-ran the experiment (%d runs)", ran)
-	}
-	if st.Makespan != 5 {
-		t.Fatalf("warm stats = %+v", st)
 	}
 }
