@@ -354,7 +354,7 @@ func BenchmarkSweepParallel4(b *testing.B) { benchSweep(b, 4) }
 func BenchmarkClusterWordCount(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		env := workloads.NewEnv(4, 0.005, 7)
-		if _, err := workloads.WordCountWorkload().Run(env); err != nil {
+		if _, err := workloads.ByName("WordCount").Run(env); err != nil {
 			b.Fatal(err)
 		}
 	}

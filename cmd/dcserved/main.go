@@ -50,7 +50,7 @@
 //	                       256 MiB; 0 = the default, there is no unlimited)
 //	-max-inflight n        bound concurrent compute jobs; excess shed 429 (0 = unlimited)
 //	-workers host:port,...     dispatch job misses to these dcserved workers; each
-//	                           attempt gets dispatch.DefaultTimeout (2m), and a failed
+//	                           attempt gets a fixed 2m timeout, and a failed
 //	                           attempt retries on the next two workers
 //	-dispatch-api-key k        bearer key presented to keyed workers; tenant ids are
 //	                           forwarded beside it in X-Dcs-Tenant either way
@@ -87,7 +87,7 @@
 // job) releases its share of the computation, and the simulation itself
 // stops only when the last sharer is gone.
 //
-// The store is sharded on disk (store.DefaultShards, a constant) and always
+// The store is sharded on disk (16 shards, a constant) and always
 // byte-bounded: /v1/jobs keys are client-chosen, so an unbounded store
 // would be disk any client can fill. Both sweep counters and the cluster-experiment stats (Figures
 // 2/5, Table I) persist, so a restarted server re-simulates nothing that is

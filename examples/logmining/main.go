@@ -14,10 +14,8 @@ import (
 func main() {
 	const scale = 0.01
 	fmt.Println("Log mining at cluster sizes 1, 2, 4, 8 (simulated):")
-	for _, w := range []*workloads.Workload{
-		workloads.GrepWorkload(),
-		workloads.WordCountWorkload(),
-	} {
+	for _, name := range []string{"Grep", "WordCount"} {
+		w := workloads.ByName(name)
 		fmt.Printf("\n%s (%.0f GB input at scale 1):\n", w.Name, w.InputGB)
 		var base float64
 		for _, slaves := range []int{1, 2, 4, 8} {

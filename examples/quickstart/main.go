@@ -15,7 +15,7 @@ import (
 func main() {
 	// --- Cluster level: WordCount on four slaves, 1% of the paper's input ---
 	env := workloads.NewEnv(4, 0.01, 42)
-	wc := workloads.WordCountWorkload()
+	wc := workloads.ByName("WordCount")
 	stats, err := wc.Run(env)
 	if err != nil {
 		log.Fatal(err)

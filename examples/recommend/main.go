@@ -48,7 +48,7 @@ func main() {
 
 	// The same algorithm as the paper's three-job MapReduce pipeline.
 	env := workloads.NewEnv(4, 0.005, 99)
-	st, err := workloads.IBCFWorkload().Run(env)
+	st, err := workloads.ByName("IBCF").Run(env)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -34,32 +34,6 @@ func NewHMM(states, symbols int) *HMM {
 	return h
 }
 
-// TrainSupervised estimates the model from observation/state pairs by
-// smoothed maximum likelihood counting — the map-side of the distributed
-// trainer counts, the reduce-side normalises.
-func TrainSupervised(states, symbols int, seqs [][]int, paths [][]int) *HMM {
-	h := NewHMM(states, symbols)
-	pi := make([]float64, states)
-	a := make([][]float64, states)
-	b := make([][]float64, states)
-	for s := range a {
-		a[s] = make([]float64, states)
-		b[s] = make([]float64, symbols)
-	}
-	for i, obs := range seqs {
-		path := paths[i]
-		pi[path[0]]++
-		for t, o := range obs {
-			b[path[t]][o]++
-			if t > 0 {
-				a[path[t-1]][path[t]]++
-			}
-		}
-	}
-	h.SetFromCounts(pi, a, b)
-	return h
-}
-
 // SetFromCounts loads the model from raw counts with add-one smoothing.
 func (h *HMM) SetFromCounts(pi []float64, a, b [][]float64) {
 	var piSum float64
@@ -124,45 +98,4 @@ func (h *HMM) Viterbi(obs []int) ([]int, float64) {
 		path[t-1] = back[t][path[t]]
 	}
 	return path, bestLP
-}
-
-// LogLikelihood computes the forward-algorithm log-likelihood of obs.
-func (h *HMM) LogLikelihood(obs []int) float64 {
-	n := len(obs)
-	if n == 0 {
-		return 0
-	}
-	alpha := make([]float64, h.States)
-	for s := 0; s < h.States; s++ {
-		alpha[s] = h.LogPi[s] + h.LogB[s][obs[0]]
-	}
-	next := make([]float64, h.States)
-	for t := 1; t < n; t++ {
-		for s := 0; s < h.States; s++ {
-			acc := math.Inf(-1)
-			for q := 0; q < h.States; q++ {
-				acc = logAdd(acc, alpha[q]+h.LogA[q][s])
-			}
-			next[s] = acc + h.LogB[s][obs[t]]
-		}
-		alpha, next = next, alpha
-	}
-	total := math.Inf(-1)
-	for s := 0; s < h.States; s++ {
-		total = logAdd(total, alpha[s])
-	}
-	return total
-}
-
-func logAdd(a, b float64) float64 {
-	if math.IsInf(a, -1) {
-		return b
-	}
-	if math.IsInf(b, -1) {
-		return a
-	}
-	if a < b {
-		a, b = b, a
-	}
-	return a + math.Log1p(math.Exp(b-a))
 }

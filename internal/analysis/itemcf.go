@@ -88,8 +88,8 @@ func (cf *ItemCF) Cosine(a, b int) float64 {
 	return dot / (math.Sqrt(na) * math.Sqrt(nb))
 }
 
-// Items returns all item ids in ascending order.
-func (cf *ItemCF) Items() []int {
+// items returns all item ids in ascending order.
+func (cf *ItemCF) items() []int {
 	items := make([]int, 0, len(cf.byItem))
 	for it := range cf.byItem {
 		items = append(items, it)
@@ -98,14 +98,14 @@ func (cf *ItemCF) Items() []int {
 	return items
 }
 
-// Similar returns the top-K most similar items to item, computing and
+// similar returns the top-K most similar items to item, computing and
 // caching the list on first use.
-func (cf *ItemCF) Similar(item int) []ItemSim {
+func (cf *ItemCF) similar(item int) []ItemSim {
 	if s, ok := cf.sims[item]; ok {
 		return s
 	}
 	var list []ItemSim
-	for _, other := range cf.Items() {
+	for _, other := range cf.items() {
 		if other == item {
 			continue
 		}
@@ -134,7 +134,7 @@ func (cf *ItemCF) Predict(user, item int) (float64, bool) {
 		return 0, false
 	}
 	var num, den float64
-	for _, is := range cf.Similar(item) {
+	for _, is := range cf.similar(item) {
 		if r, ok := urs[is.Item]; ok {
 			num += is.Sim * r
 			den += is.Sim
@@ -150,7 +150,7 @@ func (cf *ItemCF) Predict(user, item int) (float64, bool) {
 func (cf *ItemCF) Recommend(user, n int) []ItemSim {
 	urs := cf.byUser[user]
 	var recs []ItemSim
-	for _, item := range cf.Items() {
+	for _, item := range cf.items() {
 		if _, seen := urs[item]; seen {
 			continue
 		}

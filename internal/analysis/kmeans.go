@@ -2,8 +2,8 @@ package analysis
 
 import "math"
 
-// SquaredDistance returns the squared Euclidean distance between a and b.
-func SquaredDistance(a, b []float64) float64 {
+// squaredDistance returns the squared Euclidean distance between a and b.
+func squaredDistance(a, b []float64) float64 {
 	s := 0.0
 	for i := range a {
 		d := a[i] - b[i]
@@ -17,7 +17,7 @@ func SquaredDistance(a, b []float64) float64 {
 func NearestCentroid(p []float64, centroids [][]float64) (int, float64) {
 	best, bestD := 0, math.Inf(1)
 	for c, cen := range centroids {
-		if d := SquaredDistance(p, cen); d < bestD {
+		if d := squaredDistance(p, cen); d < bestD {
 			best, bestD = c, d
 		}
 	}
@@ -59,30 +59,6 @@ func KMeansStep(points, centroids [][]float64) (next [][]float64, assign []int, 
 	return next, assign, cost
 }
 
-// KMeans runs Lloyd's algorithm from the first k points until the objective
-// improves by less than tol or maxIters is reached. It returns centroids,
-// the final assignment and the iteration count.
-func KMeans(points [][]float64, k, maxIters int, tol float64) ([][]float64, []int, int) {
-	if k <= 0 || len(points) < k {
-		panic("analysis: KMeans needs at least k points")
-	}
-	centroids := make([][]float64, k)
-	for i := range centroids {
-		centroids[i] = append([]float64(nil), points[i]...)
-	}
-	prev := math.Inf(1)
-	var assign []int
-	for it := 1; it <= maxIters; it++ {
-		var cost float64
-		centroids, assign, cost = KMeansStep(points, centroids)
-		if prev-cost < tol {
-			return centroids, assign, it
-		}
-		prev = cost
-	}
-	return centroids, assign, maxIters
-}
-
 // FuzzyKMeansStep performs one fuzzy C-means iteration with fuzziness m:
 // soft memberships u_ic ∝ (1/d_ic)^(1/(m-1)), centroids as membership-
 // weighted means. Returns new centroids, the membership matrix and the
@@ -99,7 +75,7 @@ func FuzzyKMeansStep(points, centroids [][]float64, m float64) ([][]float64, [][
 		// distance centroid.
 		hit := -1
 		for c := range centroids {
-			if d := SquaredDistance(p, centroids[c]); d == 0 {
+			if d := squaredDistance(p, centroids[c]); d == 0 {
 				hit = c
 				break
 			}
@@ -109,7 +85,7 @@ func FuzzyKMeansStep(points, centroids [][]float64, m float64) ([][]float64, [][
 		} else {
 			sum := 0.0
 			for c := range centroids {
-				w := math.Pow(1/SquaredDistance(p, centroids[c]), exp)
+				w := math.Pow(1/squaredDistance(p, centroids[c]), exp)
 				u[c] = w
 				sum += w
 			}
@@ -119,7 +95,7 @@ func FuzzyKMeansStep(points, centroids [][]float64, m float64) ([][]float64, [][
 		}
 		memb[i] = u
 		for c := range centroids {
-			cost += math.Pow(u[c], m) * SquaredDistance(p, centroids[c])
+			cost += math.Pow(u[c], m) * squaredDistance(p, centroids[c])
 		}
 	}
 	next := make([][]float64, k)
@@ -142,23 +118,4 @@ func FuzzyKMeansStep(points, centroids [][]float64, m float64) ([][]float64, [][
 		}
 	}
 	return next, memb, cost
-}
-
-// FuzzyKMeans iterates fuzzy C-means until the objective stabilises.
-func FuzzyKMeans(points [][]float64, k int, m float64, maxIters int, tol float64) ([][]float64, [][]float64, int) {
-	centroids := make([][]float64, k)
-	for i := range centroids {
-		centroids[i] = append([]float64(nil), points[i]...)
-	}
-	prev := math.Inf(1)
-	var memb [][]float64
-	for it := 1; it <= maxIters; it++ {
-		var cost float64
-		centroids, memb, cost = FuzzyKMeansStep(points, centroids, m)
-		if math.Abs(prev-cost) < tol {
-			return centroids, memb, it
-		}
-		prev = cost
-	}
-	return centroids, memb, maxIters
 }

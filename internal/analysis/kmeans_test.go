@@ -10,7 +10,7 @@ import (
 
 func TestKMeansRecoversClusters(t *testing.T) {
 	pts, labels := datagen.Vectors(5, 400, 6, 3)
-	centroids, assign, iters := KMeans(pts, 3, 50, 1e-6)
+	centroids, assign, iters := kMeans(pts, 3, 50, 1e-6)
 	if iters < 1 {
 		t.Fatal("no iterations")
 	}
@@ -90,7 +90,7 @@ func TestKMeansPanicsOnTooFewPoints(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	KMeans([][]float64{{1}}, 2, 5, 0)
+	kMeans([][]float64{{1}}, 2, 5, 0)
 }
 
 func TestFuzzyMembershipsSumToOne(t *testing.T) {
@@ -118,7 +118,7 @@ func TestFuzzyMembershipsSumToOne(t *testing.T) {
 
 func TestFuzzyKMeansConvergesToHardClustersOnSeparatedData(t *testing.T) {
 	pts, _ := datagen.Vectors(3, 300, 4, 2)
-	_, memb, _ := FuzzyKMeans(pts, 2, 2.0, 40, 1e-9)
+	_, memb, _ := fuzzyKMeans(pts, 2, 2.0, 40, 1e-9)
 	// On well-separated data most memberships should be decisive.
 	decisive := 0
 	for _, u := range memb {
@@ -151,4 +151,47 @@ func TestNearestCentroid(t *testing.T) {
 	if math.Abs(d-2) > 1e-12 {
 		t.Fatalf("distance = %v, want 2", d)
 	}
+}
+
+// kMeans runs Lloyd's algorithm from the first k points until the objective
+// improves by less than tol or maxIters is reached. It returns centroids,
+// the final assignment and the iteration count.
+func kMeans(points [][]float64, k, maxIters int, tol float64) ([][]float64, []int, int) {
+	if k <= 0 || len(points) < k {
+		panic("analysis: KMeans needs at least k points")
+	}
+	centroids := make([][]float64, k)
+	for i := range centroids {
+		centroids[i] = append([]float64(nil), points[i]...)
+	}
+	prev := math.Inf(1)
+	var assign []int
+	for it := 1; it <= maxIters; it++ {
+		var cost float64
+		centroids, assign, cost = KMeansStep(points, centroids)
+		if prev-cost < tol {
+			return centroids, assign, it
+		}
+		prev = cost
+	}
+	return centroids, assign, maxIters
+}
+
+// fuzzyKMeans iterates fuzzy C-means until the objective stabilises.
+func fuzzyKMeans(points [][]float64, k int, m float64, maxIters int, tol float64) ([][]float64, [][]float64, int) {
+	centroids := make([][]float64, k)
+	for i := range centroids {
+		centroids[i] = append([]float64(nil), points[i]...)
+	}
+	prev := math.Inf(1)
+	var memb [][]float64
+	for it := 1; it <= maxIters; it++ {
+		var cost float64
+		centroids, memb, cost = FuzzyKMeansStep(points, centroids, m)
+		if math.Abs(prev-cost) < tol {
+			return centroids, memb, it
+		}
+		prev = cost
+	}
+	return centroids, memb, maxIters
 }

@@ -83,7 +83,7 @@ func TestItemCFSimilarCapped(t *testing.T) {
 			cf.Add(u, it, float64(1+(u+it)%5))
 		}
 	}
-	if got := len(cf.Similar(0)); got > 3 {
+	if got := len(cf.similar(0)); got > 3 {
 		t.Fatalf("similar list = %d, want <= 3", got)
 	}
 }
@@ -92,7 +92,7 @@ func TestItemCFSimilarCapped(t *testing.T) {
 
 func TestViterbiRecoversStickyPath(t *testing.T) {
 	obs, hidden := datagen.ObservationSeq(8, 3, 30, 2000)
-	h := TrainSupervised(3, 30, [][]int{obs}, [][]int{hidden})
+	h := trainSupervised(3, 30, [][]int{obs}, [][]int{hidden})
 	path, _ := h.Viterbi(obs)
 	right := 0
 	for i := range path {
@@ -132,7 +132,7 @@ func TestViterbiPathAtLeastAsLikelyAsTruth(t *testing.T) {
 	// Property: the Viterbi path's joint log-prob >= the true path's.
 	if err := quick.Check(func(seed uint64) bool {
 		obs, hidden := datagen.ObservationSeq(seed, 3, 12, 60)
-		h := TrainSupervised(3, 12, [][]int{obs}, [][]int{hidden})
+		h := trainSupervised(3, 12, [][]int{obs}, [][]int{hidden})
 		path, lp := h.Viterbi(obs)
 		return lp >= h.jointLogProb(obs, hidden)-1e-9 && len(path) == len(obs)
 	}, &quick.Config{MaxCount: 20}); err != nil {
@@ -142,9 +142,9 @@ func TestViterbiPathAtLeastAsLikelyAsTruth(t *testing.T) {
 
 func TestForwardLikelihoodGEViterbi(t *testing.T) {
 	obs, hidden := datagen.ObservationSeq(4, 3, 20, 100)
-	h := TrainSupervised(3, 20, [][]int{obs}, [][]int{hidden})
+	h := trainSupervised(3, 20, [][]int{obs}, [][]int{hidden})
 	_, viterbiLP := h.Viterbi(obs)
-	if total := h.LogLikelihood(obs); total < viterbiLP-1e-9 {
+	if total := h.logLikelihood(obs); total < viterbiLP-1e-9 {
 		t.Fatalf("forward LL %v < viterbi %v", total, viterbiLP)
 	}
 }
@@ -170,7 +170,7 @@ func (h *HMM) jointLogProb(obs, path []int) float64 {
 func TestPageRankSumsToOne(t *testing.T) {
 	if err := quick.Check(func(seed uint64) bool {
 		g := datagen.WebGraph(seed, 150, 3)
-		ranks, _ := PageRank(g, 0.85, 50, 1e-10)
+		ranks, _ := pageRank(g, 0.85, 50, 1e-10)
 		sum := 0.0
 		for _, r := range ranks {
 			if r < 0 {
@@ -186,7 +186,7 @@ func TestPageRankSumsToOne(t *testing.T) {
 
 func TestPageRankHubsRankHigher(t *testing.T) {
 	g := datagen.WebGraph(2, 500, 4)
-	ranks, _ := PageRank(g, 0.85, 100, 1e-12)
+	ranks, _ := pageRank(g, 0.85, 100, 1e-12)
 	indeg := make([]int, len(g))
 	for _, outs := range g {
 		for _, t2 := range outs {
@@ -213,7 +213,7 @@ func TestPageRankHubsRankHigher(t *testing.T) {
 
 func TestPageRankConvergesOnCycle(t *testing.T) {
 	g := [][]int{{1}, {2}, {0}}
-	ranks, iters := PageRank(g, 0.85, 200, 1e-12)
+	ranks, iters := pageRank(g, 0.85, 200, 1e-12)
 	for _, r := range ranks {
 		if math.Abs(r-1.0/3) > 1e-6 {
 			t.Fatalf("cycle ranks = %v, want uniform", ranks)
@@ -281,7 +281,7 @@ func TestHashFeaturesUnitNorm(t *testing.T) {
 }
 
 // refHashFeatures is HashFeatures as it was before it became
-// BucketFeatures over HashBuckets, kept verbatim as the oracle.
+// bucketFeatures over HashBuckets, kept verbatim as the oracle.
 func refHashFeatures(tokens []string, dim int) []float64 {
 	v := make([]float64, dim)
 	for _, t := range tokens {
@@ -315,14 +315,14 @@ func TestBucketFeaturesMatchHashFeatures(t *testing.T) {
 		for doc := 0; doc < 20; doc++ {
 			tokens := Tokenize(c.HTMLPage(1, 15) + " " + c.LabeledSentence(doc%2, 2, 40))
 			for _, dim := range []int{1, 7, 256, 1 << 16} {
-				got, want := BucketFeatures(HashBuckets(tokens, dim), dim), refHashFeatures(tokens, dim)
+				got, want := bucketFeatures(HashBuckets(tokens, dim), dim), refHashFeatures(tokens, dim)
 				if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(HashFeatures(tokens, dim), want) {
 					t.Fatalf("seed %d doc %d dim %d: features differ from the reference", seed, doc, dim)
 				}
 			}
 		}
 	}
-	if got := BucketFeatures(HashBuckets(nil, 8), 8); !reflect.DeepEqual(got, make([]float64, 8)) {
+	if got := bucketFeatures(HashBuckets(nil, 8), 8); !reflect.DeepEqual(got, make([]float64, 8)) {
 		t.Fatalf("no tokens: %v, want zeros", got)
 	}
 	defer func() {
@@ -333,9 +333,91 @@ func TestBucketFeaturesMatchHashFeatures(t *testing.T) {
 	HashBuckets([]string{"a"}, 1<<16+1)
 }
 
-func TestTermFrequencies(t *testing.T) {
-	tf := TermFrequencies([]string{"a", "b", "a"})
-	if tf["a"] != 2 || tf["b"] != 1 {
-		t.Fatalf("tf = %v", tf)
+// trainSupervised is the serial trainer the HMM tests build models with:
+// smoothed maximum-likelihood counts over observation/state pairs, loaded
+// through SetFromCounts as the distributed trainer's reduce side does.
+func trainSupervised(states, symbols int, seqs [][]int, paths [][]int) *HMM {
+	h := NewHMM(states, symbols)
+	pi := make([]float64, states)
+	a := make([][]float64, states)
+	b := make([][]float64, states)
+	for s := range a {
+		a[s] = make([]float64, states)
+		b[s] = make([]float64, symbols)
 	}
+	for i, obs := range seqs {
+		path := paths[i]
+		pi[path[0]]++
+		for t, o := range obs {
+			b[path[t]][o]++
+			if t > 0 {
+				a[path[t-1]][path[t]]++
+			}
+		}
+	}
+	h.SetFromCounts(pi, a, b)
+	return h
+}
+
+// logLikelihood computes the forward-algorithm log-likelihood of obs.
+func (h *HMM) logLikelihood(obs []int) float64 {
+	n := len(obs)
+	if n == 0 {
+		return 0
+	}
+	alpha := make([]float64, h.States)
+	for s := 0; s < h.States; s++ {
+		alpha[s] = h.LogPi[s] + h.LogB[s][obs[0]]
+	}
+	next := make([]float64, h.States)
+	for t := 1; t < n; t++ {
+		for s := 0; s < h.States; s++ {
+			acc := math.Inf(-1)
+			for q := 0; q < h.States; q++ {
+				acc = logAdd(acc, alpha[q]+h.LogA[q][s])
+			}
+			next[s] = acc + h.LogB[s][obs[t]]
+		}
+		alpha, next = next, alpha
+	}
+	total := math.Inf(-1)
+	for s := 0; s < h.States; s++ {
+		total = logAdd(total, alpha[s])
+	}
+	return total
+}
+
+func logAdd(a, b float64) float64 {
+	if math.IsInf(a, -1) {
+		return b
+	}
+	if math.IsInf(b, -1) {
+		return a
+	}
+	if a < b {
+		a, b = b, a
+	}
+	return a + math.Log1p(math.Exp(b-a))
+}
+
+// pageRank iterates until the L1 change is below tol or maxIters is
+// reached, returning the ranks and the iteration count.
+func pageRank(adj [][]int, d float64, maxIters int, tol float64) ([]float64, int) {
+	n := len(adj)
+	ranks := make([]float64, n)
+	for i := range ranks {
+		ranks[i] = 1 / float64(n)
+	}
+	for it := 1; it <= maxIters; it++ {
+		next := PageRankStep(adj, ranks, d)
+		delta := 0.0
+		for i := range next {
+			delta += math.Abs(next[i] - ranks[i])
+		}
+		ranks = next
+		if delta < tol {
+			return ranks, it
+		}
+	}
+	return ranks, maxIters
 }

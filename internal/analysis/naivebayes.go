@@ -4,7 +4,9 @@
 // filtering, a hidden Markov model with Viterbi decoding, PageRank and text
 // utilities. These are the library equivalents of the Mahout/Hadoop-example
 // implementations the paper measures; internal/workloads distributes them
-// over the MapReduce engine.
+// over the MapReduce engine. The iterative algorithms are exported as their
+// per-iteration steps, which the workloads drive; the whole-run loops live
+// in this package's tests as the references the steps are checked against.
 package analysis
 
 import "math"
@@ -47,39 +49,6 @@ func (nb *NaiveBayes) wordID(w string, grow bool) (int, bool) {
 	return id, true
 }
 
-// Observe adds one labelled document (a bag of words) to the model.
-func (nb *NaiveBayes) Observe(words []string, class int) {
-	nb.classDocs[class]++
-	nb.totalDocs++
-	for _, w := range words {
-		id, _ := nb.wordID(w, true)
-		nb.wordCounts[class][id]++
-		nb.classWords[class]++
-	}
-}
-
-// Merge folds another partial model into nb, enabling distributed training:
-// each map task trains on its shard and the reduce side merges. Both models
-// must have been built with the same class count.
-func (nb *NaiveBayes) Merge(other *NaiveBayes) {
-	if other.Classes != nb.Classes {
-		panic("analysis: merging NaiveBayes with different class counts")
-	}
-	nb.totalDocs += other.totalDocs
-	for c := 0; c < nb.Classes; c++ {
-		nb.classDocs[c] += other.classDocs[c]
-		nb.classWords[c] += other.classWords[c]
-		for w, id := range other.Vocab {
-			n := other.wordCounts[c][id]
-			if n == 0 {
-				continue
-			}
-			myID, _ := nb.wordID(w, true)
-			nb.wordCounts[c][myID] += n
-		}
-	}
-}
-
 // AddClassDocs loads a pre-aggregated document count for a class, as the
 // distributed trainer's reduce output supplies it.
 func (nb *NaiveBayes) AddClassDocs(class int, n float64) {
@@ -94,8 +63,8 @@ func (nb *NaiveBayes) AddWordCount(class int, word string, n float64) {
 	nb.classWords[class] += n
 }
 
-// LogPosterior returns the unnormalised log-probability of class c for doc.
-func (nb *NaiveBayes) LogPosterior(words []string, c int) float64 {
+// logPosterior returns the unnormalised log-probability of class c for doc.
+func (nb *NaiveBayes) logPosterior(words []string, c int) float64 {
 	v := float64(len(nb.Vocab))
 	lp := math.Log((nb.classDocs[c] + 1) / (nb.totalDocs + float64(nb.Classes)))
 	for _, w := range words {
@@ -113,7 +82,7 @@ func (nb *NaiveBayes) LogPosterior(words []string, c int) float64 {
 func (nb *NaiveBayes) Predict(words []string) int {
 	best, bestLP := 0, math.Inf(-1)
 	for c := 0; c < nb.Classes; c++ {
-		if lp := nb.LogPosterior(words, c); lp > bestLP {
+		if lp := nb.logPosterior(words, c); lp > bestLP {
 			best, bestLP = c, lp
 		}
 	}

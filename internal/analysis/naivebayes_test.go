@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dcbench/internal/datagen"
+	"dcbench/internal/sim"
 )
 
 func TestNaiveBayesLearnsSeparableClasses(t *testing.T) {
@@ -12,7 +13,7 @@ func TestNaiveBayesLearnsSeparableClasses(t *testing.T) {
 	nb := NewNaiveBayes(3)
 	for i := 0; i < 300; i++ {
 		class := i % 3
-		nb.Observe(strings.Fields(c.LabeledSentence(class, 3, 40)), class)
+		nb.observe(strings.Fields(c.LabeledSentence(class, 3, 40)), class)
 	}
 	right := 0
 	for i := 0; i < 90; i++ {
@@ -26,51 +27,10 @@ func TestNaiveBayesLearnsSeparableClasses(t *testing.T) {
 	}
 }
 
-func TestNaiveBayesMergeEquivalence(t *testing.T) {
-	c := datagen.NewCorpus(2, 1000)
-	var docs [][]string
-	var labels []int
-	for i := 0; i < 100; i++ {
-		docs = append(docs, strings.Fields(c.LabeledSentence(i%2, 2, 30)))
-		labels = append(labels, i%2)
-	}
-	// Single model.
-	whole := NewNaiveBayes(2)
-	for i := range docs {
-		whole.Observe(docs[i], labels[i])
-	}
-	// Sharded models merged, as the distributed trainer does.
-	a, b := NewNaiveBayes(2), NewNaiveBayes(2)
-	for i := range docs {
-		if i < 50 {
-			a.Observe(docs[i], labels[i])
-		} else {
-			b.Observe(docs[i], labels[i])
-		}
-	}
-	a.Merge(b)
-	// Same predictions on held-out documents.
-	for i := 0; i < 40; i++ {
-		doc := strings.Fields(c.LabeledSentence(i%2, 2, 30))
-		if whole.Predict(doc) != a.Predict(doc) {
-			t.Fatal("merged model disagrees with monolithic model")
-		}
-	}
-}
-
-func TestNaiveBayesMergeClassMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewNaiveBayes(2).Merge(NewNaiveBayes(3))
-}
-
 func TestNaiveBayesUnknownWordsHandled(t *testing.T) {
 	nb := NewNaiveBayes(2)
-	nb.Observe([]string{"alpha", "beta"}, 0)
-	nb.Observe([]string{"gamma", "delta"}, 1)
+	nb.observe([]string{"alpha", "beta"}, 0)
+	nb.observe([]string{"gamma", "delta"}, 1)
 	// Entirely unseen vocabulary should not crash and should fall back to
 	// the prior (both classes equal here, so either answer is fine).
 	got := nb.Predict([]string{"zzz", "qqq"})
@@ -97,9 +57,9 @@ func TestSVMLearnsLinearlySeparableData(t *testing.T) {
 			}
 		}
 	}
-	s := NewSVM(2, 0.001)
-	s.TrainEpochs(x, y, 300)
-	if acc := s.Accuracy(x, y); acc < 0.95 {
+	s := newSVM(2, 0.001)
+	s.trainEpochs(x, y, 300)
+	if acc := s.accuracy(x, y); acc < 0.95 {
 		t.Fatalf("accuracy = %v, want >= 0.95", acc)
 	}
 }
@@ -115,9 +75,9 @@ func TestSVMTextClassification(t *testing.T) {
 		x = append(x, feats)
 		y = append(y, 2*class-1)
 	}
-	s := NewSVM(dim, 0.001)
-	s.TrainEpochs(x, y, 30)
-	if acc := s.Accuracy(x, y); acc < 0.85 {
+	s := newSVM(dim, 0.001)
+	s.trainEpochs(x, y, 30)
+	if acc := s.accuracy(x, y); acc < 0.85 {
 		t.Fatalf("text accuracy = %v, want >= 0.85", acc)
 	}
 }
@@ -136,5 +96,67 @@ func TestSubGradientDirection(t *testing.T) {
 	w2 := []float64{w[0] - eta*dw[0], w[1] - eta*dw[1]}
 	if w2[0] <= w[0] {
 		t.Fatalf("gradient step moved w the wrong way: %v -> %v", w, w2)
+	}
+}
+
+// newSVM creates an SVM over dim features with regularisation lambda.
+func newSVM(dim int, lambda float64) *SVM {
+	return &SVM{W: make([]float64, dim), Lambda: lambda}
+}
+
+// trainEpochs is the serial Pegasos trainer the tests check Predict with:
+// it runs the given number of epochs, visiting examples in a deterministic
+// shuffled order per epoch (plain SGD diverges on adversarially ordered
+// data).
+func (s *SVM) trainEpochs(x [][]float64, y []int, epochs int) {
+	t := 1
+	rng := sim.NewRNG(uint64(len(x))*2654435761 + 1)
+	for e := 0; e < epochs; e++ {
+		for _, i := range rng.Perm(len(x)) {
+			eta := 1 / (s.Lambda * float64(t))
+			t++
+			yi := float64(y[i])
+			decay := 1 - eta*s.Lambda
+			for j := range s.W {
+				s.W[j] *= decay
+			}
+			// The bias is trained as a regularised weight on a constant
+			// feature: an unregularised bias can settle far off-centre
+			// after the huge early Pegasos steps.
+			s.Bias *= decay
+			if yi*s.margin(x[i]) < 1 {
+				for j, xj := range x[i] {
+					s.W[j] += eta * yi * xj
+				}
+				s.Bias += eta * yi
+			}
+		}
+	}
+}
+
+// accuracy returns the fraction of correctly classified examples.
+func (s *SVM) accuracy(x [][]float64, y []int) float64 {
+	if len(x) == 0 {
+		return 0
+	}
+	right := 0
+	for i := range x {
+		if s.Predict(x[i]) == y[i] {
+			right++
+		}
+	}
+	return float64(right) / float64(len(x))
+}
+
+// observe adds one labelled document (a bag of words) to the model: the
+// serial trainer the tests check Predict with (the workload loads
+// pre-aggregated counts through AddClassDocs and AddWordCount).
+func (nb *NaiveBayes) observe(words []string, class int) {
+	nb.classDocs[class]++
+	nb.totalDocs++
+	for _, w := range words {
+		id, _ := nb.wordID(w, true)
+		nb.wordCounts[class][id]++
+		nb.classWords[class]++
 	}
 }

@@ -1,7 +1,5 @@
 package analysis
 
-import "math"
-
 // PageRankStep performs one power iteration of PageRank with damping d over
 // a directed graph in adjacency-list form (adj[i] = nodes i links to).
 // Dangling mass is redistributed uniformly, keeping ranks a probability
@@ -26,26 +24,4 @@ func PageRankStep(adj [][]int, ranks []float64, d float64) []float64 {
 		next[i] += base + extra
 	}
 	return next
-}
-
-// PageRank iterates until the L1 change is below tol or maxIters is
-// reached, returning the ranks and the iteration count.
-func PageRank(adj [][]int, d float64, maxIters int, tol float64) ([]float64, int) {
-	n := len(adj)
-	ranks := make([]float64, n)
-	for i := range ranks {
-		ranks[i] = 1 / float64(n)
-	}
-	for it := 1; it <= maxIters; it++ {
-		next := PageRankStep(adj, ranks, d)
-		delta := 0.0
-		for i := range next {
-			delta += math.Abs(next[i] - ranks[i])
-		}
-		ranks = next
-		if delta < tol {
-			return ranks, it
-		}
-	}
-	return ranks, maxIters
 }

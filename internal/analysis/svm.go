@@ -1,7 +1,5 @@
 package analysis
 
-import "dcbench/internal/sim"
-
 // SVM is a linear support vector machine trained with the Pegasos
 // stochastic sub-gradient method (hinge loss, L2 regularisation). Labels
 // are +1 / -1.
@@ -9,20 +7,10 @@ type SVM struct {
 	W      []float64
 	Bias   float64
 	Lambda float64
-	// Step is the Pegasos step counter. It persists across TrainEpochs
-	// calls so that warm-started training (e.g. distributed parameter
-	// averaging) does not re-enter the degenerate t=1 step, whose decay
-	// factor 1-eta*lambda = 0 erases the warm-start weights.
-	Step int
 }
 
-// NewSVM creates an SVM over dim features with regularisation lambda.
-func NewSVM(dim int, lambda float64) *SVM {
-	return &SVM{W: make([]float64, dim), Lambda: lambda}
-}
-
-// Margin returns w·x + b.
-func (s *SVM) Margin(x []float64) float64 {
+// margin returns w·x + b.
+func (s *SVM) margin(x []float64) float64 {
 	m := s.Bias
 	for i, xi := range x {
 		m += s.W[i] * xi
@@ -32,49 +20,10 @@ func (s *SVM) Margin(x []float64) float64 {
 
 // Predict returns +1 or -1.
 func (s *SVM) Predict(x []float64) int {
-	if s.Margin(x) >= 0 {
+	if s.margin(x) >= 0 {
 		return 1
 	}
 	return -1
-}
-
-// TrainEpochs runs Pegasos over the data set for the given number of
-// epochs, visiting examples in a deterministic shuffled order per epoch
-// (plain SGD diverges on adversarially ordered data). Returns the number of
-// margin violations in the final epoch, a cheap convergence signal for the
-// distributed driver.
-func (s *SVM) TrainEpochs(x [][]float64, y []int, epochs int) int {
-	t := s.Step
-	if t < 1 {
-		t = 1
-	}
-	violations := 0
-	rng := sim.NewRNG(uint64(len(x))*2654435761 + 1)
-	for e := 0; e < epochs; e++ {
-		violations = 0
-		for _, i := range rng.Perm(len(x)) {
-			eta := 1 / (s.Lambda * float64(t))
-			t++
-			yi := float64(y[i])
-			decay := 1 - eta*s.Lambda
-			for j := range s.W {
-				s.W[j] *= decay
-			}
-			// The bias is trained as a regularised weight on a constant
-			// feature: an unregularised bias can settle far off-centre
-			// after the huge early Pegasos steps.
-			s.Bias *= decay
-			if yi*s.Margin(x[i]) < 1 {
-				violations++
-				for j, xj := range x[i] {
-					s.W[j] += eta * yi * xj
-				}
-				s.Bias += eta * yi
-			}
-		}
-	}
-	s.Step = t
-	return violations
 }
 
 // SubGradient computes the Pegasos batch sub-gradient for a data shard,
@@ -99,18 +48,4 @@ func SubGradient(w []float64, bias, lambda float64, x [][]float64, y []int) ([]f
 		}
 	}
 	return dw, violations
-}
-
-// Accuracy returns the fraction of correctly classified examples.
-func (s *SVM) Accuracy(x [][]float64, y []int) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	right := 0
-	for i := range x {
-		if s.Predict(x[i]) == y[i] {
-			right++
-		}
-	}
-	return float64(right) / float64(len(x))
 }

@@ -39,24 +39,15 @@ func Tokenize(text string) []string {
 	return out
 }
 
-// TermFrequencies counts token occurrences.
-func TermFrequencies(tokens []string) map[string]int {
-	tf := make(map[string]int, len(tokens))
-	for _, t := range tokens {
-		tf[t]++
-	}
-	return tf
-}
-
 // HashFeatures maps a bag of words into a fixed-length feature vector by
 // feature hashing, the representation the distributed SVM trains on.
 func HashFeatures(tokens []string, dim int) []float64 {
-	return BucketFeatures(HashBuckets(tokens, dim), dim)
+	return bucketFeatures(HashBuckets(tokens, dim), dim)
 }
 
 // HashBuckets returns each token's feature index (32-bit FNV-1a modulo
-// dim): a document's compact form, from which BucketFeatures rebuilds the
-// dense vector. dim must fit a uint16 index.
+// dim): a document's compact form, from which FillBucketFeatures rebuilds
+// the dense vector. dim must fit a uint16 index.
 func HashBuckets(tokens []string, dim int) []uint16 {
 	if dim <= 0 || dim > 1<<16 {
 		panic(fmt.Sprintf("analysis: feature dimension %d outside 1..65536", dim))
@@ -73,15 +64,15 @@ func HashBuckets(tokens []string, dim int) []uint16 {
 	return buckets
 }
 
-// BucketFeatures counts bucket occurrences into a dim-length vector and L2
+// bucketFeatures counts bucket occurrences into a dim-length vector and L2
 // normalises it so SGD step sizes are comparable across documents.
-func BucketFeatures(buckets []uint16, dim int) []float64 {
+func bucketFeatures(buckets []uint16, dim int) []float64 {
 	v := make([]float64, dim)
 	FillBucketFeatures(v, buckets)
 	return v
 }
 
-// FillBucketFeatures is BucketFeatures into v, whose length is the
+// FillBucketFeatures is bucketFeatures into v, whose length is the
 // dimension: callers rebuilding many vectors reuse one buffer.
 func FillBucketFeatures(v []float64, buckets []uint16) {
 	clear(v)

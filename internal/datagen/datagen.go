@@ -1,12 +1,12 @@
 // Package datagen produces the synthetic inputs standing in for the paper's
 // 147-187 GB data sets (Table I): Zipf-distributed text corpora, HTML pages,
 // Gaussian-mixture vectors, Zipf-skewed rating matrices, preferential-
-// attachment web graphs and data-warehouse tables. All generators are
-// deterministic in their seed so every experiment is reproducible.
+// attachment web graphs and hidden-Markov observation sequences. All
+// generators are deterministic in their seed so every experiment is
+// reproducible.
 package datagen
 
 import (
-	"fmt"
 	"strings"
 	"sync"
 
@@ -50,8 +50,8 @@ func NewCorpus(seed uint64, vocabSize int) *Corpus {
 	return c
 }
 
-// Word draws one Zipf-distributed word.
-func (c *Corpus) Word() string { return c.vocab[c.zipf.Next()] }
+// word draws one Zipf-distributed word.
+func (c *Corpus) word() string { return c.vocab[c.zipf.Next()] }
 
 // WordAt returns the rank-i word, for targeted queries in tests.
 func (c *Corpus) WordAt(i int) string { return c.vocab[i] }
@@ -60,7 +60,7 @@ func (c *Corpus) WordAt(i int) string { return c.vocab[i] }
 func (c *Corpus) Sentence(n int) string {
 	words := make([]string, n)
 	for i := range words {
-		words[i] = c.Word()
+		words[i] = c.word()
 	}
 	return strings.Join(words, " ")
 }
@@ -75,7 +75,7 @@ func (c *Corpus) LabeledSentence(class, nClasses, n int) string {
 			// Class-specific word from the class's vocabulary segment.
 			words[i] = c.vocab[class*seg+c.rng.Intn(seg)]
 		} else {
-			words[i] = c.Word()
+			words[i] = c.word()
 		}
 	}
 	return strings.Join(words, " ")
@@ -196,47 +196,6 @@ func WebGraph(seed uint64, n, edgesPer int) [][]int {
 		targets = append(targets, i)
 	}
 	return adj
-}
-
-// Visit is one row of the UserVisits warehouse table (after Pavlo et al.,
-// the schema Hive-bench uses).
-type Visit struct {
-	SourceIP  string
-	DestURL   string
-	VisitDate int // days since epoch
-	AdRevenue float64
-}
-
-// PageRankRow is one row of the Rankings table.
-type PageRankRow struct {
-	PageURL  string
-	PageRank int
-	Duration int
-}
-
-// WarehouseTables generates correlated Rankings and UserVisits tables:
-// visits reference existing page URLs with Zipf skew.
-func WarehouseTables(seed uint64, pages, visits int) ([]PageRankRow, []Visit) {
-	rng := sim.NewRNG(seed)
-	zipf := sim.NewZipf(rng, pages, 0.8)
-	ranks := make([]PageRankRow, pages)
-	for i := range ranks {
-		ranks[i] = PageRankRow{
-			PageURL:  fmt.Sprintf("url-%06d", i),
-			PageRank: rng.Intn(100),
-			Duration: 1 + rng.Intn(600),
-		}
-	}
-	vs := make([]Visit, visits)
-	for i := range vs {
-		vs[i] = Visit{
-			SourceIP:  fmt.Sprintf("10.%d.%d.%d", rng.Intn(256), rng.Intn(256), rng.Intn(256)),
-			DestURL:   ranks[zipf.Next()].PageURL,
-			VisitDate: rng.Intn(365),
-			AdRevenue: rng.Float64() * 10,
-		}
-	}
-	return ranks, vs
 }
 
 // ObservationSeq emits a hidden-Markov observation sequence plus its hidden

@@ -58,12 +58,12 @@ import (
 	"dcbench/internal/workloads"
 )
 
-// DefaultTimeout bounds each dispatch attempt, connection to last byte; it,
+// defaultTimeout bounds each dispatch attempt, connection to last byte; it,
 // the retry walk and the circuit breaker are fixed.
 const (
-	DefaultTimeout  = 120 * time.Second // a cold job on a loaded worker is slow, not dead
-	DefaultRetries  = 2                 // attempts beyond the first, each on the next-ranked worker
-	DefaultCooldown = 30 * time.Second  // circuit-open duration
+	defaultTimeout  = 120 * time.Second // a cold job on a loaded worker is slow, not dead
+	defaultRetries  = 2                 // attempts beyond the first, each on the next-ranked worker
+	defaultCooldown = 30 * time.Second  // circuit-open duration
 	failThreshold   = 3                 // consecutive failures that open a worker's circuit
 )
 
@@ -77,8 +77,8 @@ const maxShedDemotion = time.Minute
 const defaultRetryAfter = time.Second
 
 // Options configures a RemoteBackend. The zero value of every field but
-// Workers is usable. Every attempt gets DefaultTimeout, every fetch
-// DefaultRetries retries, and every open circuit lasts DefaultCooldown.
+// Workers is usable. Every attempt gets defaultTimeout, every fetch
+// defaultRetries retries, and every open circuit lasts defaultCooldown.
 type Options struct {
 	// Workers are the worker addresses (host:port); an empty list means
 	// dispatch is off and the caller should not build a backend at all.
@@ -102,7 +102,7 @@ type Options struct {
 
 // RegisterFlags declares dcserved's dispatch flags on fs, defaulted from
 // *o and written back on Parse. The attempt timeout and the retry count are
-// not flags: they are DefaultTimeout and DefaultRetries.
+// not flags: they are defaultTimeout and defaultRetries.
 func RegisterFlags(fs *flag.FlagSet, o *Options) {
 	if o.Replicas == 0 {
 		o.Replicas = 1
@@ -159,7 +159,7 @@ func (w *worker) failed(t time.Time, errText string) {
 	w.fails++
 	w.lastErr = errText
 	if w.fails >= failThreshold {
-		w.openUntil = t.Add(DefaultCooldown)
+		w.openUntil = t.Add(defaultCooldown)
 	}
 	w.mu.Unlock()
 }
@@ -311,7 +311,7 @@ func New(opts Options, warmup int64, local store.Backend, log *slog.Logger) (*Re
 	b := &RemoteBackend{
 		opts:     opts,
 		workers:  make(map[string]*worker, len(opts.Workers)),
-		client:   peer.Client{APIKey: opts.APIKey, Timeout: DefaultTimeout},
+		client:   peer.Client{APIKey: opts.APIKey, Timeout: defaultTimeout},
 		log:      log,
 		now:      time.Now,
 		counters: jobKind[sweep.Key, uarch.Counters]{Kind: store.Counters, warmup: warmup},
@@ -432,8 +432,8 @@ func fetch[K comparable, T any](ctx context.Context, b *RemoteBackend, kd *jobKi
 		return nil, errors.New("every worker's circuit is open")
 	}
 	order = b.rotate(order)
-	if len(order) > DefaultRetries+1 {
-		order = order[:DefaultRetries+1]
+	if len(order) > defaultRetries+1 {
+		order = order[:defaultRetries+1]
 	}
 	var errs []error
 	for _, w := range order {

@@ -474,7 +474,7 @@ func TestCircuitOpensAndRecovers(t *testing.T) {
 	}
 
 	// Past the cooldown the worker counts as healthy and is probed again.
-	clock = clock.Add(DefaultCooldown + time.Second)
+	clock = clock.Add(defaultCooldown + time.Second)
 	if got := b.Stats().Healthy; got != 2 {
 		t.Fatalf("healthy after cooldown = %d, want 2", got)
 	}
@@ -508,7 +508,7 @@ func TestDarkClusterFailsFast(t *testing.T) {
 	}
 
 	// The cooldown restores probing by itself.
-	clock = clock.Add(DefaultCooldown + time.Second)
+	clock = clock.Add(defaultCooldown + time.Second)
 	if _, ok := b.Load(testCtx, testKey("w", 100)); ok {
 		t.Fatal("broken worker answered after cooldown")
 	}
@@ -557,7 +557,7 @@ func TestRendezvousStableAndSpread(t *testing.T) {
 
 // TestRegisterFlagsParsesWorkerList pins dcserved's dispatch flag
 // surface: the list flag splits and trims, unset flags keep their
-// defaults, the retry count is the DefaultRetries constant rather than a
+// defaults, the retry count is the defaultRetries constant rather than a
 // flag, and an empty worker set refuses to build a backend.
 func TestRegisterFlagsParsesWorkerList(t *testing.T) {
 	var o Options

@@ -1,7 +1,7 @@
 // Package hive is a miniature data-warehouse engine — typed tables and the
-// relational operators (scan, filter, project, hash join, group-by
-// aggregation, order-by, limit) needed to run the Hive-bench query suite the
-// paper uses as its data-warehouse workload (Section II-C.6). It plays the
+// relational operators (scan, LIKE filter, hash join, group-by aggregation)
+// needed to run the Hive-bench query suite the paper uses as its
+// data-warehouse workload (Section II-C.6). It plays the
 // role Hive 0.6 plays in the paper; internal/workloads compiles its query
 // plans onto the MapReduce engine.
 package hive
@@ -31,8 +31,8 @@ type Col struct {
 // Schema is an ordered column list.
 type Schema []Col
 
-// Index returns the position of the named column, or -1.
-func (s Schema) Index(name string) int {
+// index returns the position of the named column, or -1.
+func (s Schema) index(name string) int {
 	for i, c := range s {
 		if c.Name == name {
 			return i
@@ -41,10 +41,10 @@ func (s Schema) Index(name string) int {
 	return -1
 }
 
-// MustIndex is Index but panics on unknown columns — schema errors are
+// mustIndex is index but panics on unknown columns — schema errors are
 // programming errors in this engine.
-func (s Schema) MustIndex(name string) int {
-	i := s.Index(name)
+func (s Schema) mustIndex(name string) int {
+	i := s.index(name)
 	if i < 0 {
 		panic(fmt.Sprintf("hive: unknown column %q", name))
 	}
@@ -85,8 +85,8 @@ func (t *Table) Scan() *Relation {
 	return &Relation{Schema: t.Schema, Rows: t.Rows}
 }
 
-// Filter keeps rows satisfying pred.
-func (r *Relation) Filter(pred func(Row) bool) *Relation {
+// filter keeps rows satisfying pred.
+func (r *Relation) filter(pred func(Row) bool) *Relation {
 	out := &Relation{Schema: r.Schema}
 	for _, row := range r.Rows {
 		if pred(row) {
@@ -99,38 +99,19 @@ func (r *Relation) Filter(pred func(Row) bool) *Relation {
 // FilterLike keeps rows whose string column contains substr — the LIKE
 // '%substr%' predicate of the Hive-bench grep query.
 func (r *Relation) FilterLike(col, substr string) *Relation {
-	i := r.Schema.MustIndex(col)
-	return r.Filter(func(row Row) bool {
+	i := r.Schema.mustIndex(col)
+	return r.filter(func(row Row) bool {
 		s, _ := row[i].(string)
 		return strings.Contains(s, substr)
 	})
-}
-
-// Project keeps only the named columns, in the given order.
-func (r *Relation) Project(cols ...string) *Relation {
-	idx := make([]int, len(cols))
-	schema := make(Schema, len(cols))
-	for j, c := range cols {
-		idx[j] = r.Schema.MustIndex(c)
-		schema[j] = r.Schema[idx[j]]
-	}
-	out := &Relation{Schema: schema, Rows: make([]Row, len(r.Rows))}
-	for i, row := range r.Rows {
-		nr := make(Row, len(idx))
-		for j, k := range idx {
-			nr[j] = row[k]
-		}
-		out.Rows[i] = nr
-	}
-	return out
 }
 
 // Join hash-joins r with other on r.leftCol == other.rightCol (equi-join,
 // inner). The output schema is r's columns followed by other's with the
 // join key deduplicated on the right side.
 func (r *Relation) Join(other *Relation, leftCol, rightCol string) *Relation {
-	li := r.Schema.MustIndex(leftCol)
-	ri := other.Schema.MustIndex(rightCol)
+	li := r.Schema.mustIndex(leftCol)
+	ri := other.Schema.mustIndex(rightCol)
 	// Build side: the smaller relation, as a real engine would pick.
 	build, probe := other, r
 	bi, pi := ri, li
@@ -184,26 +165,20 @@ type AggOp int
 
 // Aggregation operators.
 const (
-	Count AggOp = iota
-	Sum
+	Sum AggOp = iota
 	Avg
-	Min
-	Max
 )
 
 // Agg is one aggregate expression: Op(Col) AS As.
 type Agg struct {
 	Op  AggOp
-	Col string // ignored for Count
+	Col string
 	As  string
 }
 
 type aggState struct {
-	n    int64
-	sum  float64
-	min  float64
-	max  float64
-	seen bool
+	n   int64
+	sum float64
 }
 
 func toFloat(v any) float64 {
@@ -223,15 +198,11 @@ func toFloat(v any) float64 {
 func (r *Relation) GroupBy(keys []string, aggs []Agg) *Relation {
 	keyIdx := make([]int, len(keys))
 	for i, k := range keys {
-		keyIdx[i] = r.Schema.MustIndex(k)
+		keyIdx[i] = r.Schema.mustIndex(k)
 	}
 	aggIdx := make([]int, len(aggs))
 	for i, a := range aggs {
-		if a.Op == Count {
-			aggIdx[i] = -1
-			continue
-		}
-		aggIdx[i] = r.Schema.MustIndex(a.Col)
+		aggIdx[i] = r.Schema.mustIndex(a.Col)
 	}
 	groups := make(map[string][]*aggState)
 	order := make(map[string]Row) // key string -> key values
@@ -255,20 +226,8 @@ func (r *Relation) GroupBy(keys []string, aggs []Agg) *Relation {
 			keyStrings = append(keyStrings, ks)
 		}
 		for i := range aggs {
-			s := st[i]
-			s.n++
-			if aggIdx[i] < 0 {
-				continue
-			}
-			v := toFloat(row[aggIdx[i]])
-			s.sum += v
-			if !s.seen || v < s.min {
-				s.min = v
-			}
-			if !s.seen || v > s.max {
-				s.max = v
-			}
-			s.seen = true
+			st[i].n++
+			st[i].sum += toFloat(row[aggIdx[i]])
 		}
 	}
 	sort.Strings(keyStrings)
@@ -278,11 +237,7 @@ func (r *Relation) GroupBy(keys []string, aggs []Agg) *Relation {
 		schema = append(schema, Col{Name: k, Kind: r.Schema[keyIdx[i]].Kind})
 	}
 	for _, a := range aggs {
-		kind := Float
-		if a.Op == Count {
-			kind = Int
-		}
-		schema = append(schema, Col{Name: a.As, Kind: kind})
+		schema = append(schema, Col{Name: a.As, Kind: Float})
 	}
 	out := &Relation{Schema: schema}
 	for _, ks := range keyStrings {
@@ -291,16 +246,10 @@ func (r *Relation) GroupBy(keys []string, aggs []Agg) *Relation {
 		row = append(row, order[ks]...)
 		for i, a := range aggs {
 			switch a.Op {
-			case Count:
-				row = append(row, st[i].n)
 			case Sum:
 				row = append(row, st[i].sum)
 			case Avg:
 				row = append(row, st[i].sum/float64(st[i].n))
-			case Min:
-				row = append(row, st[i].min)
-			case Max:
-				row = append(row, st[i].max)
 			}
 		}
 		out.Rows = append(out.Rows, row)
@@ -308,43 +257,8 @@ func (r *Relation) GroupBy(keys []string, aggs []Agg) *Relation {
 	return out
 }
 
-// OrderBy sorts by the named column (stable), descending if desc.
-func (r *Relation) OrderBy(col string, desc bool) *Relation {
-	i := r.Schema.MustIndex(col)
-	out := &Relation{Schema: r.Schema, Rows: make([]Row, len(r.Rows))}
-	copy(out.Rows, r.Rows)
-	less := func(a, b Row) bool {
-		switch av := a[i].(type) {
-		case string:
-			return av < b[i].(string)
-		case int64:
-			return av < b[i].(int64)
-		case float64:
-			return av < b[i].(float64)
-		default:
-			panic(fmt.Sprintf("hive: unorderable type %T", a[i]))
-		}
-	}
-	sort.SliceStable(out.Rows, func(x, y int) bool {
-		if desc {
-			return less(out.Rows[y], out.Rows[x])
-		}
-		return less(out.Rows[x], out.Rows[y])
-	})
-	return out
-}
-
-// Limit keeps the first n rows.
-func (r *Relation) Limit(n int) *Relation {
-	if n > len(r.Rows) {
-		n = len(r.Rows)
-	}
-	return &Relation{Schema: r.Schema, Rows: r.Rows[:n]}
-}
-
-// Bytes estimates the relation's payload size, used by the MapReduce
-// compiler to charge simulated I/O.
-func (r *Relation) Bytes() int64 {
+// size estimates the relation's payload size: string bytes, 8 per number.
+func (r *Relation) size() int64 {
 	var b int64
 	for _, row := range r.Rows {
 		for _, v := range row {

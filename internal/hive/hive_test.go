@@ -31,15 +31,10 @@ func visits() *Table {
 	return t
 }
 
-func TestFilterAndProject(t *testing.T) {
-	r := rankings().Scan().
-		Filter(func(row Row) bool { return row[1].(int64) > 20 }).
-		Project("pageurl")
+func TestFilter(t *testing.T) {
+	r := rankings().Scan().filter(func(row Row) bool { return row[1].(int64) > 20 })
 	if len(r.Rows) != 3 {
 		t.Fatalf("rows = %d, want 3", len(r.Rows))
-	}
-	if len(r.Schema) != 1 || r.Schema[0].Name != "pageurl" {
-		t.Fatalf("schema = %v", r.Schema)
 	}
 }
 
@@ -60,12 +55,12 @@ func TestJoinInner(t *testing.T) {
 		t.Fatalf("join rows = %d, want 3", len(j.Rows))
 	}
 	// Schema: sourceip, desturl, adrevenue, pagerank.
-	if j.Schema.Index("pagerank") < 0 || j.Schema.Index("sourceip") < 0 {
+	if j.Schema.index("pagerank") < 0 || j.Schema.index("sourceip") < 0 {
 		t.Fatalf("join schema = %v", j.Schema)
 	}
 	// Verify a joined value: visit to b.com must carry pagerank 55.
-	pr := j.Schema.MustIndex("pagerank")
-	du := j.Schema.MustIndex("desturl")
+	pr := j.Schema.mustIndex("pagerank")
+	du := j.Schema.mustIndex("desturl")
 	for _, row := range j.Rows {
 		if row[du].(string) == "b.com" && row[pr].(int64) != 55 {
 			t.Fatalf("b.com joined with pagerank %v", row[pr])
@@ -84,11 +79,7 @@ func TestJoinBuildSideChoiceIrrelevant(t *testing.T) {
 }
 
 func TestGroupByAggregates(t *testing.T) {
-	g := visits().Scan().GroupBy([]string{"sourceip"}, []Agg{
-		{Op: Sum, Col: "adrevenue", As: "rev"},
-		{Op: Count, As: "n"},
-		{Op: Max, Col: "adrevenue", As: "maxrev"},
-	})
+	g := visits().Scan().GroupBy([]string{"sourceip"}, []Agg{{Op: Sum, Col: "adrevenue", As: "rev"}})
 	if len(g.Rows) != 2 {
 		t.Fatalf("groups = %d, want 2", len(g.Rows))
 	}
@@ -98,12 +89,6 @@ func TestGroupByAggregates(t *testing.T) {
 	}
 	if got := g.Rows[0][1].(float64); math.Abs(got-5.5) > 1e-12 {
 		t.Fatalf("sum = %v, want 5.5", got)
-	}
-	if g.Rows[0][2].(int64) != 2 {
-		t.Fatalf("count = %v", g.Rows[0][2])
-	}
-	if got := g.Rows[1][3].(float64); got != 9.0 {
-		t.Fatalf("max = %v, want 9", got)
 	}
 }
 
@@ -117,34 +102,13 @@ func TestGroupByGlobal(t *testing.T) {
 	}
 }
 
-func TestOrderByAndLimit(t *testing.T) {
-	r := rankings().Scan().OrderBy("pagerank", true).Limit(2)
-	if len(r.Rows) != 2 {
-		t.Fatalf("rows = %d", len(r.Rows))
-	}
-	if r.Rows[0][1].(int64) != 80 || r.Rows[1][1].(int64) != 55 {
-		t.Fatalf("top-2 = %v", r.Rows)
-	}
-}
-
-func TestOrderByString(t *testing.T) {
-	r := rankings().Scan().OrderBy("pageurl", false)
-	prev := ""
-	for _, row := range r.Rows {
-		if row[0].(string) < prev {
-			t.Fatal("not sorted")
-		}
-		prev = row[0].(string)
-	}
-}
-
 func TestUnknownColumnPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	rankings().Scan().Project("nope")
+	rankings().Scan().FilterLike("nope", "a")
 }
 
 func TestArityPanics(t *testing.T) {
@@ -193,7 +157,7 @@ func TestGroupSumMatchesManual(t *testing.T) {
 func TestBytesEstimate(t *testing.T) {
 	tab := NewTable("t", Schema{{Name: "s", Kind: String}, {Name: "n", Kind: Int}})
 	tab.Append("abc", int64(1))
-	if got := tab.Scan().Bytes(); got != 11 { // 3 + 8
+	if got := tab.Scan().size(); got != 11 { // 3 + 8
 		t.Fatalf("bytes = %d, want 11", got)
 	}
 }

@@ -87,10 +87,10 @@ type Job struct {
 // anonymous submissions).
 func (j *Job) Tenant() string { return j.tenant }
 
-// SetState records a state transition. Repeats of the current state and
+// setState records a state transition. Repeats of the current state and
 // any transition after a terminal state are ignored, so span-derived
 // progress can never resurrect a cancelled or completed job.
-func (j *Job) SetState(s State) {
+func (j *Job) setState(s State) {
 	j.mu.Lock()
 	j.setStateLocked(s)
 	j.mu.Unlock()
@@ -171,8 +171,8 @@ func (j *Job) Result() (body []byte, ok bool) {
 	return j.result, true
 }
 
-// State returns the job's current state.
-func (j *Job) State() State {
+// currentState returns the job's current state.
+func (j *Job) currentState() State {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.state
@@ -234,16 +234,16 @@ func (j *Job) ObserveSpan(ev obs.SpanEvent) {
 		switch ev.Name {
 		case "admission":
 			if ev.Attrs["shed"] == "false" {
-				j.SetState(StateAdmitted)
+				j.setState(StateAdmitted)
 			}
 		case "backend.store", "store.write":
-			j.SetState(StateStored)
+			j.setState(StateStored)
 		}
 		return
 	}
 	switch ev.Name {
 	case "simulate", "cluster.run":
-		j.SetState(StateSimulating)
+		j.setState(StateSimulating)
 	}
 }
 
@@ -258,16 +258,16 @@ type Registry struct {
 	order []*Job // creation order, for eviction
 }
 
-// DefaultCap is how many jobs a Registry retains when the caller does not
+// defaultCap is how many jobs a Registry retains when the caller does not
 // say otherwise: enough history for a polling client to find a finished
 // job minutes later without letting the table grow without bound.
-const DefaultCap = 1024
+const defaultCap = 1024
 
 // NewRegistry returns an empty registry keeping at most cap jobs
-// (cap <= 0 uses DefaultCap).
+// (cap <= 0 uses defaultCap).
 func NewRegistry(cap int) *Registry {
 	if cap <= 0 {
-		cap = DefaultCap
+		cap = defaultCap
 	}
 	return &Registry{cap: cap, jobs: make(map[string]*Job)}
 }
@@ -299,7 +299,7 @@ func (r *Registry) evictLocked() {
 	kept := r.order[:0]
 	excess := len(r.order) - r.cap
 	for _, j := range r.order {
-		if excess > 0 && j.State().Terminal() {
+		if excess > 0 && j.currentState().Terminal() {
 			delete(r.jobs, j.id)
 			excess--
 			continue
@@ -331,7 +331,7 @@ func (r *Registry) Active() int {
 	r.mu.Unlock()
 	n := 0
 	for _, j := range order {
-		if !j.State().Terminal() {
+		if !j.currentState().Terminal() {
 			n++
 		}
 	}

@@ -13,27 +13,27 @@ import (
 func TestLifecycleLatching(t *testing.T) {
 	r := NewRegistry(0)
 	j := r.New("id1", "counters", "", nil)
-	if j.State() != StateQueued {
-		t.Fatalf("new job state = %q, want queued", j.State())
+	if j.currentState() != StateQueued {
+		t.Fatalf("new job state = %q, want queued", j.currentState())
 	}
-	j.SetState(StateAdmitted)
-	j.SetState(StateAdmitted) // repeat: no history entry
-	j.SetState(StateSimulating)
+	j.setState(StateAdmitted)
+	j.setState(StateAdmitted) // repeat: no history entry
+	j.setState(StateSimulating)
 	j.Complete([]byte("rec"))
-	if j.State() != StateDone {
-		t.Fatalf("state = %q, want done", j.State())
+	if j.currentState() != StateDone {
+		t.Fatalf("state = %q, want done", j.currentState())
 	}
 	if body, ok := j.Result(); !ok || string(body) != "rec" {
 		t.Fatalf("Result = %q, %v", body, ok)
 	}
 
 	// Terminal latched: neither progress nor a late cancel can move it.
-	j.SetState(StateStored)
+	j.setState(StateStored)
 	if won := j.Cancel(); won {
 		t.Fatal("Cancel won against an already-done job")
 	}
-	if j.State() != StateDone {
-		t.Fatalf("post-latch state = %q, want done", j.State())
+	if j.currentState() != StateDone {
+		t.Fatalf("post-latch state = %q, want done", j.currentState())
 	}
 
 	snap := j.Snapshot()
@@ -69,7 +69,7 @@ func TestCancelFiresContext(t *testing.T) {
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	j2 := r.New("id2", "cluster", "", cancel2)
 	j2.Fail(500, "internal", "boom")
-	if j2.State() != StateFailed || j2.Snapshot().Error != "boom" {
+	if j2.currentState() != StateFailed || j2.Snapshot().Error != "boom" {
 		t.Fatalf("failed job snapshot = %+v", j2.Snapshot())
 	}
 	select {
@@ -84,13 +84,13 @@ func TestCancelFiresContext(t *testing.T) {
 func TestSubscribe(t *testing.T) {
 	r := NewRegistry(0)
 	j := r.New("id1", "counters", "", nil)
-	j.SetState(StateAdmitted)
+	j.setState(StateAdmitted)
 
 	snap, wake, stop := j.Subscribe()
 	defer stop()
 	seen := append([]Transition(nil), snap.History...)
 
-	j.SetState(StateSimulating)
+	j.setState(StateSimulating)
 	j.Complete(nil)
 	// Two transitions, possibly one collapsed wakeup: drain until terminal.
 	for !seen[len(seen)-1].State.Terminal() {
@@ -127,7 +127,7 @@ func TestObserveSpanMapping(t *testing.T) {
 	for i, tc := range cases {
 		j := r.New(fmt.Sprintf("id%d", i), "counters", "", nil)
 		j.ObserveSpan(tc.ev)
-		if got := j.State(); got != tc.want {
+		if got := j.currentState(); got != tc.want {
 			t.Errorf("span %q (end=%v) drove state %q, want %q", tc.ev.Name, tc.ev.End, got, tc.want)
 		}
 	}
@@ -137,7 +137,7 @@ func TestObserveSpanMapping(t *testing.T) {
 	j.ObserveSpan(obs.SpanEvent{Name: "admission", Attrs: obs.Attrs{"shed": "true"}, End: true})
 	j.ObserveSpan(obs.SpanEvent{Name: "admission"})
 	j.ObserveSpan(obs.SpanEvent{Name: "render"})
-	if got := j.State(); got != StateQueued {
+	if got := j.currentState(); got != StateQueued {
 		t.Errorf("unrelated spans drove state %q, want queued", got)
 	}
 }

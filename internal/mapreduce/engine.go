@@ -111,11 +111,11 @@ func (rt *Runtime) Run(job *Job) (*Result, error) {
 		job.NumReducers = len(rt.C.Nodes)
 	}
 	if job.Partition == nil {
-		job.Partition = HashPartition
+		job.Partition = hashPartition
 	}
 	reducer := job.Reducer
 	if reducer == nil {
-		reducer = IdentityReducer
+		reducer = identityReducer
 	}
 
 	res := &Result{Job: job, Start: rt.C.Eng.Now()}
@@ -196,7 +196,7 @@ func (rt *Runtime) Run(job *Job) (*Result, error) {
 		sc.kvs, sc.parts = sc.kvs[:0], sc.parts[:0]
 		var realIn, realOut int64
 		for _, kv := range records {
-			realIn += kv.Bytes()
+			realIn += kv.size()
 			job.Mapper.Map(kv, emit)
 		}
 		res.Counters.MapInputRecords += int64(len(records))
@@ -293,7 +293,7 @@ func (rt *Runtime) Run(job *Job) (*Result, error) {
 		var realIn, realOut int64
 		for _, mo := range mapOuts {
 			for _, kv := range mo.partitions[r] {
-				realIn += kv.Bytes()
+				realIn += kv.size()
 				sc.g.add(kv.Key, kv.Value)
 			}
 			mo.partitions[r] = nil // fetched: this reducer was its only reader
@@ -301,7 +301,7 @@ func (rt *Runtime) Run(job *Job) (*Result, error) {
 		sc.kvs = sc.kvs[:0]
 		sc.g.each(reduce)
 		for _, kv := range sc.kvs {
-			realOut += kv.Bytes()
+			realOut += kv.size()
 		}
 		var out []KV
 		if len(sc.kvs) > 0 {
@@ -367,7 +367,7 @@ func (sc *scratch) spill(r int) ([][]KV, []int64) {
 	count := make([]int, r)
 	for i, p := range sc.parts {
 		count[p]++
-		bytes[p] += sc.kvs[i].Bytes()
+		bytes[p] += sc.kvs[i].size()
 	}
 	all := make([]KV, len(sc.kvs))
 	off := 0

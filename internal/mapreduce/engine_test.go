@@ -124,8 +124,8 @@ func TestIdentityReducerDefault(t *testing.T) {
 func TestHashPartitionStableAndInRange(t *testing.T) {
 	if err := quick.Check(func(key string, rr uint8) bool {
 		r := int(rr%16) + 1
-		p1 := HashPartition(key, r)
-		p2 := HashPartition(key, r)
+		p1 := hashPartition(key, r)
+		p2 := hashPartition(key, r)
 		return p1 == p2 && p1 >= 0 && p1 < r
 	}, nil); err != nil {
 		t.Fatal(err)

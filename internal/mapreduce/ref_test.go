@@ -11,7 +11,7 @@ import (
 	"testing"
 )
 
-// The kernels HashPartition and the grouping kernel replaced, kept verbatim
+// The kernels hashPartition and the grouping kernel replaced, kept verbatim
 // as oracles.
 
 func refHashPartition(key string, r int) int {
@@ -68,7 +68,7 @@ func TestHashPartitionMatchesFNV(t *testing.T) {
 	}
 	for _, r := range []int{1, 6, 48} {
 		for _, k := range keys {
-			if got, want := HashPartition(k, r), refHashPartition(k, r); got != want {
+			if got, want := hashPartition(k, r), refHashPartition(k, r); got != want {
 				t.Fatalf("HashPartition(%q, %d) = %d, fnv says %d", k, r, got, want)
 			}
 		}
@@ -171,7 +171,7 @@ func TestReduceMatchesStableSortOracle(t *testing.T) {
 			Combiner:    combiner,
 			Reducer:     concatReducer,
 			NumReducers: 7,
-			Partition:   HashPartition,
+			Partition:   hashPartition,
 			Cost:        CostModel{MapCPUPerByte: 1e-6, ReduceCPUPerByte: 1e-6, OutputRatio: 50},
 		}
 		res, err := testRuntime(3).Run(job)
@@ -194,7 +194,7 @@ func BenchmarkHashPartition(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchSink += HashPartition(keys[i%len(keys)], 48)
+		benchSink += hashPartition(keys[i%len(keys)], 48)
 	}
 }
 

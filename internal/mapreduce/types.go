@@ -18,8 +18,8 @@ type KV struct {
 	Value string
 }
 
-// Bytes returns the record's real payload size.
-func (kv KV) Bytes() int64 { return int64(len(kv.Key) + len(kv.Value)) }
+// size returns the record's real payload size.
+func (kv KV) size() int64 { return int64(len(kv.Key) + len(kv.Value)) }
 
 // Emit passes one output record out of a map or reduce function.
 type Emit func(key, value string)
@@ -47,8 +47,8 @@ type ReducerFunc func(key string, values []string, emit Emit)
 // Reduce calls f.
 func (f ReducerFunc) Reduce(key string, values []string, emit Emit) { f(key, values, emit) }
 
-// IdentityReducer re-emits every value under its key.
-var IdentityReducer = ReducerFunc(func(key string, values []string, emit Emit) {
+// identityReducer re-emits every value under its key.
+var identityReducer = ReducerFunc(func(key string, values []string, emit Emit) {
 	for _, v := range values {
 		emit(key, v)
 	}
@@ -59,9 +59,9 @@ var IdentityReducer = ReducerFunc(func(key string, values []string, emit Emit) {
 // key once, for all of that key's records.
 type Partitioner func(key string, r int) int
 
-// HashPartition is the default partitioner: 32-bit FNV-1a over the key's
+// hashPartition is the default partitioner: 32-bit FNV-1a over the key's
 // bytes, modulo r.
-func HashPartition(key string, r int) int {
+func hashPartition(key string, r int) int {
 	h := uint32(2166136261)
 	for i := 0; i < len(key); i++ {
 		h ^= uint32(key[i])
@@ -99,7 +99,7 @@ func (s *SliceInput) Split(i int) ([]KV, int64) {
 	}
 	var b int64
 	for _, kv := range recs {
-		b += kv.Bytes()
+		b += kv.size()
 	}
 	return recs, b
 }

@@ -17,7 +17,7 @@
 //     fingerprint, trace length) bounds resident trace bytes, with
 //     singleflight capture via memo.Memo so concurrent configs of one
 //     workload share a single generation;
-//   - SegmentReader implements memtrace.Reader by decoding straight into
+//   - segmentReader implements memtrace.Reader by decoding straight into
 //     the caller's buffer — no goroutine, no channel, no intermediate
 //     batch;
 //   - traces that exceed the budget, or instructions outside the encodable
@@ -47,12 +47,12 @@ import (
 	"dcbench/internal/obs"
 )
 
-// Key identifies one generated trace: the workload name (the generator
+// traceKey identifies one generated trace: the workload name (the generator
 // closure's identity, per sweep.Job's uniqueness contract) and its full
 // normalized profile — which embeds the seed and the effective MaxInstrs,
 // so two trace lengths never share an entry. The machine configuration is
 // deliberately absent: that is the whole point of the cache.
-type Key struct {
+type traceKey struct {
 	Name    string
 	Profile memtrace.Profile
 }
@@ -89,12 +89,12 @@ var (
 // use. Create with New.
 type Cache struct {
 	max    int64
-	flight *memo.Memo[Key, *Trace] // non-retaining: the LRU below is the cache
+	flight *memo.Memo[traceKey, *trace] // non-retaining: the LRU below is the cache
 
 	mu          sync.Mutex
-	entries     map[Key]*list.Element
+	entries     map[traceKey]*list.Element
 	lru         *list.List // front = most recently used; values are *entry
-	uncacheable map[Key]struct{}
+	uncacheable map[traceKey]struct{}
 	bytes       int64
 	evictions   int64
 
@@ -103,8 +103,8 @@ type Cache struct {
 
 // entry is one LRU element.
 type entry struct {
-	key Key
-	t   *Trace
+	key traceKey
+	t   *trace
 }
 
 // New returns a cache bounded to maxBytes of encoded trace data, or nil
@@ -116,10 +116,10 @@ func New(maxBytes int64) *Cache {
 	}
 	c := &Cache{
 		max:         maxBytes,
-		flight:      memo.NewFlight[Key, *Trace](),
-		entries:     make(map[Key]*list.Element),
+		flight:      memo.NewFlight[traceKey, *trace](),
+		entries:     make(map[traceKey]*list.Element),
 		lru:         list.New(),
-		uncacheable: make(map[Key]struct{}),
+		uncacheable: make(map[traceKey]struct{}),
 	}
 	c.flight.SetName("trace.capture")
 	return c
@@ -159,7 +159,7 @@ func (c *Cache) Stats() Stats {
 // a captured trace is shared state, not one request's work.
 func (c *Cache) Reader(ctx context.Context, name string, p memtrace.Profile, gen func(*memtrace.Tracer)) (r memtrace.Reader, replay bool, err error) {
 	p = p.Normalize()
-	key := Key{Name: name, Profile: p}
+	key := traceKey{Name: name, Profile: p}
 
 	c.mu.Lock()
 	if _, bad := c.uncacheable[key]; bad {
@@ -172,11 +172,11 @@ func (c *Cache) Reader(ctx context.Context, name string, p memtrace.Profile, gen
 	c.mu.Unlock()
 	if t != nil {
 		c.hits.Add(1)
-		return t.NewReader(), true, nil
+		return t.newReader(), true, nil
 	}
 
 	c.misses.Add(1)
-	t, err = c.flight.DoShared(context.WithoutCancel(ctx), key, func(ctx context.Context) (*Trace, error) {
+	t, err = c.flight.DoShared(context.WithoutCancel(ctx), key, func(ctx context.Context) (*trace, error) {
 		// The miss above and this flight are not one critical section: a
 		// capture may have been inserted, and its flight cell released, in
 		// between. Look again before paying for a second one.
@@ -213,12 +213,12 @@ func (c *Cache) Reader(ctx context.Context, name string, p memtrace.Profile, gen
 		}
 		return nil, false, err
 	}
-	return t.NewReader(), true, nil
+	return t.newReader(), true, nil
 }
 
 // hit returns key's cached trace, marking it most recently used, or nil.
 // c.mu must be held.
-func (c *Cache) hit(key Key) *Trace {
+func (c *Cache) hit(key traceKey) *trace {
 	el, ok := c.entries[key]
 	if !ok {
 		return nil
@@ -230,7 +230,7 @@ func (c *Cache) hit(key Key) *Trace {
 // insert adds a freshly captured trace and evicts least-recently-used
 // entries until the byte budget holds again. Evicted traces stay valid
 // for readers already replaying them — segments are immutable.
-func (c *Cache) insert(key Key, t *Trace) {
+func (c *Cache) insert(key traceKey, t *trace) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.entries[key]; ok {
@@ -248,23 +248,23 @@ func (c *Cache) insert(key Key, t *Trace) {
 	}
 }
 
-// Trace is one captured, immutable instruction stream in columnar
+// trace is one captured, immutable instruction stream in columnar
 // segments.
-type Trace struct {
+type trace struct {
 	segs  []*segment
 	n     int64 // total instructions
 	bytes int64 // encoded size
 }
 
-// Len returns the instruction count.
-func (t *Trace) Len() int64 { return t.n }
+// length returns the instruction count.
+func (t *trace) length() int64 { return t.n }
 
-// Bytes returns the encoded size.
-func (t *Trace) Bytes() int64 { return t.bytes }
+// size returns the encoded size.
+func (t *trace) size() int64 { return t.bytes }
 
-// NewReader returns a fresh replay of the trace. Readers are independent;
+// newReader returns a fresh replay of the trace. Readers are independent;
 // each decodes the shared segments into the caller's buffers.
-func (t *Trace) NewReader() memtrace.Reader { return &SegmentReader{t: t} }
+func (t *trace) newReader() memtrace.Reader { return &segmentReader{t: t} }
 
 // segInstrs caps a segment's instruction count. Delta state resets per
 // segment, so segments decode independently — the shape an on-disk spill
@@ -424,15 +424,15 @@ func (e *encoder) size() int64 {
 	return e.closed
 }
 
-// trace finalizes the encoder into an immutable Trace.
-func (e *encoder) trace() *Trace {
-	return &Trace{segs: e.segs, n: e.n, bytes: e.size()}
+// finish finalizes the encoder into an immutable trace.
+func (e *encoder) finish() *trace {
+	return &trace{segs: e.segs, n: e.n, bytes: e.size()}
 }
 
 // capture generates the full trace for p once and encodes it, aborting
 // with errTooLarge as soon as the encoding crosses limit. A generator
 // panic comes back as an error, exactly like the live path's TracePanic.
-func capture(p memtrace.Profile, gen func(*memtrace.Tracer), limit int64) (t *Trace, err error) {
+func capture(p memtrace.Profile, gen func(*memtrace.Tracer), limit int64) (t *trace, err error) {
 	r := memtrace.NewReader(p, gen)
 	enc := &encoder{}
 	buf := make([]memtrace.Inst, 8192)
@@ -475,15 +475,15 @@ func capture(p memtrace.Profile, gen func(*memtrace.Tracer), limit int64) (t *Tr
 	if err != nil {
 		return nil, err
 	}
-	return enc.trace(), nil
+	return enc.finish(), nil
 }
 
-// SegmentReader replays a Trace, implementing memtrace.Reader by decoding
+// segmentReader replays a trace, implementing memtrace.Reader by decoding
 // the columnar streams directly into the caller's buffer — no generator
 // goroutine, no channel hop, no intermediate batch copy. Not safe for
-// concurrent use; create one per replay with Trace.NewReader.
-type SegmentReader struct {
-	t   *Trace
+// concurrent use; create one per replay with trace.newReader.
+type segmentReader struct {
+	t   *trace
 	seg int // current segment index
 	i   int // instructions decoded from the current segment
 
@@ -492,7 +492,7 @@ type SegmentReader struct {
 }
 
 // Read implements memtrace.Reader.
-func (r *SegmentReader) Read(buf []memtrace.Inst) int {
+func (r *segmentReader) Read(buf []memtrace.Inst) int {
 	total := 0
 	for total < len(buf) && r.seg < len(r.t.segs) {
 		s := r.t.segs[r.seg]

@@ -109,11 +109,11 @@ func TestMultiSegmentSmallReads(t *testing.T) {
 	if len(tr.segs) != 4 {
 		t.Fatalf("segments = %d, want 4", len(tr.segs))
 	}
-	if tr.Len() != n {
-		t.Fatalf("trace length = %d, want %d", tr.Len(), n)
+	if tr.length() != n {
+		t.Fatalf("trace length = %d, want %d", tr.length(), n)
 	}
 
-	r := tr.NewReader()
+	r := tr.newReader()
 	var got []memtrace.Inst
 	sizes := []int{1, 3, 7, 1000, segInstrs} // straddle boundaries every way
 	for i := 0; ; i++ {
@@ -180,7 +180,7 @@ func TestEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c := New(tA.Bytes() + tB.Bytes() - 1) // each fits; both together do not
+	c := New(tA.size() + tB.size() - 1) // each fits; both together do not
 	if _, _, err := c.Reader(context.Background(), "a", pA, testGen); err != nil {
 		t.Fatal(err)
 	}
@@ -188,8 +188,8 @@ func TestEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := c.Stats()
-	if s.Traces != 1 || s.Evictions != 1 || s.Bytes != tB.Bytes() {
-		t.Fatalf("stats = %+v, want traces=1 evictions=1 bytes=%d", s, tB.Bytes())
+	if s.Traces != 1 || s.Evictions != 1 || s.Bytes != tB.size() {
+		t.Fatalf("stats = %+v, want traces=1 evictions=1 bytes=%d", s, tB.size())
 	}
 
 	// The survivor is B; A re-captures on its next request.

@@ -43,7 +43,7 @@ func TracesHandler(rec *Recorder) http.Handler {
 		enc.Encode(struct {
 			Total  int64       `json:"total"`
 			Traces []TraceData `json:"traces"`
-		}{rec.Total(), traces})
+		}{rec.recorded(), traces})
 	})
 }
 

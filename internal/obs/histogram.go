@@ -9,37 +9,37 @@ import (
 	"time"
 )
 
-// DefaultLatencyBounds are the fixed histogram bucket upper bounds, in
+// defaultLatencyBounds are the fixed histogram bucket upper bounds, in
 // seconds, shared by the per-endpoint and per-job-kind latency
 // histograms: 10 µs (a warm read of retained bytes) up through 10 s (a
 // cold cluster cell on a loaded worker), roughly 2.5x apart. Fixed
 // buckets keep the /metrics surface golden-testable and let histograms
 // from different processes be summed by a scraper.
-var DefaultLatencyBounds = []float64{
+var defaultLatencyBounds = []float64{
 	0.00001, 0.000025, 0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.0025,
 	0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
-// Histogram is a fixed-bucket latency histogram with lock-free Observe,
+// histogram is a fixed-bucket latency histogram with lock-free observe,
 // rendered in the Prometheus text exposition's _bucket/_sum/_count shape.
-type Histogram struct {
+type histogram struct {
 	bounds []float64      // upper bounds in seconds, ascending
 	counts []atomic.Int64 // len(bounds)+1; the last bucket is +Inf
 	sumNS  atomic.Int64
 	count  atomic.Int64
 }
 
-// NewHistogram returns a histogram over the given ascending upper bounds
-// (nil uses DefaultLatencyBounds).
-func NewHistogram(bounds []float64) *Histogram {
+// newHistogram returns a histogram over the given ascending upper bounds
+// (nil uses defaultLatencyBounds).
+func newHistogram(bounds []float64) *histogram {
 	if bounds == nil {
-		bounds = DefaultLatencyBounds
+		bounds = defaultLatencyBounds
 	}
-	return &Histogram{bounds: bounds, counts: make([]atomic.Int64, len(bounds)+1)}
+	return &histogram{bounds: bounds, counts: make([]atomic.Int64, len(bounds)+1)}
 }
 
-// Observe records one duration.
-func (h *Histogram) Observe(d time.Duration) {
+// observe records one duration.
+func (h *histogram) observe(d time.Duration) {
 	s := d.Seconds()
 	i := sort.SearchFloat64s(h.bounds, s) // first bound >= s, len(bounds) = +Inf
 	h.counts[i].Add(1)
@@ -47,19 +47,19 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.count.Add(1)
 }
 
-// HistogramData is a point-in-time snapshot: cumulative counts per bound
+// histogramData is a point-in-time snapshot: cumulative counts per bound
 // (the +Inf bucket equals Count), total seconds and total observations.
-type HistogramData struct {
+type histogramData struct {
 	Bounds     []float64
 	Cumulative []int64
 	Sum        float64
 	Count      int64
 }
 
-// Snapshot returns the histogram's current state with counts made
+// snapshot returns the histogram's current state with counts made
 // cumulative, the shape the Prometheus text format wants.
-func (h *Histogram) Snapshot() HistogramData {
-	d := HistogramData{
+func (h *histogram) snapshot() histogramData {
+	d := histogramData{
 		Bounds:     h.bounds,
 		Cumulative: make([]int64, len(h.bounds)),
 		Sum:        float64(h.sumNS.Load()) / 1e9,
@@ -79,16 +79,16 @@ func (h *Histogram) Snapshot() HistogramData {
 type HistogramSet struct {
 	bounds []float64
 	mu     sync.Mutex
-	m      map[string]*Histogram
+	m      map[string]*histogram
 }
 
 // NewHistogramSet returns an empty set over bounds (nil uses
-// DefaultLatencyBounds).
+// defaultLatencyBounds).
 func NewHistogramSet(bounds []float64) *HistogramSet {
 	if bounds == nil {
-		bounds = DefaultLatencyBounds
+		bounds = defaultLatencyBounds
 	}
-	return &HistogramSet{bounds: bounds, m: make(map[string]*Histogram)}
+	return &HistogramSet{bounds: bounds, m: make(map[string]*histogram)}
 }
 
 // Observe records one duration under the given label value.
@@ -96,16 +96,16 @@ func (s *HistogramSet) Observe(label string, d time.Duration) {
 	s.mu.Lock()
 	h, ok := s.m[label]
 	if !ok {
-		h = NewHistogram(s.bounds)
+		h = newHistogram(s.bounds)
 		s.m[label] = h
 	}
 	s.mu.Unlock()
-	h.Observe(d)
+	h.observe(d)
 }
 
-// Labels returns the observed label values, sorted — the deterministic
+// sortedLabels returns the observed label values, sorted — the deterministic
 // iteration order the /metrics rendering (and its golden test) needs.
-func (s *HistogramSet) Labels() []string {
+func (s *HistogramSet) sortedLabels() []string {
 	s.mu.Lock()
 	out := make([]string, 0, len(s.m))
 	for l := range s.m {
@@ -116,17 +116,17 @@ func (s *HistogramSet) Labels() []string {
 	return out
 }
 
-// Get returns the label's histogram, or nil if it was never observed.
-func (s *HistogramSet) Get(label string) *Histogram {
+// get returns the label's histogram, or nil if it was never observed.
+func (s *HistogramSet) get(label string) *histogram {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.m[label]
 }
 
-// Count returns the label's observation count (0 if never observed) —
+// count returns the label's observation count (0 if never observed) —
 // the _count sample, used directly by consistency checks.
-func (s *HistogramSet) Count(label string) int64 {
-	if h := s.Get(label); h != nil {
+func (s *HistogramSet) count(label string) int64 {
+	if h := s.get(label); h != nil {
 		return h.count.Load()
 	}
 	return 0
@@ -139,8 +139,8 @@ func (s *HistogramSet) Count(label string) int64 {
 func (s *HistogramSet) WriteProm(b *strings.Builder, name, labelName, help string) {
 	b.WriteString("# HELP " + name + " " + help + "\n")
 	b.WriteString("# TYPE " + name + " histogram\n")
-	for _, label := range s.Labels() {
-		d := s.Get(label).Snapshot()
+	for _, label := range s.sortedLabels() {
+		d := s.get(label).snapshot()
 		lp := labelName + "=" + strconv.Quote(label)
 		for i, bound := range d.Bounds {
 			b.WriteString(name + "_bucket{" + lp + ",le=\"" +

@@ -12,14 +12,14 @@ import (
 // including the inclusive-upper-bound (le) edge Prometheus semantics
 // require: an observation exactly on a bound lands in that bound's bucket.
 func TestHistogramBuckets(t *testing.T) {
-	h := NewHistogram([]float64{0.001, 0.01, 0.1})
-	h.Observe(500 * time.Microsecond) // bucket le=0.001
-	h.Observe(time.Millisecond)       // exactly on the bound: still le=0.001
-	h.Observe(5 * time.Millisecond)   // le=0.01
-	h.Observe(50 * time.Millisecond)  // le=0.1
-	h.Observe(500 * time.Millisecond) // +Inf only
+	h := newHistogram([]float64{0.001, 0.01, 0.1})
+	h.observe(500 * time.Microsecond) // bucket le=0.001
+	h.observe(time.Millisecond)       // exactly on the bound: still le=0.001
+	h.observe(5 * time.Millisecond)   // le=0.01
+	h.observe(50 * time.Millisecond)  // le=0.1
+	h.observe(500 * time.Millisecond) // +Inf only
 
-	d := h.Snapshot()
+	d := h.snapshot()
 	if want := []int64{2, 3, 4}; fmt.Sprint(d.Cumulative) != fmt.Sprint(want) {
 		t.Errorf("cumulative = %v, want %v", d.Cumulative, want)
 	}
@@ -67,19 +67,19 @@ func TestHistogramSetWriteProm(t *testing.T) {
 	}
 }
 
-// TestHistogramSetCount: Count reads through to the label's _count and is
+// TestHistogramSetCount: count reads through to the label's _count and is
 // 0 (not a panic) for labels never observed.
 func TestHistogramSetCount(t *testing.T) {
 	s := NewHistogramSet(nil)
-	if s.Count("ghost") != 0 {
+	if s.count("ghost") != 0 {
 		t.Error("unobserved label should count 0")
 	}
 	s.Observe("k", time.Millisecond)
 	s.Observe("k", time.Millisecond)
-	if got := s.Count("k"); got != 2 {
+	if got := s.count("k"); got != 2 {
 		t.Errorf("Count = %d, want 2", got)
 	}
-	if got := s.Labels(); fmt.Sprint(got) != "[k]" {
+	if got := s.sortedLabels(); fmt.Sprint(got) != "[k]" {
 		t.Errorf("Labels = %v", got)
 	}
 }
@@ -101,13 +101,13 @@ func TestHistogramConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if got := s.Count("shared"); got != workers*perWorker {
+	if got := s.count("shared"); got != workers*perWorker {
 		t.Errorf("shared count = %d, want %d", got, workers*perWorker)
 	}
-	if got := len(s.Labels()); got != workers+1 {
+	if got := len(s.sortedLabels()); got != workers+1 {
 		t.Errorf("labels = %d, want %d", got, workers+1)
 	}
-	d := s.Get("shared").Snapshot()
+	d := s.get("shared").snapshot()
 	if d.Cumulative[len(d.Cumulative)-1] != d.Count {
 		t.Errorf("last bound cumulative %d != count %d", d.Cumulative[len(d.Cumulative)-1], d.Count)
 	}

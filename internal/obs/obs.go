@@ -348,9 +348,9 @@ func (r *Recorder) record(t *Trace) {
 	r.mu.Unlock()
 }
 
-// Total reports how many traces have ever been recorded (recorded, not
+// recorded reports how many traces have ever been recorded (recorded, not
 // retained: the ring keeps only the most recent cap).
-func (r *Recorder) Total() int64 {
+func (r *Recorder) recorded() int64 {
 	if r == nil {
 		return 0
 	}

@@ -40,7 +40,7 @@ func TestNilSafety(t *testing.T) {
 	if rec.StartTrace("x", "") != nil {
 		t.Error("nil recorder should start nil traces")
 	}
-	if rec.Total() != 0 || rec.Traces(0) != nil {
+	if rec.recorded() != 0 || rec.Traces(0) != nil {
 		t.Error("nil recorder should report nothing")
 	}
 }
@@ -111,8 +111,8 @@ func TestFinishSeals(t *testing.T) {
 	tr.SetAttr("after", "finish")
 	Event(ctx, "too-late")
 
-	if rec.Total() != 1 {
-		t.Fatalf("double Finish recorded %d traces, want 1", rec.Total())
+	if rec.recorded() != 1 {
+		t.Fatalf("double Finish recorded %d traces, want 1", rec.recorded())
 	}
 	td := rec.Traces(0)[0]
 	if len(td.Spans) != 1 || td.Spans[0].Name != "early" {
@@ -165,14 +165,14 @@ func TestValidID(t *testing.T) {
 }
 
 // TestRingWrap fills a small ring past capacity and checks eviction order:
-// oldest traces fall out, Traces walks newest-first, Total keeps counting.
+// oldest traces fall out, Traces walks newest-first, recorded keeps counting.
 func TestRingWrap(t *testing.T) {
 	rec := NewRecorder(4)
 	for i := 0; i < 7; i++ {
 		rec.record(sealedTrace(TraceData{ID: fmt.Sprintf("t%d", i)}))
 	}
-	if rec.Total() != 7 {
-		t.Errorf("Total = %d, want 7", rec.Total())
+	if rec.recorded() != 7 {
+		t.Errorf("Total = %d, want 7", rec.recorded())
 	}
 	var got []string
 	for _, td := range rec.Traces(0) {
@@ -239,7 +239,7 @@ func TestConcurrentSpans(t *testing.T) {
 }
 
 // TestConcurrentRecorder: many goroutines finishing whole traces into one
-// ring concurrently; the ring stays consistent and Total exact.
+// ring concurrently; the ring stays consistent and recorded exact.
 func TestConcurrentRecorder(t *testing.T) {
 	const workers, perWorker = 8, 100
 	rec := NewRecorder(16)
@@ -256,8 +256,8 @@ func TestConcurrentRecorder(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if rec.Total() != workers*perWorker {
-		t.Errorf("Total = %d, want %d", rec.Total(), workers*perWorker)
+	if rec.recorded() != workers*perWorker {
+		t.Errorf("Total = %d, want %d", rec.recorded(), workers*perWorker)
 	}
 	if n := len(rec.Traces(0)); n != 16 {
 		t.Errorf("retained %d traces, want full ring of 16", n)

@@ -61,19 +61,19 @@ import (
 
 // Defaults for Options' zero fields, and the push path's fixed tuning.
 const (
-	// DefaultFactor is the total number of copies of each fresh record,
+	// defaultFactor is the total number of copies of each fresh record,
 	// the writing node included: 2 survives any single node loss.
-	DefaultFactor = 2
-	// DefaultInterval paces the background anti-entropy loop.
-	DefaultInterval = 30 * time.Second
-	// DefaultQueueLen bounds the async push queue; overflow is counted
+	defaultFactor = 2
+	// defaultInterval paces the background anti-entropy loop.
+	defaultInterval = 30 * time.Second
+	// defaultQueueLen bounds the async push queue; overflow is counted
 	// and dropped (anti-entropy repairs it later) rather than blocking
 	// the simulation path.
-	DefaultQueueLen = 256
-	// DefaultRetries is how many extra attempts a failed push gets.
-	DefaultRetries = 2
-	// DefaultTimeout bounds each peer HTTP call.
-	DefaultTimeout = 10 * time.Second
+	defaultQueueLen = 256
+	// defaultRetries is how many extra attempts a failed push gets.
+	defaultRetries = 2
+	// defaultTimeout bounds each peer HTTP call.
+	defaultTimeout = 10 * time.Second
 )
 
 // pushWorkers is the sender fan-out draining the push queue.
@@ -108,10 +108,10 @@ type Options struct {
 // credential on its peers.
 func RegisterFlags(fs *flag.FlagSet, o *Options) {
 	if o.Factor == 0 {
-		o.Factor = DefaultFactor
+		o.Factor = defaultFactor
 	}
 	if o.Interval == 0 {
-		o.Interval = DefaultInterval
+		o.Interval = defaultInterval
 	}
 	fs.Var((*peer.List)(&o.Peers), "replicas", "comma-separated replica peer addresses (host:port,...) to fan fresh store records out to; empty = replication off")
 	fs.IntVar(&o.Factor, "replication-factor", o.Factor, "total copies of each fresh record across the cluster, this node included")
@@ -180,13 +180,13 @@ func New(opts Options, st *store.Store, log *slog.Logger) (*Replicator, error) {
 		return nil, errors.New("replica: no peers configured")
 	}
 	if opts.Factor <= 0 {
-		opts.Factor = DefaultFactor
+		opts.Factor = defaultFactor
 	}
 	if opts.Factor > len(opts.Peers)+1 {
 		opts.Factor = len(opts.Peers) + 1
 	}
 	if opts.Interval == 0 {
-		opts.Interval = DefaultInterval
+		opts.Interval = defaultInterval
 	}
 	if log == nil {
 		log = slog.Default()
@@ -194,9 +194,9 @@ func New(opts Options, st *store.Store, log *slog.Logger) (*Replicator, error) {
 	r := &Replicator{
 		opts:   opts,
 		st:     st,
-		client: peer.Client{APIKey: opts.APIKey, Timeout: DefaultTimeout},
+		client: peer.Client{APIKey: opts.APIKey, Timeout: defaultTimeout},
 		log:    log,
-		queue:  make(chan pushItem, DefaultQueueLen),
+		queue:  make(chan pushItem, defaultQueueLen),
 	}
 	st.OnWrite(r.enqueue)
 	return r, nil
@@ -331,7 +331,7 @@ func (r *Replicator) push(ctx context.Context, it pushItem) {
 	}
 	sp := obs.Start(ctx, "replica.push", "peer", it.peer, "addr", it.addr)
 	var err error
-	for attempt := 0; attempt <= DefaultRetries; attempt++ {
+	for attempt := 0; attempt <= defaultRetries; attempt++ {
 		if attempt > 0 {
 			select {
 			case <-ctx.Done():

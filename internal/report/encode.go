@@ -57,11 +57,11 @@ func (t *Table) JSON() ([]byte, error) {
 	return append(data, '\n'), nil
 }
 
-// WriteCSV streams the table as CSV: a "workload" header row, then one
+// writeCSV streams the table as CSV: a "workload" header row, then one
 // record per row with values printed at the table's precision (missing
 // trailing values become empty fields). Both the CLI's -csv path and the
 // service's text/csv responses are this encoder.
-func (t *Table) WriteCSV(w io.Writer) error {
+func (t *Table) writeCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write(append([]string{"workload"}, t.Columns...)); err != nil {
 		return err
@@ -86,7 +86,7 @@ func (t *Table) WriteCSV(w io.Writer) error {
 // CSV renders the table as comma-separated values.
 func (t *Table) CSV() string {
 	var b strings.Builder
-	if err := t.WriteCSV(&b); err != nil {
+	if err := t.writeCSV(&b); err != nil {
 		// strings.Builder cannot fail; csv.Writer only fails on I/O.
 		panic(err)
 	}

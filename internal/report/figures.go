@@ -268,11 +268,11 @@ Branch predictor   14-bit tournament (bimodal + gshare), %d-entry BTB
 		c.MSHRs, c.MemGap, 1<<c.BTBBits)
 }
 
-// MetricFigure builds one of the counter figures (3, 4, 7, 8, 9, 10, 11,
+// metricFigure builds one of the counter figures (3, 4, 7, 8, 9, 10, 11,
 // 12) over a characterization sweep, with the paper's approximate values
 // alongside and the data-analysis class average appended as the paper's
 // "avg" bar.
-func MetricFigure(results []*core.Result, title string, measured func(*uarch.Counters) float64, paper func(core.PaperRef) float64) *Table {
+func metricFigure(results []*core.Result, title string, measured func(*uarch.Counters) float64, paper func(core.PaperRef) float64) *Table {
 	t := &Table{
 		Title:   title,
 		Columns: []string{"measured", "paper_approx"},
@@ -294,14 +294,14 @@ func MetricFigure(results []*core.Result, title string, measured func(*uarch.Cou
 
 // Figure3 is IPC per workload.
 func Figure3(results []*core.Result) *Table {
-	return MetricFigure(results, "Figure 3: instructions per cycle",
+	return metricFigure(results, "Figure 3: instructions per cycle",
 		func(c *uarch.Counters) float64 { return c.IPC() },
 		func(p core.PaperRef) float64 { return p.IPC })
 }
 
 // Figure4 is the kernel-mode instruction share.
 func Figure4(results []*core.Result) *Table {
-	return MetricFigure(results, "Figure 4: kernel instruction share (%)",
+	return metricFigure(results, "Figure 4: kernel instruction share (%)",
 		func(c *uarch.Counters) float64 { return 100 * c.KernelShare() },
 		func(p core.PaperRef) float64 { return p.KernelPct })
 }
@@ -325,42 +325,42 @@ func Figure6(results []*core.Result) *Table {
 
 // Figure7 is L1I misses per kilo-instruction.
 func Figure7(results []*core.Result) *Table {
-	return MetricFigure(results, "Figure 7: L1 instruction cache misses per k-instruction",
+	return metricFigure(results, "Figure 7: L1 instruction cache misses per k-instruction",
 		func(c *uarch.Counters) float64 { return c.L1IMPKI() },
 		func(p core.PaperRef) float64 { return p.L1IMPKI })
 }
 
 // Figure8 is ITLB-miss page walks per kilo-instruction.
 func Figure8(results []*core.Result) *Table {
-	return MetricFigure(results, "Figure 8: ITLB-miss page walks per k-instruction",
+	return metricFigure(results, "Figure 8: ITLB-miss page walks per k-instruction",
 		func(c *uarch.Counters) float64 { return c.ITLBWalksPKI() },
 		func(p core.PaperRef) float64 { return p.ITLBWalksPKI })
 }
 
 // Figure9 is L2 misses per kilo-instruction.
 func Figure9(results []*core.Result) *Table {
-	return MetricFigure(results, "Figure 9: L2 cache misses per k-instruction",
+	return metricFigure(results, "Figure 9: L2 cache misses per k-instruction",
 		func(c *uarch.Counters) float64 { return c.L2MPKI() },
 		func(p core.PaperRef) float64 { return p.L2MPKI })
 }
 
 // Figure10 is the share of L2 misses satisfied by L3.
 func Figure10(results []*core.Result) *Table {
-	return MetricFigure(results, "Figure 10: L3 hit ratio of L2 misses (%)",
+	return metricFigure(results, "Figure 10: L3 hit ratio of L2 misses (%)",
 		func(c *uarch.Counters) float64 { return 100 * c.L3HitRatio() },
 		func(p core.PaperRef) float64 { return p.L3HitPct })
 }
 
 // Figure11 is DTLB-miss page walks per kilo-instruction.
 func Figure11(results []*core.Result) *Table {
-	return MetricFigure(results, "Figure 11: DTLB-miss page walks per k-instruction",
+	return metricFigure(results, "Figure 11: DTLB-miss page walks per k-instruction",
 		func(c *uarch.Counters) float64 { return c.DTLBWalksPKI() },
 		func(p core.PaperRef) float64 { return p.DTLBWalksPKI })
 }
 
 // Figure12 is the branch misprediction ratio.
 func Figure12(results []*core.Result) *Table {
-	return MetricFigure(results, "Figure 12: branch misprediction ratio (%)",
+	return metricFigure(results, "Figure 12: branch misprediction ratio (%)",
 		func(c *uarch.Counters) float64 { return 100 * c.BranchMispredictRatio() },
 		func(p core.PaperRef) float64 { return p.BranchMispPct })
 }

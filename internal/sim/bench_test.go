@@ -5,7 +5,7 @@ import "testing"
 func BenchmarkEventLoop(b *testing.B) {
 	e := NewEngine()
 	for i := 0; i < b.N; i++ {
-		e.After(1, func() {})
+		e.after(1, func() {})
 	}
 	b.ResetTimer()
 	e.Run()

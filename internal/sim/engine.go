@@ -1,13 +1,13 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
 // The kernel has two layers. The lower layer is a classic event loop: a
-// virtual clock and a priority queue of timestamped callbacks (Engine.At,
-// Engine.After, Engine.Run). The upper layer is a cooperative process model
-// in the style of SimPy: Engine.Go starts a goroutine that may block on
-// virtual time (Process.Sleep), counted resources (Resource.Acquire) and
-// bandwidth pipes (Pipe.Transfer). Exactly one goroutine — either the engine
-// or a single process — runs at any instant, so simulations are fully
-// deterministic regardless of GOMAXPROCS.
+// virtual clock and a priority queue of timestamped events, drained by
+// Engine.Run. The upper layer is a cooperative process model in the style
+// of SimPy: Engine.Go starts a goroutine that may block on virtual time
+// (Process.Sleep), counted resources (Resource.Acquire) and bandwidth pipes
+// (Pipe.Transfer). Exactly one goroutine — either the engine or a single
+// process — runs at any instant, so simulations are fully deterministic
+// regardless of GOMAXPROCS.
 package sim
 
 import "fmt"
@@ -86,15 +86,12 @@ func NewEngine() *Engine {
 // Now returns the current virtual time in seconds.
 func (e *Engine) Now() float64 { return e.now }
 
-// Pending reports the number of scheduled events.
-func (e *Engine) Pending() int { return len(e.events) }
-
-// At schedules fn to run at absolute virtual time t. Scheduling in the past
+// at schedules fn to run at absolute virtual time t. Scheduling in the past
 // panics: it indicates a bug in the model, not a recoverable condition.
-func (e *Engine) At(t float64, fn func()) { e.schedule(event{at: t, fn: fn}) }
+func (e *Engine) at(t float64, fn func()) { e.schedule(event{at: t, fn: fn}) }
 
-// After schedules fn to run d seconds from now.
-func (e *Engine) After(d float64, fn func()) { e.At(e.now+d, fn) }
+// after schedules fn to run d seconds from now.
+func (e *Engine) after(d float64, fn func()) { e.at(e.now+d, fn) }
 
 // wake schedules blocked process p to resume at absolute virtual time t.
 func (e *Engine) wake(t float64, p *Process) { e.schedule(event{at: t, p: p}) }
@@ -138,8 +135,8 @@ func (e *Engine) Run() {
 	}
 }
 
-// RunUntil executes events with timestamps <= t, then sets the clock to t.
-func (e *Engine) RunUntil(t float64) {
+// runUntil executes events with timestamps <= t, then sets the clock to t.
+func (e *Engine) runUntil(t float64) {
 	for len(e.events) > 0 && e.events[0].at <= t {
 		e.fire()
 	}

@@ -8,9 +8,9 @@ import (
 func TestEngineOrdering(t *testing.T) {
 	e := NewEngine()
 	var got []int
-	e.At(3, func() { got = append(got, 3) })
-	e.At(1, func() { got = append(got, 1) })
-	e.At(2, func() { got = append(got, 2) })
+	e.at(3, func() { got = append(got, 3) })
+	e.at(1, func() { got = append(got, 1) })
+	e.at(2, func() { got = append(got, 2) })
 	e.Run()
 	want := []int{1, 2, 3}
 	for i := range want {
@@ -28,7 +28,7 @@ func TestEngineTieBreakFIFO(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(5, func() { got = append(got, i) })
+		e.at(5, func() { got = append(got, i) })
 	}
 	e.Run()
 	for i := range got {
@@ -41,8 +41,8 @@ func TestEngineTieBreakFIFO(t *testing.T) {
 func TestEngineAfterNesting(t *testing.T) {
 	e := NewEngine()
 	var times []float64
-	e.At(1, func() {
-		e.After(2, func() { times = append(times, e.Now()) })
+	e.at(1, func() {
+		e.after(2, func() { times = append(times, e.Now()) })
 	})
 	e.Run()
 	if len(times) != 1 || times[0] != 3 {
@@ -57,24 +57,24 @@ func TestEngineSchedulePastPanics(t *testing.T) {
 		}
 	}()
 	e := NewEngine()
-	e.At(5, func() { e.At(1, func() {}) })
+	e.at(5, func() { e.at(1, func() {}) })
 	e.Run()
 }
 
 func TestRunUntil(t *testing.T) {
 	e := NewEngine()
 	ran := 0
-	e.At(1, func() { ran++ })
-	e.At(10, func() { ran++ })
-	e.RunUntil(5)
+	e.at(1, func() { ran++ })
+	e.at(10, func() { ran++ })
+	e.runUntil(5)
 	if ran != 1 {
 		t.Fatalf("ran = %d, want 1", ran)
 	}
 	if e.Now() != 5 {
 		t.Fatalf("Now() = %v, want 5", e.Now())
 	}
-	if e.Pending() != 1 {
-		t.Fatalf("Pending() = %d, want 1", e.Pending())
+	if len(e.events) != 1 {
+		t.Fatalf("pending events = %d, want 1", len(e.events))
 	}
 }
 
@@ -148,23 +148,23 @@ func TestResourceParallelism(t *testing.T) {
 	if e.Now() != 2 {
 		t.Fatalf("4 unit jobs on 2 units took %v, want 2", e.Now())
 	}
-	if r.InUse() != 0 {
-		t.Fatalf("resource left in use: %d", r.InUse())
+	if r.inUse != 0 {
+		t.Fatalf("resource left in use: %d", r.inUse)
 	}
 }
 
 func TestResourceTryAcquire(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, 1)
-	if !r.TryAcquire() {
-		t.Fatal("first TryAcquire failed")
+	if !r.tryAcquire() {
+		t.Fatal("first tryAcquire failed")
 	}
-	if r.TryAcquire() {
-		t.Fatal("second TryAcquire should fail")
+	if r.tryAcquire() {
+		t.Fatal("second tryAcquire should fail")
 	}
 	r.Release()
-	if !r.TryAcquire() {
-		t.Fatal("TryAcquire after release failed")
+	if !r.tryAcquire() {
+		t.Fatal("tryAcquire after release failed")
 	}
 }
 

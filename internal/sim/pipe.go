@@ -42,5 +42,5 @@ func (pp *Pipe) finish(n int64) float64 {
 // Transfer moves n bytes through the pipe, blocking the process until the
 // transfer completes.
 func (pp *Pipe) Transfer(p *Process, n int64) {
-	p.SleepUntil(pp.finish(n))
+	p.sleepUntil(pp.finish(n))
 }

@@ -8,9 +8,6 @@ type Process struct {
 	wake chan struct{}
 }
 
-// Engine returns the engine the process runs on.
-func (p *Process) Engine() *Engine { return p.eng }
-
 // Now returns the current virtual time.
 func (p *Process) Now() float64 { return p.eng.now }
 
@@ -22,7 +19,7 @@ func (p *Process) Now() float64 { return p.eng.now }
 func (e *Engine) Go(fn func(p *Process)) {
 	p := &Process{eng: e, wake: make(chan struct{})}
 	e.nProcs++
-	e.After(0, func() {
+	e.after(0, func() {
 		go func() {
 			defer func() {
 				e.procPanic = recover()
@@ -68,9 +65,9 @@ func (p *Process) Sleep(d float64) {
 	p.block()
 }
 
-// SleepUntil suspends the process until absolute virtual time t.
+// sleepUntil suspends the process until absolute virtual time t.
 // If t is in the past it yields without advancing time.
-func (p *Process) SleepUntil(t float64) {
+func (p *Process) sleepUntil(t float64) {
 	if t < p.eng.now {
 		t = p.eng.now
 	}

@@ -22,9 +22,6 @@ func NewResource(e *Engine, capacity int) *Resource {
 	return &Resource{eng: e, capacity: capacity}
 }
 
-// InUse returns the number of units currently held.
-func (r *Resource) InUse() int { return r.inUse }
-
 func (r *Resource) stamp() {
 	r.Busy += float64(r.inUse) * (r.eng.now - r.lastStamp)
 	r.lastStamp = r.eng.now
@@ -42,8 +39,8 @@ func (r *Resource) Acquire(p *Process) {
 	// The releaser incremented inUse on our behalf before waking us.
 }
 
-// TryAcquire takes a unit if one is immediately available.
-func (r *Resource) TryAcquire() bool {
+// tryAcquire takes a unit if one is immediately available.
+func (r *Resource) tryAcquire() bool {
 	if r.inUse < r.capacity && len(r.waiters) == 0 {
 		r.stamp()
 		r.inUse++

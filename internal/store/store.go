@@ -12,7 +12,7 @@
 //
 //	root/SCHEMA               the schema version ("2\n"); any other version
 //	                          refuses to open rather than misread old bytes
-//	root/v2/shard-??/         one directory per hash shard (DefaultShards)
+//	root/v2/shard-??/         one directory per hash shard (defaultShards)
 //	root/v2/shard-??/<addr>.json one record per key; <addr> is the fnv64a of
 //	                          (kind, canonical key JSON); its mtime is the
 //	                          record's last Put or Get
@@ -65,11 +65,11 @@ import (
 // SchemaVersion is the on-disk schema this package reads and writes.
 const SchemaVersion = 2
 
-// DefaultShards is every store's shard count: wide enough that a
+// defaultShards is every store's shard count: wide enough that a
 // full-width sweep's write-through rarely contends on one shard lock, small
 // enough that an empty store is a handful of directories. A key's shard is
 // the low bits of its address, so the count is a power of two and fixed.
-const DefaultShards = 16
+const defaultShards = 16
 
 // DefaultMaxBytes is the byte budget of a store opened without one. A
 // record is a pure function of its key, so nothing in a store ever goes
@@ -201,7 +201,7 @@ func OpenWith(dir string, opt OpenOptions) (*Store, error) {
 		log:      opt.Log,
 	}
 	root := filepath.Join(dir, fmt.Sprintf("v%d", SchemaVersion))
-	for i := 0; i < DefaultShards; i++ {
+	for i := 0; i < defaultShards; i++ {
 		sh := &shard{dir: filepath.Join(root, fmt.Sprintf("shard-%02x", i))}
 		if err := sh.open(); err != nil {
 			return nil, fmt.Errorf("store: %w", err)
@@ -257,7 +257,7 @@ func writeFileAtomic(path string, data []byte) error {
 // Close has nothing to release and returns nil.
 func (s *Store) Close() error { return nil }
 
-// ShardCount reports the shard count, DefaultShards.
+// ShardCount reports the shard count, defaultShards.
 func (s *Store) ShardCount() int { return len(s.shards) }
 
 // Len is the current record count — an O(1) counter read off the in-memory

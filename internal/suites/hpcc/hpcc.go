@@ -1,11 +1,14 @@
 // Package hpcc implements the seven HPC Challenge benchmarks the paper
 // compares against (Section III-C.1): HPL, DGEMM, STREAM, PTRANS,
-// RandomAccess, FFT and COMM. Each benchmark exists twice over the same
-// code: a pure kernel (unit-tested for numerical correctness) and a traced
-// variant that performs the same computation while emitting its memory
-// access pattern through a memtrace.Tracer, so the core simulator sees the
-// genuine algorithm behaviour — dense FP streams for HPL/DGEMM, pure
-// bandwidth for STREAM, dependent random updates for RandomAccess.
+// RandomAccess, FFT and COMM. The traced variants (Trace*) are what the
+// simulator runs: each emits a synthetic instruction stream through a
+// memtrace.Tracer that follows its benchmark's loop structure and access
+// pattern — dense FP streams for HPL/DGEMM, pure bandwidth for STREAM,
+// dependent random updates for RandomAccess — without computing any
+// values. The pure kernels beside them (dgemm, luSolve, streamTriad,
+// transpose, gups, fft) compute for real; they are unit-tested references
+// that no traced variant calls yet, kept for the traced variants to run
+// on seeded data.
 package hpcc
 
 import (
@@ -17,8 +20,8 @@ import (
 
 // --- DGEMM ---
 
-// DGEMM computes C = A*B for n x n row-major matrices.
-func DGEMM(a, b []float64, n int) []float64 {
+// dgemm computes C = A*B for n x n row-major matrices.
+func dgemm(a, b []float64, n int) []float64 {
 	c := make([]float64, n*n)
 	for i := 0; i < n; i++ {
 		for k := 0; k < n; k++ {
@@ -53,9 +56,9 @@ func TraceDGEMM(t *memtrace.Tracer, n int) {
 
 // --- HPL (LU factorisation with partial pivoting) ---
 
-// LUSolve solves Ax=b by in-place LU decomposition with partial pivoting,
+// luSolve solves Ax=b by in-place LU decomposition with partial pivoting,
 // returning x. A is n x n row-major and is overwritten.
-func LUSolve(a []float64, b []float64, n int) []float64 {
+func luSolve(a []float64, b []float64, n int) []float64 {
 	piv := make([]int, n)
 	for i := range piv {
 		piv[i] = i
@@ -120,8 +123,8 @@ func TraceHPL(t *memtrace.Tracer, n int) {
 
 // --- STREAM (triad) ---
 
-// StreamTriad computes a[i] = b[i] + s*c[i], returning a checksum.
-func StreamTriad(b, c []float64, s float64) float64 {
+// streamTriad computes a[i] = b[i] + s*c[i], returning a checksum.
+func streamTriad(b, c []float64, s float64) float64 {
 	sum := 0.0
 	for i := range b {
 		v := b[i] + s*c[i]
@@ -148,8 +151,8 @@ func TraceStream(t *memtrace.Tracer, elems int) {
 
 // --- PTRANS (matrix transpose) ---
 
-// Transpose returns the transpose of an n x n row-major matrix.
-func Transpose(a []float64, n int) []float64 {
+// transpose returns the transpose of an n x n row-major matrix.
+func transpose(a []float64, n int) []float64 {
 	out := make([]float64, n*n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
@@ -182,9 +185,9 @@ func TracePTRANS(t *memtrace.Tracer, n int) {
 
 // --- RandomAccess (GUPS) ---
 
-// GUPS performs the HPCC random-access update loop over table (a power of
+// gups performs the HPCC random-access update loop over table (a power of
 // two length), returning the table for verification.
-func GUPS(table []uint64, updates int) []uint64 {
+func gups(table []uint64, updates int) []uint64 {
 	mask := uint64(len(table) - 1)
 	x := uint64(1)
 	for i := 0; i < updates; i++ {
@@ -220,9 +223,9 @@ func TraceGUPS(t *memtrace.Tracer, tableBytes int64) {
 
 // --- FFT ---
 
-// FFT computes an in-place radix-2 Cooley-Tukey FFT of complex data given
+// fft computes an in-place radix-2 Cooley-Tukey FFT of complex data given
 // as interleaved re/im pairs. Length must be a power of two.
-func FFT(re, im []float64) {
+func fft(re, im []float64) {
 	n := len(re)
 	if n&(n-1) != 0 {
 		panic("hpcc: FFT length must be a power of two")

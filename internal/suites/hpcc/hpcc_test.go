@@ -20,7 +20,7 @@ func TestDGEMMIdentity(t *testing.T) {
 	for i := 0; i < n; i++ {
 		id[i*n+i] = 1
 	}
-	c := DGEMM(a, id, n)
+	c := dgemm(a, id, n)
 	for i := range a {
 		if math.Abs(c[i]-a[i]) > 1e-12 {
 			t.Fatalf("A*I != A at %d: %v vs %v", i, c[i], a[i])
@@ -32,7 +32,7 @@ func TestDGEMMAssociatesWithManual(t *testing.T) {
 	// 2x2 hand check.
 	a := []float64{1, 2, 3, 4}
 	b := []float64{5, 6, 7, 8}
-	c := DGEMM(a, b, 2)
+	c := dgemm(a, b, 2)
 	want := []float64{19, 22, 43, 50}
 	for i := range want {
 		if c[i] != want[i] {
@@ -65,7 +65,7 @@ func TestLUSolveRecoversSolution(t *testing.T) {
 			}
 		}
 		aCopy := append([]float64(nil), a...)
-		x := LUSolve(aCopy, b, n)
+		x := luSolve(aCopy, b, n)
 		for i := range x {
 			if math.Abs(x[i]-xTrue[i]) > 1e-8 {
 				return false
@@ -81,7 +81,7 @@ func TestLUSolvePivots(t *testing.T) {
 	// Zero leading diagonal demands pivoting.
 	a := []float64{0, 1, 1, 0}
 	b := []float64{2, 3}
-	x := LUSolve(append([]float64(nil), a...), b, 2)
+	x := luSolve(append([]float64(nil), a...), b, 2)
 	if math.Abs(x[0]-3) > 1e-12 || math.Abs(x[1]-2) > 1e-12 {
 		t.Fatalf("x = %v, want [3 2]", x)
 	}
@@ -90,7 +90,7 @@ func TestLUSolvePivots(t *testing.T) {
 func TestStreamTriad(t *testing.T) {
 	b := []float64{1, 2, 3}
 	c := []float64{10, 20, 30}
-	if got := StreamTriad(b, c, 2); got != 1+20+2+40+3+60 {
+	if got := streamTriad(b, c, 2); got != 1+20+2+40+3+60 {
 		t.Fatalf("triad sum = %v", got)
 	}
 }
@@ -103,7 +103,7 @@ func TestTransposeInvolution(t *testing.T) {
 		for i := range a {
 			a[i] = rng.Float64()
 		}
-		tt := Transpose(Transpose(a, n), n)
+		tt := transpose(transpose(a, n), n)
 		for i := range a {
 			if tt[i] != a[i] {
 				return false
@@ -116,8 +116,8 @@ func TestTransposeInvolution(t *testing.T) {
 }
 
 func TestGUPSDeterministicAndTouches(t *testing.T) {
-	t1 := GUPS(make([]uint64, 1024), 10000)
-	t2 := GUPS(make([]uint64, 1024), 10000)
+	t1 := gups(make([]uint64, 1024), 10000)
+	t2 := gups(make([]uint64, 1024), 10000)
 	touched := 0
 	for i := range t1 {
 		if t1[i] != t2[i] {
@@ -142,7 +142,7 @@ func TestFFTRoundTripViaParseval(t *testing.T) {
 		re[i] = rng.NormFloat64()
 		timeEnergy += re[i] * re[i]
 	}
-	FFT(re, im)
+	fft(re, im)
 	var freqEnergy float64
 	for i := range re {
 		freqEnergy += re[i]*re[i] + im[i]*im[i]
@@ -159,7 +159,7 @@ func TestFFTImpulse(t *testing.T) {
 	re := make([]float64, n)
 	im := make([]float64, n)
 	re[0] = 1
-	FFT(re, im)
+	fft(re, im)
 	for i := range re {
 		if math.Abs(re[i]-1) > 1e-12 || math.Abs(im[i]) > 1e-12 {
 			t.Fatalf("impulse FFT wrong at %d: %v+%vi", i, re[i], im[i])
@@ -173,7 +173,7 @@ func TestFFTRejectsNonPowerOfTwo(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	FFT(make([]float64, 12), make([]float64, 12))
+	fft(make([]float64, 12), make([]float64, 12))
 }
 
 func TestTraceGeneratorsProduceMemoryOps(t *testing.T) {

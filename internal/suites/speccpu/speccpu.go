@@ -5,6 +5,12 @@
 // footprints (noticeable DTLB walks), branchy integer control flow for
 // SPECINT (the highest mispredict ratio of the compared suites) and
 // regular, high-ILP floating-point loops for SPECFP.
+//
+// The traced proxies (TraceSPECINT, TraceSPECFP) emit a synthetic
+// instruction stream with those properties; they compute nothing. The pure
+// kernels beside them (rleCompress/rleDecompress, listSum, stencil2D)
+// compute for real; they are unit-tested references that no traced proxy
+// calls yet, kept for the proxies to run on seeded data.
 package speccpu
 
 import (
@@ -14,8 +20,8 @@ import (
 
 // --- Real kernels (unit-tested) ---
 
-// RLECompress run-length encodes data as (count, byte) pairs.
-func RLECompress(data []byte) []byte {
+// rleCompress run-length encodes data as (count, byte) pairs.
+func rleCompress(data []byte) []byte {
 	var out []byte
 	for i := 0; i < len(data); {
 		j := i
@@ -28,8 +34,8 @@ func RLECompress(data []byte) []byte {
 	return out
 }
 
-// RLEDecompress inverts RLECompress.
-func RLEDecompress(enc []byte) []byte {
+// rleDecompress inverts rleCompress.
+func rleDecompress(enc []byte) []byte {
 	var out []byte
 	for i := 0; i+1 < len(enc); i += 2 {
 		for k := byte(0); k < enc[i]; k++ {
@@ -39,9 +45,9 @@ func RLEDecompress(enc []byte) []byte {
 	return out
 }
 
-// ListSum walks a linked list encoded as a next-index array, summing
+// listSum walks a linked list encoded as a next-index array, summing
 // values; it is the mcf-like pointer-chasing kernel.
-func ListSum(next []int, vals []int64, start, steps int) int64 {
+func listSum(next []int, vals []int64, start, steps int) int64 {
 	var sum int64
 	i := start
 	for s := 0; s < steps; s++ {
@@ -51,9 +57,9 @@ func ListSum(next []int, vals []int64, start, steps int) int64 {
 	return sum
 }
 
-// Stencil2D applies one Jacobi sweep over an n x n grid, returning the new
+// stencil2D applies one Jacobi sweep over an n x n grid, returning the new
 // grid (the lbm/milc-like SPECFP kernel).
-func Stencil2D(grid []float64, n int) []float64 {
+func stencil2D(grid []float64, n int) []float64 {
 	out := make([]float64, n*n)
 	for i := 1; i < n-1; i++ {
 		for j := 1; j < n-1; j++ {

@@ -11,7 +11,7 @@ import (
 
 func TestRLERoundTrip(t *testing.T) {
 	if err := quick.Check(func(data []byte) bool {
-		return bytes.Equal(RLEDecompress(RLECompress(data)), data)
+		return bytes.Equal(rleDecompress(rleCompress(data)), data)
 	}, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
@@ -19,7 +19,7 @@ func TestRLERoundTrip(t *testing.T) {
 
 func TestRLECompresses(t *testing.T) {
 	data := bytes.Repeat([]byte{7}, 1000)
-	if enc := RLECompress(data); len(enc) >= len(data)/10 {
+	if enc := rleCompress(data); len(enc) >= len(data)/10 {
 		t.Fatalf("RLE on runs: %d bytes from %d", len(enc), len(data))
 	}
 }
@@ -27,7 +27,7 @@ func TestRLECompresses(t *testing.T) {
 func TestListSum(t *testing.T) {
 	next := []int{1, 2, 0}
 	vals := []int64{10, 20, 30}
-	if got := ListSum(next, vals, 0, 6); got != 120 {
+	if got := listSum(next, vals, 0, 6); got != 120 {
 		t.Fatalf("list sum = %d, want 120", got)
 	}
 }
@@ -40,7 +40,7 @@ func TestStencilConvergesToMean(t *testing.T) {
 	}
 	// Repeated Jacobi sweeps with zero boundary must decay the interior.
 	for it := 0; it < 500; it++ {
-		grid = Stencil2D(grid, n)
+		grid = stencil2D(grid, n)
 	}
 	for i := 1; i < n-1; i++ {
 		for j := 1; j < n-1; j++ {
@@ -59,7 +59,7 @@ func TestStencilPreservesConstant(t *testing.T) {
 	for i := range grid {
 		grid[i] = 3
 	}
-	out := Stencil2D(grid, n)
+	out := stencil2D(grid, n)
 	for i := 2; i < n-2; i++ {
 		for j := 2; j < n-2; j++ {
 			if out[i*n+j] != 3 {

@@ -11,9 +11,9 @@ import (
 )
 
 // FuzzKeysFile feeds arbitrary bytes to the keys-file parser both ways a
-// file reaches it — Open at boot and Reload over a live key set. Nothing
+// file reaches it — Open at boot and reload over a live key set. Nothing
 // panics; a file Open accepts yields exactly its ids as keyed tenants; a
-// refused Reload leaves the previous key set in force, snapshot for
+// refused reload leaves the previous key set in force, snapshot for
 // snapshot; an accepted one keys exactly the file's ids.
 func FuzzKeysFile(f *testing.F) {
 	f.Add([]byte(`{"keys": [{"id": "alice", "secret": "s1"}]}`))
@@ -34,7 +34,7 @@ func FuzzKeysFile(f *testing.F) {
 			t.Fatal(err)
 		}
 		var parsed keysFile
-		json.Unmarshal(data, &parsed) // the oracle's view, read only when Open/Reload accept
+		json.Unmarshal(data, &parsed) // the oracle's view, read only when Open/reload accept
 
 		if reg, err := Open(path, quietLog()); err == nil {
 			if got, want := keyedIDs(reg), fileIDs(parsed); !reflect.DeepEqual(got, want) {
@@ -51,7 +51,7 @@ func FuzzKeysFile(f *testing.F) {
 		if err := os.WriteFile(live, data, 0o600); err != nil {
 			t.Fatal(err)
 		}
-		if err := reg.Reload(); err != nil {
+		if err := reg.reload(); err != nil {
 			if after := reg.Snapshots(); !reflect.DeepEqual(after, before) {
 				t.Fatalf("refused reload (%v) changed the key set:\nbefore %+v\nafter  %+v", err, before, after)
 			}

@@ -70,8 +70,8 @@ const secretBytes = 24
 // the split exists for logs and tests, not for the wire — a prober must
 // not learn whether a key exists.
 var (
-	ErrNoKey  = errors.New("missing API key (Authorization: Bearer or X-Dcs-Api-Key)")
-	ErrBadKey = errors.New("unknown or revoked API key")
+	errNoKey  = errors.New("missing API key (Authorization: Bearer or X-Dcs-Api-Key)")
+	errBadKey = errors.New("unknown or revoked API key")
 )
 
 // Registry is the tenant table: the keyed tenants loaded from a keys
@@ -122,9 +122,9 @@ func Open(path string, log *slog.Logger) (*Registry, error) {
 	return r, nil
 }
 
-// SetClock overrides the registry's time source — tests drive bucket
+// setClock overrides the registry's time source — tests drive bucket
 // refill and reload polling with a fake clock.
-func (r *Registry) SetClock(now func() time.Time) { r.now = now }
+func (r *Registry) setClock(now func() time.Time) { r.now = now }
 
 // Enabled reports whether API-key auth is on (a keys file is loaded).
 func (r *Registry) Enabled() bool { return r.enabled.Load() }
@@ -187,10 +187,10 @@ func (r *Registry) installLocked(c KeyConfig) {
 	t.setKey(c.Secret, c.Disabled, c.Limits)
 }
 
-// Reload re-reads the keys file now. On a parse error the previous keys
+// reload re-reads the keys file now. On a parse error the previous keys
 // stay in force — a half-written edit must not lock every tenant out (or
 // let everyone in).
-func (r *Registry) Reload() error {
+func (r *Registry) reload() error {
 	r.mu.Lock()
 	path := r.path
 	r.mu.Unlock()
@@ -227,7 +227,7 @@ func (r *Registry) maybeReload() {
 	if err != nil || !fi.ModTime().After(mtime) {
 		return
 	}
-	if err := r.Reload(); err != nil {
+	if err := r.reload(); err != nil {
 		r.log.Error("tenant keys reload failed; previous keys stay in force", "path", path, "err", err)
 	}
 }
@@ -248,7 +248,7 @@ func (r *Registry) WatchSIGHUP(ctx context.Context) {
 			case <-ctx.Done():
 				return
 			case <-ch:
-				if err := r.Reload(); err != nil {
+				if err := r.reload(); err != nil {
 					r.log.Error("tenant keys reload failed; previous keys stay in force", "err", err)
 				}
 			}
@@ -264,9 +264,9 @@ func (r *Registry) WatchSIGHUP(ctx context.Context) {
 // the key table.
 func (r *Registry) Authenticate(req *http.Request) (*Tenant, error) {
 	r.maybeReload()
-	secret := BearerToken(req)
+	secret := bearerToken(req)
 	if secret == "" {
-		return nil, ErrNoKey
+		return nil, errNoKey
 	}
 	digest := sha256.Sum256([]byte(secret))
 	r.mu.Lock()
@@ -283,14 +283,14 @@ func (r *Registry) Authenticate(req *http.Request) (*Tenant, error) {
 		}
 	}
 	if found == nil || !usable {
-		return nil, ErrBadKey
+		return nil, errBadKey
 	}
 	return found, nil
 }
 
-// BearerToken extracts a request's presented credential: the
+// bearerToken extracts a request's presented credential: the
 // Authorization: Bearer value, else the X-Dcs-Api-Key header.
-func BearerToken(req *http.Request) string {
+func bearerToken(req *http.Request) string {
 	if auth := req.Header.Get("Authorization"); auth != "" {
 		if tok, ok := strings.CutPrefix(auth, "Bearer "); ok {
 			return strings.TrimSpace(tok)
@@ -333,7 +333,7 @@ func (r *Registry) Lookup(id string) (*Tenant, bool) {
 // Allow spends one request against t's budget at the registry's clock.
 // Nil t always allows.
 func (r *Registry) Allow(t *Tenant) (ok bool, retryAfter time.Duration) {
-	return t.Allow(r.now())
+	return t.allow(r.now())
 }
 
 // Snapshots reports every tenant, sorted by id — the /healthz block, the
@@ -409,7 +409,7 @@ func (r *Registry) SetKeyLimits(id string, l Limits) error {
 	if !ok || !t.isKeyed() {
 		return fmt.Errorf("no key for tenant %q", id)
 	}
-	t.SetLimits(l)
+	t.setLimits(l)
 	return r.persistLocked()
 }
 

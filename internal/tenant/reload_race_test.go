@@ -67,14 +67,14 @@ func TestReloadRace(t *testing.T) {
 	spawn(func(int) { authReq("dck_bob") })
 	spawn(func(int) { authReq("dck_nope") })
 	// Explicit reloads and the SIGHUP path.
-	spawn(func(int) { r.Reload() })
+	spawn(func(int) { r.reload() })
 	spawn(func(int) {
 		syscall.Kill(os.Getpid(), syscall.SIGHUP)
 		time.Sleep(time.Millisecond)
 	})
 	// On-disk rewrites: bob's limits flap, alice stays put. Racing the
 	// admin plane's persistLocked is the point — both sides rename
-	// atomically, so every Reload sees one side or the other whole.
+	// atomically, so every reload sees one side or the other whole.
 	spawn(func(i int) {
 		writeKeys(t, dir,
 			KeyConfig{ID: "alice", Secret: "dck_alice", Limits: Limits{RatePerSec: 1000}},
@@ -120,7 +120,7 @@ func TestReloadRace(t *testing.T) {
 
 	// The table settles to something coherent: a final reload re-reads
 	// whatever rewrite landed last, and alice still authenticates.
-	if err := r.Reload(); err != nil {
+	if err := r.reload(); err != nil {
 		t.Fatalf("final reload: %v", err)
 	}
 	if authReq("dck_alice") == nil {

@@ -97,9 +97,9 @@ type Snapshot struct {
 type Tenant struct {
 	id string
 
-	// mu guards the key material, limits and bucket state. Usage
-	// counters are atomics so charging never contends with
-	// authentication.
+	// mu guards the key material, limits and bucket state, and makes a
+	// limited request's check-and-charge one step. Usage counters are
+	// atomics so unlimited charging never contends with authentication.
 	mu       sync.Mutex
 	keyed    bool
 	disabled bool
@@ -132,17 +132,17 @@ func (t *Tenant) ID() string {
 	return t.id
 }
 
-// Limits returns the tenant's current limits (zero value for nil).
-func (t *Tenant) Limits() Limits {
+// currentLimits returns the tenant's current limits (zero value for nil).
+func (t *Tenant) currentLimits() Limits {
 	if t == nil {
 		return Limits{}
 	}
 	return *t.limits.Load()
 }
 
-// SetLimits replaces the tenant's limits. The bucket is reset to the new
+// setLimits replaces the tenant's limits. The bucket is reset to the new
 // burst so a loosened limit takes effect immediately.
-func (t *Tenant) SetLimits(l Limits) {
+func (t *Tenant) setLimits(l Limits) {
 	if t == nil {
 		return
 	}
@@ -170,24 +170,31 @@ func burstOf(l Limits) int {
 	return b
 }
 
-// Allow spends one request against the tenant's budget at time now: the
+// allow spends one request against the tenant's budget at time now: the
 // cumulative request quota first, then the token bucket. A granted
 // request is charged; a denied one increments the matching denial
 // counter instead. retryAfter is positive only for rate denials — a
 // bucket refills on a known schedule, a spent cumulative quota does not.
 // A nil tenant always allows (anonymous traffic, auth off).
-func (t *Tenant) Allow(now time.Time) (ok bool, retryAfter time.Duration) {
+func (t *Tenant) allow(now time.Time) (ok bool, retryAfter time.Duration) {
 	if t == nil {
 		return true, 0
 	}
 	l := t.limits.Load()
+	if l.MaxRequests <= 0 && l.RatePerSec <= 0 {
+		t.requests.Add(1)
+		return true, 0
+	}
+	// Check and charge under one lock: two requests that both read the
+	// count below MaxRequests must not both pass.
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	if l.MaxRequests > 0 && t.requests.Load() >= l.MaxRequests {
 		t.quotaDenied.Add(1)
 		return false, 0
 	}
 	if l.RatePerSec > 0 {
 		burst := float64(burstOf(*l))
-		t.mu.Lock()
 		if t.last.IsZero() {
 			// First sighting: a full bucket, so a fresh tenant can burst.
 			t.tokens = burst
@@ -199,13 +206,10 @@ func (t *Tenant) Allow(now time.Time) (ok bool, retryAfter time.Duration) {
 		}
 		t.last = now
 		if t.tokens < 1 {
-			need := (1 - t.tokens) / l.RatePerSec
-			t.mu.Unlock()
 			t.rateLimited.Add(1)
-			return false, time.Duration(need * float64(time.Second))
+			return false, time.Duration((1 - t.tokens) / l.RatePerSec * float64(time.Second))
 		}
 		t.tokens--
-		t.mu.Unlock()
 	}
 	t.requests.Add(1)
 	return true, 0
@@ -264,8 +268,8 @@ func (t *Tenant) ChargeJob(kind string, instrs int64) {
 	}
 }
 
-// Usage snapshots the tenant's cumulative consumption (zero for nil).
-func (t *Tenant) Usage() Usage {
+// usage snapshots the tenant's cumulative consumption (zero for nil).
+func (t *Tenant) usage() Usage {
 	if t == nil {
 		return Usage{}
 	}
@@ -294,7 +298,7 @@ func (t *Tenant) Snapshot() Snapshot {
 	t.mu.Lock()
 	keyed, disabled := t.keyed, t.disabled
 	t.mu.Unlock()
-	return Snapshot{ID: t.id, Keyed: keyed, Disabled: disabled, Limits: t.Limits(), Usage: t.Usage()}
+	return Snapshot{ID: t.id, Keyed: keyed, Disabled: disabled, Limits: t.currentLimits(), Usage: t.usage()}
 }
 
 // setKey installs (or refreshes) the tenant's key material from one
@@ -348,7 +352,7 @@ func (t *Tenant) keyConfig() (KeyConfig, bool) {
 	if !t.keyed {
 		return KeyConfig{}, false
 	}
-	return KeyConfig{ID: t.id, Secret: t.secret, Disabled: t.disabled, Limits: t.Limits()}, true
+	return KeyConfig{ID: t.id, Secret: t.secret, Disabled: t.disabled, Limits: t.currentLimits()}, true
 }
 
 // ctxKey keys the tenant in a request context.

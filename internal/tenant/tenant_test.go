@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -50,10 +52,10 @@ func TestAuthenticate(t *testing.T) {
 	}{
 		{"bearer ok", "Authorization", "Bearer alice-secret", "alice", nil},
 		{"api key header ok", "X-Dcs-Api-Key", "alice-secret", "alice", nil},
-		{"missing", "", "", "", ErrNoKey},
-		{"wrong secret", "Authorization", "Bearer nope", "", ErrBadKey},
-		{"revoked key", "Authorization", "Bearer bob-secret", "", ErrBadKey},
-		{"non-bearer scheme", "Authorization", "Basic alice-secret", "", ErrNoKey},
+		{"missing", "", "", "", errNoKey},
+		{"wrong secret", "Authorization", "Bearer nope", "", errBadKey},
+		{"revoked key", "Authorization", "Bearer bob-secret", "", errBadKey},
+		{"non-bearer scheme", "Authorization", "Basic alice-secret", "", errNoKey},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -76,7 +78,7 @@ func TestBucketRefill(t *testing.T) {
 	// A fake clock drives the bucket deterministically: 2 req/s, burst 2.
 	now := time.Unix(1000, 0)
 	tn := newTenant("alice")
-	tn.SetLimits(Limits{RatePerSec: 2, Burst: 2})
+	tn.setLimits(Limits{RatePerSec: 2, Burst: 2})
 
 	steps := []struct {
 		advance time.Duration
@@ -94,7 +96,7 @@ func TestBucketRefill(t *testing.T) {
 	}
 	for i, st := range steps {
 		now = now.Add(st.advance)
-		ok, retry := tn.Allow(now)
+		ok, retry := tn.allow(now)
 		if ok != st.want {
 			t.Fatalf("step %d: Allow = %v, want %v", i, ok, st.want)
 		}
@@ -102,7 +104,7 @@ func TestBucketRefill(t *testing.T) {
 			t.Fatalf("step %d: rate denial should carry a positive retryAfter, got %v", i, retry)
 		}
 	}
-	u := tn.Usage()
+	u := tn.usage()
 	if u.Requests != 5 || u.RateLimited != 4 {
 		t.Fatalf("usage = %+v, want 5 requests / 4 rate_limited", u)
 	}
@@ -111,27 +113,64 @@ func TestBucketRefill(t *testing.T) {
 func TestRequestQuota(t *testing.T) {
 	now := time.Unix(1000, 0)
 	tn := newTenant("alice")
-	tn.SetLimits(Limits{MaxRequests: 2})
+	tn.setLimits(Limits{MaxRequests: 2})
 	for i := 0; i < 2; i++ {
-		if ok, _ := tn.Allow(now); !ok {
+		if ok, _ := tn.allow(now); !ok {
 			t.Fatalf("request %d should pass", i)
 		}
 	}
-	ok, retry := tn.Allow(now)
+	ok, retry := tn.allow(now)
 	if ok {
 		t.Fatal("third request should exceed MaxRequests")
 	}
 	if retry != 0 {
 		t.Fatalf("a spent cumulative quota has no retry horizon, got %v", retry)
 	}
-	if u := tn.Usage(); u.QuotaDenied != 1 {
+	if u := tn.usage(); u.QuotaDenied != 1 {
 		t.Fatalf("usage = %+v, want 1 quota_denied", u)
+	}
+}
+
+// TestRequestQuotaUnderConcurrency races goroutines against a small
+// MaxRequests, round after round on fresh tenants: the quota's check and
+// its charge are one step, so concurrent requests never pass it together.
+func TestRequestQuotaUnderConcurrency(t *testing.T) {
+	const (
+		rounds      = 500
+		workers     = 16
+		maxRequests = 5
+	)
+	now := time.Unix(1000, 0)
+	for r := 0; r < rounds; r++ {
+		tn := newTenant("alice")
+		tn.setLimits(Limits{MaxRequests: maxRequests})
+		var admitted atomic.Int64
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				if ok, _ := tn.allow(now); ok {
+					admitted.Add(1)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if got := admitted.Load(); got > maxRequests {
+			t.Fatalf("round %d: %d of %d concurrent requests admitted, MaxRequests is %d", r, got, workers, maxRequests)
+		}
+		if u := tn.usage(); u.Requests > maxRequests || u.Requests+u.QuotaDenied != workers {
+			t.Fatalf("round %d: usage = %+v, want at most %d requests and %d decisions", r, u, maxRequests, workers)
+		}
 	}
 }
 
 func TestJobQuotas(t *testing.T) {
 	tn := newTenant("alice")
-	tn.SetLimits(Limits{MaxJobs: map[string]int64{"counters": 1}, MaxInstructions: 100})
+	tn.setLimits(Limits{MaxJobs: map[string]int64{"counters": 1}, MaxInstructions: 100})
 	if !tn.CheckJob("counters", 60) {
 		t.Fatal("first counters job should fit")
 	}
@@ -146,7 +185,7 @@ func TestJobQuotas(t *testing.T) {
 	if tn.CheckJob("cluster", 41) {
 		t.Fatal("41 more instructions should exceed MaxInstructions=100 after 60 spent")
 	}
-	u := tn.Usage()
+	u := tn.usage()
 	if u.Jobs["counters"] != 1 || u.Instructions != 60 || u.QuotaDenied != 2 {
 		t.Fatalf("usage = %+v", u)
 	}
@@ -154,7 +193,7 @@ func TestJobQuotas(t *testing.T) {
 
 func TestNilTenantIsNoOp(t *testing.T) {
 	var tn *Tenant
-	if ok, _ := tn.Allow(time.Now()); !ok {
+	if ok, _ := tn.allow(time.Now()); !ok {
 		t.Fatal("nil tenant must allow")
 	}
 	if !tn.CheckJob("counters", 1e9) {
@@ -192,13 +231,13 @@ func TestReloadPreservesUsage(t *testing.T) {
 
 	// Rotate alice's secret, revoke nothing, add carol, drop nobody.
 	writeKeys(t, dir, KeyConfig{ID: "alice", Secret: "s2"}, KeyConfig{ID: "carol", Secret: "s3"})
-	if err := reg.Reload(); err != nil {
+	if err := reg.reload(); err != nil {
 		t.Fatal(err)
 	}
 
 	req := httptest.NewRequest("GET", "/", nil)
 	req.Header.Set("Authorization", "Bearer s1")
-	if _, err := reg.Authenticate(req); err != ErrBadKey {
+	if _, err := reg.Authenticate(req); err != errBadKey {
 		t.Fatalf("old secret should stop authenticating, got %v", err)
 	}
 	req.Header.Set("Authorization", "Bearer s2")
@@ -209,7 +248,7 @@ func TestReloadPreservesUsage(t *testing.T) {
 	if tn != alice {
 		t.Fatal("reload must keep the same tenant object (usage continuity)")
 	}
-	if u := tn.Usage(); u.Requests != 2 {
+	if u := tn.usage(); u.Requests != 2 {
 		t.Fatalf("usage lost across reload: %+v", u)
 	}
 	req.Header.Set("Authorization", "Bearer s3")
@@ -227,12 +266,12 @@ func TestReloadDropsVanishedKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	writeKeys(t, dir, KeyConfig{ID: "alice", Secret: "s1"})
-	if err := reg.Reload(); err != nil {
+	if err := reg.reload(); err != nil {
 		t.Fatal(err)
 	}
 	req := httptest.NewRequest("GET", "/", nil)
 	req.Header.Set("Authorization", "Bearer s2")
-	if _, err := reg.Authenticate(req); err != ErrBadKey {
+	if _, err := reg.Authenticate(req); err != errBadKey {
 		t.Fatalf("vanished key should stop authenticating, got %v", err)
 	}
 	// Bob's usage history is still reportable (attribution-only now).
@@ -254,9 +293,9 @@ func TestMtimeReload(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A fake clock jumps past the poll interval; the rewritten file must
-	// be picked up on the next Authenticate without SIGHUP or Reload.
+	// be picked up on the next Authenticate without SIGHUP or reload.
 	now := time.Now()
-	reg.SetClock(func() time.Time { return now })
+	reg.setClock(func() time.Time { return now })
 	writeKeys(t, dir, KeyConfig{ID: "alice", Secret: "s2"})
 	// Ensure the file's mtime moved even on coarse filesystems.
 	future := time.Now().Add(2 * time.Second)
@@ -281,7 +320,7 @@ func TestBadReloadKeepsOldKeys(t *testing.T) {
 	if err := os.WriteFile(path, []byte("{not json"), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.Reload(); err == nil {
+	if err := reg.reload(); err == nil {
 		t.Fatal("reloading a corrupt file should error")
 	}
 	req := httptest.NewRequest("GET", "/", nil)
@@ -338,7 +377,7 @@ func TestCreateRevokeAndPersist(t *testing.T) {
 	if err := reg.RevokeKey("bob"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.Authenticate(req); err != ErrBadKey {
+	if _, err := reg.Authenticate(req); err != errBadKey {
 		t.Fatalf("revoked key should stop authenticating, got %v", err)
 	}
 	if err := reg.SetKeyLimits("alice", Limits{MaxRequests: 7}); err != nil {
@@ -352,8 +391,8 @@ func TestCreateRevokeAndPersist(t *testing.T) {
 		t.Fatal(err)
 	}
 	alice, ok := reg2.Lookup("alice")
-	if !ok || alice.Limits().MaxRequests != 7 {
-		t.Fatalf("persisted limits lost: %+v", alice.Limits())
+	if !ok || alice.currentLimits().MaxRequests != 7 {
+		t.Fatalf("persisted limits lost: %+v", alice.currentLimits())
 	}
 	bob, ok := reg2.Lookup("bob")
 	if !ok || !bob.Snapshot().Disabled {

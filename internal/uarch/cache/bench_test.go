@@ -31,7 +31,7 @@ func BenchmarkAccess(b *testing.B) {
 			// ways lines of one set touched round-robin: every access hits
 			// the last way.
 			c := New(g.name, g.size, g.ways, 64)
-			stride := uint64(c.Sets()) * 64
+			stride := uint64(c.sets) * 64
 			for w := 0; w < g.ways; w++ {
 				c.Access(uint64(w) * stride)
 			}

@@ -62,12 +62,6 @@ func New(name string, size, ways, lineSize int) *Cache {
 	}
 }
 
-// Name returns the cache's label.
-func (c *Cache) Name() string { return c.name }
-
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.sets }
-
 // line converts a byte address to a line address with a nonzero sentinel
 // (tag 0 marks invalid entries, so line addresses are offset by 1).
 func (c *Cache) line(addr uint64) uint64 { return (addr >> c.lineShift) + 1 }
@@ -106,9 +100,9 @@ func (c *Cache) Access(addr uint64) bool {
 	return false
 }
 
-// Probe reports whether addr is resident without updating state or
+// probe reports whether addr is resident without updating state or
 // counters.
-func (c *Cache) Probe(addr uint64) bool {
+func (c *Cache) probe(addr uint64) bool {
 	ln := c.line(addr)
 	for _, tag := range c.set(ln) {
 		if tag == ln {
@@ -116,14 +110,6 @@ func (c *Cache) Probe(addr uint64) bool {
 		}
 	}
 	return false
-}
-
-// MissRatio returns Misses/Accesses.
-func (c *Cache) MissRatio() float64 {
-	if c.Accesses == 0 {
-		return 0
-	}
-	return float64(c.Misses) / float64(c.Accesses)
 }
 
 // Reset clears contents and counters.

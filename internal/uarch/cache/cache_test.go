@@ -33,13 +33,13 @@ func TestLRUEviction(t *testing.T) {
 	c.Access(b)
 	c.Access(a) // a is MRU
 	c.Access(d) // evicts b (LRU)
-	if !c.Probe(a) {
+	if !c.probe(a) {
 		t.Fatal("a evicted, want b")
 	}
-	if c.Probe(b) {
+	if c.probe(b) {
 		t.Fatal("b survived, want evicted")
 	}
-	if !c.Probe(d) {
+	if !c.probe(d) {
 		t.Fatal("d not filled")
 	}
 }
@@ -65,14 +65,14 @@ func TestFootprintExceedsThrashes(t *testing.T) {
 			c.Access(addr)
 		}
 	}
-	if r := c.MissRatio(); r < 0.9 {
+	if r := float64(c.Misses) / float64(c.Accesses); r < 0.9 {
 		t.Fatalf("thrash miss ratio = %v, want >= 0.9", r)
 	}
 }
 
 func TestProbeDoesNotMutate(t *testing.T) {
 	c := New("l1", 1024, 2, 64)
-	c.Probe(0x40)
+	c.probe(0x40)
 	if c.Accesses != 0 || c.Misses != 0 {
 		t.Fatal("probe touched counters")
 	}
@@ -106,7 +106,7 @@ func TestResidencyBound(t *testing.T) {
 			c.Access(a)
 		}
 		for _, a := range addrs {
-			if c.Probe(a) {
+			if c.probe(a) {
 				resident++
 			}
 		}
@@ -116,7 +116,7 @@ func TestResidencyBound(t *testing.T) {
 		n := 0
 		for _, a := range addrs {
 			ln := a >> 6
-			if !seen[ln] && c.Probe(a) {
+			if !seen[ln] && c.probe(a) {
 				seen[ln] = true
 				n++
 			}
@@ -151,7 +151,7 @@ func TestReset(t *testing.T) {
 	if c.Accesses != 0 || c.Misses != 0 {
 		t.Fatal("counters survived reset")
 	}
-	if c.Probe(0x40) {
+	if c.probe(0x40) {
 		t.Fatal("contents survived reset")
 	}
 }

@@ -114,17 +114,17 @@ var refGeometries = []struct {
 // times the capacity), conflict (ways+3 lines of one set, so the whole LRU
 // order of that set is exercised) and re-touch the previous address, and it
 // is interleaved with invalidating Resets. Counters are compared after
-// every access; Probe of every line touched since the last Reset is
+// every access; probe of every line touched since the last Reset is
 // compared before each Reset and at the end.
 func agreeWithRef(size, ways int, seed uint64, n int) error {
 	got, ref := New("dut", size, ways, 64), newRefCache(size, ways, 64)
 	rng := sim.NewRNG(seed)
 	capacity := uint64(size)
-	setStride := uint64(got.Sets()) * 64
+	setStride := uint64(got.sets) * 64
 	touched := map[uint64]struct{}{}
 	probeAll := func(when string) error {
 		for a := range touched {
-			if g, r := got.Probe(a), ref.Probe(a); g != r {
+			if g, r := got.probe(a), ref.Probe(a); g != r {
 				return fmt.Errorf("%s: Probe(%#x) = %v, reference %v", when, a, g, r)
 			}
 		}

@@ -186,8 +186,8 @@ func (c *Counters) KernelShare() float64 {
 	return float64(c.KernelInstructions) / float64(c.Instructions)
 }
 
-// PKI scales a counter to events per kilo-instruction.
-func (c *Counters) PKI(events int64) float64 {
+// pki scales a counter to events per kilo-instruction.
+func (c *Counters) pki(events int64) float64 {
 	if c.Instructions == 0 {
 		return 0
 	}
@@ -195,10 +195,10 @@ func (c *Counters) PKI(events int64) float64 {
 }
 
 // L1IMPKI is Figure 7's metric.
-func (c *Counters) L1IMPKI() float64 { return c.PKI(c.L1IMisses) }
+func (c *Counters) L1IMPKI() float64 { return c.pki(c.L1IMisses) }
 
 // L2MPKI is Figure 9's metric.
-func (c *Counters) L2MPKI() float64 { return c.PKI(c.L2Misses) }
+func (c *Counters) L2MPKI() float64 { return c.pki(c.L2Misses) }
 
 // L3HitRatio is Figure 10's metric: the share of L2 misses that hit in L3.
 func (c *Counters) L3HitRatio() float64 {
@@ -209,10 +209,10 @@ func (c *Counters) L3HitRatio() float64 {
 }
 
 // ITLBWalksPKI is Figure 8's metric.
-func (c *Counters) ITLBWalksPKI() float64 { return c.PKI(c.ITLBWalks) }
+func (c *Counters) ITLBWalksPKI() float64 { return c.pki(c.ITLBWalks) }
 
 // DTLBWalksPKI is Figure 11's metric.
-func (c *Counters) DTLBWalksPKI() float64 { return c.PKI(c.DTLBWalks) }
+func (c *Counters) DTLBWalksPKI() float64 { return c.pki(c.DTLBWalks) }
 
 // BranchMispredictRatio is Figure 12's metric.
 func (c *Counters) BranchMispredictRatio() float64 {

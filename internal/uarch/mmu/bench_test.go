@@ -10,24 +10,24 @@ func BenchmarkTLBAccess(b *testing.B) {
 	const entries, ways = 64, 4
 	b.Run("DTLB/mru-hit", func(b *testing.B) {
 		t := NewTLB(entries, ways)
-		t.Access(0x1000)
+		t.access(0x1000)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			t.Access(0x1000)
+			t.access(0x1000)
 		}
 	})
 	b.Run("DTLB/deep-hit", func(b *testing.B) {
 		// ways pages of one set touched round-robin: every access hits the
 		// last way.
 		t := NewTLB(entries, ways)
-		const stride = entries / ways << PageShift
+		const stride = entries / ways << pageShift
 		for w := uint64(0); w < ways; w++ {
-			t.Access(w * stride)
+			t.access(w * stride)
 		}
 		b.ResetTimer()
 		w := uint64(0)
 		for i := 0; i < b.N; i++ {
-			t.Access(w * stride)
+			t.access(w * stride)
 			if w++; w == ways {
 				w = 0
 			}
@@ -40,7 +40,7 @@ func BenchmarkTLBAccess(b *testing.B) {
 		t := NewTLB(entries, ways)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			t.Access(uint64(i*2654435761) & 0xFFFFFFFFFF)
+			t.access(uint64(i*2654435761) & 0xFFFFFFFFFF)
 		}
 	})
 }

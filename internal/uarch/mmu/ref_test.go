@@ -89,8 +89,8 @@ func sameResidents(got *TLB, ref *refTLB) error {
 func agreeWithRef(entries, ways int, seed uint64, n int) error {
 	got, ref := NewTLB(entries, ways), newRefTLB(entries, ways)
 	rng := sim.NewRNG(seed)
-	reach := uint64(entries) << PageShift
-	setStride := uint64(entries/ways) << PageShift
+	reach := uint64(entries) << pageShift
+	setStride := uint64(entries/ways) << pageShift
 	var phase, left int
 	var conflictBase, last uint64
 	for i := 0; i < n; i++ {
@@ -121,7 +121,7 @@ func agreeWithRef(entries, ways int, seed uint64, n int) error {
 			}
 		}
 		last = addr
-		if g, r := got.Access(addr), ref.Access(addr); g != r {
+		if g, r := got.access(addr), ref.Access(addr); g != r {
 			return fmt.Errorf("access %d (%#x, phase %d): hit = %v, reference %v", i, addr, phase, g, r)
 		}
 		if got.Accesses != ref.Accesses || got.Misses != ref.Misses {

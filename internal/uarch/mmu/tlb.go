@@ -10,8 +10,8 @@
 // right victim, and re-touching the MRU page is one compare.
 package mmu
 
-// PageShift is log2 of the 4 KB page size.
-const PageShift = 12
+// pageShift is log2 of the 4 KB page size.
+const pageShift = 12
 
 // TLB is one set-associative translation buffer with LRU replacement.
 type TLB struct {
@@ -41,10 +41,10 @@ func NewTLB(entries, ways int) *TLB {
 }
 
 // vpn converts an address to a nonzero virtual page number.
-func vpn(addr uint64) uint64 { return (addr >> PageShift) + 1 }
+func vpn(addr uint64) uint64 { return (addr >> pageShift) + 1 }
 
-// Access looks up the page of addr, inserting it on miss. Returns hit.
-func (t *TLB) Access(addr uint64) bool {
+// access looks up the page of addr, inserting it on miss. Returns hit.
+func (t *TLB) access(addr uint64) bool {
 	t.Accesses++
 	p := vpn(addr)
 	base := int(p&uint64(t.sets-1)) * t.ways
@@ -97,10 +97,10 @@ func (h *Hierarchy) Reset() {
 // Translate looks up addr, returning the added latency in cycles (0 on an
 // L1 hit) and whether a full page walk occurred.
 func (h *Hierarchy) Translate(addr uint64) (latency int, walked bool) {
-	if h.L1.Access(addr) {
+	if h.L1.access(addr) {
 		return 0, false
 	}
-	if h.L2.Access(addr) {
+	if h.L2.access(addr) {
 		return h.L2Latency, false
 	}
 	h.Walks++

@@ -7,13 +7,13 @@ import (
 
 func TestTLBHitAfterMiss(t *testing.T) {
 	tlb := NewTLB(64, 4)
-	if tlb.Access(0x1000) {
+	if tlb.access(0x1000) {
 		t.Fatal("cold hit")
 	}
-	if !tlb.Access(0x1FFF) { // same 4K page
+	if !tlb.access(0x1FFF) { // same 4K page
 		t.Fatal("same-page miss")
 	}
-	if tlb.Access(0x2000) { // next page
+	if tlb.access(0x2000) { // next page
 		t.Fatal("next-page hit")
 	}
 }
@@ -23,7 +23,7 @@ func TestTLBCoverage(t *testing.T) {
 	tlb := NewTLB(64, 4)
 	for pass := 0; pass < 2; pass++ {
 		for a := uint64(0); a < 128<<10; a += 4096 {
-			tlb.Access(a)
+			tlb.access(a)
 		}
 	}
 	if tlb.Misses != 32 {
@@ -32,7 +32,7 @@ func TestTLBCoverage(t *testing.T) {
 	tlb = NewTLB(64, 4)
 	for pass := 0; pass < 3; pass++ {
 		for a := uint64(0); a < 1<<20; a += 4096 {
-			tlb.Access(a)
+			tlb.access(a)
 		}
 	}
 	if ratio := float64(tlb.Misses) / float64(tlb.Accesses); ratio < 0.9 {
@@ -84,8 +84,8 @@ func TestTLBPropertyRevisitHits(t *testing.T) {
 	if err := quick.Check(func(addrs []uint64) bool {
 		tlb := NewTLB(64, 4)
 		for _, a := range addrs {
-			tlb.Access(a)
-			if !tlb.Access(a) {
+			tlb.access(a)
+			if !tlb.access(a) {
 				return false
 			}
 		}

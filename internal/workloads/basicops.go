@@ -10,12 +10,12 @@ import (
 	"dcbench/internal/sim"
 )
 
-// SortWorkload is the Hadoop-example Sort: identity map, range
+// sortWorkload is the Hadoop-example Sort: identity map, range
 // partitioning for a global total order, identity reduce. Its defining
 // properties in the paper are that output size equals input size and the
 // computation is trivial, making it the most I/O- and OS-intensive workload
 // (Figures 4 and 5).
-func SortWorkload() *Workload {
+func sortWorkload() *Workload {
 	return &Workload{
 		Name:      "Sort",
 		InputGB:   150,
@@ -23,7 +23,7 @@ func SortWorkload() *Workload {
 		Scenarios: []string{"Document sorting", "Pages sorting"},
 		Run: func(env *Env) (*Stats, error) {
 			st := env.newStats("Sort")
-			simBytes := int64(150 * GB * env.Scale)
+			simBytes := int64(150 * gb * env.Scale)
 			file := env.DFS.AddFile("sort-input", simBytes)
 			const recsPerSplit = 100
 			input := newGenInput(simBytes, func(split int) []mapreduce.KV {
@@ -49,7 +49,7 @@ func SortWorkload() *Workload {
 				Mapper: mapreduce.MapperFunc(func(kv mapreduce.KV, emit mapreduce.Emit) {
 					emit(kv.Key, kv.Value)
 				}),
-				NumReducers: env.Reducers(),
+				NumReducers: env.reducers(),
 				OutputFile:  "sort-output",
 				// Range partitioner on the first key byte: a TeraSort-style
 				// total order across reducers.
@@ -87,9 +87,9 @@ func SortWorkload() *Workload {
 	}
 }
 
-// WordCountWorkload reads documents and counts word occurrences, with a
+// wordCountWorkload reads documents and counts word occurrences, with a
 // combiner — the canonical aggregation-shaped MapReduce job.
-func WordCountWorkload() *Workload {
+func wordCountWorkload() *Workload {
 	return &Workload{
 		Name:      "WordCount",
 		InputGB:   154,
@@ -97,7 +97,7 @@ func WordCountWorkload() *Workload {
 		Scenarios: []string{"Word frequency count", "Calculating the TF-IDF value", "Obtaining the user operations count"},
 		Run: func(env *Env) (*Stats, error) {
 			st := env.newStats("WordCount")
-			simBytes := int64(154 * GB * env.Scale)
+			simBytes := int64(154 * gb * env.Scale)
 			file := env.DFS.AddFile("wc-input", simBytes)
 			input := newGenInput(simBytes, func(split int) []mapreduce.KV {
 				c := datagen.NewCorpus(splitSeed(env.Seed, split), 5000)
@@ -125,7 +125,7 @@ func WordCountWorkload() *Workload {
 				}),
 				Combiner:    sum,
 				Reducer:     sum,
-				NumReducers: env.Reducers(),
+				NumReducers: env.reducers(),
 				OutputFile:  "wc-output",
 				Cost:        mapreduce.CostModel{MapCPUPerByte: 1.0e-8, ReduceCPUPerByte: 0.5e-8},
 			}
@@ -157,9 +157,9 @@ func WordCountWorkload() *Workload {
 	}
 }
 
-// GrepWorkload extracts lines matching a pattern and counts matches, the
+// grepWorkload extracts lines matching a pattern and counts matches, the
 // third Hadoop-example basic operation.
-func GrepWorkload() *Workload {
+func grepWorkload() *Workload {
 	return &Workload{
 		Name:      "Grep",
 		InputGB:   154,
@@ -167,7 +167,7 @@ func GrepWorkload() *Workload {
 		Scenarios: []string{"Log analysis", "Web information extraction", "Fuzzy search"},
 		Run: func(env *Env) (*Stats, error) {
 			st := env.newStats("Grep")
-			simBytes := int64(154 * GB * env.Scale)
+			simBytes := int64(154 * gb * env.Scale)
 			file := env.DFS.AddFile("grep-input", simBytes)
 			var pattern string
 			{

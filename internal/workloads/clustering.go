@@ -45,7 +45,7 @@ type clustering struct {
 // and the final centroids.
 func (a clustering) run(env *Env) (st *Stats, pts, centroids [][]float64, err error) {
 	st = env.newStats(a.name)
-	simBytes := int64(150 * GB * env.Scale)
+	simBytes := int64(150 * gb * env.Scale)
 	file := env.DFS.AddFile(a.tag+"-input", simBytes)
 	input := newGenInput(simBytes, func(split int) []mapreduce.KV {
 		return []mapreduce.KV{{Key: strconv.Itoa(split), Value: ""}}
@@ -70,7 +70,7 @@ func (a clustering) run(env *Env) (st *Stats, pts, centroids [][]float64, err er
 			Mapper:      a.mapper(shard, centroids),
 			Combiner:    vecSumReducer,
 			Reducer:     vecSumReducer,
-			NumReducers: env.Reducers(),
+			NumReducers: env.reducers(),
 			Cost:        a.cost,
 		}
 		res, err := env.RT.Run(job)
@@ -157,13 +157,13 @@ func fuzzyKMeansMapper(shard func(int) [][]float64, centroids [][]float64) mapre
 	})
 }
 
-// KMeansWorkload is Mahout-style distributed K-means: each iteration is a
+// kmeansWorkload is Mahout-style distributed K-means: each iteration is a
 // MapReduce job whose map tasks assign their shard's points to the nearest
 // broadcast centroid and emit one partial sum per centroid, and whose
 // reduce side computes the new centroids. The driver verifies that the
 // distributed iteration matches the serial Lloyd step bit-for-bit (up to
 // floating-point summation order).
-func KMeansWorkload() *Workload {
+func kmeansWorkload() *Workload {
 	return &Workload{
 		Name:      "K-means",
 		InputGB:   150,
@@ -190,10 +190,10 @@ var kmeans = clustering{
 	},
 }
 
-// FuzzyKMeansWorkload distributes fuzzy C-means the same way, with
+// fuzzyKMeansWorkload distributes fuzzy C-means the same way, with
 // membership-weighted partial sums. Its per-byte CPU cost is ~5x K-means
 // (Table I: 15470 vs 3227 billions of instructions on the same input size).
-func FuzzyKMeansWorkload() *Workload {
+func fuzzyKMeansWorkload() *Workload {
 	return &Workload{
 		Name:      "Fuzzy K-means",
 		InputGB:   150,

@@ -20,16 +20,16 @@ const (
 // hiveSizes carves the 156 GB Hive-bench input (Table I) into the three
 // benchmark tables, mirroring Pavlo et al.'s proportions.
 func hiveSizes(scale float64) (grepB, rankB, visitB int64) {
-	return int64(60 * GB * scale), int64(16 * GB * scale), int64(80 * GB * scale)
+	return int64(60 * gb * scale), int64(16 * gb * scale), int64(80 * gb * scale)
 }
 
-// HiveBenchWorkload runs the Hive-bench query suite as MapReduce jobs:
+// hiveBenchWorkload runs the Hive-bench query suite as MapReduce jobs:
 // Q1 a LIKE-filter selection over the grep table, Q2 a group-by aggregation
 // over UserVisits, and Q3 a repartition join of Rankings with UserVisits
 // followed by per-IP aggregation (two jobs). Every query's distributed
 // result is verified against the in-memory internal/hive engine executing
 // the same plan over identical data.
-func HiveBenchWorkload() *Workload {
+func hiveBenchWorkload() *Workload {
 	return &Workload{
 		Name:      "Hive-bench",
 		InputGB:   156,
@@ -42,7 +42,7 @@ func HiveBenchWorkload() *Workload {
 			env.DFS.AddFile("hive-rankings", rankB) // read without locality by the join
 			visitFile := env.DFS.AddFile("hive-uservisits", visitB)
 
-			rankSplits := Splits(rankB)
+			rankSplits := splits(rankB)
 			pages := rankSplits * hiveRankRowsPerSplit
 
 			grepGen := func(split int) []mapreduce.KV {
@@ -90,7 +90,7 @@ func HiveBenchWorkload() *Workload {
 						emit(kv.Key, kv.Value)
 					}
 				}),
-				NumReducers: env.Reducers(),
+				NumReducers: env.reducers(),
 				OutputFile:  "hive-q1-out",
 				Cost:        mapreduce.CostModel{MapCPUPerByte: 0.8e-8, ReduceCPUPerByte: 1e-9},
 			}
@@ -109,7 +109,7 @@ func HiveBenchWorkload() *Workload {
 				}),
 				Combiner:    sumFloats,
 				Reducer:     sumFloats,
-				NumReducers: env.Reducers(),
+				NumReducers: env.reducers(),
 				OutputFile:  "hive-q2-out",
 				Cost:        mapreduce.CostModel{MapCPUPerByte: 1.2e-8, ReduceCPUPerByte: 2e-9},
 			}
@@ -119,7 +119,7 @@ func HiveBenchWorkload() *Workload {
 			}
 
 			// --- Q3a: repartition join rankings ⋈ uservisits ON url ---
-			visitSplits := Splits(visitB)
+			visitSplits := splits(visitB)
 			joinInput := &joinedInput{
 				left:      newGenInput(rankB, rankGen),
 				right:     newGenInput(visitB, visitGen),
@@ -157,7 +157,7 @@ func HiveBenchWorkload() *Workload {
 						}
 					}
 				}),
-				NumReducers: env.Reducers(),
+				NumReducers: env.reducers(),
 				Cost:        mapreduce.CostModel{MapCPUPerByte: 1.4e-8, ReduceCPUPerByte: 1e-8},
 			}
 			q3aRes, err := env.RT.Run(q3a)
@@ -183,7 +183,7 @@ func HiveBenchWorkload() *Workload {
 					emit(ip, strconv.FormatFloat(rankSum/n, 'g', -1, 64)+","+
 						strconv.FormatFloat(revSum, 'g', -1, 64))
 				}),
-				NumReducers: env.Reducers(),
+				NumReducers: env.reducers(),
 				OutputFile:  "hive-q3-out",
 				Cost:        mapreduce.CostModel{MapCPUPerByte: 0.6e-8, ReduceCPUPerByte: 2e-9},
 			}
@@ -194,7 +194,7 @@ func HiveBenchWorkload() *Workload {
 
 			// --- Verify every query against the in-memory hive engine ---
 			quality := verifyHive(env, q1Res, q2Res, q3bRes, grepGen, rankGen, visitGen,
-				Splits(grepB), rankSplits, visitSplits, pattern)
+				splits(grepB), rankSplits, visitSplits, pattern)
 			for k, v := range quality {
 				st.Quality[k] = v
 			}

@@ -48,11 +48,11 @@ func decodeInts(s string) []int {
 	return xs
 }
 
-// HMMWorkload is the paper's segmentation application: supervised training
+// hmmWorkload is the paper's segmentation application: supervised training
 // of a hidden Markov model by distributed counting (job 1), then Viterbi
 // decoding of fresh sequences with the trained model (job 2). Quality is
 // decoding accuracy against the true hidden paths.
-func HMMWorkload() *Workload {
+func hmmWorkload() *Workload {
 	return &Workload{
 		Name:      "HMM",
 		InputGB:   147,
@@ -60,7 +60,7 @@ func HMMWorkload() *Workload {
 		Scenarios: []string{"Speech recognition", "Word Segmentation", "Handwriting recognition"},
 		Run: func(env *Env) (*Stats, error) {
 			st := env.newStats("HMM")
-			simBytes := int64(147 * GB * env.Scale)
+			simBytes := int64(147 * gb * env.Scale)
 			trainFile := env.DFS.AddFile("hmm-train", simBytes/2)
 			decodeFile := env.DFS.AddFile("hmm-decode", simBytes/2)
 
@@ -89,7 +89,7 @@ func HMMWorkload() *Workload {
 				}),
 				Combiner:    sumFloats,
 				Reducer:     sumFloats,
-				NumReducers: env.Reducers(),
+				NumReducers: env.reducers(),
 				Cost:        mapreduce.CostModel{MapCPUPerByte: 3e-9, ReduceCPUPerByte: 0.5e-9, OutputRatio: 0.01},
 			}
 			trainRes, err := env.RT.Run(trainJob)

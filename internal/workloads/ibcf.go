@@ -28,14 +28,14 @@ func ibcfShard(seed uint64, split int) []datagen.Rating {
 	return rs
 }
 
-// IBCFWorkload is Mahout-style item-based collaborative filtering as a
+// ibcfWorkload is Mahout-style item-based collaborative filtering as a
 // three-job pipeline: (1) per-item squared norms, (2) per-user co-rated
 // item pair products, (3) pair-product aggregation. The driver combines the
 // norms and pair sums into cosine similarities and checks them against the
 // serial analysis.ItemCF on identical data. IBCF is the second most
 // instruction-hungry workload in Table I, reflected in its CPU rates and
 // pair-explosion shuffle ratio.
-func IBCFWorkload() *Workload {
+func ibcfWorkload() *Workload {
 	return &Workload{
 		Name:      "IBCF",
 		InputGB:   147,
@@ -43,7 +43,7 @@ func IBCFWorkload() *Workload {
 		Scenarios: []string{"Recommend goods", "Recommend friends", "Recommend key words"},
 		Run: func(env *Env) (*Stats, error) {
 			st := env.newStats("IBCF")
-			simBytes := int64(147 * GB * env.Scale)
+			simBytes := int64(147 * gb * env.Scale)
 			file := env.DFS.AddFile("ibcf-input", simBytes)
 			input := newGenInput(simBytes, func(split int) []mapreduce.KV {
 				rs := ibcfShard(env.Seed, split)
@@ -67,7 +67,7 @@ func IBCFWorkload() *Workload {
 				}),
 				Combiner:    sumFloats,
 				Reducer:     sumFloats,
-				NumReducers: env.Reducers(),
+				NumReducers: env.reducers(),
 				Cost:        mapreduce.CostModel{MapCPUPerByte: 1e-8, ReduceCPUPerByte: 1e-9},
 			}
 			normsRes, err := env.RT.Run(normsJob)
@@ -100,7 +100,7 @@ func IBCFWorkload() *Workload {
 						}
 					}
 				}),
-				NumReducers: env.Reducers(),
+				NumReducers: env.reducers(),
 				// The pair cross-product inflates the data ~6x (C(12,2)=66
 				// pairs from 12 ratings), making this the heavy shuffle.
 				Cost: mapreduce.CostModel{MapCPUPerByte: 4e-8, ReduceCPUPerByte: 3e-8, OutputRatio: 4},
@@ -117,7 +117,7 @@ func IBCFWorkload() *Workload {
 				Mapper:      mapreduce.MapperFunc(func(kv mapreduce.KV, emit mapreduce.Emit) { emit(kv.Key, kv.Value) }),
 				Combiner:    sumFloats,
 				Reducer:     sumFloats,
-				NumReducers: env.Reducers(),
+				NumReducers: env.reducers(),
 				Cost:        mapreduce.CostModel{MapCPUPerByte: 3e-8, ReduceCPUPerByte: 1e-8},
 			}
 			aggRes, err := env.RT.Run(agg)

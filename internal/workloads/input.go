@@ -3,7 +3,7 @@ package workloads
 import "dcbench/internal/mapreduce"
 
 // genInput is an InputFormat backed by a deterministic per-split generator.
-// Every split stands for one DFS block (BlockSize simulated bytes, except a
+// Every split stands for one DFS block (blockSize simulated bytes, except a
 // possibly short tail) realised by a small number of real records.
 type genInput struct {
 	splits   int
@@ -13,7 +13,7 @@ type genInput struct {
 
 // newGenInput sizes an input at simBytes and realises each split with gen.
 func newGenInput(simBytes int64, gen func(split int) []mapreduce.KV) *genInput {
-	return &genInput{splits: Splits(simBytes), simBytes: simBytes, gen: gen}
+	return &genInput{splits: splits(simBytes), simBytes: simBytes, gen: gen}
 }
 
 // NumSplits implements mapreduce.InputFormat.
@@ -21,9 +21,9 @@ func (g *genInput) NumSplits() int { return g.splits }
 
 // Split implements mapreduce.InputFormat.
 func (g *genInput) Split(i int) ([]mapreduce.KV, int64) {
-	sb := BlockSize
+	sb := blockSize
 	if i == g.splits-1 {
-		if tail := g.simBytes - int64(g.splits-1)*BlockSize; tail > 0 && tail < BlockSize {
+		if tail := g.simBytes - int64(g.splits-1)*blockSize; tail > 0 && tail < blockSize {
 			sb = tail
 		}
 	}

@@ -22,12 +22,12 @@ var sumFloats = mapreduce.ReducerFunc(func(key string, values []string, emit map
 	emit(key, strconv.FormatFloat(total, 'g', -1, 64))
 })
 
-// NaiveBayesWorkload trains a multinomial Naive Bayes text classifier the
+// naiveBayesWorkload trains a multinomial Naive Bayes text classifier the
 // Mahout way: map tasks count (class, word) occurrences over their shard,
 // the reduce side aggregates counts, and the driver assembles the model.
 // Quality is held-out classification accuracy — a real learning outcome,
 // not a smoke test.
-func NaiveBayesWorkload() *Workload {
+func naiveBayesWorkload() *Workload {
 	return &Workload{
 		Name:      "Naive Bayes",
 		InputGB:   147,
@@ -35,7 +35,7 @@ func NaiveBayesWorkload() *Workload {
 		Scenarios: []string{"Spam recognition", "Web page classification"},
 		Run: func(env *Env) (*Stats, error) {
 			st := env.newStats("Naive Bayes")
-			simBytes := int64(147 * GB * env.Scale)
+			simBytes := int64(147 * gb * env.Scale)
 			file := env.DFS.AddFile("bayes-input", simBytes)
 			const docsPerSplit = 20
 			input := newGenInput(simBytes, func(split int) []mapreduce.KV {
@@ -62,7 +62,7 @@ func NaiveBayesWorkload() *Workload {
 				}),
 				Combiner:    sumFloats,
 				Reducer:     sumFloats,
-				NumReducers: env.Reducers(),
+				NumReducers: env.reducers(),
 				OutputFile:  "bayes-model",
 				Cost:        mapreduce.CostModel{MapCPUPerByte: 2.2e-7, ReduceCPUPerByte: 3e-8, OutputRatio: 0.02},
 			}
@@ -160,13 +160,13 @@ func svmMapper(shard func(int) ([][]float64, []int), gradKeys []string, w []floa
 	})
 }
 
-// SVMWorkload trains a linear SVM on hashed HTML-page features with
+// svmWorkload trains a linear SVM on hashed HTML-page features with
 // distributed batch sub-gradient descent: each iteration is one MapReduce
 // job whose map tasks compute the Pegasos sub-gradient of their shard
 // against the broadcast weights and whose reduce side sums them; the
 // driver applies the averaged step. This is the standard way to run
 // full-batch hinge-loss training on MapReduce.
-func SVMWorkload() *Workload {
+func svmWorkload() *Workload {
 	return &Workload{
 		Name:      "SVM",
 		InputGB:   148,
@@ -174,7 +174,7 @@ func SVMWorkload() *Workload {
 		Scenarios: []string{"Image Processing", "Data Mining", "Text Categorization"},
 		Run: func(env *Env) (*Stats, error) {
 			st := env.newStats("SVM")
-			simBytes := int64(148 * GB * env.Scale)
+			simBytes := int64(148 * gb * env.Scale)
 			file := env.DFS.AddFile("svm-input", simBytes)
 			input := newGenInput(simBytes, func(split int) []mapreduce.KV {
 				return []mapreduce.KV{{Key: strconv.Itoa(split), Value: strconv.Itoa(svmDocsPerSplit)}}
@@ -196,7 +196,7 @@ func SVMWorkload() *Workload {
 					Input: input, InputFile: file,
 					Mapper:      svmMapper(shard, gradKeys, w, bias, lambda),
 					Reducer:     sumFloats,
-					NumReducers: env.Reducers(),
+					NumReducers: env.reducers(),
 					Cost:        mapreduce.CostModel{MapCPUPerByte: 0.8e-9, ReduceCPUPerByte: 0.2e-9, OutputRatio: 0.001},
 				}
 				res, err := env.RT.Run(job)

@@ -32,12 +32,12 @@ func prGraph(seed uint64, splits int) [][]int {
 	return adj
 }
 
-// PageRankWorkload runs the classic two-output MapReduce PageRank: each
+// pageRankWorkload runs the classic two-output MapReduce PageRank: each
 // iteration's map emits the node's link list and a rank share per outlink;
 // the reduce side sums shares into the damped new rank and re-attaches the
 // links. The driver checks the distributed ranks against serial power
 // iteration on the same graph.
-func PageRankWorkload() *Workload {
+func pageRankWorkload() *Workload {
 	return &Workload{
 		Name:      "PageRank",
 		InputGB:   187,
@@ -45,8 +45,8 @@ func PageRankWorkload() *Workload {
 		Scenarios: []string{"Compute the page rank"},
 		Run: func(env *Env) (*Stats, error) {
 			st := env.newStats("PageRank")
-			simBytes := int64(187 * GB * env.Scale)
-			splits := Splits(simBytes)
+			simBytes := int64(187 * gb * env.Scale)
+			splits := splits(simBytes)
 			adj := prGraph(env.Seed, splits)
 			n := len(adj)
 			simPerSplit := simBytes / int64(splits)
@@ -103,7 +103,7 @@ func PageRankWorkload() *Workload {
 						}
 						emit(key, strconv.FormatFloat(base+prDamping*sum, 'g', -1, 64)+"|"+links)
 					}),
-					NumReducers: env.Reducers(),
+					NumReducers: env.reducers(),
 					Cost:        mapreduce.CostModel{MapCPUPerByte: 1.06e-8, ReduceCPUPerByte: 2e-9},
 				}
 				res, err := env.RT.Run(job)

@@ -193,7 +193,7 @@ func TestClusteringJobCountersMatch(t *testing.T) {
 		var res [2]*mapreduce.Result
 		for i, mapper := range []clusterMapper{o.got, o.ref} {
 			env := NewEnv(4, testScale, 5)
-			simBytes := int64(150 * GB * env.Scale)
+			simBytes := int64(150 * gb * env.Scale)
 			shard := func(split int) [][]float64 { return clusterShard(env.Seed, split) }
 			r, err := env.RT.Run(&mapreduce.Job{
 				Input: newGenInput(simBytes, func(split int) []mapreduce.KV {
@@ -203,7 +203,7 @@ func TestClusteringJobCountersMatch(t *testing.T) {
 				Mapper:      mapper(shard, shard(0)[:kmeansK]),
 				Combiner:    vecSumReducer,
 				Reducer:     vecSumReducer,
-				NumReducers: env.Reducers(),
+				NumReducers: env.reducers(),
 				Cost:        o.cost,
 			})
 			if err != nil {

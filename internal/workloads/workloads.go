@@ -27,11 +27,11 @@ import (
 	"dcbench/internal/sweep"
 )
 
-// GB is 10^9 bytes, the unit of the paper's Table I input sizes.
-const GB = 1e9
+// gb is 10^9 bytes, the unit of the paper's Table I input sizes.
+const gb = 1e9
 
-// BlockSize is the DFS block size (64 MB, the Hadoop 1.x default).
-const BlockSize int64 = 64 << 20
+// blockSize is the DFS block size (64 MB, the Hadoop 1.x default).
+const blockSize int64 = 64 << 20
 
 // Env is one experiment environment: a fresh cluster, DFS and MapReduce
 // runtime at a given slave count and input scale.
@@ -50,18 +50,18 @@ type Env struct {
 // configuration for the given number of slave nodes.
 func NewEnv(slaves int, scale float64, seed uint64) *Env {
 	c := cluster.New(cluster.DefaultConfig(slaves), seed)
-	d := dfs.New(c, BlockSize, 3, seed+1)
+	d := dfs.New(c, blockSize, 3, seed+1)
 	rt := mapreduce.NewRuntime(c, d, mapreduce.DefaultRuntimeConfig())
 	return &Env{Cluster: c, DFS: d, RT: rt, Scale: scale, Seed: seed}
 }
 
-// Reducers returns the job-level reduce parallelism for this cluster size
+// reducers returns the job-level reduce parallelism for this cluster size
 // (Hadoop's rule of thumb: a small multiple of the slave count).
-func (e *Env) Reducers() int { return 6 * len(e.Cluster.Nodes) }
+func (e *Env) reducers() int { return 6 * len(e.Cluster.Nodes) }
 
-// Splits converts a simulated input size to a split/block count.
-func Splits(simBytes int64) int {
-	n := int((simBytes + BlockSize - 1) / BlockSize)
+// splits converts a simulated input size to a split/block count.
+func splits(simBytes int64) int {
+	n := int((simBytes + blockSize - 1) / blockSize)
 	if n < 1 {
 		n = 1
 	}
@@ -165,17 +165,17 @@ func decodeVec(s string) []float64 {
 // All returns the paper's eleven workloads in Table I order.
 func All() []*Workload {
 	return []*Workload{
-		SortWorkload(),
-		WordCountWorkload(),
-		GrepWorkload(),
-		NaiveBayesWorkload(),
-		SVMWorkload(),
-		KMeansWorkload(),
-		FuzzyKMeansWorkload(),
-		IBCFWorkload(),
-		HMMWorkload(),
-		PageRankWorkload(),
-		HiveBenchWorkload(),
+		sortWorkload(),
+		wordCountWorkload(),
+		grepWorkload(),
+		naiveBayesWorkload(),
+		svmWorkload(),
+		kmeansWorkload(),
+		fuzzyKMeansWorkload(),
+		ibcfWorkload(),
+		hmmWorkload(),
+		pageRankWorkload(),
+		hiveBenchWorkload(),
 	}
 }
 

@@ -50,7 +50,7 @@ func TestAllWorkloadsPresent(t *testing.T) {
 }
 
 func TestSortGlobalOrder(t *testing.T) {
-	st := runWorkload(t, SortWorkload(), 4)
+	st := runWorkload(t, sortWorkload(), 4)
 	if st.Quality["globally_sorted"] != 1 {
 		t.Fatal("sort output not globally ordered")
 	}
@@ -60,7 +60,7 @@ func TestSortGlobalOrder(t *testing.T) {
 }
 
 func TestWordCountConservation(t *testing.T) {
-	st := runWorkload(t, WordCountWorkload(), 4)
+	st := runWorkload(t, wordCountWorkload(), 4)
 	if st.Quality["conservation"] != 1 {
 		t.Fatalf("word counts not conserved: %+v", st.Quality)
 	}
@@ -70,42 +70,42 @@ func TestWordCountConservation(t *testing.T) {
 }
 
 func TestGrepFindsMatches(t *testing.T) {
-	st := runWorkload(t, GrepWorkload(), 4)
+	st := runWorkload(t, grepWorkload(), 4)
 	if st.Quality["matches"] == 0 {
 		t.Fatal("grep found no matches of a common word")
 	}
 }
 
 func TestNaiveBayesAccuracy(t *testing.T) {
-	st := runWorkload(t, NaiveBayesWorkload(), 4)
+	st := runWorkload(t, naiveBayesWorkload(), 4)
 	if acc := st.Quality["holdout_accuracy"]; acc < 0.7 {
 		t.Fatalf("held-out accuracy = %v, want >= 0.7", acc)
 	}
 }
 
 func TestSVMAccuracy(t *testing.T) {
-	st := runWorkload(t, SVMWorkload(), 4)
+	st := runWorkload(t, svmWorkload(), 4)
 	if acc := st.Quality["train_accuracy"]; acc < 0.65 {
 		t.Fatalf("train accuracy = %v, want >= 0.65", acc)
 	}
 }
 
 func TestKMeansMatchesSerial(t *testing.T) {
-	st := runWorkload(t, KMeansWorkload(), 4)
+	st := runWorkload(t, kmeansWorkload(), 4)
 	if d := st.Quality["serial_divergence"]; d > 1e-6 {
 		t.Fatalf("distributed K-means diverged from serial by %v", d)
 	}
 }
 
 func TestFuzzyKMeansMatchesSerial(t *testing.T) {
-	st := runWorkload(t, FuzzyKMeansWorkload(), 4)
+	st := runWorkload(t, fuzzyKMeansWorkload(), 4)
 	if d := st.Quality["serial_divergence"]; d > 1e-6 {
 		t.Fatalf("distributed fuzzy K-means diverged from serial by %v", d)
 	}
 }
 
 func TestIBCFSimilaritiesMatchSerial(t *testing.T) {
-	st := runWorkload(t, IBCFWorkload(), 4)
+	st := runWorkload(t, ibcfWorkload(), 4)
 	if d := st.Quality["cosine_divergence"]; d > 1e-9 {
 		t.Fatalf("distributed cosine diverged from serial by %v", d)
 	}
@@ -115,14 +115,14 @@ func TestIBCFSimilaritiesMatchSerial(t *testing.T) {
 }
 
 func TestHMMDecodeAccuracy(t *testing.T) {
-	st := runWorkload(t, HMMWorkload(), 4)
+	st := runWorkload(t, hmmWorkload(), 4)
 	if acc := st.Quality["decode_accuracy"]; acc < 0.5 {
 		t.Fatalf("decode accuracy = %v, want >= 0.5 (4-state chance is 0.25)", acc)
 	}
 }
 
 func TestPageRankMatchesSerial(t *testing.T) {
-	st := runWorkload(t, PageRankWorkload(), 4)
+	st := runWorkload(t, pageRankWorkload(), 4)
 	if l1 := st.Quality["serial_l1"]; l1 > 1e-9 {
 		t.Fatalf("distributed PageRank diverged from serial by %v", l1)
 	}
@@ -132,7 +132,7 @@ func TestPageRankMatchesSerial(t *testing.T) {
 }
 
 func TestHiveBenchMatchesEngine(t *testing.T) {
-	st := runWorkload(t, HiveBenchWorkload(), 4)
+	st := runWorkload(t, hiveBenchWorkload(), 4)
 	for _, k := range []string{"q1_match", "q2_revenue_match", "q3_revenue_match"} {
 		if st.Quality[k] != 1 {
 			t.Fatalf("%s failed: %+v", k, st.Quality)
@@ -152,7 +152,7 @@ func TestSpeedupShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-cluster sweep")
 	}
-	for _, w := range []*Workload{SortWorkload(), KMeansWorkload(), NaiveBayesWorkload()} {
+	for _, w := range []*Workload{sortWorkload(), kmeansWorkload(), naiveBayesWorkload()} {
 		base := runWorkload(t, w, 1)
 		big := runWorkload(t, w, 8)
 		speedup := base.Makespan / big.Makespan
@@ -167,8 +167,8 @@ func TestSortIsMostDiskIntensive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workload sweep")
 	}
-	sortRate := runWorkload(t, SortWorkload(), 4).DiskWritesPerSecond()
-	for _, w := range []*Workload{GrepWorkload(), KMeansWorkload(), NaiveBayesWorkload()} {
+	sortRate := runWorkload(t, sortWorkload(), 4).DiskWritesPerSecond()
+	for _, w := range []*Workload{grepWorkload(), kmeansWorkload(), naiveBayesWorkload()} {
 		if r := runWorkload(t, w, 4).DiskWritesPerSecond(); r >= sortRate {
 			t.Fatalf("%s disk writes/s %v >= Sort's %v", w.Name, r, sortRate)
 		}
@@ -176,8 +176,8 @@ func TestSortIsMostDiskIntensive(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	a := runWorkload(t, WordCountWorkload(), 3)
-	b := runWorkload(t, WordCountWorkload(), 3)
+	a := runWorkload(t, wordCountWorkload(), 3)
+	b := runWorkload(t, wordCountWorkload(), 3)
 	if a.Makespan != b.Makespan || a.DiskWriteOps != b.DiskWriteOps {
 		t.Fatalf("nondeterministic run: %v/%v vs %v/%v",
 			a.Makespan, a.DiskWriteOps, b.Makespan, b.DiskWriteOps)
@@ -188,7 +188,7 @@ func TestDeterminism(t *testing.T) {
 // reproduce the serial loop's stats exactly — every environment is
 // independent and identically seeded.
 func TestSlaveSweepMatchesSerial(t *testing.T) {
-	w := WordCountWorkload()
+	w := wordCountWorkload()
 	counts := []int{1, 4, 8}
 
 	var serial []*Stats
