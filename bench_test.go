@@ -54,7 +54,7 @@ func characterized(b *testing.B) []*core.Result {
 }
 
 func daAvg(rs []*core.Result, f func(*uarch.Counters) float64) float64 {
-	return core.DataAnalysisAverage(rs, f)
+	return core.ClassAverage(rs, core.DataAnalysis, f)
 }
 
 func svcAvg(rs []*core.Result, f func(*uarch.Counters) float64) float64 {

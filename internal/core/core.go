@@ -129,22 +129,6 @@ func ByName(name string) (*Workload, error) {
 	return nil, fmt.Errorf("core: unknown workload %q", name)
 }
 
-// DataAnalysisAverage averages a metric over the data analysis class, the
-// "avg" bar the paper adds to every figure.
-func DataAnalysisAverage(results []*Result, metric func(*uarch.Counters) float64) float64 {
-	sum, n := 0.0, 0
-	for _, r := range results {
-		if r.Workload.Class == DataAnalysis {
-			sum += metric(r.Counters)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
 // ClassAverage averages a metric over an arbitrary class.
 func ClassAverage(results []*Result, class Class, metric func(*uarch.Counters) float64) float64 {
 	sum, n := 0.0, 0

@@ -310,7 +310,7 @@ func TestCharacterizeDeterministic(t *testing.T) {
 // TestClassAverages sanity-checks the helper used by the figure harness.
 func TestClassAverages(t *testing.T) {
 	rs := characterized(t)
-	if v := DataAnalysisAverage(rs, func(c *uarch.Counters) float64 { return c.IPC() }); v <= 0 {
+	if v := ClassAverage(rs, DataAnalysis, func(c *uarch.Counters) float64 { return c.IPC() }); v <= 0 {
 		t.Fatalf("DA average IPC %v", v)
 	}
 	if v := ClassAverage(rs, HPC, func(c *uarch.Counters) float64 { return c.IPC() }); v <= 0 {

@@ -85,10 +85,9 @@ type Options struct {
 	Workers []string
 	// APIKey, when non-empty, authenticates every dispatched request as
 	// `Authorization: Bearer <APIKey>` — the front-end's own service key
-	// on keyed workers. Independently of it, the originating tenant's id
-	// rides the X-Dcs-Tenant header, so a keyed worker enforces the
-	// service key's limits while attributing the work to the tenant that
-	// caused it (and an unkeyed worker still gets the attribution).
+	// on keyed workers, which charge the forwarded work to that key. The
+	// originating tenant's id rides the X-Dcs-Tenant header regardless;
+	// only an unkeyed worker reads it, to account the work to that tenant.
 	APIKey string
 	// Replicas is how many copies of each key the worker cluster keeps
 	// (the workers' -replication-factor, see internal/replica). Above 1, a

@@ -256,19 +256,3 @@ func (r *Relation) GroupBy(keys []string, aggs []Agg) *Relation {
 	}
 	return out
 }
-
-// size estimates the relation's payload size: string bytes, 8 per number.
-func (r *Relation) size() int64 {
-	var b int64
-	for _, row := range r.Rows {
-		for _, v := range row {
-			switch x := v.(type) {
-			case string:
-				b += int64(len(x))
-			default:
-				b += 8
-			}
-		}
-	}
-	return b
-}

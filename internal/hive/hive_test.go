@@ -153,11 +153,3 @@ func TestGroupSumMatchesManual(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestBytesEstimate(t *testing.T) {
-	tab := NewTable("t", Schema{{Name: "s", Kind: String}, {Name: "n", Kind: Int}})
-	tab.Append("abc", int64(1))
-	if got := tab.Scan().size(); got != 11 { // 3 + 8
-		t.Fatalf("bytes = %d, want 11", got)
-	}
-}

@@ -285,7 +285,7 @@ func metricFigure(results []*core.Result, title string, measured func(*uarch.Cou
 		if r.Workload.Name == "HMM" { // end of the data analysis block
 			t.Rows = append(t.Rows, Row{
 				Label:  "avg (data analysis)",
-				Values: []float64{core.DataAnalysisAverage(results, measured), 0},
+				Values: []float64{core.ClassAverage(results, core.DataAnalysis, measured), 0},
 			})
 		}
 	}

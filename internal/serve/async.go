@@ -9,6 +9,7 @@ import (
 
 	"dcbench/internal/jobs"
 	"dcbench/internal/obs"
+	"dcbench/internal/tenant"
 )
 
 // This file is the async half of the job lifecycle: POST /v1/jobs with
@@ -28,8 +29,8 @@ import (
 // stopping the underlying simulation once no other caller shares it.
 
 // submitAsync accepts one validated job for background execution. The
-// granting tenant owns the job: its id scopes every lifecycle endpoint.
-// The job's context keeps the request's tenants but not its
+// request's tenant owns the job: its id scopes every lifecycle endpoint.
+// The job's context keeps the request's tenant but not its
 // cancellation, so the job is booked exactly as a blocking job is.
 func (s *Server) submitAsync(w http.ResponseWriter, r *http.Request, run *jobRunner) {
 	if s.registry.Active() >= maxActiveJobs {
@@ -43,7 +44,7 @@ func (s *Server) submitAsync(w http.ResponseWriter, r *http.Request, run *jobRun
 	tr := s.recorder.StartTrace("job "+run.kind, id)
 	ctx, cancel := s.jobCtx(context.WithoutCancel(r.Context()))
 	ctx = obs.With(ctx, tr)
-	job := s.registry.New(id, run.kind, grantee(ctx).ID(), cancel)
+	job := s.registry.New(id, run.kind, tenant.From(ctx).ID(), cancel)
 	tr.OnSpan(job.ObserveSpan)
 	s.queuedJobs.Add(1)
 	go s.runAsync(ctx, job, tr, run)
@@ -86,7 +87,7 @@ func (s *Server) runAsync(ctx context.Context, job *jobs.Job, tr *obs.Trace, run
 // keeps the auth-off behavior identical to before tenancy existed.
 func visible(job *jobs.Job, r *http.Request) bool {
 	owner := job.Tenant()
-	return owner == "" || owner == grantee(r.Context()).ID()
+	return owner == "" || owner == tenant.From(r.Context()).ID()
 }
 
 // jobForRequest resolves the path's job id within the requesting

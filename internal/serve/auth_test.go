@@ -350,8 +350,8 @@ func TestCrossTenantJobIsolation(t *testing.T) {
 	}
 
 	// Bob sees nothing: not by GET, not by DELETE, not in the list — nor
-	// when his request names alice in X-Dcs-Tenant, which attributes
-	// usage but grants nothing.
+	// when his request names alice in X-Dcs-Tenant, which a keyed server
+	// does not read: it grants nothing and charges nothing.
 	for _, bob := range []map[string]string{
 		bearer("bob-key"),
 		{"Authorization": "Bearer bob-key", tenant.Header: "alice"},
@@ -391,7 +391,7 @@ func TestCrossTenantJobIsolation(t *testing.T) {
 // refuses the second with quota_exceeded. Both submission modes book the
 // same way (one job, the full instruction charge, one job-latency
 // sample), and naming an unlimited tenant in X-Dcs-Tenant neither lifts
-// the budget nor escapes the charge; the named origin is charged too.
+// the budget nor escapes the charge; the named tenant is not charged.
 func TestJobQuotaExhaustion(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a single-workload sweep")
@@ -473,14 +473,92 @@ func TestJobQuotaExhaustion(t *testing.T) {
 				`dcserved_tenant_instructions_total{tenant="capped"} ` + strconv.FormatInt(opts.Warmup+opts.Instrs, 10),
 				`dcserved_job_duration_seconds_count{kind="counters"} 1`,
 			}
-			if tc.origin != "" {
-				want = append(want, `dcserved_tenant_jobs_total{tenant="`+tc.origin+`",kind="counters"} 1`)
-			}
 			for _, w := range want {
 				if !strings.Contains(string(mbody), w+"\n") {
 					t.Fatalf("metrics lack %q:\n%s", w, mbody)
 				}
 			}
+			if tc.origin != "" {
+				if jobs := `dcserved_tenant_jobs_total{tenant="` + tc.origin + `"`; strings.Contains(string(mbody), jobs) {
+					t.Fatalf("named tenant %q was charged a job:\n%s", tc.origin, mbody)
+				}
+				for _, w := range []string{
+					`dcserved_tenant_requests_total{tenant="` + tc.origin + `"} 0`,
+					`dcserved_tenant_instructions_total{tenant="` + tc.origin + `"} 0`,
+				} {
+					if !strings.Contains(string(mbody), w+"\n") {
+						t.Fatalf("named tenant %q was charged: metrics lack %q:\n%s", tc.origin, w, mbody)
+					}
+				}
+			}
 		})
+	}
+}
+
+// TestNamedTenantIsNotCharged: with a keys file loaded, a request is
+// charged to the key that authenticated it and to no one else. A keyed
+// caller naming another tenant in X-Dcs-Tenant spends none of that
+// tenant's request or job budget, and naming an id nobody holds creates
+// no tenant.
+func TestNamedTenantIsNotCharged(t *testing.T) {
+	reg := openRegistry(t,
+		tenant.KeyConfig{ID: "alice", Secret: "alice-key"},
+		tenant.KeyConfig{ID: "bob", Secret: "bob-key", Limits: tenant.Limits{
+			MaxRequests: 3,
+			MaxJobs:     map[string]int64{store.KindCounters: 1},
+		}},
+	)
+	opts := testOptions()
+	srv := serve.New(serve.Config{Options: opts, Tenants: reg, Logger: quietLog})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	aliceAsBob := map[string]string{"Authorization": "Bearer alice-key", tenant.Header: "bob"}
+
+	// Three of alice's requests name bob; bob's own first request still
+	// finds his whole budget.
+	for i := 0; i < 3; i++ {
+		if resp, body := get(t, ts, "/v1/workloads", aliceAsBob); resp.StatusCode != http.StatusOK {
+			t.Fatalf("alice's request %d = %d: %s", i, resp.StatusCode, body)
+		}
+	}
+	if resp, body := get(t, ts, "/v1/workloads", bearer("bob-key")); resp.StatusCode != http.StatusOK {
+		t.Fatalf("bob's first request = %d, want 200: %s", resp.StatusCode, body)
+	}
+
+	// A keyed request naming an unknown id adds no tenant.
+	mallory := map[string]string{"Authorization": "Bearer alice-key", tenant.Header: "mallory"}
+	if resp, body := get(t, ts, "/v1/workloads", mallory); resp.StatusCode != http.StatusOK {
+		t.Fatalf("alice naming mallory = %d: %s", resp.StatusCode, body)
+	}
+	_, hbody := get(t, ts, "/healthz", nil)
+	var health struct {
+		Tenants struct {
+			PerTenant []tenant.Snapshot `json:"per_tenant"`
+		} `json:"tenants"`
+	}
+	if err := json.Unmarshal(hbody, &health); err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for _, s := range health.Tenants.PerTenant {
+		ids = append(ids, s.ID)
+	}
+	if strings.Join(ids, ",") != "alice,bob" {
+		t.Fatalf("healthz tenants = %v, want [alice bob]", ids)
+	}
+
+	if testing.Short() {
+		t.Skip("the job case runs a single-workload sweep")
+	}
+	// Alice's job names bob; bob's own job still fits his job quota.
+	fp := opts.CoreConfig().Fingerprint()
+	req := jobRequest(t, store.KindCounters, testCounterKey(t, "Sort", opts.Warmup, opts.Instrs, fp), opts.Warmup)
+	if resp, body := doJSON(t, ts, http.MethodPost, "/v1/jobs", req, aliceAsBob); resp.StatusCode != http.StatusOK {
+		t.Fatalf("alice's job = %d: %s", resp.StatusCode, body)
+	}
+	req = jobRequest(t, store.KindCounters, testCounterKey(t, "Grep", opts.Warmup, opts.Instrs, fp), opts.Warmup)
+	if resp, body := doJSON(t, ts, http.MethodPost, "/v1/jobs", req, bearer("bob-key")); resp.StatusCode != http.StatusOK {
+		t.Fatalf("bob's first job = %d, want 200: %s", resp.StatusCode, body)
 	}
 }

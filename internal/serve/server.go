@@ -83,10 +83,11 @@ type Config struct {
 	// makes every non-probe request authenticate (401 unauthorized
 	// without a valid key) and enforces per-tenant rate limits and
 	// quotas (429 quota_exceeded — distinguishable on the wire from the
-	// admission layer's 429 overloaded). Nil (or a registry without a
-	// keys file) leaves auth off — today's anonymous behavior — while
-	// still attributing dispatched work labelled with X-Dcs-Tenant to
-	// its originating tenant.
+	// admission layer's 429 overloaded); each request is then charged to
+	// its key alone and X-Dcs-Tenant is not read. Nil (or a registry
+	// without a keys file) leaves auth off — today's anonymous behavior —
+	// while still accounting dispatched work labelled with X-Dcs-Tenant
+	// to its originating tenant.
 	Tenants *tenant.Registry
 	// Logger defaults to slog.Default().
 	Logger *slog.Logger
@@ -317,15 +318,11 @@ func (s *Server) Handler() http.Handler {
 			r = r.WithContext(obs.With(r.Context(), tr))
 			// Identity before dispatch: the denial is traced and logged
 			// like any response, but the mux never sees the request.
-			var grant, origin *tenant.Tenant
-			grant, origin, deny = s.admitTenant(rec, r)
-			if origin != nil {
-				ctx := tenant.With(r.Context(), origin)
-				if grant != origin {
-					ctx = context.WithValue(ctx, grantKey{}, grant)
-				}
-				r = r.WithContext(ctx)
-				tr.SetAttr("tenant", origin.ID())
+			var tn *tenant.Tenant
+			tn, deny = s.admitTenant(rec, r)
+			if tn != nil {
+				r = r.WithContext(tenant.With(r.Context(), tn))
+				tr.SetAttr("tenant", tn.ID())
 			}
 		}
 		start := time.Now()

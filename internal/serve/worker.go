@@ -272,10 +272,10 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	run, ae := s.buildRunner(req)
-	// The granting tenant's cumulative job quotas (jobs by kind, simulated
+	// The tenant's cumulative job quotas (jobs by kind, simulated
 	// instructions) refuse before any admission decision, even on an idle
 	// worker: its budget, not the cluster's capacity, ran out.
-	if tn := grantee(r.Context()); ae == nil && !tn.CheckJob(run.kind, run.instrs) {
+	if tn := tenant.From(r.Context()); ae == nil && !tn.CheckJob(run.kind, run.instrs) {
 		ae = &apiError{http.StatusTooManyRequests, codeQuotaExceeded,
 			fmt.Sprintf("tenant %q is over its %s job quota", tn.ID(), run.kind)}
 	}
@@ -331,9 +331,8 @@ func (s *Server) runBlocking(w http.ResponseWriter, r *http.Request, run *jobRun
 // execute runs one admitted job and books it, for both submission modes:
 // every run adds its duration to the job-latency histogram, and a
 // successful one feeds the service-time estimate and is charged to the
-// granting tenant — and to the attributed origin when that differs, the
-// split admitTenant makes for requests. The charge lands on execution,
-// not admission: shed, joined and failed jobs cost the tenant nothing.
+// request's tenant. The charge lands on execution, not admission: shed,
+// joined and failed jobs cost the tenant nothing.
 func (s *Server) execute(ctx context.Context, run *jobRunner) ([]byte, *apiError) {
 	start := time.Now()
 	body, ae := run.exec(ctx)
@@ -342,19 +341,13 @@ func (s *Server) execute(ctx context.Context, run *jobRunner) ([]byte, *apiError
 	if ae != nil {
 		return nil, ae
 	}
-	charged := []*tenant.Tenant{grantee(ctx)}
-	if origin := tenant.From(ctx); origin != charged[0] {
-		charged = append(charged, origin)
-	}
-	for _, tn := range charged {
-		tn.ChargeJob(run.kind, run.instrs)
-	}
+	tenant.From(ctx).ChargeJob(run.kind, run.instrs)
 	s.observeService(run.kind, dur)
 	return body, nil
 }
 
 // jobCtx derives a compute job's context: the parent's cancellation and
-// values (trace, tenants), merged with the server's base context so
+// values (trace, tenant), merged with the server's base context so
 // shutdown aborts every job. The returned cancel must be called to
 // release the merge.
 func (s *Server) jobCtx(parent context.Context) (context.Context, context.CancelFunc) {

@@ -134,13 +134,3 @@ func (e *Engine) Run() {
 		panic(fmt.Sprintf("sim: deadlock: %d process(es) blocked with no pending events", e.nProcs))
 	}
 }
-
-// runUntil executes events with timestamps <= t, then sets the clock to t.
-func (e *Engine) runUntil(t float64) {
-	for len(e.events) > 0 && e.events[0].at <= t {
-		e.fire()
-	}
-	if t > e.now {
-		e.now = t
-	}
-}

@@ -61,23 +61,6 @@ func TestEngineSchedulePastPanics(t *testing.T) {
 	e.Run()
 }
 
-func TestRunUntil(t *testing.T) {
-	e := NewEngine()
-	ran := 0
-	e.at(1, func() { ran++ })
-	e.at(10, func() { ran++ })
-	e.runUntil(5)
-	if ran != 1 {
-		t.Fatalf("ran = %d, want 1", ran)
-	}
-	if e.Now() != 5 {
-		t.Fatalf("Now() = %v, want 5", e.Now())
-	}
-	if len(e.events) != 1 {
-		t.Fatalf("pending events = %d, want 1", len(e.events))
-	}
-}
-
 func TestProcessSleep(t *testing.T) {
 	e := NewEngine()
 	var trace []float64
@@ -150,21 +133,6 @@ func TestResourceParallelism(t *testing.T) {
 	}
 	if r.inUse != 0 {
 		t.Fatalf("resource left in use: %d", r.inUse)
-	}
-}
-
-func TestResourceTryAcquire(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, 1)
-	if !r.tryAcquire() {
-		t.Fatal("first tryAcquire failed")
-	}
-	if r.tryAcquire() {
-		t.Fatal("second tryAcquire should fail")
-	}
-	r.Release()
-	if !r.tryAcquire() {
-		t.Fatal("tryAcquire after release failed")
 	}
 }
 

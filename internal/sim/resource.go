@@ -39,16 +39,6 @@ func (r *Resource) Acquire(p *Process) {
 	// The releaser incremented inUse on our behalf before waking us.
 }
 
-// tryAcquire takes a unit if one is immediately available.
-func (r *Resource) tryAcquire() bool {
-	if r.inUse < r.capacity && len(r.waiters) == 0 {
-		r.stamp()
-		r.inUse++
-		return true
-	}
-	return false
-}
-
 // Release returns a unit, handing it to the oldest waiter if any.
 func (r *Resource) Release() {
 	r.stamp()

@@ -75,8 +75,8 @@ var (
 )
 
 // Registry is the tenant table: the keyed tenants loaded from a keys
-// file plus attribution-only tenants created for forwarded ids. Safe for
-// concurrent use.
+// file plus attribution-only tenants created for ids forwarded to a
+// server without one. Safe for concurrent use.
 type Registry struct {
 	log *slog.Logger
 	now func() time.Time
@@ -301,9 +301,9 @@ func bearerToken(req *http.Request) string {
 }
 
 // Attribute returns (creating if needed) the tenant for a forwarded id —
-// worker-side accounting for jobs the dispatch hop labelled with
-// X-Dcs-Tenant. Invalid ids and table overflow return nil: the work
-// still runs, just unattributed.
+// accounting, on a server without a keys file, for jobs the dispatch hop
+// labelled with X-Dcs-Tenant. Invalid ids and table overflow return nil:
+// the work still runs, just unattributed.
 func (r *Registry) Attribute(id string) *Tenant {
 	if !obs.ValidID(id) {
 		return nil

@@ -2,14 +2,19 @@
 // API keys, per-tenant token-bucket rate limits, cumulative quotas, and
 // the usage accounting the admin plane reports.
 //
-// The capacity controls built in PRs 5–8 (admission, adaptive
-// Retry-After, shed-or-join, async jobs) treat every caller as the same
-// anonymous crowd; this package names them. A Registry loads API keys
-// from a JSON keys file (hot-reloaded on SIGHUP or mtime change),
-// authenticates requests by constant-time digest comparison, and tracks
-// one Tenant per key — plus attribution-only tenants for work that
-// arrives over the dispatch hop already labelled with the originating
-// tenant's id (the X-Dcs-Tenant header, riding beside X-Dcs-Trace).
+// A Registry loads API keys from a JSON keys file (hot-reloaded on
+// SIGHUP or mtime change), authenticates requests by constant-time
+// digest comparison, and tracks one Tenant per key. A server without a
+// keys file enforces nothing; there, work that arrives over the dispatch
+// hop labelled with the originating tenant's id (the X-Dcs-Tenant
+// header, riding beside X-Dcs-Trace) is counted against an
+// attribution-only tenant with zero limits, for accounting alone. Each
+// request has exactly one tenant, and it is charged only where its
+// budget is enforced.
+//
+// Usage and cumulative quotas live in process memory: they survive a
+// keys-file reload but not a restart, and each process counts only the
+// requests and jobs it served.
 //
 // Two different 429s come out of this layer's accounting, and keeping
 // them distinguishable is the point: "you are over YOUR budget"
@@ -31,16 +36,16 @@ import (
 	"crypto/sha256"
 	"crypto/subtle"
 	"fmt"
+	"maps"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
 // Header carries a tenant id between processes, the identity analogue of
 // obs.TraceHeader: a front-end dispatching a tenant's job stamps it on
-// the worker request, so worker-side admission and job registries
-// attribute the work to the originating tenant rather than to the
-// front-end's own service key.
+// the worker request. Only a worker without a keys file reads it, to
+// account the work to the originating tenant; a keyed worker charges
+// the key that authenticated the request and ignores the header.
 const Header = "X-Dcs-Tenant"
 
 // Limits are one tenant's admission budget. The zero value of every
@@ -83,8 +88,9 @@ type Usage struct {
 type Snapshot struct {
 	ID string `json:"id" label:"tenant"`
 	// Keyed distinguishes tenants backed by an API key from
-	// attribution-only tenants (work labelled via the dispatch hop's
-	// X-Dcs-Tenant header on a server without that key).
+	// attribution-only tenants (ids the dispatch hop's X-Dcs-Tenant
+	// header named on a server without a keys file, and keys that left
+	// the file).
 	Keyed    bool   `json:"keyed"`
 	Disabled bool   `json:"disabled,omitempty"`
 	Limits   Limits `json:"limits" metric:"-"` // configuration, not telemetry: /healthz only
@@ -92,37 +98,26 @@ type Snapshot struct {
 }
 
 // Tenant is one identified caller: the runtime state behind an API key,
-// or an attribution-only label for dispatched work. Create through a
-// Registry; all methods are safe for concurrent use and nil-safe.
+// or an attribution-only label for dispatched work on a server without
+// a keys file. Create through a Registry; all methods are safe for
+// concurrent use and nil-safe.
 type Tenant struct {
 	id string
 
-	// mu guards the key material, limits and bucket state, and makes a
-	// limited request's check-and-charge one step. Usage counters are
-	// atomics so unlimited charging never contends with authentication.
+	// mu guards every field below, so a limited request's check and its
+	// charge are one step.
 	mu       sync.Mutex
 	keyed    bool
 	disabled bool
 	secret   string // retained to persist the keys file; compared only by digest
 	digest   [sha256.Size]byte
+	limits   Limits
 	tokens   float64
 	last     time.Time
-
-	requests     atomic.Int64
-	rateLimited  atomic.Int64
-	quotaDenied  atomic.Int64
-	instructions atomic.Int64
-	limits       atomic.Pointer[Limits]
-
-	jobsMu sync.Mutex
-	jobs   map[string]int64
+	used     Usage
 }
 
-func newTenant(id string) *Tenant {
-	t := &Tenant{id: id}
-	t.limits.Store(&Limits{})
-	return t
-}
+func newTenant(id string) *Tenant { return &Tenant{id: id} }
 
 // ID returns the tenant's identifier ("" for nil — anonymous).
 func (t *Tenant) ID() string {
@@ -132,22 +127,11 @@ func (t *Tenant) ID() string {
 	return t.id
 }
 
-// currentLimits returns the tenant's current limits (zero value for nil).
-func (t *Tenant) currentLimits() Limits {
-	if t == nil {
-		return Limits{}
-	}
-	return *t.limits.Load()
-}
-
 // setLimits replaces the tenant's limits. The bucket is reset to the new
 // burst so a loosened limit takes effect immediately.
 func (t *Tenant) setLimits(l Limits) {
-	if t == nil {
-		return
-	}
-	t.limits.Store(&l)
 	t.mu.Lock()
+	t.limits = l
 	t.tokens = float64(burstOf(l))
 	t.mu.Unlock()
 }
@@ -180,17 +164,11 @@ func (t *Tenant) allow(now time.Time) (ok bool, retryAfter time.Duration) {
 	if t == nil {
 		return true, 0
 	}
-	l := t.limits.Load()
-	if l.MaxRequests <= 0 && l.RatePerSec <= 0 {
-		t.requests.Add(1)
-		return true, 0
-	}
-	// Check and charge under one lock: two requests that both read the
-	// count below MaxRequests must not both pass.
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if l.MaxRequests > 0 && t.requests.Load() >= l.MaxRequests {
-		t.quotaDenied.Add(1)
+	l := &t.limits
+	if l.MaxRequests > 0 && t.used.Requests >= l.MaxRequests {
+		t.used.QuotaDenied++
 		return false, 0
 	}
 	if l.RatePerSec > 0 {
@@ -206,24 +184,13 @@ func (t *Tenant) allow(now time.Time) (ok bool, retryAfter time.Duration) {
 		}
 		t.last = now
 		if t.tokens < 1 {
-			t.rateLimited.Add(1)
+			t.used.RateLimited++
 			return false, time.Duration((1 - t.tokens) / l.RatePerSec * float64(time.Second))
 		}
 		t.tokens--
 	}
-	t.requests.Add(1)
+	t.used.Requests++
 	return true, 0
-}
-
-// ChargeRequest counts one request against the tenant without enforcing
-// limits — how the originating tenant's usage is attributed when the
-// enforcement already happened under a different identity (a keyed
-// front-end forwarding a tenant's job to a keyed worker).
-func (t *Tenant) ChargeRequest() {
-	if t == nil {
-		return
-	}
-	t.requests.Add(1)
 }
 
 // CheckJob reports whether one more job of this kind, costing instrs
@@ -233,18 +200,12 @@ func (t *Tenant) CheckJob(kind string, instrs int64) bool {
 	if t == nil {
 		return true
 	}
-	l := t.limits.Load()
-	if max, capped := l.MaxJobs[kind]; capped && max > 0 {
-		t.jobsMu.Lock()
-		done := t.jobs[kind]
-		t.jobsMu.Unlock()
-		if done >= max {
-			t.quotaDenied.Add(1)
-			return false
-		}
-	}
-	if l.MaxInstructions > 0 && t.instructions.Load()+instrs > l.MaxInstructions {
-		t.quotaDenied.Add(1)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	l := &t.limits
+	if max := l.MaxJobs[kind]; max > 0 && t.used.Jobs[kind] >= max ||
+		l.MaxInstructions > 0 && t.used.Instructions+instrs > l.MaxInstructions {
+		t.used.QuotaDenied++
 		return false
 	}
 	return true
@@ -257,37 +218,13 @@ func (t *Tenant) ChargeJob(kind string, instrs int64) {
 	if t == nil {
 		return
 	}
-	t.jobsMu.Lock()
-	if t.jobs == nil {
-		t.jobs = make(map[string]int64)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.used.Jobs == nil {
+		t.used.Jobs = make(map[string]int64)
 	}
-	t.jobs[kind]++
-	t.jobsMu.Unlock()
-	if instrs > 0 {
-		t.instructions.Add(instrs)
-	}
-}
-
-// usage snapshots the tenant's cumulative consumption (zero for nil).
-func (t *Tenant) usage() Usage {
-	if t == nil {
-		return Usage{}
-	}
-	u := Usage{
-		Requests:     t.requests.Load(),
-		RateLimited:  t.rateLimited.Load(),
-		QuotaDenied:  t.quotaDenied.Load(),
-		Instructions: t.instructions.Load(),
-	}
-	t.jobsMu.Lock()
-	if len(t.jobs) > 0 {
-		u.Jobs = make(map[string]int64, len(t.jobs))
-		for k, v := range t.jobs {
-			u.Jobs[k] = v
-		}
-	}
-	t.jobsMu.Unlock()
-	return u
+	t.used.Jobs[kind]++
+	t.used.Instructions += instrs
 }
 
 // Snapshot returns the tenant's reportable state.
@@ -296,9 +233,10 @@ func (t *Tenant) Snapshot() Snapshot {
 		return Snapshot{}
 	}
 	t.mu.Lock()
-	keyed, disabled := t.keyed, t.disabled
-	t.mu.Unlock()
-	return Snapshot{ID: t.id, Keyed: keyed, Disabled: disabled, Limits: t.currentLimits(), Usage: t.usage()}
+	defer t.mu.Unlock()
+	u := t.used
+	u.Jobs = maps.Clone(t.used.Jobs)
+	return Snapshot{ID: t.id, Keyed: t.keyed, Disabled: t.disabled, Limits: t.limits, Usage: u}
 }
 
 // setKey installs (or refreshes) the tenant's key material from one
@@ -312,8 +250,8 @@ func (t *Tenant) setKey(secret string, disabled bool, l Limits) {
 		t.secret = secret
 		t.digest = sha256.Sum256([]byte(secret))
 	}
+	t.limits = l
 	t.mu.Unlock()
-	t.limits.Store(&l)
 }
 
 // clearKey demotes the tenant to attribution-only: its key vanished from
@@ -352,7 +290,7 @@ func (t *Tenant) keyConfig() (KeyConfig, bool) {
 	if !t.keyed {
 		return KeyConfig{}, false
 	}
-	return KeyConfig{ID: t.id, Secret: t.secret, Disabled: t.disabled, Limits: t.currentLimits()}, true
+	return KeyConfig{ID: t.id, Secret: t.secret, Disabled: t.disabled, Limits: t.limits}, true
 }
 
 // ctxKey keys the tenant in a request context.

@@ -104,7 +104,7 @@ func TestBucketRefill(t *testing.T) {
 			t.Fatalf("step %d: rate denial should carry a positive retryAfter, got %v", i, retry)
 		}
 	}
-	u := tn.usage()
+	u := tn.Snapshot().Usage
 	if u.Requests != 5 || u.RateLimited != 4 {
 		t.Fatalf("usage = %+v, want 5 requests / 4 rate_limited", u)
 	}
@@ -126,7 +126,7 @@ func TestRequestQuota(t *testing.T) {
 	if retry != 0 {
 		t.Fatalf("a spent cumulative quota has no retry horizon, got %v", retry)
 	}
-	if u := tn.usage(); u.QuotaDenied != 1 {
+	if u := tn.Snapshot().Usage; u.QuotaDenied != 1 {
 		t.Fatalf("usage = %+v, want 1 quota_denied", u)
 	}
 }
@@ -162,7 +162,7 @@ func TestRequestQuotaUnderConcurrency(t *testing.T) {
 		if got := admitted.Load(); got > maxRequests {
 			t.Fatalf("round %d: %d of %d concurrent requests admitted, MaxRequests is %d", r, got, workers, maxRequests)
 		}
-		if u := tn.usage(); u.Requests > maxRequests || u.Requests+u.QuotaDenied != workers {
+		if u := tn.Snapshot().Usage; u.Requests > maxRequests || u.Requests+u.QuotaDenied != workers {
 			t.Fatalf("round %d: usage = %+v, want at most %d requests and %d decisions", r, u, maxRequests, workers)
 		}
 	}
@@ -185,7 +185,7 @@ func TestJobQuotas(t *testing.T) {
 	if tn.CheckJob("cluster", 41) {
 		t.Fatal("41 more instructions should exceed MaxInstructions=100 after 60 spent")
 	}
-	u := tn.usage()
+	u := tn.Snapshot().Usage
 	if u.Jobs["counters"] != 1 || u.Instructions != 60 || u.QuotaDenied != 2 {
 		t.Fatalf("usage = %+v", u)
 	}
@@ -200,7 +200,6 @@ func TestNilTenantIsNoOp(t *testing.T) {
 		t.Fatal("nil tenant must pass job checks")
 	}
 	tn.ChargeJob("counters", 1)
-	tn.ChargeRequest()
 	if tn.ID() != "" {
 		t.Fatal("nil tenant id must be empty")
 	}
@@ -226,8 +225,8 @@ func TestReloadPreservesUsage(t *testing.T) {
 		t.Fatal(err)
 	}
 	alice, _ := reg.Lookup("alice")
-	alice.ChargeRequest()
-	alice.ChargeRequest()
+	reg.Allow(alice)
+	reg.Allow(alice)
 
 	// Rotate alice's secret, revoke nothing, add carol, drop nobody.
 	writeKeys(t, dir, KeyConfig{ID: "alice", Secret: "s2"}, KeyConfig{ID: "carol", Secret: "s3"})
@@ -248,7 +247,7 @@ func TestReloadPreservesUsage(t *testing.T) {
 	if tn != alice {
 		t.Fatal("reload must keep the same tenant object (usage continuity)")
 	}
-	if u := tn.usage(); u.Requests != 2 {
+	if u := tn.Snapshot().Usage; u.Requests != 2 {
 		t.Fatalf("usage lost across reload: %+v", u)
 	}
 	req.Header.Set("Authorization", "Bearer s3")
@@ -391,8 +390,8 @@ func TestCreateRevokeAndPersist(t *testing.T) {
 		t.Fatal(err)
 	}
 	alice, ok := reg2.Lookup("alice")
-	if !ok || alice.currentLimits().MaxRequests != 7 {
-		t.Fatalf("persisted limits lost: %+v", alice.currentLimits())
+	if !ok || alice.Snapshot().Limits.MaxRequests != 7 {
+		t.Fatalf("persisted limits lost: %+v", alice.Snapshot().Limits)
 	}
 	bob, ok := reg2.Lookup("bob")
 	if !ok || !bob.Snapshot().Disabled {
