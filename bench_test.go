@@ -246,12 +246,13 @@ func characterizeWith(b *testing.B, name string, mutate func(*uarch.Config)) *ua
 
 // BenchmarkAblationBranchPredictor supports the paper's Section IV-E
 // recommendation: a simpler predictor loses little on data analysis
-// workloads.
+// workloads. Each run sets the predictor kind in the config: the full
+// tournament, its bimodal table alone, or no training (static not-taken).
 func BenchmarkAblationBranchPredictor(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tour := characterizeWith(b, "K-means", func(c *uarch.Config) {})
-		bim := characterizeWith(b, "K-means", func(c *uarch.Config) { c.Predictor = bpred.NewBimodal(14) })
-		stat := characterizeWith(b, "K-means", func(c *uarch.Config) { c.Predictor = bpred.Static{} })
+		bim := characterizeWith(b, "K-means", func(c *uarch.Config) { c.Predictor = bpred.KindBimodal })
+		stat := characterizeWith(b, "K-means", func(c *uarch.Config) { c.Predictor = bpred.KindStatic })
 		b.ReportMetric(100*tour.BranchMispredictRatio(), "mispredict%-tournament")
 		b.ReportMetric(100*bim.BranchMispredictRatio(), "mispredict%-bimodal")
 		b.ReportMetric(100*stat.BranchMispredictRatio(), "mispredict%-static")

@@ -16,6 +16,7 @@ package jobs
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dcbench/internal/obs"
@@ -71,6 +72,7 @@ type Job struct {
 	tenant  string
 	created time.Time
 	cancel  context.CancelFunc
+	active  *atomic.Int64 // the registry's active count, left once terminal
 
 	mu       sync.Mutex
 	state    State
@@ -105,6 +107,7 @@ func (j *Job) setStateLocked(s State) {
 	j.history = append(j.history, Transition{State: s, At: now})
 	if s.Terminal() {
 		j.finished = now
+		j.active.Add(-1)
 		if j.cancel != nil {
 			// A finished job releases its context either way: Complete/Fail
 			// free the resources, Cancel stops the work.
@@ -247,15 +250,17 @@ func (j *Job) ObserveSpan(ev obs.SpanEvent) {
 	}
 }
 
-// Registry is the process-wide table of tracked jobs, bounded by evicting
-// the oldest terminal jobs once it grows past its cap (active jobs are
-// never evicted). Safe for concurrent use.
+// Registry is the process-wide table of tracked jobs. It refuses a new job
+// while maxActive jobs are not yet terminal, and it evicts the oldest
+// terminal jobs once it grows past its cap (active jobs are never
+// evicted). Safe for concurrent use.
 type Registry struct {
-	cap int
+	cap, maxActive int
 
-	mu    sync.Mutex
-	jobs  map[string]*Job
-	order []*Job // creation order, for eviction
+	mu     sync.Mutex
+	jobs   map[string]*Job
+	order  []*Job // creation order, for eviction
+	active atomic.Int64
 }
 
 // defaultCap is how many jobs a Registry retains when the caller does not
@@ -263,27 +268,37 @@ type Registry struct {
 // job minutes later without letting the table grow without bound.
 const defaultCap = 1024
 
-// NewRegistry returns an empty registry keeping at most cap jobs
-// (cap <= 0 uses defaultCap).
-func NewRegistry(cap int) *Registry {
+// NewRegistry returns an empty registry admitting at most maxActive
+// non-terminal jobs and keeping at most cap jobs (cap <= 0 uses
+// defaultCap).
+func NewRegistry(cap, maxActive int) *Registry {
 	if cap <= 0 {
 		cap = defaultCap
 	}
-	return &Registry{cap: cap, jobs: make(map[string]*Job)}
+	return &Registry{cap: cap, maxActive: maxActive, jobs: make(map[string]*Job)}
 }
 
-// New creates, registers and returns a job in state queued. id should be
-// the job's obs trace ID so one identifier names both the job and its
-// timeline; tenant ("" for anonymous) is the submitting tenant's id, the
-// scope the serve layer restricts the job's visibility to; cancel (may
-// be nil) is invoked when the job is cancelled or finishes.
+// New creates, registers and returns a job in state queued, or returns nil
+// when maxActive jobs are already active. id should be the job's obs trace
+// ID so one identifier names both the job and its timeline; tenant ("" for
+// anonymous) is the submitting tenant's id, the scope the serve layer
+// restricts the job's visibility to; cancel (may be nil) is invoked when
+// the job is cancelled or finishes.
 func (r *Registry) New(id, kind, tenant string, cancel context.CancelFunc) *Job {
 	now := time.Now()
 	j := &Job{id: id, kind: kind, tenant: tenant, created: now, cancel: cancel,
+		active:  &r.active,
 		state:   StateQueued,
 		history: []Transition{{State: StateQueued, At: now}},
 	}
+	// The count rises only here, under mu, so the check and the insert
+	// are one step; a job turning terminal lowers it without the lock.
 	r.mu.Lock()
+	if r.active.Load() >= int64(r.maxActive) {
+		r.mu.Unlock()
+		return nil
+	}
+	r.active.Add(1)
 	r.jobs[id] = j
 	r.order = append(r.order, j)
 	if len(r.order) > r.cap {
@@ -322,18 +337,4 @@ func (r *Registry) Jobs() []*Job {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return append([]*Job(nil), r.order...)
-}
-
-// Active counts tracked jobs not yet in a terminal state.
-func (r *Registry) Active() int {
-	r.mu.Lock()
-	order := append([]*Job(nil), r.order...)
-	r.mu.Unlock()
-	n := 0
-	for _, j := range order {
-		if !j.currentState().Terminal() {
-			n++
-		}
-	}
-	return n
 }

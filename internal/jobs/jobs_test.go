@@ -11,7 +11,7 @@ import (
 // TestLifecycleLatching: progress states accumulate in history, terminal
 // states latch, and the loser of a cancel/complete race is ignored.
 func TestLifecycleLatching(t *testing.T) {
-	r := NewRegistry(0)
+	r := NewRegistry(0, 8)
 	j := r.New("id1", "counters", "", nil)
 	if j.currentState() != StateQueued {
 		t.Fatalf("new job state = %q, want queued", j.currentState())
@@ -51,7 +51,7 @@ func TestLifecycleLatching(t *testing.T) {
 // TestCancelFiresContext: Cancel latches the state and cancels the job's
 // run context; Complete/Fail release it too.
 func TestCancelFiresContext(t *testing.T) {
-	r := NewRegistry(0)
+	r := NewRegistry(0, 8)
 	ctx, cancel := context.WithCancel(context.Background())
 	j := r.New("id1", "counters", "", cancel)
 	if won := j.Cancel(); !won {
@@ -82,7 +82,7 @@ func TestCancelFiresContext(t *testing.T) {
 // TestSubscribe: the wakeup channel fires (collapsed) on transitions and
 // the snapshot+index protocol recovers every transition exactly once.
 func TestSubscribe(t *testing.T) {
-	r := NewRegistry(0)
+	r := NewRegistry(0, 8)
 	j := r.New("id1", "counters", "", nil)
 	j.setState(StateAdmitted)
 
@@ -123,7 +123,7 @@ func TestObserveSpanMapping(t *testing.T) {
 		{obs.SpanEvent{Name: "backend.store", End: true}, StateStored},
 		{obs.SpanEvent{Name: "store.write", End: true}, StateStored},
 	}
-	r := NewRegistry(0)
+	r := NewRegistry(0, 8)
 	for i, tc := range cases {
 		j := r.New(fmt.Sprintf("id%d", i), "counters", "", nil)
 		j.ObserveSpan(tc.ev)
@@ -145,7 +145,7 @@ func TestObserveSpanMapping(t *testing.T) {
 // TestRegistryEviction: past the cap the oldest TERMINAL jobs are evicted;
 // active jobs are never dropped, even when that overshoots the cap.
 func TestRegistryEviction(t *testing.T) {
-	r := NewRegistry(3)
+	r := NewRegistry(3, 8)
 	a := r.New("a", "counters", "", nil)
 	b := r.New("b", "counters", "", nil)
 	a.Complete(nil)
@@ -159,8 +159,8 @@ func TestRegistryEviction(t *testing.T) {
 			t.Fatalf("job %q missing", id)
 		}
 	}
-	if got := r.Active(); got != 3 {
-		t.Fatalf("Active = %d, want 3", got)
+	if got := r.active.Load(); got != 3 {
+		t.Fatalf("active = %d, want 3", got)
 	}
 
 	// All actives: the registry overshoots rather than dropping live jobs.
@@ -169,4 +169,27 @@ func TestRegistryEviction(t *testing.T) {
 		t.Fatalf("registry dropped an active job: %d tracked, want 4", len(r.Jobs()))
 	}
 	_ = b
+}
+
+// TestRegistryRefusesPastMaxActive: New refuses a job while maxActive are
+// not yet terminal, and a job that turns terminal frees its place once,
+// however often it is settled.
+func TestRegistryRefusesPastMaxActive(t *testing.T) {
+	r := NewRegistry(0, 2)
+	a := r.New("a", "counters", "", nil)
+	r.New("b", "counters", "", nil)
+	if j := r.New("c", "counters", "", nil); j != nil {
+		t.Fatal("a third job was admitted past maxActive 2")
+	}
+	if _, ok := r.Get("c"); ok {
+		t.Fatal("a refused job was registered")
+	}
+	a.Complete(nil)
+	a.Cancel() // already terminal: frees nothing more
+	if r.New("c", "counters", "", nil) == nil {
+		t.Fatal("a finished job did not free its place")
+	}
+	if r.New("d", "counters", "", nil) != nil {
+		t.Fatal("a settled job freed its place twice")
+	}
 }

@@ -33,18 +33,19 @@ import (
 // The job's context keeps the request's tenant but not its
 // cancellation, so the job is booked exactly as a blocking job is.
 func (s *Server) submitAsync(w http.ResponseWriter, r *http.Request, run *jobRunner) {
-	if s.registry.Active() >= maxActiveJobs {
-		s.shedJob(w, r, run.kind)
-		return
-	}
 	// The job's own trace outlives the submit request and carries the
 	// job's id, so /v1/jobs/{id} and /debug/traces name the same thing;
 	// its span stream drives the state machine.
 	id := obs.NewID()
-	tr := s.recorder.StartTrace("job "+run.kind, id)
 	ctx, cancel := s.jobCtx(context.WithoutCancel(r.Context()))
-	ctx = obs.With(ctx, tr)
 	job := s.registry.New(id, run.kind, tenant.From(ctx).ID(), cancel)
+	if job == nil { // maxActiveJobs are queued or running
+		cancel()
+		s.shedJob(w, r, run.kind)
+		return
+	}
+	tr := s.recorder.StartTrace("job "+run.kind, id)
+	ctx = obs.With(ctx, tr)
 	tr.OnSpan(job.ObserveSpan)
 	s.queuedJobs.Add(1)
 	go s.runAsync(ctx, job, tr, run)

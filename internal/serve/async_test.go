@@ -3,10 +3,13 @@ package serve_test
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -139,6 +142,62 @@ func TestAsyncJobLifecycle(t *testing.T) {
 	_, lbody := get(t, ts, "/v1/jobs", nil)
 	if !strings.Contains(string(lbody), snap.ID) {
 		t.Fatalf("job list %s lacks job %s", lbody, snap.ID)
+	}
+}
+
+// TestAsyncActiveBoundHolds: a herd of concurrent async submissions is
+// accepted up to the active-job bound (256) and not one past it. The only
+// admission slot is held by a job parked on a gated backend, so no
+// accepted job can finish while the herd runs and every accepted job stays
+// active; a bound checked apart from the insert lets several racing
+// submissions past the last free place.
+func TestAsyncActiveBoundHolds(t *testing.T) {
+	const rounds, clients, perClient, bound = 5, 64, 6, 256
+	opts := testOptions()
+	key := testCounterKey(t, "Sort", opts.Warmup, opts.Instrs, opts.CoreConfig().Fingerprint())
+	req := jobRequest(t, store.KindCounters, key, opts.Warmup)
+	req.Async = true
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := range rounds {
+		gate := make(chan struct{})
+		backend := &countingBackend{inner: newMemoryBackend(), gate: gate}
+		srv := serve.New(serve.Config{Options: opts, Backend: backend, MaxInflight: 1, Logger: quietLog})
+		ts := httptest.NewServer(srv.Handler())
+		var accepted, shed atomic.Int64
+		var wg sync.WaitGroup
+		for range clients {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for range perClient {
+					resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+					switch resp.StatusCode {
+					case http.StatusAccepted:
+						accepted.Add(1)
+					case http.StatusTooManyRequests:
+						shed.Add(1)
+					default:
+						t.Errorf("async submit = %d", resp.StatusCode)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(gate)
+		ts.Close()
+		srv.Close()
+		if got := accepted.Load(); got != bound {
+			t.Fatalf("round %d: %d async jobs accepted (%d shed), want exactly %d", round, got, shed.Load(), bound)
+		}
 	}
 }
 

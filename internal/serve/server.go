@@ -216,7 +216,7 @@ func New(cfg Config) *Server {
 		reqHist:  obs.NewHistogramSet(nil),
 		jobHist:  obs.NewHistogramSet(nil),
 
-		registry: jobs.NewRegistry(0),
+		registry: jobs.NewRegistry(0, maxActiveJobs),
 		svcSecs:  make(map[string]float64),
 	}
 	if cfg.MaxInflight > 0 {

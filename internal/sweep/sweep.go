@@ -130,8 +130,9 @@ type Engine struct {
 // (workloads.StatsCache) for as long as it runs. Fan-out widths are per
 // call — a figure render, a job — so without it two concurrent callers at
 // GOMAXPROCS each put twice as many working sets (a core, a trace in
-// flight, a cell's records) in memory as there are cores to run them. It is package-level, like memtrace's batch pool, because the cores
-// it budgets belong to the process.
+// flight, a cell's records) in memory as there are cores to run them. It
+// is package-level, like memtrace's batch pool, because the cores it
+// budgets belong to the process.
 var budget = make(chan struct{}, runtime.GOMAXPROCS(0))
 
 // Acquire takes one slot of the process's compute budget, waiting until one
@@ -200,23 +201,9 @@ func (e *Engine) pool(fp uint64) coreFreeList {
 //
 // Returned counters may be shared with other callers through the memo
 // table: treat them as read-only.
-//
-// A cfg carrying an explicit Predictor instance cannot be fanned out (every
-// core would share, and race on, that one instance), so such sweeps run on
-// a single worker with unpooled cores and no memo, preserving the
-// pre-engine serial semantics exactly.
 func (e *Engine) Run(ctx context.Context, jobs []Job, cfg uarch.Config, maxInstrs int64, opt RunOptions) ([]*uarch.Counters, error) {
 	out := make([]*uarch.Counters, len(jobs))
 	errs := make([]error, len(jobs))
-	if cfg.Predictor != nil {
-		for i, j := range jobs {
-			if err := ctx.Err(); err != nil {
-				return out, err
-			}
-			out[i], errs[i] = e.simulate(ctx, j, cfg, maxInstrs, nil)
-		}
-		return out, joinJobErrors(jobs, errs)
-	}
 	fp := cfg.Fingerprint()
 	pool := e.pool(fp)
 	err := Each(ctx, opt.workers(), len(jobs), func(i int) {
@@ -290,7 +277,7 @@ func (e *Engine) memoized(ctx context.Context, job Job, cfg uarch.Config, fp uin
 }
 
 // simulate runs one job through a core drawn from pool (or a fresh core
-// when pool is nil), returning a private copy of the counter file so the
+// when the pool is empty), returning a private copy of the counter file so the
 // core can be recycled immediately. The instruction stream is always
 // generated live. Panics come back as errors: a generator panic arrives
 // wrapped in memtrace.TracePanic after its goroutine has exited, while a
@@ -337,7 +324,7 @@ func (e *Engine) simulate(ctx context.Context, job Job, cfg uarch.Config, maxIns
 	cr := &cancelReader{ctx: ctx, r: r}
 	var c *uarch.Core
 	select {
-	case c = <-pool: // a nil list never yields
+	case c = <-pool:
 		c.Reset(cfg)
 	default:
 		c = uarch.NewCore(cfg)
@@ -352,7 +339,7 @@ func (e *Engine) simulate(ctx context.Context, job Job, cfg uarch.Config, maxIns
 		return nil, ctx.Err()
 	}
 	select {
-	case pool <- c: // a nil or full list drops the core
+	case pool <- c: // a full list drops the core
 	default:
 	}
 	return &snap, nil

@@ -266,13 +266,19 @@ func TestCancelMidSimulationStopsCore(t *testing.T) {
 // seconds of a core, outside admission control), and has exited by the
 // time the simulation returns.
 func TestAbandonedGeneratorStops(t *testing.T) {
-	const abandonAt = 1_000_000
 	for _, tc := range []struct {
 		name    string
 		wantErr string
+		// The generator cancels at abandonAt; the core panics on the
+		// first instruction.
+		abandonAt, slack int64
 	}{
-		{"cancelled", context.Canceled.Error()},
-		{"core panic", "core model panicked"},
+		// A cancelled caller reaches the core only once the flight has
+		// been left, so the core may read a few batches more.
+		{"cancelled", context.Canceled.Error(), 1_000_000, 16 * 8192},
+		// The core panics on its first batch; the generator is then at
+		// most two queued batches and one being filled ahead of it.
+		{"core panic", "core model panicked", 0, 4 * 2048},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
@@ -280,9 +286,10 @@ func TestAbandonedGeneratorStops(t *testing.T) {
 			cfg := uarch.DefaultConfig()
 			abandon := func() { cancel() }
 			if tc.name == "core panic" {
-				bomb := &panickingPredictor{}
-				cfg.Predictor = bomb
-				abandon = func() { bomb.armed.Store(true) }
+				// No issue window: the first instruction indexes an empty
+				// ring.
+				cfg.IssueWidth = 0
+				abandon = func() {}
 			}
 			var emitted atomic.Int64
 			exited := make(chan struct{})
@@ -296,7 +303,7 @@ func TestAbandonedGeneratorStops(t *testing.T) {
 					}()
 					for abandoned := false; ; {
 						tr.ALU(100)
-						if !abandoned && tr.Emitted() >= abandonAt {
+						if !abandoned && tr.Emitted() >= tc.abandonAt {
 							abandoned = true
 							abandon()
 						}
@@ -314,29 +321,13 @@ func TestAbandonedGeneratorStops(t *testing.T) {
 			case <-time.After(30 * time.Second):
 				t.Fatal("the abandoned generator goroutine is still running")
 			}
-			// The core reads one batch behind a generator that is at most
-			// six batches ahead of it; anything near the trace's 10⁸ is the
-			// generator having run on.
-			if got := emitted.Load(); got > abandonAt+16*8192 {
-				t.Fatalf("generator emitted %d instructions after being abandoned near %d", got, abandonAt)
+			// Anything near the trace's 10⁸ is the generator having run on.
+			if got := emitted.Load(); got > tc.abandonAt+tc.slack {
+				t.Fatalf("generator emitted %d instructions after being abandoned near %d", got, tc.abandonAt)
 			}
 		})
 	}
 }
-
-// panickingPredictor is a branch predictor that blows up once armed: a core
-// model panic over a live trace.
-type panickingPredictor struct{ armed atomic.Bool }
-
-func (p *panickingPredictor) Predict(uint64) bool {
-	if p.armed.Load() {
-		panic("predictor bug")
-	}
-	return true
-}
-func (p *panickingPredictor) Update(uint64, bool) {}
-func (p *panickingPredictor) Name() string        { return "panicking" }
-func (p *panickingPredictor) Reset()              {}
 
 // TestErrorCapture: a panicking generator becomes a per-job error carrying
 // the job name and the panic, and the other jobs still produce counters.
@@ -361,52 +352,6 @@ func TestErrorCapture(t *testing.T) {
 		}
 	}
 }
-
-// TestExplicitPredictorFallsBackToSerial: a shared predictor instance must
-// not be fanned out; the legacy serial semantics (state carried across jobs
-// in order) are preserved instead.
-func TestExplicitPredictorFallsBackToSerial(t *testing.T) {
-	jobs := testJobs(3)
-	mkCfg := func() uarch.Config {
-		c := uarch.DefaultConfig()
-		c.Predictor = newCountingPredictor()
-		return c
-	}
-
-	cfgA := mkCfg()
-	got, err := sweep.NewEngine().Run(context.Background(), jobs, cfgA, 0,
-		sweep.RunOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Legacy comparison: NewCore per job with the same shared instance.
-	cfgB := mkCfg()
-	want := make([]*uarch.Counters, len(jobs))
-	for i, j := range jobs {
-		p := j.Profile
-		c := uarch.NewCore(cfgB)
-		want[i] = c.Run(memtrace.NewReader(p, j.Gen))
-	}
-	for i := range jobs {
-		if !reflect.DeepEqual(*got[i], *want[i]) {
-			t.Errorf("%s: explicit-predictor sweep diverges from legacy serial path", jobs[i].Name)
-		}
-	}
-}
-
-// countingPredictor is a minimal deterministic stateful predictor.
-type countingPredictor struct{ n uint64 }
-
-func newCountingPredictor() *countingPredictor { return &countingPredictor{} }
-
-func (p *countingPredictor) Predict(pc uint64) bool { return (pc>>2+p.n)%3 == 0 }
-func (p *countingPredictor) Update(pc uint64, taken bool) {
-	if taken {
-		p.n++
-	}
-}
-func (p *countingPredictor) Name() string { return "counting" }
-func (p *countingPredictor) Reset()       { p.n = 0 }
 
 // TestEach checks ordering-independence and bounded fan-out of the pool
 // primitive.

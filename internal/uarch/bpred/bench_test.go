@@ -15,21 +15,22 @@ func benchBranches(b *testing.B, branch func(pc uint64, taken bool)) {
 	}
 }
 
-func benchPredictor(b *testing.B, p Predictor) {
-	b.Helper()
+// BenchmarkTournament is the split Predict-then-Update call.
+func BenchmarkTournament(b *testing.B) {
+	p := NewTournament(14)
 	benchBranches(b, func(pc uint64, taken bool) {
 		p.Predict(pc)
 		p.Update(pc, taken)
 	})
 }
 
-func BenchmarkGshare(b *testing.B)     { benchPredictor(b, NewGshare(14)) }
-func BenchmarkBimodal(b *testing.B)    { benchPredictor(b, NewBimodal(14)) }
-func BenchmarkTournament(b *testing.B) { benchPredictor(b, NewTournament(14)) }
-
-// BenchmarkTournamentFused is the core model's call on the default
-// predictor: one PredictUpdate on the concrete type, same stream.
+// BenchmarkTournamentFused is the core model's per-branch call, one
+// PredictUpdate per branch, for each kind.
 func BenchmarkTournamentFused(b *testing.B) {
-	p := NewTournament(14)
-	benchBranches(b, func(pc uint64, taken bool) { p.PredictUpdate(pc, taken) })
+	for _, k := range kinds {
+		b.Run(k.name, func(b *testing.B) {
+			p := newKind(14, k.kind)
+			benchBranches(b, func(pc uint64, taken bool) { p.PredictUpdate(pc, taken) })
+		})
+	}
 }

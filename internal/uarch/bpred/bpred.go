@@ -1,176 +1,110 @@
-// Package bpred implements the core model's branch direction predictors —
-// a bimodal/gshare tournament (the default, standing in for the Westmere
-// hybrid predictor), and its components plus static-not-taken on their own
-// for the "would a simpler predictor do?" ablation the paper's Section IV-E
-// suggests — plus a branch target buffer.
+// Package bpred implements the core model's branch direction predictor —
+// a bimodal/gshare tournament standing in for the Westmere hybrid
+// predictor, with kinds that freeze some of its tables for the "would a
+// simpler predictor do?" ablation the paper's Section IV-E suggests — plus
+// a branch target buffer.
 package bpred
 
-// Predictor predicts conditional branch directions and learns outcomes.
-type Predictor interface {
-	// Predict returns the predicted direction for the branch at pc.
-	Predict(pc uint64) bool
-	// Update trains the predictor with the actual outcome.
-	Update(pc uint64, taken bool)
-	// Name identifies the predictor in reports.
-	Name() string
-	// Reset clears all learned state, returning the predictor to its
-	// just-constructed condition so a pooled core can be reused across
-	// workloads without history leaking between runs.
-	Reset()
-}
+// Kind selects which of a Tournament's tables train. Every table starts at
+// 0 (strongly not-taken), so a frozen table keeps predicting not-taken.
+type Kind uint8
 
-// Gshare is a global-history predictor: 2-bit counters indexed by
-// PC xor global history.
-type Gshare struct {
-	bits    uint
+const (
+	// KindTournament, the zero value, trains all three tables.
+	KindTournament Kind = iota
+	// KindBimodal freezes the chooser on the bimodal table and trains only
+	// that table: exactly a bimodal predictor.
+	KindBimodal
+	// KindStatic trains nothing: exactly static-not-taken.
+	KindStatic
+)
+
+// Tournament combines a bimodal table of per-PC 2-bit counters (instant
+// convergence on biased branches) with a gshare table indexed by PC xor
+// global history (pattern capture) under a per-PC chooser, the structure
+// of the hybrid predictors in Nehalem/Westmere-class cores.
+type Tournament struct {
+	Kind Kind
+
 	mask    uint64
 	history uint64
-	table   []uint8
-}
-
-// NewGshare builds a gshare predictor with 2^bits counters.
-func NewGshare(bits uint) *Gshare {
-	return &Gshare{
-		bits:  bits,
-		mask:  (1 << bits) - 1,
-		table: make([]uint8, 1<<bits),
-	}
-}
-
-// Name implements Predictor.
-func (g *Gshare) Name() string { return "gshare" }
-
-func (g *Gshare) index(pc uint64) uint64 {
-	return ((pc >> 2) ^ g.history) & g.mask
-}
-
-// Predict implements Predictor.
-func (g *Gshare) Predict(pc uint64) bool {
-	return g.table[g.index(pc)] >= 2
-}
-
-// Update implements Predictor.
-func (g *Gshare) Update(pc uint64, taken bool) {
-	train(&g.table[g.index(pc)], taken)
-	g.history = ((g.history << 1) | b2u(taken)) & g.mask
-}
-
-// Reset implements Predictor.
-func (g *Gshare) Reset() {
-	g.history = 0
-	clear(g.table)
-}
-
-// Bimodal is a per-PC 2-bit counter table without global history.
-type Bimodal struct {
-	mask  uint64
-	table []uint8
-}
-
-// NewBimodal builds a bimodal predictor with 2^bits counters.
-func NewBimodal(bits uint) *Bimodal {
-	return &Bimodal{mask: (1 << bits) - 1, table: make([]uint8, 1<<bits)}
-}
-
-// Name implements Predictor.
-func (b *Bimodal) Name() string { return "bimodal" }
-
-// Predict implements Predictor.
-func (b *Bimodal) Predict(pc uint64) bool { return b.table[(pc>>2)&b.mask] >= 2 }
-
-// Update implements Predictor.
-func (b *Bimodal) Update(pc uint64, taken bool) {
-	train(&b.table[(pc>>2)&b.mask], taken)
-}
-
-// Reset implements Predictor.
-func (b *Bimodal) Reset() { clear(b.table) }
-
-// Tournament combines a bimodal predictor (instant convergence on biased
-// branches) with gshare (pattern capture) under a per-PC chooser, the
-// structure of the hybrid predictors in Nehalem/Westmere-class cores.
-type Tournament struct {
-	bimodal *Bimodal
-	gshare  *Gshare
+	bimodal []uint8
+	gshare  []uint8
 	meta    []uint8 // 0-1: prefer bimodal, 2-3: prefer gshare
-	mask    uint64
 }
 
-// NewTournament builds a tournament predictor with 2^bits entries per
-// component.
+// NewTournament builds a full tournament predictor with 2^bits entries per
+// table.
 func NewTournament(bits uint) *Tournament {
 	return &Tournament{
-		bimodal: NewBimodal(bits),
-		gshare:  NewGshare(bits),
-		meta:    make([]uint8, 1<<bits),
 		mask:    (1 << bits) - 1,
+		bimodal: make([]uint8, 1<<bits),
+		gshare:  make([]uint8, 1<<bits),
+		meta:    make([]uint8, 1<<bits),
 	}
 }
 
-// Name implements Predictor.
-func (t *Tournament) Name() string { return "tournament" }
-
-// Predict implements Predictor.
+// Predict returns the predicted direction for the branch at pc.
 func (t *Tournament) Predict(pc uint64) bool {
 	if t.meta[(pc>>2)&t.mask] >= 2 {
-		return t.gshare.Predict(pc)
+		return t.gshare[((pc>>2)^t.history)&t.mask] >= 2
 	}
-	return t.bimodal.Predict(pc)
+	return t.bimodal[(pc>>2)&t.mask] >= 2
 }
 
-// Update implements Predictor.
+// Update trains the tables t.Kind does not freeze with the branch's outcome.
 func (t *Tournament) Update(pc uint64, taken bool) {
-	b := t.bimodal.Predict(pc)
-	g := t.gshare.Predict(pc)
-	if b != g {
+	if t.Kind == KindStatic {
+		return
+	}
+	bc := &t.bimodal[(pc>>2)&t.mask]
+	if t.Kind == KindBimodal {
+		train(bc, taken)
+		return
+	}
+	gc := &t.gshare[((pc>>2)^t.history)&t.mask]
+	if b, g := *bc >= 2, *gc >= 2; b != g {
 		train(&t.meta[(pc>>2)&t.mask], g == taken)
 	}
-	t.bimodal.Update(pc, taken)
-	t.gshare.Update(pc, taken)
+	train(bc, taken)
+	train(gc, taken)
+	t.history = ((t.history << 1) | b2u(taken)) & t.mask
 }
 
 // PredictUpdate is Predict followed by Update with the three table indices
-// computed once: the core model's per-branch call when the tournament is
-// the installed predictor.
+// computed once: the core model's per-branch call.
 func (t *Tournament) PredictUpdate(pc uint64, taken bool) bool {
-	bc := &t.bimodal.table[(pc>>2)&t.bimodal.mask]
-	gc := &t.gshare.table[t.gshare.index(pc)]
+	bc := &t.bimodal[(pc>>2)&t.mask]
+	gc := &t.gshare[((pc>>2)^t.history)&t.mask]
 	mc := &t.meta[(pc>>2)&t.mask]
 	b, g := *bc >= 2, *gc >= 2
 	pred := b
 	if *mc >= 2 {
 		pred = g
 	}
-	if b != g {
-		train(mc, g == taken)
+	switch t.Kind {
+	case KindTournament:
+		if b != g {
+			train(mc, g == taken)
+		}
+		train(bc, taken)
+		train(gc, taken)
+		t.history = ((t.history << 1) | b2u(taken)) & t.mask
+	case KindBimodal:
+		train(bc, taken)
 	}
-	train(bc, taken)
-	train(gc, taken)
-	t.gshare.history = ((t.gshare.history << 1) | b2u(taken)) & t.gshare.mask
 	return pred
 }
 
-// Reset implements Predictor.
+// Reset clears all learned state, returning the predictor to its
+// just-constructed condition so a pooled core can be reused across
+// workloads without history leaking between runs. The kind is kept.
 func (t *Tournament) Reset() {
-	t.bimodal.Reset()
-	t.gshare.Reset()
+	t.history = 0
+	clear(t.bimodal)
+	clear(t.gshare)
 	clear(t.meta)
 }
-
-// Static always predicts not taken.
-type Static struct{}
-
-// Name implements Predictor.
-func (Static) Name() string { return "static-not-taken" }
-
-// Predict implements Predictor.
-func (Static) Predict(uint64) bool { return false }
-
-// Update implements Predictor.
-func (Static) Update(uint64, bool) {}
-
-// Reset implements Predictor.
-func (Static) Reset() {}
 
 // train moves a 2-bit saturating counter towards up.
 func train(c *uint8, up bool) {

@@ -66,7 +66,9 @@ type Config struct {
 	// ramp-up methodology of the paper's Section III-D.
 	Warmup int64
 
-	Predictor bpred.Predictor // defaults to a 14-bit tournament
+	// Predictor is the kind of the core's 14-bit tournament predictor; the
+	// zero value trains the whole tournament.
+	Predictor bpred.Kind
 }
 
 // ModelVersion identifies the simulator's behaviour, not its API: bump it
@@ -78,14 +80,12 @@ type Config struct {
 const ModelVersion = 1
 
 // Fingerprint hashes every simulation-relevant Config field (plus the
-// predictor's kind and the package ModelVersion) into a stable 64-bit key,
-// so sweep caches and core pools can recognise equivalent configurations. For nil-Predictor configs,
-// equal fingerprints produce identical simulations for identical traces;
-// new Config fields must be folded in here. An explicit Predictor is
-// hashed by Name() only — two instances of the same kind but different
-// capacity or training collide — so predictor-carrying configs must not be
-// used as cache keys (the sweep engine routes them around its memo and
-// pools for exactly this reason).
+// package ModelVersion) into a stable 64-bit key, so sweep caches and core
+// pools can recognise equivalent configurations: equal fingerprints
+// produce identical simulations for identical traces. New Config fields
+// must be folded in here. The predictor kind is one trailing byte, hashed
+// only when it is not the default, so the default machine's fingerprint
+// covers its structural fields alone.
 func (cfg Config) Fingerprint() uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -110,8 +110,8 @@ func (cfg Config) Fingerprint() uint64 {
 		put(int64(v))
 	}
 	put(cfg.Warmup)
-	if cfg.Predictor != nil {
-		h.Write([]byte(cfg.Predictor.Name()))
+	if cfg.Predictor != bpred.KindTournament {
+		h.Write([]byte{byte(cfg.Predictor)})
 	}
 	return h.Sum64()
 }
@@ -246,7 +246,7 @@ type Core struct {
 
 	l1i, l1d, l2, l3 *cache.Cache
 	itlb, dtlb       mmu.Hierarchy
-	pred             bpred.Predictor
+	pred             *bpred.Tournament
 	btb              *bpred.BTB
 
 	C Counters
@@ -285,25 +285,20 @@ type Core struct {
 	lastIMissLine uint64
 	memFree       int64
 
-	defaultPred bool // predictor was built by NewCore, not supplied
-	runBuf      []memtrace.Inst
+	runBuf []memtrace.Inst
 }
 
 const depRing = 64
 
 // NewCore builds a core from cfg.
 func NewCore(cfg Config) *Core {
-	defaultPred := cfg.Predictor == nil
-	if defaultPred {
-		cfg.Predictor = bpred.NewTournament(14)
-	}
 	c := &Core{
 		cfg:  cfg,
 		l1i:  cache.New("L1I", cfg.L1ISize, cfg.L1IWays, 64),
 		l1d:  cache.New("L1D", cfg.L1DSize, cfg.L1DWays, 64),
 		l2:   cache.New("L2", cfg.L2Size, cfg.L2Ways, 64),
 		l3:   cache.New("L3", cfg.L3Size, cfg.L3Ways, 64),
-		pred: cfg.Predictor,
+		pred: bpred.NewTournament(14),
 		btb:  bpred.NewBTB(cfg.BTBBits),
 	}
 	l2tlb := mmu.NewTLB(cfg.L2TLBEntries, cfg.TLBWays)
@@ -317,7 +312,7 @@ func NewCore(cfg Config) *Core {
 	c.storeRing = make([]int64, cfg.SQ)
 	c.mshrRing = make([]int64, cfg.MSHRs)
 	c.issueWin = make([]int64, cfg.IssueWidth)
-	c.defaultPred = defaultPred
+	c.pred.Kind = cfg.Predictor
 	return c
 }
 
@@ -336,45 +331,24 @@ func (c *Core) sameGeometry(cfg Config) bool {
 		cfg.BTBBits == o.BTBBits
 }
 
-// Reset returns the core to the state NewCore(cfg) would produce from a
-// fresh predictor, reusing the existing cache, TLB, predictor and ring
-// allocations whenever the geometry is unchanged — the default machine
-// carries 1.6 MB of simulated tag state (the L3's 196 608 tags of 8 bytes
-// are 1.5 MB of it), so pooled cores clear it in place instead of
-// reallocating it. A geometry change falls back to a full rebuild. Unlike
-// NewCore, which adopts an explicitly supplied Predictor with whatever
-// training it carries, Reset always clears the predictor's learned state: a
-// reset core starts cold. Runs on a reset core are bit-identical to runs on
+// Reset returns the core to the state NewCore(cfg) would produce, reusing
+// the existing cache, TLB, predictor and ring allocations whenever the
+// geometry is unchanged — the default machine carries 1.6 MB of simulated
+// tag state (the L3's 196 608 tags of 8 bytes are 1.5 MB of it), so pooled
+// cores clear it in place instead of reallocating it. A geometry change
+// falls back to a full rebuild. The predictor is cleared and takes
+// cfg.Predictor's kind. Runs on a reset core are bit-identical to runs on
 // a fresh core; reset_test pins that down.
 func (c *Core) Reset(cfg Config) {
-	reuseDefault := cfg.Predictor == nil && c.defaultPred
 	if !c.sameGeometry(cfg) {
-		if cfg.Predictor != nil {
-			cfg.Predictor.Reset()
-		}
 		fresh := NewCore(cfg)
 		fresh.runBuf = c.runBuf
-		if reuseDefault {
-			c.pred.Reset()
-			fresh.cfg.Predictor = c.pred
-			fresh.pred = c.pred
-		}
 		*c = *fresh
 		return
 	}
-	if cfg.Predictor == nil {
-		if c.defaultPred {
-			cfg.Predictor = c.pred
-		} else {
-			cfg.Predictor = bpred.NewTournament(14)
-		}
-		c.defaultPred = true
-	} else {
-		c.defaultPred = false
-	}
 	c.cfg = cfg
-	c.pred = cfg.Predictor
 	c.pred.Reset()
+	c.pred.Kind = cfg.Predictor
 	c.l1i.Reset()
 	c.l1d.Reset()
 	c.l2.Reset()
@@ -592,7 +566,8 @@ func mask(b bool) int64 {
 // fetch and rename steps branch.
 func (c *Core) stepBatch(buf []memtrace.Inst) {
 	var (
-		cfg = &c.cfg
+		cfg  = &c.cfg
+		pred = c.pred
 
 		completeRing = &c.completeRing
 		commitRing   = c.commitRing
@@ -616,9 +591,6 @@ func (c *Core) stepBatch(buf []memtrace.Inst) {
 		fetchStall, ratStall                int64
 		robStall, rsStall, lbStall, sbStall int64
 	)
-	// The default predictor is called on its concrete type, one fused call
-	// per branch; ablation predictors go through the interface.
-	tournament, _ := c.pred.(*bpred.Tournament)
 	// Execute latency by op. Every op past OpBranch executes as an ALU op; a
 	// load's latency is its memory access, set on the Load path.
 	opLat := [...]int64{
@@ -741,14 +713,7 @@ func (c *Core) stepBatch(buf []memtrace.Inst) {
 			}
 		} else if op == memtrace.OpBranch {
 			branches++
-			var pred bool
-			if tournament != nil {
-				pred = tournament.PredictUpdate(in.PC, in.Taken)
-			} else {
-				pred = c.pred.Predict(in.PC)
-				c.pred.Update(in.PC, in.Taken)
-			}
-			if pred != in.Taken {
+			if pred.PredictUpdate(in.PC, in.Taken) != in.Taken {
 				mispredicts++
 				// Redirect: the front end refetches after resolution. The
 				// wasted cycles show up as lost IPC, not as IFU stall events

@@ -232,7 +232,7 @@ func TestPredictorSwapChangesMispredicts(t *testing.T) {
 	g := gCore.Run(memtrace.NewReader(memtrace.Profile{Seed: 9, MaxInstrs: 150000}, gen))
 
 	cfgS := DefaultConfig()
-	cfgS.Predictor = bpred.Static{}
+	cfgS.Predictor = bpred.KindStatic
 	sCore := NewCore(cfgS)
 	s := sCore.Run(memtrace.NewReader(memtrace.Profile{Seed: 9, MaxInstrs: 150000}, gen))
 
@@ -259,5 +259,35 @@ func TestMemGapThrottlesStreaming(t *testing.T) {
 	s := NewCore(slow).Run(memtrace.NewReader(memtrace.Profile{Seed: 10, MaxInstrs: 150000}, gen))
 	if s.IPC() >= f.IPC() {
 		t.Fatalf("low-bandwidth IPC %v >= high-bandwidth IPC %v", s.IPC(), f.IPC())
+	}
+}
+
+// TestDefaultFingerprintPinned: the default machine's fingerprint is the
+// address of every stored record and the seed of every ETag, so a change
+// that moves it silently empties every warm store. Re-cut these on a
+// ModelVersion bump only. Each predictor kind has a fingerprint of its own.
+func TestDefaultFingerprintPinned(t *testing.T) {
+	cfg := DefaultConfig()
+	for _, tc := range []struct {
+		warmup int64
+		want   uint64
+	}{
+		{0, 0xee661aab5f1c931f},
+		{250_000, 0xe5d12bf6b5af37f4},
+	} {
+		cfg.Warmup = tc.warmup
+		if got := cfg.Fingerprint(); got != tc.want {
+			t.Errorf("warmup %d: DefaultConfig().Fingerprint() = %016x, want %016x", tc.warmup, got, tc.want)
+		}
+		seen := map[uint64]bpred.Kind{}
+		for _, k := range []bpred.Kind{bpred.KindTournament, bpred.KindBimodal, bpred.KindStatic} {
+			kcfg := cfg
+			kcfg.Predictor = k
+			fp := kcfg.Fingerprint()
+			if prev, dup := seen[fp]; dup {
+				t.Errorf("warmup %d: predictor kinds %d and %d share fingerprint %016x", tc.warmup, prev, k, fp)
+			}
+			seen[fp] = k
+		}
 	}
 }

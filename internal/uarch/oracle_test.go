@@ -34,25 +34,23 @@ func (r *raggedReader) Read(buf []memtrace.Inst) int {
 	return n
 }
 
-// oraclePredictors: nil takes the fused default-tournament path; the
-// explicit ones go through the Predictor interface.
+// oraclePredictors are the predictor kinds: the batch loop's fused call
+// must match the reference step's Predict-then-Update for each.
 var oraclePredictors = []struct {
 	name string
-	new  func() bpred.Predictor
+	kind bpred.Kind
 }{
-	{"default", func() bpred.Predictor { return nil }},
-	{"tournament", func() bpred.Predictor { return bpred.NewTournament(14) }},
-	{"gshare", func() bpred.Predictor { return bpred.NewGshare(12) }},
-	{"static", func() bpred.Predictor { return bpred.Static{} }},
+	{"tournament", bpred.KindTournament},
+	{"bimodal", bpred.KindBimodal},
+	{"static", bpred.KindStatic},
 }
 
 // checkAgainstRef runs one (workload, machine, reader) cell: the reference
 // per-instruction loop over the materialised trace, then the batch loop over
 // every reader kind, on cores recycled through Reset.
-func checkAgainstRef(t *testing.T, cell string, w *core.Workload, trace []memtrace.Inst, cfg uarch.Config, newPred func() bpred.Predictor, ref, dut *uarch.Core) {
+func checkAgainstRef(t *testing.T, cell string, w *core.Workload, trace []memtrace.Inst, cfg uarch.Config, ref, dut *uarch.Core) {
 	t.Helper()
 	n := len(trace)
-	cfg.Predictor = newPred()
 	ref.Reset(cfg)
 	want := *ref.RefRun(memtrace.NewSliceReader(trace))
 	if cfg.Warmup > int64(n) && want.Instructions != int64(n) {
@@ -72,7 +70,6 @@ func checkAgainstRef(t *testing.T, cell string, w *core.Workload, trace []memtra
 		}},
 	}
 	for _, rd := range readers {
-		cfg.Predictor = newPred()
 		dut.Reset(cfg)
 		if got := *dut.Run(rd.new()); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s, %s reader: batch loop diverges from the reference step\nreference: %+v\nbatch:     %+v", cell, rd.name, want, got)
@@ -84,7 +81,7 @@ func checkAgainstRef(t *testing.T, cell string, w *core.Workload, trace []memtra
 // loop: on every registry workload, the counters of Core.Run equal those of
 // the per-instruction loop it replaced, across ring geometries, warm-up
 // boundaries on either side of a batch edge (and past the end of the trace,
-// where the counters must cover all of it), predictor paths and reader
+// where the counters must cover all of it), predictor kinds and reader
 // kinds.
 func TestBatchLoopMatchesReferenceStep(t *testing.T) {
 	const short = 17_000 // > 2 batches: 8191/8192/8193 straddle the first edge
@@ -108,8 +105,9 @@ func TestBatchLoopMatchesReferenceStep(t *testing.T) {
 					for _, pr := range oraclePredictors {
 						cfg := g.Cfg
 						cfg.Warmup = warmup
+						cfg.Predictor = pr.kind
 						cell := fmt.Sprintf("%s, warmup %d, %s predictor", g.Name, warmup, pr.name)
-						checkAgainstRef(t, cell, w, trace, cfg, pr.new, ref, dut)
+						checkAgainstRef(t, cell, w, trace, cfg, ref, dut)
 					}
 				}
 			}
@@ -134,7 +132,7 @@ func TestBatchLoopMatchesReferenceStepShipped(t *testing.T) {
 			p := w.Profile
 			p.MaxInstrs = n
 			trace := memtrace.Collect(memtrace.NewReader(p, w.Gen), n)
-			checkAgainstRef(t, "default, warmup 250000, default predictor", w, trace, cfg, oraclePredictors[0].new, ref, dut)
+			checkAgainstRef(t, "default, warmup 250000, default predictor", w, trace, cfg, ref, dut)
 		})
 	}
 }
@@ -177,7 +175,7 @@ func decodeStream(data []byte, n int) []memtrace.Inst {
 // 65535 (it emits at most 45, never past the start of the trace) and up to
 // 255 sources (it emits at most 3). An input is a three-byte header — a
 // warm-up, taken mod the stream length + 2 so that it falls anywhere in the
-// stream, at its end or past it, and a predictor — then instruction records
+// stream, at its end or past it, and a predictor kind — then instruction records
 // for decodeStream. On every ring geometry, the counters of Run over ragged
 // batches must equal the reference step's.
 //
@@ -228,7 +226,7 @@ func FuzzStepMatchesReference(f *testing.F) {
 		records []byte
 	}{
 		{0, 0, gen}, {700, 1, gen}, {n + 1, 2, gen},
-		{0, 0, wild}, {1025, 3, wild},
+		{0, 0, wild}, {1025, 2, wild},
 		{0, 0, high}, {n, 1, high},
 		{0, 0, far},
 	} {
@@ -252,10 +250,9 @@ func FuzzStepMatchesReference(f *testing.F) {
 			ref, dut := cores[i][0], cores[i][1]
 			cfg := g.Cfg
 			cfg.Warmup = warmup
-			cfg.Predictor = pr.new()
+			cfg.Predictor = pr.kind
 			ref.Reset(cfg)
 			want := *ref.RefRun(memtrace.NewSliceReader(trace))
-			cfg.Predictor = pr.new()
 			dut.Reset(cfg)
 			if got := *dut.Run(&raggedReader{insts: trace, state: uint64(warmup), maxBatch: 1024}); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s, warmup %d, %s predictor: batch loop diverges from the reference step\nreference: %+v\nbatch:     %+v", g.Name, warmup, pr.name, want, got)

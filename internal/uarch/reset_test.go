@@ -97,11 +97,11 @@ func TestResetRepeatedReuse(t *testing.T) {
 	}
 }
 
-// TestResetExplicitPredictor: Reset with a supplied predictor must clear
-// its learned state and use it.
+// TestResetExplicitPredictor: Reset to a non-default predictor kind must
+// clear the tournament's learned state and switch its kind.
 func TestResetExplicitPredictor(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Predictor = bpred.NewBimodal(14)
+	cfg.Predictor = bpred.KindBimodal
 	want := runFresh(cfg, 13)
 
 	dirty := DefaultConfig() // default tournament
@@ -110,11 +110,11 @@ func TestResetExplicitPredictor(t *testing.T) {
 	c.Run(memtrace.NewReader(pDirty, genDirty))
 
 	reuse := DefaultConfig()
-	reuse.Predictor = bpred.NewBimodal(14)
+	reuse.Predictor = bpred.KindBimodal
 	c.Reset(reuse)
 	p, gen := resetTrace(13)
 	got := *c.Run(memtrace.NewReader(p, gen))
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("explicit-predictor reset diverges from fresh core\nfresh: %+v\nreset: %+v", want, got)
+		t.Errorf("bimodal-kind reset diverges from fresh core\nfresh: %+v\nreset: %+v", want, got)
 	}
 }
