@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"slices"
 	"testing"
-	"time"
 
 	"dcbench/internal/sim"
 )
@@ -89,9 +88,10 @@ func TestBatchesCarryExactlyTheTrace(t *testing.T) {
 	}
 }
 
-// TestCloseStopsTheGenerator: Close returns once the generator goroutine has
-// exited, which it does at its next batch hand-over rather than at the end
-// of a trace nobody will read.
+// TestCloseStopsTheGenerator: Close returns once the generator has unwound,
+// which it does at the hand-over it is suspended in rather than at the end
+// of a trace nobody will read. A coroutine never runs ahead of its reader,
+// so it has emitted exactly what was read.
 func TestCloseStopsTheGenerator(t *testing.T) {
 	var emitted int64
 	exited := make(chan struct{})
@@ -112,12 +112,10 @@ func TestCloseStopsTheGenerator(t *testing.T) {
 	select {
 	case <-exited:
 	default:
-		t.Fatal("Close returned while the generator goroutine was still running")
+		t.Fatal("Close returned while the generator was still running")
 	}
-	// Three batches read, two in the channel, one being filled, and the
-	// one the generator may have handed over while Close was signalling.
-	if ahead := emitted - read; ahead < 0 || ahead > 4*batchSize {
-		t.Fatalf("generator emitted %d instructions, %d beyond the %d read: it did not stop within a few batches", emitted, ahead, read)
+	if emitted != read {
+		t.Fatalf("generator emitted %d instructions, want exactly the %d read", emitted, read)
 	}
 	if n := r.Read(make([]Inst, 8)); n != 0 || len(r.NextBatch()) != 0 {
 		t.Fatal("a closed reader produced instructions")
@@ -156,11 +154,14 @@ func TestCloseAfterTheEnd(t *testing.T) {
 	}
 }
 
-// TestPausedReaderPinsFourBatches: a consumer that stops after its first
-// NextBatch leaves the generator parked with at most four 64 KiB batches
-// live for that reader — the lent one, two queued, one being filled.
-func TestPausedReaderPinsFourBatches(t *testing.T) {
+// TestPausedReaderPinsOneBatch: a consumer that stops after its first
+// NextBatch leaves the generator suspended with one 64 KiB batch live for
+// that reader — the lent one, which the generator refills in place. Several
+// readers are paused at once, so that a stray object the collector frees
+// meanwhile cannot hide a reader's surplus.
+func TestPausedReaderPinsOneBatch(t *testing.T) {
 	const (
+		readers    = 4
 		batchBytes = 64 << 10
 		slack      = 32 << 10 // the reader, the tracer and its samplers
 	)
@@ -170,12 +171,11 @@ func TestPausedReaderPinsFourBatches(t *testing.T) {
 			tr.ALU(100)
 		}
 	}
-	live := func() uint64 {
+	live := func() int64 {
 		runtime.GC()
-		runtime.GC() // the second empties the batch pool's victim cache
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
+		return int64(ms.HeapAlloc)
 	}
 	// A first reader builds the profile's shared Zipf tables.
 	warm := NewReader(p, gen)
@@ -183,22 +183,62 @@ func TestPausedReaderPinsFourBatches(t *testing.T) {
 	warm.Close()
 
 	before := live()
-	r := NewReader(p, gen)
-	defer r.Close()
-	if len(r.NextBatch()) == 0 {
-		t.Fatal("no first batch")
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for len(r.ch) < cap(r.ch) {
-		if time.Now().After(deadline) {
-			t.Fatal("the generator never filled its queue")
+	rs := make([]*LiveReader, readers)
+	for i := range rs {
+		rs[i] = NewReader(p, gen)
+		defer rs[i].Close()
+		if len(rs[i].NextBatch()) == 0 {
+			t.Fatal("no first batch")
 		}
-		time.Sleep(time.Millisecond)
 	}
-	time.Sleep(20 * time.Millisecond) // and the batch after the queue
-	pinned := live() - before
-	runtime.KeepAlive(r)
-	if pinned > 4*batchBytes+slack {
-		t.Fatalf("a paused reader pins %d KiB, want at most 4 batches of 64 KiB (+%d KiB slack)", pinned>>10, slack>>10)
+	pinned := (live() - before) / readers
+	runtime.KeepAlive(rs)
+	if pinned > batchBytes+slack {
+		t.Fatalf("a paused reader pins %d KiB, want at most one 64 KiB batch (+%d KiB slack)", pinned>>10, slack>>10)
+	}
+}
+
+// TestNoGoroutineOutlivesTheGenerator: the generator runs on the reading
+// goroutine, so once a trace has ended — read to its end, closed mid-trace
+// or blown up — the goroutine count is back where it was, with no waiting.
+// (It may be lower: the previous test's goroutine can still be exiting.)
+func TestNoGoroutineOutlivesTheGenerator(t *testing.T) {
+	endless := func(tr *Tracer) {
+		for {
+			tr.ALU(100)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		run  func()
+	}{
+		{"read to the end", func() {
+			Collect(NewReader(Profile{MaxInstrs: 3*batchSize + 7}, endless), 4*batchSize)
+		}},
+		{"closed mid-trace", func() {
+			r := NewReader(Profile{MaxInstrs: 1 << 40}, endless)
+			r.NextBatch()
+			r.NextBatch()
+			r.Close()
+		}},
+		{"generator panic", func() {
+			r := NewReader(Profile{MaxInstrs: 1 << 40}, func(tr *Tracer) {
+				tr.ALU(3 * batchSize)
+				panic("adapter bug")
+			})
+			defer func() {
+				if _, ok := recover().(TracePanic); !ok {
+					t.Error("the generator panic did not reach the reader as a TracePanic")
+				}
+			}()
+			for len(r.NextBatch()) > 0 {
+			}
+		}},
+	} {
+		before := runtime.NumGoroutine()
+		tc.run()
+		if after := runtime.NumGoroutine(); after > before {
+			t.Errorf("%s: %d goroutines after the trace ended, %d before", tc.name, after, before)
+		}
 	}
 }

@@ -5,8 +5,8 @@
 // stream per workload through many machine configurations, but the live
 // trace path regenerates the stream — the real PageRank/k-means/HMM
 // algorithm plus the Zipf code-layout, GC and kernel models — for every
-// (workload, config) point, and pays a generator goroutine, a channel hop
-// and a batch copy per 8192 instructions on top. This package removes all
+// (workload, config) point, and pays a coroutine switch per batch and a
+// copy into the caller's buffer on top. This package removes all
 // of that for every config after the first:
 //
 //   - a columnar segment encoding stores the trace struct-of-arrays with
@@ -18,7 +18,7 @@
 //     singleflight capture via memo.Memo so concurrent configs of one
 //     workload share a single generation;
 //   - segmentReader implements memtrace.Reader by decoding straight into
-//     the caller's buffer — no goroutine, no channel, no intermediate
+//     the caller's buffer — no generator coroutine, no intermediate
 //     batch;
 //   - traces that exceed the budget, or instructions outside the encodable
 //     envelope, degrade to counted live generation instead of failing.
@@ -434,53 +434,36 @@ func (e *encoder) finish() *trace {
 // panic comes back as an error, exactly like the live path's TracePanic.
 func capture(p memtrace.Profile, gen func(*memtrace.Tracer), limit int64) (t *trace, err error) {
 	r := memtrace.NewReader(p, gen)
-	enc := &encoder{}
-	buf := make([]memtrace.Inst, 8192)
-	abort := false
-	func() {
-		defer func() {
-			rec := recover()
-			if rec == nil {
-				return
-			}
-			if tp, ok := rec.(memtrace.TracePanic); ok {
-				// The generator goroutine has already exited.
-				err = fmt.Errorf("trace generation panicked: %v", tp.Val)
-				return
-			}
+	defer r.Close() // unwinds a generator given up mid-trace
+	defer func() {
+		rec := recover()
+		if tp, ok := rec.(memtrace.TracePanic); ok {
+			t, err = nil, fmt.Errorf("trace generation panicked: %v", tp.Val)
+		} else if rec != nil {
 			panic(rec) // an encoder bug, not a trace condition: stay loud
-		}()
-		for {
-			n := r.Read(buf)
-			if n == 0 {
-				return
-			}
-			for i := 0; i < n; i++ {
-				if aerr := enc.add(&buf[i]); aerr != nil {
-					err = aerr
-					abort = true
-					return
-				}
-			}
-			if limit > 0 && enc.size() > limit {
-				err = errTooLarge
-				abort = true
-				return
-			}
 		}
 	}()
-	if abort {
-		r.Close() // the generator goroutine is still producing: stop it
+	enc := &encoder{}
+	buf := make([]memtrace.Inst, 8192)
+	for {
+		n := r.Read(buf)
+		if n == 0 {
+			return enc.finish(), nil
+		}
+		for i := 0; i < n; i++ {
+			if err := enc.add(&buf[i]); err != nil {
+				return nil, err
+			}
+		}
+		if limit > 0 && enc.size() > limit {
+			return nil, errTooLarge
+		}
 	}
-	if err != nil {
-		return nil, err
-	}
-	return enc.finish(), nil
 }
 
 // segmentReader replays a trace, implementing memtrace.Reader by decoding
 // the columnar streams directly into the caller's buffer — no generator
-// goroutine, no channel hop, no intermediate batch copy. Not safe for
+// coroutine to switch to, no intermediate batch copy. Not safe for
 // concurrent use; create one per replay with trace.newReader.
 type segmentReader struct {
 	t   *trace

@@ -2,8 +2,8 @@ package memtrace
 
 import (
 	"fmt"
+	"iter"
 	"math"
-	"sync"
 
 	"dcbench/internal/sim"
 )
@@ -136,9 +136,12 @@ type Tracer struct {
 	// The profile's coin flips as integer thresholds (see threshold).
 	fpuT, src3T, src2T, chainT, coldT uint64
 
-	out  chan []Inst
-	done chan struct{} // closed by LiveReader.Close
-	// The batch being filled, by index: buf[n] is the next slot, and
+	// yield hands a batch to the reader and suspends the generator until
+	// the reader asks for the next one; false means the reader has closed,
+	// and stopped latches it.
+	yield   func([]Inst) bool
+	stopped bool
+	// The trace's one batch, by index: buf[n] is the next slot, and
 	// reaching limit — the batch's end or the trace's, whichever is
 	// nearer — is the one test an instruction pays for both.
 	buf     *[batchSize]Inst
@@ -183,33 +186,18 @@ type Tracer struct {
 type abortTrace struct{}
 
 // TracePanic wraps a panic that escaped a trace generator. The generator
-// runs in its own goroutine, so the panic is re-raised inside the consuming
-// goroutine's Read call once the trace ends; the wrapper lets consumers
-// distinguish "the generator blew up" (its goroutine has already exited)
-// from a panic in their own simulation code (the generator may still be
-// producing).
+// is a coroutine on the reading goroutine, so the panic comes out of the
+// Read or NextBatch call that resumed it, once the batches before it have
+// been read; the wrapper lets consumers distinguish "the generator blew up"
+// (it has already unwound) from a panic in their own simulation code (the
+// generator is then suspended mid-trace, and Close unwinds it).
 type TracePanic struct{ Val any }
 
 // batchSize is the generator's batch length: 2048 instructions, 64 KiB.
-// The generator's channel is two deep, so it can run ahead of the core by a
-// batch while another is being handed over, and a trace in flight pins at
-// most four batches (the one lent to the reader, two queued, one being
-// filled): 256 KiB.
+// Each trace owns one batch, allocated by NewReader and refilled in place:
+// the generator runs only while the reader waits for the next batch, so a
+// trace in flight pins one batch whatever its length.
 const batchSize = 2048
-
-// batchPool recycles instruction batches between the generator goroutine
-// and the consuming reader. A full characterization sweep moves hundreds of
-// millions of instructions through these batches; pooling takes the
-// per-batch allocation (and the GC churn it feeds) off the trace hot path.
-// Batches return to the pool in (*LiveReader).fill once fully consumed.
-var batchPool = sync.Pool{
-	New: func() any { return new([batchSize]Inst) },
-}
-
-func newBatch() *[batchSize]Inst { return batchPool.Get().(*[batchSize]Inst) }
-
-// recycleBatch returns the batch b is a prefix of to the pool.
-func recycleBatch(b []Inst) { batchPool.Put((*[batchSize]Inst)(b[:batchSize])) }
 
 // threshold returns T such that rng.Uint64()>>11 < T exactly when
 // rng.Float64() < p. Float64 is k/2⁵³ for the integer k = Uint64()>>11, and
@@ -231,8 +219,10 @@ func threshold(p float64) uint64 {
 // a branch the host cannot predict.
 func below(k, t uint64) uint64 { return (k - t) >> 63 }
 
-// NewReader runs gen(t) in a generator goroutine and returns the resulting
-// instruction stream. Generation ends when gen returns, the profile's
+// NewReader returns the instruction stream of gen(t), which runs as a
+// coroutine on the reading goroutine: a Read or NextBatch that needs
+// instructions resumes gen until it has filled a batch, and no goroutine
+// runs ahead of the reader. Generation ends when gen returns, the profile's
 // MaxInstrs cap is reached or the reader is closed; adapters may therefore
 // loop indefinitely. p must pass Validate: the generator is defined only on
 // that domain (every registry profile passes, and the job path refuses a
@@ -246,9 +236,7 @@ func NewReader(p Profile, gen func(t *Tracer)) *LiveReader {
 		src3T:     threshold(p.NSrc3P),
 		chainT:    threshold(p.ChainProb),
 		coldT:     threshold(p.ColdJumpP),
-		out:       make(chan []Inst, 2), // see batchSize
-		done:      make(chan struct{}),
-		buf:       newBatch(),
+		buf:       new([batchSize]Inst),
 		limit:     int(min(batchSize, p.MaxInstrs)),
 		nextFW:    math.MaxInt64,
 		nextGC:    math.MaxInt64,
@@ -277,63 +265,40 @@ func NewReader(p Profile, gen func(t *Tracer)) *LiveReader {
 	t.coldZipf = sim.NewZipf(t.rng, t.nBlocks, 1.05)
 	t.kernZipf = sim.NewZipf(t.rng, t.kernBlocks, 1.4)
 	t.kernelBufs = kernelDataBase
-	r := &LiveReader{ch: t.out, done: t.done}
-	go func() {
+	next, stop := iter.Pull(func(yield func([]Inst) bool) {
+		t.yield = yield
 		defer func() {
-			if rec := recover(); rec != nil {
-				if _, ok := rec.(abortTrace); !ok {
-					// Hand the panic to the consuming goroutine: the write
-					// happens before close(t.out), which happens before the
-					// reader observes the closed channel. Re-panicking on
-					// the consumer side keeps adapter bugs loud while
-					// letting sweep workers recover them as per-workload
-					// errors instead of killing the whole process.
-					r.genPanic = rec
-				}
+			rec := recover()
+			if t.stopped || t.n > 0 && !t.yield(t.buf[:t.n]) {
+				return // the reader has let go: the rest, a panic too, is dropped
 			}
-			if t.n > 0 && t.send() {
-				t.buf = nil
+			if _, abort := rec.(abortTrace); rec != nil && !abort {
+				// Re-raised in the reader's Read or NextBatch: adapter bugs
+				// stay loud, and sweep workers recover them as per-workload
+				// errors instead of losing the whole process.
+				panic(TracePanic{rec})
 			}
-			if t.buf != nil {
-				recycleBatch(t.buf[:])
-			}
-			close(t.out)
 		}()
 		gen(t)
-	}()
-	return r
+	})
+	return &LiveReader{next: next, stop: stop}
 }
 
-// LiveReader is the stream of a running generator: a Reader and a
-// BatchReader, for one consuming goroutine.
+// LiveReader is the stream of a generator coroutine: a Reader and a
+// BatchReader, for one goroutine at a time.
 type LiveReader struct {
-	ch       chan []Inst
-	done     chan struct{} // closed by Close; the generator's stop signal
-	closed   bool
-	batch    []Inst // batch last received, recycled when the next one is
-	pending  []Inst // the part of batch not yet handed out
-	genPanic any    // generator panic, re-raised at end of trace
+	next    func() ([]Inst, bool)
+	stop    func()
+	pending []Inst // the part of the lent batch not yet handed out
 }
 
-// fill makes pending the generator's next batch, returning the previous one
-// to the pool; false means end of trace.
+// fill resumes the generator for its next batch once pending is used up;
+// false means end of trace.
 func (r *LiveReader) fill() bool {
-	for len(r.pending) == 0 {
-		if r.batch != nil {
-			recycleBatch(r.batch)
-			r.batch = nil
-		}
-		batch, ok := <-r.ch
-		if !ok {
-			if r.genPanic != nil {
-				panic(TracePanic{r.genPanic})
-			}
-			return false
-		}
-		r.batch = batch
-		r.pending = batch
+	if len(r.pending) == 0 {
+		r.pending, _ = r.next()
 	}
-	return true
+	return len(r.pending) > 0
 }
 
 // Read implements Reader.
@@ -346,8 +311,8 @@ func (r *LiveReader) Read(buf []Inst) int {
 	return n
 }
 
-// NextBatch implements BatchReader: the generator's own pooled batch is
-// lent to the caller, and goes back to the pool on the next call.
+// NextBatch implements BatchReader: the generator's own batch is lent to
+// the caller, and is refilled on the next call.
 func (r *LiveReader) NextBatch() []Inst {
 	if !r.fill() {
 		return nil
@@ -357,24 +322,14 @@ func (r *LiveReader) NextBatch() []Inst {
 	return b
 }
 
-// Close abandons the rest of the trace. The generator sees it when it next
-// hands a batch over — within batchSize instructions, or at once if it is
-// blocked on a full channel — and unwinds; Close returns when its goroutine
-// has exited, and the reader then reads as ended (a lent batch is no longer
-// valid, a generator panic on the way out is dropped). Closing a reader
-// that has ended, or twice, does nothing.
+// Close abandons the rest of the trace: the generator resumes with its
+// hand-over refused and unwinds, and Close returns once it has. The reader
+// then reads as ended (a lent batch is no longer valid, a generator panic
+// on the way out is dropped). Closing a reader that has ended, or twice,
+// does nothing.
 func (r *LiveReader) Close() {
-	if !r.closed {
-		r.closed = true
-		close(r.done)
-	}
-	for b := range r.ch {
-		recycleBatch(b)
-	}
-	if r.batch != nil {
-		recycleBatch(r.batch)
-	}
-	r.batch, r.pending, r.genPanic = nil, nil, nil
+	r.stop()
+	r.pending = nil
 }
 
 // Emitted returns the number of instructions generated so far.
@@ -410,37 +365,20 @@ func (t *Tracer) put(pc, addr, target uint64, op Op, taken bool, d1, d2 uint16, 
 	}
 }
 
-// send hands the filled part of the batch to the reader; false means the
-// reader has closed instead. done is polled first because a select with both
-// cases ready picks either: a closed reader that is still draining the
-// channel would otherwise be sent a few more batches, at random.
-func (t *Tracer) send() bool {
-	select {
-	case <-t.done:
-		return false
-	default:
-	}
-	select {
-	case t.out <- t.buf[:t.n]:
-		return true
-	case <-t.done:
-		return false
-	}
-}
-
-// flush hands the batch over at limit and starts the next one, or unwinds
-// the adapter: at the MaxInstrs cap, or because the reader has closed.
+// flush hands the batch over at limit and refills it once the reader asks
+// for more, or unwinds the adapter: at the MaxInstrs cap, or because the
+// reader has closed. The batch counts as emitted from the hand-over on.
 func (t *Tracer) flush() {
-	if !t.send() {
-		t.n = 0
+	b := t.buf[:t.n]
+	t.flushed += int64(t.n)
+	t.n = 0
+	if !t.yield(b) {
+		t.stopped = true
 		panic(abortTrace{})
 	}
-	t.flushed += int64(t.n)
-	t.buf, t.n = nil, 0
 	if t.flushed >= t.prof.MaxInstrs {
 		panic(abortTrace{})
 	}
-	t.buf = newBatch()
 	t.limit = int(min(batchSize, t.prof.MaxInstrs-t.flushed))
 }
 

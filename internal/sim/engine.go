@@ -75,7 +75,6 @@ type Engine struct {
 	yield     chan struct{}
 	procPanic any // a finished process's panic value, handed over with its last yield
 	nProcs    int // live processes, for deadlock detection
-	blocked   int // processes blocked on a resource (not on an event)
 }
 
 // NewEngine returns an engine with the clock at zero and no pending events.

@@ -131,8 +131,7 @@ type Engine struct {
 // call — a figure render, a job — so without it two concurrent callers at
 // GOMAXPROCS each put twice as many working sets (a core, a trace in
 // flight, a cell's records) in memory as there are cores to run them. It
-// is package-level, like memtrace's batch pool, because the cores it
-// budgets belong to the process.
+// is package-level because the cores it budgets belong to the process.
 var budget = make(chan struct{}, runtime.GOMAXPROCS(0))
 
 // Acquire takes one slot of the process's compute budget, waiting until one
@@ -279,16 +278,16 @@ func (e *Engine) memoized(ctx context.Context, job Job, cfg uarch.Config, fp uin
 // simulate runs one job through a core drawn from pool (or a fresh core
 // when the pool is empty), returning a private copy of the counter file so the
 // core can be recycled immediately. The instruction stream is always
-// generated live. Panics come back as errors: a generator panic arrives
-// wrapped in memtrace.TracePanic after its goroutine has exited, while a
-// core-model panic leaves the generator goroutine mid-trace. A cancelled
-// context stops the core between read batches (the trace is truncated to
-// an EOF), the partial counters are discarded, and ctx.Err() is returned.
-// Either way a reader that is given up mid-trace is closed, which stops its
-// generator within a batch: simulate never returns with the goroutine still
-// running. It holds a slot of the compute budget from before the reader
-// starts until it returns; a context cancelled while it waits for the slot
-// returns ctx.Err() before anything has run.
+// generated live, by a coroutine on this goroutine. Panics come back as
+// errors: a generator panic arrives wrapped in memtrace.TracePanic after the
+// generator has unwound, while a core-model panic leaves it suspended
+// mid-trace. A cancelled context stops the core between read batches (the
+// trace is truncated to an EOF), the partial counters are discarded, and
+// ctx.Err() is returned. Whatever the outcome the reader is closed, which
+// unwinds a generator given up mid-trace before simulate returns. It holds
+// a slot of the compute budget from before the reader starts until it
+// returns; a context cancelled while it waits for the slot returns
+// ctx.Err() before anything has run.
 func (e *Engine) simulate(ctx context.Context, job Job, cfg uarch.Config, maxInstrs int64, pool coreFreeList) (counters *uarch.Counters, err error) {
 	p := job.Profile
 	if maxInstrs > 0 {
@@ -301,6 +300,7 @@ func (e *Engine) simulate(ctx context.Context, job Job, cfg uarch.Config, maxIns
 	}
 	defer Release()
 	r := memtrace.NewReader(p, job.Gen)
+	defer r.Close()
 	sp := obs.Start(ctx, "simulate", "workload", job.Name)
 	defer sp.End()
 	defer func() {
@@ -314,7 +314,6 @@ func (e *Engine) simulate(ctx context.Context, job Job, cfg uarch.Config, maxIns
 			err = fmt.Errorf("trace generation panicked: %v", tp.Val)
 			return
 		}
-		r.Close()
 		err = fmt.Errorf("core model panicked: %v", rec)
 	}()
 	// The core consumes the trace through a cancellation-aware wrapper:
@@ -331,11 +330,9 @@ func (e *Engine) simulate(ctx context.Context, job Job, cfg uarch.Config, maxIns
 	}
 	snap := *c.Run(cr)
 	if cr.stopped {
-		// Cancelled mid-trace: the truncated counters are garbage, the
-		// generator goroutine is still parked mid-stream, and the core
-		// holds partial state — stop the one, abandon the other, and
-		// surface the cancellation instead of a result.
-		r.Close()
+		// Cancelled mid-trace: the truncated counters are garbage and the
+		// core holds partial state — abandon it, and surface the
+		// cancellation instead of a result.
 		return nil, ctx.Err()
 	}
 	select {

@@ -261,8 +261,8 @@ func TestCancelMidSimulationStopsCore(t *testing.T) {
 
 // TestAbandonedGeneratorStops: when a simulation gives its live trace up —
 // every caller cancelled, or the core model panicked — the generator
-// goroutine stops within a few batches instead of producing the rest of a
-// trace nobody reads (/v1/jobs admits traces of 10⁹ instructions: tens of
+// stops within a few batches instead of producing the rest of a trace
+// nobody reads (/v1/jobs admits traces of 10⁹ instructions: tens of
 // seconds of a core, outside admission control), and has exited by the
 // time the simulation returns.
 func TestAbandonedGeneratorStops(t *testing.T) {
@@ -276,9 +276,9 @@ func TestAbandonedGeneratorStops(t *testing.T) {
 		// A cancelled caller reaches the core only once the flight has
 		// been left, so the core may read a few batches more.
 		{"cancelled", context.Canceled.Error(), 1_000_000, 16 * 8192},
-		// The core panics on its first batch; the generator is then at
-		// most two queued batches and one being filled ahead of it.
-		{"core panic", "core model panicked", 0, 4 * 2048},
+		// The core panics on its first batch; the generator, which never
+		// runs ahead of its reader, has emitted just that batch.
+		{"core panic", "core model panicked", 0, 2048},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
@@ -319,7 +319,7 @@ func TestAbandonedGeneratorStops(t *testing.T) {
 			select {
 			case <-exited:
 			case <-time.After(30 * time.Second):
-				t.Fatal("the abandoned generator goroutine is still running")
+				t.Fatal("the abandoned generator is still running")
 			}
 			// Anything near the trace's 10⁸ is the generator having run on.
 			if got := emitted.Load(); got > tc.abandonAt+tc.slack {

@@ -112,8 +112,8 @@ func (r ReadOnly) Read(buf []memtrace.Inst) int { return r.R.Read(buf) }
 // BenchmarkCoreStep measures the step loop three ways on one synthetic
 // trace: "slice" is the loop itself (trace pre-collected, lent whole, no
 // generator in the timing); "live" is what a cold job pays, the generator
-// goroutine running beside the core and handing its batches over through
-// NextBatch; "readonly" is the Read fallback for a reader that cannot lend,
+// coroutine resumed by each NextBatch to refill the batch it lends;
+// "readonly" is the Read fallback for a reader that cannot lend,
 // a copy into the core's buffer per batch. BenchmarkCoreStepShipped runs the
 // registry's streams instead.
 func BenchmarkCoreStep(b *testing.B) {
