@@ -1,25 +1,27 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
-// The kernel has two layers. The lower layer is a classic event loop: a
-// virtual clock and a priority queue of timestamped events, drained by
-// Engine.Run. The upper layer is a cooperative process model in the style
-// of SimPy: Engine.Go starts a goroutine that may block on virtual time
-// (Process.Sleep), counted resources (Resource.Acquire) and bandwidth pipes
-// (Pipe.Transfer). Exactly one goroutine — either the engine or a single
-// process — runs at any instant, so simulations are fully deterministic
-// regardless of GOMAXPROCS.
+// It is a cooperative process model in the style of SimPy over a virtual
+// clock and a priority queue of timestamped wake-ups. Engine.Go starts a
+// process that may block on virtual time (Process.Sleep), counted
+// resources (Resource.Acquire) and bandwidth pipes (Pipe.Transfer). A
+// process that blocks runs the event loop itself: it pops the earliest
+// wake-up and, unless that is its own, hands control straight to the woken
+// process and parks. Exactly one process runs at any instant, so
+// simulations are fully deterministic regardless of GOMAXPROCS.
+//
+// Processes are goroutines, not iter.Pull coroutines: Go 1.24's race
+// detector never frees the state of an ended coroutine, and the cluster
+// tests end tens of thousands of processes per run.
 package sim
 
 import "fmt"
 
-// event is a scheduled callback, or, when p is set, the wake-up of a
-// blocked process: a wake-up carries its process, not a closure, so
-// blocking allocates nothing. Ties on time are broken by insertion
-// sequence so the execution order is deterministic.
+// event is the wake-up of process p, or its start if it has not started.
+// Ties on time are broken by insertion sequence so the execution order is
+// deterministic.
 type event struct {
 	at  float64
 	seq uint64
-	fn  func()
 	p   *Process
 }
 
@@ -63,51 +65,43 @@ func (h eventHeap) down(i int) {
 	}
 }
 
-// Engine owns the virtual clock and the pending event set.
+// Engine owns the virtual clock and the pending wake-ups.
 // The zero value is not usable; construct with NewEngine.
 type Engine struct {
 	now    float64
 	seq    uint64
 	events eventHeap
 
-	// yield is the control-transfer channel for the process layer: a
-	// process hands control back to the engine by sending on it.
-	yield     chan struct{}
-	procPanic any // a finished process's panic value, handed over with its last yield
-	nProcs    int // live processes, for deadlock detection
+	done chan any   // to Run: nil when no wake-up is left, or a panic value
+	live []*Process // started, unfinished processes: one goroutine each
 }
 
 // NewEngine returns an engine with the clock at zero and no pending events.
 func NewEngine() *Engine {
-	return &Engine{yield: make(chan struct{})}
+	return &Engine{done: make(chan any)}
 }
 
 // Now returns the current virtual time in seconds.
 func (e *Engine) Now() float64 { return e.now }
 
-// at schedules fn to run at absolute virtual time t. Scheduling in the past
-// panics: it indicates a bug in the model, not a recoverable condition.
-func (e *Engine) at(t float64, fn func()) { e.schedule(event{at: t, fn: fn}) }
-
-// after schedules fn to run d seconds from now.
-func (e *Engine) after(d float64, fn func()) { e.at(e.now+d, fn) }
-
-// wake schedules blocked process p to resume at absolute virtual time t.
-func (e *Engine) wake(t float64, p *Process) { e.schedule(event{at: t, p: p}) }
-
-func (e *Engine) schedule(ev event) {
-	if ev.at < e.now {
-		panic(fmt.Sprintf("sim: scheduling at %v before now %v", ev.at, e.now))
+// wake schedules process p to run at absolute virtual time t. Scheduling
+// in the past panics: it indicates a bug in the model, not a recoverable
+// condition.
+func (e *Engine) wake(t float64, p *Process) {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, e.now))
 	}
 	e.seq++
-	ev.seq = e.seq
-	e.events = append(e.events, ev)
+	e.events = append(e.events, event{at: t, seq: e.seq, p: p})
 	e.events.up(len(e.events) - 1)
 }
 
-// fire pops the earliest event, advances the clock to it and runs it.
-func (e *Engine) fire() {
+// next pops the earliest wake-up, advancing the clock; nil if none is left.
+func (e *Engine) next() *Process {
 	h := e.events
+	if len(h) == 0 {
+		return nil
+	}
 	ev := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
@@ -115,21 +109,36 @@ func (e *Engine) fire() {
 	e.events = h[:n]
 	e.events.down(0)
 	e.now = ev.at
-	if ev.p != nil {
-		ev.p.resume()
-	} else {
-		ev.fn()
+	return ev.p
+}
+
+// Run runs the simulation until no wake-up is left. It starts the first
+// process and waits: from then on each process hands control to the next.
+// A panic in a process is re-raised here, where the caller can recover it;
+// so is a deadlock, live processes blocked with no pending wake-up. Either
+// way the engine is dead, and Run first unwinds its parked processes.
+func (e *Engine) Run() {
+	var v any
+	if p := e.next(); p != nil {
+		e.switchTo(p)
+		v = <-e.done
+	}
+	if v == nil && len(e.live) > 0 {
+		v = fmt.Sprintf("sim: deadlock: %d process(es) blocked with no pending events", len(e.live))
+	}
+	if v != nil {
+		e.unwind()
+		panic(v)
 	}
 }
 
-// Run executes events in timestamp order until none remain.
-// It panics if live processes remain blocked with no pending events
-// (a deadlock in the simulated system).
-func (e *Engine) Run() {
-	for len(e.events) > 0 {
-		e.fire()
+// unwind ends the parked processes one at a time, so a failed run leaves
+// no goroutine behind: each runs its deferred calls (which must not block)
+// and exits before the next is woken.
+func (e *Engine) unwind() {
+	for len(e.live) > 0 {
+		close(e.live[len(e.live)-1].wake)
+		<-e.done
 	}
-	if e.nProcs > 0 {
-		panic(fmt.Sprintf("sim: deadlock: %d process(es) blocked with no pending events", e.nProcs))
-	}
+	e.events = nil
 }

@@ -1,55 +1,74 @@
 package sim
 
 import (
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
+// TestEngineOrdering: wake-ups run in time order whatever order they were
+// scheduled in, and the clock ends at the last one.
 func TestEngineOrdering(t *testing.T) {
 	e := NewEngine()
-	var got []int
-	e.at(3, func() { got = append(got, 3) })
-	e.at(1, func() { got = append(got, 1) })
-	e.at(2, func() { got = append(got, 2) })
+	var got []float64
+	for _, d := range []float64{3, 1, 2} {
+		e.Go(func(p *Process) {
+			p.Sleep(d)
+			got = append(got, p.Now())
+		})
+	}
 	e.Run()
-	want := []int{1, 2, 3}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("order = %v, want %v", got, want)
-		}
+	if want := []float64{1, 2, 3}; !slices.Equal(got, want) {
+		t.Fatalf("order = %v, want %v", got, want)
 	}
 	if e.Now() != 3 {
 		t.Fatalf("Now() = %v, want 3", e.Now())
 	}
 }
 
+// TestEngineTieBreakFIFO: wake-ups due at one instant run in the order they
+// were scheduled, both for process starts and for sleepers.
 func TestEngineTieBreakFIFO(t *testing.T) {
 	e := NewEngine()
-	var got []int
+	var started, woken []int
 	for i := 0; i < 10; i++ {
-		i := i
-		e.at(5, func() { got = append(got, i) })
+		e.Go(func(p *Process) {
+			started = append(started, i)
+			p.Sleep(5)
+			woken = append(woken, i)
+		})
 	}
 	e.Run()
-	for i := range got {
-		if got[i] != i {
-			t.Fatalf("same-time events ran out of order: %v", got)
-		}
+	want := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+	if !slices.Equal(started, want) || !slices.Equal(woken, want) {
+		t.Fatalf("same-time wake-ups ran out of order: started %v, woken %v", started, woken)
 	}
 }
 
+// TestEngineAfterNesting: a process started from inside another after a
+// sleep starts at that later time, and its own sleeps count from there.
 func TestEngineAfterNesting(t *testing.T) {
 	e := NewEngine()
 	var times []float64
-	e.at(1, func() {
-		e.after(2, func() { times = append(times, e.Now()) })
+	e.Go(func(p *Process) {
+		p.Sleep(1)
+		e.Go(func(q *Process) {
+			times = append(times, q.Now())
+			q.Sleep(2)
+			times = append(times, q.Now())
+		})
 	})
 	e.Run()
-	if len(times) != 1 || times[0] != 3 {
-		t.Fatalf("nested After fired at %v, want [3]", times)
+	if !slices.Equal(times, []float64{1, 3}) {
+		t.Fatalf("nested process ran at %v, want [1 3]", times)
 	}
 }
 
+// TestEngineSchedulePastPanics: a wake-up scheduled before the current time
+// is a model bug; the panic comes out of Run.
 func TestEngineSchedulePastPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -57,7 +76,10 @@ func TestEngineSchedulePastPanics(t *testing.T) {
 		}
 	}()
 	e := NewEngine()
-	e.at(5, func() { e.at(1, func() {}) })
+	e.Go(func(p *Process) {
+		p.Sleep(5)
+		e.wake(1, p)
+	})
 	e.Run()
 }
 
@@ -231,6 +253,67 @@ func TestProcessPanicReachesRunCaller(t *testing.T) {
 		if got != "mapper bug" {
 			t.Errorf("%s: Run recovered %v, want the process's panic value", name, got)
 		}
+	}
+}
+
+// TestPanicLeavesNoGoroutine: when one process panics, Run unwinds the
+// processes parked beside it (four queued on a one-slot resource, one
+// holding it) before re-raising, so the failed run leaves no goroutine.
+func TestPanicLeavesNoGoroutine(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := NewEngine()
+	r := NewResource(e, 1)
+	for i := 0; i < 5; i++ {
+		e.Go(func(p *Process) {
+			r.Acquire(p)
+			p.Sleep(10)
+			r.Release()
+		})
+	}
+	e.Go(func(p *Process) {
+		p.Sleep(1)
+		panic("mapper bug")
+	})
+	if got := recoverRun(e); got != "mapper bug" {
+		t.Fatalf("Run recovered %v, want the process's panic value", got)
+	}
+	expectGoroutines(t, base)
+}
+
+// TestDeadlockLeavesNoGoroutine: a deadlocked run (three processes on a
+// one-slot resource, its holder asking for a second unit) unwinds all three
+// before Run reports the deadlock.
+func TestDeadlockLeavesNoGoroutine(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := NewEngine()
+	r := NewResource(e, 1)
+	for i := 0; i < 3; i++ {
+		e.Go(func(p *Process) {
+			r.Acquire(p)
+			r.Acquire(p)
+		})
+	}
+	if got, _ := recoverRun(e).(string); !strings.Contains(got, "deadlock: 3 process(es)") {
+		t.Fatalf("Run recovered %q, want a deadlock of 3 processes", got)
+	}
+	expectGoroutines(t, base)
+}
+
+func recoverRun(e *Engine) (v any) {
+	defer func() { v = recover() }()
+	e.Run()
+	return nil
+}
+
+// expectGoroutines waits up to a second for the goroutine count to fall
+// back to base: an unwound goroutine may still be returning when Run does.
+func expectGoroutines(t *testing.T, base int) {
+	t.Helper()
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > base; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the failed run, %d before", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

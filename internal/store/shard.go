@@ -72,12 +72,16 @@ func (sh *shard) recordPath(addr string) string {
 // also holds sh.mu to remove) can therefore never delete a freshly
 // installed record on the basis of a stale last-access snapshot taken
 // before the write.
-func (sh *shard) install(s *Store, addr string, data []byte, now int64) error {
+func (sh *shard) install(s *Store, addr string, data []byte, now int64) (err error) {
 	tmp, err := os.CreateTemp(sh.dir, ".write-*")
 	if err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
+	defer func() {
+		if err != nil {
+			os.Remove(tmp.Name()) // after a rename there is nothing to remove
+		}
+	}()
 	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
 		return err

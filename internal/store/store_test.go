@@ -562,6 +562,37 @@ func TestReadRecencySurvivesReopen(t *testing.T) {
 	}
 }
 
+// TestFailedPutLeavesNoTempFile: a Put whose rename fails (its record
+// name is taken by a directory) removes the temp file it wrote.
+func TestFailedPutLeavesNoTempFile(t *testing.T) {
+	dir := t.TempDir()
+	s, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	k := testKey("t", 1)
+	if err := s.Put(k, &uarch.Counters{Cycles: 1}); err != nil {
+		t.Fatal(err)
+	}
+	recs, _ := filepath.Glob(filepath.Join(dir, "v2", "shard-*", "*.json"))
+	if len(recs) != 1 {
+		t.Fatalf("records after one Put: %v", recs)
+	}
+	if err := os.Remove(recs[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(recs[0], "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(k, &uarch.Counters{Cycles: 2}); err == nil {
+		t.Fatal("Put over a directory succeeded")
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(filepath.Dir(recs[0]), ".write-*")); len(tmps) > 0 {
+		t.Fatalf("failed Put left %v", tmps)
+	}
+}
+
 // TestOpenCleansStaleTempFiles: a crash between CreateTemp and rename
 // leaves a .write-* file no other pass owns; Open removes it once it is
 // old enough that no live process can still be about to rename it.

@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"dcbench/internal/analysis"
 	"dcbench/internal/datagen"
@@ -328,8 +330,10 @@ func TestSVMMapOutputNeedsNoCombiner(t *testing.T) {
 
 // TestMapperPanicFailsTheRunNotTheProcess: a panic inside a map function
 // runs on a simulated process's goroutine; it must surface as the cluster
-// run's error, not kill the server.
+// run's error, not kill the server, and the failed run's other processes
+// must not stay behind as parked goroutines.
 func TestMapperPanicFailsTheRunNotTheProcess(t *testing.T) {
+	base := runtime.NumGoroutine()
 	cache := NewStatsCache(nil)
 	st, err := cache.Do(context.Background(), StatsKey{Workload: "broken", Slaves: 2, Scale: testScale, Seed: 1}, func(context.Context) (*Stats, error) {
 		env := NewEnv(2, testScale, 1)
@@ -341,5 +345,10 @@ func TestMapperPanicFailsTheRunNotTheProcess(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "bad vector") {
 		t.Fatalf("Do = %v, %v; want the mapper's panic as an error", st, err)
+	}
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the failed run, %d before", runtime.NumGoroutine(), base)
+		}
 	}
 }
