@@ -142,12 +142,12 @@ func (rt *Runtime) Run(job *Job) (*Result, error) {
 		})
 		combine = func(key string, values []string) {
 			part = int32(job.Partition(key, job.NumReducers))
-			job.Combiner.Reduce(key, values, emitCombined)
+			job.Combiner(key, values, emitCombined)
 		}
 		emit = sc.g.add
 	}
 	emitOut := Emit(func(k, v string) { sc.kvs = append(sc.kvs, KV{k, v}) })
-	reduce := func(key string, values []string) { reducer.Reduce(key, values, emitOut) }
+	reduce := func(key string, values []string) { reducer(key, values, emitOut) }
 
 	// ---- Map phase ----
 	mapOuts := make([]*mapTaskOut, nSplits)
@@ -197,7 +197,7 @@ func (rt *Runtime) Run(job *Job) (*Result, error) {
 		var realIn, realOut int64
 		for _, kv := range records {
 			realIn += kv.size()
-			job.Mapper.Map(kv, emit)
+			job.Mapper(kv, emit)
 		}
 		res.Counters.MapInputRecords += int64(len(records))
 		if combine != nil {

@@ -35,13 +35,13 @@ func wordsInput(splits int, text ...string) *SliceInput {
 	return in
 }
 
-var wordCountMapper = MapperFunc(func(kv KV, emit Emit) {
+var wordCountMapper = Mapper(func(kv KV, emit Emit) {
 	for _, w := range strings.Fields(kv.Value) {
 		emit(w, "1")
 	}
 })
 
-var sumReducer = ReducerFunc(func(key string, values []string, emit Emit) {
+var sumReducer = Reducer(func(key string, values []string, emit Emit) {
 	total := 0
 	for _, v := range values {
 		n, _ := strconv.Atoi(v)
@@ -105,7 +105,7 @@ func TestIdentityReducerDefault(t *testing.T) {
 	job := &Job{
 		Name:        "identity",
 		Input:       &SliceInput{Splits: [][]KV{{{"k1", "v1"}, {"k2", "v2"}}}},
-		Mapper:      MapperFunc(func(kv KV, emit Emit) { emit(kv.Key, kv.Value) }),
+		Mapper:      Mapper(func(kv KV, emit Emit) { emit(kv.Key, kv.Value) }),
 		NumReducers: 1,
 	}
 	res, err := rt.Run(job)
@@ -137,7 +137,7 @@ func TestCustomPartitioner(t *testing.T) {
 	job := &Job{
 		Name:        "range",
 		Input:       &SliceInput{Splits: [][]KV{{{"a", ""}, {"z", ""}, {"m", ""}}}},
-		Mapper:      MapperFunc(func(kv KV, emit Emit) { emit(kv.Key, kv.Value) }),
+		Mapper:      Mapper(func(kv KV, emit Emit) { emit(kv.Key, kv.Value) }),
 		NumReducers: 2,
 		Partition: func(key string, r int) int {
 			if key < "n" {
@@ -239,7 +239,7 @@ func TestSimulatedBytesScale(t *testing.T) {
 	job := &Job{
 		Name:        "scaled",
 		Input:       in,
-		Mapper:      MapperFunc(func(kv KV, emit Emit) { emit(kv.Key, kv.Value) }),
+		Mapper:      Mapper(func(kv KV, emit Emit) { emit(kv.Key, kv.Value) }),
 		NumReducers: 1,
 	}
 	res, err := rt.Run(job)
@@ -264,7 +264,7 @@ func TestDiskActivityRecorded(t *testing.T) {
 	job := &Job{
 		Name:        "io",
 		Input:       in,
-		Mapper:      MapperFunc(func(kv KV, emit Emit) { emit(kv.Key, kv.Value) }),
+		Mapper:      Mapper(func(kv KV, emit Emit) { emit(kv.Key, kv.Value) }),
 		NumReducers: 1,
 		OutputFile:  "out",
 	}
@@ -297,7 +297,7 @@ func TestLocalityPreferred(t *testing.T) {
 		Name:        "local",
 		Input:       in,
 		InputFile:   f,
-		Mapper:      MapperFunc(func(kv KV, emit Emit) { emit(kv.Key, kv.Value) }),
+		Mapper:      Mapper(func(kv KV, emit Emit) { emit(kv.Key, kv.Value) }),
 		NumReducers: 1,
 	}
 	res, err := rt.Run(job)

@@ -43,7 +43,7 @@ func refGroupedReduce(sorted []KV, r Reducer, emit Emit) {
 		for k := i; k < j; k++ {
 			values = append(values, sorted[k].Value)
 		}
-		r.Reduce(sorted[i].Key, values, emit)
+		r(sorted[i].Key, values, emit)
 		i = j
 	}
 }
@@ -77,7 +77,7 @@ func TestHashPartitionMatchesFNV(t *testing.T) {
 
 // concatReducer keeps every value and its position, so a combine that
 // reordered equal keys' values or dropped one would show.
-var concatReducer = ReducerFunc(func(key string, values []string, emit Emit) {
+var concatReducer = Reducer(func(key string, values []string, emit Emit) {
 	emit(key, strings.Join(values, "+"))
 	if len(values) > 2 {
 		emit(key, strconv.Itoa(len(values)))
@@ -92,7 +92,7 @@ func kernelCombine(g *grouper, recs []KV, c Reducer) []KV {
 	}
 	var out []KV
 	emit := func(k, v string) { out = append(out, KV{k, v}) }
-	g.each(func(key string, values []string) { c.Reduce(key, values, emit) })
+	g.each(func(key string, values []string) { c(key, values, emit) })
 	return out
 }
 
@@ -123,7 +123,7 @@ func refOutput(job *Job, in *SliceInput) [][]KV {
 	for _, split := range in.Splits {
 		parts := make([][]KV, job.NumReducers)
 		for _, kv := range split {
-			job.Mapper.Map(kv, func(k, v string) {
+			job.Mapper(kv, func(k, v string) {
 				r := job.Partition(k, job.NumReducers)
 				parts[r] = append(parts[r], KV{k, v})
 			})
@@ -158,7 +158,7 @@ func TestReduceMatchesStableSortOracle(t *testing.T) {
 		}
 		in.Splits = append(in.Splits, recs)
 	}
-	positional := MapperFunc(func(kv KV, emit Emit) {
+	positional := Mapper(func(kv KV, emit Emit) {
 		for i, w := range strings.Fields(kv.Value) {
 			emit(w, kv.Key+"."+strconv.Itoa(i))
 		}

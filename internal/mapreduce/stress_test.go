@@ -25,7 +25,7 @@ func TestSkewedKeysSingleHotReducer(t *testing.T) {
 	job := &Job{
 		Name:        "skew",
 		Input:       &SliceInput{Splits: [][]KV{recs}},
-		Mapper:      MapperFunc(func(kv KV, emit Emit) { emit(kv.Key, kv.Value) }),
+		Mapper:      Mapper(func(kv KV, emit Emit) { emit(kv.Key, kv.Value) }),
 		Reducer:     sumReducer,
 		NumReducers: 8,
 	}
@@ -53,7 +53,7 @@ func TestEmptySplitsTolerated(t *testing.T) {
 	res, err := rt.Run(&Job{
 		Name:        "empties",
 		Input:       in,
-		Mapper:      MapperFunc(func(kv KV, emit Emit) { emit(kv.Key, kv.Value) }),
+		Mapper:      Mapper(func(kv KV, emit Emit) { emit(kv.Key, kv.Value) }),
 		NumReducers: 2,
 	})
 	if err != nil {
@@ -74,7 +74,7 @@ func TestMoreReducersThanKeys(t *testing.T) {
 	res, err := rt.Run(&Job{
 		Name:        "surplus",
 		Input:       &SliceInput{Splits: [][]KV{{{"a", "1"}, {"b", "2"}}}},
-		Mapper:      MapperFunc(func(kv KV, emit Emit) { emit(kv.Key, kv.Value) }),
+		Mapper:      Mapper(func(kv KV, emit Emit) { emit(kv.Key, kv.Value) }),
 		NumReducers: 16,
 	})
 	if err != nil {
@@ -95,7 +95,7 @@ func TestMapperExplosion(t *testing.T) {
 	res, err := rt.Run(&Job{
 		Name:  "explode",
 		Input: &SliceInput{Splits: [][]KV{{{"seed", "64"}}}},
-		Mapper: MapperFunc(func(kv KV, emit Emit) {
+		Mapper: Mapper(func(kv KV, emit Emit) {
 			n, _ := strconv.Atoi(kv.Value)
 			for i := 0; i < n; i++ {
 				emit(fmt.Sprintf("k%d", i%4), "1")
@@ -298,7 +298,7 @@ func TestShuffleBytesScaleWithOutputRatio(t *testing.T) {
 		res, err := rt.Run(&Job{
 			Name:        "ratio",
 			Input:       in,
-			Mapper:      MapperFunc(func(kv KV, emit Emit) { emit(kv.Key, kv.Value) }),
+			Mapper:      Mapper(func(kv KV, emit Emit) { emit(kv.Key, kv.Value) }),
 			NumReducers: 1,
 			Cost:        CostModel{OutputRatio: ratio},
 		})

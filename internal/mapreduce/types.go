@@ -25,30 +25,14 @@ func (kv KV) size() int64 { return int64(len(kv.Key) + len(kv.Value)) }
 type Emit func(key, value string)
 
 // Mapper transforms one input record into zero or more output records.
-type Mapper interface {
-	Map(kv KV, emit Emit)
-}
-
-// MapperFunc adapts a function to the Mapper interface.
-type MapperFunc func(kv KV, emit Emit)
-
-// Map calls f.
-func (f MapperFunc) Map(kv KV, emit Emit) { f(kv, emit) }
+type Mapper func(kv KV, emit Emit)
 
 // Reducer folds all values of one key into zero or more output records.
-// values is the engine's buffer, valid only until Reduce returns.
-type Reducer interface {
-	Reduce(key string, values []string, emit Emit)
-}
-
-// ReducerFunc adapts a function to the Reducer interface.
-type ReducerFunc func(key string, values []string, emit Emit)
-
-// Reduce calls f.
-func (f ReducerFunc) Reduce(key string, values []string, emit Emit) { f(key, values, emit) }
+// values is the engine's buffer, valid only until the call returns.
+type Reducer func(key string, values []string, emit Emit)
 
 // identityReducer re-emits every value under its key.
-var identityReducer = ReducerFunc(func(key string, values []string, emit Emit) {
+var identityReducer = Reducer(func(key string, values []string, emit Emit) {
 	for _, v := range values {
 		emit(key, v)
 	}

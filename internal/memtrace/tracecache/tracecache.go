@@ -75,7 +75,7 @@ type Stats struct {
 
 // DefaultMaxBytes is a byte budget that holds the full 26-workload
 // registry at the default trace length several times over, small next to
-// the simulated cache state the core pools already hold.
+// the simulated cache state of the cores a sweep engine keeps idle.
 const DefaultMaxBytes int64 = 256 << 20
 
 // Sentinel reasons a trace stays uncacheable; both degrade to live

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"crypto/subtle"
 	"encoding/json"
+	"errors"
 	"log/slog"
 	"net/http"
 	"strings"
@@ -29,6 +30,8 @@ import (
 //
 // Mutations persist to the keys file atomically, so an admin-created key
 // survives a restart and a SIGHUP reload never resurrects a revoked one.
+// A mutation takes effect only once the file is written: a failed write
+// answers 500 internal and changes nothing.
 // Errors speak the same envelope as the v1 API.
 
 // adminPlane is the admin API over one tenant registry.
@@ -80,23 +83,30 @@ func (a *adminPlane) authorized(r *http.Request) bool {
 	return subtle.ConstantTimeCompare(got[:], a.digest[:]) == 1
 }
 
-// adminKey is one key's externally visible config: the tenant snapshot
-// (limits + usage) without the secret, which is shown exactly once, at
-// creation.
-type adminKey struct {
-	tenant.Snapshot
-}
-
+// handleKeyList reports each key's tenant snapshot (limits + usage). A
+// snapshot carries no secret: that is shown exactly once, at creation.
 func (a *adminPlane) handleKeyList(w http.ResponseWriter, r *http.Request) {
-	keys := []adminKey{}
+	keys := []tenant.Snapshot{}
 	for _, s := range a.reg.Snapshots() {
 		if s.Keyed {
-			keys = append(keys, adminKey{s})
+			keys = append(keys, s)
 		}
 	}
 	writeJSON(w, http.StatusOK, struct {
-		Keys []adminKey `json:"keys"`
+		Keys []tenant.Snapshot `json:"keys"`
 	}{keys})
+}
+
+// writeMutationError answers a refused admin mutation: an unwritten keys
+// file is the server's fault (500, detail in the log), anything else the
+// caller's (status and code).
+func (a *adminPlane) writeMutationError(w http.ResponseWriter, r *http.Request, err error, status int, code string) {
+	if errors.Is(err, tenant.ErrNotPersisted) {
+		a.log.Error("admin mutation not applied", "err", err)
+		writeError(w, r, http.StatusInternalServerError, codeInternal, "keys file not written; nothing changed")
+		return
+	}
+	writeError(w, r, status, code, err.Error())
 }
 
 func (a *adminPlane) handleKeyCreate(w http.ResponseWriter, r *http.Request) {
@@ -107,7 +117,7 @@ func (a *adminPlane) handleKeyCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	created, err := a.reg.CreateKey(cfg)
 	if err != nil {
-		writeError(w, r, http.StatusBadRequest, codeBadRequest, err.Error())
+		a.writeMutationError(w, r, err, http.StatusBadRequest, codeBadRequest)
 		return
 	}
 	a.log.Info("admin created key", "tenant", created.ID)
@@ -119,7 +129,7 @@ func (a *adminPlane) handleKeyCreate(w http.ResponseWriter, r *http.Request) {
 func (a *adminPlane) handleKeyRevoke(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if err := a.reg.RevokeKey(id); err != nil {
-		writeError(w, r, http.StatusNotFound, codeNotFound, err.Error())
+		a.writeMutationError(w, r, err, http.StatusNotFound, codeNotFound)
 		return
 	}
 	a.log.Info("admin revoked key", "tenant", id)
@@ -134,7 +144,7 @@ func (a *adminPlane) handleKeyLimits(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := a.reg.SetKeyLimits(id, l); err != nil {
-		writeError(w, r, http.StatusNotFound, codeNotFound, err.Error())
+		a.writeMutationError(w, r, err, http.StatusNotFound, codeNotFound)
 		return
 	}
 	a.log.Info("admin set limits", "tenant", id)

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -127,6 +129,40 @@ func TestAdminPlane(t *testing.T) {
 	}
 	if resp, _ := doJSON(t, admin, http.MethodDelete, "/admin/v1/keys/ghost", nil, adminAuth("boot-token")); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("revoke unknown = %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestAdminUnwrittenKeysFileIs500: when the keys file cannot be written,
+// create, limits and revoke each answer 500 internal and the key list is
+// what it was — the server failed, and nothing changed.
+func TestAdminUnwrittenKeysFileIs500(t *testing.T) {
+	path := writeKeysFile(t, tenant.KeyConfig{ID: "alice", Secret: "alice-key"})
+	reg, err := tenant.Open(path, quietLog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	admin := httptest.NewServer(serve.AdminHandler(reg, "boot-token", quietLog))
+	defer admin.Close()
+	auth := adminAuth("boot-token")
+	_, before := doJSON(t, admin, http.MethodGet, "/admin/v1/keys", nil, auth)
+	if err := os.RemoveAll(filepath.Dir(path)); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []struct {
+		method, path string
+		body         any
+	}{
+		{http.MethodPost, "/admin/v1/keys", tenant.KeyConfig{ID: "mallory"}},
+		{http.MethodPut, "/admin/v1/keys/alice/limits", tenant.Limits{RatePerSec: 1}},
+		{http.MethodDelete, "/admin/v1/keys/alice", nil},
+	} {
+		resp, body := doJSON(t, admin, m.method, m.path, m.body, auth)
+		if resp.StatusCode != http.StatusInternalServerError || errCode(t, resp, body) != "internal" {
+			t.Errorf("%s %s = %d %s, want 500 internal", m.method, m.path, resp.StatusCode, body)
+		}
+	}
+	if _, after := doJSON(t, admin, http.MethodGet, "/admin/v1/keys", nil, auth); string(after) != string(before) {
+		t.Errorf("failed mutations changed the key list\nbefore: %s\nafter:  %s", before, after)
 	}
 }
 

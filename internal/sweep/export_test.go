@@ -8,3 +8,7 @@ func SetBudgetForTest(n int) (restore func()) {
 	budget = make(chan struct{}, n)
 	return func() { budget = old }
 }
+
+// IdleCores reports how many cores e's free list holds, and the most it
+// may hold: one per slot of the compute budget.
+func (e *Engine) IdleCores() (n, bound int) { return len(e.cores), cap(budget) }

@@ -10,10 +10,10 @@
 //   - a bounded worker pool (Each) hands jobs to GOMAXPROCS workers by
 //     index, so results land in registry order no matter which worker
 //     finishes first;
-//   - a per-configuration free list of uarch.Core instances, one per slot
-//     of the compute budget, recycled with (*Core).Reset, so workers reuse
-//     ~1.6 MB of simulated cache/TLB/predictor state instead of
-//     reallocating it per workload;
+//   - one free list of uarch.Core instances per engine, as long as the
+//     compute budget, recycled with (*Core).Reset into whatever config the
+//     next job runs at, so workers reuse ~1.6 MB of simulated
+//     cache/TLB/predictor state instead of reallocating it per workload;
 //   - a memo table keyed by (workload name, profile, config fingerprint,
 //     trace length), so repeated figure and table renders share one sweep
 //     instead of re-simulating. It retains the memo.MaxRetained most
@@ -116,12 +116,16 @@ type MemoBackend interface {
 }
 
 // Engine runs characterization sweeps. It is safe for concurrent use; the
-// memo table and core pools are shared across runs, so a long-lived engine
-// amortises both simulation and allocation across every figure render.
+// memo table and the core free list are shared across runs, so a
+// long-lived engine amortises both simulation and allocation across every
+// figure render. The free list holds idle cores of any config (simulate
+// Resets each to its job's) and is as long as the compute budget, which
+// every core in use holds a slot of: it keeps every core a pass needs,
+// however many configs the engine runs, and a GC does not empty it.
 type Engine struct {
 	mu      sync.Mutex
 	memo    *memo.Memo[Key, *uarch.Counters] // retaining, bounded: the most recently used results
-	pools   map[uint64]coreFreeList          // idle cores keyed by config fingerprint
+	cores   chan *uarch.Core                 // idle cores, at most cap(budget)
 	backend MemoBackend
 }
 
@@ -156,7 +160,7 @@ func Release() { <-budget }
 func NewEngine() *Engine {
 	e := &Engine{
 		memo:  memo.New[Key, *uarch.Counters](),
-		pools: make(map[uint64]coreFreeList),
+		cores: make(chan *uarch.Core, cap(budget)),
 	}
 	e.memo.SetName("sweep")
 	return e
@@ -169,25 +173,6 @@ func (e *Engine) SetMemoBackend(b MemoBackend) {
 	e.mu.Lock()
 	e.backend = b
 	e.mu.Unlock()
-}
-
-// coreFreeList holds idle cores of one configuration. Every core in use
-// belongs to a simulation holding a slot of the compute budget, so a list
-// as long as the budget keeps every core a pass ever needs; unlike a
-// sync.Pool, a garbage collection does not empty it.
-type coreFreeList chan *uarch.Core
-
-// pool returns the core free list for the given config fingerprint. Pooled
-// cores always carry the fingerprint's geometry, so Reset never rebuilds.
-func (e *Engine) pool(fp uint64) coreFreeList {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	p, ok := e.pools[fp]
-	if !ok {
-		p = make(coreFreeList, cap(budget))
-		e.pools[fp] = p
-	}
-	return p
 }
 
 // Run characterizes every job under cfg, capping each trace at maxInstrs
@@ -204,12 +189,11 @@ func (e *Engine) Run(ctx context.Context, jobs []Job, cfg uarch.Config, maxInstr
 	out := make([]*uarch.Counters, len(jobs))
 	errs := make([]error, len(jobs))
 	fp := cfg.Fingerprint()
-	pool := e.pool(fp)
 	err := Each(ctx, opt.workers(), len(jobs), func(i int) {
 		if opt.NoMemo {
-			out[i], errs[i] = e.simulate(ctx, jobs[i], cfg, maxInstrs, pool)
+			out[i], errs[i] = e.simulate(ctx, jobs[i], cfg, maxInstrs)
 		} else {
-			out[i], errs[i] = e.memoized(ctx, jobs[i], cfg, fp, maxInstrs, pool)
+			out[i], errs[i] = e.memoized(ctx, jobs[i], cfg, fp, maxInstrs)
 		}
 	})
 	if err != nil {
@@ -251,7 +235,7 @@ func (e *Engine) Join(ctx context.Context, key Key) (*uarch.Counters, error, boo
 // only when the last of them has gone — at which point simulate's reader
 // wrapper stops the core between batches and the partial result is
 // discarded, never cached and never written through.
-func (e *Engine) memoized(ctx context.Context, job Job, cfg uarch.Config, fp uint64, maxInstrs int64, pool coreFreeList) (*uarch.Counters, error) {
+func (e *Engine) memoized(ctx context.Context, job Job, cfg uarch.Config, fp uint64, maxInstrs int64) (*uarch.Counters, error) {
 	key := Key{Name: job.Name, Profile: job.Profile, ConfigFP: fp, MaxInstrs: maxInstrs}
 	e.mu.Lock()
 	backend := e.backend
@@ -265,7 +249,7 @@ func (e *Engine) memoized(ctx context.Context, job Job, cfg uarch.Config, fp uin
 				return c, nil
 			}
 		}
-		c, err := e.simulate(ctx, job, cfg, maxInstrs, pool)
+		c, err := e.simulate(ctx, job, cfg, maxInstrs)
 		if backend != nil && err == nil {
 			sp := obs.Start(ctx, "backend.store", "workload", job.Name)
 			backend.Store(ctx, key, c)
@@ -275,20 +259,20 @@ func (e *Engine) memoized(ctx context.Context, job Job, cfg uarch.Config, fp uin
 	})
 }
 
-// simulate runs one job through a core drawn from pool (or a fresh core
-// when the pool is empty), returning a private copy of the counter file so the
-// core can be recycled immediately. The instruction stream is always
-// generated live, by a coroutine on this goroutine. Panics come back as
-// errors: a generator panic arrives wrapped in memtrace.TracePanic after the
-// generator has unwound, while a core-model panic leaves it suspended
-// mid-trace. A cancelled context stops the core between read batches (the
+// simulate runs one job through a core drawn from the engine's free list
+// and Reset to cfg (or a fresh core when the list is empty), returning a
+// private copy of the counter file so the core can be recycled
+// immediately. The instruction stream is always generated live, by a
+// coroutine on this goroutine. Panics come back as errors: a generator
+// panic arrives wrapped in memtrace.TracePanic after the generator has
+// unwound, while a core-model panic leaves it suspended mid-trace. A cancelled context stops the core between read batches (the
 // trace is truncated to an EOF), the partial counters are discarded, and
 // ctx.Err() is returned. Whatever the outcome the reader is closed, which
 // unwinds a generator given up mid-trace before simulate returns. It holds
 // a slot of the compute budget from before the reader starts until it
 // returns; a context cancelled while it waits for the slot returns
 // ctx.Err() before anything has run.
-func (e *Engine) simulate(ctx context.Context, job Job, cfg uarch.Config, maxInstrs int64, pool coreFreeList) (counters *uarch.Counters, err error) {
+func (e *Engine) simulate(ctx context.Context, job Job, cfg uarch.Config, maxInstrs int64) (counters *uarch.Counters, err error) {
 	p := job.Profile
 	if maxInstrs > 0 {
 		p.MaxInstrs = maxInstrs
@@ -308,8 +292,8 @@ func (e *Engine) simulate(ctx context.Context, job Job, cfg uarch.Config, maxIns
 		if rec == nil {
 			return
 		}
-		// Either way the core is abandoned rather than repooled: it may
-		// hold partial state, and Reset on next Get would not run.
+		// Either way the core is dropped rather than put back on the free
+		// list: the panic may have left it mid-step.
 		if tp, ok := rec.(memtrace.TracePanic); ok {
 			err = fmt.Errorf("trace generation panicked: %v", tp.Val)
 			return
@@ -323,7 +307,7 @@ func (e *Engine) simulate(ctx context.Context, job Job, cfg uarch.Config, maxIns
 	cr := &cancelReader{ctx: ctx, r: r}
 	var c *uarch.Core
 	select {
-	case c = <-pool:
+	case c = <-e.cores:
 		c.Reset(cfg)
 	default:
 		c = uarch.NewCore(cfg)
@@ -336,7 +320,7 @@ func (e *Engine) simulate(ctx context.Context, job Job, cfg uarch.Config, maxIns
 		return nil, ctx.Err()
 	}
 	select {
-	case pool <- c: // a full list drops the core
+	case e.cores <- c: // a full list drops the core
 	default:
 	}
 	return &snap, nil

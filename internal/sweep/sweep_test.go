@@ -13,6 +13,7 @@ import (
 	"dcbench/internal/memtrace"
 	"dcbench/internal/sweep"
 	"dcbench/internal/uarch"
+	"dcbench/internal/uarch/bpred"
 )
 
 // testJobs builds small synthetic workloads with distinct profiles.
@@ -63,6 +64,60 @@ func TestParallelMatchesSerial(t *testing.T) {
 		if !reflect.DeepEqual(serial[i], parallel[i]) {
 			t.Errorf("%s: parallel counters diverge from serial\nserial:   %+v\nparallel: %+v",
 				jobs[i].Name, serial[i], parallel[i])
+		}
+	}
+}
+
+// TestIdleCoresBounded: an engine keeps one free list whatever configs it
+// runs, so runs at 64 warmups (a field /v1/jobs takes from the client)
+// leave at most one idle core per budget slot, not one per warmup.
+func TestIdleCoresBounded(t *testing.T) {
+	e := sweep.NewEngine()
+	jobs := testJobs(1)
+	cfg := uarch.DefaultConfig()
+	for w := int64(1); w <= 64; w++ {
+		cfg.Warmup = w
+		if _, err := e.Run(context.Background(), jobs, cfg, 2_000, sweep.RunOptions{Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, bound := e.IdleCores(); n > bound {
+		t.Errorf("engine holds %d idle cores after 64 warmups; the bound is %d", n, bound)
+	}
+}
+
+// TestSharedCoresAcrossConfigs alternates two warmups and two predictor
+// kinds through one engine, so most runs draw a core last used at another
+// config; every result must equal a fresh engine's at its own config.
+func TestSharedCoresAcrossConfigs(t *testing.T) {
+	jobs := testJobs(3)
+	var cfgs []uarch.Config
+	for _, w := range []int64{5_000, 15_000} {
+		for _, kind := range []bpred.Kind{bpred.KindTournament, bpred.KindBimodal} {
+			cfg := uarch.DefaultConfig()
+			cfg.Warmup, cfg.Predictor = w, kind
+			cfgs = append(cfgs, cfg)
+		}
+	}
+	opt := sweep.RunOptions{Workers: 2, NoMemo: true}
+	want := make([][]*uarch.Counters, len(cfgs))
+	for i, cfg := range cfgs {
+		var err error
+		if want[i], err = sweep.NewEngine().Run(context.Background(), jobs, cfg, 0, opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e := sweep.NewEngine()
+	for round := 0; round < 2; round++ {
+		for i, cfg := range cfgs {
+			got, err := e.Run(context.Background(), jobs, cfg, 0, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want[i]) {
+				t.Errorf("round %d, warmup %d, predictor %v: shared-core counters diverge from a fresh engine's",
+					round, cfg.Warmup, cfg.Predictor)
+			}
 		}
 	}
 }

@@ -379,10 +379,10 @@ func (r *Registry) CreateKey(cfg KeyConfig) (KeyConfig, error) {
 	if t, ok := r.tenants[cfg.ID]; ok && t.isKeyed() {
 		return KeyConfig{}, fmt.Errorf("tenant %q already has a key", cfg.ID)
 	}
-	r.installLocked(cfg)
-	if err := r.persistLocked(); err != nil {
+	if err := r.persistLocked(cfg); err != nil {
 		return KeyConfig{}, err
 	}
+	r.installLocked(cfg)
 	return cfg, nil
 }
 
@@ -391,40 +391,68 @@ func (r *Registry) CreateKey(cfg KeyConfig) (KeyConfig, error) {
 func (r *Registry) RevokeKey(id string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	t, ok := r.tenants[id]
-	if !ok || !t.isKeyed() {
-		return fmt.Errorf("no key for tenant %q", id)
+	_, cfg, err := r.keyedLocked(id)
+	if err != nil {
+		return err
 	}
-	t.mu.Lock()
-	t.disabled = true
-	t.mu.Unlock()
-	return r.persistLocked()
+	cfg.Disabled = true
+	if err := r.persistLocked(cfg); err != nil {
+		return err
+	}
+	r.installLocked(cfg)
+	return nil
 }
 
 // SetKeyLimits replaces a keyed tenant's limits and persists.
 func (r *Registry) SetKeyLimits(id string, l Limits) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	t, ok := r.tenants[id]
-	if !ok || !t.isKeyed() {
-		return fmt.Errorf("no key for tenant %q", id)
+	t, cfg, err := r.keyedLocked(id)
+	if err != nil {
+		return err
+	}
+	cfg.Limits = l
+	if err := r.persistLocked(cfg); err != nil {
+		return err
 	}
 	t.setLimits(l)
-	return r.persistLocked()
+	return nil
 }
 
-// persistLocked rewrites the keys file from the keyed tenants, atomically
-// and durably (temp file + fsync + rename + directory fsync, the store's
-// own durability idiom — a rename alone survives a crash of the process
-// but not necessarily of the machine), and adopts the new mtime so the
-// poll loop does not immediately re-read our own write.
-func (r *Registry) persistLocked() error {
+// keyedLocked returns the tenant holding id's key and its keys-file entry.
+func (r *Registry) keyedLocked(id string) (*Tenant, KeyConfig, error) {
+	if t, ok := r.tenants[id]; ok {
+		if cfg, ok := t.keyConfig(); ok {
+			return t, cfg, nil
+		}
+	}
+	return nil, KeyConfig{}, fmt.Errorf("no key for tenant %q", id)
+}
+
+// ErrNotPersisted wraps every failure to write the keys file. An admin
+// mutation that returns it has changed nothing: the registry applies a
+// change only once the file holding it is in place.
+var ErrNotPersisted = errors.New("keys file not written")
+
+// persistLocked rewrites the keys file from the keyed tenants with change
+// in place of (or added to) its id's entry, atomically and durably (temp
+// file + fsync + rename + directory fsync, the store's own durability
+// idiom — a rename alone survives a crash of the process but not
+// necessarily of the machine), and adopts the new mtime so the poll loop
+// does not immediately re-read our own write. It leaves the tenants as
+// they are: the caller applies change once the write has succeeded.
+func (r *Registry) persistLocked(change KeyConfig) (err error) {
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("%w: %w", ErrNotPersisted, err)
+		}
+	}()
 	if r.path == "" {
 		return errors.New("no keys file configured (-keys-file)")
 	}
-	var kf keysFile
+	kf := keysFile{Keys: []KeyConfig{change}}
 	for _, id := range r.order {
-		if cfg, ok := r.tenants[id].keyConfig(); ok {
+		if cfg, ok := r.tenants[id].keyConfig(); ok && id != change.ID {
 			kf.Keys = append(kf.Keys, cfg)
 		}
 	}

@@ -3,10 +3,12 @@ package tenant
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"log/slog"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -396,6 +398,48 @@ func TestCreateRevokeAndPersist(t *testing.T) {
 	bob, ok := reg2.Lookup("bob")
 	if !ok || !bob.Snapshot().Disabled {
 		t.Fatal("persisted revocation lost")
+	}
+}
+
+// TestFailedPersistChangesNothing: with the keys file's directory gone, no
+// admin mutation can be written, so each must fail with ErrNotPersisted and
+// leave the registry exactly as it was — a change reported as failed must
+// not be live until the next restart.
+func TestFailedPersistChangesNothing(t *testing.T) {
+	dir := t.TempDir()
+	path := writeKeys(t, dir, KeyConfig{ID: "alice", Secret: "s1", Limits: Limits{RatePerSec: 50}})
+	reg, err := Open(path, quietLog())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	before := reg.Snapshots()
+	authenticates := func(secret string) bool {
+		req := httptest.NewRequest("GET", "/", nil)
+		req.Header.Set("Authorization", "Bearer "+secret)
+		_, err := reg.Authenticate(req)
+		return err == nil
+	}
+
+	if _, err := reg.CreateKey(KeyConfig{ID: "mallory", Secret: "m"}); !errors.Is(err, ErrNotPersisted) {
+		t.Errorf("CreateKey: got %v, want ErrNotPersisted", err)
+	}
+	if authenticates("m") {
+		t.Error("a create that failed to persist authenticates its key")
+	}
+	if err := reg.SetKeyLimits("alice", Limits{RatePerSec: 1}); !errors.Is(err, ErrNotPersisted) {
+		t.Errorf("SetKeyLimits: got %v, want ErrNotPersisted", err)
+	}
+	if err := reg.RevokeKey("alice"); !errors.Is(err, ErrNotPersisted) {
+		t.Errorf("RevokeKey: got %v, want ErrNotPersisted", err)
+	}
+	if !authenticates("s1") {
+		t.Error("a revoke that failed to persist revoked the key")
+	}
+	if after := reg.Snapshots(); !reflect.DeepEqual(after, before) {
+		t.Errorf("failed mutations changed the registry\nbefore: %+v\nafter:  %+v", before, after)
 	}
 }
 

@@ -80,8 +80,8 @@ type Config struct {
 const ModelVersion = 1
 
 // Fingerprint hashes every simulation-relevant Config field (plus the
-// package ModelVersion) into a stable 64-bit key, so sweep caches and core
-// pools can recognise equivalent configurations: equal fingerprints
+// package ModelVersion) into a stable 64-bit key, so sweep memos and
+// result stores can recognise equivalent configurations: equal fingerprints
 // produce identical simulations for identical traces. New Config fields
 // must be folded in here. The predictor kind is one trailing byte, hashed
 // only when it is not the default, so the default machine's fingerprint
@@ -292,27 +292,8 @@ const depRing = 64
 
 // NewCore builds a core from cfg.
 func NewCore(cfg Config) *Core {
-	c := &Core{
-		cfg:  cfg,
-		l1i:  cache.New("L1I", cfg.L1ISize, cfg.L1IWays, 64),
-		l1d:  cache.New("L1D", cfg.L1DSize, cfg.L1DWays, 64),
-		l2:   cache.New("L2", cfg.L2Size, cfg.L2Ways, 64),
-		l3:   cache.New("L3", cfg.L3Size, cfg.L3Ways, 64),
-		pred: bpred.NewTournament(14),
-		btb:  bpred.NewBTB(cfg.BTBBits),
-	}
-	l2tlb := mmu.NewTLB(cfg.L2TLBEntries, cfg.TLBWays)
-	c.itlb = mmu.Hierarchy{L1: mmu.NewTLB(cfg.ITLBEntries, cfg.TLBWays), L2: l2tlb,
-		WalkLatency: cfg.WalkLat, L2Latency: cfg.TLBL2Lat}
-	c.dtlb = mmu.Hierarchy{L1: mmu.NewTLB(cfg.DTLBEntries, cfg.TLBWays), L2: l2tlb,
-		WalkLatency: cfg.WalkLat, L2Latency: cfg.TLBL2Lat}
-	c.commitRing = make([]int64, cfg.ROB)
-	c.issueRing = make([]int64, cfg.RS)
-	c.loadRing = make([]int64, cfg.LQ)
-	c.storeRing = make([]int64, cfg.SQ)
-	c.mshrRing = make([]int64, cfg.MSHRs)
-	c.issueWin = make([]int64, cfg.IssueWidth)
-	c.pred.Kind = cfg.Predictor
+	c := new(Core)
+	c.Reset(cfg)
 	return c
 }
 
@@ -331,52 +312,58 @@ func (c *Core) sameGeometry(cfg Config) bool {
 		cfg.BTBBits == o.BTBBits
 }
 
-// Reset returns the core to the state NewCore(cfg) would produce, reusing
+// Reset returns the core to a fresh core's state under cfg, reusing
 // the existing cache, TLB, predictor and ring allocations whenever the
 // geometry is unchanged — the default machine carries 1.6 MB of simulated
-// tag state (the L3's 196 608 tags of 8 bytes are 1.5 MB of it), so pooled
-// cores clear it in place instead of reallocating it. A geometry change
-// falls back to a full rebuild. The predictor is cleared and takes
-// cfg.Predictor's kind. Runs on a reset core are bit-identical to runs on
-// a fresh core; reset_test pins that down.
+// tag state (the L3's 196 608 tags of 8 bytes are 1.5 MB of it), so a
+// recycled core clears it in place instead of reallocating it. A geometry
+// change (or a zero Core) allocates afresh. The core is then rebuilt as one
+// struct value that keeps only those allocations: every other field is
+// zero by construction, and cfg's warmup, predictor kind and latencies take
+// effect. Runs on a reset core are bit-identical to runs on a fresh core;
+// reset_test pins that down.
 func (c *Core) Reset(cfg Config) {
-	if !c.sameGeometry(cfg) {
-		fresh := NewCore(cfg)
-		fresh.runBuf = c.runBuf
-		*c = *fresh
-		return
+	if c.l1i != nil && c.sameGeometry(cfg) {
+		c.l1i.Reset()
+		c.l1d.Reset()
+		c.l2.Reset()
+		c.l3.Reset()
+		c.itlb.L1.Reset()
+		c.dtlb.L1.Reset()
+		c.itlb.L2.Reset() // shared by both hierarchies: reset exactly once
+		c.pred.Reset()
+		c.btb.Reset()
+		clear(c.commitRing)
+		clear(c.issueRing)
+		clear(c.loadRing)
+		clear(c.storeRing)
+		clear(c.mshrRing)
+		clear(c.issueWin)
+	} else {
+		c.l1i = cache.New("L1I", cfg.L1ISize, cfg.L1IWays, 64)
+		c.l1d = cache.New("L1D", cfg.L1DSize, cfg.L1DWays, 64)
+		c.l2 = cache.New("L2", cfg.L2Size, cfg.L2Ways, 64)
+		c.l3 = cache.New("L3", cfg.L3Size, cfg.L3Ways, 64)
+		c.itlb.L1 = mmu.NewTLB(cfg.ITLBEntries, cfg.TLBWays)
+		c.dtlb.L1 = mmu.NewTLB(cfg.DTLBEntries, cfg.TLBWays)
+		c.itlb.L2 = mmu.NewTLB(cfg.L2TLBEntries, cfg.TLBWays)
+		c.pred = bpred.NewTournament(14)
+		c.btb = bpred.NewBTB(cfg.BTBBits)
+		c.commitRing = make([]int64, cfg.ROB)
+		c.issueRing = make([]int64, cfg.RS)
+		c.loadRing = make([]int64, cfg.LQ)
+		c.storeRing = make([]int64, cfg.SQ)
+		c.mshrRing = make([]int64, cfg.MSHRs)
+		c.issueWin = make([]int64, cfg.IssueWidth)
 	}
-	c.cfg = cfg
-	c.pred.Reset()
 	c.pred.Kind = cfg.Predictor
-	c.l1i.Reset()
-	c.l1d.Reset()
-	c.l2.Reset()
-	c.l3.Reset()
-	c.itlb.Reset()
-	c.dtlb.Reset()
-	c.itlb.L2.Reset() // shared by both hierarchies: reset exactly once
-	c.itlb.WalkLatency, c.itlb.L2Latency = cfg.WalkLat, cfg.TLBL2Lat
-	c.dtlb.WalkLatency, c.dtlb.L2Latency = cfg.WalkLat, cfg.TLBL2Lat
-	c.btb.Reset()
-	c.C = Counters{}
-	clear(c.completeRing[:])
-	clear(c.commitRing)
-	clear(c.issueRing)
-	clear(c.loadRing)
-	clear(c.storeRing)
-	clear(c.mshrRing)
-	clear(c.issueWin)
-	c.idx = 0
-	c.robCur, c.rsCur, c.winCur = 0, 0, 0
-	c.lqCur, c.sqCur, c.mshrCur = 0, 0, 0
-	c.lastStoreDrain = 0
-	c.frontCycle, c.frontCount = 0, 0
-	c.renameTime, c.renameCnt, c.renameSrc = 0, 0, 0
-	c.grpN, c.grpSrc = 0, 0
-	c.commitPrev, c.commitCnt = 0, 0
-	c.lastFetchLine, c.lastIMissLine = 0, 0
-	c.memFree = 0
+	*c = Core{
+		cfg: cfg, l1i: c.l1i, l1d: c.l1d, l2: c.l2, l3: c.l3, pred: c.pred, btb: c.btb,
+		itlb:       mmu.Hierarchy{L1: c.itlb.L1, L2: c.itlb.L2, WalkLatency: cfg.WalkLat, L2Latency: cfg.TLBL2Lat},
+		dtlb:       mmu.Hierarchy{L1: c.dtlb.L1, L2: c.itlb.L2, WalkLatency: cfg.WalkLat, L2Latency: cfg.TLBL2Lat},
+		commitRing: c.commitRing, issueRing: c.issueRing, loadRing: c.loadRing,
+		storeRing: c.storeRing, mshrRing: c.mshrRing, issueWin: c.issueWin, runBuf: c.runBuf,
+	}
 }
 
 // dataAccess walks the D-side hierarchy at the given start cycle, returning

@@ -86,14 +86,6 @@ type Hierarchy struct {
 	Walks int64
 }
 
-// Reset clears the private L1 TLB and the walk counter. The shared L2 is
-// left alone: it may be aliased by the sibling hierarchy, so the owner of
-// both hierarchies resets it exactly once.
-func (h *Hierarchy) Reset() {
-	h.L1.Reset()
-	h.Walks = 0
-}
-
 // Translate looks up addr, returning the added latency in cycles (0 on an
 // L1 hit) and whether a full page walk occurred.
 func (h *Hierarchy) Translate(addr uint64) (latency int, walked bool) {

@@ -38,24 +38,52 @@ func runFresh(cfg Config, seed uint64) Counters {
 	return *NewCore(cfg).Run(memtrace.NewReader(p, gen))
 }
 
-// TestResetLeavesNoState is the pooled-core contract: running trace B, then
-// Reset, then trace A must give exactly the counters of trace A on a fresh
-// core — no cache lines, TLB entries, predictor history or pipeline state
-// may survive Reset.
+// TestResetLeavesNoState is the recycled-core contract: running trace B at
+// one config, then Reset to a config of the same geometry, then trace A must
+// give exactly the counters of trace A on a fresh core of the second config
+// — no cache lines, TLB entries, predictor history, pipeline state or
+// config value may survive Reset. A sweep engine's one free list serves
+// every config, so a Reset across configs is the normal path.
 func TestResetLeavesNoState(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Warmup = 20_000
-	want := runFresh(cfg, 11)
-
-	c := NewCore(cfg)
-	pDirty, genDirty := resetTrace(99) // different seed: different trace
-	c.Run(memtrace.NewReader(pDirty, genDirty))
-	c.Reset(cfg)
-	p, gen := resetTrace(11)
-	got := *c.Run(memtrace.NewReader(p, gen))
-
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("reset core diverges from fresh core\nfresh: %+v\nreset: %+v", want, got)
+	base := DefaultConfig()
+	base.Warmup = 20_000
+	with := func(f func(*Config)) Config {
+		cfg := base
+		f(&cfg)
+		return cfg
+	}
+	bimodal := with(func(c *Config) { c.Predictor = bpred.KindBimodal })
+	static := with(func(c *Config) { c.Predictor = bpred.KindStatic })
+	cases := []struct {
+		name         string
+		dirty, reuse Config
+	}{
+		{"same config", base, base},
+		{"warmup", base, with(func(c *Config) { c.Warmup = 5_000 })},
+		{"warmup from zero", with(func(c *Config) { c.Warmup = 0 }), base},
+		{"tournament to bimodal", base, bimodal},
+		{"bimodal to static", bimodal, static},
+		{"static to tournament", static, base},
+		{"MemLat", base, with(func(c *Config) { c.MemLat = 250 })},
+		{"WalkLat", base, with(func(c *Config) { c.WalkLat = 40 })},
+		{"TLBL2Lat", with(func(c *Config) { c.TLBL2Lat = 20 }), base},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			want := runFresh(tc.reuse, 11)
+			if tc.dirty != tc.reuse && reflect.DeepEqual(runFresh(tc.dirty, 11), want) {
+				t.Fatal("the config change does not show in the counters; the case proves nothing")
+			}
+			c := NewCore(tc.dirty)
+			pDirty, genDirty := resetTrace(99) // different seed: different trace
+			c.Run(memtrace.NewReader(pDirty, genDirty))
+			c.Reset(tc.reuse)
+			p, gen := resetTrace(11)
+			got := *c.Run(memtrace.NewReader(p, gen))
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("reset core diverges from fresh core\nfresh: %+v\nreset: %+v", want, got)
+			}
+		})
 	}
 }
 
@@ -94,27 +122,5 @@ func TestResetRepeatedReuse(t *testing.T) {
 		if !reflect.DeepEqual(got, first) {
 			t.Fatalf("reuse %d diverges from first run\nfirst: %+v\ngot:   %+v", i, first, got)
 		}
-	}
-}
-
-// TestResetExplicitPredictor: Reset to a non-default predictor kind must
-// clear the tournament's learned state and switch its kind.
-func TestResetExplicitPredictor(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Predictor = bpred.KindBimodal
-	want := runFresh(cfg, 13)
-
-	dirty := DefaultConfig() // default tournament
-	c := NewCore(dirty)
-	pDirty, genDirty := resetTrace(21)
-	c.Run(memtrace.NewReader(pDirty, genDirty))
-
-	reuse := DefaultConfig()
-	reuse.Predictor = bpred.KindBimodal
-	c.Reset(reuse)
-	p, gen := resetTrace(13)
-	got := *c.Run(memtrace.NewReader(p, gen))
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("bimodal-kind reset diverges from fresh core\nfresh: %+v\nreset: %+v", want, got)
 	}
 }

@@ -46,7 +46,7 @@ func sortWorkload() *Workload {
 				Name:      "sort",
 				Input:     input,
 				InputFile: file,
-				Mapper: mapreduce.MapperFunc(func(kv mapreduce.KV, emit mapreduce.Emit) {
+				Mapper: mapreduce.Mapper(func(kv mapreduce.KV, emit mapreduce.Emit) {
 					emit(kv.Key, kv.Value)
 				}),
 				NumReducers: env.reducers(),
@@ -107,7 +107,7 @@ func wordCountWorkload() *Workload {
 				}
 				return recs
 			})
-			sum := mapreduce.ReducerFunc(func(key string, values []string, emit mapreduce.Emit) {
+			sum := mapreduce.Reducer(func(key string, values []string, emit mapreduce.Emit) {
 				total := 0
 				for _, v := range values {
 					n, _ := strconv.Atoi(v)
@@ -118,7 +118,7 @@ func wordCountWorkload() *Workload {
 			job := &mapreduce.Job{
 				Name:  "wordcount",
 				Input: input, InputFile: file,
-				Mapper: mapreduce.MapperFunc(func(kv mapreduce.KV, emit mapreduce.Emit) {
+				Mapper: mapreduce.Mapper(func(kv mapreduce.KV, emit mapreduce.Emit) {
 					for _, w := range strings.Fields(kv.Value) {
 						emit(w, "1")
 					}
@@ -182,7 +182,7 @@ func grepWorkload() *Workload {
 				}
 				return recs
 			})
-			sum := mapreduce.ReducerFunc(func(key string, values []string, emit mapreduce.Emit) {
+			sum := mapreduce.Reducer(func(key string, values []string, emit mapreduce.Emit) {
 				total := 0
 				for _, v := range values {
 					n, _ := strconv.Atoi(v)
@@ -193,7 +193,7 @@ func grepWorkload() *Workload {
 			job := &mapreduce.Job{
 				Name:  "grep",
 				Input: input, InputFile: file,
-				Mapper: mapreduce.MapperFunc(func(kv mapreduce.KV, emit mapreduce.Emit) {
+				Mapper: mapreduce.Mapper(func(kv mapreduce.KV, emit mapreduce.Emit) {
 					n := 0
 					for _, w := range strings.Fields(kv.Value) {
 						if w == pattern {

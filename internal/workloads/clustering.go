@@ -118,7 +118,7 @@ func (s *centroidSums) emit(emit mapreduce.Emit) {
 
 // kmeansMapper adds each of its shard's points to its nearest centroid.
 func kmeansMapper(shard func(int) [][]float64, centroids [][]float64) mapreduce.Mapper {
-	return mapreduce.MapperFunc(func(kv mapreduce.KV, emit mapreduce.Emit) {
+	return mapreduce.Mapper(func(kv mapreduce.KV, emit mapreduce.Emit) {
 		split, _ := strconv.Atoi(kv.Key)
 		var s centroidSums
 		for _, p := range shard(split) {
@@ -134,7 +134,7 @@ func kmeansMapper(shard func(int) [][]float64, centroids [][]float64) mapreduce.
 
 // fuzzyKMeansMapper adds point i to every centroid c with weight u_ic^m.
 func fuzzyKMeansMapper(shard func(int) [][]float64, centroids [][]float64) mapreduce.Mapper {
-	return mapreduce.MapperFunc(func(kv mapreduce.KV, emit mapreduce.Emit) {
+	return mapreduce.Mapper(func(kv mapreduce.KV, emit mapreduce.Emit) {
 		split, _ := strconv.Atoi(kv.Key)
 		pts := shard(split)
 		_, memb, _ := analysis.FuzzyKMeansStep(pts, centroids, fuzzinessFactor)
@@ -220,7 +220,7 @@ var fuzzyKMeans = clustering{
 // component-wise sum, starting from zero and adding in value order. It is
 // both combiner and reducer of the clustering jobs; as combiner it sees one
 // already-summed record per key and re-emits it unchanged.
-var vecSumReducer = mapreduce.ReducerFunc(func(key string, values []string, emit mapreduce.Emit) {
+var vecSumReducer = mapreduce.Reducer(func(key string, values []string, emit mapreduce.Emit) {
 	var n float64
 	var sum []float64
 	for _, v := range values {

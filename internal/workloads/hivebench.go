@@ -85,7 +85,7 @@ func hiveBenchWorkload() *Workload {
 			q1 := &mapreduce.Job{
 				Name:  "hive-q1-grep-select",
 				Input: newGenInput(grepB, grepGen), InputFile: grepFile,
-				Mapper: mapreduce.MapperFunc(func(kv mapreduce.KV, emit mapreduce.Emit) {
+				Mapper: mapreduce.Mapper(func(kv mapreduce.KV, emit mapreduce.Emit) {
 					if strings.Contains(kv.Value, pattern) {
 						emit(kv.Key, kv.Value)
 					}
@@ -103,7 +103,7 @@ func hiveBenchWorkload() *Workload {
 			q2 := &mapreduce.Job{
 				Name:  "hive-q2-aggregation",
 				Input: newGenInput(visitB, visitGen), InputFile: visitFile,
-				Mapper: mapreduce.MapperFunc(func(kv mapreduce.KV, emit mapreduce.Emit) {
+				Mapper: mapreduce.Mapper(func(kv mapreduce.KV, emit mapreduce.Emit) {
 					_, rev := splitVisit(kv.Value)
 					emit(kv.Key, strconv.FormatFloat(rev, 'g', -1, 64))
 				}),
@@ -129,7 +129,7 @@ func hiveBenchWorkload() *Workload {
 			q3a := &mapreduce.Job{
 				Name:  "hive-q3a-join",
 				Input: joinInput,
-				Mapper: mapreduce.MapperFunc(func(kv mapreduce.KV, emit mapreduce.Emit) {
+				Mapper: mapreduce.Mapper(func(kv mapreduce.KV, emit mapreduce.Emit) {
 					if strings.HasPrefix(kv.Key, "url-") && !strings.Contains(kv.Value, ",") {
 						// Rankings row: key=url, value=pagerank.
 						emit(kv.Key, "R|"+kv.Value)
@@ -139,7 +139,7 @@ func hiveBenchWorkload() *Workload {
 						emit(url, "V|"+kv.Key+"|"+strconv.FormatFloat(rev, 'g', -1, 64))
 					}
 				}),
-				Reducer: mapreduce.ReducerFunc(func(url string, values []string, emit mapreduce.Emit) {
+				Reducer: mapreduce.Reducer(func(url string, values []string, emit mapreduce.Emit) {
 					rank := ""
 					for _, v := range values {
 						if strings.HasPrefix(v, "R|") {
@@ -169,8 +169,8 @@ func hiveBenchWorkload() *Workload {
 			q3b := &mapreduce.Job{
 				Name:   "hive-q3b-aggregate",
 				Input:  chainInput(q3aRes),
-				Mapper: mapreduce.MapperFunc(func(kv mapreduce.KV, emit mapreduce.Emit) { emit(kv.Key, kv.Value) }),
-				Reducer: mapreduce.ReducerFunc(func(ip string, values []string, emit mapreduce.Emit) {
+				Mapper: mapreduce.Mapper(func(kv mapreduce.KV, emit mapreduce.Emit) { emit(kv.Key, kv.Value) }),
+				Reducer: mapreduce.Reducer(func(ip string, values []string, emit mapreduce.Emit) {
 					var rankSum, revSum float64
 					for _, v := range values {
 						sep := strings.IndexByte(v, ',')

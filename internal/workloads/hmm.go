@@ -76,7 +76,7 @@ func hmmWorkload() *Workload {
 			trainJob := &mapreduce.Job{
 				Name:  "hmm-train",
 				Input: trainInput, InputFile: trainFile,
-				Mapper: mapreduce.MapperFunc(func(kv mapreduce.KV, emit mapreduce.Emit) {
+				Mapper: mapreduce.Mapper(func(kv mapreduce.KV, emit mapreduce.Emit) {
 					path := decodeInts(kv.Key)
 					obs := decodeInts(kv.Value)
 					emit("pi|"+strconv.Itoa(path[0]), "1")
@@ -137,7 +137,7 @@ func hmmWorkload() *Workload {
 			decodeJob := &mapreduce.Job{
 				Name:  "hmm-decode",
 				Input: decodeInput, InputFile: decodeFile,
-				Mapper: mapreduce.MapperFunc(func(kv mapreduce.KV, emit mapreduce.Emit) {
+				Mapper: mapreduce.Mapper(func(kv mapreduce.KV, emit mapreduce.Emit) {
 					truth := decodeInts(kv.Key)
 					obs := decodeInts(kv.Value)
 					path, _ := model.Viterbi(obs)

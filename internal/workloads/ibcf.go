@@ -61,7 +61,7 @@ func ibcfWorkload() *Workload {
 			normsJob := &mapreduce.Job{
 				Name:  "ibcf-norms",
 				Input: input, InputFile: file,
-				Mapper: mapreduce.MapperFunc(func(kv mapreduce.KV, emit mapreduce.Emit) {
+				Mapper: mapreduce.Mapper(func(kv mapreduce.KV, emit mapreduce.Emit) {
 					item, score := parseRating(kv.Value)
 					emit("n|"+strconv.Itoa(item), strconv.FormatFloat(score*score, 'g', -1, 64))
 				}),
@@ -79,10 +79,10 @@ func ibcfWorkload() *Workload {
 			pairsJob := &mapreduce.Job{
 				Name:  "ibcf-pairs",
 				Input: input, InputFile: file,
-				Mapper: mapreduce.MapperFunc(func(kv mapreduce.KV, emit mapreduce.Emit) {
+				Mapper: mapreduce.Mapper(func(kv mapreduce.KV, emit mapreduce.Emit) {
 					emit(kv.Key, kv.Value) // group ratings by user
 				}),
-				Reducer: mapreduce.ReducerFunc(func(user string, values []string, emit mapreduce.Emit) {
+				Reducer: mapreduce.Reducer(func(user string, values []string, emit mapreduce.Emit) {
 					type ir struct {
 						item  int
 						score float64
@@ -114,7 +114,7 @@ func ibcfWorkload() *Workload {
 			agg := &mapreduce.Job{
 				Name:        "ibcf-aggregate",
 				Input:       chainInput(pairsRes),
-				Mapper:      mapreduce.MapperFunc(func(kv mapreduce.KV, emit mapreduce.Emit) { emit(kv.Key, kv.Value) }),
+				Mapper:      mapreduce.Mapper(func(kv mapreduce.KV, emit mapreduce.Emit) { emit(kv.Key, kv.Value) }),
 				Combiner:    sumFloats,
 				Reducer:     sumFloats,
 				NumReducers: env.reducers(),

@@ -13,7 +13,7 @@ import (
 const bayesClasses = 5
 
 // sumFloats is a reducer summing float-encoded values.
-var sumFloats = mapreduce.ReducerFunc(func(key string, values []string, emit mapreduce.Emit) {
+var sumFloats = mapreduce.Reducer(func(key string, values []string, emit mapreduce.Emit) {
 	total := 0.0
 	for _, v := range values {
 		f, _ := strconv.ParseFloat(v, 64)
@@ -53,7 +53,7 @@ func naiveBayesWorkload() *Workload {
 			job := &mapreduce.Job{
 				Name:  "bayes-train",
 				Input: input, InputFile: file,
-				Mapper: mapreduce.MapperFunc(func(kv mapreduce.KV, emit mapreduce.Emit) {
+				Mapper: mapreduce.Mapper(func(kv mapreduce.KV, emit mapreduce.Emit) {
 					class := kv.Key
 					emit("doc|"+class, "1")
 					for _, w := range analysis.Tokenize(kv.Value) {
@@ -146,7 +146,7 @@ func svmShards(seed uint64, splits int) func(split int) (x [][]float64, y []int)
 // output format, so the job runs without a combiner: one would parse and
 // re-format every record to the same bytes.
 func svmMapper(shard func(int) ([][]float64, []int), gradKeys []string, w []float64, bias, lambda float64) mapreduce.Mapper {
-	return mapreduce.MapperFunc(func(kv mapreduce.KV, emit mapreduce.Emit) {
+	return mapreduce.Mapper(func(kv mapreduce.KV, emit mapreduce.Emit) {
 		split, _ := strconv.Atoi(kv.Key)
 		x, y := shard(split)
 		dw, violations := analysis.SubGradient(w, bias, lambda, x, y)

@@ -79,7 +79,7 @@ func pageRankWorkload() *Workload {
 				job := &mapreduce.Job{
 					Name:  fmt.Sprintf("pagerank-iter-%d", iter),
 					Input: makeInput(ranks),
-					Mapper: mapreduce.MapperFunc(func(kv mapreduce.KV, emit mapreduce.Emit) {
+					Mapper: mapreduce.Mapper(func(kv mapreduce.KV, emit mapreduce.Emit) {
 						sep := strings.IndexByte(kv.Value, '|')
 						rank, _ := strconv.ParseFloat(kv.Value[:sep], 64)
 						links := decodeInts(kv.Value[sep+1:])
@@ -89,7 +89,7 @@ func pageRankWorkload() *Workload {
 							emit(strconv.Itoa(t), "S|"+strconv.FormatFloat(share, 'g', -1, 64))
 						}
 					}),
-					Reducer: mapreduce.ReducerFunc(func(key string, values []string, emit mapreduce.Emit) {
+					Reducer: mapreduce.Reducer(func(key string, values []string, emit mapreduce.Emit) {
 						var links string
 						sum := 0.0
 						for _, v := range values {

@@ -25,7 +25,7 @@ import (
 // re-plumbed only to take the driver's shard and centroids arguments.
 
 func refKMeansMapper(shard func(int) [][]float64, snap [][]float64) mapreduce.Mapper {
-	return mapreduce.MapperFunc(func(kv mapreduce.KV, emit mapreduce.Emit) {
+	return mapreduce.Mapper(func(kv mapreduce.KV, emit mapreduce.Emit) {
 		split, _ := strconv.Atoi(kv.Key)
 		for _, p := range shard(split) {
 			c, _ := analysis.NearestCentroid(p, snap)
@@ -35,7 +35,7 @@ func refKMeansMapper(shard func(int) [][]float64, snap [][]float64) mapreduce.Ma
 }
 
 func refFuzzyKMeansMapper(shard func(int) [][]float64, snap [][]float64) mapreduce.Mapper {
-	return mapreduce.MapperFunc(func(kv mapreduce.KV, emit mapreduce.Emit) {
+	return mapreduce.Mapper(func(kv mapreduce.KV, emit mapreduce.Emit) {
 		split, _ := strconv.Atoi(kv.Key)
 		pts := shard(split)
 		_, memb, _ := analysis.FuzzyKMeansStep(pts, snap, fuzzinessFactor)
@@ -107,7 +107,7 @@ var clusteringOracles = []struct {
 func combined(m mapreduce.Mapper, rec mapreduce.KV) map[string][]string {
 	var keys []string
 	groups := map[string][]string{}
-	m.Map(rec, func(k, v string) {
+	m(rec, func(k, v string) {
 		if _, ok := groups[k]; !ok {
 			keys = append(keys, k)
 		}
@@ -115,7 +115,7 @@ func combined(m mapreduce.Mapper, rec mapreduce.KV) map[string][]string {
 	})
 	out := map[string][]string{}
 	for _, k := range keys {
-		vecSumReducer.Reduce(k, groups[k], func(k2, v string) { out[k2] = append(out[k2], v) })
+		vecSumReducer(k, groups[k], func(k2, v string) { out[k2] = append(out[k2], v) })
 	}
 	return out
 }
@@ -306,12 +306,12 @@ func TestSVMMapOutputNeedsNoCombiner(t *testing.T) {
 		for pass := 0; pass < 3; pass++ {
 			for split := 0; split < 6; split++ {
 				seen := map[string]bool{}
-				svmMapper(shard, gradKeys, w, 0, 0.001).Map(mapreduce.KV{Key: strconv.Itoa(split)}, func(k, v string) {
+				svmMapper(shard, gradKeys, w, 0, 0.001)(mapreduce.KV{Key: strconv.Itoa(split)}, func(k, v string) {
 					if seen[k] {
 						t.Fatalf("key %q emitted twice by one map task", k)
 					}
 					seen[k] = true
-					sumFloats.Reduce(k, []string{v}, func(k2, v2 string) {
+					sumFloats(k, []string{v}, func(k2, v2 string) {
 						if k2 != k || v2 != v {
 							t.Fatalf("combiner would rewrite (%q, %q) to (%q, %q)", k, v, k2, v2)
 						}
@@ -339,7 +339,7 @@ func TestMapperPanicFailsTheRunNotTheProcess(t *testing.T) {
 		env := NewEnv(2, testScale, 1)
 		_, err := env.RT.Run(&mapreduce.Job{
 			Input:  &mapreduce.SliceInput{Splits: [][]mapreduce.KV{{{Key: "0", Value: "1,2,x"}}}},
-			Mapper: mapreduce.MapperFunc(func(kv mapreduce.KV, emit mapreduce.Emit) { decodeVec(kv.Value) }),
+			Mapper: mapreduce.Mapper(func(kv mapreduce.KV, emit mapreduce.Emit) { decodeVec(kv.Value) }),
 		})
 		return env.newStats("broken"), err
 	})
